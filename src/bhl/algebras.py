@@ -507,8 +507,12 @@ class StructureConstantAlgebra(FiniteDimAlgebra):
 # ---------------------------------------------------------------------------
 
 
+def is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
 def _require_prime(p):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise ValueError("p must be prime, got %r" % (p,))
 
 

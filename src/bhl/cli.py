@@ -40,6 +40,7 @@ from .algebras import (
     d_a_mu,
     dual_anyonic,
     induced_linear_map,
+    is_prime,
     nilpotent_line,
     uqsl2,
 )
@@ -690,8 +691,20 @@ def build_parser():
     return parser
 
 
+def _validate(args):
+    """Reject parameter values the builders cannot take, as usage errors."""
+    command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
+    takes_p = args.command in ("verify", "stable-dim")
+    if takes_p and getattr(args, "module", None) is None and not is_prime(args.p):
+        raise UsageError("%s needs a prime --p, got %d" % (command, args.p))
+    n = getattr(args, "n", None)
+    if n is not None and n < 1:
+        raise UsageError("%s needs --n >= 1, got %d" % (command, n))
+
+
 def _dispatch(args):
     """Return (command string, params dict, checks list)."""
+    _validate(args)
     if args.command == "verify":
         command = "verify " + args.what
         if args.what == "hopf-axioms":

@@ -9,10 +9,15 @@ sigma(i+j) = omega(i,j)^(-1) sigma(i) sigma(j) with omega = chi * chi-flipped.
 Spaces carry a flat ordered basis (one degree per basis vector); maps are
 sparse exact matrices with a degree shift, and homogeneity is enforced at
 construction.  Shift-0 maps are the categorical morphisms; the shifted ones
-are what algebra generators act by.
+are what algebra generators act by.  tensor_map and @ materialise products
+of maps; a Diagram instead applies tensor products and composites one basis
+vector at a time, and first_difference compares two maps that way.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from .exactmat import Mat
 from .scalars import format_scalar, root_of_unity
@@ -53,12 +58,17 @@ class Bicharacter:
 
 
 class GradedSpace:
-    """A finite-dimensional Z/N-graded space with an ordered homogeneous basis."""
+    """A finite-dimensional Z/N-graded space with an ordered homogeneous basis.
 
-    __slots__ = ("N", "degrees", "labels")
+    A space made by tensor() remembers its factors (unit factors dropped),
+    so lazy diagrams can match tensor products without listing their bases.
+    """
+
+    __slots__ = ("N", "degrees", "labels", "factors")
 
     def __init__(self, N, degrees, labels=None):
         self.N = N
+        self.factors = None
         self.degrees = tuple(d % N for d in degrees)
         if labels is None:
             labels = tuple("v%d" % i for i in range(len(self.degrees)))
@@ -125,7 +135,9 @@ def tensor(V: GradedSpace, W: GradedSpace) -> GradedSpace:
         labels = tuple(
             "%s*%s" % (lv, lw) for lv in V.labels for lw in W.labels
         )
-    return GradedSpace(V.N, degrees, labels)
+    out = GradedSpace(V.N, degrees, labels)
+    out.factors = _word(V) + _word(W)
+    return out
 
 
 def left_dual(V: GradedSpace) -> GradedSpace:
@@ -197,10 +209,6 @@ class GradedMap:
         return GradedMap(other.source, self.target, self.mat * other.mat,
                          self.shift + other.shift)
 
-    def then(self, other):
-        """Diagram order: first self, then other."""
-        return other @ self
-
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
             raise ValueError("shape mismatch in map sum")
@@ -268,6 +276,214 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
         f.mat.kron(g.mat),
         f.shift + g.shift,
     )
+
+
+# ---------------------------------------------------------------------------
+# lazy diagrams: maps applied one basis vector at a time
+# ---------------------------------------------------------------------------
+
+
+def _word(V):
+    """V as a tuple of tensor factors; unit factors are dropped (I (x) V is V)."""
+    if V.factors is not None:
+        return V.factors
+    if V.degrees == (0,):
+        return ()
+    return (V,)
+
+
+def _word_dim(word):
+    return math.prod(V.dim for V in word)
+
+
+def _same_space(a, b, N):
+    """Whether two tensor words are equal as graded spaces over Z/N."""
+    if a == b:
+        return True
+    if _word_dim(a) != _word_dim(b):
+        return False
+    degrees = (
+        (sum(ds) % N for ds in itertools.product(*(V.degrees for V in w)))
+        for w in (a, b)
+    )
+    return all(x == y for x, y in zip(*degrees))
+
+
+def _times(c, a):
+    # a factor that is the integer 1 is passed through, which keeps the
+    # other factor's scalar type, exactly as the product would
+    if type(c) is int and c == 1:
+        return a
+    if type(a) is int and a == 1:
+        return c
+    return c * a
+
+
+def _add_into(out, key, value):
+    old = out.get(key)
+    if old is None:
+        out[key] = value
+    else:
+        s = old + value
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+
+
+class Diagram:
+    """A map built lazily from GradedMap leaves by tensor and composition.
+
+    No product matrix is ever formed.  Source and target are tensor words
+    (tuples of GradedSpace factors), and a column is computed by pushing a
+    basis vector through the diagram on sparse {row: scalar} vectors, with
+    (f (x) g)(e_i (x) e_j) = f(e_i) (x) g(e_j).  An entry or coefficient
+    that is the integer 1 (as in identity maps) is passed through, never
+    multiplied.  Build diagrams with diagram(), tensor_diagram() and @
+    (usual composition order).
+    """
+
+    __slots__ = ("N", "source", "target", "shift")
+
+    def __matmul__(self, other):
+        """self after other."""
+        return _Composite(self, diagram(other))
+
+    def __rmatmul__(self, other):
+        return _Composite(diagram(other), self)
+
+    def parallel(self, other):
+        """Same grading group, source and target."""
+        return (self.N == other.N
+                and _same_space(self.source, other.source, self.N)
+                and _same_space(self.target, other.target, self.N))
+
+    def columns(self):
+        """The image of each source basis vector, in order, as {row: scalar}."""
+        for j in range(_word_dim(self.source)):
+            yield self._column(j)
+
+
+class _Leaf(Diagram):
+    __slots__ = ("_cols",)
+
+    def __init__(self, f):
+        self.N = f.source.N
+        self.source, self.target = _word(f.source), _word(f.target)
+        self.shift = f.shift
+        cols = [{} for _ in range(f.source.dim)]
+        for (r, c), v in f.mat.data.items():
+            cols[c][r] = v
+        self._cols = cols
+
+    def _column(self, j):
+        return self._cols[j]
+
+    def _apply(self, vec):
+        cols = self._cols
+        out = {}
+        for j, c in vec.items():
+            for r, a in cols[j].items():
+                _add_into(out, r, _times(c, a))
+        return out
+
+
+class _Tensor(Diagram):
+    __slots__ = ("_left", "_right", "_right_src", "_right_tgt")
+
+    def __init__(self, f, g):
+        if f.N != g.N:
+            raise ValueError("grading group mismatch: N=%d vs N=%d" % (f.N, g.N))
+        self.N = f.N
+        self.source = f.source + g.source
+        self.target = f.target + g.target
+        self.shift = (f.shift + g.shift) % f.N
+        self._left, self._right = f, g
+        self._right_src = _word_dim(g.source)
+        self._right_tgt = _word_dim(g.target)
+
+    def _column(self, j):
+        out = {}
+        self._add_image(out, j, 1)
+        return out
+
+    def _apply(self, vec):
+        out = {}
+        for j, c in vec.items():
+            self._add_image(out, j, c)
+        return out
+
+    def _add_image(self, out, j, c):
+        """out += c * f(e_i) (x) g(e_k), where j is the index of e_i (x) e_k."""
+        i, k = divmod(j, self._right_src)
+        right = self._right._column(k)
+        width = self._right_tgt
+        for r, a in self._left._column(i).items():
+            ca = _times(c, a)
+            base = r * width
+            for s, b in right.items():
+                _add_into(out, base + s, _times(ca, b))
+
+
+class _Composite(Diagram):
+    __slots__ = ("_outer", "_inner")
+
+    def __init__(self, outer, inner):
+        if outer.N != inner.N or not _same_space(inner.target, outer.source,
+                                                 outer.N):
+            raise TypeError("cannot compose: middle objects differ")
+        self.N = outer.N
+        self.source, self.target = inner.source, outer.target
+        self.shift = (outer.shift + inner.shift) % outer.N
+        self._outer, self._inner = outer, inner
+
+    def _column(self, j):
+        return self._outer._apply(self._inner._column(j))
+
+    def _apply(self, vec):
+        return self._outer._apply(self._inner._apply(vec))
+
+
+def diagram(f):
+    """f as a Diagram: a GradedMap becomes a leaf, a Diagram is kept."""
+    if isinstance(f, Diagram):
+        return f
+    if isinstance(f, GradedMap):
+        return _Leaf(f)
+    raise TypeError("not a map: %r" % (f,))
+
+
+def tensor_diagram(*maps):
+    """The lazy tensor product of GradedMaps or Diagrams, left to right."""
+    out = diagram(maps[0])
+    for f in maps[1:]:
+        out = _Tensor(out, diagram(f))
+    return out
+
+
+def first_difference(lhs, rhs):
+    """The first source column where two parallel maps differ, or None.
+
+    Returns (j, {row: lhs - rhs}) for the smallest j with lhs(e_j) !=
+    rhs(e_j); columns after it are never computed.  For parallel maps,
+    equal columns is exactly GradedMap equality, shift included: a
+    homogeneous nonzero map of one shift differs from one of another shift
+    in every column where it is nonzero.
+    """
+    lhs, rhs = diagram(lhs), diagram(rhs)
+    if not lhs.parallel(rhs):
+        raise ValueError("maps are not parallel: source or target differ")
+    for j, (a, b) in enumerate(zip(lhs.columns(), rhs.columns())):
+        if a != b:
+            diff = dict(a)
+            for r, v in b.items():
+                s = diff.get(r, 0) - v
+                if s:
+                    diff[r] = s
+                else:
+                    del diff[r]
+            return j, diff
+    return None
 
 
 def braiding(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> GradedMap:

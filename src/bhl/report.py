@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+from .graded import diagram, first_difference
+
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
 
@@ -30,16 +32,23 @@ def skip(name, reason):
 
 
 def map_check(name, lhs, rhs, source_labels, details=""):
-    """A check comparing two matrix-backed maps, with a witness column on
-    failure: the first basis input where they disagree and the difference."""
-    if lhs == rhs:
+    """A check comparing two maps (GradedMaps or lazy Diagrams) one source
+    column at a time; it stops at the first column where they disagree and
+    reports it as the witness: that basis input and the difference there.
+
+    Maps with different sources or targets are unequal, as for GradedMap.
+    """
+    lhs, rhs = diagram(lhs), diagram(rhs)
+    if not lhs.parallel(rhs):
+        return check(name, False, details=details or "maps differ",
+                     witnesses=[{"note": "source or target differ"}])
+    hit = first_difference(lhs, rhs)
+    if hit is None:
         return check(name, True, details=details)
-    diff = lhs.mat - rhs.mat
-    j = min(c for (_, c) in diff.data)
-    entries = sorted((r, s) for (r, c), s in diff.data.items() if c == j)
+    j, diff = hit
     witness = {
         "input": source_labels[j],
-        "difference": [[r, repr(s)] for r, s in entries],
+        "difference": [[r, repr(diff[r])] for r in sorted(diff)],
     }
     return check(name, False, details=details or "maps differ",
                  witnesses=[witness])

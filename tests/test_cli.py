@@ -247,6 +247,30 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "hopf-axioms", "--p", "4"], "needs a prime --p, got 4"),
+    (["verify", "hopf-axioms", "--p", "1"], "needs a prime --p, got 1"),
+    (["decompose", "vec-g", "--n", "0"], "needs --n >= 1, got 0"),
+])
+def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
+def test_hopf_guard_skips_taft_only(monkeypatch, capsys):
+    monkeypatch.setenv("BHL_DIM_GUARD", "20")
+    code, report = run_json(["verify", "hopf-axioms", "--p", "5"], capsys)
+    assert code == 0
+    taft = [c for c in report["checks"] if c["name"].startswith("taft")]
+    anyonic = [c for c in report["checks"] if c["name"].startswith("anyonic")]
+    assert [c["status"] for c in taft] == ["SKIP"]
+    assert "guard 20" in taft[0]["details"]
+    assert anyonic and all(c["status"] == "PASS" for c in anyonic)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

@@ -15,12 +15,15 @@ from bhl.graded import (
     braiding,
     braiding_inverse,
     ev_coev,
+    first_difference,
     left_dual,
     right_dual,
     tensor,
+    tensor_diagram,
     tensor_map,
     twist_theta,
 )
+from bhl.report import map_check
 from bhl.scalars import root_of_unity
 
 
@@ -236,3 +239,77 @@ def test_map_json_round_trippable_entries():
     assert blob["shift"] == 0
     assert [0, 0, "1/2"] in blob["entries"]
     assert [1, 1, "q(4,1)"] in blob["entries"]
+
+
+# ---------------------------------------------------------------------------
+# lazy diagrams against the materialised maps
+
+
+def dense_columns(f):
+    return [f.mat.col_dict(j) for j in range(f.source.dim)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(nat_setup())
+def test_diagram_columns_match_materialised_maps(setup):
+    chi, f, g = setup
+    lazy = tensor_diagram(f, g)
+    dense = tensor_map(f, g)
+    assert list(lazy.columns()) == dense_columns(dense)
+    assert lazy.shift == dense.shift
+    tau = braiding(f.target, g.target, chi)
+    ids = tensor_diagram(GradedMap.identity(g.target),
+                         GradedMap.identity(f.target))
+    composite = tensor_map(GradedMap.identity(g.target),
+                           GradedMap.identity(f.target)) @ tau @ dense
+    assert list((ids @ tau @ lazy).columns()) == dense_columns(composite)
+    assert first_difference(tau @ lazy, tau @ dense) is None
+
+
+def test_diagram_tensor_words_match_nested_products():
+    V = GradedSpace(3, (0, 1))
+    i = GradedMap.identity(V)
+    t = braiding(V, V, Bicharacter(3, 1))
+    # (V (x) V) (x) (V (x) V) meets V (x) (V (x) V) (x) V with no big basis
+    square = tensor_diagram(tensor_map(i, i), tensor_map(i, i))
+    middle = tensor_diagram(i, t, i)
+    assert square.target == middle.source == (V, V, V, V)
+    assert first_difference(middle @ square, middle) is None
+    with pytest.raises(TypeError, match="middle objects differ"):
+        tensor_diagram(i, i, i) @ square
+    # a space not built by tensor() still meets an equal tensor product
+    flat = GradedMap.identity(GradedSpace(3, (0, 1, 1, 2)))
+    assert first_difference(flat @ tensor_diagram(i, i),
+                            tensor_map(i, i)) is None
+    with pytest.raises(TypeError, match="middle objects differ"):
+        flat @ tensor_diagram(i, GradedMap.identity(GradedSpace(3, (0, 2))))
+
+
+def test_first_difference_reports_the_first_differing_column():
+    V = GradedSpace(2, (0, 1, 1))
+    f = GradedMap(V, V, Mat.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    g = GradedMap(V, V, Mat.from_rows([[1, 0, 0], [0, 2, 5], [0, 0, 1]]))
+    assert first_difference(f, g) == (2, {1: -5, 2: 2})
+    assert first_difference(f, f) is None
+    got = map_check("f = g", f, g, ["a", "b", "c"])
+    assert got["witnesses"] == [{"input": "c",
+                                 "difference": [[1, "-5"], [2, "2"]]}]
+
+
+def test_map_check_of_maps_with_other_targets_fails():
+    V = GradedSpace(3, (0, 1))
+    W = GradedSpace(3, (0, 2))
+    f = GradedMap.zero(V, V)
+    g = GradedMap.zero(V, W)
+    got = map_check("f = g", f, g, ["a", "b"])
+    assert got["status"] == "FAIL"
+    assert got["witnesses"] == [{"note": "source or target differ"}]
+    with pytest.raises(ValueError, match="not parallel"):
+        first_difference(f, g)
+
+
+def test_zero_maps_of_different_shifts_agree():
+    V = GradedSpace(3, (0, 1))
+    assert first_difference(GradedMap.zero(V, V, 1), GradedMap.zero(V, V)) is None
+    f = GradedMap(V, V, Mat.from_rows([[0, 0], [1, 0]]), shift=1)
+    assert first_difference(f, GradedMap.zero(V, V)) == (0, {1: 1})

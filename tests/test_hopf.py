@@ -6,13 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhl.algebras import Presentation, PresentedAlgebra, anyonic_line, taft
+from bhl.algebras import (
+    DimensionGuardError,
+    Presentation,
+    PresentedAlgebra,
+    anyonic_line,
+    taft,
+)
 from bhl.exactmat import Mat
-from bhl.graded import Bicharacter, GradedMap, GradedSpace
+from bhl.graded import Bicharacter, GradedMap, GradedSpace, braiding, tensor_map
 from bhl.hopf import (
     AlgebraModule,
     anyonic_hopf,
     braided_tensor_algebra,
+    build_hopf,
     coproduct_power,
     module_tensor,
     regular_module,
@@ -26,7 +33,7 @@ from bhl.hopf import (
     verify_coproduct_powers,
     verify_module,
 )
-from bhl.report import FAIL, PASS
+from bhl.report import FAIL, PASS, check
 
 
 def all_pass(checks):
@@ -119,11 +126,131 @@ def test_anyonic_line_is_braided_hopf(p):
     assert all_pass(checks), failed_names(checks)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_taft_is_hopf(p):
     H = taft_hopf(p)
     checks = verify_bialgebra(H) + verify_antipode(H)
     assert all_pass(checks), failed_names(checks)
+
+
+# The matrix route the verifiers used before they went column by column:
+# every identity is materialised with tensor_map and @ and compared as
+# matrices.  It is kept here as an independent oracle at small p.
+
+
+def _matrix_map_check(name, lhs, rhs, source_labels):
+    if lhs == rhs:
+        return check(name, True)
+    diff = lhs.mat - rhs.mat
+    j = min(c for (_, c) in diff.data)
+    entries = sorted((r, s) for (r, c), s in diff.data.items() if c == j)
+    witness = {
+        "input": source_labels[j],
+        "difference": [[r, repr(s)] for r, s in entries],
+    }
+    return check(name, False, details="maps differ", witnesses=[witness])
+
+
+def matrix_route_checks(H):
+    V = H.space
+    idv = GradedMap.identity(V)
+    tau = braiding(V, V, H.chi)
+    pairs = ["%s , %s" % (a, b) for a in V.labels for b in V.labels]
+    singles = list(V.labels)
+    mm = tensor_map(H.m, H.m) @ tensor_map(idv, tensor_map(tau, idv))
+    unit = GradedMap.identity(GradedSpace.unit(V.N))
+    counit_ok = (tensor_map(H.eps, idv) @ H.Delta == idv
+                 and tensor_map(idv, H.eps) @ H.Delta == idv)
+    ue = H.u @ H.eps
+    rank = H.S.rank()
+    checks = [
+        _matrix_map_check("coproduct_is_multiplicative", H.Delta @ H.m,
+                          mm @ tensor_map(H.Delta, H.Delta), pairs),
+        _matrix_map_check("coproduct_of_unit", H.Delta @ H.u,
+                          tensor_map(H.u, H.u), ["1"]),
+        _matrix_map_check("counit_is_multiplicative", H.eps @ H.m,
+                          tensor_map(H.eps, H.eps), pairs),
+        _matrix_map_check("counit_of_unit", H.eps @ H.u, unit, ["1"]),
+        _matrix_map_check("coassociativity",
+                          tensor_map(H.Delta, idv) @ H.Delta,
+                          tensor_map(idv, H.Delta) @ H.Delta, singles),
+        check("counit_law", counit_ok,
+              details="(eps(x)id).Delta = id = (id(x)eps).Delta"),
+        _matrix_map_check("antipode_left",
+                          H.m @ tensor_map(H.S, idv) @ H.Delta, ue, singles),
+        _matrix_map_check("antipode_right",
+                          H.m @ tensor_map(idv, H.S) @ H.Delta, ue, singles),
+        _matrix_map_check("antipode_is_antimultiplicative", H.S @ H.m,
+                          H.m @ tensor_map(H.S, H.S) @ tau, pairs),
+        _matrix_map_check("antipode_is_anticomultiplicative", H.Delta @ H.S,
+                          tau @ tensor_map(H.S, H.S) @ H.Delta, singles),
+        check("antipode_invertible", rank == V.dim,
+              details="rank %d of %d" % (rank, V.dim)),
+    ]
+    return checks
+
+
+def broken_taft_hopf(p, primitive_x=False, eps_x=0, antipode_sign=-1):
+    """Taft's algebra with a wrong image of x, for the witness paths.
+
+    primitive_x gives Delta(x) = x(x)1 + 1(x)x, which does not respect
+    x^p = 0 (Delta(x)^p has ordinary binomial coefficients); eps_x != 0 or
+    antipode_sign = 1 break the counit and antipode axioms.
+    """
+    A = taft(p)
+    chi = Bicharacter(1, 0)
+    TA = braided_tensor_algebra(A, A, chi)
+    g, x, one = A.gen("g"), A.gen("x"), A.unit()
+    left = one if primitive_x else g
+    cop = {"g": tensor_pair(TA, g, g),
+           "x": tensor_pair(TA, x, one) + tensor_pair(TA, left, x)}
+    ant = {"g": g ** (p - 1), "x": antipode_sign * (g ** (p - 1) * x)}
+    return build_hopf(A, chi, cop, {"g": 1, "x": eps_x}, ant)
+
+
+ORACLE_CASES = (
+    [("taft", lambda p=p: taft_hopf(p)) for p in (2, 3)]
+    + [("anyonic", lambda p=p: anyonic_hopf(p)) for p in (2, 3, 5)]
+    + [("anyonic c=0", lambda p=p: anyonic_hopf(p, c=0)) for p in (3, 5)]
+    + [("broken taft coproduct",
+        lambda: broken_taft_hopf(3, primitive_x=True)),
+       ("broken taft counit and antipode",
+        lambda: broken_taft_hopf(3, eps_x=1, antipode_sign=1))]
+)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: c[0])
+def test_column_route_matches_matrix_route(case):
+    H = case[1]()
+    checks = verify_bialgebra(H) + verify_antipode(H)
+    # the last check records S^2 and has no matrix-route counterpart
+    assert checks[:-1] == matrix_route_checks(H)
+    assert checks[-1]["name"] == "antipode_square_recorded"
+
+
+@pytest.mark.parametrize("kwargs, failing", [
+    # S(x) = -g^{p-1} x no longer fits the primitive coproduct either
+    ({"primitive_x": True},
+     ["coproduct_is_multiplicative", "antipode_left", "antipode_right",
+      "antipode_is_anticomultiplicative"]),
+    ({"eps_x": 1, "antipode_sign": 1},
+     ["counit_is_multiplicative", "counit_law", "antipode_left",
+      "antipode_right"]),
+])
+def test_broken_taft_fails_with_witnesses(kwargs, failing):
+    H = broken_taft_hopf(3, **kwargs)
+    checks = verify_bialgebra(H) + verify_antipode(H)
+    assert failed_names(checks) == failing
+    for c in checks:
+        if c["status"] == FAIL and c["name"] != "counit_law":
+            assert c["witnesses"][0]["difference"]
+
+
+def test_hopf_data_is_behind_the_dimension_guard(monkeypatch):
+    monkeypatch.setenv("BHL_DIM_GUARD", "20")
+    with pytest.raises(DimensionGuardError):
+        taft_hopf(5)
+    anyonic_hopf(5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
