@@ -148,8 +148,10 @@ def regular_ayd_module(p, mu):
     xi^t-eigenvector combination of the g-powers; there g acts diagonally
     with degree (t - a), and left multiplication by x and z is homogeneous
     of degree +1 and -1.  The change of basis is attached as
-    .basis_change, the algebra as .algebra.
+    .basis_change, the algebra as .algebra.  Its dimension p^3 goes through
+    the dimension guard.
     """
+    check_guard(p ** 3, "regular module of d_a_mu(%d, %d)" % (p, mu))
     A = d_a_mu(p, mu)
     xi = A.xi
     n = A.dim
@@ -383,7 +385,6 @@ def stable_analysis(p, mu):
     equals the stable value reached.
     """
     mu %= p
-    check_guard(p ** 3, "stable analysis of the regular representation")
     M = regular_ayd_module(p, mu)
     sigma = varsigma_H(M)
     n = M.dim

@@ -285,16 +285,18 @@ def ayd_checks(p, mu):
 
 
 def ayd_file_checks(path):
+    """(module, checks) for a JSON module file; module is None when the
+    file does not describe one."""
     data = _read_json(path)
     try:
         M = ayd_module_from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
-        return [check("module file is well formed", False,
-                      witnesses=[{"file": str(path), "error": str(exc)}])]
+        return None, [check("module file is well formed", False,
+                            witnesses=[{"file": str(path), "error": str(exc)}])]
     checks = [check("module file is well formed", True,
                     details="dimension %d over N=%d" %
                             (M.space.dim, M.space.N))]
-    return checks + verify_ayd(M)
+    return M, checks + verify_ayd(M)
 
 
 def vecg_checks(N, c):
@@ -646,11 +648,11 @@ def build_parser():
 
     v = vsub.add_parser("ayd", parents=[common],
                         help="anti-Yetter-Drinfeld module axioms")
-    v.add_argument("--p", type=int, default=3)
-    v.add_argument("--mu", type=int, default=0)
+    v.add_argument("--p", type=int, default=None, help="default 3")
+    v.add_argument("--mu", type=int, default=None, help="default 0")
     v.add_argument("--module", metavar="FILE", default=None,
                    help="JSON module description to verify instead of the "
-                        "built-in regular module")
+                        "built-in regular module; it fixes p and mu")
 
     v = sub.add_parser("stable-dim", parents=[common],
                        help="kernel stabilization of the anti-twist operator")
@@ -694,8 +696,13 @@ def build_parser():
 def _validate(args):
     """Reject parameter values the builders cannot take, as usage errors."""
     command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
+    if getattr(args, "module", None) is not None:
+        for flag in ("p", "mu"):
+            if getattr(args, flag) is not None:
+                raise UsageError("%s --module takes p and mu from the file; "
+                                 "drop --%s" % (command, flag))
     takes_p = args.command in ("verify", "stable-dim")
-    if takes_p and getattr(args, "module", None) is None and not is_prime(args.p):
+    if takes_p and args.p is not None and not is_prime(args.p):
         raise UsageError("%s needs a prime --p, got %d" % (command, args.p))
     n = getattr(args, "n", None)
     if n is not None and n < 1:
@@ -722,12 +729,16 @@ def _dispatch(args):
         elif args.what == "ribbon":
             params = {"p": args.p, "mu": args.mu}
             checks = ribbon_checks(args.p, args.mu)
-        else:  # ayd
-            params = {"p": args.p, "mu": args.mu, "module": args.module}
-            if args.module is not None:
-                checks = ayd_file_checks(args.module)
-            else:
-                checks = ayd_checks(args.p, args.mu)
+        elif args.module is not None:  # ayd on a module file
+            M, checks = ayd_file_checks(args.module)
+            params = {"p": None if M is None else M.p,
+                      "mu": None if M is None else M.mu,
+                      "module": args.module}
+        else:  # ayd on the regular module
+            p = 3 if args.p is None else args.p
+            mu = 0 if args.mu is None else args.mu
+            params = {"p": p, "mu": mu, "module": None}
+            checks = ayd_checks(p, mu)
         return command, params, checks
     if args.command == "stable-dim":
         mus = None if args.mu is None else [args.mu]

@@ -106,7 +106,8 @@ class Mat:
             raise ValueError("shape mismatch in +")
         data = dict(self.data)
         for key, v in other.data.items():
-            s = data.get(key, 0) + v
+            s = data.get(key)
+            s = v if s is None else s + v
             if s:
                 data[key] = s
             else:
@@ -141,7 +142,8 @@ class Mat:
             if hits:
                 for j, b in hits:
                     key = (i, j)
-                    s = acc.get(key, 0) + a * b
+                    s = acc.get(key)
+                    s = a * b if s is None else s + a * b
                     if s:
                         acc[key] = s
                     else:
@@ -157,7 +159,8 @@ class Mat:
         for (i, j), a in self.data.items():
             v = vec.get(j)
             if v:
-                s = out.get(i, 0) + a * v
+                s = out.get(i)
+                s = a * v if s is None else s + a * v
                 if s:
                     out[i] = s
                 else:
@@ -284,7 +287,8 @@ def _eliminate(rows, ncols):
             factor = r.get(col)
             if factor:
                 for j, v in prow.items():
-                    s = r.get(j, 0) - factor * v
+                    s = r.get(j)
+                    s = -(factor * v) if s is None else s - factor * v
                     if s:
                         r[j] = s
                     else:

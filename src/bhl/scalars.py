@@ -6,9 +6,19 @@ positive denominator, always fully reduced.  Canonical form means equality
 of values is equality of coefficient vectors; hash agrees with Fraction for
 rational-valued elements so mixed dict keys behave.
 
-Rationals embed into any Q(zeta_N); two elements of *different* cyclotomic
-orders can only meet if one of them is rational-valued (then it is promoted).
-Anything else raises OrderMismatchError — no silent compositum.
+Type policy: an operation with a Cyclotomic operand returns a Cyclotomic,
+and its order and canonical (num, den) do not depend on the route taken.
+Rationals embed into any Q(zeta_N).  A rational operand of the same order
+(an int, a Fraction, or a Cyclotomic whose only nonzero coordinate is the
+constant one) scales the coordinate vector or shifts its constant
+coordinate; it is never promoted to a full element first.  Two elements
+of *different* orders can only meet if one of them is rational-valued,
+which is then promoted; anything else raises OrderMismatchError — no
+silent compositum.
+
+Inverses: a monomial c*zeta^k inverts by lookup as c^-1 * zeta^(N-k), read
+from the table of powers of zeta; any other element by an integer linear
+solve against its multiplication matrix.
 
 Also provides the q-combinatorics used throughout: q-integers (n)_xi,
 q-factorials, Gaussian binomials, the balanced quantum integers [n]_q, and
@@ -17,10 +27,9 @@ quadratic Gauss sums.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from functools import reduce
+from math import gcd, lcm
 
 Rational = Fraction  # the exact rational scalar type
 
@@ -80,7 +89,11 @@ _POWTAB_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
 def _powtab(order):
-    """Coordinate rows of zeta^k on the power basis, k = 0 .. 2d-2."""
+    """Coordinate rows of zeta^k on the power basis, k = 0 .. max(2d-2, N-1).
+
+    Rows up to 2d-2 reduce a product of two elements; rows up to N-1 give
+    every root of unity of the order.
+    """
     if order in _POWTAB_CACHE:
         return _POWTAB_CACHE[order]
     phi = cyclotomic_polynomial(order)
@@ -89,7 +102,7 @@ def _powtab(order):
     cur = [0] * d
     cur[0] = 1
     rows.append(tuple(cur))
-    for _ in range(2 * d - 2):
+    for _ in range(max(2 * d - 2, order - 1)):
         nxt = [0] * d
         top = cur[d - 1]
         for i in range(d - 1):
@@ -117,12 +130,7 @@ class Cyclotomic:
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order, num, den=1, _normalized=False):
-        if _normalized:
-            self.order = order
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, order, num, den=1):
         d = euler_phi(order)
         vec = list(num) + [0] * (d - len(num))
         if len(vec) != d:
@@ -132,7 +140,7 @@ class Cyclotomic:
         if den < 0:
             den = -den
             vec = [-v for v in vec]
-        g = reduce(math.gcd, vec, den)
+        g = gcd(den, *vec)
         if g > 1:
             den //= g
             vec = [v // g for v in vec]
@@ -146,11 +154,12 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(value, order=1):
-        f = Fraction(value)
-        d = euler_phi(order)
-        num = [0] * d
-        num[0] = f.numerator
-        return Cyclotomic(order, num, f.denominator)
+        if type(value) is int:
+            n, m = value, 1
+        else:
+            f = Fraction(value)
+            n, m = f.numerator, f.denominator
+        return _make(order, (n,) + (0,) * (euler_phi(order) - 1), m)
 
     @staticmethod
     def zero(order=1):
@@ -194,83 +203,97 @@ class Cyclotomic:
         return None
 
     # -- ring operations ----------------------------------------------------
+    #
+    # Rational operands (int, Fraction, and same-order Cyclotomics with only
+    # a constant coordinate) take the _scaled / constant-shift paths; only a
+    # Cyclotomic of another order goes through _pair.
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        g = math.gcd(a.den, b.den)
-        la, lb = b.den // g, a.den // g
-        vec = [x * la + y * lb for x, y in zip(a.num, b.num)]
-        return Cyclotomic(a.order, vec, a.den * la)
+        if isinstance(other, Cyclotomic):
+            a, b = (self, other) if other.order == self.order else self._pair(other)
+            if a.den == b.den:
+                return _reduced(a.order, [x + y for x, y in zip(a.num, b.num)], a.den)
+            g = gcd(a.den, b.den)
+            la, lb = b.den // g, a.den // g
+            vec = [x * la + y * lb for x, y in zip(a.num, b.num)]
+            return _reduced(a.order, vec, a.den * la)
+        if isinstance(other, int):
+            # gcd(num + other*den*e_0, den) = gcd(num, den) = 1: still canonical
+            num = self.num
+            return _make(self.order, (num[0] + other * self.den,) + num[1:], self.den)
+        if isinstance(other, Fraction):
+            n, m = other.numerator, other.denominator
+            g = gcd(self.den, m)
+            la, lb = m // g, self.den // g
+            vec = [x * la for x in self.num]
+            vec[0] += n * lb
+            return _reduced(self.order, vec, self.den * la)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-v for v in self.num), self.den, _normalized=True)
+        return _make(self.order, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a + (-b)
+        if isinstance(other, (Cyclotomic, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        n = len(a.num)
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a.num):
-            if ai:
-                for j, bj in enumerate(b.num):
-                    if bj:
-                        conv[i + j] += ai * bj
-        vec = conv[:n]
-        tab = None
-        for k in range(n, 2 * n - 1):
-            ck = conv[k]
-            if ck:
-                if tab is None:
-                    tab = _powtab(a.order)
-                row = tab[k]
-                for i in range(n):
-                    if row[i]:
-                        vec[i] += ck * row[i]
-        return Cyclotomic(a.order, vec, a.den * b.den)
+        if isinstance(other, Cyclotomic):
+            a, b = (self, other) if other.order == self.order else self._pair(other)
+            an, bn = a.num, b.num
+            if not any(bn[1:]):
+                return _scaled(a, bn[0], b.den)
+            if not any(an[1:]):
+                return _scaled(b, an[0], a.den)
+            n = len(an)
+            conv = [0] * (2 * n - 1)
+            for i, ai in enumerate(an):
+                if ai:
+                    for j, bj in enumerate(bn):
+                        if bj:
+                            conv[i + j] += ai * bj
+            vec = conv[:n]
+            tab = None
+            for k in range(n, 2 * n - 1):
+                ck = conv[k]
+                if ck:
+                    if tab is None:
+                        tab = _powtab(a.order)
+                    row = tab[k]
+                    for i in range(n):
+                        if row[i]:
+                            vec[i] += ck * row[i]
+            return _reduced(a.order, vec, a.den * b.den)
+        if isinstance(other, int):
+            return _scaled(self, other, 1)
+        if isinstance(other, Fraction):
+            return _scaled(self, other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via extended Euclid mod Phi_order."""
-        if self.is_zero():
+        """Multiplicative inverse: by lookup for a monomial c*zeta^k,
+        otherwise by solving num * y = 1 over the integers."""
+        num = self.num
+        support = [k for k, v in enumerate(num) if v]
+        if not support:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.as_fraction(), self.order)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(v, self.den) for v in self.num]
-        # invariants: r0 = s0*a mod phi, r1 = s1*a mod phi
-        r0, r1 = phi, list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                coeffs = [c * inv for c in s1]
-                den = reduce(math.lcm, (c.denominator for c in coeffs), 1)
-                vec = [int(c * den) for c in coeffs]
-                return Cyclotomic(self.order, vec, den)
-            q, rem = _poly_divmod(r0, r1)
-            snew = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, rem
-            s0, s1 = s1, snew
+        if len(support) == 1:
+            # (c zeta^k)^-1 = c^-1 zeta^(N-k); for k = 0 that is row 0, i.e. 1
+            k = support[0]
+            c, den = num[k], self.den
+            if c < 0:
+                c, den = -c, -den
+            row = _powtab(self.order)[-k % self.order]
+            return _reduced(self.order, [den * r for r in row], c)
+        return _inverse_general(self)
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -287,14 +310,16 @@ class Cyclotomic:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = Cyclotomic.one(self.order)
+        # square-and-multiply, starting from the first factor rather than 1
+        result = None
         base = self
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return Cyclotomic.one(self.order) if result is None else result
 
     # -- comparison ---------------------------------------------------------
 
@@ -322,52 +347,96 @@ class Cyclotomic:
         return format_scalar(self)
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    while b[db] == 0:
-        db -= 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / b[db]
-        q[k] = c
-        if c:
-            for i in range(db + 1):
-                a[k + i] -= c * b[i]
-    return q, a[:db]
+_new = object.__new__
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _make(order, num, den):
+    """A Cyclotomic from a coordinate tuple and denominator already canonical."""
+    c = _new(Cyclotomic)
+    c.order = order
+    c.num = num
+    c.den = den
+    return c
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return a
+def _reduced(order, vec, den):
+    """The canonical Cyclotomic of a full-length integer list over den > 0.
+
+    Unlike the public constructor this neither pads, validates nor fixes
+    signs, and over den == 1 it takes no gcd at all.
+    """
+    if den != 1:
+        g = gcd(den, *vec)
+        if g > 1:  # also when vec is zero: then g == den and den becomes 1
+            den //= g
+            vec = [v // g for v in vec]
+    return _make(order, tuple(vec), den)
+
+
+def _scaled(x, n, m):
+    """x * (n/m) for a reduced fraction n/m, m > 0, in canonical form.
+
+    n/m and num/den are both reduced, so cancelling gcd(n, den) and
+    gcd(m, content of num) leaves the result reduced.  n == 0 forces
+    m == 1, so a zero product gets den 1.
+    """
+    num, den = x.num, x.den
+    g = gcd(n, den)
+    if g > 1:
+        n //= g
+        den //= g
+    if m > 1:
+        h = gcd(m, *num)
+        if h > 1:
+            m //= h
+            num = [v // h for v in num]
+        den *= m
+    return _make(x.order, tuple(v * n for v in num), den)
+
+
+def _inverse_general(x):
+    """x^-1 for an x with at least two nonzero coordinates.
+
+    Solves M y = e_0, where column j of the integer matrix M holds the
+    coordinates of num * zeta^j, by Gauss-Jordan elimination that keeps
+    every row integral (cross-multiplication, then division by the row's
+    content).  Row i ends as D_i e_i | b_i, so num^-1 has coordinates
+    b_i / D_i and x^-1 = den * num^-1.
+    """
+    num, den = x.num, x.den
+    phi = cyclotomic_polynomial(x.order)
+    d = len(num)
+    rows = [[0] * (d + 1) for _ in range(d)]
+    rows[0][d] = 1
+    col = list(num)
+    for j in range(d):
+        for i in range(d):
+            rows[i][j] = col[i]
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:  # zeta^d = -(phi_0 + ... + phi_{d-1} zeta^{d-1})
+            col = [c - top * f for c, f in zip(col, phi)]
+    for k in range(d):
+        if not rows[k][k]:  # M is invertible, so some later row has a pivot
+            p = next(i for i in range(k + 1, d) if rows[i][k])
+            rows[k], rows[p] = rows[p], rows[k]
+        prow = rows[k]
+        pk = prow[k]
+        for i in range(d):
+            f = rows[i][k]
+            if f and i != k:
+                r = [pk * a - f * b for a, b in zip(rows[i], prow)]
+                g = gcd(*r)
+                if g > 1:
+                    r = [v // g for v in r]
+                rows[i] = r
+    lcd = lcm(*(r[i] for i, r in enumerate(rows)))
+    return _reduced(x.order, [den * r[d] * (lcd // r[i]) for i, r in enumerate(rows)], lcd)
 
 
 def root_of_unity(order: int, k: int = 1) -> Cyclotomic:
     """zeta_order ** k as an exact element of Q(zeta_order)."""
-    k %= order
-    d = euler_phi(order)
-    if k < d:
-        vec = [0] * d
-        vec[k] = 1
-        return Cyclotomic(order, vec)
-    if k <= 2 * d - 2:
-        return Cyclotomic(order, list(_powtab(order)[k]))
-    if d == 1:  # order 1 or 2
-        return Cyclotomic(order, [1 if order == 1 else (-1) ** k])
-    zeta = Cyclotomic(order, [0, 1] + [0] * (d - 2))
-    return zeta ** k
+    return _make(order, _powtab(order)[k % order], 1)
 
 
 def promote(value, order: int):

@@ -255,6 +255,16 @@ def test_stable_analysis_respects_the_guard(monkeypatch):
         stable_analysis(3, 0)
 
 
+def test_regular_module_respects_the_guard(monkeypatch):
+    monkeypatch.setenv("BHL_DIM_GUARD", "20")
+    with pytest.raises(DimensionGuardError):
+        regular_ayd_module(3, 0)
+    with pytest.raises(DimensionGuardError):
+        verify_ribbon_identity(3, 1)
+    monkeypatch.setenv("BHL_DIM_GUARD", "27")
+    assert regular_ayd_module(3, 0).dim == 27
+
+
 # ---------------------------------------------------------------------------
 # module files
 # ---------------------------------------------------------------------------

@@ -110,6 +110,15 @@ def test_ayd_module_from_file(capsys):
     assert all(c["status"] == "PASS" for c in report["checks"])
 
 
+def test_ayd_module_params_come_from_the_file(capsys):
+    _, report = run_json(
+        ["verify", "ayd", "--module", str(SAMPLE_MODULE)], capsys)
+    assert report["params"] == {"p": 3, "mu": 1, "module": str(SAMPLE_MODULE),
+                                "seed": 0}
+    _, report = run_json(["verify", "ayd"], capsys)
+    assert report["params"] == {"p": 3, "mu": 0, "module": None, "seed": 0}
+
+
 def test_ayd_malformed_module_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"unexpected": 1}))
@@ -251,6 +260,10 @@ def test_usage_errors_exit_2(capsys):
     (["verify", "hopf-axioms", "--p", "4"], "needs a prime --p, got 4"),
     (["verify", "hopf-axioms", "--p", "1"], "needs a prime --p, got 1"),
     (["decompose", "vec-g", "--n", "0"], "needs --n >= 1, got 0"),
+    (["verify", "ayd", "--module", str(SAMPLE_MODULE), "--p", "5", "--mu",
+      "4"], "--module takes p and mu from the file; drop --p"),
+    (["verify", "ayd", "--module", str(SAMPLE_MODULE), "--mu", "1"],
+     "--module takes p and mu from the file; drop --mu"),
 ])
 def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -269,6 +282,20 @@ def test_hopf_guard_skips_taft_only(monkeypatch, capsys):
     assert [c["status"] for c in taft] == ["SKIP"]
     assert "guard 20" in taft[0]["details"]
     assert anyonic and all(c["status"] == "PASS" for c in anyonic)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ribbon", "--p", "3"],
+    ["verify", "ribbon", "--p", "3", "--mu", "1"],
+    ["verify", "ayd", "--p", "3"],
+])
+def test_regular_module_guard_skips(argv, monkeypatch, capsys):
+    monkeypatch.setenv("BHL_DIM_GUARD", "20")
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert [c["status"] for c in report["checks"]] == ["SKIP"]
+    assert "dimension 27 exceeds the guard 20" in report["checks"][0]["details"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Tests for the diagram script language: parsing, typechecking, evaluation."""
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from bhl.report import FAIL, PASS
 from bhl.scalars import root_of_unity
 
 CORPUS = pathlib.Path(bhl.__file__).parent / "corpus"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def env3(mu=0):
@@ -368,3 +370,13 @@ def test_braiding_naturality_for_random_generators(obj, data):
            frows, grows))
     checks = check_text(script, Environment(N, 1))
     assert all(ch["status"] == PASS for ch in checks)
+
+
+def test_readme_script_example_passes():
+    # the README's ```text block is the documented script example; it must
+    # load and pass under the defaults of `bhl dsl check` (N=3, chi=1, mu=0)
+    blocks = re.findall(r"```text\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    checks = check_text(blocks[0], env3())
+    assert checks
+    assert all(c["status"] == PASS for c in checks), checks

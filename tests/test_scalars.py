@@ -163,3 +163,206 @@ def test_format_parse_round_trip(x):
 def test_format_round_trip_rationals():
     for v in (0, 5, -5, Fraction(2, 7), Fraction(-9, 4)):
         assert parse_scalar(format_scalar(v)) == v
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the general route
+#
+# The reference below is the general route written out with the public
+# constructor only: promote a rational operand to a full element of the
+# order, convolve, and reduce modulo Phi_N by long division.
+# ---------------------------------------------------------------------------
+
+ORDERS = [1, 2, 3, 4, 5, 8, 12, 17]
+
+
+def _embed(value, order):
+    f = value.as_fraction() if isinstance(value, Cyclotomic) else Fraction(value)
+    return Cyclotomic(order, [f.numerator], f.denominator)
+
+
+def _ref_pair(a, b):
+    if not isinstance(a, Cyclotomic):
+        return _embed(a, b.order), b
+    if not isinstance(b, Cyclotomic):
+        return a, _embed(b, a.order)
+    if a.order == b.order:
+        return a, b
+    if b.is_rational():
+        return a, _embed(b, a.order)
+    return _embed(a, b.order), b
+
+
+def _ref_mul(a, b):
+    a, b = _ref_pair(a, b)
+    phi = cyclotomic_polynomial(a.order)
+    n = len(phi) - 1
+    conv = [0] * (2 * n - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            conv[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):  # Phi_N is monic
+        c, conv[k] = conv[k], 0
+        for i in range(n):
+            conv[k - n + i] -= c * phi[i]
+    return Cyclotomic(a.order, conv[:n], a.den * b.den)
+
+
+def _ref_add(a, b):
+    a, b = _ref_pair(a, b)
+    vec = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
+    return Cyclotomic(a.order, vec, a.den * b.den)
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+    assert hash(got) == hash(want)
+    assert format_scalar(got) == format_scalar(want)
+
+
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)
+                      .flatmap(lambda m: st.sampled_from([m, -m])))
+
+
+@st.composite
+def operand_pair(draw):
+    """A general element of some order and an operand of every kind."""
+    order = draw(st.sampled_from(ORDERS))
+    x = draw(cyclo(order))
+    kind = draw(st.sampled_from(
+        ["int", "zero", "fraction", "rational", "rational1", "general",
+         "monomial"]))
+    if kind == "int":
+        y = draw(st.integers(-30, 30))
+    elif kind == "zero":
+        y = 0
+    elif kind == "fraction":
+        y = draw(fractions)
+    elif kind in ("rational", "rational1"):
+        y = _embed(draw(fractions), order if kind == "rational" else 1)
+    elif kind == "general":
+        y = draw(cyclo(order))
+    else:
+        d = euler_phi(order)
+        vec = [0] * d
+        vec[draw(st.integers(0, d - 1))] = draw(st.integers(-9, 9))
+        y = Cyclotomic(order, vec, draw(st.integers(1, 9)))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pair())
+def test_fast_paths_match_the_general_route(pair):
+    x, y = pair
+    _same(x * y, _ref_mul(x, y))
+    _same(y * x, _ref_mul(y, x))
+    _same(x + y, _ref_add(x, y))
+    _same(y + x, _ref_add(y, x))
+    minus_y = _ref_mul(y, -1) if isinstance(y, Cyclotomic) else -y
+    _same(x - y, _ref_add(x, minus_y))
+    _same(y - x, _ref_add(y, _ref_mul(x, -1)))
+    _same(-x, _ref_mul(x, -1))
+    if y:
+        inv_y = y.inverse() if isinstance(y, Cyclotomic) else 1 / Fraction(y)
+        _same(x / y, _ref_mul(x, inv_y))
+    # a same-order rational Cyclotomic on either side takes the scaling path
+    if isinstance(y, Cyclotomic) and y.order == x.order and y.is_rational():
+        _same(y * x, x * y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(cyclo))
+def test_inverse_is_exact(x):
+    if x:
+        inv = x.inverse()
+        _same(_ref_mul(x, inv), Cyclotomic.one(x.order))
+        _same(x ** -2, _ref_mul(inv, inv))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_roots_of_unity_by_lookup(order):
+    zeta = Cyclotomic(order, [0, 1]) if euler_phi(order) > 1 else \
+        Cyclotomic(order, [1 if order == 1 else -1])
+    power = Cyclotomic.one(order)
+    for k in range(2 * order + 1):
+        _same(root_of_unity(order, k), power)
+        _same(zeta ** k, power)
+        _same(root_of_unity(order, -k), power.inverse())
+        if k % order:
+            # monomial inverse: zeta^k * zeta^-k == 1 for k = 1 .. N-1
+            assert power * power.inverse() == 1
+            _same(_ref_mul(power, power.inverse()), Cyclotomic.one(order))
+        power = _ref_mul(power, zeta)
+
+
+def test_rational_operands_are_not_promoted(monkeypatch):
+    calls = []
+    original = Cyclotomic.from_rational
+
+    def counting(value, order=1):
+        calls.append((value, order))
+        return original(value, order)
+    monkeypatch.setattr(Cyclotomic, "from_rational", staticmethod(counting))
+    z = root_of_unity(5)
+    half = Cyclotomic(5, [1], 2)
+    for y in (3, 0, Fraction(-2, 3), half):
+        _ = z * y, y * z, z + y, y + z, z - y, y - z
+    _ = z ** -3, (z + 2).inverse(), -z
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle at small orders
+# ---------------------------------------------------------------------------
+
+SMALL_ORDERS = [3, 4, 5, 7, 8, 9, 12]
+
+
+def _to_sympy(x, var):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(c, x.den) for c in reversed(x.num)],
+                      var, domain=sympy.QQ)
+
+
+def _from_sympy(poly, order):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    d = euler_phi(order)
+    coeffs += [Fraction(0)] * (d - len(coeffs))
+    total = Cyclotomic.zero(order)
+    for k, c in enumerate(coeffs):
+        if c:
+            vec = [0] * d
+            vec[k] = c.numerator
+            total = _ref_add(total, Cyclotomic(order, vec, c.denominator))
+    return total
+
+
+@pytest.mark.parametrize("order", SMALL_ORDERS + [1, 2, 15, 17])
+def test_cyclotomic_polynomial_matches_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    var = sympy.Symbol("x")
+    want = sympy.Poly(sympy.cyclotomic_poly(order, var), var).all_coeffs()
+    assert cyclotomic_polynomial(order) == tuple(int(c) for c in reversed(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_ORDERS).flatmap(
+    lambda n: st.tuples(cyclo(n), cyclo(n), st.integers(0, euler_phi(n) - 1),
+                        st.integers(1, 9))))
+def test_field_operations_match_sympy(args):
+    sympy = pytest.importorskip("sympy")
+    a, b, k, c = args
+    order = a.order
+    var = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, var), var, domain=sympy.QQ)
+    pa, pb = _to_sympy(a, var), _to_sympy(b, var)
+    _same(a * b, _from_sympy((pa * pb).rem(phi), order))
+    _same(a + b, _from_sympy((pa + pb).rem(phi), order))
+    if a:
+        _same(a.inverse(), _from_sympy(sympy.invert(pa, phi), order))
+    vec = [0] * euler_phi(order)
+    vec[k] = c
+    mono = Cyclotomic(order, vec, 7)
+    _same(mono.inverse(), _from_sympy(sympy.invert(_to_sympy(mono, var), phi),
+                                      order))
