@@ -19,13 +19,14 @@ kernel-dimension analysis, and relation-checking for algebra morphisms.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
 from .exactmat import Mat, from_cols
 from .graded import GradedSpace
 from .report import check
-from .scalars import format_scalar, q_binomial, root_of_unity
+from .scalars import format_scalar, power, q_binomial, root_of_unity
 
 DEFAULT_DIM_GUARD = 350
 
@@ -132,24 +133,13 @@ class AlgebraElement:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative powers of algebra elements are not defined here")
-        result = self.algebra.unit()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(self, e, self.algebra.unit)
 
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
             return (self.algebra.signature == other.algebra.signature
                     and self.terms == other.terms)
         return NotImplemented
-
-    def is_homogeneous(self):
-        degs = {self.algebra.mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
 
     def degree(self):
         degs = {self.algebra.mono_degree(m) for m in self.terms}
@@ -508,7 +498,7 @@ class StructureConstantAlgebra(FiniteDimAlgebra):
 
 
 def is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _require_prime(p):

@@ -240,15 +240,18 @@ def dagger_involution(N, c):
 class CayleyGroup:
     """A finite group given by its multiplication table.
 
-    table[i][j] is the index of g_i g_j.  Identity, inverses and full
-    associativity are validated on construction.
+    table, a list of n lists of n ints, has table[i][j] the index of
+    g_i g_j.  Shape, identity, inverses and full associativity are
+    validated on construction.
     """
 
     def __init__(self, table):
-        n = len(table)
-        for row in table:
-            if len(row) != n or any(not (0 <= v < n) for v in row):
-                raise ValueError("Cayley table is not an n x n index table")
+        n = len(table) if isinstance(table, list) else None
+        if n is None or not all(
+                isinstance(row, list) and len(row) == n
+                and all(type(v) is int and 0 <= v < n for v in row)
+                for row in table):
+            raise ValueError("Cayley table is not an n x n index table")
         self.table = [list(row) for row in table]
         self.order = n
         identity = None

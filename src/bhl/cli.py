@@ -5,27 +5,12 @@ as human-readable text or as JSON conforming to ``schemas/report.schema.json``.
 Exit status: 0 when nothing failed, 1 when at least one check failed (or,
 under ``--strict``, when anything was skipped), 2 for usage errors.
 
-Subcommands:
-
-    verify hopf-axioms     bialgebra + antipode axioms for the anyonic-line
-                           and Taft families
-    verify dual-algebra    the dual of the anyonic line is an algebra, and
-                           the divided-power map identifies it with a
-                           nilpotent line
-    verify uqsl2-iso       the mu-family of small algebras embeds into the
-                           small quantum group, plus coproduct powers
-    verify ribbon          ribbon-element identity, centrality, and the
-                           center dimension of the small quantum group
-    verify ayd             anti-Yetter-Drinfeld module axioms (built-in
-                           regular module or one loaded from JSON)
-    stable-dim             kernel stabilization of the anti-twist operator
-    decompose vec-g        braided / stable classes of graded lines and the
-                           packet of theta values
-    decompose rep-g        conjugacy-class decomposition of a finite group
-                           given by a Cayley table
-    dsl check FILE         type-check and evaluate a diagram script
-    suite                  the full acceptance battery, one check per
-                           criterion
+The check producers below are shared by the subcommands and the acceptance
+battery.  ``build_parser`` is the one list of subcommands (``bhl -h``
+prints it): each leaf subparser carries its handler, args -> (params,
+checks).  ``CRITERIA`` is the one table of acceptance criteria, read by
+``bhl suite`` and ``tests/test_acceptance.py``: entries (number, slug, run)
+with run(p) -> checks, built from steps (parameter values, producer, ...).
 """
 
 import argparse
@@ -408,121 +393,67 @@ def dsl_corpus_checks(N=3, c=1, mu=0):
 
 
 # ---------------------------------------------------------------------------
-# acceptance criteria, one function per criterion
+# acceptance criteria: one table of steps
 
-def _filter_ps(values, p_filter):
-    return [v for v in values if p_filter is None or v == p_filter]
+def ribbon_family_checks(p):
+    return _guarded("ribbon family p=%d" % p, lambda: verify_ribbon_family(p))
 
 
-def criterion_1(pf=None):
+def centrality_checks(p):
+    return _guarded("centrality p=%d" % p,
+                    lambda: ribbon_centrality_checks(p))
+
+
+def sweedler_case_checks(p):
+    """The Sweedler algebra is the p = 2 Taft algebra; mu runs over 0, 1."""
     checks = []
-    for p in _filter_ps((2, 3, 5, 7), pf):
-        checks += anyonic_hopf_checks(p)
-    for p in _filter_ps((2, 3, 5), pf):
-        checks += taft_hopf_checks(p)
-    return checks
-
-
-def criterion_2(pf=None):
-    checks = []
-    for p in _filter_ps((2, 3, 5, 7), pf):
-        checks += dual_algebra_checks(p)
-    return checks
-
-
-def criterion_3(pf=None):
-    checks = []
-    for p in _filter_ps((3, 5, 7, 11, 13), pf):
-        checks += q_factorial_checks(p)
-    return checks
-
-
-def criterion_4(pf=None):
-    checks = []
-    for p in _filter_ps((3, 5), pf):
-        checks += uqsl2_iso_checks(p)
-        checks += coproduct_power_checks(p)
-    return checks
-
-
-def criterion_5(pf=None):
-    checks = []
-    for p in _filter_ps((3, 5), pf):
-        checks += _guarded("ribbon family p=%d" % p,
-                           lambda p=p: verify_ribbon_family(p))
-    return checks
-
-
-def criterion_6(pf=None):
-    checks = []
-    for p in _filter_ps((3, 5), pf):
-        checks += _guarded("centrality p=%d" % p,
-                           lambda p=p: ribbon_centrality_checks(p))
-        checks += center_checks(p)
-    return checks
-
-
-def criterion_7(pf=None):
-    checks = []
-    for p in _filter_ps((2, 3, 5), pf):
-        checks += stable_dim_checks(p)
-    return checks
-
-
-def criterion_8(pf=None):
-    if pf is not None and pf != 2:
-        return []
-    checks = []
-    for mu in (0, 1):
+    for mu in range(p):
         checks += _prefixed("mu=%d: " % mu, sweedler_checks(mu))
     return checks
 
 
-def criterion_9(pf=None):
-    checks = []
-    for N in _filter_ps((2, 3, 5, 7), pf):
-        br = classify_braided(N, 1)
-        stb = classify_stable(N, 1)
-        packet = stb["packet"]
-        if N == 2:
-            ok = sorted(tuple(cls) for cls in br["classes"]) == [(0,), (1,)]
-            checks.append(check(
-                "N=2: two singleton braided classes", ok,
-                details="classes: %s" % (br["classes"],),
-                witnesses=None if ok else [{"classes": br["classes"]}]))
-        else:
-            ok = len(br["classes"]) == 1
-            checks.append(check(
-                "N=%d: a single braided class" % N, ok,
-                details="classes: %s" % (br["classes"],),
-                witnesses=None if ok else [{"classes": br["classes"]}]))
-            expected = (N + 1) // 2
-            ok = (len(stb["classes"]) == len(packet.entries) == expected)
-            checks.append(check(
-                "N=%d: stable classes counted by distinct theta values, "
-                "(p+1)/2 of them" % N, ok,
-                details="%d stable classes, %d theta values, expected %d" %
-                        (len(stb["classes"]), len(packet.entries), expected),
-                witnesses=None if ok else [packet.to_json()]))
-        ok = packet.total() == N
+def vecg_criterion_checks(N):
+    br = classify_braided(N, 1)
+    stb = classify_stable(N, 1)
+    packet = stb["packet"]
+    if N == 2:
+        ok = sorted(tuple(cls) for cls in br["classes"]) == [(0,), (1,)]
+        checks = [check(
+            "N=2: two singleton braided classes", ok,
+            details="classes: %s" % (br["classes"],),
+            witnesses=None if ok else [{"classes": br["classes"]}])]
+    else:
+        ok = len(br["classes"]) == 1
+        checks = [check(
+            "N=%d: a single braided class" % N, ok,
+            details="classes: %s" % (br["classes"],),
+            witnesses=None if ok else [{"classes": br["classes"]}])]
+        expected = (N + 1) // 2
+        ok = (len(stb["classes"]) == len(packet.entries) == expected)
         checks.append(check(
-            "N=%d: multiplicities sum to N" % N, ok,
-            details="total %d" % packet.total(),
+            "N=%d: stable classes counted by distinct theta values, "
+            "(p+1)/2 of them" % N, ok,
+            details="%d stable classes, %d theta values, expected %d" %
+                    (len(stb["classes"]), len(packet.entries), expected),
             witnesses=None if ok else [packet.to_json()]))
-        if N == 3:
-            mults = tuple(packet.multiplicities)
-            ok = mults == (1, 2)
-            checks.append(check(
-                "N=3: packet multiplicities are (1, 2)", ok,
-                details="multiplicities %s" % (mults,),
-                witnesses=None if ok else [packet.to_json()]))
+    ok = packet.total() == N
+    checks.append(check(
+        "N=%d: multiplicities sum to N" % N, ok,
+        details="total %d" % packet.total(),
+        witnesses=None if ok else [packet.to_json()]))
+    if N == 3:
+        mults = tuple(packet.multiplicities)
+        ok = mults == (1, 2)
+        checks.append(check(
+            "N=3: packet multiplicities are (1, 2)", ok,
+            details="multiplicities %s" % (mults,),
+            witnesses=None if ok else [packet.to_json()]))
     return checks
 
 
-def criterion_10(pf=None):
+def s3_class_checks():
     data = json.loads((DATA_DIR / "cayley_s3.json").read_text())
-    G = CayleyGroup.from_json(data)
-    classes = rep_g_decomposition(G)
+    classes = rep_g_decomposition(CayleyGroup.from_json(data))
     sizes = tuple(cls["size"] for cls in classes)
     cents = tuple(cls["centralizer_order"] for cls in classes)
     singles = [cls for cls in classes if cls["singleton"]]
@@ -540,22 +471,43 @@ def criterion_10(pf=None):
     ]
 
 
-def criterion_11(pf=None):
-    return dsl_corpus_checks()
+def _criterion(*steps):
+    """run(pf) -> checks for the steps (values, producer, ...).
+
+    Each producer of a step runs at each of its values that pf selects (all
+    of them when pf is None), the producers of one value in turn; a step
+    whose values are None runs its producers once, with no argument, and
+    ignores pf.
+    """
+    def run(pf=None):
+        checks = []
+        for values, *producers in steps:
+            calls = ([()] if values is None else
+                     [(v,) for v in values if pf is None or v == pf])
+            for call in calls:
+                for produce in producers:
+                    checks += produce(*call)
+        return checks
+    return run
 
 
 CRITERIA = (
-    (1, "hopf-axioms", criterion_1),
-    (2, "dual-algebra", criterion_2),
-    (3, "q-factorial-identity", criterion_3),
-    (4, "uqsl2-identification", criterion_4),
-    (5, "ribbon-identity", criterion_5),
-    (6, "centrality-and-center", criterion_6),
-    (7, "stability-structure", criterion_7),
-    (8, "sweedler-case", criterion_8),
-    (9, "vec-g-decomposition", criterion_9),
-    (10, "rep-g-decomposition", criterion_10),
-    (11, "dsl-corpus", criterion_11),
+    (1, "hopf-axioms", _criterion(((2, 3, 5, 7), anyonic_hopf_checks),
+                                  ((2, 3, 5), taft_hopf_checks))),
+    (2, "dual-algebra", _criterion(((2, 3, 5, 7), dual_algebra_checks))),
+    (3, "q-factorial-identity",
+     _criterion(((3, 5, 7, 11, 13), q_factorial_checks))),
+    (4, "uqsl2-identification",
+     _criterion(((3, 5), uqsl2_iso_checks, coproduct_power_checks))),
+    (5, "ribbon-identity", _criterion(((3, 5), ribbon_family_checks))),
+    (6, "centrality-and-center",
+     _criterion(((3, 5), centrality_checks, center_checks))),
+    (7, "stability-structure", _criterion(((2, 3, 5), stable_dim_checks))),
+    (8, "sweedler-case", _criterion(((2,), sweedler_case_checks))),
+    (9, "vec-g-decomposition",
+     _criterion(((2, 3, 5, 7), vecg_criterion_checks))),
+    (10, "rep-g-decomposition", _criterion((None, s3_class_checks))),
+    (11, "dsl-corpus", _criterion((None, dsl_corpus_checks))),
 )
 
 
@@ -587,24 +539,36 @@ def suite_checks(pf=None):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
-
-def _read_json(path):
-    try:
-        text = pathlib.Path(path).read_text()
-    except OSError as exc:
-        raise UsageError("cannot read %s: %s" % (path, exc))
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise UsageError("%s is not valid JSON: %s" % (path, exc))
-
+# argument parsing: each leaf subcommand carries its handler
+# args -> (params, checks)
 
 def _read_text(path):
     try:
         return pathlib.Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read %s: %s" % (path, exc))
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:  # too deeply nested
+        raise UsageError("%s is not valid JSON: %s" % (path, exc))
+
+
+def _one(mu):
+    return None if mu is None else [mu]
+
+
+def _verify_ayd(args):
+    if args.module is None:  # the regular module
+        p = 3 if args.p is None else args.p
+        mu = 0 if args.mu is None else args.mu
+        return {"p": p, "mu": mu, "module": None}, ayd_checks(p, mu)
+    M, checks = ayd_file_checks(args.module)
+    return ({"p": None if M is None else M.p,
+             "mu": None if M is None else M.mu,
+             "module": args.module}, checks)
 
 
 def build_parser():
@@ -618,8 +582,6 @@ def build_parser():
                         help="report rendering (default: text)")
     common.add_argument("--strict", action="store_true",
                         help="treat skipped checks as failures")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the report parameters")
 
     verify = sub.add_parser("verify", help="run one verification batch")
     vsub = verify.add_subparsers(dest="what", required=True)
@@ -629,22 +591,31 @@ def build_parser():
     v.add_argument("--p", type=int, default=3, help="order of the grading")
     v.add_argument("--chi", type=int, default=1,
                    help="bicharacter exponent (default 1)")
+    v.set_defaults(run=lambda a: (
+        {"p": a.p, "chi": a.chi},
+        anyonic_hopf_checks(a.p, a.chi) + taft_hopf_checks(a.p)))
 
     v = vsub.add_parser("dual-algebra", parents=[common],
                         help="dual of the anyonic line and its presentation")
     v.add_argument("--p", type=int, default=3)
+    v.set_defaults(run=lambda a: ({"p": a.p}, dual_algebra_checks(a.p)))
 
     v = vsub.add_parser("uqsl2-iso", parents=[common],
                         help="identification with the small quantum group")
     v.add_argument("--p", type=int, default=3)
     v.add_argument("--mu", type=int, default=None,
                    help="single parameter value (default: all residues)")
+    v.set_defaults(run=lambda a: (
+        {"p": a.p, "mu": a.mu},
+        uqsl2_iso_checks(a.p, _one(a.mu)) + coproduct_power_checks(a.p)))
 
     v = vsub.add_parser("ribbon", parents=[common],
                         help="ribbon element identities")
     v.add_argument("--p", type=int, default=3)
     v.add_argument("--mu", type=int, default=None,
                    help="single parameter value (default: whole family)")
+    v.set_defaults(run=lambda a: ({"p": a.p, "mu": a.mu},
+                                  ribbon_checks(a.p, a.mu)))
 
     v = vsub.add_parser("ayd", parents=[common],
                         help="anti-Yetter-Drinfeld module axioms")
@@ -653,12 +624,15 @@ def build_parser():
     v.add_argument("--module", metavar="FILE", default=None,
                    help="JSON module description to verify instead of the "
                         "built-in regular module; it fixes p and mu")
+    v.set_defaults(run=_verify_ayd)
 
     v = sub.add_parser("stable-dim", parents=[common],
                        help="kernel stabilization of the anti-twist operator")
     v.add_argument("--p", type=int, default=3)
     v.add_argument("--mu", type=int, default=None,
                    help="single parameter value (default: all residues)")
+    v.set_defaults(run=lambda a: ({"p": a.p, "mu": a.mu},
+                                  stable_dim_checks(a.p, _one(a.mu))))
 
     dec = sub.add_parser("decompose", help="decomposition tables")
     dsub = dec.add_subparsers(dest="what", required=True)
@@ -668,11 +642,15 @@ def build_parser():
     v.add_argument("--n", type=int, required=True, help="order of the grading")
     v.add_argument("--chi", type=int, default=1,
                    help="bicharacter exponent (default 1)")
+    v.set_defaults(run=lambda a: ({"n": a.n, "chi": a.chi},
+                                  vecg_checks(a.n, a.chi)))
 
     v = dsub.add_parser("rep-g", parents=[common],
                         help="conjugacy classes from a Cayley table")
     v.add_argument("--cayley", metavar="FILE", required=True,
                    help="JSON file holding the multiplication table")
+    v.set_defaults(run=lambda a: ({"cayley": a.cayley},
+                                  repg_checks(_read_json(a.cayley))))
 
     dsl = sub.add_parser("dsl", help="diagram script tools")
     dslsub = dsl.add_subparsers(dest="what", required=True)
@@ -684,18 +662,26 @@ def build_parser():
     v.add_argument("--chi", type=int, default=1)
     v.add_argument("--mu", type=int, default=0,
                    help="anti-twist parameter (default 0)")
+    v.set_defaults(run=lambda a: (
+        {"file": a.file, "n": a.n, "chi": a.chi, "mu": a.mu},
+        dsl_script_checks(_read_text(a.file), a.n, a.chi, a.mu)))
 
     v = sub.add_parser("suite", parents=[common],
                        help="run the acceptance battery")
     v.add_argument("--p", type=int, default=None,
                    help="restrict every criterion to one parameter value")
+    v.set_defaults(run=lambda a: ({"p": a.p}, suite_checks(a.p)))
 
     return parser
 
 
+def _command(args):
+    return " ".join(filter(None, (args.command, getattr(args, "what", None))))
+
+
 def _validate(args):
     """Reject parameter values the builders cannot take, as usage errors."""
-    command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
+    command = _command(args)
     if getattr(args, "module", None) is not None:
         for flag in ("p", "mu"):
             if getattr(args, flag) is not None:
@@ -709,69 +695,17 @@ def _validate(args):
         raise UsageError("%s needs --n >= 1, got %d" % (command, n))
 
 
-def _dispatch(args):
-    """Return (command string, params dict, checks list)."""
-    _validate(args)
-    if args.command == "verify":
-        command = "verify " + args.what
-        if args.what == "hopf-axioms":
-            params = {"p": args.p, "chi": args.chi}
-            checks = anyonic_hopf_checks(args.p, args.chi)
-            checks += taft_hopf_checks(args.p)
-        elif args.what == "dual-algebra":
-            params = {"p": args.p}
-            checks = dual_algebra_checks(args.p)
-        elif args.what == "uqsl2-iso":
-            params = {"p": args.p, "mu": args.mu}
-            mus = None if args.mu is None else [args.mu]
-            checks = uqsl2_iso_checks(args.p, mus)
-            checks += coproduct_power_checks(args.p)
-        elif args.what == "ribbon":
-            params = {"p": args.p, "mu": args.mu}
-            checks = ribbon_checks(args.p, args.mu)
-        elif args.module is not None:  # ayd on a module file
-            M, checks = ayd_file_checks(args.module)
-            params = {"p": None if M is None else M.p,
-                      "mu": None if M is None else M.mu,
-                      "module": args.module}
-        else:  # ayd on the regular module
-            p = 3 if args.p is None else args.p
-            mu = 0 if args.mu is None else args.mu
-            params = {"p": p, "mu": mu, "module": None}
-            checks = ayd_checks(p, mu)
-        return command, params, checks
-    if args.command == "stable-dim":
-        mus = None if args.mu is None else [args.mu]
-        return ("stable-dim", {"p": args.p, "mu": args.mu},
-                stable_dim_checks(args.p, mus))
-    if args.command == "decompose":
-        if args.what == "vec-g":
-            return ("decompose vec-g", {"n": args.n, "chi": args.chi},
-                    vecg_checks(args.n, args.chi))
-        return ("decompose rep-g", {"cayley": args.cayley},
-                repg_checks(_read_json(args.cayley)))
-    if args.command == "dsl":
-        params = {"file": args.file, "n": args.n, "chi": args.chi,
-                  "mu": args.mu}
-        return ("dsl check", params,
-                dsl_script_checks(_read_text(args.file), args.n, args.chi,
-                                  args.mu))
-    # suite
-    return "suite", {"p": args.p}, suite_checks(args.p)
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        command, params, checks = _dispatch(args)
+        _validate(args)
+        params, checks = args.run(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    params["seed"] = args.seed
     elapsed_ms = (time.monotonic() - started) * 1000.0
-    report = make_report(command, params, checks, elapsed_ms)
+    report = make_report(_command(args), params, checks, elapsed_ms)
     if args.format == "json":
         print(render_json(report))
     else:

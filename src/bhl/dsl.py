@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .algebras import is_prime
 from .exactmat import Mat
 from .graded import (
     AntiTwist,
@@ -512,12 +513,6 @@ def script_text(stmts):
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
-
-
 class Environment:
     """Ambient braided category (Vec_{Z/N}, chi) plus named objects,
     named generators, and the anti-twist used by antitwist[...]."""
@@ -534,7 +529,7 @@ class Environment:
         anyonic line is preloaded: object H with generators m, u, Delta,
         eps, S."""
         env = Environment(N, c, mu)
-        if _is_prime(N) and c % N:
+        if is_prime(N) and c % N:
             H = anyonic_hopf(N, c % N)
             env.objects["H"] = H.space
             env.gens["m"] = H.m

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Cyclotomic
+from .scalars import Cyclotomic, power
 
 
 def _inv_scalar(x):
@@ -79,12 +79,6 @@ class Mat:
     def col_dict(self, j):
         return {i: v for (i, jj), v in self.data.items() if jj == j}
 
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.data.items():
-            out[i][j] = v
-        return out
-
     def is_zero(self):
         return not self.data
 
@@ -150,9 +144,6 @@ class Mat:
                         acc.pop(key, None)
         return Mat(self.rows, other.cols, acc)
 
-    def transpose(self):
-        return Mat(self.cols, self.rows, {(j, i): v for (i, j), v in self.data.items()})
-
     def times_col(self, vec):
         """Apply to a sparse column given as {row_index: scalar}."""
         out = {}
@@ -170,14 +161,7 @@ class Mat:
     def __pow__(self, e):
         if self.rows != self.cols or e < 0:
             raise ValueError("power needs a square matrix and e >= 0")
-        result = Mat.identity(self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(self, e, lambda: Mat.identity(self.rows))
 
     # -- elimination -----------------------------------------------------------
 

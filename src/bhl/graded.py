@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .exactmat import Mat
-from .scalars import format_scalar, root_of_unity
+from .scalars import format_scalar, power, root_of_unity
 
 
 class Bicharacter:
@@ -226,10 +227,8 @@ class GradedMap:
     def __pow__(self, e):
         if self.source != self.target:
             raise ValueError("powers need an endomorphism")
-        result = GradedMap.identity(self.source)
-        for _ in range(e):
-            result = self @ result
-        return result
+        return power(self, e, lambda: GradedMap.identity(self.source),
+                     operator.matmul)
 
     def inverse(self):
         return GradedMap(self.target, self.source, self.mat.inverse(), -self.shift)
@@ -521,7 +520,10 @@ class AntiTwist:
         for i in range(chi.N):
             for j in range(chi.N):
                 lhs = values[(i + j) % chi.N]
-                rhs = chi.omega(i, j).inverse() * values[i] * values[j]
+                # omega(i,j)^-1 by lookup: for composite N, zeta^k with
+                # k >= phi(N) is no monomial and would take a general solve
+                rhs = (root_of_unity(chi.N, -2 * chi.c * i * j)
+                       * values[i] * values[j])
                 if lhs != rhs:
                     raise ValueError(
                         "anti-twist law fails at (%d,%d): %s != %s"

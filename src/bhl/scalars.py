@@ -27,6 +27,7 @@ quadratic Gauss sums.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -310,16 +311,7 @@ class Cyclotomic:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        # square-and-multiply, starting from the first factor rather than 1
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return Cyclotomic.one(self.order) if result is None else result
+        return power(self, e, lambda: Cyclotomic.one(self.order))
 
     # -- comparison ---------------------------------------------------------
 
@@ -432,6 +424,24 @@ def _inverse_general(x):
                 rows[i] = r
     lcd = lcm(*(r[i] for i, r in enumerate(rows)))
     return _reduced(x.order, [den * r[d] * (lcd // r[i]) for i, r in enumerate(rows)], lcd)
+
+
+def power(base, e: int, one, mul=operator.mul):
+    """base ** e for e >= 0 by square-and-multiply with ``mul``.
+
+    The product starts from the first factor, so ``one()`` (the identity)
+    is only called for e = 0 and never enters a product.
+    """
+    if e < 0:
+        raise ValueError("power needs e >= 0, got %d" % e)
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return one() if result is None else result
 
 
 def root_of_unity(order: int, k: int = 1) -> Cyclotomic:
@@ -605,9 +615,15 @@ class _ScalarParser:
 
 
 def parse_scalar(text: str):
-    """Parse the textual scalar syntax; returns int, Fraction or Cyclotomic."""
+    """Parse the textual scalar syntax; returns int, Fraction or Cyclotomic.
+
+    Bad input, division by zero included, raises ValueError.
+    """
     parser = _ScalarParser(_tokenize_scalar(text))
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except ZeroDivisionError:
+        raise ValueError("division by zero") from None
     if parser.peek() is not None:
         raise ValueError("trailing scalar input: %r" % parser.tokens[parser.pos:])
     return value

@@ -287,3 +287,9 @@ def test_cayley_rejects_malformed_tables():
         CayleyGroup([[0, 1], [1]])
     with pytest.raises(ValueError):
         CayleyGroup([[0, 3], [1, 0]])
+    # anything but a list of lists of ints, as JSON can give it
+    for table in ({"0": [0]}, "0", [0, 1, 1, 0], [["0", "1"], ["1", "0"]],
+                  [[0, 1.0], [1, 0]], [[True, False], [False, True]],
+                  [[0, None], [1, 0]], [{"0": 0}]):
+        with pytest.raises(ValueError, match="not an n x n index table"):
+            CayleyGroup(table)

@@ -5,11 +5,15 @@ exit codes, both output formats, schema conformance of the JSON reports,
 and the skip/strict behavior around the dimension guard.
 """
 
+import contextlib
+import io
 import json
-import pathlib
+import re
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhl.cli import PACKAGE_DIR, main
 
@@ -38,7 +42,7 @@ def test_ribbon_single_mu_json(capsys):
                             capsys)
     assert code == 0
     assert report["command"] == "verify ribbon"
-    assert report["params"] == {"p": 3, "mu": 1, "seed": 0}
+    assert report["params"] == {"p": 3, "mu": 1}
     names = {c["name"]: c["status"] for c in report["checks"]}
     assert names["varsigma_equals_scaled_ribbon"] == "PASS"
     assert names["prefactor_scalar_route"] == "PASS"
@@ -113,10 +117,9 @@ def test_ayd_module_from_file(capsys):
 def test_ayd_module_params_come_from_the_file(capsys):
     _, report = run_json(
         ["verify", "ayd", "--module", str(SAMPLE_MODULE)], capsys)
-    assert report["params"] == {"p": 3, "mu": 1, "module": str(SAMPLE_MODULE),
-                                "seed": 0}
+    assert report["params"] == {"p": 3, "mu": 1, "module": str(SAMPLE_MODULE)}
     _, report = run_json(["verify", "ayd"], capsys)
-    assert report["params"] == {"p": 3, "mu": 0, "module": None, "seed": 0}
+    assert report["params"] == {"p": 3, "mu": 0, "module": None}
 
 
 def test_ayd_malformed_module_file(tmp_path, capsys):
@@ -320,6 +323,145 @@ def test_text_report_summarizes_counts(capsys):
     assert "PASS" in last and "FAIL" in last and "SKIP" in last
 
 
-def test_seed_recorded_in_params(capsys):
-    _, report = run_json(["suite", "--p", "3", "--seed", "7"], capsys)
-    assert report["params"]["seed"] == 7
+def test_seed_option_removed(capsys):
+    # Nothing in bhl is random, so there is no --seed to record.
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--p", "3", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_repg_table_of_the_wrong_shape_fails_with_a_witness(tmp_path,
+                                                            capsys):
+    for text in ('{"0": [0]}', '[["0", "1"], ["1", "0"]]', "[0, 1, 1, 0]"):
+        table = tmp_path / "table.json"
+        table.write_text(text)
+        code, report = run_json(["decompose", "rep-g", "--cayley",
+                                 str(table)], capsys)
+        assert code == 1
+        first = report["checks"][0]
+        assert first["name"] == "cayley table is a group"
+        assert first["status"] == "FAIL"
+        assert "n x n index table" in first["witnesses"][0]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dsl", "check"],
+    ["decompose", "rep-g", "--cayley"],
+])
+def test_non_utf8_input_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "latin1"
+    path.write_bytes(b"[[0]] # caf\xe9\n")
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot read" in err
+
+
+def test_too_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(["decompose", "rep-g", "--cayley", str(path)],
+                             capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "is not valid JSON" in err
+
+
+def test_dsl_division_by_zero_fails_script_loads(tmp_path, capsys):
+    script = tmp_path / "zero.bdsl"
+    script.write_text("let V = obj { deg 0: 1 }\n"
+                      "let f = gen (V -> V) { [1/0] }\n"
+                      "assert f == f\n")
+    code, report = run_json(["dsl", "check", str(script)], capsys)
+    assert code == 1
+    (first,) = report["checks"]
+    assert first["name"] == "script loads"
+    assert "division by zero (line 2, column 25)" in \
+        first["witnesses"][0]["error"]
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main, without capsys, so that it can
+    run once per hypothesis example."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_report_or_usage_error(argv):
+    code, out, err = _outcome(argv)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == ""
+        jsonschema.validate(json.loads(out), SCHEMA)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=16)
+
+_DSL_CHARS = "{}()[];:,*^+-/=# \nVWfHIq01degobjgenletassertidbraiv_"
+
+
+@st.composite
+def _mutated_script(draw):
+    """A corpus script with a few slices replaced by DSL-like text."""
+    text = draw(st.sampled_from(sorted(CORPUS.glob("*.bdsl")))).read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 6)))
+        text = (text[:i] + draw(st.text(_DSL_CHARS, max_size=5)) + text[j:])
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_JSON | st.lists(st.lists(st.integers(-1, 3), max_size=3),
+                              max_size=3),
+       raw=st.binary(max_size=12), use_raw=st.booleans())
+def test_any_cayley_file_gives_a_report_or_exit_2(table, raw, use_raw,
+                                                   tmp_path_factory):
+    path = tmp_path_factory.mktemp("cayley") / "table.json"
+    if use_raw:
+        path.write_bytes(raw)
+    else:
+        path.write_text(json.dumps(table))
+    _assert_report_or_usage_error(["decompose", "rep-g", "--cayley",
+                                   str(path)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_mutated_script() | st.text(_DSL_CHARS, max_size=40),
+       raw=st.binary(max_size=12), use_raw=st.booleans())
+def test_any_dsl_file_gives_a_report_or_exit_2(text, raw, use_raw,
+                                               tmp_path_factory):
+    path = tmp_path_factory.mktemp("dsl") / "script.bdsl"
+    if use_raw:
+        path.write_bytes(raw)
+    else:
+        path.write_text(text)
+    _assert_report_or_usage_error(["dsl", "check", str(path)])
+
+
+def _readme_commands():
+    """The `bhl ...` lines of the README's command-line sh block."""
+    readme = (PACKAGE_DIR.parents[1] / "README.md").read_text()
+    section = readme.split("## Command-line interface", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [words[1:] for words in lines if words and words[0] == "bhl"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, marks=[pytest.mark.slow] if argv == ["suite"] else [])
+    for argv in _readme_commands()], ids=" ".join)
+def test_readme_commands_run(argv, monkeypatch, capsys):
+    monkeypatch.chdir(PACKAGE_DIR.parents[1])
+    code, report = run_json(argv, capsys)
+    assert code == 0
+    assert report["command"] == " ".join(
+        w for w in argv[:2] if not w.startswith("-"))

@@ -313,3 +313,18 @@ def test_zero_maps_of_different_shifts_agree():
     assert first_difference(GradedMap.zero(V, V, 1), GradedMap.zero(V, V)) is None
     f = GradedMap(V, V, Mat.from_rows([[0, 0], [1, 0]]), shift=1)
     assert first_difference(f, GradedMap.zero(V, V)) == (0, {1: 1})
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 9, 12, 120])
+def test_antitwist_law_lookup_is_the_inverse_of_omega(N):
+    # AntiTwist reads omega(i,j)^-1 as zeta^(-2cij); for composite N the
+    # powers zeta^k with k >= phi(N) are not monomials in the power basis.
+    for c in {1, N - 1}:
+        chi = Bicharacter(N, c)
+        inverses = {}
+        for i in range(N):
+            for j in range(N):
+                k = 2 * chi.c * i * j % N
+                if k not in inverses:
+                    inverses[k] = chi.omega(i, j).inverse()
+                assert root_of_unity(N, -2 * chi.c * i * j) == inverses[k]

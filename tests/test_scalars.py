@@ -1,9 +1,13 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhl.algebras import taft
+from bhl.exactmat import Mat
+from bhl.graded import GradedMap, GradedSpace
 from bhl.scalars import (
     Cyclotomic,
     OrderMismatchError,
@@ -14,6 +18,7 @@ from bhl.scalars import (
     format_scalar,
     gauss_sum,
     parse_scalar,
+    power,
     promote,
     q_binomial,
     q_factorial,
@@ -366,3 +371,59 @@ def test_field_operations_match_sympy(args):
     mono = Cyclotomic(order, vec, 7)
     _same(mono.inverse(), _from_sympy(sympy.invert(_to_sympy(mono, var), phi),
                                       order))
+
+
+def _power_cases():
+    z = root_of_unity(5)
+    A = taft(3)
+    V = GradedSpace(3, [0, 1, 2, 1])
+    m = Mat(4, 4, {(0, 0): 2, (1, 3): Fraction(1, 2), (3, 1): root_of_unity(3),
+                   (2, 2): -1})
+    return [
+        (z, lambda: Cyclotomic.one(5)),
+        (Fraction(-2, 3) * z + 1, lambda: Cyclotomic.one(5)),
+        (m, lambda: Mat.identity(4)),
+        (A.gen("g") + 2 * A.gen("x"), A.unit),
+        (GradedMap(V, V, m), lambda: GradedMap.identity(V)),
+    ]
+
+
+def _entries(x):
+    """What a report can show of a power: matrix entries with their types
+    (a witness carries their reprs), else the repr.  Coefficient types of
+    an algebra element depend on the order of the products, so an element
+    is compared by value and repr."""
+    mat = getattr(x, "mat", x)
+    if isinstance(mat, Mat):
+        return (getattr(x, "shift", None),
+                sorted((k, type(v), repr(v)) for k, v in mat.data.items()))
+    return (x, repr(x))
+
+
+@pytest.mark.parametrize("case", range(5), ids=[
+    "monomial", "cyclotomic", "mat", "algebra-element", "graded-map"])
+def test_power_matches_repeated_multiplication(case):
+    x, one = _power_cases()[case]
+    mul = operator.matmul if hasattr(x, "shift") else operator.mul
+    assert _entries(x ** 0) == _entries(one())
+    product = x
+    for e in range(1, 7):
+        assert _entries(x ** e) == _entries(product), e
+        product = mul(product, x)
+
+
+def test_power_helper_starts_from_the_first_factor():
+    def no_identity():
+        raise AssertionError("identity used for e >= 1")
+
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a + b
+
+    assert power(3, 0, lambda: 0, mul) == 0
+    assert power(3, 1, no_identity, mul) == 3 and not calls
+    assert power(3, 6, no_identity, mul) == 18
+    with pytest.raises(ValueError):
+        power(3, -1, no_identity)
