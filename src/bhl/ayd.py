@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import AlgebraElement, check_guard, d_a_mu, uqsl2
+from .algebras import AlgebraElement, check_guard, d_a_mu, is_prime, uqsl2
 from .exactmat import Mat
 from .graded import GradedMap, GradedSpace
 from .hopf import AlgebraModule
@@ -41,6 +41,7 @@ from .scalars import (
     balanced_q_factorial,
     format_scalar,
     gauss_sum,
+    in_field,
     parse_scalar,
     q_factorial,
     root_of_unity,
@@ -470,28 +471,51 @@ def sweedler_checks(mu):
 # ---------------------------------------------------------------------------
 
 
-def _parse_entry(v):
-    return parse_scalar(v) if isinstance(v, str) else v
+def _int_field(data, key):
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError("%r must be an integer, got %r" % (key, value))
+    return value
+
+
+def _parse_entry(v, p):
+    if type(v) is int:
+        return v
+    if not isinstance(v, str):
+        raise ValueError("entry %r is neither an integer nor a scalar string"
+                         % (v,))
+    value = parse_scalar(v)
+    if not in_field(value, p):
+        raise ValueError("entry %r is not in Q(zeta_%d)" % (v, p))
+    return value
 
 
 def ayd_module_from_json(data):
     """Build an AydModule from {"p", "mu", "degrees", "x", "z"}.
 
-    x and z are dense row-major matrices; entries are integers or strings
-    in the scalar syntax (e.g. "q(3,2) - 1", "1/2").
+    p is a prime, mu and the degrees are integers; x and z are dense
+    row-major matrices whose entries are integers or strings in the scalar
+    syntax (e.g. "q(3,2) - 1", "1/2") with values in Q(zeta_p).  Anything
+    else raises ValueError, KeyError or TypeError.
     """
-    p = data["p"]
-    mu = data["mu"]
-    degrees = list(data["degrees"])
+    p = _int_field(data, "p")
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %d" % p)
+    mu = _int_field(data, "mu")
+    degrees = data["degrees"]
+    if type(degrees) is not list or any(type(d) is not int for d in degrees):
+        raise ValueError("'degrees' must be a list of integers")
     space = GradedSpace(p, degrees)
     mats = {}
     for key in ("x", "z"):
         rows = data[key]
-        if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
+        if (type(rows) is not list or len(rows) != space.dim
+                or any(type(r) is not list or len(r) != space.dim
+                       for r in rows)):
             raise ValueError("%r matrix is not %dx%d" % (key, space.dim,
                                                          space.dim))
         mats[key] = Mat.from_rows(
-            [[_parse_entry(v) for v in row] for row in rows]
+            [[_parse_entry(v, p) for v in row] for row in rows]
         )
     return AydModule(
         p, mu, space,

@@ -359,19 +359,24 @@ def repg_checks(data):
 
 
 def dsl_script_checks(text, N, c, mu):
-    env = Environment.build(N, c, mu)
-    try:
-        return check_text(text, env)
-    except DslError as exc:
-        return [check("script loads", False,
-                      witnesses=[{"error": str(exc)}])]
+    """One check per assertion; a script that does not load fails "script
+    loads", and one that trips the size guard is one SKIP."""
+    def run():
+        try:
+            return check_text(text, Environment.build(N, c, mu))
+        except DslError as exc:
+            return [check("script loads", False,
+                          witnesses=[{"error": str(exc)}])]
+    return _guarded("script loads", run)
 
 
 def dsl_corpus_checks(N=3, c=1, mu=0):
     checks = []
     for path in sorted(CORPUS_DIR.glob("*.bdsl")):
         sub = dsl_script_checks(path.read_text(), N, c, mu)
-        if path.stem == "negative_control":
+        if has_skip(sub):
+            checks += _prefixed("corpus %s: " % path.stem, sub)
+        elif path.stem == "negative_control":
             ok = bool(sub) and all(
                 s["status"] == FAIL and s["witnesses"] for s in sub)
             checks.append(check(

@@ -1,9 +1,13 @@
 """A small language for string-diagram morphism expressions.
 
 Scripts declare graded objects and matrix generators, then assert diagram
-identities; each assertion is evaluated to exact matrices and compared.
-Diagrams read top to bottom: ``a ; b`` means first a, then b, so evaluation
-composes b after a.
+identities.  One walk of each side (evaluate) type-checks it and builds it
+as a lazy graded.Diagram; map_check then pushes one basis vector at a time
+through both sides and compares them column by column, so no product matrix
+is formed.  Every object expression passes the dimension guard before its
+basis is listed, and matrix entries must lie in Q(zeta_N) for the script's
+N: rationals and expressions in q(N,k).  Diagrams read top to bottom:
+``a ; b`` means first a, then b, so evaluation composes b after a.
 
 Grammar:
 
@@ -36,10 +40,9 @@ coev: I -> V * V^,  coev_l: I -> ^V * V.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .algebras import is_prime
+from .algebras import check_guard, is_prime
 from .exactmat import Mat
 from .graded import (
     AntiTwist,
@@ -49,14 +52,17 @@ from .graded import (
     anti_twist,
     braiding,
     braiding_inverse,
+    diagram,
     ev_coev,
+    left_dual,
+    right_dual,
     tensor,
-    tensor_map,
+    tensor_diagram,
     twist_theta,
 )
 from .hopf import anyonic_hopf
 from .report import check, map_check
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, in_field, parse_scalar
 
 
 class DslError(Exception):
@@ -532,15 +538,13 @@ class Environment:
         if is_prime(N) and c % N:
             H = anyonic_hopf(N, c % N)
             env.objects["H"] = H.space
-            env.gens["m"] = H.m
-            env.gens["u"] = H.u
-            env.gens["Delta"] = H.Delta
-            env.gens["eps"] = H.eps
-            env.gens["S"] = H.S
+            env.gens.update(m=H.m, u=H.u, Delta=H.Delta, eps=H.eps, S=H.S)
         return env
 
 
 def eval_obj(expr, env):
+    """The graded space of an object expression; each tensor product
+    passes the dimension guard before its basis is listed."""
     if isinstance(expr, OUnit):
         return GradedSpace.unit(env.chi.N)
     if isinstance(expr, OName):
@@ -548,12 +552,12 @@ def eval_obj(expr, env):
             raise DslTypeError("unknown object %r" % expr.name)
         return env.objects[expr.name]
     if isinstance(expr, OTensor):
-        return tensor(eval_obj(expr.left, env), eval_obj(expr.right, env))
+        V, W = eval_obj(expr.left, env), eval_obj(expr.right, env)
+        check_guard(V.dim * W.dim, "object %s" % obj_text(expr))
+        return tensor(V, W)
     if isinstance(expr, ODual):
         V = eval_obj(expr.inner, env)
-        marked = (tuple("^" + l for l in V.labels) if expr.prefix
-                  else tuple(l + "^" for l in V.labels))
-        return GradedSpace(V.N, [-d for d in V.degrees], marked)
+        return right_dual(V) if expr.prefix else left_dual(V)
     raise TypeError("not an object expression: %r" % (expr,))
 
 
@@ -561,78 +565,47 @@ def _space_text(V):
     return "(%s)" % ", ".join("deg %d" % d for d in V.degrees)
 
 
-def infer(expr, env):
-    """Source, target and degree shift of a morphism expression."""
+def _leaf(expr, env):
+    """The GradedMap of a generator name, or of id[...], braid[...] etc."""
     if isinstance(expr, MName):
         if expr.name not in env.gens:
             raise DslTypeError("unknown generator %r" % expr.name)
-        g = env.gens[expr.name]
-        return g.source, g.target, g.shift
-    if isinstance(expr, MPrim):
-        spaces = [eval_obj(o, env) for o in expr.objs]
-        I = GradedSpace.unit(env.chi.N)
-        if expr.kind in ("id", "theta", "antitwist"):
-            return spaces[0], spaces[0], 0
-        if expr.kind == "braid":
-            A, B = spaces
-            return tensor(A, B), tensor(B, A), 0
-        if expr.kind == "braid_inv":
-            A, B = spaces
-            return tensor(B, A), tensor(A, B), 0
-        V = spaces[0]
-        dual = eval_obj(ODual(expr.objs[0], prefix=False), env)
-        predual = eval_obj(ODual(expr.objs[0], prefix=True), env)
-        if expr.kind == "ev":
-            return tensor(dual, V), I, 0
-        if expr.kind == "ev_l":
-            return tensor(V, predual), I, 0
-        if expr.kind == "coev":
-            return I, tensor(V, dual), 0
-        if expr.kind == "coev_l":
-            return I, tensor(predual, V), 0
+        return env.gens[expr.name]
+    spaces = [eval_obj(o, env) for o in expr.objs]
+    if expr.kind == "id":
+        return GradedMap.identity(spaces[0])
+    if expr.kind == "theta":
+        return twist_theta(spaces[0], env.chi)
+    if expr.kind == "antitwist":
+        return anti_twist(spaces[0], env.sigma)
+    if expr.kind == "braid":
+        return braiding(spaces[0], spaces[1], env.chi)
+    if expr.kind == "braid_inv":
+        return braiding_inverse(spaces[0], spaces[1], env.chi)
+    ev, ev_l, coev, coev_l = ev_coev(spaces[0])
+    return {"ev": ev, "ev_l": ev_l, "coev": coev, "coev_l": coev_l}[expr.kind]
+
+
+def evaluate(expr, env):
+    """(source, target, diagram) of a morphism expression, in one walk that
+    type-checks it: a generator or primitive becomes a diagram leaf, ``*`` a
+    lazy tensor product and ``;`` a lazy composite."""
+    if isinstance(expr, (MName, MPrim)):
+        f = _leaf(expr, env)
+        return f.source, f.target, diagram(f)
     if isinstance(expr, MTensor):
-        s1, t1, sh1 = infer(expr.left, env)
-        s2, t2, sh2 = infer(expr.right, env)
-        return tensor(s1, s2), tensor(t1, t2), (sh1 + sh2) % env.chi.N
+        s1, t1, f = evaluate(expr.left, env)
+        s2, t2, g = evaluate(expr.right, env)
+        return tensor(s1, s2), tensor(t1, t2), tensor_diagram(f, g)
     if isinstance(expr, MCompose):
-        s1, t1, sh1 = infer(expr.first, env)
-        s2, t2, sh2 = infer(expr.second, env)
+        s1, t1, f = evaluate(expr.first, env)
+        s2, t2, g = evaluate(expr.second, env)
         if t1 != s2:
             raise DslTypeError(
                 "cannot compose %s ; %s: middle objects differ: %s vs %s"
                 % (mor_text(expr.first), mor_text(expr.second),
                    _space_text(t1), _space_text(s2)))
-        return s1, t2, (sh1 + sh2) % env.chi.N
-    raise TypeError("not a morphism expression: %r" % (expr,))
-
-
-def evaluate(expr, env):
-    """The exact matrix of a typechecked morphism expression."""
-    if isinstance(expr, MName):
-        infer(expr, env)
-        return env.gens[expr.name]
-    if isinstance(expr, MPrim):
-        spaces = [eval_obj(o, env) for o in expr.objs]
-        if expr.kind == "id":
-            return GradedMap.identity(spaces[0])
-        if expr.kind == "theta":
-            return twist_theta(spaces[0], env.chi)
-        if expr.kind == "antitwist":
-            return anti_twist(spaces[0], env.sigma)
-        if expr.kind == "braid":
-            return braiding(spaces[0], spaces[1], env.chi)
-        if expr.kind == "braid_inv":
-            return braiding_inverse(spaces[0], spaces[1], env.chi)
-        ev, ev_l, coev, coev_l = ev_coev(spaces[0])
-        return {"ev": ev, "ev_l": ev_l, "coev": coev, "coev_l": coev_l}[expr.kind]
-    if isinstance(expr, MTensor):
-        return tensor_map(evaluate(expr.left, env), evaluate(expr.right, env))
-    if isinstance(expr, MCompose):
-        first = evaluate(expr.first, env)
-        second = evaluate(expr.second, env)
-        if first.target != second.source:
-            infer(expr, env)  # raises with the readable message
-        return second @ first
+        return s1, t2, g @ f
     raise TypeError("not a morphism expression: %r" % (expr,))
 
 
@@ -646,6 +619,7 @@ def apply_decl(env, stmt):
         raise DslTypeError("duplicate name %r" % stmt.name)
     decl = stmt.decl
     if isinstance(decl, ObjDecl):
+        check_guard(sum(dim for _, dim in decl.dims), "object %s" % stmt.name)
         env.objects[stmt.name] = GradedSpace.from_dims(env.chi.N, decl.dims)
         return
     source = eval_obj(decl.source, env)
@@ -660,6 +634,10 @@ def apply_decl(env, stmt):
     shift = 0
     for r, row in enumerate(rows):
         for c, value in enumerate(row):
+            if not in_field(value, env.chi.N):
+                raise DslTypeError(
+                    "generator %r: entry %s is not in Q(zeta_%d)"
+                    % (stmt.name, format_scalar(value), env.chi.N))
             if value != 0:
                 if not data:
                     shift = (target.degrees[r] - source.degrees[c]) % env.chi.N
@@ -684,25 +662,22 @@ def check_script(stmts, env):
         name = "assert line %d" % st.line
         detail = "%s == %s" % (mor_text(st.lhs), mor_text(st.rhs))
         try:
-            ls, lt, lsh = infer(st.lhs, env)
-            rs, rt, rsh = infer(st.rhs, env)
+            ls, lt, lhs = evaluate(st.lhs, env)
+            rs, rt, rhs = evaluate(st.rhs, env)
             if ls != rs or lt != rt:
                 raise DslTypeError(
                     "sides have different boundaries: %s -> %s vs %s -> %s"
                     % (_space_text(ls), _space_text(lt),
                        _space_text(rs), _space_text(rt)))
-            if lsh != rsh:
+            if lhs.shift != rhs.shift:
                 raise DslTypeError(
                     "sides have different degree shifts: %d vs %d"
-                    % (lsh, rsh))
+                    % (lhs.shift, rhs.shift))
         except DslTypeError as exc:
             checks.append(check(name, False, details=detail,
                                 witnesses=[{"type_error": str(exc)}]))
             continue
-        lhs = evaluate(st.lhs, env)
-        rhs = evaluate(st.rhs, env)
-        checks.append(map_check(name, lhs, rhs, lhs.source.labels,
-                                details=detail))
+        checks.append(map_check(name, lhs, rhs, ls.labels, details=detail))
     return checks
 
 

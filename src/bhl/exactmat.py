@@ -66,11 +66,6 @@ class Mat:
         vals = list(values)
         return Mat(len(vals), len(vals), {(i, i): v for i, v in enumerate(vals)})
 
-    @staticmethod
-    def column(values):
-        vals = list(values)
-        return Mat(len(vals), 1, {(i, 0): v for i, v in enumerate(vals)})
-
     # -- access --------------------------------------------------------------
 
     def __getitem__(self, key):
@@ -144,20 +139,6 @@ class Mat:
                         acc.pop(key, None)
         return Mat(self.rows, other.cols, acc)
 
-    def times_col(self, vec):
-        """Apply to a sparse column given as {row_index: scalar}."""
-        out = {}
-        for (i, j), a in self.data.items():
-            v = vec.get(j)
-            if v:
-                s = out.get(i)
-                s = a * v if s is None else s + a * v
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-        return out
-
     def __pow__(self, e):
         if self.rows != self.cols or e < 0:
             raise ValueError("power needs a square matrix and e >= 0")
@@ -229,14 +210,6 @@ class Mat:
             for (k, l), b in other.data.items():
                 data[i * other.rows + k, j * other.cols + l] = a * b
         return Mat(self.rows * other.rows, self.cols * other.cols, data)
-
-    def stack_below(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        data = dict(self.data)
-        for (i, j), v in other.data.items():
-            data[self.rows + i, j] = v
-        return Mat(self.rows + other.rows, self.cols, data)
 
 
 def _eliminate(rows, ncols):

@@ -10,8 +10,10 @@ Spaces carry a flat ordered basis (one degree per basis vector); maps are
 sparse exact matrices with a degree shift, and homogeneity is enforced at
 construction.  Shift-0 maps are the categorical morphisms; the shifted ones
 are what algebra generators act by.  tensor_map and @ materialise products
-of maps; a Diagram instead applies tensor products and composites one basis
-vector at a time, and first_difference compares two maps that way.
+of maps; they serve the module constructions (module_tensor, operators on a
+single module).  A Diagram instead applies tensor products and composites
+one basis vector at a time, and first_difference compares two maps that
+way; the Hopf verifiers and the diagram DSL check through it.
 """
 
 from __future__ import annotations

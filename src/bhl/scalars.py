@@ -32,8 +32,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction  # the exact rational scalar type
-
 
 class OrderMismatchError(ValueError):
     """Two irrational cyclotomics of different orders met in one operation."""
@@ -449,6 +447,14 @@ def root_of_unity(order: int, k: int = 1) -> Cyclotomic:
     return _make(order, _powtab(order)[k % order], 1)
 
 
+def in_field(value, order: int) -> bool:
+    """Whether a parsed scalar lies in Q(zeta_order) as stored here: an
+    int, a Fraction, a rational Cyclotomic, or a Cyclotomic of that order."""
+    if isinstance(value, Cyclotomic):
+        return value.order == order or value.is_rational()
+    return isinstance(value, (int, Fraction))
+
+
 def promote(value, order: int):
     """Embed an int/Fraction (or rational-valued Cyclotomic) into Q(zeta_order)."""
     if isinstance(value, Cyclotomic):
@@ -617,13 +623,16 @@ class _ScalarParser:
 def parse_scalar(text: str):
     """Parse the textual scalar syntax; returns int, Fraction or Cyclotomic.
 
-    Bad input, division by zero included, raises ValueError.
+    Bad input, division by zero and too deep nesting included, raises
+    ValueError.
     """
     parser = _ScalarParser(_tokenize_scalar(text))
     try:
         value = parser.expr()
     except ZeroDivisionError:
         raise ValueError("division by zero") from None
+    except RecursionError:
+        raise ValueError("parentheses nested too deeply") from None
     if parser.peek() is not None:
         raise ValueError("trailing scalar input: %r" % parser.tokens[parser.pos:])
     return value

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhl.cli import PACKAGE_DIR, main
+from bhl.cli import PACKAGE_DIR, dsl_corpus_checks, main
 
 SCHEMA = json.loads(
     (PACKAGE_DIR / "schemas" / "report.schema.json").read_text())
@@ -380,6 +380,101 @@ def test_dsl_division_by_zero_fails_script_loads(tmp_path, capsys):
         first["witnesses"][0]["error"]
 
 
+def test_dsl_entry_outside_the_field_fails_script_loads(tmp_path, capsys):
+    # the README's script example has the entry q(3,1), which is not in
+    # Q(zeta_5)
+    script = tmp_path / "readme.bdsl"
+    script.write_text("let V = obj { deg 0: 1, deg 1: 1 }\n"
+                      "let f = gen (V -> V) { [2, 0; 0, q(3,1)] }\n"
+                      "assert (f * id[V]) ; braid[V,V] == braid[V,V] ; "
+                      "(id[V] * f)\n")
+    code, report = run_json(["dsl", "check", str(script), "--n", "5"],
+                            capsys)
+    assert code == 1
+    (first,) = report["checks"]
+    assert first["name"] == "script loads"
+    assert "generator 'f': entry q(3,1) is not in Q(zeta_5)" in \
+        first["witnesses"][0]["error"]
+
+
+@pytest.mark.parametrize("text, tripped", [
+    ("let V = obj { deg 0: 14, deg 1: 14 }\n"
+     "assert braid[V * V, V] ; braid_inv[V * V, V] == id[V * V * V]\n",
+     "object V*V at dimension 784 exceeds the guard 350"),
+    ("let V = obj { deg 0: 400 }\nassert id[V] == id[V]\n",
+     "object V at dimension 400 exceeds the guard 350"),
+])
+def test_dsl_object_past_the_guard_is_one_skip(text, tripped, tmp_path,
+                                               monkeypatch, capsys):
+    script = tmp_path / "big.bdsl"
+    script.write_text(text)
+    code, report = run_json(["dsl", "check", str(script)], capsys)
+    assert code == 0
+    (only,) = report["checks"]
+    assert (only["name"], only["status"]) == ("script loads", "SKIP")
+    assert tripped in only["details"]
+    monkeypatch.setenv("BHL_DIM_GUARD", "30000")
+    code, report = run_json(["dsl", "check", str(script)], capsys)
+    assert code == 0
+    assert [c["status"] for c in report["checks"]] == ["PASS"]
+
+
+def test_dsl_preloaded_hopf_past_the_guard_is_one_skip(monkeypatch, capsys):
+    monkeypatch.setenv("BHL_DIM_GUARD", "10")
+    argv = ["dsl", "check", str(CORPUS / "zigzag.bdsl"), "--n", "11"]
+    code, report = run_json(argv, capsys)
+    assert code == 0
+    (only,) = report["checks"]
+    assert (only["name"], only["status"]) == ("script loads", "SKIP")
+    assert "Hopf structure at dimension 11 exceeds the guard 10" in \
+        only["details"]
+    code, _, err = run_cli(argv + ["--strict"], capsys)
+    assert code == 1 and err == ""
+
+
+def test_dsl_corpus_past_the_guard_skips(monkeypatch):
+    monkeypatch.setenv("BHL_DIM_GUARD", "2")
+    checks = dsl_corpus_checks()
+    assert len(checks) == len(list(CORPUS.glob("*.bdsl")))
+    assert all(c["status"] == "SKIP" for c in checks)
+
+
+def _module_file(path, where, value):
+    """The sample module with the field or entry at `where` set to value."""
+    data = json.loads(SAMPLE_MODULE.read_text())
+    target = data
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("where, value, error", [
+    (("x", 2, 1), "q(5,1)", "entry 'q(5,1)' is not in Q(zeta_3)"),
+    (("x", 1, 0), 1.5, "entry 1.5 is neither an integer nor"),
+    (("x", 1, 0), True, "entry True is neither an integer nor"),
+    (("x", 1, 0), None, "entry None is neither an integer nor"),
+    (("x", 1, 0), "(" * 1000 + "1" + ")" * 1000,
+     "parentheses nested too deeply"),
+    (("p",), 0, "p must be prime, got 0"),
+    (("p",), 9, "p must be prime, got 9"),
+    (("p",), 3.0, "'p' must be an integer, got 3.0"),
+    (("mu",), False, "'mu' must be an integer, got False"),
+    (("degrees", 0), 0.5, "'degrees' must be a list of integers"),
+    (("z", 0), "000", "'z' matrix is not 3x3"),
+])
+def test_ayd_module_file_with_a_bad_value_is_not_well_formed(
+        where, value, error, tmp_path, capsys):
+    path = _module_file(tmp_path / "module.json", where, value)
+    code, report = run_json(["verify", "ayd", "--module", str(path)], capsys)
+    assert code == 1
+    (first,) = report["checks"]
+    assert (first["name"], first["status"]) == ("module file is well formed",
+                                                "FAIL")
+    assert error in first["witnesses"][0]["error"]
+
+
 def _outcome(argv):
     """(exit code, stdout, stderr) of main, without capsys, so that it can
     run once per hypothesis example."""
@@ -445,6 +540,38 @@ def test_any_dsl_file_gives_a_report_or_exit_2(text, raw, use_raw,
     else:
         path.write_text(text)
     _assert_report_or_usage_error(["dsl", "check", str(path)])
+
+
+_SCALAR_TEXT = (st.builds("q({},{})".format, st.integers(1, 12),
+                          st.integers(-3, 12))
+                | st.text("0123456789q(),/+-* ", max_size=8))
+
+
+@st.composite
+def _module_edit(draw):
+    """(where, value): one field or entry of the sample module and a value
+    to put there."""
+    value = draw(st.integers(-3, 12) | st.floats() | st.booleans()
+                 | st.none() | _SCALAR_TEXT)
+    key = draw(st.sampled_from(["p", "mu", "degrees", "x", "z"]))
+    index = draw(st.lists(st.integers(0, 2), max_size=2))
+    depth = {"p": 0, "mu": 0, "degrees": 1}.get(key, 2)
+    return (key,) + tuple(index[:depth]), value
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit=_module_edit(), value=_JSON, raw=st.binary(max_size=12),
+       kind=st.sampled_from(["edited", "json", "raw"]))
+def test_any_module_file_gives_a_report_or_exit_2(edit, value, raw, kind,
+                                                  tmp_path_factory):
+    path = tmp_path_factory.mktemp("module") / "module.json"
+    if kind == "edited":
+        _module_file(path, *edit)
+    elif kind == "json":
+        path.write_text(json.dumps(value))
+    else:
+        path.write_bytes(raw)
+    _assert_report_or_usage_error(["verify", "ayd", "--module", str(path)])
 
 
 def _readme_commands():

@@ -23,15 +23,17 @@ from bhl.dsl import (
     OName,
     OTensor,
     OUnit,
+    apply_decl,
     check_text,
     eval_obj,
     evaluate,
-    infer,
+    mor_text,
     parse,
     script_text,
 )
-from bhl.graded import GradedSpace
-from bhl.report import FAIL, PASS
+from bhl.exactmat import from_cols
+from bhl.graded import GradedMap, GradedSpace, tensor_map
+from bhl.report import FAIL, PASS, map_check
 from bhl.scalars import root_of_unity
 
 CORPUS = pathlib.Path(bhl.__file__).parent / "corpus"
@@ -66,6 +68,14 @@ def test_parse_gen_with_scalar_entries():
     assert isinstance(stmt.decl, GenDecl)
     assert stmt.decl.entries[0][1] == root_of_unity(3)
     assert stmt.decl.entries[1][0] * 2 == -1
+
+
+def test_parse_rejects_deeply_nested_entry():
+    entry = "(" * 1000 + "1" + ")" * 1000
+    with pytest.raises(DslSyntaxError) as err:
+        parse("let f = gen (V -> V) { [%s] }" % entry)
+    assert "parentheses nested too deeply (line 1, column 25)" in \
+        str(err.value)
 
 
 def test_parse_error_reports_location():
@@ -118,9 +128,9 @@ def test_pretty_print_round_trip(text):
 
 def test_id_of_unit_types_to_unit():
     env = env3()
-    src, tgt, shift = infer(MPrim("id", (OUnit(),)), env)
+    src, tgt, d = evaluate(MPrim("id", (OUnit(),)), env)
     assert src == tgt == GradedSpace.unit(3)
-    assert shift == 0
+    assert d.shift == 0
 
 
 def test_middle_object_mismatch_is_reported():
@@ -128,7 +138,7 @@ def test_middle_object_mismatch_is_reported():
     env.objects["V"] = GradedSpace(3, (0, 1))
     (stmt,) = parse("assert coev[V] ; ev[V] == coev[V] ; ev[V]")
     with pytest.raises(DslTypeError) as err:
-        infer(stmt.lhs, env)
+        evaluate(stmt.lhs, env)
     message = str(err.value)
     assert "middle objects differ" in message
     assert "(deg 0, deg 2, deg 1, deg 0)" in message
@@ -139,7 +149,7 @@ def test_ev_then_coev_typechecks():
     env = env3()
     env.objects["V"] = GradedSpace(3, (0, 1))
     (stmt,) = parse("assert ev[V] ; coev[V] == ev[V] ; coev[V]")
-    src, tgt, shift = infer(stmt.lhs, env)
+    src, tgt, _ = evaluate(stmt.lhs, env)
     assert src.degrees == (0, 1, 2, 0)
     assert tgt.degrees == (0, 2, 1, 0)
 
@@ -147,7 +157,7 @@ def test_ev_then_coev_typechecks():
 def test_unknown_names_are_type_errors():
     env = env3()
     with pytest.raises(DslTypeError):
-        infer(MName("nope"), env)
+        evaluate(MName("nope"), env)
     with pytest.raises(DslTypeError):
         eval_obj(OName("nope"), env)
 
@@ -158,7 +168,7 @@ def test_zigzag_types_to_endomorphism():
     env.objects["V"] = V
     (stmt,) = parse(
         "assert (coev[V] * id[V]) ; (id[V] * ev[V]) == id[V]")
-    src, tgt, _ = infer(stmt.lhs, env)
+    src, tgt, _ = evaluate(stmt.lhs, env)
     assert src == V and tgt == V
 
 
@@ -209,15 +219,16 @@ def test_braiding_of_two_lines_is_the_root_of_unity():
     env.objects["V"] = GradedSpace(3, (1,))
     env.objects["W"] = GradedSpace(3, (1,))
     (stmt,) = parse("assert braid[V,W] == braid[V,W]")
-    m = evaluate(stmt.lhs, env)
-    assert m.mat.data == {(0, 0): root_of_unity(3)}
+    _, _, d = evaluate(stmt.lhs, env)
+    assert list(d.columns()) == [{0: root_of_unity(3)}]
 
 
 def test_antitwist_on_degree_one_line():
     env = env3(mu=0)
     env.objects["V"] = GradedSpace(3, (1,))
-    m = evaluate(parse("assert antitwist[V] == antitwist[V]")[0].lhs, env)
-    assert m.mat.data == {(0, 0): root_of_unity(3, -1)}
+    _, _, d = evaluate(parse("assert antitwist[V] == antitwist[V]")[0].lhs,
+                       env)
+    assert list(d.columns()) == [{0: root_of_unity(3, -1)}]
 
 
 def test_evaluation_is_compositional():
@@ -226,10 +237,13 @@ def test_evaluation_is_compositional():
     env.objects["W"] = GradedSpace(3, (1, 2))
     a = parse("assert braid[V,W] == braid[V,W]")[0].lhs
     b = parse("assert braid_inv[V,W] == braid_inv[V,W]")[0].lhs
-    combined = evaluate(MCompose(a, b), env)
-    assert combined == evaluate(b, env) @ evaluate(a, env)
-    pair = evaluate(MTensor(a, b), env)
-    assert pair.source.dim == 16
+    _, _, combined = evaluate(MCompose(a, b), env)
+    assert (list(combined.columns())
+            == _columns(materialise(b, env) @ materialise(a, env)))
+    src, _, pair = evaluate(MTensor(a, b), env)
+    assert src.dim == 16
+    assert (list(pair.columns())
+            == _columns(tensor_map(materialise(a, env), materialise(b, env))))
 
 
 def test_check_text_reports_pass_and_fail_with_witness():
@@ -249,6 +263,21 @@ def test_checks_name_their_source_lines():
     checks = check_text(
         "let V = obj { deg 0: 1 }\n\nassert id[V] == id[V]\n", env)
     assert checks[0]["name"] == "assert line 3"
+
+
+def test_entries_outside_the_field_are_rejected():
+    # q(3,1) lies in Q(zeta_3), not in Q(zeta_5)
+    text = ("let V = obj { deg 0: 1, deg 1: 1 }\n"
+            "let f = gen (V -> V) { [2, 0; 0, q(3,1)] }\n"
+            "assert (f * id[V]) ; braid[V,V] == braid[V,V] ; (id[V] * f)\n")
+    with pytest.raises(DslTypeError) as err:
+        check_text(text, Environment.build(5, 1))
+    assert "generator 'f': entry q(3,1) is not in Q(zeta_5)" in str(err.value)
+    # rational entries, and q(N,k) itself, are fine at every N
+    for N in (1, 2, 5):
+        checks = check_text(text.replace("q(3,1)", "q(%d,1) + 1/2" % N),
+                            Environment.build(N, 1))
+        assert [c["status"] for c in checks] == [PASS]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +337,99 @@ def test_hopf_corpus_passes_for_other_primes():
     for N, c in [(2, 1), (5, 2)]:
         checks = check_text(path.read_text(), Environment.build(N, c))
         assert all(c_["status"] == PASS for c_ in checks)
+
+
+# ---------------------------------------------------------------------------
+# the materialising route as an oracle for the lazy one
+# ---------------------------------------------------------------------------
+
+
+def _columns(f):
+    return [f.mat.col_dict(j) for j in range(f.source.dim)]
+
+
+def materialise(expr, env):
+    """The exact matrix of a morphism expression, built with tensor_map and
+    @; its leaves are read off the lazy evaluator's columns."""
+    if isinstance(expr, MTensor):
+        return tensor_map(materialise(expr.left, env),
+                          materialise(expr.right, env))
+    if isinstance(expr, MCompose):
+        return materialise(expr.second, env) @ materialise(expr.first, env)
+    src, tgt, d = evaluate(expr, env)
+    return GradedMap(src, tgt, from_cols(tgt.dim, list(d.columns())), d.shift)
+
+
+def oracle_checks(text, env):
+    """check_text on the matrix route: one check per assertion, or None for
+    an assertion that is not well typed."""
+    out = []
+    for stmt in parse(text):
+        if isinstance(stmt, Let):
+            apply_decl(env, stmt)
+            continue
+        try:
+            lhs = materialise(stmt.lhs, env)
+            rhs = materialise(stmt.rhs, env)
+        except (DslTypeError, TypeError):
+            out.append(None)
+            continue
+        if (lhs.source, lhs.target, lhs.shift) != (rhs.source, rhs.target,
+                                                    rhs.shift):
+            out.append(None)
+            continue
+        out.append(map_check(
+            "assert line %d" % stmt.line, lhs, rhs, lhs.source.labels,
+            details="%s == %s" % (mor_text(stmt.lhs), mor_text(stmt.rhs))))
+    return out
+
+
+FAILING_SCRIPTS = [
+    # failing assertions with witnesses, mixed degrees and a generator
+    "let V = obj { deg 0: 1, deg 1: 2 }\n"
+    "let W = obj { deg 2: 1, deg 1: 1 }\n"
+    "let f = gen (V -> V) { [2, 0, 0; 0, 1, 3; 0, 0, 1] }\n"
+    "assert (f * id[W]) ; braid[V,W] == braid[V,W] ; (id[W] * f)\n"
+    "assert braid[V,W] ; braid[W,V] == id[V*W]\n"
+    "assert theta[V*W] == theta[V] * theta[W]\n"
+    "assert antitwist[V] * id[W] == id[V*W]\n",
+    # ill-typed composites, different boundaries, unknown names
+    "let V = obj { deg 0: 1, deg 1: 1 }\n"
+    "let W = obj { deg 1: 1 }\n"
+    "assert braid[V,W] ; braid[V,W] == id[V*W]\n"
+    "assert id[V] == id[W]\n"
+    "assert braid[V,W] == braid_inv[W,V]\n"
+    "assert id[V] == nope ; nope\n",
+    # shifted generators: different shifts, and a failing shifted identity
+    "let V = obj { deg 0: 1, deg 1: 1, deg 2: 1 }\n"
+    "let x = gen (V -> V) { [0, 0, 0; 1, 0, 0; 0, 1, 0] }\n"
+    "assert x == id[V]\n"
+    "assert x * id[V] == id[V] * x\n"
+    "assert (x * id[V]) ; braid[V,V] == braid[V,V] ; (id[V] * x)\n",
+]
+
+
+@pytest.mark.parametrize("N, c, mu", [(3, 1, 0), (5, 1, 2), (7, 3, 1),
+                                      (5, 2, 0), (2, 1, 1), (4, 1, 0)])
+def test_lazy_route_matches_the_matrix_route(N, c, mu):
+    texts = [path.read_text() for path in corpus_files()] + FAILING_SCRIPTS
+    for text in texts:
+        lazy = check_text(text, Environment.build(N, c, mu))
+        oracle = oracle_checks(text, Environment.build(N, c, mu))
+        assert len(lazy) == len(oracle)
+        for got, want in zip(lazy, oracle):
+            if want is None:
+                assert got["status"] == FAIL
+                assert "type_error" in got["witnesses"][0]
+            else:
+                assert got == want
+
+
+def test_failing_scripts_fail_with_witnesses():
+    statuses = [[c["status"] for c in check_text(text, env3())]
+                for text in FAILING_SCRIPTS]
+    assert statuses == [[PASS, FAIL, FAIL, FAIL], [FAIL] * 4,
+                        [FAIL, FAIL, FAIL]]
 
 
 # ---------------------------------------------------------------------------

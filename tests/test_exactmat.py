@@ -26,7 +26,7 @@ def test_matmul_associative(a, b, c):
 def test_rank_nullity(a):
     assert a.rank() + a.nullity() == a.cols
     for vec in a.kernel_basis():
-        assert a.times_col(vec) == {}
+        assert (a * from_cols(a.cols, [vec])).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -64,15 +64,13 @@ def test_rref_shape_and_pivots():
     assert a.rank() == 2
     assert a.nullity() == 1
     (k,) = a.kernel_basis()
-    assert a.times_col(k) == {}
+    assert (a * from_cols(a.cols, [k])).is_zero()
 
 
 def test_from_cols_and_stack():
     cols = [{0: 1, 2: 3}, {1: Fraction(1, 2)}]
     m = from_cols(3, cols)
     assert m.col_dict(0) == {0: 1, 2: 3}
-    s = m.stack_below(Mat.zeros(2, 2))
-    assert s.rows == 5 and s.rank() == m.rank()
 
 
 def test_diagonal_and_pow():
