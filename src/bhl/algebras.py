@@ -84,9 +84,6 @@ class AlgebraElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def coefficient(self, mono):
-        return self.terms.get(mono, 0)
-
     def _compatible(self, other):
         if self.algebra.signature != other.algebra.signature:
             raise ValueError(
@@ -206,9 +203,6 @@ class FiniteDimAlgebra:
 
     def unit(self):
         return AlgebraElement(self, {self.unit_mono: 1})
-
-    def basis_element(self, i):
-        return AlgebraElement(self, {self.basis[i]: 1})
 
     def element_from_column(self, col):
         return AlgebraElement(self, {self.basis[i]: c for i, c in col.items()})
@@ -340,17 +334,6 @@ class FiniteDimAlgebra:
             if space.cols == 0:
                 break
         return [self.element_from_column(space.col_dict(j)) for j in range(space.cols)]
-
-    def kernel_dims(self, a, powers):
-        """dim ker( L_{(1-a)^k} ) for each k in powers."""
-        u = self.unit() - a
-        out = []
-        for k in powers:
-            out.append(self.left_mult_operator(u ** k).nullity())
-        return out
-
-    def generators(self):
-        raise NotImplementedError
 
 
 class PresentedAlgebra(FiniteDimAlgebra):

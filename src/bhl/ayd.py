@@ -73,15 +73,6 @@ class AydModule:
     def dim(self):
         return self.space.dim
 
-    def as_module(self):
-        """The same data as a module over d_a_mu(p, mu), g acting by xi^i."""
-        A = d_a_mu(self.p, self.mu)
-        gop = GradedMap.from_diagonal(
-            self.space, lambda d, xi=self.xi: xi ** d
-        )
-        return AlgebraModule(A, self.space, {"z": self.zop, "g": gop,
-                                             "x": self.xop})
-
     def __repr__(self):
         return "AydModule(p=%d, mu=%d, dim %d)" % (self.p, self.mu, self.dim)
 
@@ -109,16 +100,6 @@ def verify_ayd(M):
         )
     )
     return checks
-
-
-def trivial_ayd_module(p, mu):
-    """One-dimensional module in degree 0 with x = z = 0."""
-    space = GradedSpace(p, [0])
-    return AydModule(
-        p, mu, space,
-        GradedMap.zero(space, space, 1),
-        GradedMap.zero(space, space, p - 1),
-    )
 
 
 def varsigma_H(M, scale=1):

@@ -35,27 +35,6 @@ from .scalars import format_scalar, root_of_unity
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """All characters of Z/N, tabulated: row t is (zeta^{tx})_x."""
-
-    N: int
-    values: tuple
-
-    @staticmethod
-    def build(N):
-        zeta = root_of_unity(N)
-        rows = tuple(
-            tuple(zeta ** (t * x) for x in range(N)) for t in range(N)
-        )
-        if len(set(rows)) != N:
-            raise AssertionError("characters are not pairwise distinct")
-        return CharacterTable(N, rows)
-
-    def __getitem__(self, t):
-        return self.values[t % self.N]
-
-
 def anti_twists(N, c):
     """The N anti-twists sigma lambda_t, t in Z/N (each one validated)."""
     chi = Bicharacter(N, c)
@@ -220,18 +199,6 @@ def eta_kernel(N, c):
     }
 
 
-def dagger_involution(N, c):
-    """The pairing (y, sigma lambda_t) |-> (-y, sigma lambda_{-t}).
-
-    Returns the map on (y, t) pairs; it squares to the identity and
-    preserves the eta invariant (checked in the tests).
-    """
-    return {
-        (y, t): ((-y) % N, (-t) % N)
-        for y in range(N) for t in range(N)
-    }
-
-
 # ---------------------------------------------------------------------------
 # finite groups from Cayley tables
 # ---------------------------------------------------------------------------
@@ -288,10 +255,6 @@ class CayleyGroup:
     @staticmethod
     def from_json(data):
         return CayleyGroup(data)
-
-
-def cyclic_cayley(n):
-    return CayleyGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def rep_g_decomposition(G):

@@ -461,7 +461,7 @@ def parse(text):
 
 
 # ---------------------------------------------------------------------------
-# pretty printing (parse of the printed form reproduces the tree)
+# expressions as text, for messages (parsing the text gives the tree back)
 # ---------------------------------------------------------------------------
 
 
@@ -491,27 +491,6 @@ def mor_text(expr, prec=0):
         s = "%s ; %s" % (mor_text(expr.first, 0), mor_text(expr.second, 1))
         return "(%s)" % s if prec > 0 else s
     raise TypeError("not a morphism expression: %r" % (expr,))
-
-
-def script_text(stmts):
-    lines = []
-    for st in stmts:
-        if isinstance(st, Let) and isinstance(st.decl, ObjDecl):
-            dims = ", ".join("deg %d: %d" % (d, k) for d, k in st.decl.dims)
-            lines.append("let %s = obj { %s }" % (st.name, dims))
-        elif isinstance(st, Let) and isinstance(st.decl, GenDecl):
-            rows = "; ".join(
-                ", ".join(format_scalar(v) for v in row)
-                for row in st.decl.entries)
-            lines.append("let %s = gen (%s -> %s) { [%s] }" % (
-                st.name, obj_text(st.decl.source), obj_text(st.decl.target),
-                rows))
-        elif isinstance(st, Assertion):
-            lines.append("assert %s == %s" % (mor_text(st.lhs),
-                                              mor_text(st.rhs)))
-        else:
-            raise TypeError("not a statement: %r" % (st,))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ sigma(i+j) = omega(i,j)^(-1) sigma(i) sigma(j) with omega = chi * chi-flipped.
 Spaces carry a flat ordered basis (one degree per basis vector); maps are
 sparse exact matrices with a degree shift, and homogeneity is enforced at
 construction.  Shift-0 maps are the categorical morphisms; the shifted ones
-are what algebra generators act by.  tensor_map and @ materialise products
-of maps; they serve the module constructions (module_tensor, operators on a
-single module).  A Diagram instead applies tensor products and composites
-one basis vector at a time, and first_difference compares two maps that
-way; the Hopf verifiers and the diagram DSL check through it.
+are what algebra generators act by.  @ materialises composites of
+operators on one space, such as the actions on a module.  tensor_map
+materialises a tensor product as a Kronecker product; nothing in bhl
+calls it, and the tests keep it as the matrix oracle for the lazy route.
+A Diagram applies tensor products and composites one basis vector at a
+time, and first_difference compares two maps that way; the Hopf verifiers
+and the diagram DSL check through it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import operator
 
 from .exactmat import Mat
-from .scalars import format_scalar, power, root_of_unity
+from .scalars import format_scalar, power, root_exponent, root_of_unity
 
 
 class Bicharacter:
@@ -232,14 +234,8 @@ class GradedMap:
         return power(self, e, lambda: GradedMap.identity(self.source),
                      operator.matmul)
 
-    def inverse(self):
-        return GradedMap(self.target, self.source, self.mat.inverse(), -self.shift)
-
     def rank(self):
         return self.mat.rank()
-
-    def nullity(self):
-        return self.mat.nullity()
 
     def is_invertible(self):
         return self.source.dim == self.target.dim and self.mat.rank() == self.source.dim
@@ -517,15 +513,23 @@ class AntiTwist:
 
     def __init__(self, chi: Bicharacter, values):
         values = tuple(values)
-        if len(values) != chi.N:
+        N, c = chi.N, chi.c
+        if len(values) != N:
             raise ValueError("need one scalar per degree 0..N-1")
-        for i in range(chi.N):
-            for j in range(chi.N):
-                lhs = values[(i + j) % chi.N]
+        # When every value is a power zeta^e, the law at (i, j) is
+        # e(i+j) = e(i) + e(j) - 2cij mod N; only a pair where that fails,
+        # or values that are not such powers, are compared in the field.
+        exps = [root_exponent(v, N) for v in values]
+        powers = None not in exps
+        for i in range(N):
+            for j in range(N):
+                if powers and (exps[(i + j) % N] - exps[i] - exps[j]
+                               + 2 * c * i * j) % N == 0:
+                    continue
+                lhs = values[(i + j) % N]
                 # omega(i,j)^-1 by lookup: for composite N, zeta^k with
                 # k >= phi(N) is no monomial and would take a general solve
-                rhs = (root_of_unity(chi.N, -2 * chi.c * i * j)
-                       * values[i] * values[j])
+                rhs = root_of_unity(N, -2 * c * i * j) * values[i] * values[j]
                 if lhs != rhs:
                     raise ValueError(
                         "anti-twist law fails at (%d,%d): %s != %s"
@@ -533,11 +537,6 @@ class AntiTwist:
                     )
         self.chi = chi
         self.values = values
-
-    @staticmethod
-    def canonical(chi: Bicharacter):
-        """sigma(x) = chi(x, -x) = zeta^(-c x^2)."""
-        return AntiTwist(chi, [root_of_unity(chi.N, -chi.c * i * i) for i in range(chi.N)])
 
     @staticmethod
     def with_mu(chi: Bicharacter, mu: int):
@@ -599,15 +598,3 @@ def ev_coev(V: GradedSpace):
     coev = GradedMap(I, tensor(V, dualL), copair)
     coev_l = GradedMap(I, tensor(dualR, V), copair)
     return ev, ev_l, coev, coev_l
-
-
-def braided_module_E(X: GradedSpace, M: GradedSpace, sigma: AntiTwist,
-                     chi: Bicharacter) -> GradedMap:
-    """E on X (x) M: multiplies x (x) m (degrees a, i) by omega(a,i)^(-1) sigma(a)."""
-    XM = tensor(X, M)
-    diag = []
-    for a in X.degrees:
-        sa = sigma(a)
-        for i in M.degrees:
-            diag.append(chi.omega(a, i).inverse() * sa)
-    return GradedMap(XM, XM, Mat.diagonal(diag))

@@ -26,10 +26,10 @@ first input where the sides differ is the witness.  Building HopfData goes
 through the dimension guard (BHL_DIM_GUARD, default 350), which admits the
 Taft algebra up to p = 17 (dimension 289).
 
-The second half of the module deals with modules over these algebras:
-generator-action data (AlgebraModule), the braided tensor product of
-modules, and the transmutation dictionary between modules over the Taft
-algebra and graded modules over the anyonic line.
+The end of the module holds AlgebraModule, a module over a presented
+algebra given by the actions of its generators.  ayd.to_uqsl2 views an
+AYD module as such a module over uqsl2(p), and the ribbon identity reads
+the action of the ribbon element off it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .algebras import (
     check_guard,
     taft,
 )
-from .exactmat import Mat, from_cols
+from .exactmat import Mat
 from .graded import (
     Bicharacter,
     GradedMap,
@@ -53,7 +53,6 @@ from .graded import (
     first_difference,
     tensor,
     tensor_diagram,
-    tensor_map,
 )
 from .report import check, map_check
 from .scalars import q_binomial
@@ -174,12 +173,6 @@ class HopfData:
         for mono, c in a.terms.items():
             out = out + c * self._delta_mono(mono)
         return out
-
-    def counit(self, a):
-        total = 0
-        for mono, c in a.terms.items():
-            total = total + c * self._eps_mono(mono)
-        return total
 
     def antipode(self, a):
         out = self.algebra.zero()
@@ -512,7 +505,7 @@ class AlgebraModule:
     Stored as one GradedMap per generator (shift = generator degree); the
     action of a monomial is the composite in the same order, so that
     (ab).v = a.(b.v).  Whether the generator actions satisfy the defining
-    relations is checked separately by verify_module.
+    relations is not checked here.
     """
 
     def __init__(self, algebra, space, ops):
@@ -538,9 +531,6 @@ class AlgebraModule:
     def dim(self):
         return self.space.dim
 
-    def op(self, name):
-        return self.ops[name]
-
     def act_mono(self, mono):
         """Action of a basis monomial (exponent tuple) as a GradedMap."""
         hit = self._mono_cache.get(mono)
@@ -565,195 +555,3 @@ class AlgebraModule:
             self.space, self.space, self.act_matrix(element),
             element.degree() % self.algebra.N,
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraModule)
-            and self.algebra.signature == other.algebra.signature
-            and self.space == other.space
-            and self.ops == other.ops
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "AlgebraModule(%r, dim %d)" % (self.algebra.signature, self.dim)
-
-
-def verify_module(M):
-    """Check that the generator actions satisfy the defining relations."""
-    pres = M.algebra.pres
-    checks = []
-    for i, name in enumerate(pres.gens):
-        lhs = M.ops[name] ** pres.bounds[i]
-        rhs_scalar = pres.power_rhs[i]
-        rhs = (
-            GradedMap.identity(M.space).scale(rhs_scalar)
-            if rhs_scalar
-            else GradedMap.zero(M.space, M.space, lhs.shift)
-        )
-        checks.append(
-            map_check(
-                "module relation %s^%d = %s" % (name, pres.bounds[i], rhs_scalar),
-                lhs, rhs, list(M.space.labels),
-            )
-        )
-
-    def word_op(word):
-        out = GradedMap.identity(M.space)
-        for gi, e in word:
-            out = out @ M.ops[pres.gens[gi]] ** e
-        return out
-
-    for (hi, lo), branches in sorted(pres.straighten.items()):
-        lhs = M.ops[pres.gens[hi]] @ M.ops[pres.gens[lo]]
-        rhs = GradedMap.zero(M.space, M.space, lhs.shift)
-        for s, word in branches:
-            rhs = rhs + word_op(word).scale(s)
-        checks.append(
-            map_check(
-                "module relation %s*%s straightens"
-                % (pres.gens[hi], pres.gens[lo]),
-                lhs, rhs, list(M.space.labels),
-            )
-        )
-    return checks
-
-
-def regular_module(A):
-    """A acting on itself by left multiplication."""
-    space = A.graded_space()
-    ops = {}
-    for name, el in A.generators():
-        ops[name] = GradedMap(
-            space, space, A.left_mult_operator(el), el.degree() % A.N
-        )
-    return AlgebraModule(A, space, ops)
-
-
-def trivial_module(H):
-    """The base field as a module, via the counit."""
-    A = H.algebra
-    space = GradedSpace.unit(A.N)
-    ops = {}
-    for name, el in A.generators():
-        v = H.counits[name]
-        dg = el.degree() % A.N
-        mat = Mat(1, 1, {(0, 0): v} if v else None)
-        ops[name] = GradedMap(space, space, mat, 0 if v else dg)
-    return AlgebraModule(A, space, ops)
-
-
-def module_tensor(H, V, W):
-    """The braided tensor product of modules over a Hopf algebra.
-
-    h.(v (x) w) = sum chi(deg h_2, deg v) (h_1 . v) (x) (h_2 . w) over the
-    terms h_1 (x) h_2 of Delta(h).
-    """
-    if V.algebra.signature != H.algebra.signature:
-        raise ValueError("left factor is a module over a different algebra")
-    if W.algebra.signature != H.algebra.signature:
-        raise ValueError("right factor is a module over a different algebra")
-    A = H.algebra
-    sp = tensor(V.space, W.space)
-    ops = {}
-    for name, el in A.generators():
-        dg = el.degree() % A.N
-        total = GradedMap.zero(sp, sp, dg)
-        for (ma, mb), c in H.coproducts[name].terms.items():
-            db = A.mono_degree(mb)
-            cross = GradedMap.from_diagonal(
-                V.space, lambda d, db=db: H.chi.chi(db, d)
-            )
-            total = total + tensor_map(
-                V.act_mono(ma) @ cross, W.act_mono(mb)
-            ).scale(c)
-        ops[name] = total
-    return AlgebraModule(A, sp, ops)
-
-
-# ---------------------------------------------------------------------------
-# transmutation: Taft modules <-> graded modules over the anyonic line
-# ---------------------------------------------------------------------------
-
-
-def transmute(M):
-    """Turn a module over taft(p) into a graded module over anyonic_line(p).
-
-    The grading is by eigenvalue of the g-action (degree i = the
-    xi^i-eigenspace); x becomes a degree-1 operator in that basis.  The
-    eigenbasis is chosen greedily, projecting the input basis vectors in
-    order, so a module whose g-action is already diagonal keeps its basis.
-    The change of basis is attached as .basis_change.
-    """
-    A = M.algebra
-    if A.signature[0] != "taft":
-        raise ValueError("transmute expects a module over the Taft algebra")
-    p = A.p
-    xi = A.xi
-    n = M.dim
-    G = M.ops["g"].mat
-    if G ** p != Mat.identity(n):
-        raise ValueError("g-action does not have order dividing %d" % p)
-    gpow = [Mat.identity(n)]
-    for _ in range(p - 1):
-        gpow.append(gpow[-1] * G)
-    unit = Fraction(1, p)
-    projectors = []
-    for i in range(p):
-        acc = Mat.zeros(n, n)
-        for b in range(p):
-            acc = acc + gpow[b].scale(unit * xi ** (-i * b))
-        projectors.append(acc)
-
-    chosen_cols = []
-    degrees = []
-    rank_rows = []
-    for k in range(n):
-        col = Mat(n, 1, {(k, 0): 1})
-        for i in range(p):
-            v = projectors[i] * col
-            if v.is_zero():
-                continue
-            candidate = from_cols(n, chosen_cols + [v.col_dict(0)])
-            if candidate.rank() == len(chosen_cols) + 1:
-                chosen_cols.append(v.col_dict(0))
-                degrees.append(i)
-            if len(chosen_cols) == n:
-                break
-        if len(chosen_cols) == n:
-            break
-    P = from_cols(n, chosen_cols)
-    Pinv = P.inverse()
-    space = GradedSpace(p, degrees)
-    X = Pinv * M.ops["x"].mat * P
-    try:
-        xop = GradedMap(space, space, X, 1)
-    except ValueError:
-        raise ValueError(
-            "x-action is not homogeneous of degree 1 in the g-eigenbasis; "
-            "the input does not satisfy the Taft relations"
-        )
-    out = AlgebraModule(anyonic_line(p), space, {"x": xop})
-    out.basis_change = P
-    return out
-
-
-def untransmute(M):
-    """Turn a graded module over anyonic_line(p) back into a Taft module.
-
-    g acts diagonally by xi^deg on each graded piece, x by the given
-    operator; this is inverse to transmute on modules in eigenbasis form.
-    """
-    A = M.algebra
-    if A.signature[0] != "anyonic_line":
-        raise ValueError("untransmute expects a module over the anyonic line")
-    p = A.p
-    xi = A.xi
-    space = GradedSpace(1, [0] * M.dim, M.space.labels)
-    g = Mat.diagonal([xi ** d for d in M.space.degrees])
-    ops = {
-        "g": GradedMap(space, space, g),
-        "x": GradedMap(space, space, M.ops["x"].mat),
-    }
-    return AlgebraModule(taft(p), space, ops)

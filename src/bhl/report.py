@@ -62,10 +62,6 @@ def has_skip(checks):
     return any(c["status"] == SKIP for c in checks)
 
 
-def all_pass(checks):
-    return not has_fail(checks)
-
-
 def make_report(command, params, checks, elapsed_ms):
     return {
         "command": command,

@@ -97,22 +97,46 @@ def _powtab(order):
         return _POWTAB_CACHE[order]
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
-    rows = []
-    cur = [0] * d
-    cur[0] = 1
-    rows.append(tuple(cur))
+    rows = [_monomial_row(d, 0)]
     for _ in range(max(2 * d - 2, order - 1)):
-        nxt = [0] * d
-        top = cur[d - 1]
-        for i in range(d - 1):
-            nxt[i + 1] = cur[i]
-        if top:
-            for i in range(d):
-                nxt[i] -= top * phi[i]  # zeta^d = -(phi_0 + ... + phi_{d-1} z^{d-1})
-        rows.append(tuple(nxt))
-        cur = nxt
+        rows.append(_times_zeta(rows[-1], phi))
     _POWTAB_CACHE[order] = rows
     return rows
+
+
+def _monomial_row(d, k):
+    return (0,) * k + (1,) + (0,) * (d - 1 - k)
+
+
+def _times_zeta(row, phi):
+    """The coordinate row of zeta times the element with coordinates row."""
+    d = len(phi) - 1
+    top = row[d - 1]
+    nxt = [0] + list(row[:d - 1])
+    if top:
+        for i in range(d):
+            nxt[i] -= top * phi[i]  # zeta^d = -(phi_0 + ... + phi_{d-1} z^{d-1})
+    return tuple(nxt)
+
+
+def _root_row(order, k):
+    """The coordinate row of zeta_order^k.
+
+    It is read from the table of powers when that is built; otherwise it
+    is reduced on its own, so that naming one root of unity of a large
+    order costs phi(order) coordinates, not the order x phi(order) table.
+    """
+    if order in _POWTAB_CACHE:
+        return _POWTAB_CACHE[order][k % order]
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    k %= order
+    if k < d:
+        return _monomial_row(d, k)
+    row = _monomial_row(d, d - 1)
+    for _ in range(k - d + 1):
+        row = _times_zeta(row, phi)
+    return row
 
 
 def euler_phi(n: int) -> int:
@@ -161,10 +185,6 @@ class Cyclotomic:
         return _make(order, (n,) + (0,) * (euler_phi(order) - 1), m)
 
     @staticmethod
-    def zero(order=1):
-        return Cyclotomic.from_rational(0, order)
-
-    @staticmethod
     def one(order=1):
         return Cyclotomic.from_rational(1, order)
 
@@ -177,9 +197,6 @@ class Cyclotomic:
         if not self.is_rational():
             raise ValueError("not a rational value: %s" % self)
         return Fraction(self.num[0], self.den)
-
-    def is_zero(self):
-        return not any(self.num)
 
     def __bool__(self):
         return any(self.num)
@@ -447,21 +464,32 @@ def root_of_unity(order: int, k: int = 1) -> Cyclotomic:
     return _make(order, _powtab(order)[k % order], 1)
 
 
+_ROOT_INDEX: dict[int, dict[tuple[int, ...], int]] = {}
+
+
+def root_exponent(value, order: int):
+    """The k in 0 .. order-1 with value == zeta_order^k, or None."""
+    if isinstance(value, Cyclotomic) and not value.is_rational():
+        if value.order != order or value.den != 1:
+            return None
+        index = _ROOT_INDEX.get(order)
+        if index is None:
+            index = _ROOT_INDEX[order] = {
+                row: k for k, row in enumerate(_powtab(order)[:order])}
+        return index.get(value.num)
+    if value == 1:
+        return 0
+    if value == -1 and order % 2 == 0:
+        return order // 2
+    return None
+
+
 def in_field(value, order: int) -> bool:
     """Whether a parsed scalar lies in Q(zeta_order) as stored here: an
     int, a Fraction, a rational Cyclotomic, or a Cyclotomic of that order."""
     if isinstance(value, Cyclotomic):
         return value.order == order or value.is_rational()
     return isinstance(value, (int, Fraction))
-
-
-def promote(value, order: int):
-    """Embed an int/Fraction (or rational-valued Cyclotomic) into Q(zeta_order)."""
-    if isinstance(value, Cyclotomic):
-        if value.order == order:
-            return value
-        return Cyclotomic.from_rational(value.as_fraction(), order)
-    return Cyclotomic.from_rational(value, order)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +642,8 @@ class _ScalarParser:
             self.take(",")
             k = int(self.take())
             self.take(")")
-            return root_of_unity(n, k)
+            # one row, not root_of_unity's table: n need not be the field's
+            return _make(n, _root_row(n, k), 1)
         if tok is not None and tok.isdigit():
             return int(self.take())
         raise ValueError("scalar syntax: unexpected %r" % tok)

@@ -17,8 +17,17 @@ from bhl.algebras import (
     uqsl2,
 )
 from bhl.exactmat import Mat
-from bhl.report import all_pass
+from bhl.report import PASS
 from bhl.scalars import q_factorial, q_int, root_of_unity
+from oracle import kernel_dims
+
+
+def all_pass(checks):
+    return all(c["status"] == PASS for c in checks)
+
+
+def basis_element(A, i):
+    return A.element({A.basis[i]: 1})
 
 
 def test_builder_dimensions():
@@ -85,7 +94,7 @@ def test_dual_anyonic_product():
     A = dual_anyonic(p)
     xi = A.xi
     e1 = A.gen("e_1")
-    e2 = A.basis_element(2)
+    e2 = basis_element(A, 2)
     assert e1 * e1 == xi ** -1 * q_int(2, xi) * e2
     assert e1 * e2 == A.zero()  # degree overflow: (3)_xi! contains (3)_xi = 0
     assert A.unit() * e1 == e1
@@ -127,7 +136,7 @@ def test_dimension_guard(monkeypatch):
 @given(st.integers(0, 26), st.integers(0, 26))
 def test_grading_multiplicative(i, j):
     A = d_a_mu(3, 1)
-    a, b = A.basis_element(i), A.basis_element(j)
+    a, b = basis_element(A, i), basis_element(A, j)
     ab = a * b
     if not ab.is_zero():
         assert ab.degree() == (a.degree() + b.degree()) % A.N
@@ -142,10 +151,10 @@ def test_left_mult_is_homomorphism(ta, tb):
     A = uqsl2(3)
     a = A.zero()
     for i, c in ta:
-        a = a + c * A.basis_element(i)
+        a = a + c * basis_element(A, i)
     b = A.zero()
     for i, c in tb:
-        b = b + c * A.basis_element(i)
+        b = b + c * basis_element(A, i)
     assert A.left_mult_operator(a * b) == \
         A.left_mult_operator(a) * A.left_mult_operator(b)
 
@@ -168,9 +177,9 @@ def test_center_and_kernel_dims():
     for c in center:
         for _, g in A.generators():
             assert c * g == g * c
-    assert A.kernel_dims(A.unit(), [1, 2]) == [27, 27]
+    assert kernel_dims(A, A.unit(), [1, 2]) == [27, 27]
     # 1 - K is invertible on nothing trivial: ker grows with powers until stable
-    dims = A.kernel_dims(A.gen("K"), [1, 27])
+    dims = kernel_dims(A, A.gen("K"), [1, 27])
     assert dims[0] <= dims[1]
 
 

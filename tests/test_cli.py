@@ -9,6 +9,8 @@ import contextlib
 import io
 import json
 import re
+import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -473,6 +475,48 @@ def test_ayd_module_file_with_a_bad_value_is_not_well_formed(
     assert (first["name"], first["status"]) == ("module file is well formed",
                                                 "FAIL")
     assert error in first["witnesses"][0]["error"]
+
+
+def test_root_of_a_large_order_is_rejected_without_its_table(tmp_path):
+    # q(1009,1) and q(1013,1) lie outside Q(zeta_3).  Naming one must not
+    # build the table of powers of its order (about 30 MB at 1009).
+    script = tmp_path / "large.bdsl"
+    script.write_text("let V = obj { deg 0: 1 }\n"
+                      "let f = gen (V -> V) { [q(1009,1)] }\n"
+                      "assert f == f\n")
+    module = _module_file(tmp_path / "module.json", ("x", 2, 1), "q(1013,1)")
+    for argv, name, error in (
+            (["dsl", "check", str(script)], "script loads",
+             "generator 'f': entry q(1009,1) is not in Q(zeta_3)"),
+            (["verify", "ayd", "--module", str(module)],
+             "module file is well formed",
+             "entry 'q(1013,1)' is not in Q(zeta_3)")):
+        tracemalloc.start()
+        try:
+            code, out, _ = _outcome(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert code == 1
+        (first,) = json.loads(out)["checks"]
+        assert (first["name"], first["status"]) == (name, "FAIL")
+        assert error in first["witnesses"][0]["error"]
+
+
+def test_dsl_hopf_guard_at_n_353_is_reached_quickly(monkeypatch, capsys):
+    # the environment's anti-twist law, N^2 pairs, is checked by exponent
+    # arithmetic mod N before the preloaded Hopf structure trips the guard
+    monkeypatch.delenv("BHL_DIM_GUARD", raising=False)
+    start = time.perf_counter()
+    code, report = run_json(
+        ["dsl", "check", str(CORPUS / "zigzag.bdsl"), "--n", "353"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    (only,) = report["checks"]
+    assert (only["name"], only["status"]) == ("script loads", "SKIP")
+    assert "Hopf structure at dimension 353 exceeds the guard 350" in \
+        only["details"]
 
 
 def _outcome(argv):

@@ -29,12 +29,12 @@ from bhl.dsl import (
     evaluate,
     mor_text,
     parse,
-    script_text,
 )
 from bhl.exactmat import from_cols
 from bhl.graded import GradedMap, GradedSpace, tensor_map
 from bhl.report import FAIL, PASS, map_check
 from bhl.scalars import root_of_unity
+from oracle import script_text
 
 CORPUS = pathlib.Path(bhl.__file__).parent / "corpus"
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

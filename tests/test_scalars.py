@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhl import scalars
 from bhl.algebras import taft
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
@@ -19,10 +20,10 @@ from bhl.scalars import (
     gauss_sum,
     parse_scalar,
     power,
-    promote,
     q_binomial,
     q_factorial,
     q_int,
+    root_exponent,
     root_of_unity,
 )
 
@@ -42,7 +43,7 @@ def test_primitive_root_kills_phi():
         z = root_of_unity(n)
         phi = cyclotomic_polynomial(n)
         value = sum((c * z ** k for k, c in enumerate(phi)), z * 0)
-        assert value.is_zero()
+        assert value == 0
         assert z ** n == 1
         for k in range(1, n):
             assert z ** k != 1
@@ -65,7 +66,6 @@ def test_cross_order_promotion():
     assert half * 2 == 1
     with pytest.raises(OrderMismatchError):
         _ = root_of_unity(3) + z5
-    assert promote(Fraction(1, 3), 7).order == 7
 
 
 @st.composite
@@ -86,7 +86,7 @@ def test_field_axioms(triple):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
-    if not a.is_zero():
+    if a:
         assert a * a.inverse() == 1
         assert (a / a) == 1
 
@@ -142,7 +142,7 @@ def test_gauss_sum():
         for m in range(1, p):
             xi = root_of_unity(p)
             s = gauss_sum(p, xi, m)
-            assert not s.is_zero()
+            assert s != 0
 
 
 def test_parse_scalar_basics():
@@ -301,6 +301,31 @@ def test_roots_of_unity_by_lookup(order):
         power = _ref_mul(power, zeta)
 
 
+def test_parsed_roots_match_the_table_of_powers(monkeypatch):
+    # q(N,k) is reduced on its own while no table of order N is built; it
+    # must give the table's row, which root_of_unity then builds
+    monkeypatch.setattr(scalars, "_POWTAB_CACHE", {})
+    orders = range(1, 41)
+    parsed = {(n, k): parse_scalar("q(%d,%d)" % (n, k))
+              for n in orders for k in range(2 * n + 1)}
+    assert scalars._POWTAB_CACHE == {}
+    for (n, k), value in parsed.items():
+        _same(value, root_of_unity(n, k))
+
+
+@pytest.mark.parametrize("order", ORDERS + [6, 9, 10])
+def test_root_exponent_inverts_root_of_unity(order):
+    for k in range(order):
+        assert root_exponent(root_of_unity(order, k), order) == k
+    assert root_exponent(1, order) == 0
+    assert root_exponent(Fraction(-1), order) == \
+        (order // 2 if order % 2 == 0 else None)
+    for other in (0, 2, Fraction(1, 2), 1 + root_of_unity(order) + 1,
+                  root_of_unity(order) / 2, root_of_unity(2 * order + 1)):
+        if other != 1 and other != -1:
+            assert root_exponent(other, order) is None
+
+
 def test_rational_operands_are_not_promoted(monkeypatch):
     calls = []
     original = Cyclotomic.from_rational
@@ -334,7 +359,7 @@ def _from_sympy(poly, order):
     coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
     d = euler_phi(order)
     coeffs += [Fraction(0)] * (d - len(coeffs))
-    total = Cyclotomic.zero(order)
+    total = Cyclotomic.from_rational(0, order)
     for k, c in enumerate(coeffs):
         if c:
             vec = [0] * d
