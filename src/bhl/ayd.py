@@ -30,9 +30,9 @@ determined once two consecutive powers agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebras import AlgebraElement, check_guard, d_a_mu, is_prime, uqsl2
+from .algebras import (AlgebraElement, _require_prime, check_guard, is_prime,
+                       uqsl2)
 from .exactmat import Mat
 from .graded import GradedMap, GradedSpace
 from .hopf import AlgebraModule
@@ -126,26 +126,32 @@ def varsigma_H(M, scale=1):
 def regular_ayd_module(p, mu):
     """The regular representation of d_a_mu(p, mu) as an AydModule.
 
-    The monomial basis is replaced by z^a e_t x^c where e_t is the
-    xi^t-eigenvector combination of the g-powers; there g acts diagonally
-    with degree (t - a), and left multiplication by x and z is homogeneous
-    of degree +1 and -1.  The change of basis is attached as
-    .basis_change, the algebra as .algebra.  Its dimension p^3 goes through
+    Column (a p + t) p + c is z^a e_t x^c, of degree t - a, where
+    e_t = (1/p) sum_b xi^{-tb} g^b.  From x e_t = e_{t+1} x,
+    g^{-2} e_t = xi^{-2t} e_t and xz = xi zx + xi^{1-mu} g^{-2} - 1:
+
+        z . z^a e_t x^c = z^{a+1} e_t x^c                (0 if a + 1 = p)
+        x . z^a e_t x^c = xi^a z^a e_{t+1} x^{c+1}       (0 if c + 1 = p)
+                          + (a)_xi (xi^{a-mu-2t} - 1) z^{a-1} e_t x^c
+
+    with (a)_xi = 1 + xi + ... + xi^{a-1}.  Its dimension p^3 goes through
     the dimension guard.
     """
     check_guard(p ** 3, "regular module of d_a_mu(%d, %d)" % (p, mu))
-    A = d_a_mu(p, mu)
-    xi = A.xi
-    n = A.dim
-    unit = Fraction(1, p)
-    pdata = {}
-    pinv = {}
+    _require_prime(p)
+    powers = [root_of_unity(p, k) for k in range(p)]
+    n = p ** 3
     degrees = [0] * n
     labels = [""] * n
+    xdata = {}
     for a in range(p):
+        # (a)_xi (xi^{a-mu-2t} - 1), indexed by t
+        a_xi = sum(powers[:a])
+        correction = [a_xi * (powers[(a - mu - 2 * t) % p] - 1)
+                      for t in range(p)]
         for t in range(p):
             for c in range(p):
-                col = A.index[(a, t, c)]
+                col = (a * p + t) * p + c
                 degrees[col] = (t - a) % p
                 parts = []
                 if a:
@@ -154,23 +160,17 @@ def regular_ayd_module(p, mu):
                 if c:
                     parts.append("x" if c == 1 else "x^%d" % c)
                 labels[col] = "*".join(parts)
-                for b in range(p):
-                    row = A.index[(a, b, c)]
-                    pdata[(row, col)] = unit * xi ** (-t * b)
-                    pinv[(col, row)] = xi ** (t * b)
-    P = Mat(n, n, pdata)
-    Pinv = Mat(n, n, pinv)
+                if c + 1 < p:
+                    xdata[((a * p + (t + 1) % p) * p + c + 1, col)] = powers[a]
+                if a:
+                    xdata[(col - p * p, col)] = correction[t]
+    zdata = {(j + p * p, j): 1 for j in range(n - p * p)}
     space = GradedSpace(p, degrees, labels)
-    xmat = Pinv * A.left_mult_operator(A.gen("x")) * P
-    zmat = Pinv * A.left_mult_operator(A.gen("z")) * P
-    M = AydModule(
+    return AydModule(
         p, mu, space,
-        GradedMap(space, space, xmat, 1),
-        GradedMap(space, space, zmat, p - 1),
+        GradedMap(space, space, Mat(n, n, xdata), 1),
+        GradedMap(space, space, Mat(n, n, zdata), p - 1),
     )
-    M.basis_change = P
-    M.algebra = A
-    return M
 
 
 # ---------------------------------------------------------------------------

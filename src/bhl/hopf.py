@@ -526,19 +526,29 @@ class AlgebraModule:
                     % (name, op.shift, el.degree() % algebra.N)
                 )
         self._mono_cache = {}
+        self._powers = {name: [None, op] for name, op in self.ops.items()}
 
     @property
     def dim(self):
         return self.space.dim
 
+    def _gen_power(self, name, e):
+        """ops[name] ** e, each power composed from the one below it."""
+        powers = self._powers[name]
+        while len(powers) <= e:
+            powers.append(powers[-1] @ powers[1])
+        return powers[e]
+
     def act_mono(self, mono):
         """Action of a basis monomial (exponent tuple) as a GradedMap."""
         hit = self._mono_cache.get(mono)
         if hit is None:
-            hit = GradedMap.identity(self.space)
             for name, e in zip(self.algebra.pres.gens, mono):
                 if e:
-                    hit = hit @ self.ops[name] ** e
+                    op = self._gen_power(name, e)
+                    hit = op if hit is None else hit @ op
+            if hit is None:
+                hit = GradedMap.identity(self.space)
             self._mono_cache[mono] = hit
         return hit
 

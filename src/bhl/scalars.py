@@ -307,7 +307,7 @@ class Cyclotomic:
             c, den = num[k], self.den
             if c < 0:
                 c, den = -c, -den
-            row = _powtab(self.order)[-k % self.order]
+            row = _root_row(self.order, -k)
             return _reduced(self.order, [den * r for r in row], c)
         return _inverse_general(self)
 

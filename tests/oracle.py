@@ -5,9 +5,12 @@ relations of a module given by generator actions, the regular module of a
 presented algebra, an AydModule read as a d_a_mu module, the trivial
 AydModule (the control for verify_ayd, varsigma_H and to_uqsl2), the
 braided-module map E, the inverse of a graded map by elimination, a
-printer for DSL scripts, and kernel dimensions of powers of 1 - a acting
-on an algebra.
+printer for DSL scripts, kernel dimensions of powers of 1 - a acting
+on an algebra, and the regular AydModule by conjugating left
+multiplication into the g-eigenbasis.
 """
+
+from fractions import Fraction
 
 from bhl.algebras import d_a_mu
 from bhl.ayd import AydModule
@@ -132,3 +135,48 @@ def kernel_dims(A, a, powers):
     of the algebra A."""
     u = A.unit() - a
     return [A.left_mult_operator(u ** k).nullity() for k in powers]
+
+
+
+def regular_ayd_by_conjugation(p, mu):
+    """The regular AydModule of d_a_mu(p, mu) by the old route: left
+    multiplication by x and z, conjugated as Pinv * L * P into the basis
+    z^a e_t x^c, e_t = (1/p) sum_b xi^{-tb} g^b.  The change of basis is
+    attached as .basis_change, the algebra as .algebra."""
+    A = d_a_mu(p, mu)
+    xi = A.xi
+    n = A.dim
+    unit = Fraction(1, p)
+    pdata = {}
+    pinv = {}
+    degrees = [0] * n
+    labels = [""] * n
+    for a in range(p):
+        for t in range(p):
+            for c in range(p):
+                col = A.index[(a, t, c)]
+                degrees[col] = (t - a) % p
+                parts = []
+                if a:
+                    parts.append("z" if a == 1 else "z^%d" % a)
+                parts.append("e_%d" % t)
+                if c:
+                    parts.append("x" if c == 1 else "x^%d" % c)
+                labels[col] = "*".join(parts)
+                for b in range(p):
+                    row = A.index[(a, b, c)]
+                    pdata[(row, col)] = unit * xi ** (-t * b)
+                    pinv[(col, row)] = xi ** (t * b)
+    P = Mat(n, n, pdata)
+    Pinv = Mat(n, n, pinv)
+    space = GradedSpace(p, degrees, labels)
+    xmat = Pinv * A.left_mult_operator(A.gen("x")) * P
+    zmat = Pinv * A.left_mult_operator(A.gen("z")) * P
+    M = AydModule(
+        p, mu, space,
+        GradedMap(space, space, xmat, 1),
+        GradedMap(space, space, zmat, p - 1),
+    )
+    M.basis_change = P
+    M.algebra = A
+    return M

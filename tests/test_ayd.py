@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 import bhl
-from bhl.algebras import DimensionGuardError, d_a_mu
+from bhl.algebras import DimensionGuardError, PresentedAlgebra
 from bhl.ayd import (
     AydModule,
     ayd_module_from_json,
@@ -26,7 +26,12 @@ from bhl.ayd import (
 )
 from bhl.graded import GradedMap
 from bhl.report import FAIL, PASS
-from oracle import as_module, trivial_ayd_module, verify_module
+from oracle import (
+    as_module,
+    regular_ayd_by_conjugation,
+    trivial_ayd_module,
+    verify_module,
+)
 
 DATA_DIR = pathlib.Path(bhl.__file__).parent / "data"
 
@@ -81,13 +86,35 @@ def test_regular_rep_grading_dimensions():
 
 
 def test_eigenbasis_conjugates_left_multiplication():
+    # the closed-form action is left multiplication seen in the eigenbasis
     M = regular_ayd_module(3, 1)
-    A = M.algebra
-    P = M.basis_change
+    oracle = regular_ayd_by_conjugation(3, 1)
+    A, P = oracle.algebra, oracle.basis_change
     assert A.left_mult_operator(A.gen("x")) * P == P * M.xop.mat
     assert A.left_mult_operator(A.gen("z")) * P == P * M.zop.mat
     gdiag = as_module(M).ops["g"].mat
     assert A.left_mult_operator(A.gen("g")) * P == P * gdiag
+
+
+@pytest.mark.parametrize("p,mu", [
+    # the old route costs about 0.8 s per module at p = 7
+    pytest.param(p, mu, marks=[pytest.mark.slow] if p == 7 and mu > 1 else [])
+    for p in (2, 3, 5, 7) for mu in range(p)])
+def test_closed_form_matches_conjugated_left_multiplication(p, mu):
+    M, oracle = regular_ayd_module(p, mu), regular_ayd_by_conjugation(p, mu)
+    assert M.xop == oracle.xop and M.zop == oracle.zop
+    assert M.space.degrees == oracle.space.degrees
+    assert M.space.labels == oracle.space.labels
+
+
+def test_regular_module_builds_no_left_multiplication(monkeypatch):
+    # the closed form never forms the p^3 x p^3 left-multiplication matrices
+    def refuse(self, el):
+        raise AssertionError("left_mult_operator called")
+
+    monkeypatch.setattr(PresentedAlgebra, "left_mult_operator", refuse)
+    M = regular_ayd_module(5, 2)
+    assert M.dim == 125 and all_pass(verify_ayd(M))
 
 
 def test_trivial_module_controls():
@@ -131,8 +158,8 @@ def test_sigma_is_natural_for_right_multiplications():
     # right multiplications commute with the left action, so they are
     # endomorphisms of the regular AydModule; sigma must commute with them
     M = regular_ayd_module(3, 1)
-    A = M.algebra
-    P, s = M.basis_change, varsigma_H(M)
+    oracle = regular_ayd_by_conjugation(3, 1)
+    A, P, s = oracle.algebra, oracle.basis_change, varsigma_H(M)
     Pinv = P.inverse()
     g = A.gen("g")
     for el in (g, g * g, A.gen("z") * A.gen("x")):
@@ -185,9 +212,8 @@ def test_to_uqsl2_rejects_p2():
 
 def test_to_uqsl2_commutes_with_module_maps():
     M = regular_ayd_module(3, 2)
-    A = M.algebra
-    U = to_uqsl2(M)
-    P = M.basis_change
+    oracle = regular_ayd_by_conjugation(3, 2)
+    A, P, U = oracle.algebra, oracle.basis_change, to_uqsl2(M)
     R = GradedMap(M.space, M.space,
                   P.inverse() * A.right_mult_operator(A.gen("g")) * P)
     for name in ("E", "F", "K"):
@@ -246,6 +272,17 @@ def test_stable_dimensions_match_the_frozen_table(p, mu):
         assert power == 1 and k1 == p ** 2
     else:
         assert power == 2 and k1 < k2 == 2 * p ** 2
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mu", [0, 1])
+def test_stable_dimension_at_p11(monkeypatch, mu):
+    # dimension 1331: the stable kernel has dimension p^2 for mu = 0 and
+    # 2 p^2 otherwise, the rule the stable-dim report applies
+    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
+    result = stable_analysis(11, mu)
+    assert result["dim"] == 11 ** 3
+    assert result["chain"][-1] == (1 if mu == 0 else 2) * 11 ** 2
 
 
 def test_stable_analysis_respects_the_guard(monkeypatch):

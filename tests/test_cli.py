@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhl.cli import PACKAGE_DIR, dsl_corpus_checks, main
+from bhl.scalars import format_scalar, parse_scalar
 
 SCHEMA = json.loads(
     (PACKAGE_DIR / "schemas" / "report.schema.json").read_text())
@@ -491,6 +492,37 @@ def test_root_of_a_large_order_is_rejected_without_its_table(tmp_path):
             (["verify", "ayd", "--module", str(module)],
              "module file is well formed",
              "entry 'q(1013,1)' is not in Q(zeta_3)")):
+        tracemalloc.start()
+        try:
+            code, out, _ = _outcome(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert code == 1
+        (first,) = json.loads(out)["checks"]
+        assert (first["name"], first["status"]) == (name, "FAIL")
+        assert error in first["witnesses"][0]["error"]
+
+
+def test_inverse_root_of_a_large_order_is_rejected_without_its_table(
+        tmp_path):
+    # inverting q(n,1) reads one row, not the table of powers of order n
+    # (about 16 MB at n = 1019); no other test builds these two tables
+    script = tmp_path / "large.bdsl"
+    script.write_text("let V = obj { deg 0: 1 }\n"
+                      "let f = gen (V -> V) { [q(1019,1)^-1] }\n"
+                      "assert f == f\n")
+    module = _module_file(tmp_path / "module.json", ("x", 2, 1),
+                          "q(1021,1)^-1")
+    # the DSL names the value, zeta^1018 written out on the power basis
+    value = format_scalar(parse_scalar("q(1019,1018)"))
+    for argv, name, error in (
+            (["dsl", "check", str(script)], "script loads",
+             "generator 'f': entry %s is not in Q(zeta_3)" % value),
+            (["verify", "ayd", "--module", str(module)],
+             "module file is well formed",
+             "entry 'q(1021,1)^-1' is not in Q(zeta_3)")):
         tracemalloc.start()
         try:
             code, out, _ = _outcome(argv)
