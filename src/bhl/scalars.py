@@ -16,9 +16,14 @@ of *different* orders can only meet if one of them is rational-valued,
 which is then promoted; anything else raises OrderMismatchError — no
 silent compositum.
 
-Inverses: a monomial c*zeta^k inverts by lookup as c^-1 * zeta^(N-k), read
-from the table of powers of zeta; any other element by an integer linear
-solve against its multiplication matrix.
+Reduction: a product's convolution, a root of unity zeta^k and the columns
+of a multiplication matrix all reduce through _reduce, which folds by
+zeta^N = 1 and divides by Phi_N.  Per order it keeps only phi(N) and the
+nonzero terms of Phi_N.
+
+Inverses: a monomial c*zeta^k inverts in closed form as c^-1 * zeta^(N-k);
+any other element by an integer linear solve against its multiplication
+matrix.
 
 Also provides the q-combinatorics used throughout: q-integers (n)_xi,
 q-factorials, Gaussian binomials, the balanced quantum integers [n]_q, and
@@ -44,99 +49,70 @@ class OrderMismatchError(ValueError):
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 
 
-def _poly_divexact(num, den):
-    # exact division of integer polynomials, low-to-high coefficients
-    num = list(num)
-    dn = len(den) - 1
-    while den[dn] == 0:
-        dn -= 1
-    out = [0] * (len(num) - dn)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn]
-        if c % den[dn]:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= den[dn]
-        out[k] = c
-        if c:
-            for i in range(dn + 1):
-                num[k + i] -= c * den[i]
-    if any(num[: dn]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, low to high, monic."""
+    """Integer coefficients of Phi_n, low to high, monic.
+
+    Phi_n is the product of (x^(n/s) - 1)^mu(s) over the squarefree s
+    dividing n: multiply by the binomials with mu(s) = 1, then divide
+    exactly by the others (every partial quotient is a polynomial).
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
     if n in _PHI_CACHE:
         return _PHI_CACHE[n]
-    if n == 1:
-        poly = (-1, 1)
-    else:
-        num = [0] * (n + 1)
-        num[0], num[n] = -1, 1  # x^n - 1
-        for d in range(1, n):
-            if n % d == 0:
-                num = _poly_divexact(num, cyclotomic_polynomial(d))
-        poly = tuple(num)
-    _PHI_CACHE[n] = poly
+    primes, m, f = [], n, 2
+    while f * f <= m:
+        if m % f == 0:
+            primes.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        primes.append(m)
+    times, over = [n], []
+    for p in primes:
+        times, over = times + [e // p for e in over], over + [e // p for e in times]
+    poly = [1]
+    for e in times:  # poly * (x^e - 1)
+        poly = [0] * e + poly
+        for i in range(len(poly) - e):
+            poly[i] -= poly[i + e]
+    for e in over:  # poly / (x^e - 1): poly[k] = q[k - e] - q[k]
+        q = [0] * (len(poly) - e)
+        for k in range(len(q)):
+            q[k] = (q[k - e] if k >= e else 0) - poly[k]
+        poly = q
+    _PHI_CACHE[n] = poly = tuple(poly)
     return poly
 
 
-_POWTAB_CACHE: dict[int, list[tuple[int, ...]]] = {}
+_REDUCERS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
-def _powtab(order):
-    """Coordinate rows of zeta^k on the power basis, k = 0 .. max(2d-2, N-1).
+def _reduce(order, vec):
+    """The coordinates of sum_k vec[k] zeta^k on the power basis.
 
-    Rows up to 2d-2 reduce a product of two elements; rows up to N-1 give
-    every root of unity of the order.
+    vec is an integer list of any length, used up by the call.  It is
+    folded by zeta^order = 1, then divided by the monic Phi_order one
+    nonzero term at a time, top coefficient first.
     """
-    if order in _POWTAB_CACHE:
-        return _POWTAB_CACHE[order]
-    phi = cyclotomic_polynomial(order)
-    d = len(phi) - 1
-    rows = [_monomial_row(d, 0)]
-    for _ in range(max(2 * d - 2, order - 1)):
-        rows.append(_times_zeta(rows[-1], phi))
-    _POWTAB_CACHE[order] = rows
-    return rows
-
-
-def _monomial_row(d, k):
-    return (0,) * k + (1,) + (0,) * (d - 1 - k)
-
-
-def _times_zeta(row, phi):
-    """The coordinate row of zeta times the element with coordinates row."""
-    d = len(phi) - 1
-    top = row[d - 1]
-    nxt = [0] + list(row[:d - 1])
-    if top:
-        for i in range(d):
-            nxt[i] -= top * phi[i]  # zeta^d = -(phi_0 + ... + phi_{d-1} z^{d-1})
-    return tuple(nxt)
-
-
-def _root_row(order, k):
-    """The coordinate row of zeta_order^k.
-
-    It is read from the table of powers when that is built; otherwise it
-    is reduced on its own, so that naming one root of unity of a large
-    order costs phi(order) coordinates, not the order x phi(order) table.
-    """
-    if order in _POWTAB_CACHE:
-        return _POWTAB_CACHE[order][k % order]
-    phi = cyclotomic_polynomial(order)
-    d = len(phi) - 1
-    k %= order
-    if k < d:
-        return _monomial_row(d, k)
-    row = _monomial_row(d, d - 1)
-    for _ in range(k - d + 1):
-        row = _times_zeta(row, phi)
-    return row
+    reducer = _REDUCERS.get(order)
+    if reducer is None:
+        phi = cyclotomic_polynomial(order)
+        d = len(phi) - 1
+        reducer = _REDUCERS[order] = d, tuple((i, c) for i, c in enumerate(phi[:d]) if c)
+    d, terms = reducer
+    while len(vec) > order:  # zeta^order = 1
+        c = vec.pop()
+        vec[len(vec) - order] += c
+    n = len(vec)
+    for k in range(n - 1, d - 1, -1):
+        c = vec[k]
+        if c:  # zeta^d = -(phi_0 + ... + phi_{d-1} zeta^{d-1})
+            s = k - d
+            for i, f in terms:
+                vec[s + i] -= c * f
+    return vec[:d] if n >= d else vec + [0] * (d - n)
 
 
 def euler_phi(n: int) -> int:
@@ -274,18 +250,7 @@ class Cyclotomic:
                     for j, bj in enumerate(bn):
                         if bj:
                             conv[i + j] += ai * bj
-            vec = conv[:n]
-            tab = None
-            for k in range(n, 2 * n - 1):
-                ck = conv[k]
-                if ck:
-                    if tab is None:
-                        tab = _powtab(a.order)
-                    row = tab[k]
-                    for i in range(n):
-                        if row[i]:
-                            vec[i] += ck * row[i]
-            return _reduced(a.order, vec, a.den * b.den)
+            return _reduced(a.order, _reduce(a.order, conv), a.den * b.den)
         if isinstance(other, int):
             return _scaled(self, other, 1)
         if isinstance(other, Fraction):
@@ -302,13 +267,13 @@ class Cyclotomic:
         if not support:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
         if len(support) == 1:
-            # (c zeta^k)^-1 = c^-1 zeta^(N-k); for k = 0 that is row 0, i.e. 1
+            # (c zeta^k)^-1 = c^-1 zeta^(N-k), and c^-1 = den / num[k]
             k = support[0]
             c, den = num[k], self.den
             if c < 0:
                 c, den = -c, -den
-            row = _root_row(self.order, -k)
-            return _reduced(self.order, [den * r for r in row], c)
+            vec = [0] * (-k % self.order) + [den]
+            return _reduced(self.order, _reduce(self.order, vec), c)
         return _inverse_general(self)
 
     def __truediv__(self, other):
@@ -411,7 +376,6 @@ def _inverse_general(x):
     b_i / D_i and x^-1 = den * num^-1.
     """
     num, den = x.num, x.den
-    phi = cyclotomic_polynomial(x.order)
     d = len(num)
     rows = [[0] * (d + 1) for _ in range(d)]
     rows[0][d] = 1
@@ -419,10 +383,7 @@ def _inverse_general(x):
     for j in range(d):
         for i in range(d):
             rows[i][j] = col[i]
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:  # zeta^d = -(phi_0 + ... + phi_{d-1} zeta^{d-1})
-            col = [c - top * f for c, f in zip(col, phi)]
+        col = _reduce(x.order, [0] + col)  # num * zeta^(j+1)
     for k in range(d):
         if not rows[k][k]:  # M is invertible, so some later row has a pivot
             p = next(i for i in range(k + 1, d) if rows[i][k])
@@ -461,7 +422,9 @@ def power(base, e: int, one, mul=operator.mul):
 
 def root_of_unity(order: int, k: int = 1) -> Cyclotomic:
     """zeta_order ** k as an exact element of Q(zeta_order)."""
-    return _make(order, _powtab(order)[k % order], 1)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return _make(order, tuple(_reduce(order, [0] * (k % order) + [1])), 1)
 
 
 _ROOT_INDEX: dict[int, dict[tuple[int, ...], int]] = {}
@@ -475,7 +438,7 @@ def root_exponent(value, order: int):
         index = _ROOT_INDEX.get(order)
         if index is None:
             index = _ROOT_INDEX[order] = {
-                row: k for k, row in enumerate(_powtab(order)[:order])}
+                root_of_unity(order, k).num: k for k in range(order)}
         return index.get(value.num)
     if value == 1:
         return 0
@@ -642,8 +605,7 @@ class _ScalarParser:
             self.take(",")
             k = int(self.take())
             self.take(")")
-            # one row, not root_of_unity's table: n need not be the field's
-            return _make(n, _root_row(n, k), 1)
+            return root_of_unity(n, k)
         if tok is not None and tok.isdigit():
             return int(self.take())
         raise ValueError("scalar syntax: unexpected %r" % tok)

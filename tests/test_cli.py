@@ -536,6 +536,51 @@ def test_inverse_root_of_a_large_order_is_rejected_without_its_table(
         assert error in first["witnesses"][0]["error"]
 
 
+def test_product_of_roots_of_a_large_order_is_rejected_without_its_table(
+        tmp_path):
+    # q(n,1000)^2 is reduced as one coordinate list of length 2 phi(n) - 1,
+    # not through a table of powers of order n (about 16 MB at n = 1031)
+    script = tmp_path / "large.bdsl"
+    script.write_text("let V = obj { deg 0: 1 }\n"
+                      "let f = gen (V -> V) { [q(1031,1000)*q(1031,1000)] }\n"
+                      "assert f == f\n")
+    module = _module_file(tmp_path / "module.json", ("x", 2, 1),
+                          "q(1033,1000)*q(1033,1000)")
+    for argv, name, error in (
+            (["dsl", "check", str(script)], "script loads",
+             "generator 'f': entry q(1031,969) is not in Q(zeta_3)"),
+            (["verify", "ayd", "--module", str(module)],
+             "module file is well formed",
+             "entry 'q(1033,1000)*q(1033,1000)' is not in Q(zeta_3)")):
+        tracemalloc.start()
+        try:
+            code, out, _ = _outcome(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert code == 1
+        (first,) = json.loads(out)["checks"]
+        assert (first["name"], first["status"]) == (name, "FAIL")
+        assert error in first["witnesses"][0]["error"]
+
+
+def test_high_power_of_a_composite_order_is_rejected_quickly(tmp_path):
+    # zeta_16000^15999 lies 9600 powers past phi(16000) = 6400; Phi_16000
+    # has five terms, so its reduction and Phi itself take milliseconds
+    script = tmp_path / "large.bdsl"
+    script.write_text("let V = obj { deg 0: 1 }\n"
+                      "let f = gen (V -> V) { [q(16000,15999)] }\n"
+                      "assert f == f\n")
+    start = time.perf_counter()
+    code, out, _ = _outcome(["dsl", "check", str(script), "--n", "5"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    (first,) = json.loads(out)["checks"]
+    assert (first["name"], first["status"]) == ("script loads", "FAIL")
+    assert "is not in Q(zeta_5)" in first["witnesses"][0]["error"]
+
+
 def test_dsl_hopf_guard_at_n_353_is_reached_quickly(monkeypatch, capsys):
     # the environment's anti-twist law, N^2 pairs, is checked by exponent
     # arithmetic mod N before the preloaded Hopf structure trips the guard

@@ -1,11 +1,12 @@
 import operator
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhl import scalars
 from bhl.algebras import taft
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
@@ -285,10 +286,16 @@ def test_inverse_is_exact(x):
         _same(x ** -2, _ref_mul(inv, inv))
 
 
+def _zeta(order):
+    """zeta_order written out with the public constructor."""
+    if euler_phi(order) > 1:
+        return Cyclotomic(order, [0, 1])
+    return Cyclotomic(order, [1 if order == 1 else -1])
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_roots_of_unity_by_lookup(order):
-    zeta = Cyclotomic(order, [0, 1]) if euler_phi(order) > 1 else \
-        Cyclotomic(order, [1 if order == 1 else -1])
+    zeta = _zeta(order)
     power = Cyclotomic.one(order)
     for k in range(2 * order + 1):
         _same(root_of_unity(order, k), power)
@@ -301,16 +308,13 @@ def test_roots_of_unity_by_lookup(order):
         power = _ref_mul(power, zeta)
 
 
-def test_parsed_roots_match_the_table_of_powers(monkeypatch):
-    # q(N,k) is reduced on its own while no table of order N is built; it
-    # must give the table's row, which root_of_unity then builds
-    monkeypatch.setattr(scalars, "_POWTAB_CACHE", {})
-    orders = range(1, 41)
-    parsed = {(n, k): parse_scalar("q(%d,%d)" % (n, k))
-              for n in orders for k in range(2 * n + 1)}
-    assert scalars._POWTAB_CACHE == {}
-    for (n, k), value in parsed.items():
-        _same(value, root_of_unity(n, k))
+def test_parsed_roots_match_the_table_of_powers():
+    # the table zeta^0 .. zeta^2n is built here by repeated _ref_mul
+    for n in range(1, 41):
+        zeta, power = _zeta(n), Cyclotomic.one(n)
+        for k in range(2 * n + 1):
+            _same(parse_scalar("q(%d,%d)" % (n, k)), power)
+            power = _ref_mul(power, zeta)
 
 
 @pytest.mark.parametrize("order", ORDERS + [6, 9, 10])
@@ -347,6 +351,8 @@ def test_rational_operands_are_not_promoted(monkeypatch):
 # ---------------------------------------------------------------------------
 
 SMALL_ORDERS = [3, 4, 5, 7, 8, 9, 12]
+# Phi_60, Phi_64 and Phi_120 are sparse, Phi_105 has a coefficient -2
+LARGER_ORDERS = [60, 64, 105, 120]
 
 
 def _to_sympy(x, var):
@@ -357,18 +363,12 @@ def _to_sympy(x, var):
 
 def _from_sympy(poly, order):
     coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-    d = euler_phi(order)
-    coeffs += [Fraction(0)] * (d - len(coeffs))
-    total = Cyclotomic.from_rational(0, order)
-    for k, c in enumerate(coeffs):
-        if c:
-            vec = [0] * d
-            vec[k] = c.numerator
-            total = _ref_add(total, Cyclotomic(order, vec, c.denominator))
-    return total
+    den = lcm(*(c.denominator for c in coeffs))
+    return Cyclotomic(order, [int(c * den) for c in coeffs], den)
 
 
-@pytest.mark.parametrize("order", SMALL_ORDERS + [1, 2, 15, 17])
+@pytest.mark.parametrize("order", SMALL_ORDERS + [1, 2, 15, 17] +
+                         LARGER_ORDERS + [4000, 8000])
 def test_cyclotomic_polynomial_matches_sympy(order):
     sympy = pytest.importorskip("sympy")
     var = sympy.Symbol("x")
@@ -376,13 +376,10 @@ def test_cyclotomic_polynomial_matches_sympy(order):
     assert cyclotomic_polynomial(order) == tuple(int(c) for c in reversed(want))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SMALL_ORDERS).flatmap(
-    lambda n: st.tuples(cyclo(n), cyclo(n), st.integers(0, euler_phi(n) - 1),
-                        st.integers(1, 9))))
-def test_field_operations_match_sympy(args):
+def _check_against_sympy(a, b, k, c):
+    """a * b, a + b, a^-1 and (c/7 zeta^k)^-1 against sympy's remainders
+    and inverses modulo Phi_N."""
     sympy = pytest.importorskip("sympy")
-    a, b, k, c = args
     order = a.order
     var = sympy.Symbol("x")
     phi = sympy.Poly(sympy.cyclotomic_poly(order, var), var, domain=sympy.QQ)
@@ -396,6 +393,38 @@ def test_field_operations_match_sympy(args):
     mono = Cyclotomic(order, vec, 7)
     _same(mono.inverse(), _from_sympy(sympy.invert(_to_sympy(mono, var), phi),
                                       order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_ORDERS).flatmap(
+    lambda n: st.tuples(cyclo(n), cyclo(n), st.integers(0, euler_phi(n) - 1),
+                        st.integers(1, 9))))
+def test_field_operations_match_sympy(args):
+    _check_against_sympy(*args)
+
+
+@pytest.mark.parametrize("order", LARGER_ORDERS)
+def test_field_operations_match_sympy_at_larger_orders(order):
+    # a few fixed random elements: an inverse at degree 48 is a 48 x 48
+    # integer solve, too slow for many hypothesis examples
+    rng = random.Random(order)
+    d = euler_phi(order)
+    for _ in range(3):
+        a, b = (Cyclotomic(order, [rng.randint(-9, 9) for _ in range(d)],
+                           rng.randint(1, 9)) for _ in range(2))
+        _check_against_sympy(a, b, rng.randrange(d), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("order", LARGER_ORDERS)
+def test_roots_of_unity_match_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    var = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, var), var, domain=sympy.QQ)
+    want = [_from_sympy(sympy.Poly(var ** k, var, domain=sympy.QQ).rem(phi),
+                        order) for k in range(2 * order)]
+    for k in range(2 * order):
+        _same(root_of_unity(order, k), want[k])
+        _same(root_of_unity(order, -k), want[-k % order])
 
 
 def _power_cases():
