@@ -4,10 +4,12 @@ Scripts declare graded objects and matrix generators, then assert diagram
 identities.  One walk of each side (evaluate) type-checks it and builds it
 as a lazy graded.Diagram; map_check then pushes one basis vector at a time
 through both sides and compares them column by column, so no product matrix
-is formed.  Every object expression passes the dimension guard before its
-basis is listed, and matrix entries must lie in Q(zeta_N) for the script's
-N: rationals and expressions in q(N,k).  Diagrams read top to bottom:
-``a ; b`` means first a, then b, so evaluation composes b after a.
+is formed.  A tensor product of morphisms has a tensor word for its source
+and target, and a witness is named from the diagram, so no basis of such a
+product is listed.  Every object expression passes the dimension guard
+before its basis is listed, and matrix entries must lie in Q(zeta_N) for
+the script's N: rationals and expressions in q(N,k).  Diagrams read top to
+bottom: ``a ; b`` means first a, then b, so evaluation composes b after a.
 
 Grammar:
 
@@ -59,6 +61,7 @@ from .graded import (
     tensor,
     tensor_diagram,
     twist_theta,
+    word_degrees,
 )
 from .hopf import anyonic_hopf
 from .report import check, map_check
@@ -504,7 +507,8 @@ class Environment:
 
     def __init__(self, N, c=1, mu=0):
         self.chi = Bicharacter(N, c)
-        self.sigma = AntiTwist.with_mu(self.chi, mu)
+        # sigma_mu(i) = zeta^(-c i^2 - mu i)
+        self.sigma = AntiTwist.with_parameter(self.chi, -mu)
         self.objects = {}
         self.gens = {}
 
@@ -540,8 +544,9 @@ def eval_obj(expr, env):
     raise TypeError("not an object expression: %r" % (expr,))
 
 
-def _space_text(V):
-    return "(%s)" % ", ".join("deg %d" % d for d in V.degrees)
+def _space_text(word, N):
+    """The degrees of a tensor word's basis, for messages."""
+    return "(%s)" % ", ".join("deg %d" % d for d in word_degrees(word, N))
 
 
 def _leaf(expr, env):
@@ -566,25 +571,24 @@ def _leaf(expr, env):
 
 
 def evaluate(expr, env):
-    """(source, target, diagram) of a morphism expression, in one walk that
-    type-checks it: a generator or primitive becomes a diagram leaf, ``*`` a
-    lazy tensor product and ``;`` a lazy composite."""
+    """The diagram of a morphism expression, in one walk that type-checks
+    it: a generator or primitive becomes a diagram leaf, ``*`` a lazy
+    tensor product and ``;`` a lazy composite.  Source and target are the
+    diagram's tensor words, so no basis of a product is listed."""
     if isinstance(expr, (MName, MPrim)):
-        f = _leaf(expr, env)
-        return f.source, f.target, diagram(f)
+        return diagram(_leaf(expr, env))
     if isinstance(expr, MTensor):
-        s1, t1, f = evaluate(expr.left, env)
-        s2, t2, g = evaluate(expr.right, env)
-        return tensor(s1, s2), tensor(t1, t2), tensor_diagram(f, g)
+        return tensor_diagram(evaluate(expr.left, env),
+                              evaluate(expr.right, env))
     if isinstance(expr, MCompose):
-        s1, t1, f = evaluate(expr.first, env)
-        s2, t2, g = evaluate(expr.second, env)
-        if t1 != s2:
+        f, g = evaluate(expr.first, env), evaluate(expr.second, env)
+        try:
+            return g @ f
+        except TypeError:
             raise DslTypeError(
                 "cannot compose %s ; %s: middle objects differ: %s vs %s"
                 % (mor_text(expr.first), mor_text(expr.second),
-                   _space_text(t1), _space_text(s2)))
-        return s1, t2, g @ f
+                   _space_text(f.target, f.N), _space_text(g.source, g.N)))
     raise TypeError("not a morphism expression: %r" % (expr,))
 
 
@@ -608,7 +612,8 @@ def apply_decl(env, stmt):
         raise DslTypeError(
             "generator %r: matrix has %d row(s) but needs %d, target %s, "
             "source %s" % (stmt.name, len(rows), target.dim,
-                           _space_text(target), _space_text(source)))
+                           _space_text((target,), env.chi.N),
+                           _space_text((source,), env.chi.N)))
     data = {}
     shift = 0
     for r, row in enumerate(rows):
@@ -641,13 +646,12 @@ def check_script(stmts, env):
         name = "assert line %d" % st.line
         detail = "%s == %s" % (mor_text(st.lhs), mor_text(st.rhs))
         try:
-            ls, lt, lhs = evaluate(st.lhs, env)
-            rs, rt, rhs = evaluate(st.rhs, env)
-            if ls != rs or lt != rt:
+            lhs, rhs = evaluate(st.lhs, env), evaluate(st.rhs, env)
+            if not lhs.parallel(rhs):
                 raise DslTypeError(
                     "sides have different boundaries: %s -> %s vs %s -> %s"
-                    % (_space_text(ls), _space_text(lt),
-                       _space_text(rs), _space_text(rt)))
+                    % tuple(_space_text(w, lhs.N) for w in (
+                        lhs.source, lhs.target, rhs.source, rhs.target)))
             if lhs.shift != rhs.shift:
                 raise DslTypeError(
                     "sides have different degree shifts: %d vs %d"
@@ -656,7 +660,7 @@ def check_script(stmts, env):
             checks.append(check(name, False, details=detail,
                                 witnesses=[{"type_error": str(exc)}]))
             continue
-        checks.append(map_check(name, lhs, rhs, ls.labels, details=detail))
+        checks.append(map_check(name, lhs, rhs, details=detail))
     return checks
 
 

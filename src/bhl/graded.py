@@ -14,8 +14,10 @@ operators on one space, such as the actions on a module.  tensor_map
 materialises a tensor product as a Kronecker product; nothing in bhl
 calls it, and the tests keep it as the matrix oracle for the lazy route.
 A Diagram applies tensor products and composites one basis vector at a
-time, and first_difference compares two maps that way; the Hopf verifiers
-and the diagram DSL check through it.
+time, and first_difference compares two maps that way; every identity
+check in bhl goes through it.  Its source and target are tensor words, and
+it names a source basis vector from the word (Diagram.label), so a tensor
+product of maps never lists its basis.
 """
 
 from __future__ import annotations
@@ -293,17 +295,24 @@ def _word_dim(word):
     return math.prod(V.dim for V in word)
 
 
+def word_degrees(word, N):
+    """The degree of each basis vector of a tensor word, in basis order."""
+    return (sum(ds) % N for ds in itertools.product(*(V.degrees for V in word)))
+
+
 def _same_space(a, b, N):
     """Whether two tensor words are equal as graded spaces over Z/N."""
     if a == b:
         return True
     if _word_dim(a) != _word_dim(b):
         return False
-    degrees = (
-        (sum(ds) % N for ds in itertools.product(*(V.degrees for V in w)))
-        for w in (a, b)
-    )
-    return all(x == y for x, y in zip(*degrees))
+    return all(x == y for x, y in zip(word_degrees(a, N), word_degrees(b, N)))
+
+
+def _is_unit(word, N):
+    """Whether a tensor word is one-dimensional of degree 0, the factor
+    whose labels tensor() leaves out."""
+    return _word_dim(word) == 1 and sum(V.degrees[0] for V in word) % N == 0
 
 
 def _times(c, a):
@@ -337,7 +346,8 @@ class Diagram:
     (f (x) g)(e_i (x) e_j) = f(e_i) (x) g(e_j).  An entry or coefficient
     that is the integer 1 (as in identity maps) is passed through, never
     multiplied.  Build diagrams with diagram(), tensor_diagram() and @
-    (usual composition order).
+    (usual composition order).  label(j) names source basis vector j as
+    tensor() would, without listing the source basis.
     """
 
     __slots__ = ("N", "source", "target", "shift")
@@ -362,7 +372,7 @@ class Diagram:
 
 
 class _Leaf(Diagram):
-    __slots__ = ("_cols",)
+    __slots__ = ("_cols", "_labels")
 
     def __init__(self, f):
         self.N = f.source.N
@@ -372,6 +382,10 @@ class _Leaf(Diagram):
         for (r, c), v in f.mat.data.items():
             cols[c][r] = v
         self._cols = cols
+        self._labels = f.source.labels
+
+    def label(self, j):
+        return self._labels[j]
 
     def _column(self, j):
         return self._cols[j]
@@ -398,6 +412,15 @@ class _Tensor(Diagram):
         self._left, self._right = f, g
         self._right_src = _word_dim(g.source)
         self._right_tgt = _word_dim(g.target)
+
+    def label(self, j):
+        f, g = self._left, self._right
+        if _is_unit(f.source, self.N):
+            return g.label(j)
+        if _is_unit(g.source, self.N):
+            return f.label(j)
+        i, k = divmod(j, self._right_src)
+        return "%s*%s" % (f.label(i), g.label(k))
 
     def _column(self, j):
         out = {}
@@ -433,6 +456,9 @@ class _Composite(Diagram):
         self.source, self.target = inner.source, outer.target
         self.shift = (outer.shift + inner.shift) % outer.N
         self._outer, self._inner = outer, inner
+
+    def label(self, j):
+        return self._inner.label(j)
 
     def _column(self, j):
         return self._outer._apply(self._inner._column(j))
@@ -537,13 +563,6 @@ class AntiTwist:
                     )
         self.chi = chi
         self.values = values
-
-    @staticmethod
-    def with_mu(chi: Bicharacter, mu: int):
-        """sigma_mu(i) = zeta^(-c i^2 - mu i) (the c=1 case reads xi^(-i^2-mu*i))."""
-        return AntiTwist(
-            chi, [root_of_unity(chi.N, -chi.c * i * i - mu * i) for i in range(chi.N)]
-        )
 
     @staticmethod
     def with_parameter(chi: Bicharacter, t: int):

@@ -1,9 +1,11 @@
 """Check dictionaries and report assembly shared by verifiers and the CLI.
 
 A check is {"name", "status" (PASS/FAIL/SKIP), "details", "witnesses"};
-a report bundles checks with the invoking command, its parameters, and a
-wall-clock figure.  Everything is plain JSON-serializable data so the CLI
-can render text or JSON without translation.
+map_check makes one from two maps and names its witness from the maps'
+own source, so no caller lists a basis.  A report bundles checks with the
+invoking command, its parameters, and a wall-clock figure.  Everything is
+plain JSON-serializable data so the CLI can render text or JSON without
+translation.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ def skip(name, reason):
     return {"name": name, "status": SKIP, "details": reason, "witnesses": []}
 
 
-def map_check(name, lhs, rhs, source_labels, details=""):
+def map_check(name, lhs, rhs, details="", label=None):
     """A check comparing two maps (GradedMaps or lazy Diagrams) one source
     column at a time; it stops at the first column where they disagree and
     reports it as the witness: that basis input and the difference there.
 
-    Maps with different sources or targets are unequal, as for GradedMap.
+    The input is named by label(j) when given, else by lhs.label(j), the
+    name tensor() gives that basis vector.  Maps with different sources or
+    targets are unequal, as for GradedMap.
     """
     lhs, rhs = diagram(lhs), diagram(rhs)
     if not lhs.parallel(rhs):
@@ -47,7 +51,7 @@ def map_check(name, lhs, rhs, source_labels, details=""):
         return check(name, True, details=details)
     j, diff = hit
     witness = {
-        "input": source_labels[j],
+        "input": (label or lhs.label)(j),
         "difference": [[r, repr(diff[r])] for r in sorted(diff)],
     }
     return check(name, False, details=details or "maps differ",

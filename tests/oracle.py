@@ -38,7 +38,7 @@ def verify_module(M):
         checks.append(
             map_check(
                 "module relation %s^%d = %s" % (name, pres.bounds[i], rhs_scalar),
-                lhs, rhs, list(M.space.labels),
+                lhs, rhs,
             )
         )
 
@@ -57,7 +57,7 @@ def verify_module(M):
             map_check(
                 "module relation %s*%s straightens"
                 % (pres.gens[hi], pres.gens[lo]),
-                lhs, rhs, list(M.space.labels),
+                lhs, rhs,
             )
         )
     return checks

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bhl.algebras import (
     DimensionGuardError,
+    StructureConstantAlgebra,
     algebra_morphism,
     anyonic_line,
     check_guard,
@@ -17,7 +18,7 @@ from bhl.algebras import (
     uqsl2,
 )
 from bhl.exactmat import Mat
-from bhl.report import PASS
+from bhl.report import FAIL, PASS
 from bhl.scalars import q_factorial, q_int, root_of_unity
 from oracle import kernel_dims
 
@@ -112,6 +113,26 @@ def test_associativity_sweep(make):
     A = make()
     checks = A.verify_associativity()
     assert all_pass(checks), checks
+
+
+def test_associativity_and_unitality_fail_with_witnesses():
+    # e_i e_j = e_{i+j} below degree 3, except e_0 e_2 = 3 e_2: the unit
+    # e_0 fails on the left, and (e_0 e_0) e_2 = 3 e_2 != 9 e_2 = e_0 (e_0 e_2)
+    def rule(i, j):
+        if i + j > 2:
+            return {}
+        return {i + j: 3 if (i, j) == (0, 2) else 1}
+
+    A = StructureConstantAlgebra(
+        signature=("broken",), N=3, scalar_order=1, basis=(0, 1, 2),
+        degrees=(0, 1, 2), labels=("1", "e_1", "e_2"), unit_mono=0,
+        pair_rule=rule, generator_monos=(("e_1", 1),))
+    assoc, unit = A.verify_associativity()
+    assert (assoc["name"], assoc["status"]) == ("associativity", FAIL)
+    assert assoc["witnesses"] == [{"input": "1*1*e_2",
+                                   "difference": [[2, "-6"]]}]
+    assert (unit["name"], unit["status"]) == ("unitality", FAIL)
+    assert unit["witnesses"] == [{"input": "e_2", "difference": [[2, "2"]]}]
 
 
 @pytest.mark.slow

@@ -168,12 +168,6 @@ def test_sigma_is_natural_for_right_multiplications():
         assert s @ R == R @ s
 
 
-def test_sigma_rescales_with_the_anti_twist():
-    M = regular_ayd_module(3, 2)
-    xi = M.xi
-    assert varsigma_H(M, scale=xi) == varsigma_H(M).scale(xi)
-
-
 @pytest.mark.parametrize("mu", [0, 1])
 def test_p2_closed_forms(mu):
     assert all_pass(sweedler_checks(mu))

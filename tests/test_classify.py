@@ -71,7 +71,8 @@ def test_anti_twists_satisfy_law(N, c):
 def test_anti_twist_parameter_matches_mu_form():
     chi = Bicharacter(5, 1)
     for t in range(5):
-        assert anti_twists(5, 1)[t] == AntiTwist.with_mu(chi, -t)
+        assert anti_twists(5, 1)[t] == AntiTwist(
+            chi, [root_of_unity(5, -i * i + t * i) for i in range(5)])
 
 
 def test_n2_second_anti_twist_is_trivial():

@@ -144,10 +144,10 @@ def test_anti_twist_values():
     V = GradedSpace(3, (0, 1, 2))
     assert twist_theta(V, chi3) @ anti_twist(V, s0) == GradedMap.identity(V)
     chi2 = Bicharacter(2, 1)
-    s1 = AntiTwist.with_mu(chi2, 1)
+    s1 = AntiTwist.with_parameter(chi2, -1)
     assert s1(1) == 1  # trivial anti-twist on Z/2
     assert s1.parameter == 1
-    assert AntiTwist.with_mu(chi3, 2).parameter == 1
+    assert AntiTwist.with_parameter(chi3, -2).parameter == 1
     assert AntiTwist(chi3, [1, 1, root_of_unity(3)]).parameter == 1
     with pytest.raises(ValueError):
         AntiTwist(chi3, [1, root_of_unity(3), root_of_unity(3)])
@@ -287,14 +287,15 @@ def test_diagram_tensor_words_match_nested_products():
 
 
 def test_first_difference_reports_the_first_differing_column():
-    V = GradedSpace(2, (0, 1, 1))
+    V = GradedSpace(2, (0, 1, 1), ("a", "b", "c"))
     f = GradedMap(V, V, Mat.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
     g = GradedMap(V, V, Mat.from_rows([[1, 0, 0], [0, 2, 5], [0, 0, 1]]))
     assert first_difference(f, g) == (2, {1: -5, 2: 2})
     assert first_difference(f, f) is None
-    got = map_check("f = g", f, g, ["a", "b", "c"])
+    got = map_check("f = g", f, g)
     assert got["witnesses"] == [{"input": "c",
                                  "difference": [[1, "-5"], [2, "2"]]}]
+    assert map_check("f = g", f, g, label=str)["witnesses"][0]["input"] == "2"
 
 
 def test_map_check_of_maps_with_other_targets_fails():
@@ -302,7 +303,7 @@ def test_map_check_of_maps_with_other_targets_fails():
     W = GradedSpace(3, (0, 2))
     f = GradedMap.zero(V, V)
     g = GradedMap.zero(V, W)
-    got = map_check("f = g", f, g, ["a", "b"])
+    got = map_check("f = g", f, g)
     assert got["status"] == "FAIL"
     assert got["witnesses"] == [{"note": "source or target differ"}]
     with pytest.raises(ValueError, match="not parallel"):
