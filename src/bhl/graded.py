@@ -31,25 +31,34 @@ from .scalars import format_scalar, power, root_exponent, root_of_unity
 
 
 class Bicharacter:
-    """chi(i,j) = zeta_N^(c*i*j) on Z/N x Z/N."""
+    """chi(i,j) = zeta_N^(c*i*j) on Z/N x Z/N; each power of zeta_N it
+    returns is built once per exponent mod N and then shared."""
 
-    __slots__ = ("N", "c")
+    __slots__ = ("N", "c", "_roots")
 
     def __init__(self, N, c=1):
         if N < 1:
             raise ValueError("N must be positive")
         self.N = N
         self.c = c % N
+        self._roots = {}
+
+    def _root(self, e):
+        e %= self.N
+        root = self._roots.get(e)
+        if root is None:
+            root = self._roots[e] = root_of_unity(self.N, e)
+        return root
 
     def chi(self, i, j):
-        return root_of_unity(self.N, self.c * i * j)
+        return self._root(self.c * i * j)
 
     def chi_inv(self, i, j):
-        return root_of_unity(self.N, -self.c * i * j)
+        return self._root(-self.c * i * j)
 
     def omega(self, i, j):
         """omega(i,j) = chi(i,j) chi(j,i) = zeta^(2c i j)."""
-        return root_of_unity(self.N, 2 * self.c * i * j)
+        return self._root(2 * self.c * i * j)
 
     def theta(self, i):
         return self.chi(i, i)

@@ -8,22 +8,21 @@ rational-valued elements so mixed dict keys behave.
 
 Type policy: an operation with a Cyclotomic operand returns a Cyclotomic,
 and its order and canonical (num, den) do not depend on the route taken.
-Rationals embed into any Q(zeta_N).  A rational operand of the same order
-(an int, a Fraction, or a Cyclotomic whose only nonzero coordinate is the
-constant one) scales the coordinate vector or shifts its constant
-coordinate; it is never promoted to a full element first.  Two elements
-of *different* orders can only meet if one of them is rational-valued,
-which is then promoted; anything else raises OrderMismatchError — no
-silent compositum.
+Nothing is promoted: a rational-valued operand of any order (an int, a
+Fraction, or a Cyclotomic whose only nonzero coordinate is the constant
+one) scales the other operand or shifts its constant coordinate, which
+keeps its order.  Two irrational elements of *different* orders raise
+OrderMismatchError — no silent compositum.
 
-Reduction: a product's convolution, a root of unity zeta^k and the columns
-of a multiplication matrix all reduce through _reduce, which folds by
-zeta^N = 1 and divides by Phi_N.  Per order it keeps only phi(N) and the
-nonzero terms of Phi_N.
+Reduction: a product, a root of unity zeta^k and the columns of a
+multiplication matrix all reduce through _reduce, which folds by zeta^N = 1
+and divides by Phi_N, keeping per order only phi(N) and the nonzero terms
+of Phi_N.  A monomial c*zeta^k times x is c*x rotated by k in a length-N
+vector; two general elements are convolved over their nonzero coordinates.
 
 Inverses: a monomial c*zeta^k inverts in closed form as c^-1 * zeta^(N-k);
-any other element by an integer linear solve against its multiplication
-matrix.
+any other element by a fraction-free integer solve (Bareiss) against its
+multiplication matrix.
 
 Also provides the q-combinatorics used throughout: q-integers (n)_xi,
 q-factorials, Gaussian binomials, the balanced quantum integers [n]_q, and
@@ -35,7 +34,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 class OrderMismatchError(ValueError):
@@ -177,32 +176,20 @@ class Cyclotomic:
     def __bool__(self):
         return any(self.num)
 
-    # -- coercion -----------------------------------------------------------
-
-    def _pair(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.order == self.order:
-                return self, other
-            if other.is_rational():
-                return self, Cyclotomic.from_rational(other.as_fraction(), self.order)
-            if self.is_rational():
-                return Cyclotomic.from_rational(self.as_fraction(), other.order), other
-            raise OrderMismatchError(
-                "cannot mix Q(zeta_%d) with Q(zeta_%d)" % (self.order, other.order)
-            )
-        if isinstance(other, (int, Fraction)):
-            return self, Cyclotomic.from_rational(other, self.order)
-        return None
-
     # -- ring operations ----------------------------------------------------
     #
-    # Rational operands (int, Fraction, and same-order Cyclotomics with only
-    # a constant coordinate) take the _scaled / constant-shift paths; only a
-    # Cyclotomic of another order goes through _pair.
+    # Operand shape is tested before order (see the type policy above): a
+    # rational of any order scales or shifts, and a monomial rotates.
 
     def __add__(self, other):
         if isinstance(other, Cyclotomic):
-            a, b = (self, other) if other.order == self.order else self._pair(other)
+            a, b = self, other
+            if not any(b.num[1:]):
+                return _shifted(a, b.num[0], b.den)
+            if not any(a.num[1:]):
+                return _shifted(b, a.num[0], a.den)
+            if a.order != b.order:
+                raise _mismatch(a, b)
             if a.den == b.den:
                 return _reduced(a.order, [x + y for x, y in zip(a.num, b.num)], a.den)
             g = gcd(a.den, b.den)
@@ -210,16 +197,9 @@ class Cyclotomic:
             vec = [x * la + y * lb for x, y in zip(a.num, b.num)]
             return _reduced(a.order, vec, a.den * la)
         if isinstance(other, int):
-            # gcd(num + other*den*e_0, den) = gcd(num, den) = 1: still canonical
-            num = self.num
-            return _make(self.order, (num[0] + other * self.den,) + num[1:], self.den)
+            return _shifted(self, other, 1)
         if isinstance(other, Fraction):
-            n, m = other.numerator, other.denominator
-            g = gcd(self.den, m)
-            la, lb = m // g, self.den // g
-            vec = [x * la for x in self.num]
-            vec[0] += n * lb
-            return _reduced(self.order, vec, self.den * la)
+            return _shifted(self, other.numerator, other.denominator)
         return NotImplemented
 
     __radd__ = __add__
@@ -237,20 +217,30 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, Cyclotomic):
-            a, b = (self, other) if other.order == self.order else self._pair(other)
+            a, b = self, other
             an, bn = a.num, b.num
             if not any(bn[1:]):
                 return _scaled(a, bn[0], b.den)
             if not any(an[1:]):
                 return _scaled(b, an[0], a.den)
+            if a.order != b.order:
+                raise _mismatch(a, b)
             n = len(an)
-            conv = [0] * (2 * n - 1)
-            for i, ai in enumerate(an):
-                if ai:
-                    for j, bj in enumerate(bn):
-                        if bj:
-                            conv[i + j] += ai * bj
-            return _reduced(a.order, _reduce(a.order, conv), a.den * b.den)
+            if an.count(0) == n - 1:
+                a, b, an, bn = b, a, bn, an
+            if bn.count(0) == n - 1:  # b = c zeta^k, 0 < k < n: rotate c*a by k
+                c = sum(bn)
+                k = bn.index(c)
+                vec = [c * v for v in an] + [0] * (a.order - n)
+                vec = vec[-k:] + vec[:-k]
+            else:
+                support = [(j, v) for j, v in enumerate(bn) if v]
+                vec = [0] * (2 * n - 1)
+                for i, ai in enumerate(an):
+                    if ai:
+                        for j, bj in support:
+                            vec[i + j] += ai * bj
+            return _reduced(a.order, _reduce(a.order, vec), a.den * b.den)
         if isinstance(other, int):
             return _scaled(self, other, 1)
         if isinstance(other, Fraction):
@@ -277,11 +267,11 @@ class Cyclotomic:
         return _inverse_general(self)
 
     def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -331,6 +321,11 @@ def _make(order, num, den):
     return c
 
 
+def _mismatch(a, b):
+    return OrderMismatchError(
+        "cannot mix Q(zeta_%d) with Q(zeta_%d)" % (a.order, b.order))
+
+
 def _reduced(order, vec, den):
     """The canonical Cyclotomic of a full-length integer list over den > 0.
 
@@ -352,6 +347,8 @@ def _scaled(x, n, m):
     gcd(m, content of num) leaves the result reduced.  n == 0 forces
     m == 1, so a zero product gets den 1.
     """
+    if n == m == 1:
+        return x
     num, den = x.num, x.den
     g = gcd(n, den)
     if g > 1:
@@ -366,14 +363,28 @@ def _scaled(x, n, m):
     return _make(x.order, tuple(v * n for v in num), den)
 
 
+def _shifted(x, n, m):
+    """x + n/m for a reduced fraction n/m, m > 0, in canonical form."""
+    num, den = x.num, x.den
+    if m == 1:  # gcd(num + n*den*e_0, den) = gcd(num, den) = 1: still canonical
+        return _make(x.order, (num[0] + n * den,) + num[1:], den)
+    g = gcd(den, m)
+    la, lb = m // g, den // g
+    vec = [v * la for v in num]
+    vec[0] += n * lb
+    return _reduced(x.order, vec, den * la)
+
+
 def _inverse_general(x):
     """x^-1 for an x with at least two nonzero coordinates.
 
     Solves M y = e_0, where column j of the integer matrix M holds the
-    coordinates of num * zeta^j, by Gauss-Jordan elimination that keeps
-    every row integral (cross-multiplication, then division by the row's
-    content).  Row i ends as D_i e_i | b_i, so num^-1 has coordinates
-    b_i / D_i and x^-1 = den * num^-1.
+    coordinates of num * zeta^j, by Bareiss's fraction-free Gauss-Jordan
+    elimination (Bareiss 1968): each step cross-multiplies by the pivot and
+    divides exactly by the previous pivot, so every entry stays a minor of
+    M.  Every diagonal entry ends equal to the last pivot D, so num^-1 has
+    coordinates b_i / D and x^-1 = den * num^-1.  A step updates only the
+    columns right of its pivot, as the others are not read again.
     """
     num, den = x.num, x.den
     d = len(num)
@@ -384,22 +395,22 @@ def _inverse_general(x):
         for i in range(d):
             rows[i][j] = col[i]
         col = _reduce(x.order, [0] + col)  # num * zeta^(j+1)
+    prev = 1
     for k in range(d):
         if not rows[k][k]:  # M is invertible, so some later row has a pivot
             p = next(i for i in range(k + 1, d) if rows[i][k])
             rows[k], rows[p] = rows[p], rows[k]
         prow = rows[k]
-        pk = prow[k]
+        pk, tail = prow[k], prow[k + 1:]
         for i in range(d):
-            f = rows[i][k]
-            if f and i != k:
-                r = [pk * a - f * b for a, b in zip(rows[i], prow)]
-                g = gcd(*r)
-                if g > 1:
-                    r = [v // g for v in r]
-                rows[i] = r
-    lcd = lcm(*(r[i] for i, r in enumerate(rows)))
-    return _reduced(x.order, [den * r[d] * (lcd // r[i]) for i, r in enumerate(rows)], lcd)
+            if i != k:
+                r = rows[i]
+                f = r[k]
+                r[k + 1:] = [(pk * a - f * b) // prev for a, b in zip(r[k + 1:], tail)]
+        prev = pk
+    if prev < 0:
+        prev, den = -prev, -den
+    return _reduced(x.order, [den * r[d] for r in rows], prev)
 
 
 def power(base, e: int, one, mul=operator.mul):

@@ -75,6 +75,16 @@ def test_hopf_axioms_p2(capsys):
     assert all(c["status"] == "PASS" for c in report["checks"])
 
 
+@pytest.mark.slow
+def test_hopf_axioms_p11_scale_probe(monkeypatch, capsys):
+    # the Taft p = 11 Hopf algebra (dimension 121) only passes a raised guard
+    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
+    code, report = run_json(["verify", "hopf-axioms", "--p", "11"], capsys)
+    assert code == 0
+    statuses = [c["status"] for c in report["checks"]]
+    assert statuses == ["PASS"] * 25
+
+
 def test_dual_algebra(capsys):
     code, report = run_json(["verify", "dual-algebra", "--p", "5"], capsys)
     assert code == 0

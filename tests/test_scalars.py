@@ -65,8 +65,11 @@ def test_cross_order_promotion():
     z5 = root_of_unity(5)
     assert (half + z5).order == 5
     assert half * 2 == 1
-    with pytest.raises(OrderMismatchError):
-        _ = root_of_unity(3) + z5
+    z3 = root_of_unity(3)
+    for op in (operator.add, operator.mul, operator.truediv, operator.eq):
+        for a, b in ((z3, z5), (z5, z3)):
+            with pytest.raises(OrderMismatchError):
+                op(a, b)
 
 
 @st.composite
@@ -179,7 +182,7 @@ def test_format_round_trip_rationals():
 # order, convolve, and reduce modulo Phi_N by long division.
 # ---------------------------------------------------------------------------
 
-ORDERS = [1, 2, 3, 4, 5, 8, 12, 17]
+ORDERS = [1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 17]
 
 
 def _embed(value, order):
@@ -277,6 +280,21 @@ def test_fast_paths_match_the_general_route(pair):
         _same(y * x, x * y)
 
 
+def test_monomial_products_at_a_composite_order():
+    # Phi_105 has 33 nonzero terms, and a rotation that carries coordinates
+    # past degree 47 reduces through them; each monomial has a negative
+    # coefficient over den > 1
+    rng = random.Random(105)
+    d = euler_phi(105)
+    for _ in range(20):
+        x = Cyclotomic(105, [rng.randint(-9, 9) for _ in range(d)], rng.randint(1, 9))
+        vec = [0] * d
+        vec[rng.randrange(d)] = -rng.randint(1, 9)
+        mono = Cyclotomic(105, vec, rng.randint(2, 9))
+        _same(mono * x, _ref_mul(mono, x))
+        _same(x * mono, _ref_mul(x, mono))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(ORDERS).flatmap(cyclo))
 def test_inverse_is_exact(x):
@@ -340,8 +358,10 @@ def test_rational_operands_are_not_promoted(monkeypatch):
     monkeypatch.setattr(Cyclotomic, "from_rational", staticmethod(counting))
     z = root_of_unity(5)
     half = Cyclotomic(5, [1], 2)
-    for y in (3, 0, Fraction(-2, 3), half):
-        _ = z * y, y * z, z + y, y + z, z - y, y - z
+    # rationals of another order: order 1, as Bicharacter(1, 0) gives, and 3
+    one, third = Cyclotomic(1, [1]), Cyclotomic(3, [-1], 3)
+    for y in (3, 0, Fraction(-2, 3), half, one, third):
+        _ = z * y, y * z, z + y, y + z, z - y, y - z, z / y if y else z
     _ = z ** -3, (z + 2).inverse(), -z
     assert calls == []
 
