@@ -13,12 +13,20 @@ Two constructions cover everything needed:
 
 On top of either: regular-representation matrices, the product and unit
 as graded maps (associativity and unitality are checked on them, one basis
-input at a time), center computation by generator commutants,
-kernel-dimension analysis, and relation-checking for algebra morphisms.
+input at a time), center computation by generator commutants, and
+relation-checking for algebra morphisms.
+
+PresentedAlgebra.extend is the one place where values on generators are
+extended to every normal monomial: a monomial splits at its last run,
+rest * g^e, a single run as g^(e-1) * g, and the images of the two parts
+are combined by a given rule.  The induced linear map of a morphism, the
+Hopf structure maps (hopf.HopfData) and module actions
+(hopf.AlgebraModule) are all built on it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -240,11 +248,13 @@ class FiniteDimAlgebra:
 
     # -- regular representation ----------------------------------------------------
 
-    def left_mult_operator(self, a):
+    def _mult_operator(self, a, left):
+        """The matrix of b |-> a*b (left) or b |-> b*a (not left)."""
         data = {}
         for j, mb in enumerate(self.basis):
             for ma, ca in a.terms.items():
-                for mc, s in self.pair_product(ma, mb).items():
+                prod = self.pair_product(ma, mb) if left else self.pair_product(mb, ma)
+                for mc, s in prod.items():
                     key = (self.index[mc], j)
                     v = data.get(key, 0) + ca * s
                     if v:
@@ -253,18 +263,11 @@ class FiniteDimAlgebra:
                         data.pop(key, None)
         return Mat(self.dim, self.dim, data)
 
+    def left_mult_operator(self, a):
+        return self._mult_operator(a, True)
+
     def right_mult_operator(self, a):
-        data = {}
-        for j, mb in enumerate(self.basis):
-            for ma, ca in a.terms.items():
-                for mc, s in self.pair_product(mb, ma).items():
-                    key = (self.index[mc], j)
-                    v = data.get(key, 0) + ca * s
-                    if v:
-                        data[key] = v
-                    else:
-                        data.pop(key, None)
-        return Mat(self.dim, self.dim, data)
+        return self._mult_operator(a, False)
 
     # -- verification -----------------------------------------------------------
 
@@ -346,6 +349,37 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
     def generators(self):
         return [(name, self.gen(name)) for name in self.pres.gens]
+
+    def extend(self, gen_images, one, times):
+        """The memoised map that extends generator images to normal monomials.
+
+        The unit monomial maps to `one`.  Any other monomial splits at its
+        last run, rest * g^e, and a single run g^e splits as g^(e-1) * g,
+        where g takes gen_images[name of g].  The image of a split is
+        times(left image, right image, left monomial, right monomial).
+        """
+        # a method, not a closure that calls itself: that would be a
+        # reference cycle, and the memo would wait for the cyclic collector
+        return functools.partial(self._extended, {self.unit_mono: one},
+                                 gen_images, times)
+
+    def _extended(self, memo, gen_images, times, mono):
+        hit = memo.get(mono)
+        if hit is None:
+            i = max(j for j, e in enumerate(mono) if e)
+            rest = mono[:i] + (0,) * (len(mono) - i)
+            if any(rest):
+                run = (0,) * i + mono[i:]
+                hit = times(self._extended(memo, gen_images, times, rest),
+                            self._extended(memo, gen_images, times, run),
+                            rest, run)
+            else:
+                left = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+                g = (0,) * i + (1,) + mono[i + 1:]
+                hit = times(self._extended(memo, gen_images, times, left),
+                            gen_images[self.pres.gens[i]], left, g)
+            memo[mono] = hit
+        return hit
 
     def normal_form(self, word):
         """Normalize a word of (generator name or index, integer exponent) pairs."""
@@ -600,21 +634,8 @@ def _image_of_word(target, images_by_index, word):
 
 def induced_linear_map(source, target, images):
     """Matrix of the linear extension of the generator images on normal bases."""
-    names = source.pres.gens
-    powers = []
-    for i, name in enumerate(names):
-        row = [target.unit()]
-        for _ in range(1, source.pres.bounds[i]):
-            row.append(row[-1] * images[name])
-        powers.append(row)
-    cols = []
-    for mono in source.basis:
-        elem = target.unit()
-        for i, e in enumerate(mono):
-            if e:
-                elem = elem * powers[i][e]
-        cols.append(elem.as_column())
-    return from_cols(target.dim, cols)
+    image = source.extend(images, target.unit(), lambda a, b, *_: a * b)
+    return from_cols(target.dim, [image(m).as_column() for m in source.basis])
 
 
 def algebra_morphism(source, target, images, check_bijective=True):

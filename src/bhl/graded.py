@@ -528,12 +528,11 @@ def braiding(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> GradedMap:
 
 
 def braiding_inverse(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> GradedMap:
-    """Inverse of braiding(V, W): W (x) V -> V (x) W with chi(deg v, deg w)^(-1)."""
-    data = {}
-    for i, dv in enumerate(V.degrees):
-        for j, dw in enumerate(W.degrees):
-            data[i * W.dim + j, j * V.dim + i] = chi.chi_inv(dv, dw)
-    return GradedMap(tensor(W, V), tensor(V, W), Mat(V.dim * W.dim, W.dim * V.dim, data))
+    """Inverse of braiding(V, W): W (x) V -> V (x) W with chi(deg v, deg w)^(-1).
+
+    chi is symmetric, so this is the braiding of W and V for chi^(-1).
+    """
+    return braiding(W, V, Bicharacter(chi.N, -chi.c))
 
 
 def twist_theta(V: GradedSpace, chi: Bicharacter) -> GradedMap:

@@ -6,9 +6,10 @@ The braided tensor square A (x)^tau A of a graded algebra carries the product
 
 and a Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a counit
 eps: A -> k and an antipode S: A -> A.  Here the structure maps are stored
-as exact matrices (GradedMap), built from their values on generators:
-Delta and eps extend multiplicatively, S anti-multiplicatively with the
-braiding scalar,
+as exact matrices (GradedMap), built from their values on generators by
+the one extension PresentedAlgebra.extend: a monomial splits at its last
+run, rest * g^e, and a single run as g^(e-1) * g.  Delta and eps extend
+multiplicatively, S anti-multiplicatively with the braiding scalar,
 
     S(ab) = chi(deg a, deg b) * S(b) * S(a).
 
@@ -43,7 +44,7 @@ from .algebras import (
     check_guard,
     taft,
 )
-from .exactmat import Mat
+from .exactmat import Mat, from_cols
 from .graded import (
     Bicharacter,
     GradedMap,
@@ -149,15 +150,25 @@ class HopfData:
         self.coproducts = dict(coproducts)
         self.counits = dict(counits)
         self.antipodes = dict(antipodes)
-        self._delta_memo = {}
-        self._antipode_memo = {}
-        self._eps_memo = {}
         self.m = algebra.mult_map()
         self.u = algebra.unit_map()
         self.space, self.square = self.m.target, self.m.source
-        self.Delta = self._delta_map()
-        self.eps = self._eps_map()
-        self.S = self._antipode_map()
+        A, TA = algebra, tensor_algebra
+
+        def anti(a, b, ma, mb):
+            # S(ab) = chi(deg a, deg b) S(b) S(a)
+            return chi.chi(A.mono_degree(ma), A.mono_degree(mb)) * (b * a)
+
+        self._delta = A.extend(self.coproducts, TA.unit(),
+                               lambda a, b, *_: a * b)
+        self._eps = A.extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
+        self._antipode = A.extend(self.antipodes, A.unit(), anti)
+        self.Delta = GradedMap(self.space, self.square, from_cols(
+            TA.dim, [self._delta(mono).as_column() for mono in A.basis]))
+        self.eps = GradedMap(self.space, GradedSpace.unit(A.N), from_cols(
+            1, [{0: self._eps(mono)} for mono in A.basis]))
+        self.S = GradedMap(self.space, self.space, from_cols(
+            A.dim, [self._antipode(mono).as_column() for mono in A.basis]))
 
     # -- element-level structure maps --------------------------------------
 
@@ -165,89 +176,14 @@ class HopfData:
         """Delta(a) as an element of the braided tensor square."""
         out = self.tensor_algebra.zero()
         for mono, c in a.terms.items():
-            out = out + c * self._delta_mono(mono)
+            out = out + c * self._delta(mono)
         return out
 
     def antipode(self, a):
         out = self.algebra.zero()
         for mono, c in a.terms.items():
-            out = out + c * self._antipode_mono(mono)
+            out = out + c * self._antipode(mono)
         return out
-
-    def _gen_order(self):
-        return [(name, next(iter(el.terms))) for name, el in
-                self.algebra.generators()]
-
-    def _delta_mono(self, mono):
-        hit = self._delta_memo.get(mono)
-        if hit is None:
-            hit = self.tensor_algebra.unit()
-            for (name, gmono), e in zip(self._gen_order(), mono):
-                if e:
-                    hit = hit * self.coproducts[name] ** e
-            self._delta_memo[mono] = hit
-        return hit
-
-    def _eps_mono(self, mono):
-        hit = self._eps_memo.get(mono)
-        if hit is None:
-            hit = Fraction(1)
-            for (name, gmono), e in zip(self._gen_order(), mono):
-                if e:
-                    hit = hit * self.counits[name] ** e
-            self._eps_memo[mono] = hit
-        return hit
-
-    def _antipode_mono(self, mono):
-        hit = self._antipode_memo.get(mono)
-        if hit is not None:
-            return hit
-        if mono == self.algebra.unit_mono:
-            hit = self.algebra.unit()
-        else:
-            # peel the last letter: mono = rest * g, then
-            # S(mono) = chi(deg rest, deg g) S(g) S(rest)
-            last = max(i for i, e in enumerate(mono) if e)
-            rest = tuple(
-                e - 1 if i == last else e for i, e in enumerate(mono)
-            )
-            name = self.algebra.pres.gens[last]
-            dg = self.algebra.pres.degrees[last] % self.algebra.N
-            drest = (self.algebra.mono_degree(mono) - dg) % self.algebra.N
-            s = self.chi.chi(drest, dg)
-            hit = s * (self.antipodes[name] * self._antipode_mono(rest))
-        self._antipode_memo[mono] = hit
-        return hit
-
-    # -- matrices -----------------------------------------------------------
-
-    def _delta_map(self):
-        A = self.algebra
-        TA = self.tensor_algebra
-        data = {}
-        for j, mono in enumerate(A.basis):
-            for pair, s in self._delta_mono(mono).terms.items():
-                data[(TA.index[pair], j)] = s
-        return GradedMap(self.space, self.square, Mat(A.dim ** 2, A.dim, data))
-
-    def _eps_map(self):
-        A = self.algebra
-        data = {}
-        for j, mono in enumerate(A.basis):
-            v = self._eps_mono(mono)
-            if v:
-                data[(0, j)] = v
-        return GradedMap(
-            self.space, GradedSpace.unit(A.N), Mat(1, A.dim, data)
-        )
-
-    def _antipode_map(self):
-        A = self.algebra
-        data = {}
-        for j, mono in enumerate(A.basis):
-            for m, s in self._antipode_mono(mono).terms.items():
-                data[(A.index[m], j)] = s
-        return GradedMap(self.space, self.space, Mat(A.dim, A.dim, data))
 
 
 def build_hopf(algebra, chi, coproducts, counits, antipodes):
@@ -477,8 +413,10 @@ class AlgebraModule:
 
     Stored as one GradedMap per generator (shift = generator degree); the
     action of a monomial is the composite in the same order, so that
-    (ab).v = a.(b.v).  Whether the generator actions satisfy the defining
-    relations is not checked here.
+    (ab).v = a.(b.v), built by PresentedAlgebra.extend: one composition
+    per split at the last run, each monomial's action memoised.  Whether
+    the generator actions satisfy the defining relations is not checked
+    here.
     """
 
     def __init__(self, algebra, space, ops):
@@ -498,32 +436,13 @@ class AlgebraModule:
                     "action of %r has shift %d, expected %d"
                     % (name, op.shift, el.degree() % algebra.N)
                 )
-        self._mono_cache = {}
-        self._powers = {name: [None, op] for name, op in self.ops.items()}
+        # the action of a basis monomial (exponent tuple), as a GradedMap
+        self.act_mono = algebra.extend(
+            self.ops, GradedMap.identity(space), lambda a, b, *_: a @ b)
 
     @property
     def dim(self):
         return self.space.dim
-
-    def _gen_power(self, name, e):
-        """ops[name] ** e, each power composed from the one below it."""
-        powers = self._powers[name]
-        while len(powers) <= e:
-            powers.append(powers[-1] @ powers[1])
-        return powers[e]
-
-    def act_mono(self, mono):
-        """Action of a basis monomial (exponent tuple) as a GradedMap."""
-        hit = self._mono_cache.get(mono)
-        if hit is None:
-            for name, e in zip(self.algebra.pres.gens, mono):
-                if e:
-                    op = self._gen_power(name, e)
-                    hit = op if hit is None else hit @ op
-            if hit is None:
-                hit = GradedMap.identity(self.space)
-            self._mono_cache[mono] = hit
-        return hit
 
     def act_matrix(self, element):
         """Action of an arbitrary element, as a plain matrix."""

@@ -7,7 +7,9 @@ AydModule (the control for verify_ayd, varsigma_H and to_uqsl2), the
 braided-module map E, the inverse of a graded map by elimination, a
 printer for DSL scripts, kernel dimensions of powers of 1 - a acting
 on an algebra, and the regular AydModule by conjugating left
-multiplication into the g-eigenbasis.
+multiplication into the g-eigenbasis; and the structure maps of a Hopf
+structure and the induced linear map of an algebra morphism, each built
+from generator powers rather than by PresentedAlgebra.extend.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 from bhl.algebras import d_a_mu
 from bhl.ayd import AydModule
 from bhl.dsl import Assertion, GenDecl, Let, ObjDecl, mor_text, obj_text
-from bhl.exactmat import Mat
+from bhl.exactmat import Mat, from_cols
 from bhl.graded import GradedMap, GradedSpace, tensor
 from bhl.hopf import AlgebraModule
 from bhl.report import map_check
@@ -180,3 +182,65 @@ def regular_ayd_by_conjugation(p, mu):
     M.basis_change = P
     M.algebra = A
     return M
+
+
+def hopf_maps_by_powers(H):
+    """The matrices of Delta, eps and S of a HopfData H: Delta and eps of a
+    normal monomial as the ordered product of its generator powers, S by
+    peeling the last letter, S(rest g) = chi(deg rest, deg g) S(g) S(rest)."""
+    A, TA = H.algebra, H.tensor_algebra
+    names = A.pres.gens
+    memo = {}
+
+    def antipode(mono):
+        if mono not in memo:
+            if mono == A.unit_mono:
+                memo[mono] = A.unit()
+            else:
+                last = max(i for i, e in enumerate(mono) if e)
+                rest = tuple(e - (i == last) for i, e in enumerate(mono))
+                dg = A.pres.degrees[last] % A.N
+                s = H.chi.chi((A.mono_degree(mono) - dg) % A.N, dg)
+                memo[mono] = s * (H.antipodes[names[last]] * antipode(rest))
+        return memo[mono]
+
+    delta, eps, S = {}, {}, {}
+    for j, mono in enumerate(A.basis):
+        d, e = TA.unit(), Fraction(1)
+        for name, k in zip(names, mono):
+            if k:
+                d = d * H.coproducts[name] ** k
+                e = e * H.counits[name] ** k
+        for pair, c in d.terms.items():
+            delta[TA.index[pair], j] = c
+        if e:
+            eps[0, j] = e
+        for m, c in antipode(mono).terms.items():
+            S[A.index[m], j] = c
+    n = A.dim
+    return Mat(n * n, n, delta), Mat(1, n, eps), Mat(n, n, S)
+
+
+def induced_map_by_power_table(source, target, images):
+    """The induced linear map from a table of the powers of each image,
+    each power the one below it times the image."""
+    powers = []
+    for name, bound in zip(source.pres.gens, source.pres.bounds):
+        row = [target.unit()]
+        for _ in range(1, bound):
+            row.append(row[-1] * images[name])
+        powers.append(row)
+    cols = []
+    for mono in source.basis:
+        elem = target.unit()
+        for row, e in zip(powers, mono):
+            if e:
+                elem = elem * row[e]
+        cols.append(elem.as_column())
+    return from_cols(target.dim, cols)
+
+
+def typed_entries(mat):
+    """Each nonzero entry of a Mat as (type name, repr), so two routes can
+    be compared by the values their witnesses would print."""
+    return {key: (type(v).__name__, repr(v)) for key, v in mat.data.items()}

@@ -20,7 +20,7 @@ from bhl.algebras import (
 from bhl.exactmat import Mat
 from bhl.report import FAIL, PASS
 from bhl.scalars import q_factorial, q_int, root_of_unity
-from oracle import kernel_dims
+from oracle import induced_map_by_power_table, kernel_dims, typed_entries
 
 
 def all_pass(checks):
@@ -232,6 +232,28 @@ def test_morphism_d_a_mu_to_uqsl2():
         }
         checks = algebra_morphism(source, target, images)
         assert all_pass(checks), (mu, checks)
+
+
+def _morphism_cases():
+    for p in (2, 3, 5, 7):
+        target = dual_anyonic(p)
+        yield ("dual p=%d" % p, nilpotent_line(p, "z", p - 1), target,
+               {"z": target.gen("e_1")})
+    for p in (3, 5):
+        target = uqsl2(p)
+        q = target.q
+        E, F, K = target.gen("E"), target.gen("F"), target.gen("K")
+        for mu in range(p):
+            yield ("uqsl2 p=%d mu=%d" % (p, mu), d_a_mu(p, mu), target,
+                   {"x": q ** (mu - 1) * E, "z": q ** (1 - mu) * (F * K),
+                    "g": q ** (mu - 1) * K ** (p - 1)})
+
+
+@pytest.mark.parametrize("case", list(_morphism_cases()), ids=lambda c: c[0])
+def test_induced_map_matches_power_table(case):
+    _, source, target, images = case
+    assert typed_entries(induced_linear_map(source, target, images)) == \
+        typed_entries(induced_map_by_power_table(source, target, images))
 
 
 def test_morphism_negative_control():

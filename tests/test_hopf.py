@@ -11,6 +11,7 @@ from bhl.algebras import (
     anyonic_line,
     taft,
 )
+from bhl.ayd import regular_ayd_module, ribbon_element, to_uqsl2
 from bhl.graded import Bicharacter, GradedMap, GradedSpace, braiding, tensor_map
 from bhl.hopf import (
     AlgebraModule,
@@ -25,7 +26,12 @@ from bhl.hopf import (
     verify_coproduct_powers,
 )
 from bhl.report import FAIL, PASS, check
-from oracle import regular_module, verify_module
+from oracle import (
+    hopf_maps_by_powers,
+    regular_module,
+    typed_entries,
+    verify_module,
+)
 
 
 def all_pass(checks):
@@ -238,6 +244,26 @@ def test_broken_taft_fails_with_witnesses(kwargs, failing):
             assert c["witnesses"][0]["difference"]
 
 
+EXTENSION_CASES = (
+    [("taft p=%d" % p, lambda p=p: taft_hopf(p)) for p in (2, 3, 5)]
+    + [("anyonic p=%d c=%d" % (p, c), lambda p=p, c=c: anyonic_hopf(p, c))
+       for p in (2, 3, 5, 7) for c in (0, 1)]
+    + [("broken taft %s" % sorted(kw.items()),
+        lambda kw=kw: broken_taft_hopf(3, **kw))
+       for kw in ({"primitive_x": True}, {"eps_x": 1, "antipode_sign": 1})]
+)
+
+
+@pytest.mark.parametrize("case", EXTENSION_CASES, ids=lambda c: c[0])
+def test_structure_maps_match_generator_powers(case):
+    # entries are compared by type and repr, the values witnesses print
+    H = case[1]()
+    delta, eps, S = hopf_maps_by_powers(H)
+    assert typed_entries(H.Delta.mat) == typed_entries(delta)
+    assert typed_entries(H.eps.mat) == typed_entries(eps)
+    assert typed_entries(H.S.mat) == typed_entries(S)
+
+
 def test_hopf_data_is_behind_the_dimension_guard(monkeypatch):
     monkeypatch.setenv("BHL_DIM_GUARD", "20")
     with pytest.raises(DimensionGuardError):
@@ -342,3 +368,22 @@ def test_module_act_matches_left_multiplication():
     assert M.act_matrix(el) == A.left_mult_operator(el)
     hom = M.act(x)
     assert hom.shift == 0  # taft is trivially graded
+
+
+@pytest.mark.parametrize("p, most", [(5, 48), (7, 96)])
+def test_ribbon_action_composes_each_run_once(monkeypatch, p, most):
+    # Splitting a monomial at its last run composes about once per run;
+    # peeling single letters instead takes 74 compositions at p = 5 and
+    # 195 at p = 7.
+    M = to_uqsl2(regular_ayd_module(p, 1))
+    v_0 = ribbon_element(p).v_0
+    calls = []
+    compose = GradedMap.__matmul__
+
+    def counting(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(GradedMap, "__matmul__", counting)
+    M.act(v_0)
+    assert len(calls) <= most
