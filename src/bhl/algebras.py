@@ -12,16 +12,35 @@ Two constructions cover everything needed:
   closed form, and for braided tensor products of algebras).
 
 On top of either: regular-representation matrices, the product and unit
-as graded maps (associativity and unitality are checked on them, one basis
-input at a time), center computation by generator commutants, and
-relation-checking for algebra morphisms.
+as graded maps, associativity and unitality checks on them, center
+computation by generator commutants, and relation-checking for algebra
+morphisms.
 
 PresentedAlgebra.extend is the one place where values on generators are
 extended to every normal monomial: a monomial splits at its last run,
 rest * g^e, a single run as g^(e-1) * g, and the images of the two parts
 are combined by a given rule.  The induced linear map of a morphism, the
 Hopf structure maps (hopf.HopfData) and module actions
-(hopf.AlgebraModule) are all built on it.
+(hopf.AlgebraModule) are all built on it, and so is the product of a
+presented algebra: each generator's left multiplication L_g takes one
+normal form per basis element, L_a is the composite of the L_g along the
+word of a, and the column a (x) b of the product is L_a(e_b).  A
+StructureConstantAlgebra takes its product from its pair rule.
+
+Generator rows.  A law that is multiplicative in its first argument
+(associativity, and in hopf the multiplicativity of Delta and eps and the
+anti-multiplicativity of S) is checked only with a generator or 1 as that
+argument: both sides are precomposed with iota (x) id, where iota includes
+span({1} u G) in A (FiniteDimAlgebra.generator_rows).  By induction
+along a search outward from 1 this proves the law on all basis elements,
+given two premises that are checked once per algebra and folded into each
+such check: (g*b)*c = g*(b*c) for g in {1} u G and all basis b, c, and
+every basis element other than 1 is a nonzero multiple of g*b for some g
+in {1} u G and a basis element b reached before it.  For a presented
+algebra, passing them says that the product composed from the L_g is
+associative, the situation of the diamond lemma, in which the normal
+monomials are a basis (Bergman, "The diamond lemma for ring theory",
+1978).
 """
 
 from __future__ import annotations
@@ -34,7 +53,7 @@ from dataclasses import dataclass
 
 from .exactmat import Mat, from_cols
 from .graded import GradedMap, GradedSpace, diagram, tensor, tensor_diagram
-from .report import FAIL, check, map_check
+from .report import FAIL, PASS, check, map_check
 from .scalars import format_scalar, power, q_binomial, root_of_unity
 
 DEFAULT_DIM_GUARD = 350
@@ -185,6 +204,7 @@ class FiniteDimAlgebra:
         self.unit_mono = unit_mono
         self.index = {m: i for i, m in enumerate(self.basis)}
         self._pair_cache = {}
+        self._mult = self._premises = None
 
     @property
     def dim(self):
@@ -271,26 +291,129 @@ class FiniteDimAlgebra:
 
     # -- verification -----------------------------------------------------------
 
+    def _left_operators(self):
+        """L_a, the matrix of b |-> a*b, for each basis element a in order."""
+        return [self.left_mult_operator(AlgebraElement(self, {ma: 1}))
+                for ma in self.basis]
+
     def mult_map(self):
-        """The product m: A (x) A -> A as a GradedMap."""
-        n = self.dim
-        data = {}
-        for ja, ma in enumerate(self.basis):
-            for jb, mb in enumerate(self.basis):
-                for m, s in self.pair_product(ma, mb).items():
-                    data[(self.index[m], ja * n + jb)] = s
-        V = self.graded_space()
-        return GradedMap(tensor(V, V), V, Mat(n, n * n, data))
+        """The product m: A (x) A -> A as a GradedMap, built once; the
+        column of a (x) b is L_a(e_b)."""
+        if self._mult is None:
+            n = self.dim
+            data = {}
+            for ja, La in enumerate(self._left_operators()):
+                for (r, jb), s in La.data.items():
+                    data[r, ja * n + jb] = s
+            V = self.graded_space()
+            self._mult = GradedMap(tensor(V, V), V, Mat(n, n * n, data))
+        return self._mult
 
     def unit_map(self):
         """The unit u: I -> A as a GradedMap."""
         return GradedMap(GradedSpace.unit(self.N), self.graded_space(),
                          Mat(self.dim, 1, {(self.index[self.unit_mono], 0): 1}))
 
+    def generator_rows(self):
+        """The inclusion iota of span({1} u G) in A, and the label "a , b"
+        of the basis vectors of span({1} u G) (x) A.
+
+        iota's basis is 1 and the generators, in A's basis order, with A's
+        labels.  A law that is multiplicative in its first argument holds
+        once it holds after precomposing both sides with iota (x) id; see
+        row_check for the premises.
+        """
+        V = self.graded_space()
+        rows = sorted({self.index[self.unit_mono]}
+                      | {self.index[next(iter(g.terms))]
+                         for _, g in self.generators()})
+        R = GradedSpace(self.N, [V.degrees[i] for i in rows],
+                        [V.labels[i] for i in rows])
+        iota = GradedMap(R, V, Mat(self.dim, len(rows),
+                                   {(i, k): 1 for k, i in enumerate(rows)}))
+
+        def label(j):
+            r, b = divmod(j, self.dim)
+            return "%s , %s" % (R.labels[r], V.labels[b])
+
+        return iota, label
+
+    def _row_premises(self):
+        """The premises of the generator-row lemma, checked once: the
+        associativity check on generator rows, and the generation witness
+        (None when every basis element is reached from 1)."""
+        if self._premises is None:
+            iota, _ = self.generator_rows()
+            m = diagram(self.mult_map())
+            idv = GradedMap.identity(self.graded_space())
+            rows = tensor_diagram(iota, idv, idv)
+            assoc = map_check("associativity",
+                              m @ tensor_diagram(m, idv) @ rows,
+                              m @ tensor_diagram(idv, m) @ rows,
+                              "all %d^3 basis triples" % self.dim)
+            self._premises = assoc, self._unreached(m @ tensor_diagram(iota, idv))
+        return self._premises
+
+    def _unreached(self, row_products):
+        """Search outward from 1: a basis element is reached when it is a
+        nonzero multiple of r*b for r in {1} u G and a reached b.  Returns
+        the witness of the first basis element not reached, or None.
+        row_products is m . (iota (x) id)."""
+        n = self.dim
+        cols = list(row_products.columns())
+        reached = [self.index[self.unit_mono]]
+        seen = set(reached)
+        for b in reached:
+            for col in cols[b::n]:
+                if len(col) == 1:
+                    (a,) = col
+                    if a not in seen:
+                        seen.add(a)
+                        reached.append(a)
+        if len(seen) == n:
+            return None
+        first = min(set(range(n)) - seen)
+        return {"premise": "generation", "input": self.labels[first],
+                "note": "not a nonzero multiple of g*b for g in {1} u G "
+                        "and a basis element b reached from 1"}
+
+    def row_check(self, name, lhs, rhs):
+        """map_check of a law that is multiplicative in its first argument,
+        with both sides precomposed with iota (x) id (generator_rows).
+
+        By induction along the search from 1, such a law holds for every
+        pair of basis elements once it holds on generator rows, provided
+        (g*b)*c = g*(b*c) for every g in {1} u G and all basis b, c, and
+        every basis element other than 1 is a nonzero multiple of g*b for
+        some g in {1} u G and a basis element b reached before it.  Those two
+        premises are checked once per algebra; if one fails, so does this
+        check, with the premise's witness.
+        """
+        assoc, failure = self._row_premises()
+        if assoc["status"] == FAIL:
+            failure = dict(assoc["witnesses"][0],
+                           premise="associativity on generator rows")
+        if failure is not None:
+            return check(name, False, "premise fails: %s" % failure["premise"],
+                         [failure])
+        iota, label = self.generator_rows()
+        rows = tensor_diagram(iota, GradedMap.identity(self.graded_space()))
+        return map_check(name, diagram(lhs) @ rows, diagram(rhs) @ rows,
+                         label=label)
+
     def verify_associativity(self):
-        """m.(m (x) id) = m.(id (x) m) and m.(u (x) id) = id = m.(id (x) u),
-        each compared one basis input at a time by map_check."""
+        """m.(m (x) id) = m.(id (x) m) and m.(u (x) id) = id = m.(id (x) u).
+
+        Associativity is checked on generator rows, (g*b)*c = g*(b*c) for
+        g in {1} u G, together with the generation premise of row_check;
+        by induction along the search from 1 the two give it for all
+        dim^3 basis triples.  Unitality is compared one basis input at a
+        time.
+        """
         check_guard(self.dim, "associativity sweep")
+        assoc, unreached = self._row_premises()
+        if assoc["status"] == PASS and unreached is not None:
+            assoc = check("associativity", False, assoc["details"], [unreached])
         m, u = diagram(self.mult_map()), self.unit_map()
         idv = GradedMap.identity(self.graded_space())
         units = [
@@ -298,12 +421,7 @@ class FiniteDimAlgebra:
                       "unit monomial %s" % self.mono_label(self.unit_mono))
             for law in ((u, idv), (idv, u))
         ]
-        return [
-            map_check("associativity", m @ tensor_diagram(m, idv),
-                      m @ tensor_diagram(idv, m),
-                      "all %d^3 basis triples" % self.dim),
-            next((c for c in units if c["status"] == FAIL), units[0]),
-        ]
+        return [assoc, next((c for c in units if c["status"] == FAIL), units[0])]
 
     def compute_center(self):
         """Basis of the center: joint kernel of ad(g) over the generators."""
@@ -349,6 +467,14 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
     def generators(self):
         return [(name, self.gen(name)) for name in self.pres.gens]
+
+    def _left_operators(self):
+        # L_a composes the generator operators along a's word (one normal
+        # form per generator and basis element), not one per basis pair
+        L = self.extend({name: self.left_mult_operator(g)
+                         for name, g in self.generators()},
+                        Mat.identity(self.dim), lambda a, b, *_: a * b)
+        return [L(ma) for ma in self.basis]
 
     def extend(self, gen_images, one, times):
         """The memoised map that extends generator images to normal monomials.
@@ -435,11 +561,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
                 for gi, e in merged:
                     mono[gi] = e
                 mono = tuple(mono)
-                s = out.get(mono, 0) + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + c
                 continue
             kind, pos = violation
             if kind == "power":
@@ -463,7 +585,9 @@ class PresentedAlgebra(FiniteDimAlgebra):
                 suffix = ([(lo, f - 1)] if f > 1 else []) + merged[pos + 2:]
                 for s, rw in rule:
                     agenda.append((c * s, prefix + list(rw) + suffix))
-        return out
+        # zeros are dropped once, here: a sum that passed through zero
+        # keeps the type of its terms, whatever order the paths came in
+        return {m: c for m, c in out.items() if c}
 
 
 class StructureConstantAlgebra(FiniteDimAlgebra):

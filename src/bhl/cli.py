@@ -371,9 +371,12 @@ def dsl_script_checks(text, N, c, mu):
 
 
 def dsl_corpus_checks(N=3, c=1, mu=0):
+    paths = sorted(CORPUS_DIR.glob("*.bdsl"))
+    if not paths:
+        raise UsageError("no DSL corpus scripts (*.bdsl) in %s" % CORPUS_DIR)
     checks = []
-    for path in sorted(CORPUS_DIR.glob("*.bdsl")):
-        sub = dsl_script_checks(path.read_text(), N, c, mu)
+    for path in paths:
+        sub = dsl_script_checks(_read_text(path), N, c, mu)
         if has_skip(sub):
             checks += _prefixed("corpus %s: " % path.stem, sub)
         elif path.stem == "negative_control":
@@ -457,7 +460,7 @@ def vecg_criterion_checks(N):
 
 
 def s3_class_checks():
-    data = json.loads((DATA_DIR / "cayley_s3.json").read_text())
+    data = _read_json(DATA_DIR / "cayley_s3.json")
     classes = rep_g_decomposition(CayleyGroup.from_json(data))
     sizes = tuple(cls["size"] for cls in classes)
     cents = tuple(cls["centralizer_order"] for cls in classes)

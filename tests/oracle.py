@@ -7,9 +7,12 @@ AydModule (the control for verify_ayd, varsigma_H and to_uqsl2), the
 braided-module map E, the inverse of a graded map by elimination, a
 printer for DSL scripts, kernel dimensions of powers of 1 - a acting
 on an algebra, and the regular AydModule by conjugating left
-multiplication into the g-eigenbasis; and the structure maps of a Hopf
+multiplication into the g-eigenbasis; the structure maps of a Hopf
 structure and the induced linear map of an algebra morphism, each built
-from generator powers rather than by PresentedAlgebra.extend.
+from generator powers rather than by PresentedAlgebra.extend; and the
+product of an algebra with one normal form per pair of basis elements,
+with the associativity and Hopf laws checked on every pair or triple of
+basis elements rather than on generator rows.
 """
 
 from fractions import Fraction
@@ -18,9 +21,16 @@ from bhl.algebras import d_a_mu
 from bhl.ayd import AydModule
 from bhl.dsl import Assertion, GenDecl, Let, ObjDecl, mor_text, obj_text
 from bhl.exactmat import Mat, from_cols
-from bhl.graded import GradedMap, GradedSpace, tensor
-from bhl.hopf import AlgebraModule
-from bhl.report import map_check
+from bhl.graded import (
+    GradedMap,
+    GradedSpace,
+    braiding,
+    diagram,
+    tensor,
+    tensor_diagram,
+)
+from bhl.hopf import AlgebraModule, verify_antipode, verify_bialgebra
+from bhl.report import FAIL, map_check
 from bhl.scalars import format_scalar
 
 
@@ -244,3 +254,61 @@ def typed_entries(mat):
     """Each nonzero entry of a Mat as (type name, repr), so two routes can
     be compared by the values their witnesses would print."""
     return {key: (type(v).__name__, repr(v)) for key, v in mat.data.items()}
+
+
+def mult_map_by_pairs(A):
+    """The product m: A (x) A -> A with one pair_product per pair of basis
+    elements (a normal form each, for a presented algebra)."""
+    n = A.dim
+    data = {}
+    for ja, ma in enumerate(A.basis):
+        for jb, mb in enumerate(A.basis):
+            for m, s in A.pair_product(ma, mb).items():
+                data[(A.index[m], ja * n + jb)] = s
+    V = A.graded_space()
+    return GradedMap(tensor(V, V), V, Mat(n, n * n, data))
+
+
+def associativity_by_triples(A):
+    """verify_associativity with m by pairs and associativity compared on
+    all dim^3 basis triples."""
+    m, u = diagram(mult_map_by_pairs(A)), A.unit_map()
+    idv = GradedMap.identity(A.graded_space())
+    units = [
+        map_check("unitality", m @ tensor_diagram(*law), idv,
+                  "unit monomial %s" % A.mono_label(A.unit_mono))
+        for law in ((u, idv), (idv, u))
+    ]
+    return [
+        map_check("associativity", m @ tensor_diagram(m, idv),
+                  m @ tensor_diagram(idv, m),
+                  "all %d^3 basis triples" % A.dim),
+        next((c for c in units if c["status"] == FAIL), units[0]),
+    ]
+
+
+def hopf_checks_by_pairs(H):
+    """verify_bialgebra + verify_antipode, with the three laws that are
+    multiplicative in their first argument compared on every pair of basis
+    elements, m by pairs."""
+    V = H.space
+    m = diagram(mult_map_by_pairs(H.algebra))
+    idv = diagram(GradedMap.identity(V))
+    tau = braiding(V, V, H.chi)
+    Delta, eps, S = (diagram(f) for f in (H.Delta, H.eps, H.S))
+    laws = {
+        "coproduct_is_multiplicative": (
+            Delta @ m,
+            tensor_diagram(m, m) @ tensor_diagram(idv, tau, idv)
+            @ tensor_diagram(Delta, Delta)),
+        "counit_is_multiplicative": (eps @ m, tensor_diagram(eps, eps)),
+        "antipode_is_antimultiplicative": (
+            S @ m, m @ tensor_diagram(S, S) @ tau),
+    }
+
+    def pair(j):
+        return "%s , %s" % tuple(V.labels[i] for i in divmod(j, V.dim))
+
+    return [map_check(c["name"], *laws[c["name"]], label=pair)
+            if c["name"] in laws else c
+            for c in verify_bialgebra(H) + verify_antipode(H)]

@@ -18,9 +18,17 @@ from bhl.algebras import (
     uqsl2,
 )
 from bhl.exactmat import Mat
+from bhl.graded import Bicharacter
+from bhl.hopf import braided_tensor_algebra
 from bhl.report import FAIL, PASS
 from bhl.scalars import q_factorial, q_int, root_of_unity
-from oracle import induced_map_by_power_table, kernel_dims, typed_entries
+from oracle import (
+    associativity_by_triples,
+    induced_map_by_power_table,
+    kernel_dims,
+    mult_map_by_pairs,
+    typed_entries,
+)
 
 
 def all_pass(checks):
@@ -116,23 +124,27 @@ def test_associativity_sweep(make):
 
 
 def test_associativity_and_unitality_fail_with_witnesses():
-    # e_i e_j = e_{i+j} below degree 3, except e_0 e_2 = 3 e_2: the unit
-    # e_0 fails on the left, and (e_0 e_0) e_2 = 3 e_2 != 9 e_2 = e_0 (e_0 e_2)
-    def rule(i, j):
-        if i + j > 2:
-            return {}
-        return {i + j: 3 if (i, j) == (0, 2) else 1}
-
-    A = StructureConstantAlgebra(
-        signature=("broken",), N=3, scalar_order=1, basis=(0, 1, 2),
-        degrees=(0, 1, 2), labels=("1", "e_1", "e_2"), unit_mono=0,
-        pair_rule=rule, generator_monos=(("e_1", 1),))
-    assoc, unit = A.verify_associativity()
+    # the unit e_0 fails on the left, and (e_0 e_0) e_2 = 3 e_2 != 9 e_2 =
+    # e_0 (e_0 e_2)
+    assoc, unit = broken_unit_algebra().verify_associativity()
     assert (assoc["name"], assoc["status"]) == ("associativity", FAIL)
     assert assoc["witnesses"] == [{"input": "1*1*e_2",
                                    "difference": [[2, "-6"]]}]
     assert (unit["name"], unit["status"]) == ("unitality", FAIL)
     assert unit["witnesses"] == [{"input": "e_2", "difference": [[2, "2"]]}]
+
+
+def broken_unit_algebra():
+    """e_i e_j = e_{i+j} below degree 3, except e_0 e_2 = 3 e_2."""
+    def rule(i, j):
+        if i + j > 2:
+            return {}
+        return {i + j: 3 if (i, j) == (0, 2) else 1}
+
+    return StructureConstantAlgebra(
+        signature=("broken",), N=3, scalar_order=1, basis=(0, 1, 2),
+        degrees=(0, 1, 2), labels=("1", "e_1", "e_2"), unit_mono=0,
+        pair_rule=rule, generator_monos=(("e_1", 1),))
 
 
 @pytest.mark.slow
@@ -141,6 +153,74 @@ def test_associativity_and_unitality_fail_with_witnesses():
 ])
 def test_associativity_sweep_big(make):
     assert all_pass(make().verify_associativity())
+
+
+ALGEBRAS = (
+    [("taft(%d)" % p, lambda p=p: taft(p)) for p in (2, 3, 5)]
+    + [("anyonic_line(%d)" % p, lambda p=p: anyonic_line(p))
+       for p in (2, 3, 5)]
+    + [("dual_anyonic(%d)" % p, lambda p=p: dual_anyonic(p))
+       for p in (2, 3, 5)]
+    + [("d_a_mu(%d, %d)" % (p, mu), lambda p=p, mu=mu: d_a_mu(p, mu))
+       for p in (2, 3) for mu in range(p)]
+    + [("uqsl2(3)", lambda: uqsl2(3)),
+       ("braided square of anyonic_line(3)",
+        lambda: braided_tensor_algebra(anyonic_line(3), anyonic_line(3),
+                                       Bicharacter(3, 1))),
+       ("broken unit", broken_unit_algebra)]
+)
+
+
+@pytest.mark.parametrize("case", ALGEBRAS, ids=lambda c: c[0])
+def test_generator_rows_match_all_triples(case):
+    # d_a_mu and uqsl2 at p = 5 take minutes over all 125^3 triples
+    A = case[1]()
+    assert A.verify_associativity() == associativity_by_triples(A)
+
+
+@pytest.mark.parametrize("case", [
+    c for c in ALGEBRAS
+    if c[0].startswith(("taft", "anyonic_line", "d_a_mu", "uqsl2"))
+] + [
+    # about a minute each by pairs
+    pytest.param((name, make), marks=pytest.mark.slow) for name, make in (
+        ("uqsl2(5)", lambda: uqsl2(5)), ("d_a_mu(5, 0)", lambda: d_a_mu(5, 0)),
+        ("d_a_mu(5, 1)", lambda: d_a_mu(5, 1)))
+], ids=lambda c: c[0])
+def test_mult_map_matches_normal_forms_by_pairs(case):
+    # entries are compared by type and repr, the values witnesses print;
+    # uqsl2(3) has entries that are the int -1 only when the normal form
+    # drops zeros once, at the end
+    A = case[1]()
+    assert typed_entries(A.mult_map().mat) == \
+        typed_entries(mult_map_by_pairs(A).mat)
+
+
+def test_generation_premise():
+    # a*a = b and a*b = b is not associative: (a*a)*a = b*a = 0, but
+    # a*(a*a) = a*b = b.  b is declared the generator, and every b*y is 0,
+    # so associativity holds on the rows of 1 and b; the search from 1
+    # reaches nothing, and the check fails on the generation premise.
+    rule = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
+            (2, 0): {2: 1}, (1, 1): {2: 1}, (1, 2): {2: 1}}
+    A = StructureConstantAlgebra(
+        signature=("skew",), N=1, scalar_order=1, basis=(0, 1, 2),
+        degrees=(0, 0, 0), labels=("1", "a", "b"), unit_mono=0,
+        pair_rule=lambda i, j: rule.get((i, j), {}),
+        generator_monos=(("b", 2),))
+    iota, _ = A.generator_rows()
+    assert iota.source.labels == ("1", "b")
+    full, _ = associativity_by_triples(A)
+    assert full["status"] == FAIL
+    assoc, unit = A.verify_associativity()
+    assert unit["status"] == PASS
+    assert (assoc["name"], assoc["status"]) == ("associativity", FAIL)
+    assert assoc["details"] == "all 3^3 basis triples"
+    [witness] = assoc["witnesses"]
+    assert (witness["premise"], witness["input"]) == ("generation", "a")
+    law = A.row_check("law", A.mult_map(), A.mult_map())
+    assert law["status"] == FAIL
+    assert law["witnesses"] == [witness]
 
 
 def test_dimension_guard(monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhl import cli
 from bhl.cli import PACKAGE_DIR, dsl_corpus_checks, main
 from bhl.scalars import format_scalar, parse_scalar
 
@@ -76,10 +77,15 @@ def test_hopf_axioms_p2(capsys):
 
 
 @pytest.mark.slow
-def test_hopf_axioms_p11_scale_probe(monkeypatch, capsys):
-    # the Taft p = 11 Hopf algebra (dimension 121) only passes a raised guard
-    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
-    code, report = run_json(["verify", "hopf-axioms", "--p", "11"], capsys)
+@pytest.mark.parametrize("p, guard", [(11, "2000"), (13, "2000"), (17, None)])
+def test_hopf_axioms_scale_probe(monkeypatch, capsys, p, guard):
+    # Taft p = 11 and 13 (dimensions 121 and 169) only pass a raised guard;
+    # p = 17 (dimension 289) is the largest the default guard admits
+    if guard is None:
+        monkeypatch.delenv("BHL_DIM_GUARD", raising=False)
+    else:
+        monkeypatch.setenv("BHL_DIM_GUARD", guard)
+    code, report = run_json(["verify", "hopf-axioms", "--p", str(p)], capsys)
     assert code == 0
     statuses = [c["status"] for c in report["checks"]]
     assert statuses == ["PASS"] * 25
@@ -450,6 +456,21 @@ def test_dsl_corpus_past_the_guard_skips(monkeypatch):
     checks = dsl_corpus_checks()
     assert len(checks) == len(list(CORPUS.glob("*.bdsl")))
     assert all(c["status"] == "SKIP" for c in checks)
+
+
+@pytest.mark.parametrize("missing, message", [
+    ("DATA_DIR", "error: cannot read %s: "),
+    ("CORPUS_DIR", "error: no DSL corpus scripts (*.bdsl) in %s"),
+])
+def test_missing_package_data_is_a_usage_error(monkeypatch, tmp_path, capsys,
+                                               missing, message):
+    # a broken install: the package data directory is there but empty
+    monkeypatch.setattr(cli, missing, tmp_path)
+    code, out, err = run_cli(["suite", "--p", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    path = tmp_path / "cayley_s3.json" if missing == "DATA_DIR" else tmp_path
+    assert err.startswith(message % path)
 
 
 def _module_file(path, where, value):

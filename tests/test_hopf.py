@@ -1,9 +1,12 @@
 """Braided tensor squares, Hopf axioms and modules."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhl import algebras
 from bhl.algebras import (
     DimensionGuardError,
     Presentation,
@@ -12,7 +15,14 @@ from bhl.algebras import (
     taft,
 )
 from bhl.ayd import regular_ayd_module, ribbon_element, to_uqsl2
-from bhl.graded import Bicharacter, GradedMap, GradedSpace, braiding, tensor_map
+from bhl.graded import (
+    Bicharacter,
+    Diagram,
+    GradedMap,
+    GradedSpace,
+    braiding,
+    tensor_map,
+)
 from bhl.hopf import (
     AlgebraModule,
     anyonic_hopf,
@@ -27,7 +37,9 @@ from bhl.hopf import (
 )
 from bhl.report import FAIL, PASS, check
 from oracle import (
+    hopf_checks_by_pairs,
     hopf_maps_by_powers,
+    mult_map_by_pairs,
     regular_module,
     typed_entries,
     verify_module,
@@ -150,23 +162,25 @@ def _matrix_map_check(name, lhs, rhs, source_labels):
 
 
 def matrix_route_checks(H):
+    # the product by pairs, so that the oracle shares no route with H.m
+    m = mult_map_by_pairs(H.algebra)
     V = H.space
     idv = GradedMap.identity(V)
     tau = braiding(V, V, H.chi)
     pairs = ["%s , %s" % (a, b) for a in V.labels for b in V.labels]
     singles = list(V.labels)
-    mm = tensor_map(H.m, H.m) @ tensor_map(idv, tensor_map(tau, idv))
+    mm = tensor_map(m, m) @ tensor_map(idv, tensor_map(tau, idv))
     unit = GradedMap.identity(GradedSpace.unit(V.N))
     counit_ok = (tensor_map(H.eps, idv) @ H.Delta == idv
                  and tensor_map(idv, H.eps) @ H.Delta == idv)
     ue = H.u @ H.eps
     rank = H.S.rank()
     checks = [
-        _matrix_map_check("coproduct_is_multiplicative", H.Delta @ H.m,
+        _matrix_map_check("coproduct_is_multiplicative", H.Delta @ m,
                           mm @ tensor_map(H.Delta, H.Delta), pairs),
         _matrix_map_check("coproduct_of_unit", H.Delta @ H.u,
                           tensor_map(H.u, H.u), ["1"]),
-        _matrix_map_check("counit_is_multiplicative", H.eps @ H.m,
+        _matrix_map_check("counit_is_multiplicative", H.eps @ m,
                           tensor_map(H.eps, H.eps), pairs),
         _matrix_map_check("counit_of_unit", H.eps @ H.u, unit, ["1"]),
         _matrix_map_check("coassociativity",
@@ -175,11 +189,11 @@ def matrix_route_checks(H):
         check("counit_law", counit_ok,
               details="(eps(x)id).Delta = id = (id(x)eps).Delta"),
         _matrix_map_check("antipode_left",
-                          H.m @ tensor_map(H.S, idv) @ H.Delta, ue, singles),
+                          m @ tensor_map(H.S, idv) @ H.Delta, ue, singles),
         _matrix_map_check("antipode_right",
-                          H.m @ tensor_map(idv, H.S) @ H.Delta, ue, singles),
-        _matrix_map_check("antipode_is_antimultiplicative", H.S @ H.m,
-                          H.m @ tensor_map(H.S, H.S) @ tau, pairs),
+                          m @ tensor_map(idv, H.S) @ H.Delta, ue, singles),
+        _matrix_map_check("antipode_is_antimultiplicative", H.S @ m,
+                          m @ tensor_map(H.S, H.S) @ tau, pairs),
         _matrix_map_check("antipode_is_anticomultiplicative", H.Delta @ H.S,
                           tau @ tensor_map(H.S, H.S) @ H.Delta, singles),
         check("antipode_invertible", rank == V.dim,
@@ -224,6 +238,96 @@ def test_column_route_matches_matrix_route(case):
     # the last check records S^2 and has no matrix-route counterpart
     assert checks[:-1] == matrix_route_checks(H)
     assert checks[-1]["name"] == "antipode_square_recorded"
+
+
+BROKEN_TAFT = ({"primitive_x": True}, {"eps_x": 1}, {"antipode_sign": 1},
+               {"eps_x": 1, "antipode_sign": 1})
+
+ROW_CASES = (
+    [("anyonic p=%d c=%d" % (p, c), lambda p=p, c=c: anyonic_hopf(p, c))
+     for p in (2, 3, 5, 7) for c in (0, 1, 2)]
+    + [("broken taft p=%d %s" % (p, sorted(kw.items())),
+        lambda p=p, kw=kw: broken_taft_hopf(p, **kw))
+       for p in (2, 3, 5) for kw in BROKEN_TAFT]
+)
+
+
+@pytest.mark.parametrize("case", ROW_CASES, ids=lambda c: c[0])
+def test_generator_rows_match_all_pairs(case):
+    # the laws multiplicative in their first argument, checked on generator
+    # rows, give the check list of the sweep over every pair, witnesses
+    # included
+    H = case[1]()
+    assert verify_bialgebra(H) + verify_antipode(H) == hopf_checks_by_pairs(H)
+
+
+def skew_taft(p, s):
+    """Taft's presentation with xg = s*gx: for s^p != 1 it is not
+    associative, since (x*g^(p-1))*g = s^p*x but x*(g^(p-1)*g) = x."""
+    g, x = 0, 1
+    return PresentedAlgebra(Presentation(
+        N=1, scalar_order=p, gens=("g", "x"), degrees=(0, 0),
+        bounds=(p, p), power_rhs=(1, 0),
+        straighten={(x, g): ((s, ((g, 1), (x, 1))),)}),
+        signature=("skew_taft", p, s))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_non_associative_presentation_fails_every_row_law(p):
+    A = skew_taft(p, Fraction(1, 2))
+    g, x = A.gen("g"), A.gen("x")
+    assert (x * g ** (p - 1)) * g == Fraction(1, 2 ** p) * x
+    assoc, _ = A.verify_associativity()
+    assert assoc["status"] == FAIL
+    witness = assoc["witnesses"][0]
+    assert set(witness) == {"input", "difference"}
+    TA = braided_tensor_algebra(A, A, Bicharacter(1, 0))
+    one = A.unit()
+    H = build_hopf(
+        A, Bicharacter(1, 0),
+        {"g": tensor_pair(TA, g, g),
+         "x": tensor_pair(TA, x, one) + tensor_pair(TA, g, x)},
+        {"g": 1, "x": 0}, {"g": g ** (p - 1), "x": -(g ** (p - 1) * x)})
+    checks = {c["name"]: c for c in verify_bialgebra(H) + verify_antipode(H)}
+    # eps(x) = 0 makes the counit law hold on the generator rows, but
+    # without associativity the rows prove nothing: it fails too
+    for name in ("coproduct_is_multiplicative", "counit_is_multiplicative",
+                 "antipode_is_antimultiplicative"):
+        c = checks[name]
+        assert c["status"] == FAIL
+        assert c["details"] == "premise fails: associativity on generator rows"
+        assert c["witnesses"] == [
+            dict(witness, premise="associativity on generator rows")]
+
+
+def test_coproduct_law_pushes_generator_rows_only(monkeypatch):
+    # (|G| + 1) * dim = 3 * 25 inputs for taft p = 5; all dim^2 pairs would
+    # be 625.  The premises are checked once per algebra, before this.
+    H = taft_hopf(5)
+    H.algebra.verify_associativity()
+    pushed = []
+    columns = Diagram.columns
+    real = algebras.map_check
+
+    def watched(name, lhs, rhs, *args, **kwargs):
+        if name != "coproduct_is_multiplicative":
+            return real(name, lhs, rhs, *args, **kwargs)
+
+        def counting(self):
+            for col in columns(self):
+                if self is lhs:
+                    pushed.append(col)
+                yield col
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Diagram, "columns", counting)
+            return real(name, lhs, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(algebras, "map_check", watched)
+    check = verify_bialgebra(H)[0]
+    assert check["name"] == "coproduct_is_multiplicative"
+    assert check["status"] == PASS
+    assert 0 < len(pushed) <= 75
 
 
 @pytest.mark.parametrize("kwargs, failing", [
