@@ -5,7 +5,9 @@ Two constructions cover everything needed:
 * PresentedAlgebra — generators in a fixed order with power rules
   (gen^p -> 0 or 1) and straightening rules for each out-of-order adjacent
   pair.  Normal monomials are the ordered products g_1^{e_1}...g_k^{e_k}
-  with exponents below the bounds; multiplication rewrites to that basis.
+  with exponents below the bounds.  g * m, for a generator g and a normal
+  monomial m, is rewritten once and memoised, and a product a * b applies
+  these generator actions for the letters of a, right to left, to b.
 
 * StructureConstantAlgebra — an explicit basis with a pairwise product
   rule (used for the dual of the anyonic line, whose product is given in
@@ -23,8 +25,8 @@ are combined by a given rule.  The induced linear map of a morphism, the
 Hopf structure maps (hopf.HopfData) and module actions
 (hopf.AlgebraModule) are all built on it, and so is the product of a
 presented algebra: each generator's left multiplication L_g takes one
-normal form per basis element, L_a is the composite of the L_g along the
-word of a, and the column a (x) b of the product is L_a(e_b).  A
+generator action per basis element, L_a is the composite of the L_g along
+the word of a, and the column a (x) b of the product is L_a(e_b).  A
 StructureConstantAlgebra takes its product from its pair rule.
 
 Generator rows.  A law that is multiplicative in its first argument
@@ -437,7 +439,8 @@ class FiniteDimAlgebra:
 
 
 class PresentedAlgebra(FiniteDimAlgebra):
-    """Algebra of normal monomials of a Presentation, multiplied by rewriting."""
+    """Algebra of normal monomials of a Presentation, multiplied by
+    memoised generator actions."""
 
     def __init__(self, pres: Presentation, signature=None):
         self.pres = pres
@@ -450,6 +453,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
         self._init_common(
             signature or ("presented", pres.gens, pres.bounds),
             pres.N, pres.scalar_order, basis, degrees, labels, (0,) * k)
+        self._actions = {}
 
     def _label_of(self, mono):
         parts = []
@@ -509,85 +513,69 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
     def normal_form(self, word):
         """Normalize a word of (generator name or index, integer exponent) pairs."""
-        coeff = 1
-        runs = []
+        coeff, runs = 1, []
         for g, e in word:
             gi = g if isinstance(g, int) else self.pres.gens.index(g)
-            if e == 0:
-                continue
-            if e < 0:
-                rhs = self.pres.power_rhs[gi]
-                if not rhs:
-                    raise ValueError(
-                        "negative exponent on nilpotent generator %r"
-                        % self.pres.gens[gi])
-                q, e = divmod(e, self.pres.bounds[gi])
-                if rhs != 1:
-                    coeff = coeff * rhs ** q
-                if e == 0:
-                    continue
+            q, e = divmod(e, self.pres.bounds[gi])
+            rhs = self.pres.power_rhs[gi]
+            if q < 0 and not rhs:
+                raise ValueError(
+                    "negative exponent on nilpotent generator %r"
+                    % self.pres.gens[gi])
+            if q and rhs != 1:
+                coeff = coeff * rhs ** q
             runs.append((gi, e))
-        return AlgebraElement(self, self._normalize(coeff, runs))
+        return AlgebraElement(self, self._apply(runs, {self.unit_mono: coeff}))
 
     def _pair_product_raw(self, ma, mb):
-        runs = [(i, e) for i, e in enumerate(ma) if e]
-        runs += [(i, e) for i, e in enumerate(mb) if e]
-        return self._normalize(1, runs)
+        return self._apply([(i, e) for i, e in enumerate(ma) if e], {mb: 1})
 
-    def _normalize(self, coeff, runs):
-        pres = self.pres
-        out = {}
-        agenda = [(coeff, list(runs))]
-        while agenda:
-            c, w = agenda.pop()
-            merged = []
-            for gi, e in w:
-                if e == 0:
-                    continue
-                if merged and merged[-1][0] == gi:
-                    merged[-1] = (gi, merged[-1][1] + e)
+    def _apply(self, runs, terms):
+        """The letters of runs applied right to left to terms, a dict
+        {normal monomial: coefficient}, by _act."""
+        for gi, e in reversed(runs):
+            for _ in range(e):
+                out = {}
+                for m, c in terms.items():
+                    for mo, s in self._act(gi, m).items():
+                        v = out.get(mo)
+                        out[mo] = c * s if v is None else v + c * s
+                terms = out
+        # zeros are dropped once, here: a sum that passed through zero
+        # keeps the type of its terms
+        return {m: c for m, c in terms.items() if c}
+
+    def _act(self, gi, mono):
+        """g * mono, g = gens[gi], as {normal monomial: coefficient},
+        memoised.  With h the leading letter of mono: before h (or on 1) g
+        is prepended, on h the exponent rises (power_rhs at the bound), and
+        after h one straightening step g*h = sum s*w leaves w's letters to
+        act on h^(e-1) * rest, which is normal."""
+        key = gi, mono
+        hit = self._actions.get(key)
+        if hit is None:
+            pres = self.pres
+            h = next((j for j, e in enumerate(mono) if e), gi)
+            if gi <= h:
+                e, rhs = mono[gi] + 1, pres.power_rhs[gi]
+                if e < pres.bounds[gi]:
+                    hit = {mono[:gi] + (e,) + mono[gi + 1:]: 1}
                 else:
-                    merged.append((gi, e))
-            violation = None
-            for pos, (gi, e) in enumerate(merged):
-                if e >= pres.bounds[gi]:
-                    violation = ("power", pos)
-                    break
-                if pos + 1 < len(merged) and merged[pos + 1][0] < gi:
-                    violation = ("straighten", pos)
-                    break
-            if violation is None:
-                mono = [0] * len(pres.gens)
-                for gi, e in merged:
-                    mono[gi] = e
-                mono = tuple(mono)
-                out[mono] = out.get(mono, 0) + c
-                continue
-            kind, pos = violation
-            if kind == "power":
-                gi, e = merged[pos]
-                q, r = divmod(e, pres.bounds[gi])
-                rhs = pres.power_rhs[gi]
-                if not rhs:
-                    continue
-                c2 = c if rhs == 1 else c * rhs ** q
-                agenda.append(
-                    (c2, merged[:pos] + ([(gi, r)] if r else []) + merged[pos + 1:]))
+                    hit = {mono[:gi] + (0,) + mono[gi + 1:]: rhs} if rhs else {}
             else:
-                hi, e = merged[pos]
-                lo, f = merged[pos + 1]
-                rule = pres.straighten.get((hi, lo))
+                rule = pres.straighten.get((gi, h))
                 if rule is None:
                     raise ValueError(
                         "no straightening rule for %s*%s"
-                        % (pres.gens[hi], pres.gens[lo]))
-                prefix = merged[:pos] + ([(hi, e - 1)] if e > 1 else [])
-                suffix = ([(lo, f - 1)] if f > 1 else []) + merged[pos + 2:]
-                for s, rw in rule:
-                    agenda.append((c * s, prefix + list(rw) + suffix))
-        # zeros are dropped once, here: a sum that passed through zero
-        # keeps the type of its terms, whatever order the paths came in
-        return {m: c for m, c in out.items() if c}
+                        % (pres.gens[gi], pres.gens[h]))
+                rest = mono[:h] + (mono[h] - 1,) + mono[h + 1:]
+                hit = {}
+                for s, word in rule:
+                    for m, c in self._apply(word, {rest: s}).items():
+                        v = hit.get(m)
+                        hit[m] = c if v is None else v + c
+            self._actions[key] = hit
+        return hit
 
 
 class StructureConstantAlgebra(FiniteDimAlgebra):

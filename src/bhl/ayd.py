@@ -243,12 +243,12 @@ def ribbon_centrality_checks(p):
                 ],
             )
         )
-    L = U.left_mult_operator(R.u_K)
+    rank = U.left_mult_operator(R.u_K).rank()
     checks.append(
         check(
             "u_K_invertible",
-            L.rank() == U.dim,
-            details="rank %d of %d" % (L.rank(), U.dim),
+            rank == U.dim,
+            details="rank %d of %d" % (rank, U.dim),
         )
     )
     return checks

@@ -5,6 +5,12 @@ Everything downstream (rank, kernels, inverses, centers) reduces to the
 fraction-style Gauss-Jordan elimination here, so this module has no idea
 about gradings or algebras — it only needs scalars that support
 + - * and exact inversion.
+
+Elimination keeps a column index, the rows holding each column, updated
+as fill creates and cancels entries, so a column's pivot search and its
+eliminations visit only those rows.  The pivot rule is that of a scan:
+in current row order among the rows not yet pivoted, the first row of
+length <= 2, else the first of minimal length.
 """
 
 from __future__ import annotations
@@ -155,10 +161,7 @@ class Mat:
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list)."""
         rows, pivots = _eliminate(self._row_dicts(), self.cols)
-        data = {}
-        for i, r in enumerate(rows):
-            for j, v in r.items():
-                data[i, j] = v
+        data = {(i, j): v for i, r in enumerate(rows) for j, v in r.items()}
         return Mat(self.rows, self.cols, data), pivots
 
     def rank(self):
@@ -194,12 +197,8 @@ class Mat:
         reduced, pivots = _eliminate(rows, 2 * n)
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ValueError("matrix is singular")
-        data = {}
-        for i, r in enumerate(reduced[:n]):
-            for j, v in r.items():
-                if j >= n:
-                    data[i, j - n] = v
-        return Mat(n, n, data)
+        return Mat(n, n, {(i, j - n): v for i, r in enumerate(reduced[:n])
+                          for j, v in r.items() if j >= n})
 
     # -- combination ------------------------------------------------------------
 
@@ -213,48 +212,53 @@ class Mat:
 
 
 def _eliminate(rows, ncols):
-    """In-place Gauss-Jordan on a list of {col: scalar} rows; returns (rows, pivots)."""
+    """Gauss-Jordan on a list of {col: scalar} rows; returns (rows, pivots).
+    holders[col] is the set of rows, by input position, with an entry in
+    col."""
+    holders = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for j in row:
+            holders[j].add(r)
+    order = list(range(len(rows)))  # current position -> row
+    where = list(order)  # row -> current position
     pivots = []
-    rank = 0
-    nrows = len(rows)
     for col in range(ncols):
-        piv = None
-        best = None
-        for idx in range(rank, nrows):
-            v = rows[idx].get(col)
-            if v:
-                size = len(rows[idx])
-                if best is None or size < best:
-                    piv, best = idx, size
-                    if size <= 2:
-                        break
+        rank = len(pivots)
+        piv = best = None
+        for pos in sorted(where[r] for r in holders[col] if where[r] >= rank):
+            size = len(rows[order[pos]])
+            if best is None or size < best:
+                piv, best = pos, size
+                if size <= 2:
+                    break
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        lead = prow[col]
-        if lead != 1:
-            inv = _inv_scalar(lead)
-            prow = {j: inv * v for j, v in prow.items()}
-            rows[rank] = prow
-        for idx in range(nrows):
-            if idx == rank:
-                continue
-            r = rows[idx]
-            factor = r.get(col)
-            if factor:
-                for j, v in prow.items():
-                    s = r.get(j)
-                    s = -(factor * v) if s is None else s - factor * v
+        r, top = order[piv], order[rank]
+        order[rank], order[piv] = r, top
+        where[r], where[top] = rank, piv
+        prow = rows[r]
+        if prow[col] != 1:
+            inv = _inv_scalar(prow[col])
+            prow = rows[r] = {j: inv * v for j, v in prow.items()}
+        for t in holders[col] - {r}:
+            row = rows[t]
+            factor = row[col]
+            for j, v in prow.items():
+                s = row.get(j)
+                if s is None:
+                    row[j] = -(factor * v)
+                    holders[j].add(t)
+                else:
+                    s = s - factor * v
                     if s:
-                        r[j] = s
+                        row[j] = s
                     else:
-                        r.pop(j, None)
+                        del row[j]
+                        holders[j].discard(t)
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
+        if len(pivots) == len(rows):
             break
-    return rows[:rank], pivots
+    return [rows[r] for r in order[:len(pivots)]], pivots
 
 
 def from_cols(nrows, cols):

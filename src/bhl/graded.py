@@ -206,10 +206,10 @@ class GradedMap:
 
     @staticmethod
     def from_diagonal(V, scalar_of_degree):
-        """Diagonal shift-0 map v |-> scalar_of_degree(deg v) * v."""
-        return GradedMap(
-            V, V, Mat.diagonal([scalar_of_degree(d) for d in V.degrees])
-        )
+        """Diagonal shift-0 map v |-> scalar_of_degree(deg v) * v, with
+        scalar_of_degree called once per distinct degree."""
+        values = {d: scalar_of_degree(d) for d in dict.fromkeys(V.degrees)}
+        return GradedMap(V, V, Mat.diagonal([values[d] for d in V.degrees]))
 
     # -- category structure -----------------------------------------------------
 

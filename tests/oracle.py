@@ -9,10 +9,13 @@ printer for DSL scripts, kernel dimensions of powers of 1 - a acting
 on an algebra, and the regular AydModule by conjugating left
 multiplication into the g-eigenbasis; the structure maps of a Hopf
 structure and the induced linear map of an algebra morphism, each built
-from generator powers rather than by PresentedAlgebra.extend; and the
-product of an algebra with one normal form per pair of basis elements,
-with the associativity and Hopf laws checked on every pair or triple of
-basis elements rather than on generator rows.
+from generator powers rather than by PresentedAlgebra.extend; normal
+forms by rewriting the first violation of the whole word, rather than by
+memoised generator actions, and the product of an algebra with one such
+normal form per pair of basis elements, with the associativity and Hopf
+laws checked on every pair or triple of basis elements rather than on
+generator rows; and Gauss-Jordan elimination that scans every row for
+each pivot and target, rather than through a column index.
 """
 
 from fractions import Fraction
@@ -20,7 +23,7 @@ from fractions import Fraction
 from bhl.algebras import d_a_mu
 from bhl.ayd import AydModule
 from bhl.dsl import Assertion, GenDecl, Let, ObjDecl, mor_text, obj_text
-from bhl.exactmat import Mat, from_cols
+from bhl.exactmat import Mat, _inv_scalar, from_cols
 from bhl.graded import (
     GradedMap,
     GradedSpace,
@@ -250,20 +253,151 @@ def induced_map_by_power_table(source, target, images):
     return from_cols(target.dim, cols)
 
 
+def eliminate_by_scan(rows, ncols):
+    """exactmat._eliminate scanning every remaining row for each column's
+    pivot, and every row for its targets."""
+    pivots = []
+    rank = 0
+    nrows = len(rows)
+    for col in range(ncols):
+        piv = None
+        best = None
+        for idx in range(rank, nrows):
+            v = rows[idx].get(col)
+            if v:
+                size = len(rows[idx])
+                if best is None or size < best:
+                    piv, best = idx, size
+                    if size <= 2:
+                        break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        lead = prow[col]
+        if lead != 1:
+            inv = _inv_scalar(lead)
+            prow = {j: inv * v for j, v in prow.items()}
+            rows[rank] = prow
+        for idx in range(nrows):
+            if idx == rank:
+                continue
+            r = rows[idx]
+            factor = r.get(col)
+            if factor:
+                for j, v in prow.items():
+                    s = r.get(j)
+                    s = -(factor * v) if s is None else s - factor * v
+                    if s:
+                        r[j] = s
+                    else:
+                        r.pop(j, None)
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rows[:rank], pivots
+
+
 def typed_entries(mat):
     """Each nonzero entry of a Mat as (type name, repr), so two routes can
     be compared by the values their witnesses would print."""
     return {key: (type(v).__name__, repr(v)) for key, v in mat.data.items()}
 
 
+def normalize_by_rescan(A, coeff, runs):
+    """coeff times the word runs, a list of (generator index, exponent),
+    in normal form: rewrite the first violation (a power at its bound, or
+    an out-of-order adjacent pair) after rebuilding and rescanning the
+    whole word, one rewriting path at a time."""
+    pres = A.pres
+    out = {}
+    agenda = [(coeff, list(runs))]
+    while agenda:
+        c, w = agenda.pop()
+        merged = []
+        for gi, e in w:
+            if e == 0:
+                continue
+            if merged and merged[-1][0] == gi:
+                merged[-1] = (gi, merged[-1][1] + e)
+            else:
+                merged.append((gi, e))
+        violation = None
+        for pos, (gi, e) in enumerate(merged):
+            if e >= pres.bounds[gi]:
+                violation = ("power", pos)
+                break
+            if pos + 1 < len(merged) and merged[pos + 1][0] < gi:
+                violation = ("straighten", pos)
+                break
+        if violation is None:
+            mono = [0] * len(pres.gens)
+            for gi, e in merged:
+                mono[gi] = e
+            mono = tuple(mono)
+            out[mono] = out.get(mono, 0) + c
+            continue
+        kind, pos = violation
+        if kind == "power":
+            gi, e = merged[pos]
+            q, r = divmod(e, pres.bounds[gi])
+            rhs = pres.power_rhs[gi]
+            if not rhs:
+                continue
+            c2 = c if rhs == 1 else c * rhs ** q
+            agenda.append(
+                (c2, merged[:pos] + ([(gi, r)] if r else []) + merged[pos + 1:]))
+        else:
+            hi, e = merged[pos]
+            lo, f = merged[pos + 1]
+            rule = pres.straighten.get((hi, lo))
+            if rule is None:
+                raise ValueError(
+                    "no straightening rule for %s*%s"
+                    % (pres.gens[hi], pres.gens[lo]))
+            prefix = merged[:pos] + ([(hi, e - 1)] if e > 1 else [])
+            suffix = ([(lo, f - 1)] if f > 1 else []) + merged[pos + 2:]
+            for s, rw in rule:
+                agenda.append((c * s, prefix + list(rw) + suffix))
+    return {m: c for m, c in out.items() if c}
+
+
+def pair_product_by_rescan(A, ma, mb):
+    """ma * mb by normalize_by_rescan (a StructureConstantAlgebra by its
+    pair rule)."""
+    if not hasattr(A, "pres"):
+        return A.pair_product(ma, mb)
+    runs = [(i, e) for i, e in enumerate(ma) if e]
+    runs += [(i, e) for i, e in enumerate(mb) if e]
+    return normalize_by_rescan(A, 1, runs)
+
+
+def normal_form_by_rescan(A, word):
+    """PresentedAlgebra.normal_form by normalize_by_rescan."""
+    coeff = 1
+    runs = []
+    for g, e in word:
+        gi = g if isinstance(g, int) else A.pres.gens.index(g)
+        if e < 0:
+            rhs = A.pres.power_rhs[gi]
+            q, e = divmod(e, A.pres.bounds[gi])
+            if rhs != 1:
+                coeff = coeff * rhs ** q
+        if e:
+            runs.append((gi, e))
+    return normalize_by_rescan(A, coeff, runs)
+
+
 def mult_map_by_pairs(A):
-    """The product m: A (x) A -> A with one pair_product per pair of basis
-    elements (a normal form each, for a presented algebra)."""
+    """The product m: A (x) A -> A with one product per pair of basis
+    elements (a normal form by normalize_by_rescan, for a presented
+    algebra)."""
     n = A.dim
     data = {}
     for ja, ma in enumerate(A.basis):
         for jb, mb in enumerate(A.basis):
-            for m, s in A.pair_product(ma, mb).items():
+            for m, s in pair_product_by_rescan(A, ma, mb).items():
                 data[(A.index[m], ja * n + jb)] = s
     V = A.graded_space()
     return GradedMap(tensor(V, V), V, Mat(n, n * n, data))

@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from bhl.algebras import (
     DimensionGuardError,
+    PresentedAlgebra,
     StructureConstantAlgebra,
     algebra_morphism,
     anyonic_line,
@@ -27,6 +29,8 @@ from oracle import (
     induced_map_by_power_table,
     kernel_dims,
     mult_map_by_pairs,
+    normal_form_by_rescan,
+    pair_product_by_rescan,
     typed_entries,
 )
 
@@ -65,6 +69,9 @@ def test_taft_normal_forms():
     assert A.normal_form([("g", -2)]) == g ** (p - 2)
     with pytest.raises(ValueError):
         A.normal_form([("x", -1)])
+    # a power past the bound is reduced, not applied letter by letter
+    assert A.normal_form([("g", p * 10 ** 12 + 1), ("x", 1)]) == g * x
+    assert A.normal_form([("x", 10 ** 12)]) == A.zero()
     A2 = taft(2)
     assert A2.gen("x") ** 2 == A2.zero()  # Sweedler case
 
@@ -194,6 +201,91 @@ def test_mult_map_matches_normal_forms_by_pairs(case):
     A = case[1]()
     assert typed_entries(A.mult_map().mat) == \
         typed_entries(mult_map_by_pairs(A).mat)
+
+
+def typed_terms(terms):
+    return {m: (type(c).__name__, repr(c)) for m, c in terms.items()}
+
+
+def generator_monos(A):
+    return [next(iter(g.terms)) for _, g in A.generators()]
+
+
+@pytest.mark.parametrize("make", (
+    [lambda p=p: taft(p) for p in (2, 3, 5, 7)]
+    + [lambda p=p: anyonic_line(p) for p in (2, 3, 5, 7)]
+    + [lambda p=p, mu=mu: d_a_mu(p, mu) for p in (2, 3, 5) for mu in range(p)]
+    + [lambda p=p: uqsl2(p) for p in (3, 5, 7)]
+), ids=lambda make: repr(make().signature))
+def test_generator_actions_match_rescan(make):
+    # the products the regular representation and the center take: each
+    # generator times every basis monomial, on both sides, by type and repr
+    A = make()
+    for g in generator_monos(A):
+        for m in A.basis:
+            for ma, mb in ((g, m), (m, g)):
+                assert typed_terms(A.pair_product(ma, mb)) == \
+                    typed_terms(pair_product_by_rescan(A, ma, mb)), (ma, mb)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uqsl2(3), lambda: taft(5),
+] + [lambda mu=mu: d_a_mu(3, mu) for mu in range(3)],
+    ids=lambda make: repr(make().signature))
+def test_all_pair_products_match_rescan(make):
+    A = make()
+    for ma in A.basis:
+        for mb in A.basis:
+            assert typed_terms(A.pair_product(ma, mb)) == \
+                typed_terms(pair_product_by_rescan(A, ma, mb)), (ma, mb)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: taft(5), lambda: d_a_mu(3, 1), lambda: d_a_mu(5, 2),
+    lambda: uqsl2(5),
+], ids=lambda make: repr(make().signature))
+def test_normal_form_matches_rescan(make):
+    A = make()
+    pres = A.pres
+    rng = random.Random(13)
+
+    def exponent(gi, high):
+        # a group-like's exponent may be written negative
+        e = rng.randrange(high)
+        return e - pres.bounds[gi] * rng.randint(0, 2) if pres.power_rhs[gi] else e
+
+    for _ in range(60):
+        # two normal monomials, by type and repr
+        word = [(name if rng.random() < 0.5 else gi, exponent(gi, bound))
+                for _ in range(2)
+                for gi, (name, bound) in enumerate(zip(pres.gens, pres.bounds))]
+        assert typed_terms(A.normal_form(word).terms) == \
+            typed_terms(normal_form_by_rescan(A, word)), word
+        # any word, with exponents past the bounds, by value: the two
+        # routes rewrite in different orders, so a coefficient that one of
+        # them reaches through a root of unity may be an int on the other
+        word = [(gi, exponent(gi, pres.bounds[gi] + 2))
+                for gi in (rng.randrange(len(pres.gens))
+                           for _ in range(rng.randint(0, 6)))]
+        assert A.normal_form(word).terms == normal_form_by_rescan(A, word), word
+
+
+def test_center_acts_once_per_generator_and_monomial(monkeypatch):
+    # the center takes g*m and m*g for each generator g and basis monomial
+    # m: at most 2 * 3 * 125 products, and every generator action it
+    # memoises is one of the 3 * 125 pairs (g, m)
+    calls = []
+    raw = PresentedAlgebra._pair_product_raw
+
+    def counted(self, ma, mb):
+        calls.append((ma, mb))
+        return raw(self, ma, mb)
+
+    monkeypatch.setattr(PresentedAlgebra, "_pair_product_raw", counted)
+    U = uqsl2(5)
+    U.compute_center()
+    assert len(calls) <= 750
+    assert len(U._actions) <= 375
 
 
 def test_generation_premise():

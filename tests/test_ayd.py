@@ -24,6 +24,7 @@ from bhl.ayd import (
     verify_ribbon_family,
     verify_ribbon_identity,
 )
+from bhl.exactmat import Mat
 from bhl.graded import GradedMap
 from bhl.report import FAIL, PASS
 from oracle import (
@@ -225,6 +226,19 @@ def test_ribbon_element_structure():
 @pytest.mark.parametrize("p", [3, 5])
 def test_ribbon_element_is_central(p):
     assert all_pass(ribbon_centrality_checks(p))
+
+
+def test_ribbon_centrality_takes_one_rank(monkeypatch):
+    ranks = []
+    real = Mat.rank
+
+    def counted(self):
+        ranks.append(self.rows)
+        return real(self)
+
+    monkeypatch.setattr(Mat, "rank", counted)
+    ribbon_centrality_checks(3)
+    assert ranks == [27]
 
 
 @pytest.mark.parametrize("p", [3, 5])

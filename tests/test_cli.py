@@ -169,6 +169,16 @@ def test_stable_dim_single_mu(capsys):
     assert "chain [6, 8]" in details
 
 
+@pytest.mark.slow
+def test_stable_dim_p13_scale_probe(monkeypatch, capsys):
+    # dimension 2197 per mu, past the default guard
+    monkeypatch.setenv("BHL_DIM_GUARD", "3000")
+    code, report = run_json(["stable-dim", "--p", "13"], capsys)
+    assert code == 0
+    statuses = [c["status"] for c in report["checks"]]
+    assert statuses == ["PASS"] * 26
+
+
 def test_dimension_guard_skips(monkeypatch, capsys):
     monkeypatch.setenv("BHL_DIM_GUARD", "10")
     code, report = run_json(["stable-dim", "--p", "3"], capsys)

@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhl import exactmat
+from bhl.algebras import uqsl2
+from bhl.ayd import regular_ayd_module, varsigma_H
 from bhl.exactmat import Mat, from_cols
 from bhl.scalars import root_of_unity
+from oracle import eliminate_by_scan
 
 
 def small_mat(rows, cols):
@@ -78,3 +83,65 @@ def test_diagonal_and_pow():
     d = Mat.diagonal([1, z, z ** 2])
     assert d ** 3 == Mat.identity(3)
     assert d ** 0 == Mat.identity(3)
+
+
+def eliminations(a):
+    """rref, rank, kernel_basis and inverse of a, every scalar as (type
+    name, repr)."""
+    def typed(col):
+        return {k: (type(v).__name__, repr(v)) for k, v in col.items()}
+
+    reduced, pivots = a.rref()
+    try:
+        inverse = typed(a.inverse().data)
+    except ValueError as e:
+        inverse = str(e)
+    return (typed(reduced.data), pivots, a.rank(),
+            [typed(v) for v in a.kernel_basis()], inverse)
+
+
+def assert_eliminations_match_scan(monkeypatch, a):
+    indexed = eliminations(a)
+    with monkeypatch.context() as m:
+        m.setattr(exactmat, "_eliminate", eliminate_by_scan)
+        assert indexed == eliminations(a)
+
+
+def random_sparse(rng, rows, cols):
+    """A sparse matrix mixing int, Fraction and Q(zeta_N) entries."""
+    N = rng.choice((3, 5, 7))
+    data = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < 0.35:
+                data[i, j] = rng.choice((
+                    lambda: rng.randint(-3, 3),
+                    lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                    lambda: rng.randint(-2, 2) * root_of_unity(N, rng.randrange(N)),
+                    lambda: root_of_unity(N) + rng.randint(-2, 2),
+                ))()
+    return Mat(rows, cols, data)
+
+
+def test_eliminations_match_scan_on_random_matrices(monkeypatch):
+    rng = random.Random(5)
+    for _ in range(300):
+        rows = rng.randint(1, 9)
+        cols = rows if rng.random() < 0.4 else rng.randint(1, 9)
+        assert_eliminations_match_scan(monkeypatch, random_sparse(rng, rows, cols))
+
+
+def test_eliminations_match_scan_on_ad_of_uqsl2(monkeypatch):
+    U = uqsl2(5)
+    for _, g in U.generators():
+        assert_eliminations_match_scan(
+            monkeypatch, U.left_mult_operator(g) - U.right_mult_operator(g))
+
+
+def test_eliminations_match_scan_on_the_kernel_chain(monkeypatch):
+    # T = 1 - varsigma on the regular module of d_a_mu(5, 1), and T^2: the
+    # first two matrices of stable_analysis(5, 1)'s kernel chain
+    M = regular_ayd_module(5, 1)
+    T = Mat.identity(M.dim) - varsigma_H(M).mat
+    assert_eliminations_match_scan(monkeypatch, T)
+    assert_eliminations_match_scan(monkeypatch, T * T)

@@ -66,6 +66,22 @@ def test_bicharacter_hexagon_scalars():
                 assert chi.chi(x, y + z) == chi.chi(x, y) * chi.chi(x, z)
 
 
+def test_from_diagonal_takes_one_scalar_per_degree():
+    p = 7
+    xi = root_of_unity(p)
+    V = GradedSpace(p, [(a + b + c) % p for a in range(p) for b in range(p)
+                        for c in range(p)])
+    calls = []
+
+    def scalar(d):
+        calls.append(d)
+        return xi ** (-d * d - d)
+
+    f = GradedMap.from_diagonal(V, scalar)
+    assert V.dim == 343 and len(calls) <= p
+    assert f.mat == Mat.diagonal([scalar(d) for d in V.degrees])
+
+
 def test_tensor_degrees_and_unit():
     V = GradedSpace(5, (1,))
     W = GradedSpace(5, (2,))
