@@ -750,12 +750,12 @@ def induced_linear_map(source, target, images):
     return from_cols(target.dim, [image(m).as_column() for m in source.basis])
 
 
-def algebra_morphism(source, target, images, check_bijective=True):
+def algebra_morphism(source, target, images):
     """Verify a generator-image assignment defines an algebra map; report per relation.
 
     source must be a PresentedAlgebra; images maps each generator name to an
-    element of target.  Optionally certifies bijectivity via the induced
-    linear map on normal bases.
+    element of target.  Bijectivity is certified via the induced linear map
+    on normal bases.
     """
     pres = source.pres
     names = pres.gens
@@ -785,16 +785,15 @@ def algebra_morphism(source, target, images, check_bijective=True):
             [] if residual.is_zero() else
             [{"relation": label, "residual": target.element_to_json(residual)}],
         ))
-    if check_bijective:
-        mat = induced_linear_map(source, target, images)
-        rank = mat.rank()
-        ok = source.dim == target.dim and rank == target.dim
-        checks.append(check(
-            "bijective",
-            ok,
-            "induced linear map rank %d, source dim %d, target dim %d"
-            % (rank, source.dim, target.dim),
-            [] if ok else [{"rank": rank, "source_dim": source.dim,
-                            "target_dim": target.dim}],
-        ))
+    mat = induced_linear_map(source, target, images)
+    rank = mat.rank()
+    ok = source.dim == target.dim and rank == target.dim
+    checks.append(check(
+        "bijective",
+        ok,
+        "induced linear map rank %d, source dim %d, target dim %d"
+        % (rank, source.dim, target.dim),
+        [] if ok else [{"rank": rank, "source_dim": source.dim,
+                        "target_dim": target.dim}],
+    ))
     return checks

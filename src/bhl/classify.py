@@ -7,14 +7,15 @@ finite scalar tables:
   sigma(x) = zeta^{-cx^2} the canonical one;
 * the symmetrization homomorphism  omega(-, y) = lambda_{2cy}  whose
   cosets are the braided-isomorphism classes;
-* stable isomorphism, tested verbatim: sigma lambda_s ~ sigma lambda_t
-  when some y satisfies both  s = t + 2cy (mod N)  and the stability
-  condition  lambda_t(y) = sigma(y), i.e.  ty = -cy^2 (mod N) — all
-  witnesses y enumerated, then the symmetric-transitive closure taken;
+* the N^2 arrows  y: sigma lambda_t -> sigma lambda_{t+2cy}, each with its
+  eta invariant  eta(y, sigma lambda_t) = omega(y,y) sigma lambda_t(y)
+  = zeta^{cy^2+ty}.  An arrow is a stable witness (lambda_t(y) = sigma(y))
+  exactly when it lies in the eta kernel, cy^2 + ty = 0 (mod N), so both
+  come from one pass over the arrows by exponent arithmetic mod N;
+* stable isomorphism: the symmetric-transitive closure of the witnessed
+  pairs (target, source);
 * the packet report I = theta(G) = {zeta^{cx^2}} with multiplicities
-  n_i = #{x : theta(x) = i}, summing to N;
-* the eta invariant  eta(y, sigma') = omega(y,y) sigma'(y)  on arrows
-  (y, sigma'), whose kernel cuts out the canonically stable structures.
+  n_i = #{x : theta(x) = i}, summing to N.
 
 The last section handles a finite group given by a Cayley table: validate
 the table, then list conjugacy classes with centralizer orders — the
@@ -26,19 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graded import AntiTwist, Bicharacter
 from .scalars import format_scalar, root_of_unity
 
 
 # ---------------------------------------------------------------------------
-# characters and anti-twists over Z/N
+# braided and stable classes of the twisted lines over Z/N
 # ---------------------------------------------------------------------------
-
-
-def anti_twists(N, c):
-    """The N anti-twists sigma lambda_t, t in Z/N (each one validated)."""
-    chi = Bicharacter(N, c)
-    return [AntiTwist.with_parameter(chi, t) for t in range(N)]
 
 
 def omega_hom(N, c):
@@ -71,27 +65,26 @@ def classify_braided(N, c):
     }
 
 
-def stable_witnesses(N, c, s, t):
-    """All y with s = t + 2cy and ty = -cy^2 (mod N)."""
-    return [
-        y for y in range(N)
-        if (t + 2 * c * y - s) % N == 0 and (t * y + c * y * y) % N == 0
-    ]
+def _arrows(N, c):
+    """The N^2 arrows y: sigma lambda_t -> sigma lambda_{t+2cy} in (t, y)
+    order, as (t, y, target, e) with eta = zeta^e, e = cy^2 + ty mod N."""
+    for t in range(N):
+        for y in range(N):
+            yield t, y, (t + 2 * c * y) % N, (c * y * y + t * y) % N
 
 
 def classify_stable(N, c):
     """Stable-isomorphism classes of anti-twists, plus the packet report.
 
-    The relation "some y satisfies both conditions" need not be
-    transitive a priori, so the closure is taken; witnesses for each
-    related ordered pair are recorded.
+    The stable witnesses for (s, t) are the y of the eta-kernel arrows
+    from t to s.  The relation "some witness exists" need not be
+    transitive a priori, so the closure is taken.
     """
     related = {}
-    for s in range(N):
-        for t in range(N):
-            ys = stable_witnesses(N, c, s, t)
-            if ys:
-                related[(s, t)] = ys
+    for t, y, target, e in _arrows(N, c):
+        if e == 0:
+            related.setdefault((target, t), []).append(y)
+    related = dict(sorted(related.items()))
     # symmetric-transitive closure
     parent = list(range(N))
 
@@ -172,25 +165,16 @@ def packet_report(N, c):
 def eta_kernel(N, c):
     """The eta invariant on arrows (y, sigma lambda_t) and its kernel.
 
-    eta(y, sigma') = omega(y, y) sigma'(y); the arrow runs from parameter
-    t to t + 2cy.  Returns {"arrows", "kernel_size", "kernel_arrows"}.
+    eta(y, sigma lambda_t) = omega(y, y) sigma lambda_t(y) = zeta^(cy^2+ty);
+    the arrow runs from parameter t to t + 2cy.  Returns {"arrows",
+    "kernel_size", "kernel_arrows"}.
     """
-    chi = Bicharacter(N, c)
-    twists = anti_twists(N, c)
-    arrows = []
-    for t in range(N):
-        sig = twists[t]
-        for y in range(N):
-            val = chi.omega(y, y) * sig(y)
-            arrows.append(
-                {
-                    "y": y,
-                    "source": t,
-                    "target": (t + 2 * c * y) % N,
-                    "eta": val,
-                    "in_kernel": val == 1,
-                }
-            )
+    roots = [root_of_unity(N, e) for e in range(N)]
+    arrows = [
+        {"y": y, "source": t, "target": target, "eta": roots[e],
+         "in_kernel": e == 0}
+        for t, y, target, e in _arrows(N, c)
+    ]
     kernel = [a for a in arrows if a["in_kernel"]]
     return {
         "arrows": arrows,

@@ -22,6 +22,7 @@ import time
 from .algebras import (
     DimensionGuardError,
     algebra_morphism,
+    check_guard,
     d_a_mu,
     dual_anyonic,
     induced_linear_map,
@@ -179,6 +180,7 @@ def uqsl2_iso_checks(p, mus=None):
     _require_odd_prime(p, "the small quantum group")
 
     def run():
+        check_guard(p ** 3, "induced map d_a_mu(%d, mu) -> uqsl2(%d)" % (p, p))
         target = uqsl2(p)
         q = target.q
         E = target.gen("E")
@@ -196,10 +198,10 @@ def uqsl2_iso_checks(p, mus=None):
     return _guarded("uqsl2 identification p=%d" % p, run)
 
 
-def coproduct_power_checks(p, c=1):
+def coproduct_power_checks(p):
     def run():
         return _prefixed("anyonic p=%d: " % p,
-                         verify_coproduct_powers(anyonic_hopf(p, c)))
+                         verify_coproduct_powers(anyonic_hopf(p)))
     return _guarded("coproduct powers p=%d" % p, run)
 
 
@@ -370,7 +372,8 @@ def dsl_script_checks(text, N, c, mu):
     return _guarded("script loads", run)
 
 
-def dsl_corpus_checks(N=3, c=1, mu=0):
+def dsl_corpus_checks():
+    N, c, mu = 3, 1, 0
     paths = sorted(CORPUS_DIR.glob("*.bdsl"))
     if not paths:
         raise UsageError("no DSL corpus scripts (*.bdsl) in %s" % CORPUS_DIR)

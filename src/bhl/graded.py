@@ -53,9 +53,6 @@ class Bicharacter:
     def chi(self, i, j):
         return self._root(self.c * i * j)
 
-    def chi_inv(self, i, j):
-        return self._root(-self.c * i * j)
-
     def omega(self, i, j):
         """omega(i,j) = chi(i,j) chi(j,i) = zeta^(2c i j)."""
         return self._root(2 * self.c * i * j)

@@ -14,17 +14,30 @@ forms by rewriting the first violation of the whole word, rather than by
 memoised generator actions, and the product of an algebra with one such
 normal form per pair of basis elements, with the associativity and Hopf
 laws checked on every pair or triple of basis elements rather than on
-generator rows; and Gauss-Jordan elimination that scans every row for
-each pivot and target, rather than through a column index.
+generator rows; Gauss-Jordan elimination that scans every row for
+each pivot and target, rather than through a column index; S^2 on the
+generators read from the matrix S @ S, rather than by applying the
+antipode twice; and the stable witnesses of the twisted lines by scanning
+every y for each pair (s, t), and the eta invariant of each arrow by
+multiplying omega(y, y) with the value of a validated anti-twist, rather
+than by exponent arithmetic mod N.  run_script runs the table scripts
+under scripts/, themselves independent routes.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
+import bhl
 from bhl.algebras import d_a_mu
 from bhl.ayd import AydModule
 from bhl.dsl import Assertion, GenDecl, Let, ObjDecl, mor_text, obj_text
 from bhl.exactmat import Mat, _inv_scalar, from_cols
 from bhl.graded import (
+    AntiTwist,
+    Bicharacter,
     GradedMap,
     GradedSpace,
     braiding,
@@ -35,6 +48,8 @@ from bhl.graded import (
 from bhl.hopf import AlgebraModule, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, map_check
 from bhl.scalars import format_scalar
+
+SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def verify_module(M):
@@ -446,3 +461,52 @@ def hopf_checks_by_pairs(H):
     return [map_check(c["name"], *laws[c["name"]], label=pair)
             if c["name"] in laws else c
             for c in verify_bialgebra(H) + verify_antipode(H)]
+
+
+def square_antipode_by_matrix(H):
+    """repr of S^2 on each generator, read from a column of H.S @ H.S."""
+    s2 = H.S @ H.S
+    return [{"generator": name, "square_antipode_image": repr(
+                H.algebra.element_from_column(
+                    s2.mat.col_dict(H.algebra.index[next(iter(el.terms))])))}
+            for name, el in H.algebra.generators()]
+
+
+def stable_witnesses_by_pairs(N, c):
+    """{(s, t): every y with s = t + 2cy and ty = -cy^2 (mod N)}, over the
+    pairs (s, t) in order that have a witness."""
+    related = {}
+    for s in range(N):
+        for t in range(N):
+            ys = [y for y in range(N)
+                  if (t + 2 * c * y - s) % N == 0
+                  and (t * y + c * y * y) % N == 0]
+            if ys:
+                related[(s, t)] = ys
+    return related
+
+
+def eta_arrows_by_anti_twists(N, c):
+    """The arrows of classify.eta_kernel with eta = omega(y, y) sigma(y),
+    sigma = sigma lambda_t the validated anti-twist."""
+    chi = Bicharacter(N, c)
+    arrows = []
+    for t in range(N):
+        sig = AntiTwist.with_parameter(chi, t)
+        for y in range(N):
+            val = chi.omega(y, y) * sig(y)
+            arrows.append({"y": y, "source": t,
+                           "target": (t + 2 * c * y) % N,
+                           "eta": val, "in_kernel": val == 1})
+    return arrows
+
+
+def run_script(name, *args):
+    """Run scripts/<name> with bhl importable; the CompletedProcess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(bhl.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS_DIR / name), *args],
+        env=env, capture_output=True, text=True, timeout=120)

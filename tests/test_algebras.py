@@ -437,7 +437,7 @@ def test_morphism_negative_control():
         "z": target.gen("F") * target.gen("K"),  # dropped q^{1-mu} factor
         "g": q ** (mu - 1) * target.gen("K") ** (p - 1),
     }
-    checks = algebra_morphism(d_a_mu(p, mu), target, images, check_bijective=False)
+    checks = algebra_morphism(d_a_mu(p, mu), target, images)
     failed = [c for c in checks if c["status"] == "FAIL"]
     assert failed
     assert any("x*z" in c["name"] for c in failed)

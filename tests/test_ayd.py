@@ -30,6 +30,7 @@ from bhl.report import FAIL, PASS
 from oracle import (
     as_module,
     regular_ayd_by_conjugation,
+    run_script,
     trivial_ayd_module,
     verify_module,
 )
@@ -280,6 +281,16 @@ def test_stable_dimensions_match_the_frozen_table(p, mu):
         assert power == 1 and k1 == p ** 2
     else:
         assert power == 2 and k1 < k2 == 2 * p ** 2
+
+
+def test_stable_dims_table_script_reproduces_the_frozen_table():
+    proc = run_script("stable_dims_table.py", "--p", "2", "--p", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    table = {(int(p), int(mu)): (int(k1), int(k2), int(full), int(stab))
+             for p, mu, k1, k2, _, full, stab in rows}
+    assert table == {key: dims for key, dims in STABLE_DIMS.items()
+                     if key[0] in (2, 3)}
 
 
 @pytest.mark.slow

@@ -8,17 +8,20 @@ import pytest
 import bhl
 from bhl.classify import (
     CayleyGroup,
-    anti_twists,
     classify_braided,
     classify_stable,
     eta_kernel,
     omega_hom,
     packet_report,
     rep_g_decomposition,
-    stable_witnesses,
 )
 from bhl.graded import AntiTwist, Bicharacter
 from bhl.scalars import root_of_unity
+from oracle import (
+    eta_arrows_by_anti_twists,
+    run_script,
+    stable_witnesses_by_pairs,
+)
 
 DATA_DIR = pathlib.Path(bhl.__file__).parent / "data"
 
@@ -59,7 +62,7 @@ def test_character_table_group_structure(N):
 @pytest.mark.parametrize("N,c", [(2, 1), (3, 1), (4, 1), (5, 2), (6, 1)])
 def test_anti_twists_satisfy_law(N, c):
     chi = Bicharacter(N, c)
-    twists = anti_twists(N, c)
+    twists = [AntiTwist.with_parameter(chi, t) for t in range(N)]
     assert len(twists) == N
     assert len({t.values for t in twists}) == N
     for sig in twists:
@@ -70,14 +73,16 @@ def test_anti_twists_satisfy_law(N, c):
 
 def test_anti_twist_parameter_matches_mu_form():
     chi = Bicharacter(5, 1)
+    twists = [AntiTwist.with_parameter(chi, t) for t in range(5)]
     for t in range(5):
-        assert anti_twists(5, 1)[t] == AntiTwist(
+        assert twists[t] == AntiTwist(
             chi, [root_of_unity(5, -i * i + t * i) for i in range(5)])
 
 
 def test_n2_second_anti_twist_is_trivial():
     # sigma(x) lambda_1(x) = (-1)^(x^2 - x) = 1 for both degrees
-    twists = anti_twists(2, 1)
+    chi = Bicharacter(2, 1)
+    twists = [AntiTwist.with_parameter(chi, t) for t in range(2)]
     assert all(v == 1 for v in twists[1].values)
     assert not all(v == 1 for v in twists[0].values)
 
@@ -142,8 +147,9 @@ def test_stable_class_count_odd_prime(p):
 
 def test_stable_pairs_t_with_minus_t():
     for N in range(2, 10):
+        witnesses = classify_stable(N, 1)["witnesses"]
         for t in range(N):
-            assert stable_witnesses(N, 1, (-t) % N, t)
+            assert witnesses.get(((-t) % N, t))
 
 
 def test_stable_refines_braided():
@@ -234,6 +240,47 @@ def test_dagger_involution_preserves_eta(N, c):
     for pair, image in inv.items():
         assert inv[image] == pair
         assert etas[image] == etas[pair]
+
+
+# ---------------------------------------------------------------------------
+# one pass over the arrows against the pair scan and the anti-twists
+# ---------------------------------------------------------------------------
+
+
+def typed_arrows(arrows):
+    return [{k: (type(v).__name__, repr(v)) for k, v in a.items()}
+            for a in arrows]
+
+
+def check_arrows_against_oracles(N):
+    for c in range(N):
+        witnesses = classify_stable(N, c)["witnesses"]
+        assert list(witnesses.items()) == \
+            list(stable_witnesses_by_pairs(N, c).items())
+        result = eta_kernel(N, c)
+        assert typed_arrows(result["arrows"]) == \
+            typed_arrows(eta_arrows_by_anti_twists(N, c))
+        kernel = {}
+        for a in result["kernel_arrows"]:
+            kernel.setdefault((a["target"], a["source"]), []).append(a["y"])
+        assert dict(sorted(kernel.items())) == witnesses
+
+
+@pytest.mark.parametrize("N", range(1, 25))
+def test_arrows_match_oracles(N):
+    check_arrows_against_oracles(N)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("N", range(25, 41))
+def test_arrows_match_oracles_large(N):
+    check_arrows_against_oracles(N)
+
+
+def test_packet_tables_script_runs():
+    proc = run_script("packet_tables.py", "--all-c")
+    assert proc.returncode == 0, proc.stderr
+    assert "!!" not in proc.stdout
 
 
 # ---------------------------------------------------------------------------

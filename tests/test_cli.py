@@ -108,6 +108,23 @@ def test_uqsl2_iso_single_mu(capsys):
     assert not any("mu=0" in n for n in names if "coproduct" not in n)
 
 
+def test_uqsl2_iso_past_the_guard_skips_only_the_identification(
+        monkeypatch, capsys):
+    monkeypatch.delenv("BHL_DIM_GUARD", raising=False)
+    code, report = run_json(["verify", "uqsl2-iso", "--p", "11", "--mu", "1"],
+                            capsys)
+    assert code == 0
+    skipped = [c for c in report["checks"] if c["status"] == "SKIP"]
+    assert [c["name"] for c in skipped] == ["uqsl2 identification p=11"]
+    powers = [c for c in report["checks"] if "coproduct_power" in c["name"]]
+    assert len(powers) == 11
+    assert all(c["status"] == "PASS" for c in powers)
+    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
+    _, report = run_json(["verify", "uqsl2-iso", "--p", "11", "--mu", "1"],
+                         capsys)
+    assert [c["status"] for c in report["checks"]] == ["PASS"] * 18
+
+
 def test_ayd_regular_module(capsys):
     code, report = run_json(["verify", "ayd", "--p", "3", "--mu", "1"],
                             capsys)
@@ -207,6 +224,16 @@ def test_decompose_vecg_n2_singletons(capsys):
     braided = next(c for c in report["checks"]
                    if c["name"] == "braided classes")
     assert "singleton" in braided["details"]
+
+
+def test_decompose_vecg_n601_is_quick(capsys):
+    # the bound holds for one pass over the N^2 arrows; an O(N^3) scan of
+    # every y for each pair (s, t) takes about 30 s
+    start = time.perf_counter()
+    code, report = run_json(["decompose", "vec-g", "--n", "601"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert all(c["status"] == "PASS" for c in report["checks"])
 
 
 def test_decompose_repg_s3(capsys):

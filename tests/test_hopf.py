@@ -42,6 +42,7 @@ from oracle import (
     mult_map_by_pairs,
     pair_product_by_rescan,
     regular_module,
+    square_antipode_by_matrix,
     typed_entries,
     verify_module,
 )
@@ -108,7 +109,7 @@ def test_braiding_is_algebra_iso_between_twisted_squares():
                      bounds=(p,), power_rhs=(0,), straighten={}),
         signature=("line_y", p),
     )
-    src = braided_tensor_algebra(A, B, chi, inverse=True)
+    src = braided_tensor_algebra(A, B, Bicharacter(p, -1))
     dst = braided_tensor_algebra(B, A, chi)
 
     def f(el):
@@ -236,9 +237,10 @@ ORACLE_CASES = (
 def test_column_route_matches_matrix_route(case):
     H = case[1]()
     checks = verify_bialgebra(H) + verify_antipode(H)
-    # the last check records S^2 and has no matrix-route counterpart
+    # the last check records S^2, read off S @ S on the matrix route
     assert checks[:-1] == matrix_route_checks(H)
     assert checks[-1]["name"] == "antipode_square_recorded"
+    assert checks[-1]["witnesses"] == square_antipode_by_matrix(H)
 
 
 BROKEN_TAFT = ({"primitive_x": True}, {"eps_x": 1}, {"antipode_sign": 1},
