@@ -9,9 +9,14 @@ subject to x^p = 0, z^p = 0 and, on each degree-i component,
 Equivalently it is a module over d_a_mu(p, mu) on which g acts by xi^i on
 the degree-i piece.  On such a module the sigma operator
 
-    varsigma: m |-> xi^{-i^2 - mu i} (sum_{j<p} xi^{(j-1)j/2}/(j)_xi! z^j x^j) m
+    varsigma: m |-> xi^{-i^2 - mu i} (sum_{j<p} c_j z^j x^j) m,
+    c_j = xi^{(j-1)j/2}/(j)_xi!,
 
-is an invertible degree-0 map.  For odd p the substitutions
+is an invertible degree-0 map.  On the regular module it is built by a
+recursion over the paths of x rather than from the series: x^j sends
+z^a e_t x^c through d raisings and l = j - d lowerings to z^{a-l}
+e_{t+d} x^{c+d}, and the total weight W(d, l) of those paths does not
+depend on c (see varsigma_H).  For odd p the substitutions
 
     E = q^{1-mu} x,   F = z g,   K = q^{mu-1} g^{-1}        (q = xi^{(p-1)/2})
 
@@ -50,6 +55,9 @@ from .scalars import (
 
 class AydModule:
     """A Z/p-graded space with operators x (degree +1) and z (degree -1)."""
+
+    # (raising, lowering) weights of x when built by regular_ayd_module
+    _regular = None
 
     def __init__(self, p, mu, space, xop, zop):
         if space.N != p:
@@ -102,20 +110,85 @@ def verify_ayd(M):
 
 
 def varsigma_H(M):
-    """The sigma operator of an AydModule (degree 0, invertible)."""
+    """The sigma operator of an AydModule (degree 0, invertible).
+
+    On a module built by regular_ayd_module it is read off the paths of x.
+    With x raising z^a e_t x^c by weight xi^a and lowering it by
+    lambda(a, t) = (a)_xi (xi^{a-mu-2t} - 1), the paths through d raisings
+    and l lowerings end at z^{a-l} e_{t+d} x^{c+d}, so z^{d+l} x^{d+l} takes
+    z^a e_t x^c to W(d, l) z^{a+d} e_{t+d} x^{c+d}, where
+
+        W(d, l) = xi^{a-l} W(d-1, l) + lambda(a-l+1, t+d) W(d, l-1),
+        W(0, 0) = 1,
+
+    for a + d < p and c + d < p (and 0 otherwise).  W does not depend on
+    c, so each coefficient
+
+        E(a, t, d) = xi^{-i^2 - mu i} sum_{l <= a} c_{d+l} W(d, l),  i = t - a,
+
+    is computed once and written to the p - d columns that share it.  Any
+    other module sums the series of z^j x^j.
+    """
     xi = M.xi
+    coeffs = [1] + [xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
+                    for j in range(1, M.p)]
+    if M._regular is not None:
+        return _varsigma_by_paths(M, coeffs)
     series = GradedMap.identity(M.space)
     zs = GradedMap.identity(M.space)
     xs = GradedMap.identity(M.space)
     for j in range(1, M.p):
         zs = zs @ M.zop
         xs = xs @ M.xop
-        coeff = xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
-        series = series + (zs @ xs).scale(coeff)
+        series = series + (zs @ xs).scale(coeffs[j])
     prefactor = GradedMap.from_diagonal(
         M.space, lambda d: xi ** (-d * d - M.mu * d)
     )
     return prefactor @ series
+
+
+def _varsigma_by_paths(M, coeffs):
+    p, mu = M.p, M.mu
+    raising, lowering = M._regular
+    data = {}
+    for a in range(p):
+        for t in range(p):
+            i = t - a
+            prefactor = root_of_unity(p, -i * i - mu * i)
+            col0 = (a * p + t) * p
+            prev = None  # W(d - 1, l) for l = 0 .. a
+            for d in range(p - a):
+                td = (t + d) % p
+                cur = []  # W(d, l) for l = 0 .. a, with W(0, 0) = 1
+                for l in range(a + 1):
+                    w = raising[a - l] * prev[l] if d else int(l == 0)
+                    if l:
+                        w = w + lowering[a - l + 1][td] * cur[l - 1]
+                    cur.append(w)
+                total = 0
+                for l, w in enumerate(cur):
+                    total = total + coeffs[d + l] * w
+                prev = cur
+                if not total:
+                    continue
+                value = prefactor * total
+                row0 = ((a + d) * p + td) * p + d
+                for c in range(p - d):
+                    data[row0 + c, col0 + c] = value
+    n = M.dim
+    return GradedMap(M.space, M.space, Mat(n, n, data))
+
+
+def _regular_weights(p, mu):
+    """The weights of x on z^a e_t x^c: raising[a] = xi^a and
+    lowering[a][t] = (a)_xi (xi^{a-mu-2t} - 1)."""
+    raising = [root_of_unity(p, k) for k in range(p)]
+    lowering = []
+    for a in range(p):
+        a_xi = sum(raising[:a])
+        lowering.append([a_xi * (raising[(a - mu - 2 * t) % p] - 1)
+                         for t in range(p)])
+    return raising, lowering
 
 
 def regular_ayd_module(p, mu):
@@ -134,16 +207,12 @@ def regular_ayd_module(p, mu):
     """
     check_guard(p ** 3, "regular module of d_a_mu(%d, %d)" % (p, mu))
     _require_prime(p)
-    powers = [root_of_unity(p, k) for k in range(p)]
+    raising, lowering = _regular_weights(p, mu)
     n = p ** 3
     degrees = [0] * n
     labels = [""] * n
     xdata = {}
     for a in range(p):
-        # (a)_xi (xi^{a-mu-2t} - 1), indexed by t
-        a_xi = sum(powers[:a])
-        correction = [a_xi * (powers[(a - mu - 2 * t) % p] - 1)
-                      for t in range(p)]
         for t in range(p):
             for c in range(p):
                 col = (a * p + t) * p + c
@@ -156,16 +225,18 @@ def regular_ayd_module(p, mu):
                     parts.append("x" if c == 1 else "x^%d" % c)
                 labels[col] = "*".join(parts)
                 if c + 1 < p:
-                    xdata[((a * p + (t + 1) % p) * p + c + 1, col)] = powers[a]
+                    xdata[((a * p + (t + 1) % p) * p + c + 1, col)] = raising[a]
                 if a:
-                    xdata[(col - p * p, col)] = correction[t]
+                    xdata[(col - p * p, col)] = lowering[a][t]
     zdata = {(j + p * p, j): 1 for j in range(n - p * p)}
     space = GradedSpace(p, degrees, labels)
-    return AydModule(
+    M = AydModule(
         p, mu, space,
         GradedMap(space, space, Mat(n, n, xdata), 1),
         GradedMap(space, space, Mat(n, n, zdata), p - 1),
     )
+    M._regular = (raising, lowering)
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -145,14 +145,13 @@ class PacketReport:
 
 def packet_report(N, c):
     """Group the twist values theta(x) = zeta^{c x^2} over x in Z/N."""
-    zeta = root_of_unity(N)
     by_exponent = {}
     for x in range(N):
         e = (c * x * x) % N
         by_exponent.setdefault(e, []).append(x)
     entries = tuple(
         {
-            "value": zeta ** e,
+            "value": root_of_unity(N, e),
             "exponent": e,
             "multiplicity": len(xs),
             "elements": tuple(xs),

@@ -443,11 +443,14 @@ class AlgebraModule:
         return self.space.dim
 
     def act_matrix(self, element):
-        """Action of an arbitrary element, as a plain matrix."""
-        total = Mat.zeros(self.dim, self.dim)
+        """Action of an arbitrary element, as a plain matrix: c times each
+        monomial's action summed into one dict, zeros dropped at the end."""
+        acc = {}
         for mono, c in element.terms.items():
-            total = total + self.act_mono(mono).mat.scale(c)
-        return total
+            for key, v in self.act_mono(mono).mat.data.items():
+                s = acc.get(key)
+                acc[key] = c * v if s is None else s + c * v
+        return Mat(self.dim, self.dim, acc)
 
     def act(self, element):
         """Action of a homogeneous element, as a GradedMap."""

@@ -20,8 +20,11 @@ generators read from the matrix S @ S, rather than by applying the
 antipode twice; and the stable witnesses of the twisted lines by scanning
 every y for each pair (s, t), and the eta invariant of each arrow by
 multiplying omega(y, y) with the value of a validated anti-twist, rather
-than by exponent arithmetic mod N.  run_script runs the table scripts
-under scripts/, themselves independent routes.
+than by exponent arithmetic mod N; the sigma operator summed as its
+series of z^j x^j, rather than by the path recursion on the regular
+module; and the action of an algebra element as a running sum of scaled
+matrices, rather than accumulated into one dict.  run_script runs the
+table scripts under scripts/, themselves independent routes.
 """
 
 import os
@@ -47,7 +50,7 @@ from bhl.graded import (
 )
 from bhl.hopf import AlgebraModule, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, map_check
-from bhl.scalars import format_scalar
+from bhl.scalars import format_scalar, q_factorial
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -119,6 +122,34 @@ def trivial_ayd_module(p, mu):
         GradedMap.zero(space, space, 1),
         GradedMap.zero(space, space, p - 1),
     )
+
+
+def act_matrix_by_sums(M, element):
+    """The action of an element on an AlgebraModule as a running sum of
+    scaled matrices, one Mat per monomial, dropping zeros at each step."""
+    total = Mat.zeros(M.dim, M.dim)
+    for mono, c in element.terms.items():
+        total = total + M.act_mono(mono).mat.scale(c)
+    return total
+
+
+def varsigma_by_series(M):
+    """The sigma operator of an AydModule summed as its series
+    xi^{-i^2 - mu i} sum_{j<p} xi^{(j-1)j/2}/(j)_xi! z^j x^j, by p - 1
+    products of the matrices z^j and x^j, whatever built the module."""
+    xi = M.xi
+    series = GradedMap.identity(M.space)
+    zs = GradedMap.identity(M.space)
+    xs = GradedMap.identity(M.space)
+    for j in range(1, M.p):
+        zs = zs @ M.zop
+        xs = xs @ M.xop
+        coeff = xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
+        series = series + (zs @ xs).scale(coeff)
+    prefactor = GradedMap.from_diagonal(
+        M.space, lambda d: xi ** (-d * d - M.mu * d)
+    )
+    return prefactor @ series
 
 
 def braided_module_E(X, M, sigma, chi):

@@ -5,8 +5,11 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bhl
+from bhl import ayd
 from bhl.algebras import DimensionGuardError, PresentedAlgebra
 from bhl.ayd import (
     AydModule,
@@ -28,10 +31,13 @@ from bhl.exactmat import Mat
 from bhl.graded import GradedMap
 from bhl.report import FAIL, PASS
 from oracle import (
+    act_matrix_by_sums,
     as_module,
     regular_ayd_by_conjugation,
     run_script,
     trivial_ayd_module,
+    typed_entries,
+    varsigma_by_series,
     verify_module,
 )
 
@@ -170,6 +176,51 @@ def test_sigma_is_natural_for_right_multiplications():
         assert s @ R == R @ s
 
 
+@pytest.mark.parametrize("p,mu", [
+    (p, mu) for p in (2, 3, 5, 7) for mu in range(p)] + [
+    # the series costs about 0.6 s at p = 11 and 2 s at p = 13
+    pytest.param(p, mu, marks=pytest.mark.slow)
+    for p, mu in ((11, 0), (11, 1), (13, 1))])
+def test_sigma_matches_the_series(monkeypatch, p, mu):
+    monkeypatch.setenv("BHL_DIM_GUARD", "3000")
+    M = regular_ayd_module(p, mu)
+    sigma, oracle = varsigma_H(M), varsigma_by_series(M)
+    assert sigma == oracle
+    assert typed_entries(sigma.mat) == typed_entries(oracle.mat)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 6))
+def test_sigma_keeps_a_minus_c_and_t_minus_c(p, mu):
+    # z^a e_t x^c only reaches z^{a+d} e_{t+d} x^{c+d}: the blocks of
+    # fixed a - c and (t - c) mod p are invariant
+    def coords(index):
+        return index // (p * p), index // p % p, index % p
+
+    sigma = varsigma_H(regular_ayd_module(p, mu))
+    assert sigma.mat.data
+    for row, col in sigma.mat.data:
+        (a2, t2, c2), (a, t, c) = coords(row), coords(col)
+        assert a2 - c2 == a - c
+        assert (t2 - c2 - t + c) % p == 0
+
+
+def test_sigma_of_other_modules_sums_the_series(monkeypatch):
+    def refuse(M, coeffs):
+        raise AssertionError("path recursion used")
+
+    data = json.loads((DATA_DIR / "sample_module_p3_mu1.json").read_text())
+    modules = [trivial_ayd_module(5, 1), trivial_ayd_module(3, 0),
+               ayd_module_from_json(data)]
+    expected = [varsigma_by_series(M) for M in modules]
+    monkeypatch.setattr(ayd, "_varsigma_by_paths", refuse)
+    for M, oracle in zip(modules, expected):
+        sigma = varsigma_H(M)
+        assert typed_entries(sigma.mat) == typed_entries(oracle.mat)
+    with pytest.raises(AssertionError, match="path recursion"):
+        varsigma_H(regular_ayd_module(3, 1))
+
+
 @pytest.mark.parametrize("mu", [0, 1])
 def test_p2_closed_forms(mu):
     assert all_pass(sweedler_checks(mu))
@@ -214,6 +265,18 @@ def test_to_uqsl2_commutes_with_module_maps():
                   P.inverse() * A.right_mult_operator(A.gen("g")) * P)
     for name in ("E", "F", "K"):
         assert U.ops[name] @ R == R @ U.ops[name]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_act_matrix_matches_the_running_sum(p):
+    R = ribbon_element(p)
+    U = R.v_0.algebra
+    elements = [el for _, el in U.generators()] + [R.u_K, R.u_0, R.v_0]
+    for mu in range(p):
+        M = to_uqsl2(regular_ayd_module(p, mu))
+        for el in elements:
+            assert typed_entries(M.act_matrix(el)) == \
+                typed_entries(act_matrix_by_sums(M, el)), (mu, el)
 
 
 def test_ribbon_element_structure():

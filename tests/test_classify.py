@@ -195,6 +195,20 @@ def test_packet_total_is_group_order():
             assert packet_report(N, c).total() == N
 
 
+def test_packet_values_match_binary_powering():
+    # decompose vec-g prints these values, so each keeps the type and
+    # repr of zeta ** e
+    for N in range(1, 61):
+        zeta = root_of_unity(N)
+        powers = [zeta ** e for e in range(N)]
+        for c in range(N):
+            for entry in packet_report(N, c).entries:
+                value, expected = entry["value"], powers[entry["exponent"]]
+                assert (type(value), repr(value)) == \
+                    (type(expected), repr(expected)), (N, c, entry)
+                assert value == expected
+
+
 def test_packet_report_json_is_serializable():
     blob = json.dumps(packet_report(5, 1).to_json())
     data = json.loads(blob)
