@@ -26,10 +26,11 @@ element v_0 = K u_K u_0 — verified here by two independent routes: a
 per-degree scalar identity and an exact matrix identity on the regular
 representation (which is faithful, so the operators agree as elements).
 
-stable_analysis records the kernel dimensions of powers of (1 - varsigma)
-on the regular representation: the kernel chain of a single operator is
-constant from the first repeat on, so the value at k = dim is already
-determined once two consecutive powers agree.
+stable_analysis splits the regular module into the 2p^2 - p strings of
+fixed (a - c, (t - c) mod p), on which varsigma is lower triangular.  With
+no zero on the first subdiagonal each eigenvalue there has geometric
+multiplicity 1 (Golub and Van Loan, 7.4), so the kernel chain of
+1 - varsigma is read off the diagonals; else it takes sparse powers.
 """
 
 from __future__ import annotations
@@ -424,40 +425,54 @@ def verify_ribbon_family(p):
 
 
 def stable_analysis(p, mu):
-    """Kernel dimensions of (1 - varsigma)^k on the regular representation.
+    """Kernel dimensions of T^k, T = 1 - varsigma, on the regular module.
 
     Returns {"p", "mu", "dim", "kernel_dims": {1: _, 2: _, dim: _},
-    "stabilization_power", "chain"}.  The chain of kernels of powers of a
-    fixed operator is constant from the first repeat, so the k = dim entry
-    equals the stable value reached.
+    "stabilization_power", "chain"}; ker T^k is constant from the first repeat.
+
+    varsigma takes z^a e_t x^c only to z^{a+d} e_{t+d} x^{c+d}, d >= 0, so
+    it is lower triangular on each of the 2p^2 - p strings of fixed
+    (a - c, (t - c) mod p), ordered by c.  If no first-subdiagonal entry
+    E(a, t, 1) vanishes, each eigenvalue on a string has geometric
+    multiplicity 1 (Golub and Van Loan, Matrix Computations, 7.4; Horn and
+    Johnson, Matrix Analysis): 0 is one Jordan block of size z_b, the
+    number of diagonal entries of string b where varsigma = 1, and
+    dim ker T^k = sum_b min(k, z_b).  Otherwise the chain is the nullities
+    of the sparse powers of T.
     """
     mu %= p
     M = regular_ayd_module(p, mu)
-    sigma = varsigma_H(M)
-    n = M.dim
-    T = Mat.identity(n) - sigma.mat
-    chain = []
-    Tk = Mat.identity(n)
-    power = None
-    while True:
-        Tk = Tk * T
-        nk = Tk.nullity()
-        if chain and nk == chain[-1]:
-            power = len(chain)
-            break
-        chain.append(nk)
-        if len(chain) > n:
-            raise AssertionError("kernel chain failed to stabilize")
-    dims = {1: chain[0], 2: chain[1] if len(chain) > 1 else chain[0],
-            n: chain[-1]}
+    sigma = varsigma_H(M).mat
+    strings = [[((a + s) * p + (t + s) % p) * p + c + s
+                for s in range(p - max(a, c))]
+               for a in range(p) for t in range(p) for c in range(p)
+               if min(a, c) == 0]
+    if all(sigma[j, i] for b in strings for i, j in zip(b, b[1:])):
+        z = [sum(sigma[i, i] == 1 for i in b) for b in strings]
+        chain = [sum(min(k, zb) for zb in z)
+                 for k in range(1, max(z + [1]) + 1)]
+    else:
+        chain = _kernel_chain_by_powers(Mat.identity(M.dim) - sigma)
+    dims = {1: chain[0], 2: chain[:2][-1], M.dim: chain[-1]}
     return {
         "p": p,
         "mu": mu,
-        "dim": n,
+        "dim": M.dim,
         "kernel_dims": dims,
-        "stabilization_power": power,
-        "chain": list(chain),
+        "stabilization_power": len(chain),
+        "chain": chain,
     }
+
+
+def _kernel_chain_by_powers(T):
+    """Nullities of T, T^2, ... up to the first repeat, by sparse products."""
+    chain, Tk = [], T
+    while True:
+        nk = Tk.nullity()
+        if chain and nk == chain[-1]:
+            return chain
+        chain.append(nk)
+        Tk = Tk * T
 
 
 def sweedler_checks(mu):

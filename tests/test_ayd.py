@@ -367,6 +367,59 @@ def test_stable_dimension_at_p11(monkeypatch, mu):
     assert result["chain"][-1] == (1 if mu == 0 else 2) * 11 ** 2
 
 
+@pytest.mark.parametrize("p,mu", [
+    (p, mu) for p in (2, 3, 5, 7) for mu in range(p)] + [
+    # the sparse chain costs about 1.2 s at p = 11 and 3.5 s at p = 13
+    pytest.param(p, mu, marks=pytest.mark.slow)
+    for p, mu in ((11, 0), (11, 1), (13, 1))])
+def test_strings_match_the_sparse_chain(monkeypatch, p, mu):
+    monkeypatch.setenv("BHL_DIM_GUARD", "3000")
+    M = regular_ayd_module(p, mu)
+    chain = ayd._kernel_chain_by_powers(
+        Mat.identity(M.dim) - varsigma_H(M).mat)
+
+    def refuse(T):
+        raise AssertionError("sparse chain used")
+
+    monkeypatch.setattr(ayd, "_kernel_chain_by_powers", refuse)
+    result = stable_analysis(p, mu)
+    assert result["chain"] == chain
+    assert result["stabilization_power"] == len(chain)
+    assert result["kernel_dims"] == {
+        1: chain[0], 2: chain[1] if len(chain) > 1 else chain[0],
+        M.dim: chain[-1]}
+
+
+def test_a_zero_on_the_subdiagonal_takes_the_sparse_chain(monkeypatch):
+    # drop sigma[z e_0 x, e_2] = E(0, 2, 1): both ends of that step have
+    # sigma = 1 on the diagonal, so the Jordan block of their string splits
+    # and the chain is [14, 18], where the diagonal count gives [13, 18]
+    p, mu = 3, 1
+    col, row = (0 * p + 2) * p + 0, (1 * p + 0) * p + 1
+    real_sigma, real_chain = ayd.varsigma_H, ayd._kernel_chain_by_powers
+
+    def dropped(M):
+        sigma = real_sigma(M)
+        data = dict(sigma.mat.data)
+        assert data.pop((row, col))
+        return GradedMap(sigma.source, sigma.target, Mat(M.dim, M.dim, data))
+
+    calls = []
+
+    def spy(T):
+        calls.append(T)
+        return real_chain(T)
+
+    monkeypatch.setattr(ayd, "varsigma_H", dropped)
+    monkeypatch.setattr(ayd, "_kernel_chain_by_powers", spy)
+    result = stable_analysis(p, mu)
+    T = Mat.identity(p ** 3) - dropped(regular_ayd_module(p, mu)).mat
+    assert calls == [T]
+    assert result["chain"] == real_chain(T) == [14, 18]
+    assert result["kernel_dims"] == {1: 14, 2: 18, 27: 18}
+    assert result["stabilization_power"] == 2
+
+
 def test_stable_analysis_respects_the_guard(monkeypatch):
     monkeypatch.setenv("BHL_DIM_GUARD", "20")
     with pytest.raises(DimensionGuardError):

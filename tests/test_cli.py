@@ -196,6 +196,16 @@ def test_stable_dim_p13_scale_probe(monkeypatch, capsys):
     assert statuses == ["PASS"] * 26
 
 
+@pytest.mark.slow
+def test_stable_dim_p17_scale_probe(monkeypatch, capsys):
+    # dimension 4913 per mu, read off the strings of varsigma
+    monkeypatch.setenv("BHL_DIM_GUARD", "5000")
+    code, report = run_json(["stable-dim", "--p", "17"], capsys)
+    assert code == 0
+    statuses = [c["status"] for c in report["checks"]]
+    assert statuses == ["PASS"] * 34
+
+
 def test_dimension_guard_skips(monkeypatch, capsys):
     monkeypatch.setenv("BHL_DIM_GUARD", "10")
     code, report = run_json(["stable-dim", "--p", "3"], capsys)
