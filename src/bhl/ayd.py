@@ -436,9 +436,9 @@ def stable_analysis(p, mu):
     E(a, t, 1) vanishes, each eigenvalue on a string has geometric
     multiplicity 1 (Golub and Van Loan, Matrix Computations, 7.4; Horn and
     Johnson, Matrix Analysis): 0 is one Jordan block of size z_b, the
-    number of diagonal entries of string b where varsigma = 1, and
-    dim ker T^k = sum_b min(k, z_b).  Otherwise the chain is the nullities
-    of the sparse powers of T.
+    number of diagonal entries of string b where varsigma = 1, so dim ker
+    T^k = sum_b min(k, z_b), rising until k = max_b z_b (k = 1 if all z_b
+    are 0).  Otherwise the chain is the nullities of sparse powers of T.
     """
     mu %= p
     M = regular_ayd_module(p, mu)
@@ -450,10 +450,11 @@ def stable_analysis(p, mu):
     if all(sigma[j, i] for b in strings for i, j in zip(b, b[1:])):
         z = [sum(sigma[i, i] == 1 for i in b) for b in strings]
         chain = [sum(min(k, zb) for zb in z)
-                 for k in range(1, max(z + [1]) + 1)]
+                 for k in range(1, max(max(z), 1) + 1)]
     else:
         chain = _kernel_chain_by_powers(Mat.identity(M.dim) - sigma)
-    dims = {1: chain[0], 2: chain[:2][-1], M.dim: chain[-1]}
+    dims = {1: chain[0], 2: chain[1] if len(chain) > 1 else chain[0],
+            M.dim: chain[-1]}
     return {
         "p": p,
         "mu": mu,
@@ -466,13 +467,11 @@ def stable_analysis(p, mu):
 
 def _kernel_chain_by_powers(T):
     """Nullities of T, T^2, ... up to the first repeat, by sparse products."""
-    chain, Tk = [], T
-    while True:
-        nk = Tk.nullity()
-        if chain and nk == chain[-1]:
-            return chain
+    chain, Tk = [T.nullity()], T * T
+    while (nk := Tk.nullity()) != chain[-1]:
         chain.append(nk)
         Tk = Tk * T
+    return chain
 
 
 def sweedler_checks(mu):
