@@ -66,8 +66,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     orders = args.n or list(range(2, 10))
 
-    header = "%3s %3s  %-9s %3s/%3s  %-24s %-24s %s" % (
-        "N", "c", "omega", "#br", "#st", "braided classes",
+    header = "%3s %3s %4s  %-9s %3s/%3s  %-24s %-24s %s" % (
+        "N", "c", "#eta", "omega", "#br", "#st", "braided classes",
         "stable classes", "packet")
     print(header)
     print("-" * len(header))
@@ -75,8 +75,8 @@ def main(argv=None):
         cs = range(1, N) if args.all_c else [1]
         for c in cs:
             r = row(N, c)
-            print("%3d %3d  %-9s %3d/%3d  %-24s %-24s %s" % (
-                r["N"], r["c"], r["omega"],
+            print("%3d %3d %4d  %-9s %3d/%3d  %-24s %-24s %s" % (
+                r["N"], r["c"], r["eta_kernel"], r["omega"],
                 len(r["braided"]), len(r["stable"]),
                 fmt_classes(r["braided"]), fmt_classes(r["stable"]),
                 fmt_packet(r["packet"])))

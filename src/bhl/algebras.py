@@ -91,7 +91,6 @@ class Presentation:
     """
 
     N: int
-    scalar_order: int
     gens: tuple
     degrees: tuple
     bounds: tuple
@@ -196,10 +195,9 @@ class AlgebraElement:
 class FiniteDimAlgebra:
     """Shared machinery over an enumerated monomial basis."""
 
-    def _init_common(self, signature, N, scalar_order, basis, degrees, labels, unit_mono):
+    def _init_common(self, signature, N, basis, degrees, labels, unit_mono):
         self.signature = signature
         self.N = N
-        self.scalar_order = scalar_order
         self.basis = tuple(basis)
         self.mono_degrees = tuple(d % N for d in degrees)
         self.labels = tuple(labels)
@@ -426,16 +424,16 @@ class FiniteDimAlgebra:
         return [assoc, next((c for c in units if c["status"] == FAIL), units[0])]
 
     def compute_center(self):
-        """Basis of the center: joint kernel of ad(g) over the generators."""
+        """Basis of the center: the kernel of ad(g) = L_g - R_g for all
+        generators g at once, stacked into one matrix."""
         check_guard(self.dim, "center computation")
-        space = Mat.identity(self.dim)
-        for _, g in self.generators():
-            ad = self.left_mult_operator(g) - self.right_mult_operator(g)
-            restricted = ad * space
-            space = space * from_cols(space.cols, restricted.kernel_basis())
-            if space.cols == 0:
-                break
-        return [self.element_from_column(space.col_dict(j)) for j in range(space.cols)]
+        n, gens = self.dim, self.generators()
+        ads = (self.left_mult_operator(g) - self.right_mult_operator(g)
+               for _, g in gens)
+        stacked = Mat(len(gens) * n, n, {
+            (t * n + i, j): v
+            for t, ad in enumerate(ads) for (i, j), v in ad.data.items()})
+        return [self.element_from_column(col) for col in stacked.kernel_basis()]
 
 
 class PresentedAlgebra(FiniteDimAlgebra):
@@ -452,7 +450,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
         labels = [self._label_of(m) for m in basis]
         self._init_common(
             signature or ("presented", pres.gens, pres.bounds),
-            pres.N, pres.scalar_order, basis, degrees, labels, (0,) * k)
+            pres.N, basis, degrees, labels, (0,) * k)
         self._actions = {}
 
     def _label_of(self, mono):
@@ -581,9 +579,9 @@ class PresentedAlgebra(FiniteDimAlgebra):
 class StructureConstantAlgebra(FiniteDimAlgebra):
     """Algebra given by an explicit basis and a pairwise product rule."""
 
-    def __init__(self, signature, N, scalar_order, basis, degrees, labels,
+    def __init__(self, signature, N, basis, degrees, labels,
                  unit_mono, pair_rule, generator_monos):
-        self._init_common(signature, N, scalar_order, basis, degrees, labels, unit_mono)
+        self._init_common(signature, N, basis, degrees, labels, unit_mono)
         self._pair_rule = pair_rule
         self._generator_monos = tuple(generator_monos)
 
@@ -620,8 +618,7 @@ def taft(p):
     xi = root_of_unity(p)
     g, x = 0, 1
     pres = Presentation(
-        N=1, scalar_order=p,
-        gens=("g", "x"), degrees=(0, 0),
+        N=1, gens=("g", "x"), degrees=(0, 0),
         bounds=(p, p), power_rhs=(1, 0),
         straighten={(x, g): ((xi ** -1, ((g, 1), (x, 1))),)},
     )
@@ -633,8 +630,7 @@ def taft(p):
 def nilpotent_line(p, name="x", degree=1):
     """k[name]/name^p with the generator in the given degree of Z/p."""
     pres = Presentation(
-        N=p, scalar_order=p,
-        gens=(name,), degrees=(degree % p,),
+        N=p, gens=(name,), degrees=(degree % p,),
         bounds=(p,), power_rhs=(0,),
         straighten={},
     )
@@ -665,7 +661,7 @@ def dual_anyonic(p):
         return {i + j: root_of_unity(p, -i * j) * q_binomial(i + j, i, xi)}
 
     A = StructureConstantAlgebra(
-        signature=("dual_anyonic", p), N=p, scalar_order=p,
+        signature=("dual_anyonic", p), N=p,
         basis=basis,
         degrees=tuple((-i) % p for i in basis),
         labels=tuple("e_%d" % i for i in basis),
@@ -689,8 +685,7 @@ def d_a_mu(p, mu):
     xz_rule.append((root_of_unity(p, 1 - mu), gword))
     xz_rule.append((-1, ()))
     pres = Presentation(
-        N=p, scalar_order=p,
-        gens=("z", "g", "x"), degrees=(p - 1, 0, 1),
+        N=p, gens=("z", "g", "x"), degrees=(p - 1, 0, 1),
         bounds=(p, p, p), power_rhs=(0, 1, 0),
         straighten={
             (g, z): ((xi ** -1, ((z, 1), (g, 1))),),
@@ -714,8 +709,7 @@ def uqsl2(p):
     q = xi ** m
     F, K, E = 0, 1, 2
     pres = Presentation(
-        N=p, scalar_order=p,
-        gens=("F", "K", "E"), degrees=(p - 1, 0, 1),
+        N=p, gens=("F", "K", "E"), degrees=(p - 1, 0, 1),
         bounds=(p, p, p), power_rhs=(0, 1, 0),
         straighten={
             (K, F): ((q ** -2, ((F, 1), (K, 1))),),

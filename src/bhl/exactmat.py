@@ -77,9 +77,6 @@ class Mat:
     def __getitem__(self, key):
         return self.data.get(key, 0)
 
-    def col_dict(self, j):
-        return {i: v for (i, jj), v in self.data.items() if jj == j}
-
     def is_zero(self):
         return not self.data
 

@@ -558,8 +558,7 @@ class AntiTwist:
                                + 2 * c * i * j) % N == 0:
                     continue
                 lhs = values[(i + j) % N]
-                # omega(i,j)^-1 by lookup: for composite N, zeta^k with
-                # k >= phi(N) is no monomial and would take a general solve
+                # omega(i,j)^-1 = zeta^(-2cij)
                 rhs = root_of_unity(N, -2 * c * i * j) * values[i] * values[j]
                 if lhs != rhs:
                     raise ValueError(

@@ -122,7 +122,6 @@ def braided_tensor_algebra(A, B, chi):
     return StructureConstantAlgebra(
         signature=("braided_tensor", A.signature, B.signature, chi.N, chi.c),
         N=A.N,
-        scalar_order=A.scalar_order,
         basis=basis,
         degrees=degrees,
         labels=labels,

@@ -20,9 +20,10 @@ and divides by Phi_N, keeping per order only phi(N) and the nonzero terms
 of Phi_N.  A monomial c*zeta^k times x is c*x rotated by k in a length-N
 vector; two general elements are convolved over their nonzero coordinates.
 
-Inverses: a monomial c*zeta^k inverts in closed form as c^-1 * zeta^(N-k);
-any other element by a fraction-free integer solve (Bareiss) against its
-multiplication matrix.
+Inverses: x^-1 = y / (x*y) for a product y of Galois conjugates of x with
+x*y rational.  The conjugate sigma_-1(x) alone does for c*zeta^k, and
+every other element takes the product over all conjugates but x, so that
+x*y is the norm of x.
 
 Also provides the q-combinatorics used throughout: q-integers (n)_xi,
 q-factorials, Gaussian binomials, the balanced quantum integers [n]_q, and
@@ -250,21 +251,25 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse: by lookup for a monomial c*zeta^k,
-        otherwise by solving num * y = 1 over the integers."""
-        num = self.num
-        support = [k for k, v in enumerate(num) if v]
-        if not support:
+        """Multiplicative inverse by the norm identity
+        x^-1 = prod_{sigma != id} sigma(x) / N(x) (Washington,
+        *Introduction to Cyclotomic Fields*, GTM 83, ch. 2).
+
+        y starts as sigma_-1(x); when x*y is already rational, as for every
+        c*zeta^k, that is the inverse's numerator.  Otherwise y takes every
+        other conjugate sigma_k(x), k != 1 a unit mod N, and x*y = N(x).
+        Q(zeta_N) is Q or a CM field, so x*y is a positive rational.
+        """
+        if not any(self.num):
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        if len(support) == 1:
-            # (c zeta^k)^-1 = c^-1 zeta^(N-k), and c^-1 = den / num[k]
-            k = support[0]
-            c, den = num[k], self.den
-            if c < 0:
-                c, den = -c, -den
-            vec = [0] * (-k % self.order) + [den]
-            return _reduced(self.order, _reduce(self.order, vec), c)
-        return _inverse_general(self)
+        y = _conjugate(self, -1)
+        norm = self * y
+        if any(norm.num[1:]):
+            for k in range(2, self.order - 1):
+                if gcd(k, self.order) == 1:
+                    y = y * _conjugate(self, k)
+            norm = self * y
+        return _scaled(y, norm.den, norm.num[0])
 
     def __truediv__(self, other):
         if isinstance(other, Cyclotomic):
@@ -375,42 +380,18 @@ def _shifted(x, n, m):
     return _reduced(x.order, vec, den * la)
 
 
-def _inverse_general(x):
-    """x^-1 for an x with at least two nonzero coordinates.
+def _conjugate(x, k):
+    """sigma_k(x), the image of x under zeta -> zeta^k, for a unit k mod N.
 
-    Solves M y = e_0, where column j of the integer matrix M holds the
-    coordinates of num * zeta^j, by Bareiss's fraction-free Gauss-Jordan
-    elimination (Bareiss 1968): each step cross-multiplies by the pivot and
-    divides exactly by the previous pivot, so every entry stays a minor of
-    M.  Every diagonal entry ends equal to the last pivot D, so num^-1 has
-    coordinates b_i / D and x^-1 = den * num^-1.  A step updates only the
-    columns right of its pivot, as the others are not read again.
+    sigma_k maps Z[zeta] onto itself, so the coordinates stay coprime to
+    x.den and the result is canonical.
     """
-    num, den = x.num, x.den
-    d = len(num)
-    rows = [[0] * (d + 1) for _ in range(d)]
-    rows[0][d] = 1
-    col = list(num)
-    for j in range(d):
-        for i in range(d):
-            rows[i][j] = col[i]
-        col = _reduce(x.order, [0] + col)  # num * zeta^(j+1)
-    prev = 1
-    for k in range(d):
-        if not rows[k][k]:  # M is invertible, so some later row has a pivot
-            p = next(i for i in range(k + 1, d) if rows[i][k])
-            rows[k], rows[p] = rows[p], rows[k]
-        prow = rows[k]
-        pk, tail = prow[k], prow[k + 1:]
-        for i in range(d):
-            if i != k:
-                r = rows[i]
-                f = r[k]
-                r[k + 1:] = [(pk * a - f * b) // prev for a, b in zip(r[k + 1:], tail)]
-        prev = pk
-    if prev < 0:
-        prev, den = -prev, -den
-    return _reduced(x.order, [den * r[d] for r in rows], prev)
+    order = x.order
+    vec = [0] * order
+    for j, v in enumerate(x.num):
+        if v:
+            vec[j * k % order] += v
+    return _make(order, tuple(_reduce(order, vec)), x.den)
 
 
 def power(base, e: int, one, mul=operator.mul):

@@ -6,15 +6,17 @@ presented algebra, an AydModule read as a d_a_mu module, the trivial
 AydModule (the control for verify_ayd, varsigma_H and to_uqsl2), the
 braided-module map E, the inverse of a graded map by elimination, a
 printer for DSL scripts, kernel dimensions of powers of 1 - a acting
-on an algebra, and the regular AydModule by conjugating left
-multiplication into the g-eigenbasis; the structure maps of a Hopf
-structure and the induced linear map of an algebra morphism, each built
-from generator powers rather than by PresentedAlgebra.extend; normal
-forms by rewriting the first violation of the whole word, rather than by
-memoised generator actions, and the product of an algebra with one such
-normal form per pair of basis elements, with the associativity and Hopf
-laws checked on every pair or triple of basis elements rather than on
-generator rows; Gauss-Jordan elimination that scans every row for
+on an algebra, the center as kernels restricted one generator at a
+time rather than one kernel of every generator stacked, and the regular
+AydModule by conjugating left multiplication into the g-eigenbasis; the
+structure maps of a Hopf structure and the induced linear map of an
+algebra morphism, each built from generator powers rather than by
+PresentedAlgebra.extend; normal forms by rewriting the first violation
+of the whole word, rather than by memoised generator actions, and the
+product of an algebra with one such normal form per pair of basis
+elements, with the associativity and Hopf laws checked on every pair
+or triple of basis elements rather than on generator rows;
+Gauss-Jordan elimination that scans every row for
 each pivot and target, rather than through a column index; S^2 on the
 generators read from the matrix S @ S, rather than by applying the
 antipode twice; and the stable witnesses of the twisted lines by scanning
@@ -196,6 +198,19 @@ def kernel_dims(A, a, powers):
     of the algebra A."""
     u = A.unit() - a
     return [A.left_mult_operator(u ** k).nullity() for k in powers]
+
+
+def center_by_restriction(A):
+    """Basis of the center of A as columns, the joint kernel of
+    ad(g) = L_g - R_g taken one generator at a time: each kernel is found
+    on the span the earlier generators left, rather than stacking every
+    ad(g) into one matrix."""
+    space = Mat.identity(A.dim)
+    for _, g in A.generators():
+        ad = A.left_mult_operator(g) - A.right_mult_operator(g)
+        space = space * from_cols(space.cols, (ad * space).kernel_basis())
+    return [{i: v for (i, jj), v in space.data.items() if jj == j}
+            for j in range(space.cols)]
 
 
 
@@ -497,10 +512,13 @@ def hopf_checks_by_pairs(H):
 def square_antipode_by_matrix(H):
     """repr of S^2 on each generator, read from a column of H.S @ H.S."""
     s2 = H.S @ H.S
-    return [{"generator": name, "square_antipode_image": repr(
-                H.algebra.element_from_column(
-                    s2.mat.col_dict(H.algebra.index[next(iter(el.terms))])))}
-            for name, el in H.algebra.generators()]
+    out = []
+    for name, el in H.algebra.generators():
+        col = H.algebra.index[next(iter(el.terms))]
+        image = {i: v for (i, j), v in s2.mat.data.items() if j == col}
+        out.append({"generator": name, "square_antipode_image": repr(
+            H.algebra.element_from_column(image))})
+    return out
 
 
 def stable_witnesses_by_pairs(N, c):

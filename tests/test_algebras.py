@@ -19,13 +19,14 @@ from bhl.algebras import (
     taft,
     uqsl2,
 )
-from bhl.exactmat import Mat
+from bhl.exactmat import Mat, from_cols
 from bhl.graded import Bicharacter
 from bhl.hopf import braided_tensor_algebra
 from bhl.report import FAIL, PASS
 from bhl.scalars import q_factorial, q_int, root_of_unity
 from oracle import (
     associativity_by_triples,
+    center_by_restriction,
     induced_map_by_power_table,
     kernel_dims,
     mult_map_by_pairs,
@@ -149,7 +150,7 @@ def broken_unit_algebra():
         return {i + j: 3 if (i, j) == (0, 2) else 1}
 
     return StructureConstantAlgebra(
-        signature=("broken",), N=3, scalar_order=1, basis=(0, 1, 2),
+        signature=("broken",), N=3, basis=(0, 1, 2),
         degrees=(0, 1, 2), labels=("1", "e_1", "e_2"), unit_mono=0,
         pair_rule=rule, generator_monos=(("e_1", 1),))
 
@@ -296,7 +297,7 @@ def test_generation_premise():
     rule = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
             (2, 0): {2: 1}, (1, 1): {2: 1}, (1, 2): {2: 1}}
     A = StructureConstantAlgebra(
-        signature=("skew",), N=1, scalar_order=1, basis=(0, 1, 2),
+        signature=("skew",), N=1, basis=(0, 1, 2),
         degrees=(0, 0, 0), labels=("1", "a", "b"), unit_mono=0,
         pair_rule=lambda i, j: rule.get((i, j), {}),
         generator_monos=(("b", 2),))
@@ -374,6 +375,23 @@ def test_center_and_kernel_dims():
     # 1 - K is invertible on nothing trivial: ker grows with powers until stable
     dims = kernel_dims(A, A.gen("K"), [1, 27])
     assert dims[0] <= dims[1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: uqsl2(3), lambda: uqsl2(5), lambda: taft(3), lambda: d_a_mu(3, 1)],
+    ids=["uqsl2(3)", "uqsl2(5)", "taft(3)", "d_a_mu(3,1)"])
+def test_center_matches_the_restricted_chain(build):
+    # one kernel of all ad(g) stacked spans what the kernels restricted one
+    # generator at a time span
+    A = build()
+    center = A.compute_center()
+    for c in center:
+        for _, g in A.generators():
+            assert c * g == g * c
+    cols = [c.as_column() for c in center]
+    want = center_by_restriction(A)
+    assert len(cols) == len(want)
+    assert from_cols(A.dim, cols + want).rank() == len(want)
 
 
 def test_morphism_nilline_to_dual_anyonic():

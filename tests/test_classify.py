@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import bhl
+from bhl.algebras import is_prime
 from bhl.classify import (
     CayleyGroup,
     classify_braided,
@@ -295,6 +296,13 @@ def test_packet_tables_script_runs():
     proc = run_script("packet_tables.py", "--all-c")
     assert proc.returncode == 0, proc.stderr
     assert "!!" not in proc.stdout
+    # the eta kernel at a prime N: the N arrows with y = 0, and one arrow
+    # for each y != 0
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    prime_rows = [r for r in rows if is_prime(int(r[0]))]
+    assert {int(r[0]) for r in prime_rows} == {2, 3, 5, 7}
+    for r in prime_rows:
+        assert int(r[2]) == 2 * int(r[0]) - 1, r
 
 
 # ---------------------------------------------------------------------------

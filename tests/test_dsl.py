@@ -345,7 +345,8 @@ def test_hopf_corpus_passes_for_other_primes():
 
 
 def _columns(f):
-    return [f.mat.col_dict(j) for j in range(f.source.dim)]
+    return [{i: v for (i, jj), v in f.mat.data.items() if jj == j}
+            for j in range(f.source.dim)]
 
 
 def materialise(expr, env):

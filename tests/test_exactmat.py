@@ -75,7 +75,7 @@ def test_rref_shape_and_pivots():
 def test_from_cols_and_stack():
     cols = [{0: 1, 2: 3}, {1: Fraction(1, 2)}]
     m = from_cols(3, cols)
-    assert m.col_dict(0) == {0: 1, 2: 3}
+    assert m.data == {(0, 0): 1, (2, 0): 3, (1, 1): Fraction(1, 2)}
 
 
 def test_diagonal_and_pow():

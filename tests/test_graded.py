@@ -263,7 +263,8 @@ def test_map_json_round_trippable_entries():
 
 
 def dense_columns(f):
-    return [f.mat.col_dict(j) for j in range(f.source.dim)]
+    return [{i: v for (i, jj), v in f.mat.data.items() if jj == j}
+            for j in range(f.source.dim)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -86,7 +86,7 @@ def test_braided_square_is_associative(p):
 def test_square_with_unit_algebra_is_the_algebra():
     A = anyonic_line(3)
     triv = PresentedAlgebra(
-        Presentation(N=3, scalar_order=3, gens=(), degrees=(), bounds=(),
+        Presentation(N=3, gens=(), degrees=(), bounds=(),
                      power_rhs=(), straighten={}),
         signature=("unit_algebra", 3),
     )
@@ -105,7 +105,7 @@ def test_braiding_is_algebra_iso_between_twisted_squares():
     chi = Bicharacter(p, 1)
     A = anyonic_line(p)
     B = PresentedAlgebra(
-        Presentation(N=p, scalar_order=p, gens=("y",), degrees=(2,),
+        Presentation(N=p, gens=("y",), degrees=(2,),
                      bounds=(p,), power_rhs=(0,), straighten={}),
         signature=("line_y", p),
     )
@@ -269,7 +269,7 @@ def skew_taft(p, s):
     associative, since (x*g^(p-1))*g = s^p*x but x*(g^(p-1)*g) = x."""
     g, x = 0, 1
     return PresentedAlgebra(Presentation(
-        N=1, scalar_order=p, gens=("g", "x"), degrees=(0, 0),
+        N=1, gens=("g", "x"), degrees=(0, 0),
         bounds=(p, p), power_rhs=(1, 0),
         straighten={(x, g): ((s, ((g, 1), (x, 1))),)}),
         signature=("skew_taft", p, s))

@@ -1,18 +1,20 @@
 import operator
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bhl.scalars
 from bhl.algebras import taft
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
 from bhl.scalars import (
     Cyclotomic,
     OrderMismatchError,
+    _conjugate,
     balanced_q_factorial,
     balanced_q_int,
     cyclotomic_polynomial,
@@ -304,6 +306,37 @@ def test_inverse_is_exact(x):
         _same(x ** -2, _ref_mul(inv, inv))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(
+    lambda n: st.tuples(cyclo(n), cyclo(n), st.sampled_from(
+        [k for k in range(1, n + 1) if gcd(k, n) == 1]))))
+def test_conjugate_is_the_field_automorphism(args):
+    # zeta -> zeta^k, additive and multiplicative, and canonical: _same
+    # compares against the public constructor's normal form
+    a, b, k = args
+    n = a.order
+    _same(_conjugate(root_of_unity(n), k), root_of_unity(n, k))
+    _same(_conjugate(a + b, k), _ref_add(_conjugate(a, k), _conjugate(b, k)))
+    _same(_conjugate(_ref_mul(a, b), k),
+          _ref_mul(_conjugate(a, k), _conjugate(b, k)))
+
+
+@pytest.mark.parametrize("order", [12, 60, 105])
+def test_roots_of_unity_invert_by_one_conjugate(order, monkeypatch):
+    # zeta^k with k >= phi(N) is no monomial on the power basis, yet
+    # zeta^k * sigma_-1(zeta^k) = 1 already, as for every c*zeta^k
+    calls = []
+
+    def spy(x, k):
+        calls.append(k)
+        return _conjugate(x, k)
+    monkeypatch.setattr(bhl.scalars, "_conjugate", spy)
+    for k in range(order):
+        calls.clear()
+        _same(root_of_unity(order, k).inverse(), root_of_unity(order, -k))
+        assert calls == [-1]
+
+
 def _zeta(order):
     """zeta_order written out with the public constructor."""
     if euler_phi(order) > 1:
@@ -425,8 +458,8 @@ def test_field_operations_match_sympy(args):
 
 @pytest.mark.parametrize("order", LARGER_ORDERS)
 def test_field_operations_match_sympy_at_larger_orders(order):
-    # a few fixed random elements: an inverse at degree 48 is a 48 x 48
-    # integer solve, too slow for many hypothesis examples
+    # a few fixed random elements: an inverse at degree 48 is a product of
+    # 47 Galois conjugates, too slow for many hypothesis examples
     rng = random.Random(order)
     d = euler_phi(order)
     for _ in range(3):
