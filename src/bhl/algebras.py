@@ -425,14 +425,17 @@ class FiniteDimAlgebra:
 
     def compute_center(self):
         """Basis of the center: the kernel of ad(g) = L_g - R_g for all
-        generators g at once, stacked into one matrix."""
+        generators g at once, stacked into one matrix, sparsest first so
+        that its short rows pivot their columns out before the denser
+        ad(g) fill in."""
         check_guard(self.dim, "center computation")
         n, gens = self.dim, self.generators()
         ads = (self.left_mult_operator(g) - self.right_mult_operator(g)
                for _, g in gens)
         stacked = Mat(len(gens) * n, n, {
             (t * n + i, j): v
-            for t, ad in enumerate(ads) for (i, j), v in ad.data.items()})
+            for t, ad in enumerate(sorted(ads, key=lambda ad: len(ad.data)))
+            for (i, j), v in ad.data.items()})
         return [self.element_from_column(col) for col in stacked.kernel_basis()]
 
 

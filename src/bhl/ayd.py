@@ -327,9 +327,10 @@ def ribbon_centrality_checks(p):
 
 
 def ribbon_prefactor(p, mu):
-    """The scalar q^{m(mu^2 - 1)} relating varsigma and the v_0-action."""
-    U = uqsl2(p)
-    return U.q ** (U.m * ((mu % p) * (mu % p) - 1))
+    """The scalar q^{m(mu^2 - 1)} relating varsigma and the v_0-action,
+    with q = xi^m and m = (p - 1)/2 as in uqsl2(p)."""
+    m = (p - 1) // 2
+    return root_of_unity(p, m * m * (mu * mu - 1))
 
 
 def verify_ribbon_identity(p, mu):

@@ -15,6 +15,7 @@ with run(p) -> checks, built from steps (parameter values, producer, ...).
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import time
@@ -24,6 +25,7 @@ from .algebras import (
     algebra_morphism,
     check_guard,
     d_a_mu,
+    dim_guard,
     dual_anyonic,
     induced_linear_map,
     is_prime,
@@ -693,6 +695,11 @@ def _command(args):
 def _validate(args):
     """Reject parameter values the builders cannot take, as usage errors."""
     command = _command(args)
+    try:
+        dim_guard()
+    except ValueError:
+        raise UsageError("BHL_DIM_GUARD must be an integer, got %r"
+                         % os.environ["BHL_DIM_GUARD"]) from None
     if getattr(args, "module", None) is not None:
         for flag in ("p", "mu"):
             if getattr(args, flag) is not None:

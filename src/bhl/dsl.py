@@ -508,7 +508,7 @@ class Environment:
     def __init__(self, N, c=1, mu=0):
         self.chi = Bicharacter(N, c)
         # sigma_mu(i) = zeta^(-c i^2 - mu i)
-        self.sigma = AntiTwist.with_parameter(self.chi, -mu)
+        self.sigma = AntiTwist(self.chi, -mu)
         self.objects = {}
         self.gens = {}
 
@@ -665,4 +665,7 @@ def check_script(stmts, env):
 
 
 def check_text(text, env):
-    return check_script(parse(text), env)
+    try:
+        return check_script(parse(text), env)
+    except RecursionError:
+        raise DslError("expression nested too deeply") from None

@@ -27,7 +27,7 @@ import math
 import operator
 
 from .exactmat import Mat
-from .scalars import format_scalar, power, root_exponent, root_of_unity
+from .scalars import format_scalar, power, root_of_unity
 
 
 class Bicharacter:
@@ -538,61 +538,31 @@ def twist_theta(V: GradedSpace, chi: Bicharacter) -> GradedMap:
 
 
 class AntiTwist:
-    """Degree-wise scalars with sigma(i+j) = omega(i,j)^(-1) sigma(i) sigma(j)."""
+    """The anti-twist sigma lambda_t of (Vec_{Z/N}, chi), stored by chi and
+    parameter = t mod N: degree i has the scalar zeta^(-c i^2 + t i).
 
-    __slots__ = ("chi", "values")
+    Every such sigma satisfies sigma(i+j) = omega(i,j)^(-1) sigma(i) sigma(j)
+    with omega(i,j) = zeta^(2cij), since -c(i+j)^2 = -ci^2 - cj^2 - 2cij and
+    t(i+j) = ti + tj.  Every anti-twist is one of these: for nonzero s
+    satisfying the law, i |-> s(i) zeta^(c i^2) is a character of Z/N, so it
+    is some lambda_t(i) = zeta^(t i).
+    """
 
-    def __init__(self, chi: Bicharacter, values):
-        values = tuple(values)
-        N, c = chi.N, chi.c
-        if len(values) != N:
-            raise ValueError("need one scalar per degree 0..N-1")
-        # When every value is a power zeta^e, the law at (i, j) is
-        # e(i+j) = e(i) + e(j) - 2cij mod N; only a pair where that fails,
-        # or values that are not such powers, are compared in the field.
-        exps = [root_exponent(v, N) for v in values]
-        powers = None not in exps
-        for i in range(N):
-            for j in range(N):
-                if powers and (exps[(i + j) % N] - exps[i] - exps[j]
-                               + 2 * c * i * j) % N == 0:
-                    continue
-                lhs = values[(i + j) % N]
-                # omega(i,j)^-1 = zeta^(-2cij)
-                rhs = root_of_unity(N, -2 * c * i * j) * values[i] * values[j]
-                if lhs != rhs:
-                    raise ValueError(
-                        "anti-twist law fails at (%d,%d): %s != %s"
-                        % (i, j, lhs, rhs)
-                    )
+    __slots__ = ("chi", "parameter")
+
+    def __init__(self, chi: Bicharacter, t: int):
         self.chi = chi
-        self.values = values
-
-    @staticmethod
-    def with_parameter(chi: Bicharacter, t: int):
-        """Canonical anti-twist times the character lambda_t(i) = zeta^(t i)."""
-        return AntiTwist(
-            chi, [root_of_unity(chi.N, -chi.c * i * i + t * i) for i in range(chi.N)]
-        )
-
-    @property
-    def parameter(self):
-        """The t with self = canonical * lambda_t."""
-        for t in range(self.chi.N):
-            if all(self.values[i] == root_of_unity(self.chi.N, -self.chi.c * i * i + t * i)
-                   for i in range(self.chi.N)):
-                return t
-        raise ValueError("anti-twist is not of the form canonical * character")
+        self.parameter = t % chi.N
 
     def __call__(self, degree):
-        return self.values[degree % self.chi.N]
+        return self.chi._root(degree * (self.parameter - self.chi.c * degree))
 
     def __eq__(self, other):
-        return (isinstance(other, AntiTwist)
-                and self.chi == other.chi and self.values == other.values)
+        return (isinstance(other, AntiTwist) and self.chi == other.chi
+                and self.parameter == other.parameter)
 
     def __hash__(self):
-        return hash((self.chi, self.values))
+        return hash((self.chi, self.parameter))
 
     def __repr__(self):
         return "AntiTwist(N=%d, c=%d, t=%d)" % (self.chi.N, self.chi.c, self.parameter)

@@ -148,16 +148,16 @@ def tensor_pair(TA, a, b):
 class HopfData:
     """An algebra together with candidate Hopf structure maps as matrices.
 
-    Fields: algebra, chi, tensor_algebra (the braided square), space, and
-    the five structure maps m: H(x)H -> H, u: I -> H, Delta: H -> H(x)H,
-    eps: H -> I, S: H -> H, all shift-0 GradedMaps.  The generator images
-    the maps were extended from are kept in coproducts / counits /
-    antipodes (keyed by generator name).
+    Fields: algebra, chi, tensor_algebra (the braided square, built by
+    _hopf_square after the dimension guard), space, and the five structure
+    maps m: H(x)H -> H, u: I -> H, Delta: H -> H(x)H, eps: H -> I,
+    S: H -> H, all shift-0 GradedMaps.  The generator images the maps were
+    extended from are kept in coproducts / counits / antipodes (keyed by
+    generator name).
     """
 
     def __init__(self, algebra, chi, tensor_algebra, coproducts, counits,
                  antipodes):
-        check_guard(algebra.dim, "Hopf structure")
         self.algebra = algebra
         self.chi = chi
         self.tensor_algebra = tensor_algebra
@@ -200,6 +200,13 @@ class HopfData:
         return out
 
 
+def _hopf_square(algebra, chi):
+    """braided_tensor_algebra(algebra, algebra, chi), after the dimension
+    guard on algebra: the square lists dim^2 basis pairs."""
+    check_guard(algebra.dim, "Hopf structure")
+    return braided_tensor_algebra(algebra, algebra, chi)
+
+
 def build_hopf(algebra, chi, coproducts, counits, antipodes):
     """Assemble HopfData from generator images.
 
@@ -207,7 +214,7 @@ def build_hopf(algebra, chi, coproducts, counits, antipodes):
     (anything accepted by tensor_pair works); counits: name -> scalar;
     antipodes: name -> element of A.
     """
-    TA = braided_tensor_algebra(algebra, algebra, chi)
+    TA = _hopf_square(algebra, chi)
     fixed = {}
     for name, img in coproducts.items():
         if isinstance(img, AlgebraElement) and img.algebra.signature == TA.signature:
@@ -230,7 +237,7 @@ def anyonic_hopf(p, c=1):
     """
     A = anyonic_line(p)
     chi = Bicharacter(p, c)
-    TA = braided_tensor_algebra(A, A, chi)
+    TA = _hopf_square(A, chi)
     x = A.gen("x")
     one = A.unit()
     dx = tensor_pair(TA, x, one) + tensor_pair(TA, one, x)
@@ -245,7 +252,7 @@ def taft_hopf(p):
     """
     A = taft(p)
     chi = Bicharacter(1, 0)
-    TA = braided_tensor_algebra(A, A, chi)
+    TA = _hopf_square(A, chi)
     g, x = A.gen("g"), A.gen("x")
     one = A.unit()
     cop = {

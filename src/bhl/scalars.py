@@ -419,26 +419,6 @@ def root_of_unity(order: int, k: int = 1) -> Cyclotomic:
     return _make(order, tuple(_reduce(order, [0] * (k % order) + [1])), 1)
 
 
-_ROOT_INDEX: dict[int, dict[tuple[int, ...], int]] = {}
-
-
-def root_exponent(value, order: int):
-    """The k in 0 .. order-1 with value == zeta_order^k, or None."""
-    if isinstance(value, Cyclotomic) and not value.is_rational():
-        if value.order != order or value.den != 1:
-            return None
-        index = _ROOT_INDEX.get(order)
-        if index is None:
-            index = _ROOT_INDEX[order] = {
-                root_of_unity(order, k).num: k for k in range(order)}
-        return index.get(value.num)
-    if value == 1:
-        return 0
-    if value == -1 and order % 2 == 0:
-        return order // 2
-    return None
-
-
 def in_field(value, order: int) -> bool:
     """Whether a parsed scalar lies in Q(zeta_order) as stored here: an
     int, a Fraction, a rational Cyclotomic, or a Cyclotomic of that order."""

@@ -541,7 +541,7 @@ def eta_arrows_by_anti_twists(N, c):
     chi = Bicharacter(N, c)
     arrows = []
     for t in range(N):
-        sig = AntiTwist.with_parameter(chi, t)
+        sig = AntiTwist(chi, t)
         for y in range(N):
             val = chi.omega(y, y) * sig(y)
             arrows.append({"y": y, "source": t,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import bhl
 from bhl import ayd
-from bhl.algebras import DimensionGuardError, PresentedAlgebra
+from bhl.algebras import DimensionGuardError, PresentedAlgebra, uqsl2
 from bhl.ayd import (
     AydModule,
     ayd_module_from_json,
@@ -326,6 +326,17 @@ def test_ribbon_prefactors():
     fam = verify_ribbon_family(3)
     assert all_pass(fam)
     assert fam[-1]["name"] == "prefactor_depends_only_on_mu_squared"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_ribbon_prefactor_is_the_power_of_q(p):
+    # the power q^{m(mu^2 - 1)} read off uqsl2(p) itself
+    U = uqsl2(p)
+    for mu in range(-p, 2 * p):
+        ref = U.q ** (U.m * ((mu % p) * (mu % p) - 1))
+        got = ribbon_prefactor(p, mu)
+        assert type(got) is type(ref) and repr(got) == repr(ref)
+        assert got.order == ref.order
 
 
 # ---------------------------------------------------------------------------

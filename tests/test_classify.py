@@ -63,9 +63,9 @@ def test_character_table_group_structure(N):
 @pytest.mark.parametrize("N,c", [(2, 1), (3, 1), (4, 1), (5, 2), (6, 1)])
 def test_anti_twists_satisfy_law(N, c):
     chi = Bicharacter(N, c)
-    twists = [AntiTwist.with_parameter(chi, t) for t in range(N)]
+    twists = [AntiTwist(chi, t) for t in range(N)]
     assert len(twists) == N
-    assert len({t.values for t in twists}) == N
+    assert len({tuple(t(i) for i in range(N)) for t in twists}) == N
     for sig in twists:
         for i in range(N):
             for j in range(N):
@@ -74,18 +74,18 @@ def test_anti_twists_satisfy_law(N, c):
 
 def test_anti_twist_parameter_matches_mu_form():
     chi = Bicharacter(5, 1)
-    twists = [AntiTwist.with_parameter(chi, t) for t in range(5)]
+    twists = [AntiTwist(chi, t) for t in range(5)]
     for t in range(5):
-        assert twists[t] == AntiTwist(
-            chi, [root_of_unity(5, -i * i + t * i) for i in range(5)])
+        assert [twists[t](i) for i in range(5)] == [
+            root_of_unity(5, -i * i + t * i) for i in range(5)]
 
 
 def test_n2_second_anti_twist_is_trivial():
     # sigma(x) lambda_1(x) = (-1)^(x^2 - x) = 1 for both degrees
     chi = Bicharacter(2, 1)
-    twists = [AntiTwist.with_parameter(chi, t) for t in range(2)]
-    assert all(v == 1 for v in twists[1].values)
-    assert not all(v == 1 for v in twists[0].values)
+    twists = [AntiTwist(chi, t) for t in range(2)]
+    assert all(twists[1](i) == 1 for i in range(2))
+    assert not all(twists[0](i) == 1 for i in range(2))
 
 
 # ---------------------------------------------------------------------------

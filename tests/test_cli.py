@@ -342,6 +342,16 @@ def test_bad_parameters_exit_2_with_one_line(argv, message, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1e3"])
+def test_a_guard_that_is_not_an_integer_is_a_usage_error(value, monkeypatch,
+                                                         capsys):
+    monkeypatch.setenv("BHL_DIM_GUARD", value)
+    code, out, err = run_cli(["stable-dim", "--p", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: BHL_DIM_GUARD must be an integer, got %r\n" % value
+
+
 def test_hopf_guard_skips_taft_only(monkeypatch, capsys):
     monkeypatch.setenv("BHL_DIM_GUARD", "20")
     code, report = run_json(["verify", "hopf-axioms", "--p", "5"], capsys)
@@ -461,6 +471,22 @@ def test_dsl_entry_outside_the_field_fails_script_loads(tmp_path, capsys):
     assert first["name"] == "script loads"
     assert "generator 'f': entry q(3,1) is not in Q(zeta_5)" in \
         first["witnesses"][0]["error"]
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 3000 + "id[V]" + ")" * 3000,
+    " ; ".join(["id[V]"] * 3000),
+], ids=["parentheses", "composite"])
+def test_a_too_deeply_nested_expression_fails_script_loads(expr, tmp_path,
+                                                           capsys):
+    script = tmp_path / "deep.bdsl"
+    script.write_text("let V = obj { deg 0: 1 }\nassert %s == id[V]\n" % expr)
+    code, out, err = run_cli(["dsl", "check", str(script), "--format",
+                              "json"], capsys)
+    assert code == 1 and "Traceback" not in err
+    (only,) = json.loads(out)["checks"]
+    assert (only["name"], only["status"]) == ("script loads", "FAIL")
+    assert only["witnesses"] == [{"error": "expression nested too deeply"}]
 
 
 @pytest.mark.parametrize("text, tripped", [

@@ -1,4 +1,4 @@
-import random
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -146,7 +146,7 @@ def test_twist_and_anti_twist_laws(args):
     tau2 = braiding(W, V, chi) @ braiding(V, W, chi)
     assert twist_theta(VW, chi) == tau2 @ tensor_map(twist_theta(V, chi), twist_theta(W, chi))
     for t in range(N):
-        s = AntiTwist.with_parameter(chi, t)
+        s = AntiTwist(chi, t)
         lhs = anti_twist(VW, s)
         rhs = inverse(tau2) @ tensor_map(anti_twist(V, s), anti_twist(W, s))
         assert lhs == rhs
@@ -154,19 +154,20 @@ def test_twist_and_anti_twist_laws(args):
 
 def test_anti_twist_values():
     chi3 = Bicharacter(3, 1)
-    s0 = AntiTwist.with_parameter(chi3, 0)
+    s0 = AntiTwist(chi3, 0)
     assert s0(0) == 1 and s0(1) == root_of_unity(3, -1)
     # theta * canonical = id
     V = GradedSpace(3, (0, 1, 2))
     assert twist_theta(V, chi3) @ anti_twist(V, s0) == GradedMap.identity(V)
     chi2 = Bicharacter(2, 1)
-    s1 = AntiTwist.with_parameter(chi2, -1)
+    s1 = AntiTwist(chi2, -1)
     assert s1(1) == 1  # trivial anti-twist on Z/2
     assert s1.parameter == 1
-    assert AntiTwist.with_parameter(chi3, -2).parameter == 1
-    assert AntiTwist(chi3, [1, 1, root_of_unity(3)]).parameter == 1
-    with pytest.raises(ValueError):
-        AntiTwist(chi3, [1, root_of_unity(3), root_of_unity(3)])
+    assert AntiTwist(chi3, -2).parameter == 1
+    assert AntiTwist(chi3, -2) == AntiTwist(chi3, 1) != AntiTwist(chi3, 0)
+    assert hash(AntiTwist(chi3, -2)) == hash(AntiTwist(chi3, 1))
+    assert AntiTwist(chi3, 0) != AntiTwist(Bicharacter(3, 2), 0)
+    assert repr(AntiTwist(chi3, -2)) == "AntiTwist(N=3, c=1, t=1)"
 
 
 def test_duals_and_zigzags_small():
@@ -198,7 +199,7 @@ def test_zigzag_identities(V):
 def test_braided_module_axioms(args):
     N, c, t, X, Y, M = args
     chi = Bicharacter(N, c)
-    s = AntiTwist.with_parameter(chi, t)
+    s = AntiTwist(chi, t)
     i_x = GradedMap.identity(X)
     i_m = GradedMap.identity(M)
 
@@ -228,7 +229,7 @@ def test_braided_module_axioms(args):
 
 def test_braided_module_examples():
     chi = Bicharacter(3, 1)
-    s0 = AntiTwist.with_parameter(chi, 0)
+    s0 = AntiTwist(chi, 0)
     X0 = GradedSpace(3, (0, 0))
     M = GradedSpace(3, (0, 1, 2))
     assert braided_module_E(X0, M, s0, chi) == GradedMap.identity(tensor(X0, M))
@@ -336,8 +337,9 @@ def test_zero_maps_of_different_shifts_agree():
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 9, 12, 120])
 def test_antitwist_law_lookup_is_the_inverse_of_omega(N):
-    # AntiTwist reads omega(i,j)^-1 as zeta^(-2cij); for composite N the
-    # powers zeta^k with k >= phi(N) are not monomials in the power basis.
+    # the law of AntiTwist reads omega(i,j)^-1 as zeta^(-2cij); for
+    # composite N the powers zeta^k with k >= phi(N) are not monomials in
+    # the power basis.
     for c in {1, N - 1}:
         chi = Bicharacter(N, c)
         inverses = {}
@@ -360,24 +362,29 @@ def _field_law_failure(chi, values):
     return None
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 9])
+@pytest.mark.parametrize("N", range(1, 13))
 def test_antitwist_law_by_exponents_matches_the_field_route(N):
-    # powers of zeta go through exponent arithmetic mod N, other values
-    # (0, 2, a non-root) through field products; both must accept the same
-    # values and reject at the same first pair
-    rng = random.Random(N)
+    # sigma lambda_t(i) = zeta^(-c i^2 + t i), checked against the field
+    # products of the law, not against the exponent identity
+    for c in range(N):
+        chi = Bicharacter(N, c)
+        for t in range(N):
+            s = AntiTwist(chi, t)
+            values = [s(i) for i in range(N)]
+            for i, v in enumerate(values):
+                ref = root_of_unity(N, -c * i * i + t * i)
+                assert type(v) is type(ref) and repr(v) == repr(ref)
+                assert s(i + N) == s(i - N) == v
+            assert _field_law_failure(chi, values) is None
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_every_anti_twist_has_a_parameter(N):
+    # every tuple of N-th roots of unity satisfying the law is sigma lambda_t
     zeta = [root_of_unity(N, k) for k in range(N)]
     for c in range(N):
         chi = Bicharacter(N, c)
-        cases = [[zeta[(-c * i * i + t * i) % N] for i in range(N)]
-                 for t in range(N)]
-        cases += [[rng.choice(zeta) for _ in range(N)] for _ in range(20)]
-        cases += [[0] * N, [1] + [2] * (N - 1), [zeta[-1] + 1] * N]
-        for values in cases:
-            bad = _field_law_failure(chi, values)
-            if bad is None:
-                assert AntiTwist(chi, values).values == tuple(values)
-            else:
-                with pytest.raises(ValueError,
-                                   match=r"fails at \(%d,%d\):" % bad):
-                    AntiTwist(chi, values)
+        solutions = {values for values in itertools.product(zeta, repeat=N)
+                     if _field_law_failure(chi, values) is None}
+        assert solutions == {tuple(AntiTwist(chi, t)(i) for i in range(N))
+                             for t in range(N)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhl import algebras
+from bhl import algebras, hopf
 from bhl.algebras import (
     DimensionGuardError,
     Presentation,
@@ -399,6 +399,21 @@ def test_hopf_data_is_behind_the_dimension_guard(monkeypatch):
     with pytest.raises(DimensionGuardError):
         taft_hopf(5)
     anyonic_hopf(5)
+
+
+def test_hopf_builders_check_the_guard_before_the_square(monkeypatch):
+    # the braided square lists dim^2 basis pairs, so it must not be built
+    # for an algebra the guard rejects
+    def square(*args):
+        raise AssertionError("braided square built before the guard")
+
+    monkeypatch.setenv("BHL_DIM_GUARD", "10")
+    monkeypatch.setattr(hopf, "braided_tensor_algebra", square)
+    for build in (lambda: taft_hopf(5), lambda: anyonic_hopf(11),
+                  lambda: build_hopf(anyonic_line(11), Bicharacter(11), {},
+                                     {}, {})):
+        with pytest.raises(DimensionGuardError, match="Hopf structure"):
+            build()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

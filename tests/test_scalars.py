@@ -26,7 +26,6 @@ from bhl.scalars import (
     q_binomial,
     q_factorial,
     q_int,
-    root_exponent,
     root_of_unity,
 )
 
@@ -366,19 +365,6 @@ def test_parsed_roots_match_the_table_of_powers():
         for k in range(2 * n + 1):
             _same(parse_scalar("q(%d,%d)" % (n, k)), power)
             power = _ref_mul(power, zeta)
-
-
-@pytest.mark.parametrize("order", ORDERS + [6, 9, 10])
-def test_root_exponent_inverts_root_of_unity(order):
-    for k in range(order):
-        assert root_exponent(root_of_unity(order, k), order) == k
-    assert root_exponent(1, order) == 0
-    assert root_exponent(Fraction(-1), order) == \
-        (order // 2 if order % 2 == 0 else None)
-    for other in (0, 2, Fraction(1, 2), 1 + root_of_unity(order) + 1,
-                  root_of_unity(order) / 2, root_of_unity(2 * order + 1)):
-        if other != 1 and other != -1:
-            assert root_exponent(other, order) is None
 
 
 def test_rational_operands_are_not_promoted(monkeypatch):
