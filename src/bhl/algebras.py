@@ -38,11 +38,15 @@ along a search outward from 1 this proves the law on all basis elements,
 given two premises that are checked once per algebra and folded into each
 such check: (g*b)*c = g*(b*c) for g in {1} u G and all basis b, c, and
 every basis element other than 1 is a nonzero multiple of g*b for some g
-in {1} u G and a basis element b reached before it.  For a presented
-algebra, passing them says that the product composed from the L_g is
-associative, the situation of the diamond lemma, in which the normal
+in {1} u G and a basis element b reached before it.  A presented algebra
+takes the first premise, indeed associativity on all triples, from its
+defining relations: when the L_g satisfy every power and straightening
+rule and a*1 = a, evaluation at 1 is a bijection from the algebra they
+generate onto A, so L_a L_b = L_{a*b} (FiniteDimAlgebra._row_premises).
+This is the situation of the diamond lemma, in which the normal
 monomials are a basis (Bergman, "The diamond lemma for ring theory",
-1978).
+1978).  Otherwise, and for a StructureConstantAlgebra, the premise is
+checked on the (|G|+1)*dim^2 generator-row triples.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ import os
 from dataclasses import dataclass
 
 from .exactmat import Mat, from_cols
-from .graded import GradedMap, GradedSpace, diagram, tensor, tensor_diagram
+from .graded import (GradedMap, GradedSpace, diagram, first_difference, tensor,
+                     tensor_diagram)
 from .report import FAIL, PASS, check, map_check
 from .scalars import format_scalar, power, q_binomial, root_of_unity
 
@@ -340,19 +345,41 @@ class FiniteDimAlgebra:
 
     def _row_premises(self):
         """The premises of the generator-row lemma, checked once: the
-        associativity check on generator rows, and the generation witness
-        (None when every basis element is reached from 1)."""
+        associativity check, and the generation witness (None when every
+        basis element is reached from 1).
+
+        Associativity follows when generation holds, the L_g satisfy the
+        defining relations (_relations_hold) and a*1 = a.  Let S be the
+        algebra the L_g generate.  It is a quotient of the presented
+        algebra Q, and the normal monomials span Q, because _act rewrites
+        by the rules of the presentation alone and terminates; so dim S <=
+        dim A.  Generation makes evaluation at 1 map S onto A, so it is a
+        bijection.  L_a, composed along the word of a, lies in S, and so do
+        L_a L_b and L_{a*b}; with a*1 = a both send 1 to a*b, so they are
+        equal, which is associativity.  Otherwise it is checked on
+        generator rows, (g*b)*c = g*(b*c) for g in {1} u G.
+        """
         if self._premises is None:
             iota, _ = self.generator_rows()
             m = diagram(self.mult_map())
             idv = GradedMap.identity(self.graded_space())
-            rows = tensor_diagram(iota, idv, idv)
-            assoc = map_check("associativity",
-                              m @ tensor_diagram(m, idv) @ rows,
-                              m @ tensor_diagram(idv, m) @ rows,
+            unreached = self._unreached(m @ tensor_diagram(iota, idv))
+            if (unreached is None and self._relations_hold()
+                    and first_difference(
+                        m @ tensor_diagram(idv, self.unit_map()), idv) is None):
+                assoc = check("associativity", True,
                               "all %d^3 basis triples" % self.dim)
-            self._premises = assoc, self._unreached(m @ tensor_diagram(iota, idv))
+            else:
+                rows = tensor_diagram(iota, idv, idv)
+                assoc = map_check("associativity",
+                                  m @ tensor_diagram(m, idv) @ rows,
+                                  m @ tensor_diagram(idv, m) @ rows,
+                                  "all %d^3 basis triples" % self.dim)
+            self._premises = assoc, unreached
         return self._premises
+
+    def _relations_hold(self):
+        return False  # no presentation: associativity from generator rows
 
     def _unreached(self, row_products):
         """Search outward from 1: a basis element is reached when it is a
@@ -404,11 +431,12 @@ class FiniteDimAlgebra:
     def verify_associativity(self):
         """m.(m (x) id) = m.(id (x) m) and m.(u (x) id) = id = m.(id (x) u).
 
-        Associativity is checked on generator rows, (g*b)*c = g*(b*c) for
-        g in {1} u G, together with the generation premise of row_check;
-        by induction along the search from 1 the two give it for all
-        dim^3 basis triples.  Unitality is compared one basis input at a
-        time.
+        Associativity is taken from the defining relations, or else
+        checked on generator rows, (g*b)*c = g*(b*c) for g in {1} u G,
+        together with the generation premise of row_check; by induction
+        along the search from 1 the two give it for all dim^3 basis
+        triples (_row_premises).  Unitality is compared one basis input at
+        a time.
         """
         check_guard(self.dim, "associativity sweep")
         assoc, unreached = self._row_premises()
@@ -475,11 +503,29 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
     def _left_operators(self):
         # L_a composes the generator operators along a's word (one normal
-        # form per generator and basis element), not one per basis pair
-        L = self.extend({name: self.left_mult_operator(g)
-                         for name, g in self.generators()},
+        # form per generator and basis element), not one per basis pair;
+        # the L_g are kept for _relations_hold
+        self._gen_ops = [self.left_mult_operator(g)
+                         for _, g in self.generators()]
+        L = self.extend(dict(zip(self.pres.gens, self._gen_ops)),
                         Mat.identity(self.dim), lambda a, b, *_: a * b)
         return [L(ma) for ma in self.basis]
+
+    def _relations_hold(self):
+        """Whether the L_g, built by mult_map, satisfy every power rule,
+        L_g^bound = power_rhs * I, and every straightening rule, L_hi L_lo
+        = sum of s * L_word."""
+        n, pres, L = self.dim, self.pres, self._gen_ops
+
+        def word(w):
+            return functools.reduce(Mat.__mul__, (L[gi] ** e for gi, e in w),
+                                    Mat.identity(n))
+
+        return (all(L[i] ** b == Mat.identity(n).scale(r) for i, (b, r)
+                    in enumerate(zip(pres.bounds, pres.power_rhs)))
+                and all(L[hi] * L[lo] == sum((word(w).scale(s) for s, w in rule),
+                                             Mat.zeros(n, n))
+                        for (hi, lo), rule in pres.straighten.items()))
 
     def extend(self, gen_images, one, times):
         """The memoised map that extends generator images to normal monomials.

@@ -341,6 +341,9 @@ def verify_ribbon_identity(p, mu):
     representation of d_a_mu(p, mu), which is faithful.
     """
     mu %= p
+    # the p^3 module first: its dimension guard trips before uqsl2(p) and
+    # the ribbon element are built
+    M = regular_ayd_module(p, mu)
     U = uqsl2(p)
     q = U.q
     xi = U.xi
@@ -374,7 +377,6 @@ def verify_ribbon_identity(p, mu):
         )
     )
 
-    M = regular_ayd_module(p, mu)
     sigma = varsigma_H(M)
     v0_action = to_uqsl2(M).act(R.v_0)
     checks.append(

@@ -38,8 +38,9 @@ which uses the associativity of A and so of A (x)^tau A (chi is a
 bicharacter, and m is homogeneous).  eps goes the same way, and S also
 uses chi(|g|, |a'| + |b|) chi(|a'|, |b|) = chi(|g a'|, |b|) chi(|g|, |a'|)
 (Majid, *Foundations of Quantum Group Theory*, 1995).  row_check folds
-both premises, associativity on generator rows and generation from 1,
-into each of the three checks, so a failed premise fails them.
+both premises, associativity (from the defining relations, or else on
+generator rows) and generation from 1, into each of the three checks, so
+a failed premise fails them.
 
 Building HopfData goes through the dimension guard (BHL_DIM_GUARD,
 default 350), which admits the Taft algebra up to p = 17 (dimension 289).
@@ -235,6 +236,7 @@ def anyonic_hopf(p, c=1):
     c=0 (the unbraided square) violates multiplicativity of Delta as soon
     as p > 2 and serves as the negative control.
     """
+    check_guard(p, "Hopf structure")
     A = anyonic_line(p)
     chi = Bicharacter(p, c)
     TA = _hopf_square(A, chi)
@@ -250,6 +252,7 @@ def taft_hopf(p):
     Delta(g) = g(x)g, Delta(x) = x(x)1 + g(x)x, eps(g) = 1, eps(x) = 0,
     S(g) = g^{p-1}, S(x) = -g^{p-1} x.
     """
+    check_guard(p * p, "Hopf structure")
     A = taft(p)
     chi = Bicharacter(1, 0)
     TA = _hopf_square(A, chi)

@@ -447,6 +447,22 @@ def test_regular_module_respects_the_guard(monkeypatch):
     assert regular_ayd_module(3, 0).dim == 27
 
 
+def test_ribbon_checks_the_guard_before_building_uqsl2(monkeypatch):
+    # uqsl2(p) and the ribbon element cost far more than the guard check,
+    # so the p^3 module's guard must trip before either is built
+    def built(*args):
+        raise AssertionError("built before the guard")
+
+    monkeypatch.setenv("BHL_DIM_GUARD", "10")
+    monkeypatch.setattr(ayd, "uqsl2", built)
+    monkeypatch.setattr(ayd, "ribbon_element", built)
+    for run in (lambda: verify_ribbon_identity(3, 1),
+                lambda: verify_ribbon_family(3)):
+        with pytest.raises(DimensionGuardError,
+                           match="regular module of d_a_mu"):
+            run()
+
+
 # ---------------------------------------------------------------------------
 # module files
 # ---------------------------------------------------------------------------

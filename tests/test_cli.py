@@ -77,10 +77,12 @@ def test_hopf_axioms_p2(capsys):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("p, guard", [(11, "2000"), (13, "2000"), (17, None)])
+@pytest.mark.parametrize("p, guard", [(11, "2000"), (13, "2000"), (17, None),
+                                      (23, "600")])
 def test_hopf_axioms_scale_probe(monkeypatch, capsys, p, guard):
-    # Taft p = 11 and 13 (dimensions 121 and 169) only pass a raised guard;
-    # p = 17 (dimension 289) is the largest the default guard admits
+    # Taft p = 11, 13 and 23 (dimensions 121, 169 and 529) only pass a
+    # raised guard; p = 17 (dimension 289) is the largest the default guard
+    # admits
     if guard is None:
         monkeypatch.delenv("BHL_DIM_GUARD", raising=False)
     else:

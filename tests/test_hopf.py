@@ -12,7 +12,9 @@ from bhl.algebras import (
     Presentation,
     PresentedAlgebra,
     anyonic_line,
+    d_a_mu,
     taft,
+    uqsl2,
 )
 from bhl.ayd import regular_ayd_module, ribbon_element, to_uqsl2
 from bhl.graded import (
@@ -275,6 +277,18 @@ def skew_taft(p, s):
         signature=("skew_taft", p, s))
 
 
+def skew_taft_x_first(p, s):
+    """skew_taft's rule in the normal order x, g: gx = s*xg.  The L_g
+    satisfy it, but L_g^p is s^(bp) on x^b g^a, so g^p = 1 fails for
+    s^p != 1, and (g^(p-1)*g)*x = x but g^(p-1)*(g*x) = s^p*x."""
+    x, g = 0, 1
+    return PresentedAlgebra(Presentation(
+        N=1, gens=("x", "g"), degrees=(0, 0),
+        bounds=(p, p), power_rhs=(0, 1),
+        straighten={(g, x): ((s, ((x, 1), (g, 1))),)}),
+        signature=("skew_taft_x_first", p, s))
+
+
 def skew_taft_hopf(p):
     """Taft's Hopf structure maps over skew_taft(p, 1/2)."""
     A = skew_taft(p, Fraction(1, 2))
@@ -308,6 +322,58 @@ def test_non_associative_presentation_fails_every_row_law(p):
         assert c["details"] == "premise fails: associativity on generator rows"
         assert c["witnesses"] == [
             dict(witness, premise="associativity on generator rows")]
+
+
+@pytest.mark.parametrize("skew", [skew_taft, skew_taft_x_first])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_failed_relation_falls_back_to_the_row_premise(monkeypatch, skew,
+                                                          p):
+    # xg = gx/2 fails as an identity of the L_g (in the order x, g it is
+    # g^p = 1 that fails), so associativity is checked on generator rows,
+    # which finds the witness
+    A = skew(p, Fraction(1, 2))
+    A.mult_map()
+    assert not A._relations_hold()
+    names = []
+    real = algebras.map_check
+
+    def watched(name, *args, **kwargs):
+        names.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(algebras, "map_check", watched)
+    assoc, _ = A.verify_associativity()
+    assert names[0] == "associativity"
+    assert assoc["status"] == FAIL and assoc["witnesses"][0]["difference"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: taft(3), lambda: taft(5), lambda: anyonic_line(5),
+    lambda: uqsl2(3), lambda: d_a_mu(3, 1), lambda: d_a_mu(2, 0),
+    lambda: skew_taft(2, Fraction(1, 2)), lambda: skew_taft(3, Fraction(1, 2)),
+    lambda: skew_taft_x_first(3, Fraction(1, 2)),
+], ids=lambda make: repr(make().signature))
+def test_relation_check_matches_the_regular_module(make):
+    # the defining relations on the L_g, against verify_module's map_check
+    # of the same relations on the regular module
+    A = make()
+    A.mult_map()
+    assert A._relations_hold() == all_pass(verify_module(regular_module(A)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: taft_hopf(3), lambda: anyonic_hopf(5), lambda: anyonic_hopf(5, 0),
+], ids=["taft p=3", "anyonic p=5 c=1", "anyonic p=5 c=0"])
+def test_relations_route_matches_the_row_premise_on_hopf_checks(
+        monkeypatch, make):
+    def checks():
+        H = make()
+        return verify_bialgebra(H) + verify_antipode(H)
+
+    relations = checks()
+    monkeypatch.setattr(PresentedAlgebra, "_relations_hold",
+                        lambda self: False)
+    assert checks() == relations
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -403,12 +469,14 @@ def test_hopf_data_is_behind_the_dimension_guard(monkeypatch):
 
 def test_hopf_builders_check_the_guard_before_the_square(monkeypatch):
     # the braided square lists dim^2 basis pairs, so it must not be built
-    # for an algebra the guard rejects
-    def square(*args):
-        raise AssertionError("braided square built before the guard")
+    # for an algebra the guard rejects, nor the algebra itself, whose build
+    # grows with p
+    def built(*args):
+        raise AssertionError("built before the guard")
 
     monkeypatch.setenv("BHL_DIM_GUARD", "10")
-    monkeypatch.setattr(hopf, "braided_tensor_algebra", square)
+    for name in ("braided_tensor_algebra", "anyonic_line", "taft"):
+        monkeypatch.setattr(hopf, name, built)
     for build in (lambda: taft_hopf(5), lambda: anyonic_hopf(11),
                   lambda: build_hopf(anyonic_line(11), Bicharacter(11), {},
                                      {}, {})):
