@@ -340,14 +340,19 @@ def verify_ribbon_identity(p, mu):
     q^{mu-1} xi^{-i}; (b) exact matrix identity on the regular
     representation of d_a_mu(p, mu), which is faithful.
     """
-    mu %= p
     # the p^3 module first: its dimension guard trips before uqsl2(p) and
     # the ribbon element are built
-    M = regular_ayd_module(p, mu)
-    U = uqsl2(p)
+    M = regular_ayd_module(p, mu % p)
+    return _ribbon_identity(M, ribbon_element(p))
+
+
+def _ribbon_identity(M, R):
+    """verify_ribbon_identity on the regular module M of d_a_mu(p, mu),
+    with R = ribbon_element(p) built by the caller."""
+    p, mu = M.p, M.mu
+    U = R.v_0.algebra
     q = U.q
     xi = U.xi
-    R = ribbon_element(p)
     pref = ribbon_prefactor(p, mu)
     checks = []
 
@@ -393,9 +398,12 @@ def verify_ribbon_identity(p, mu):
 
 def verify_ribbon_family(p):
     """All mu at once, plus: the prefactor is a function of mu^2 mod p."""
-    checks = []
+    checks, R = [], None
     for mu in range(p):
-        for c in verify_ribbon_identity(p, mu):
+        M = regular_ayd_module(p, mu)
+        if R is None:  # after the first module's dimension guard
+            R = ribbon_element(p)
+        for c in _ribbon_identity(M, R):
             c = dict(c)
             c["name"] = "mu=%d: %s" % (mu, c["name"])
             checks.append(c)

@@ -53,6 +53,7 @@ the action of the ribbon element off it.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .algebras import (
@@ -154,7 +155,7 @@ class HopfData:
     maps m: H(x)H -> H, u: I -> H, Delta: H -> H(x)H, eps: H -> I,
     S: H -> H, all shift-0 GradedMaps.  The generator images the maps were
     extended from are kept in coproducts / counits / antipodes (keyed by
-    generator name).
+    generator name).  The braiding tau of the square is built on first use.
     """
 
     def __init__(self, algebra, chi, tensor_algebra, coproducts, counits,
@@ -184,6 +185,12 @@ class HopfData:
             1, [{0: self._eps(mono)} for mono in A.basis]))
         self.S = GradedMap(self.space, self.space, from_cols(
             A.dim, [self._antipode(mono).as_column() for mono in A.basis]))
+
+    @functools.cached_property
+    def tau(self):
+        """The braiding of the square as a diagram leaf, built on first use
+        and shared by verify_bialgebra and verify_antipode."""
+        return diagram(braiding(self.space, self.space, self.chi))
 
     # -- element-level structure maps --------------------------------------
 
@@ -282,7 +289,7 @@ def verify_bialgebra(H):
     """
     V, A = H.space, H.algebra
     idv = diagram(GradedMap.identity(V))
-    tau = braiding(V, V, H.chi)
+    tau = H.tau
     m, u, Delta, eps = (diagram(f) for f in (H.m, H.u, H.Delta, H.eps))
     checks = []
 
@@ -335,7 +342,7 @@ def verify_antipode(H):
     """
     V = H.space
     idv = diagram(GradedMap.identity(V))
-    tau = diagram(braiding(V, V, H.chi))
+    tau = H.tau
     m, Delta, S = (diagram(f) for f in (H.m, H.Delta, H.S))
     ue = diagram(H.u) @ H.eps
     rank = H.S.rank()
@@ -446,14 +453,64 @@ class AlgebraModule:
         # the action of a basis monomial (exponent tuple), as a GradedMap
         self.act_mono = algebra.extend(
             self.ops, GradedMap.identity(space), lambda a, b, *_: a @ b)
+        # (index, diagonal entries) of the first generator acting
+        # diagonally, or None
+        ops = [self.ops[name] for name in algebra.pres.gens]
+        self._diagonal = next(
+            ((i, [op.mat[r, r] for r in range(space.dim)])
+             for i, op in enumerate(ops)
+             if all(r == c for r, c in op.mat.data)), None)
 
     @property
     def dim(self):
         return self.space.dim
 
     def act_matrix(self, element):
-        """Action of an arbitrary element, as a plain matrix: c times each
-        monomial's action summed into one dict, zeros dropped at the end."""
+        """Action of an arbitrary element, as a plain matrix, zeros dropped
+        at the end.
+
+        With g the first generator acting diagonally, by lambda_r on basis
+        vector r, the terms c_k P g^k Q sharing the exponents P before g
+        and Q after it act as rho(P) D rho(Q), D diagonal with entries
+        sum_k c_k lambda_r^k, evaluated once per distinct lambda_r: one
+        product per (P, Q) pair rather than one composite per monomial.
+        Without such a g, c times each monomial's action is summed."""
+        if self._diagonal is None:
+            return self._act_by_sums(element)
+        gi, lam = self._diagonal
+        groups = {}
+        for mono, c in element.terms.items():
+            groups.setdefault((mono[:gi], mono[gi + 1:]), {})[mono[gi]] = c
+        acc = {}
+        for (pre, post), poly in groups.items():
+            # sum_k c_k x^k by Horner's rule; at x = 0 only the k = 0 term
+            # is left, c itself, with the type the monomial sum gives it
+            top = max(poly)
+            at = {}
+            for x in dict.fromkeys(lam):
+                if x:
+                    d = poly[top]
+                    for k in range(top - 1, -1, -1):
+                        d = d * x + poly.get(k, 0)
+                    at[x] = d
+                else:
+                    at[x] = poly.get(0, 0)
+            after = self.act_mono((0,) * (gi + 1) + post).mat
+            row_scaled = {}
+            for (r, j), v in after.data.items():
+                d = at[lam[r]]
+                if d:
+                    row_scaled[r, j] = d * v
+            part = Mat(self.dim, self.dim, row_scaled)
+            if any(pre):
+                part = self.act_mono(pre + (0,) * (len(post) + 1)).mat * part
+            for key, v in part.data.items():
+                s = acc.get(key)
+                acc[key] = v if s is None else s + v
+        return Mat(self.dim, self.dim, acc)
+
+    def _act_by_sums(self, element):
+        """c times each monomial's action summed into one dict."""
         acc = {}
         for mono, c in element.terms.items():
             for key, v in self.act_mono(mono).mat.data.items():

@@ -3,6 +3,8 @@ frozen stable-dimension table."""
 
 import json
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import bhl
 from bhl import ayd
-from bhl.algebras import DimensionGuardError, PresentedAlgebra, uqsl2
+from bhl.algebras import DimensionGuardError, PresentedAlgebra, taft, uqsl2
 from bhl.ayd import (
     AydModule,
     ayd_module_from_json,
@@ -28,12 +30,14 @@ from bhl.ayd import (
     verify_ribbon_identity,
 )
 from bhl.exactmat import Mat
-from bhl.graded import GradedMap
+from bhl.graded import GradedMap, GradedSpace
+from bhl.hopf import AlgebraModule
 from bhl.report import FAIL, PASS
 from oracle import (
     act_matrix_by_sums,
     as_module,
     regular_ayd_by_conjugation,
+    regular_module,
     run_script,
     trivial_ayd_module,
     typed_entries,
@@ -267,16 +271,101 @@ def test_to_uqsl2_commutes_with_module_maps():
         assert U.ops[name] @ R == R @ U.ops[name]
 
 
+def random_element(A, rng, terms):
+    """A sum of `terms` random normal monomials of A, with coefficients
+    drawn from ints, Fractions and powers of the algebra's xi."""
+    coeffs = [lambda: rng.randint(-3, 3),
+              lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+              lambda: rng.randint(1, 3) * A.xi ** rng.randrange(A.p)]
+    return A.element({rng.choice(A.basis): rng.choice(coeffs)()
+                      for _ in range(terms)})
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_act_matrix_matches_the_running_sum(p):
     R = ribbon_element(p)
     U = R.v_0.algebra
     elements = [el for _, el in U.generators()] + [R.u_K, R.u_0, R.v_0]
+    rng = random.Random(20 + p)
     for mu in range(p):
         M = to_uqsl2(regular_ayd_module(p, mu))
-        for el in elements:
+        for el in elements + [random_element(U, rng, 2 * p)
+                              for _ in range(4)]:
             assert typed_entries(M.act_matrix(el)) == \
                 typed_entries(act_matrix_by_sums(M, el)), (mu, el)
+        # g acts diagonally on the d_a_mu(p, mu)-module too
+        D = as_module(regular_ayd_module(p, mu))
+        for _ in range(4):
+            el = random_element(D.algebra, rng, 2 * p)
+            assert typed_entries(D.act_matrix(el)) == \
+                typed_entries(act_matrix_by_sums(D, el)), (mu, el)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mu", range(7))
+def test_act_matrix_matches_the_running_sum_p7(mu):
+    R = ribbon_element(7)
+    M = to_uqsl2(regular_ayd_module(7, mu))
+    for el in (R.u_K, R.u_0, R.v_0):
+        assert typed_entries(M.act_matrix(el)) == \
+            typed_entries(act_matrix_by_sums(M, el)), el
+
+
+def test_act_matrix_with_a_zero_on_the_diagonal():
+    # g acts by 0 on the first basis vector, where only the terms without
+    # g act, so their coefficients keep their type there
+    A = taft(3)
+    V = GradedSpace(A.N, [0, 0, 0])
+    xi = A.xi
+    M = AlgebraModule(A, V, {
+        "g": GradedMap(V, V, Mat.diagonal([0, xi, 1])),
+        "x": GradedMap(V, V, Mat.from_rows([[0, 1, 2], [xi, 0, 0],
+                                            [1, 1, 0]])),
+    })
+    rng = random.Random(5)
+    for el in [A.element({(0, 1): 2, (1, 1): xi, (2, 0): 3})] + \
+            [random_element(A, rng, 5) for _ in range(20)]:
+        assert typed_entries(M.act_matrix(el)) == \
+            typed_entries(act_matrix_by_sums(M, el)), el
+
+
+def test_act_matrix_without_a_diagonal_generator_sums(monkeypatch):
+    # on uqsl2(3) acting on itself no generator acts diagonally (L_K
+    # raises the K exponent), so the running sum is the route
+    U = uqsl2(3)
+    M = regular_module(U)
+    sums = []
+    real = AlgebraModule._act_by_sums
+
+    def spied(self, element):
+        sums.append(element)
+        return real(self, element)
+
+    monkeypatch.setattr(AlgebraModule, "_act_by_sums", spied)
+    R = ribbon_element(3)
+    rng = random.Random(7)
+    for el in [R.u_K, R.v_0] + [random_element(U, rng, 6) for _ in range(4)]:
+        assert typed_entries(M.act_matrix(el)) == \
+            typed_entries(act_matrix_by_sums(M, el)), el
+    assert len(sums) == 6
+
+
+def test_ribbon_action_takes_one_product_per_group(monkeypatch):
+    # F^j K^k E^j: the p - 1 products F^j D E^j with j > 0, after the
+    # p - 1 powers of F and of E, not one composite per monomial
+    p = 5
+    v_0 = ribbon_element(p).v_0
+    M = to_uqsl2(regular_ayd_module(p, 1))
+    products = []
+    real = Mat.__mul__
+
+    def counted(self, other):
+        products.append(self.rows)
+        return real(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    M.act_matrix(v_0)
+    assert len(products) <= 3 * p
 
 
 def test_ribbon_element_structure():

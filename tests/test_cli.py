@@ -189,6 +189,17 @@ def test_stable_dim_single_mu(capsys):
 
 
 @pytest.mark.slow
+def test_ribbon_p7_scale_probe(monkeypatch, capsys):
+    # seven regular modules of dimension 343, each acted on by the 49
+    # monomials of the ribbon element
+    monkeypatch.delenv("BHL_DIM_GUARD", raising=False)
+    code, report = run_json(["verify", "ribbon", "--p", "7"], capsys)
+    assert code == 0
+    statuses = [c["status"] for c in report["checks"]]
+    assert statuses == ["PASS"] * 20
+
+
+@pytest.mark.slow
 def test_stable_dim_p13_scale_probe(monkeypatch, capsys):
     # dimension 2197 per mu, past the default guard
     monkeypatch.setenv("BHL_DIM_GUARD", "3000")

@@ -28,6 +28,7 @@ COMMANDS = {
     "suite_p3": (["suite", "--p", "3"], 0),
     "hopf_axioms_p5_chi0": (["verify", "hopf-axioms", "--p", "5", "--chi", "0"], 1),
     "hopf_axioms_p7": (["verify", "hopf-axioms", "--p", "7"], 0),
+    "ribbon_p5": (["verify", "ribbon", "--p", "5"], 0),
     "dsl_negative_control_n12": (
         ["dsl", "check", "src/bhl/corpus/negative_control.bdsl",
          "--n", "12", "--chi", "5", "--mu", "7"], 1),
