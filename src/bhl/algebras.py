@@ -19,11 +19,12 @@ computation by generator commutants, and relation-checking for algebra
 morphisms.
 
 PresentedAlgebra.extend is the one place where values on generators are
-extended to every normal monomial: a monomial splits at its last run,
-rest * g^e, a single run as g^(e-1) * g, and the images of the two parts
-are combined by a given rule.  The induced linear map of a morphism, the
-Hopf structure maps (hopf.HopfData) and module actions
-(hopf.AlgebraModule) are all built on it, and so is the product of a
+extended to every normal monomial: a single letter takes its image, any
+other monomial splits at its last run, rest * g^e, a single run as
+g^(e-1) * g, and the images of the two parts are combined by a given
+rule.  The induced linear map of a morphism, the Hopf structure maps
+(hopf.HopfData) and the substitution of uqsl2 into d_a_mu behind the
+ribbon identity (ayd) are all built on it, and so is the product of a
 presented algebra: each generator's left multiplication L_g takes one
 generator action per basis element, L_a is the composite of the L_g along
 the word of a, and the column a (x) b of the product is L_a(e_b).  A
@@ -530,10 +531,11 @@ class PresentedAlgebra(FiniteDimAlgebra):
     def extend(self, gen_images, one, times):
         """The memoised map that extends generator images to normal monomials.
 
-        The unit monomial maps to `one`.  Any other monomial splits at its
-        last run, rest * g^e, and a single run g^e splits as g^(e-1) * g,
-        where g takes gen_images[name of g].  The image of a split is
-        times(left image, right image, left monomial, right monomial).
+        The unit monomial maps to `one` and a single letter g to
+        gen_images[name of g].  Any other monomial splits at its last run,
+        rest * g^e, and a single run g^e splits as g^(e-1) * g.  The image
+        of a split is times(left image, right image, left monomial, right
+        monomial).
         """
         # a method, not a closure that calls itself: that would be a
         # reference cycle, and the memo would wait for the cyclic collector
@@ -550,6 +552,8 @@ class PresentedAlgebra(FiniteDimAlgebra):
                 hit = times(self._extended(memo, gen_images, times, rest),
                             self._extended(memo, gen_images, times, run),
                             rest, run)
+            elif mono[i] == 1:
+                hit = gen_images[self.pres.gens[i]]
             else:
                 left = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
                 g = (0,) * i + (1,) + mono[i + 1:]
@@ -788,8 +792,14 @@ def _image_of_word(target, images_by_index, word):
 
 
 def induced_linear_map(source, target, images):
-    """Matrix of the linear extension of the generator images on normal bases."""
-    image = source.extend(images, target.unit(), lambda a, b, *_: a * b)
+    """Matrix of the linear extension of the generator images on normal bases.
+
+    Each image is taken through the product with 1, as every longer
+    monomial's is, so all columns carry the scalar types of target's
+    product (a StructureConstantAlgebra's pair rule may promote them)."""
+    one = target.unit()
+    image = source.extend({name: one * images[name] for name in source.pres.gens},
+                          one, lambda a, b, *_: a * b)
     return from_cols(target.dim, [image(m).as_column() for m in source.basis])
 
 

@@ -22,9 +22,11 @@ depend on c (see varsigma_H).  For odd p the substitutions
 
 turn the module into a module over the small quantum group uqsl2(p), and
 varsigma coincides with q^{m(mu^2-1)} times the action of the ribbon
-element v_0 = K u_K u_0 — verified here by two independent routes: a
-per-degree scalar identity and an exact matrix identity on the regular
-representation (which is faithful, so the operators agree as elements).
+element v_0 = K u_K u_0.  Two routes check it: a per-degree scalar
+identity, and the identity w = q^{m(mu^2-1)} psi(v_0) of elements of
+d_a_mu(p, mu), where varsigma is the action of w and psi is the
+substitution above.  The regular representation is faithful, so the
+element identity is the operator identity on every module at once.
 
 stable_analysis splits the regular module into the 2p^2 - p strings of
 fixed (a - c, (t - c) mod p), on which varsigma is lower triangular.  With
@@ -36,12 +38,12 @@ multiplicity 1 (Golub and Van Loan, 7.4), so the kernel chain of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebras import (AlgebraElement, _require_prime, check_guard, is_prime,
-                       uqsl2)
+from .algebras import (AlgebraElement, _require_prime, check_guard, d_a_mu,
+                       is_prime, uqsl2)
 from .exactmat import Mat
 from .graded import GradedMap, GradedSpace
-from .hopf import AlgebraModule
 from .report import check, map_check
 from .scalars import (
     balanced_q_factorial,
@@ -131,8 +133,7 @@ def varsigma_H(M):
     other module sums the series of z^j x^j.
     """
     xi = M.xi
-    coeffs = [1] + [xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
-                    for j in range(1, M.p)]
+    coeffs = _series_coefficients(M.p)
     if M._regular is not None:
         return _varsigma_by_paths(M, coeffs)
     series = GradedMap.identity(M.space)
@@ -146,6 +147,14 @@ def varsigma_H(M):
         M.space, lambda d: xi ** (-d * d - M.mu * d)
     )
     return prefactor @ series
+
+
+def _series_coefficients(p):
+    """c_j = xi^{(j-1)j/2}/(j)_xi! for j < p, the coefficients of the series
+    sum_j c_j z^j x^j behind varsigma."""
+    xi = root_of_unity(p)
+    return [1] + [xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
+                  for j in range(1, p)]
 
 
 def _varsigma_by_paths(M, coeffs):
@@ -192,6 +201,10 @@ def _regular_weights(p, mu):
     return raising, lowering
 
 
+def _check_regular_guard(p, mu):
+    check_guard(p ** 3, "regular module of d_a_mu(%d, %d)" % (p, mu))
+
+
 def regular_ayd_module(p, mu):
     """The regular representation of d_a_mu(p, mu) as an AydModule.
 
@@ -206,7 +219,7 @@ def regular_ayd_module(p, mu):
     with (a)_xi = 1 + xi + ... + xi^{a-1}.  Its dimension p^3 goes through
     the dimension guard.
     """
-    check_guard(p ** 3, "regular module of d_a_mu(%d, %d)" % (p, mu))
+    _check_regular_guard(p, mu)
     _require_prime(p)
     raising, lowering = _regular_weights(p, mu)
     n = p ** 3
@@ -243,29 +256,6 @@ def regular_ayd_module(p, mu):
 # ---------------------------------------------------------------------------
 # the small quantum group dictionary
 # ---------------------------------------------------------------------------
-
-
-def to_uqsl2(M):
-    """View an AydModule as a module over uqsl2(p), p odd.
-
-    E = q^{1-mu} x, F = z g, K = q^{mu-1} g^{-1}, with g acting by xi^i on
-    the degree-i component.
-    """
-    if M.p == 2:
-        raise ValueError("needs an odd prime: q = xi^m with m = (p-1)/2")
-    U = uqsl2(M.p)
-    q = U.q
-    xi = M.xi
-    mu = M.mu
-    gop = GradedMap.from_diagonal(M.space, lambda d: xi ** d)
-    ops = {
-        "E": M.xop.scale(q ** (1 - mu)),
-        "F": M.zop @ gop,
-        "K": GradedMap.from_diagonal(
-            M.space, lambda d: q ** (mu - 1) * xi ** (-d)
-        ),
-    }
-    return AlgebraModule(U, M.space, ops)
 
 
 @dataclass
@@ -315,15 +305,39 @@ def ribbon_centrality_checks(p):
                 ],
             )
         )
-    rank = U.left_mult_operator(R.u_K).rank()
-    checks.append(
-        check(
-            "u_K_invertible",
-            rank == U.dim,
-            details="rank %d of %d" % (rank, U.dim),
-        )
-    )
+    checks.append(_u_K_invertible(U, R.u_K))
     return checks
+
+
+def _u_K_invertible(U, u_K):
+    """The check that u_K = sum_i alpha_i K^i is invertible in U = uqsl2(p).
+
+    As K^p = 1, the product of two polynomials in K has as discrete Fourier
+    transform the product of theirs, u(xi^j) = sum_i alpha_i xi^{ij}.  So
+    y = sum_i beta_i K^i, with beta the inverse transform of 1/u(xi^j), is
+    the inverse of u_K, which u_K y = y u_K = 1 confirms by element
+    products; then L_{u_K} has full rank.  When that y does not exist -- a
+    zero u(xi^j), or a u_K that is no polynomial in K -- the rank of
+    L_{u_K} decides.
+    """
+    p, n = U.p, U.dim
+    y = None
+    if all(f == e == 0 for f, _, e in u_K.terms):
+        values = [sum(c * root_of_unity(p, k * j)
+                      for (_, k, _), c in u_K.terms.items())
+                  for j in range(p)]
+        if all(values):
+            inverses = [v.inverse() for v in values]
+            y = U.element({
+                (0, i, 0): Fraction(1, p) * sum(
+                    w * root_of_unity(p, -i * j)
+                    for j, w in enumerate(inverses))
+                for i in range(p)})
+    if y is not None and u_K * y == U.unit() == y * u_K:
+        rank = n
+    else:
+        rank = U.left_mult_operator(u_K).rank()
+    return check("u_K_invertible", rank == n, details="rank %d of %d" % (rank, n))
 
 
 def ribbon_prefactor(p, mu):
@@ -337,20 +351,31 @@ def verify_ribbon_identity(p, mu):
     """Two independent checks that varsigma = q^{m(mu^2-1)} v_0.
 
     (a) per-degree scalar identity against K u_K with K evaluated at
-    q^{mu-1} xi^{-i}; (b) exact matrix identity on the regular
-    representation of d_a_mu(p, mu), which is faithful.
+    q^{mu-1} xi^{-i}; (b) the element identity w = q^{m(mu^2-1)} psi(v_0)
+    in d_a_mu(p, mu), which is the operator identity on the regular
+    representation, a faithful one.
     """
-    # the p^3 module first: its dimension guard trips before uqsl2(p) and
-    # the ribbon element are built
-    M = regular_ayd_module(p, mu % p)
-    return _ribbon_identity(M, ribbon_element(p))
+    # the guard of the p^3 regular module first: it trips before uqsl2(p)
+    # and the ribbon element are built
+    _check_regular_guard(p, mu % p)
+    return _ribbon_identity(d_a_mu(p, mu), ribbon_element(p))
 
 
-def _ribbon_identity(M, R):
-    """verify_ribbon_identity on the regular module M of d_a_mu(p, mu),
-    with R = ribbon_element(p) built by the caller."""
-    p, mu = M.p, M.mu
+def _ribbon_identity(A, R):
+    """verify_ribbon_identity in A = d_a_mu(p, mu), with R =
+    ribbon_element(p) built by the caller.
+
+    Route (b): varsigma is the action of w = P(g) sum_j c_j z^j x^j, where
+    P(g) = sum_i xi^{-i^2-mu i} e_i = sum_b (1/p sum_i xi^{-i^2-mu i-ib}) g^b,
+    as g acts by xi^i on degree i.  The v_0-action is that of psi(v_0),
+    with psi the linear extension over normal monomials of E -> q^{1-mu} x,
+    F -> z g, K -> q^{mu-1} g^{p-1}.
+    """
+    p, mu = A.p, A.mu
     U = R.v_0.algebra
+    if U.signature != ("uqsl2", p):
+        raise ValueError("ribbon element of %r, algebra d_a_mu(%d, %d)"
+                         % (U.signature, p, mu))
     q = U.q
     xi = U.xi
     pref = ribbon_prefactor(p, mu)
@@ -382,15 +407,25 @@ def _ribbon_identity(M, R):
         )
     )
 
-    sigma = varsigma_H(M)
-    v0_action = to_uqsl2(M).act(R.v_0)
+    P = A.element({
+        (0, b, 0): Fraction(1, p) * sum(root_of_unity(p, -i * i - mu * i - i * b)
+                                        for i in range(p))
+        for b in range(p)})
+    w = P * A.element({(j, 0, j): c
+                       for j, c in enumerate(_series_coefficients(p))})
+    z, g, x = A.gen("z"), A.gen("g"), A.gen("x")
+    psi = U.extend({"E": q ** (1 - mu) * x, "F": z * g,
+                    "K": q ** (mu - 1) * g ** (p - 1)},
+                   A.unit(), lambda a, b, *_: a * b)
+    diff = w - pref * sum((c * psi(mono) for mono, c in R.v_0.terms.items()),
+                          A.zero())
     checks.append(
-        map_check(
-            "varsigma_equals_scaled_ribbon",
-            sigma,
-            v0_action.scale(pref),
+        check(
+            "varsigma_equals_scaled_ribbon", not diff,
             details="on the regular representation (faithful), "
                     "prefactor %s" % format_scalar(pref),
+            witnesses=[{"difference": A.element_to_json(diff)}] if diff
+            else None,
         )
     )
     return checks
@@ -400,10 +435,10 @@ def verify_ribbon_family(p):
     """All mu at once, plus: the prefactor is a function of mu^2 mod p."""
     checks, R = [], None
     for mu in range(p):
-        M = regular_ayd_module(p, mu)
-        if R is None:  # after the first module's dimension guard
+        _check_regular_guard(p, mu)
+        if R is None:  # after the first dimension guard
             R = ribbon_element(p)
-        for c in _ribbon_identity(M, R):
+        for c in _ribbon_identity(d_a_mu(p, mu), R):
             c = dict(c)
             c["name"] = "mu=%d: %s" % (mu, c["name"])
             checks.append(c)

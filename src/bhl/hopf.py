@@ -44,11 +44,6 @@ a failed premise fails them.
 
 Building HopfData goes through the dimension guard (BHL_DIM_GUARD,
 default 350), which admits the Taft algebra up to p = 17 (dimension 289).
-
-The end of the module holds AlgebraModule, a module over a presented
-algebra given by the actions of its generators.  ayd.to_uqsl2 views an
-AYD module as such a module over uqsl2(p), and the ribbon identity reads
-the action of the ribbon element off it.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ from .algebras import (
     check_guard,
     taft,
 )
-from .exactmat import Mat, from_cols
+from .exactmat import from_cols
 from .graded import (
     Bicharacter,
     GradedMap,
@@ -175,10 +170,17 @@ class HopfData:
             # S(ab) = chi(deg a, deg b) S(b) S(a)
             return chi.chi(A.mono_degree(ma), A.mono_degree(mb)) * (b * a)
 
-        self._delta = A.extend(self.coproducts, TA.unit(),
-                               lambda a, b, *_: a * b)
-        self._eps = A.extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
-        self._antipode = A.extend(self.antipodes, A.unit(), anti)
+        def extend(images, one, times):
+            # a generator's image taken through the product with `one`, as
+            # every longer monomial's is, so all columns share scalar types
+            return A.extend({name: times(one, images[name], A.unit_mono,
+                                         next(iter(g.terms)))
+                             for name, g in A.generators()}, one, times)
+
+        self._delta = extend(self.coproducts, TA.unit(),
+                             lambda a, b, *_: a * b)
+        self._eps = extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
+        self._antipode = extend(self.antipodes, A.unit(), anti)
         self.Delta = GradedMap(self.space, self.square, from_cols(
             TA.dim, [self._delta(mono).as_column() for mono in A.basis]))
         self.eps = GradedMap(self.space, GradedSpace.unit(A.N), from_cols(
@@ -415,112 +417,3 @@ def verify_coproduct_powers(H):
         )
         acc = acc * dx
     return checks
-
-
-# ---------------------------------------------------------------------------
-# modules given by generator actions
-# ---------------------------------------------------------------------------
-
-
-class AlgebraModule:
-    """A finite-dimensional module over a presented algebra.
-
-    Stored as one GradedMap per generator (shift = generator degree); the
-    action of a monomial is the composite in the same order, so that
-    (ab).v = a.(b.v), built by PresentedAlgebra.extend: one composition
-    per split at the last run, each monomial's action memoised.  Whether
-    the generator actions satisfy the defining relations is not checked
-    here.
-    """
-
-    def __init__(self, algebra, space, ops):
-        if space.N != algebra.N:
-            raise ValueError("module grading group differs from the algebra's")
-        self.algebra = algebra
-        self.space = space
-        self.ops = dict(ops)
-        for name, el in algebra.generators():
-            if name not in self.ops:
-                raise ValueError("missing action of generator %r" % name)
-            op = self.ops[name]
-            if op.source != space or op.target != space:
-                raise ValueError("action of %r is not an endomorphism" % name)
-            if op.mat.data and op.shift != el.degree() % algebra.N:
-                raise ValueError(
-                    "action of %r has shift %d, expected %d"
-                    % (name, op.shift, el.degree() % algebra.N)
-                )
-        # the action of a basis monomial (exponent tuple), as a GradedMap
-        self.act_mono = algebra.extend(
-            self.ops, GradedMap.identity(space), lambda a, b, *_: a @ b)
-        # (index, diagonal entries) of the first generator acting
-        # diagonally, or None
-        ops = [self.ops[name] for name in algebra.pres.gens]
-        self._diagonal = next(
-            ((i, [op.mat[r, r] for r in range(space.dim)])
-             for i, op in enumerate(ops)
-             if all(r == c for r, c in op.mat.data)), None)
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def act_matrix(self, element):
-        """Action of an arbitrary element, as a plain matrix, zeros dropped
-        at the end.
-
-        With g the first generator acting diagonally, by lambda_r on basis
-        vector r, the terms c_k P g^k Q sharing the exponents P before g
-        and Q after it act as rho(P) D rho(Q), D diagonal with entries
-        sum_k c_k lambda_r^k, evaluated once per distinct lambda_r: one
-        product per (P, Q) pair rather than one composite per monomial.
-        Without such a g, c times each monomial's action is summed."""
-        if self._diagonal is None:
-            return self._act_by_sums(element)
-        gi, lam = self._diagonal
-        groups = {}
-        for mono, c in element.terms.items():
-            groups.setdefault((mono[:gi], mono[gi + 1:]), {})[mono[gi]] = c
-        acc = {}
-        for (pre, post), poly in groups.items():
-            # sum_k c_k x^k by Horner's rule; at x = 0 only the k = 0 term
-            # is left, c itself, with the type the monomial sum gives it
-            top = max(poly)
-            at = {}
-            for x in dict.fromkeys(lam):
-                if x:
-                    d = poly[top]
-                    for k in range(top - 1, -1, -1):
-                        d = d * x + poly.get(k, 0)
-                    at[x] = d
-                else:
-                    at[x] = poly.get(0, 0)
-            after = self.act_mono((0,) * (gi + 1) + post).mat
-            row_scaled = {}
-            for (r, j), v in after.data.items():
-                d = at[lam[r]]
-                if d:
-                    row_scaled[r, j] = d * v
-            part = Mat(self.dim, self.dim, row_scaled)
-            if any(pre):
-                part = self.act_mono(pre + (0,) * (len(post) + 1)).mat * part
-            for key, v in part.data.items():
-                s = acc.get(key)
-                acc[key] = v if s is None else s + v
-        return Mat(self.dim, self.dim, acc)
-
-    def _act_by_sums(self, element):
-        """c times each monomial's action summed into one dict."""
-        acc = {}
-        for mono, c in element.terms.items():
-            for key, v in self.act_mono(mono).mat.data.items():
-                s = acc.get(key)
-                acc[key] = c * v if s is None else s + c * v
-        return Mat(self.dim, self.dim, acc)
-
-    def act(self, element):
-        """Action of a homogeneous element, as a GradedMap."""
-        return GradedMap(
-            self.space, self.space, self.act_matrix(element),
-            element.degree() % self.algebra.N,
-        )

@@ -1,10 +1,13 @@
 """Independent routes the tests check bhl against.
 
-Nothing in bhl needs these, so they live with the tests: the defining
-relations of a module given by generator actions, the regular module of a
-presented algebra, an AydModule read as a d_a_mu module, the trivial
-AydModule (the control for verify_ayd, varsigma_H and to_uqsl2), the
-braided-module map E, the inverse of a graded map by elimination, a
+Nothing in bhl needs these, so they live with the tests: modules over a
+presented algebra given by generator actions (AlgebraModule), with the
+action of an element grouped around a diagonal generator, and their
+defining relations; the regular module of a presented algebra, an
+AydModule read as a d_a_mu module or, by to_uqsl2, as a uqsl2 module, and
+the ribbon identity as a matrix identity on it, rather than as an identity
+of elements of d_a_mu; the trivial AydModule (the control for verify_ayd,
+varsigma_H and to_uqsl2), the braided-module map E, the inverse of a graded map by elimination, a
 printer for DSL scripts, kernel dimensions of powers of 1 - a acting
 on an algebra, the center as kernels restricted one generator at a
 time rather than one kernel of every generator stacked, and the regular
@@ -36,8 +39,8 @@ import sys
 from fractions import Fraction
 
 import bhl
-from bhl.algebras import d_a_mu
-from bhl.ayd import AydModule
+from bhl.algebras import d_a_mu, uqsl2
+from bhl.ayd import AydModule, ribbon_prefactor, varsigma_H
 from bhl.dsl import Assertion, GenDecl, Let, ObjDecl, mor_text, obj_text
 from bhl.exactmat import Mat, _inv_scalar, from_cols
 from bhl.graded import (
@@ -50,11 +53,157 @@ from bhl.graded import (
     tensor,
     tensor_diagram,
 )
-from bhl.hopf import AlgebraModule, verify_antipode, verify_bialgebra
+from bhl.hopf import verify_antipode, verify_bialgebra
 from bhl.report import FAIL, map_check
 from bhl.scalars import format_scalar, q_factorial
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+class AlgebraModule:
+    """A finite-dimensional module over a presented algebra.
+
+    Stored as one GradedMap per generator (shift = generator degree); the
+    action of a monomial is the composite in the same order, so that
+    (ab).v = a.(b.v), built by PresentedAlgebra.extend: one composition
+    per split at the last run, each monomial's action memoised.  Whether
+    the generator actions satisfy the defining relations is not checked
+    here.
+    """
+
+    def __init__(self, algebra, space, ops):
+        if space.N != algebra.N:
+            raise ValueError("module grading group differs from the algebra's")
+        self.algebra = algebra
+        self.space = space
+        self.ops = dict(ops)
+        for name, el in algebra.generators():
+            if name not in self.ops:
+                raise ValueError("missing action of generator %r" % name)
+            op = self.ops[name]
+            if op.source != space or op.target != space:
+                raise ValueError("action of %r is not an endomorphism" % name)
+            if op.mat.data and op.shift != el.degree() % algebra.N:
+                raise ValueError(
+                    "action of %r has shift %d, expected %d"
+                    % (name, op.shift, el.degree() % algebra.N)
+                )
+        # the action of a basis monomial (exponent tuple), as a GradedMap
+        self.act_mono = algebra.extend(
+            self.ops, GradedMap.identity(space), lambda a, b, *_: a @ b)
+        # (index, diagonal entries) of the first generator acting
+        # diagonally, or None
+        ops = [self.ops[name] for name in algebra.pres.gens]
+        self._diagonal = next(
+            ((i, [op.mat[r, r] for r in range(space.dim)])
+             for i, op in enumerate(ops)
+             if all(r == c for r, c in op.mat.data)), None)
+
+    @property
+    def dim(self):
+        return self.space.dim
+
+    def act_matrix(self, element):
+        """Action of an arbitrary element, as a plain matrix, zeros dropped
+        at the end.
+
+        With g the first generator acting diagonally, by lambda_r on basis
+        vector r, the terms c_k P g^k Q sharing the exponents P before g
+        and Q after it act as rho(P) D rho(Q), D diagonal with entries
+        sum_k c_k lambda_r^k, evaluated once per distinct lambda_r: one
+        product per (P, Q) pair rather than one composite per monomial.
+        Without such a g, c times each monomial's action is summed.  An
+        element of another algebra raises ValueError."""
+        if element.algebra.signature != self.algebra.signature:
+            raise ValueError("element of %r acting on a module over %r"
+                             % (element.algebra.signature,
+                                self.algebra.signature))
+        if self._diagonal is None:
+            return self._act_by_sums(element)
+        gi, lam = self._diagonal
+        groups = {}
+        for mono, c in element.terms.items():
+            groups.setdefault((mono[:gi], mono[gi + 1:]), {})[mono[gi]] = c
+        acc = {}
+        for (pre, post), poly in groups.items():
+            # sum_k c_k x^k by Horner's rule; at x = 0 only the k = 0 term
+            # is left, c itself, with the type the monomial sum gives it
+            top = max(poly)
+            at = {}
+            for x in dict.fromkeys(lam):
+                if x:
+                    d = poly[top]
+                    for k in range(top - 1, -1, -1):
+                        d = d * x + poly.get(k, 0)
+                    at[x] = d
+                else:
+                    at[x] = poly.get(0, 0)
+            after = self.act_mono((0,) * (gi + 1) + post).mat
+            row_scaled = {}
+            for (r, j), v in after.data.items():
+                d = at[lam[r]]
+                if d:
+                    row_scaled[r, j] = d * v
+            part = Mat(self.dim, self.dim, row_scaled)
+            if any(pre):
+                part = self.act_mono(pre + (0,) * (len(post) + 1)).mat * part
+            for key, v in part.data.items():
+                s = acc.get(key)
+                acc[key] = v if s is None else s + v
+        return Mat(self.dim, self.dim, acc)
+
+    def _act_by_sums(self, element):
+        """c times each monomial's action summed into one dict."""
+        acc = {}
+        for mono, c in element.terms.items():
+            for key, v in self.act_mono(mono).mat.data.items():
+                s = acc.get(key)
+                acc[key] = c * v if s is None else s + c * v
+        return Mat(self.dim, self.dim, acc)
+
+    def act(self, element):
+        """Action of a homogeneous element, as a GradedMap."""
+        return GradedMap(
+            self.space, self.space, self.act_matrix(element),
+            element.degree() % self.algebra.N,
+        )
+
+
+def to_uqsl2(M):
+    """View an AydModule as a module over uqsl2(p), p odd.
+
+    E = q^{1-mu} x, F = z g, K = q^{mu-1} g^{-1}, with g acting by xi^i on
+    the degree-i component.
+    """
+    if M.p == 2:
+        raise ValueError("needs an odd prime: q = xi^m with m = (p-1)/2")
+    U = uqsl2(M.p)
+    q = U.q
+    xi = M.xi
+    mu = M.mu
+    gop = GradedMap.from_diagonal(M.space, lambda d: xi ** d)
+    ops = {
+        "E": M.xop.scale(q ** (1 - mu)),
+        "F": M.zop @ gop,
+        "K": GradedMap.from_diagonal(
+            M.space, lambda d: q ** (mu - 1) * xi ** (-d)
+        ),
+    }
+    return AlgebraModule(U, M.space, ops)
+
+
+def ribbon_identity_by_matrices(M, R):
+    """The check varsigma_equals_scaled_ribbon on an AydModule M as a
+    matrix identity: varsigma_H(M) against the prefactor times the action
+    of v_0 = R.v_0 on to_uqsl2(M)."""
+    pref = ribbon_prefactor(M.p, M.mu)
+    return map_check(
+        "varsigma_equals_scaled_ribbon",
+        varsigma_H(M),
+        to_uqsl2(M).act(R.v_0).scale(pref),
+        details="on the regular representation (faithful), "
+                "prefactor %s" % format_scalar(pref),
+    )
 
 
 def verify_module(M):

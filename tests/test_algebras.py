@@ -483,6 +483,12 @@ def _morphism_cases():
             yield ("uqsl2 p=%d mu=%d" % (p, mu), d_a_mu(p, mu), target,
                    {"x": q ** (mu - 1) * E, "z": q ** (1 - mu) * (F * K),
                     "g": q ** (mu - 1) * K ** (p - 1)})
+            # psi of the ribbon identity, the other way
+            A = d_a_mu(p, mu)
+            z, g, x = A.gen("z"), A.gen("g"), A.gen("x")
+            yield ("psi p=%d mu=%d" % (p, mu), target, A,
+                   {"E": q ** (1 - mu) * x, "F": z * g,
+                    "K": q ** (mu - 1) * g ** (p - 1)})
 
 
 @pytest.mark.parametrize("case", list(_morphism_cases()), ids=lambda c: c[0])
@@ -490,6 +496,24 @@ def test_induced_map_matches_power_table(case):
     _, source, target, images = case
     assert typed_entries(induced_linear_map(source, target, images)) == \
         typed_entries(induced_map_by_power_table(source, target, images))
+
+
+@pytest.mark.parametrize("A", [uqsl2(3), taft(3), d_a_mu(3, 1)],
+                         ids=lambda A: repr(A.signature))
+def test_extend_takes_a_single_letter_to_its_image(A):
+    # with words as images, a monomial's image is its word; no split has
+    # the unit monomial as a part, so nothing is multiplied by `one`
+    parts = []
+
+    def times(a, b, left, right):
+        parts.append((left, right))
+        return a + b
+
+    image = A.extend({name: name for name in A.pres.gens}, "", times)
+    for mono in A.basis:
+        assert image(mono) == "".join(
+            name * e for name, e in zip(A.pres.gens, mono))
+    assert parts and all(A.unit_mono not in pair for pair in parts)
 
 
 def test_morphism_negative_control():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import bhl
 from bhl import ayd
-from bhl.algebras import DimensionGuardError, PresentedAlgebra, taft, uqsl2
+from bhl.algebras import (DimensionGuardError, PresentedAlgebra, d_a_mu, taft,
+                          uqsl2)
 from bhl.ayd import (
     AydModule,
     ayd_module_from_json,
@@ -23,7 +24,6 @@ from bhl.ayd import (
     ribbon_prefactor,
     stable_analysis,
     sweedler_checks,
-    to_uqsl2,
     varsigma_H,
     verify_ayd,
     verify_ribbon_family,
@@ -31,14 +31,16 @@ from bhl.ayd import (
 )
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
-from bhl.hopf import AlgebraModule
 from bhl.report import FAIL, PASS
 from oracle import (
+    AlgebraModule,
     act_matrix_by_sums,
     as_module,
     regular_ayd_by_conjugation,
     regular_module,
+    ribbon_identity_by_matrices,
     run_script,
+    to_uqsl2,
     trivial_ayd_module,
     typed_entries,
     varsigma_by_series,
@@ -311,6 +313,14 @@ def test_act_matrix_matches_the_running_sum_p7(mu):
             typed_entries(act_matrix_by_sums(M, el)), el
 
 
+def test_act_matrix_refuses_an_element_of_another_algebra():
+    # v_0 of another uqsl2(3) instance acts; an element of d_a_mu does not
+    M = to_uqsl2(regular_ayd_module(3, 1))
+    with pytest.raises(ValueError, match="acting on a module over"):
+        M.act_matrix(d_a_mu(3, 1).gen("z"))
+    assert M.act_matrix(ribbon_element(3).v_0).rows == 27
+
+
 def test_act_matrix_with_a_zero_on_the_diagonal():
     # g acts by 0 on the first basis vector, where only the terms without
     # g act, so their coefficients keep their type there
@@ -381,7 +391,7 @@ def test_ribbon_element_is_central(p):
     assert all_pass(ribbon_centrality_checks(p))
 
 
-def test_ribbon_centrality_takes_one_rank(monkeypatch):
+def count_ranks(monkeypatch):
     ranks = []
     real = Mat.rank
 
@@ -390,8 +400,45 @@ def test_ribbon_centrality_takes_one_rank(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Mat, "rank", counted)
-    ribbon_centrality_checks(3)
-    assert ranks == [27]
+    return ranks
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ribbon_centrality_inverts_u_K_without_a_rank(monkeypatch, p):
+    ranks = count_ranks(monkeypatch)
+    checks = ribbon_centrality_checks(p)
+    assert checks[-1]["name"] == "u_K_invertible"
+    assert checks[-1]["status"] == PASS
+    assert checks[-1]["details"] == "rank %d of %d" % (p ** 3, p ** 3)
+    assert ranks == []
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_u_K_invertible_agrees_with_the_rank(p):
+    U = uqsl2(p)
+    u_K = ribbon_element(p).u_K
+    rank = U.left_mult_operator(u_K).rank()
+    assert ayd._u_K_invertible(U, u_K)["details"] == \
+        "rank %d of %d" % (rank, U.dim)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_u_K_without_an_inverse_by_the_transform_takes_the_rank(
+        monkeypatch, p):
+    # u(t) = 1 - t vanishes at t = xi^0, and u_K + F is no polynomial in
+    # K: neither is inverted by the transform, so the rank of L_{u_K}
+    # decides, and it fails for 1 - K
+    U = uqsl2(p)
+    cases = [(el, U.left_mult_operator(el).rank())
+             for el in (U.unit() - U.gen("K"),
+                        ribbon_element(p).u_K + U.gen("F"))]
+    assert cases[0][1] < U.dim
+    ranks = count_ranks(monkeypatch)
+    for el, rank in cases:
+        c = ayd._u_K_invertible(U, el)
+        assert c["status"] == (PASS if rank == U.dim else FAIL)
+        assert c["details"] == "rank %d of %d" % (rank, U.dim)
+    assert ranks == [U.dim, U.dim]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -403,6 +450,61 @@ def test_ribbon_identity_both_routes(p):
             "varsigma_equals_scaled_ribbon",
         ]
         assert all_pass(checks), (p, mu)
+
+
+@pytest.mark.parametrize("p,mu", [(p, mu) for p in (3, 5) for mu in range(p)]
+                         + [pytest.param(7, mu, marks=pytest.mark.slow)
+                            for mu in range(7)])
+def test_ribbon_element_route_matches_the_matrix_oracle(p, mu):
+    # w = q^{m(mu^2-1)} psi(v_0) in d_a_mu(p, mu) against varsigma and the
+    # v_0-action as p^3 x p^3 matrices on the regular module
+    R = ribbon_element(p)
+    element = ayd._ribbon_identity(d_a_mu(p, mu), R)[1]
+    assert element["status"] == PASS
+    assert element == ribbon_identity_by_matrices(regular_ayd_module(p, mu), R)
+
+
+@pytest.mark.parametrize("p, mu", [(5, 1), (7, 3)])
+def test_ribbon_identity_rejects_a_psi_of_the_wrong_mu(monkeypatch, p, mu):
+    # E -> q^{1-nu} x and K -> q^{nu-1} g^{p-1} with nu = mu + 1: the
+    # scalar route does not use psi, the element route fails
+    real = PresentedAlgebra.extend
+
+    def wrong(self, images, one, times):
+        if self.signature == ("uqsl2", p):
+            x, g = one.algebra.gen("x"), one.algebra.gen("g")
+            images = dict(images, E=self.q ** -mu * x,
+                          K=self.q ** mu * g ** (p - 1))
+        return real(self, images, one, times)
+
+    monkeypatch.setattr(PresentedAlgebra, "extend", wrong)
+    scalar, element = ayd._ribbon_identity(d_a_mu(p, mu), ribbon_element(p))
+    assert scalar["status"] == PASS
+    assert element["status"] == FAIL
+    [witness] = element["witnesses"]
+    assert witness["difference"]
+
+
+def test_ribbon_identity_rejects_a_changed_prefactor(monkeypatch):
+    p, mu = 5, 2
+    A, R = d_a_mu(p, mu), ribbon_element(p)
+    real = ayd.ribbon_prefactor
+    monkeypatch.setattr(ayd, "ribbon_prefactor",
+                        lambda p, mu: real(p, mu) * A.xi)
+    scalar, element = ayd._ribbon_identity(A, R)
+    assert scalar["status"] == element["status"] == FAIL
+    assert element["details"] == ("on the regular representation (faithful), "
+                                  "prefactor %s" % (real(p, mu) * A.xi))
+    # the difference (1 - xi) w, as JSON terms of d_a_mu(5, 2)
+    [witness] = element["witnesses"]
+    assert witness["difference"]
+    assert all(len(mono) == 3 and isinstance(c, str)
+               for mono, c in witness["difference"])
+
+
+def test_ribbon_identity_refuses_a_ribbon_element_of_another_p():
+    with pytest.raises(ValueError, match="uqsl2"):
+        ayd._ribbon_identity(d_a_mu(5, 1), ribbon_element(3))
 
 
 def test_ribbon_prefactors():

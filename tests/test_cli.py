@@ -189,14 +189,19 @@ def test_stable_dim_single_mu(capsys):
 
 
 @pytest.mark.slow
-def test_ribbon_p7_scale_probe(monkeypatch, capsys):
-    # seven regular modules of dimension 343, each acted on by the 49
-    # monomials of the ribbon element
-    monkeypatch.delenv("BHL_DIM_GUARD", raising=False)
-    code, report = run_json(["verify", "ribbon", "--p", "7"], capsys)
+@pytest.mark.parametrize("p, guard", [(7, None), (11, "2000")])
+def test_ribbon_scale_probe(monkeypatch, capsys, p, guard):
+    # the ribbon identity in d_a_mu(p, mu) for each mu, whose regular
+    # module has dimension p^3 (1331 at p = 11, past the default guard),
+    # and the centrality checks in uqsl2(p)
+    if guard is None:
+        monkeypatch.delenv("BHL_DIM_GUARD", raising=False)
+    else:
+        monkeypatch.setenv("BHL_DIM_GUARD", guard)
+    code, report = run_json(["verify", "ribbon", "--p", str(p)], capsys)
     assert code == 0
     statuses = [c["status"] for c in report["checks"]]
-    assert statuses == ["PASS"] * 20
+    assert statuses == ["PASS"] * (2 * p + 6)
 
 
 @pytest.mark.slow

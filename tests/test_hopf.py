@@ -16,7 +16,7 @@ from bhl.algebras import (
     taft,
     uqsl2,
 )
-from bhl.ayd import regular_ayd_module, ribbon_element, to_uqsl2
+from bhl.ayd import regular_ayd_module, ribbon_element
 from bhl.graded import (
     Bicharacter,
     Diagram,
@@ -26,7 +26,6 @@ from bhl.graded import (
     tensor_map,
 )
 from bhl.hopf import (
-    AlgebraModule,
     anyonic_hopf,
     braided_tensor_algebra,
     build_hopf,
@@ -39,12 +38,14 @@ from bhl.hopf import (
 )
 from bhl.report import FAIL, PASS, check
 from oracle import (
+    AlgebraModule,
     hopf_checks_by_pairs,
     hopf_maps_by_powers,
     mult_map_by_pairs,
     pair_product_by_rescan,
     regular_module,
     square_antipode_by_matrix,
+    to_uqsl2,
     typed_entries,
     verify_module,
 )
