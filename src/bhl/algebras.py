@@ -239,9 +239,6 @@ class FiniteDimAlgebra:
     def unit(self):
         return AlgebraElement(self, {self.unit_mono: 1})
 
-    def element_from_column(self, col):
-        return AlgebraElement(self, {self.basis[i]: c for i, c in col.items()})
-
     def element_to_json(self, a):
         out = []
         for m in sorted(a.terms):
@@ -453,19 +450,25 @@ class FiniteDimAlgebra:
         return [assoc, next((c for c in units if c["status"] == FAIL), units[0])]
 
     def compute_center(self):
-        """Basis of the center: the kernel of ad(g) = L_g - R_g for all
-        generators g at once, stacked into one matrix, sparsest first so
-        that its short rows pivot their columns out before the denser
-        ad(g) fill in."""
+        """Basis of the center, the joint kernel of ad(g): v |-> g*v - v*g
+        over the generators g, one generator at a time: the span starts as
+        the basis, and each kernel replaces it by the combinations of its
+        elements that commute with g.  No L_g or R_g on all of A is built.
+
+        Generators of degree 0 go first, in presentation order otherwise.
+        On uqsl2(p) and d_a_mu(p, mu) that one takes each monomial to a
+        multiple of another, and its kernel is the p^2 monomials of weight
+        zero (F^a K^b E^a, z^a g^b x^a), so the other generators act on few
+        elements.  The center is the intersection of the kernels, so the
+        order changes the basis found, never its span.
+        """
         check_guard(self.dim, "center computation")
-        n, gens = self.dim, self.generators()
-        ads = (self.left_mult_operator(g) - self.right_mult_operator(g)
-               for _, g in gens)
-        stacked = Mat(len(gens) * n, n, {
-            (t * n + i, j): v
-            for t, ad in enumerate(sorted(ads, key=lambda ad: len(ad.data)))
-            for (i, j), v in ad.data.items()})
-        return [self.element_from_column(col) for col in stacked.kernel_basis()]
+        space = [AlgebraElement(self, {m: 1}) for m in self.basis]
+        for _, g in sorted(self.generators(), key=lambda ng: ng[1].degree() != 0):
+            ad = from_cols(self.dim, [(g * v - v * g).as_column() for v in space])
+            space = [sum((space[j] * c for j, c in vec.items()), self.zero())
+                     for vec in ad.kernel_basis()]
+        return space
 
 
 class PresentedAlgebra(FiniteDimAlgebra):

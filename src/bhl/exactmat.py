@@ -10,7 +10,10 @@ Elimination keeps a column index, the rows holding each column, updated
 as fill creates and cancels entries, so a column's pivot search and its
 eliminations visit only those rows.  The pivot rule is that of a scan:
 in current row order among the rows not yet pivoted, the first row of
-length <= 2, else the first of minimal length.
+length <= 2, else the first of minimal length.  A pivot row is scaled by
+the inverse of its lead, except a row with a single entry: that entry
+becomes 1 of the type the product would have (Cyclotomic or Fraction),
+with no inverse taken.
 """
 
 from __future__ import annotations
@@ -234,9 +237,14 @@ def _eliminate(rows, ncols):
         order[rank], order[piv] = r, top
         where[r], where[top] = rank, piv
         prow = rows[r]
-        if prow[col] != 1:
-            inv = _inv_scalar(prow[col])
-            prow = rows[r] = {j: inv * v for j, v in prow.items()}
+        lead = prow[col]
+        if lead != 1:
+            if len(prow) == 1:  # lead/lead without the inverse, same type
+                one = lead ** 0 if isinstance(lead, Cyclotomic) else Fraction(1)
+                prow = rows[r] = {col: one}
+            else:
+                inv = _inv_scalar(lead)
+                prow = rows[r] = {j: inv * v for j, v in prow.items()}
         for t in holders[col] - {r}:
             row = rows[t]
             factor = row[col]

@@ -9,8 +9,10 @@ the ribbon identity as a matrix identity on it, rather than as an identity
 of elements of d_a_mu; the trivial AydModule (the control for verify_ayd,
 varsigma_H and to_uqsl2), the braided-module map E, the inverse of a graded map by elimination, a
 printer for DSL scripts, kernel dimensions of powers of 1 - a acting
-on an algebra, the center as kernels restricted one generator at a
-time rather than one kernel of every generator stacked, and the regular
+on an algebra, the center as kernels of the matrices L_g - R_g on all
+of A, one generator at a time in presentation order, rather than of
+v |-> g*v - v*g on the span the earlier generators left, degree-0
+generators first, and the regular
 AydModule by conjugating left multiplication into the g-eigenbasis; the
 structure maps of a Hopf structure and the induced linear map of an
 algebra morphism, each built from generator powers rather than by
@@ -349,11 +351,15 @@ def kernel_dims(A, a, powers):
     return [A.left_mult_operator(u ** k).nullity() for k in powers]
 
 
+def element_from_column(A, col):
+    return A.element({A.basis[i]: c for i, c in col.items()})
+
+
 def center_by_restriction(A):
     """Basis of the center of A as columns, the joint kernel of
-    ad(g) = L_g - R_g taken one generator at a time: each kernel is found
-    on the span the earlier generators left, rather than stacking every
-    ad(g) into one matrix."""
+    ad(g) = L_g - R_g as matrices on all of A, taken one generator at a
+    time in presentation order: each kernel is found on the span the
+    earlier generators left."""
     space = Mat.identity(A.dim)
     for _, g in A.generators():
         ad = A.left_mult_operator(g) - A.right_mult_operator(g)
@@ -666,7 +672,7 @@ def square_antipode_by_matrix(H):
         col = H.algebra.index[next(iter(el.terms))]
         image = {i: v for (i, j), v in s2.mat.data.items() if j == col}
         out.append({"generator": name, "square_antipode_image": repr(
-            H.algebra.element_from_column(image))})
+            element_from_column(H.algebra, image))})
     return out
 
 

@@ -318,9 +318,12 @@ def test_normal_form_matches_rescan(make):
 
 
 def test_center_acts_once_per_generator_and_monomial(monkeypatch):
-    # the center takes g*m and m*g for each generator g and basis monomial
-    # m: at most 2 * 3 * 125 products, and every generator action it
-    # memoises is one of the 3 * 125 pairs (g, m)
+    # the center takes K*m and m*K for the 125 basis monomials m, then F*m
+    # and m*F for the 25 weight-zero monomials F^a K^b E^a that commute
+    # with K, then E*m and m*E for the monomials m in the support of the
+    # kernel of F, 45 products not already cached: 2 * 125 + 2 * 25 + 45 =
+    # 345; and every generator action it memoises is one of the 3 * 125
+    # pairs (g, m)
     calls = []
     raw = PresentedAlgebra._pair_product_raw
 
@@ -331,8 +334,24 @@ def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     monkeypatch.setattr(PresentedAlgebra, "_pair_product_raw", counted)
     U = uqsl2(5)
     U.compute_center()
-    assert len(calls) <= 750
+    assert len(calls) <= 350
     assert len(U._actions) <= 375
+
+
+def test_center_checks_the_guard_before_any_product(monkeypatch):
+    calls = []
+    raw = PresentedAlgebra._pair_product_raw
+
+    def counted(self, ma, mb):
+        calls.append((ma, mb))
+        return raw(self, ma, mb)
+
+    monkeypatch.setattr(PresentedAlgebra, "_pair_product_raw", counted)
+    U = uqsl2(5)
+    monkeypatch.setenv("BHL_DIM_GUARD", "100")
+    with pytest.raises(DimensionGuardError, match="center computation"):
+        U.compute_center()
+    assert calls == []
 
 
 def test_generation_premise():
@@ -423,21 +442,52 @@ def test_center_and_kernel_dims():
     assert dims[0] <= dims[1]
 
 
+def same_span(A, cols, want):
+    return (len(cols) == len(want)
+            and from_cols(A.dim, cols + want).rank() == len(want))
+
+
 @pytest.mark.parametrize("build", [
-    lambda: uqsl2(3), lambda: uqsl2(5), lambda: taft(3), lambda: d_a_mu(3, 1)],
-    ids=["uqsl2(3)", "uqsl2(5)", "taft(3)", "d_a_mu(3,1)"])
+    lambda: uqsl2(3), lambda: uqsl2(5), lambda: taft(3), lambda: d_a_mu(3, 1),
+    lambda: d_a_mu(5, 2), lambda: dual_anyonic(5), lambda: anyonic_line(5),
+    pytest.param(lambda: uqsl2(7), marks=pytest.mark.slow)],
+    ids=["uqsl2(3)", "uqsl2(5)", "taft(3)", "d_a_mu(3,1)", "d_a_mu(5,2)",
+         "dual_anyonic(5)", "anyonic_line(5)", "uqsl2(7)"])
 def test_center_matches_the_restricted_chain(build):
-    # one kernel of all ad(g) stacked spans what the kernels restricted one
-    # generator at a time span
+    # the elementwise kernels, degree-0 generators first, span what the
+    # oracle's kernels of the matrices L_g - R_g, restricted one generator
+    # at a time in presentation order, span
     A = build()
     center = A.compute_center()
     for c in center:
         for _, g in A.generators():
             assert c * g == g * c
-    cols = [c.as_column() for c in center]
-    want = center_by_restriction(A)
-    assert len(cols) == len(want)
-    assert from_cols(A.dim, cols + want).rank() == len(want)
+    assert same_span(A, [c.as_column() for c in center],
+                     center_by_restriction(A))
+
+
+@pytest.mark.parametrize("build", [lambda: uqsl2(5), lambda: d_a_mu(3, 1)],
+                         ids=["uqsl2(5)", "d_a_mu(3,1)"])
+def test_center_does_not_depend_on_the_generator_order(monkeypatch, build):
+    A = build()
+    forward = [c.as_column() for c in A.compute_center()]
+    B = build()
+    gens = B.generators()
+    monkeypatch.setattr(B, "generators", lambda: gens[::-1])
+    backward = [c.as_column() for c in B.compute_center()]
+    assert same_span(A, backward, forward)
+
+
+@pytest.mark.slow
+def test_center_of_uqsl2_11(monkeypatch):
+    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
+    U = uqsl2(11)
+    center = U.compute_center()
+    assert len(center) == 1 + 3 * (11 - 1) // 2
+    for c in center:
+        for name in ("F", "K", "E"):
+            g = U.gen(name)
+            assert c * g == g * c, name
 
 
 def test_morphism_nilline_to_dual_anyonic():

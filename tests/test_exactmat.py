@@ -9,7 +9,8 @@ from bhl import exactmat
 from bhl.algebras import uqsl2
 from bhl.ayd import regular_ayd_module, varsigma_H
 from bhl.exactmat import Mat, from_cols
-from bhl.scalars import root_of_unity
+from bhl.scalars import Cyclotomic, root_of_unity
+import oracle
 from oracle import eliminate_by_scan
 
 
@@ -129,6 +130,73 @@ def test_eliminations_match_scan_on_random_matrices(monkeypatch):
         rows = rng.randint(1, 9)
         cols = rows if rng.random() < 0.4 else rng.randint(1, 9)
         assert_eliminations_match_scan(monkeypatch, random_sparse(rng, rows, cols))
+
+
+def with_singleton_rows(rng, a):
+    """a with one-entry rows inserted at random positions, their leads
+    int, Fraction and Q(zeta_N) values, some of them equal to 1; N is the
+    order of a's irrational entries, if it has any."""
+    N = next((v.order for v in a.data.values()
+              if isinstance(v, Cyclotomic) and not v.is_rational()), 3)
+    leads = (1, -1, 2, Fraction(1), Fraction(-3, 4), Cyclotomic.one(N),
+             root_of_unity(N, rng.randrange(1, N)),
+             2 * root_of_unity(N) + 1)
+    rows = a._row_dicts()
+    for _ in range(rng.randint(1, 4)):
+        rows.insert(rng.randint(0, len(rows)),
+                    {rng.randrange(a.cols): rng.choice(leads)})
+    return Mat(len(rows), a.cols,
+               {(i, j): v for i, r in enumerate(rows) for j, v in r.items()})
+
+
+def test_eliminations_match_scan_with_singleton_rows(monkeypatch):
+    # a one-entry pivot row becomes 1 without an inverse: the same values,
+    # types and reprs as the scan, which scales by the inverse
+    rng = random.Random(11)
+    for _ in range(200):
+        rows = rng.randint(1, 7)
+        a = random_sparse(rng, rows, rng.randint(1, 7))
+        assert_eliminations_match_scan(monkeypatch, with_singleton_rows(rng, a))
+
+
+def spy_inverses(monkeypatch, module):
+    calls = []
+    inv = module._inv_scalar
+
+    def counted(x):
+        calls.append(x)
+        return inv(x)
+
+    monkeypatch.setattr(module, "_inv_scalar", counted)
+    return calls
+
+
+def test_one_entry_pivot_rows_take_no_inverse(monkeypatch):
+    calls = spy_inverses(monkeypatch, exactmat)
+    z = root_of_unity(7)
+    diag = Mat.diagonal([z, 2 * z ** 3, z + 1, Fraction(1, 2), 0, 3])
+    assert diag.kernel_basis() == [{4: 1}]
+    U = uqsl2(5)
+    K = U.gen("K")
+    ad = U.left_mult_operator(K) - U.right_mult_operator(K)
+    assert len(ad.kernel_basis()) == 25
+    assert calls == []
+
+
+def test_rows_of_several_entries_take_the_inverses_of_the_scan(monkeypatch):
+    # every pivot row keeps entries in the two free columns, so each of
+    # the three pivots is scaled by its inverse, as the scan scales it
+    z = root_of_unity(5)
+    a = Mat.from_rows([[2, z, 1, 3, z],
+                       [z ** 2, 3, Fraction(1, 2), 1, 2],
+                       [1, 1, z + 2, 1, z ** 3]])
+    calls = spy_inverses(monkeypatch, exactmat)
+    scan_calls = spy_inverses(monkeypatch, oracle)
+    assert len(a.kernel_basis()) == 2
+    eliminate_by_scan(a._row_dicts(), a.cols)
+    assert len(calls) == 3
+    assert [(type(x), repr(x)) for x in calls] == \
+        [(type(x), repr(x)) for x in scan_calls]
 
 
 def test_eliminations_match_scan_on_ad_of_uqsl2(monkeypatch):
