@@ -271,13 +271,12 @@ class FiniteDimAlgebra:
 
     # -- regular representation ----------------------------------------------------
 
-    def _mult_operator(self, a, left):
-        """The matrix of b |-> a*b (left) or b |-> b*a (not left)."""
+    def left_mult_operator(self, a):
+        """The matrix of b |-> a*b."""
         data = {}
         for j, mb in enumerate(self.basis):
             for ma, ca in a.terms.items():
-                prod = self.pair_product(ma, mb) if left else self.pair_product(mb, ma)
-                for mc, s in prod.items():
+                for mc, s in self.pair_product(ma, mb).items():
                     key = (self.index[mc], j)
                     v = data.get(key, 0) + ca * s
                     if v:
@@ -285,12 +284,6 @@ class FiniteDimAlgebra:
                     else:
                         data.pop(key, None)
         return Mat(self.dim, self.dim, data)
-
-    def left_mult_operator(self, a):
-        return self._mult_operator(a, True)
-
-    def right_mult_operator(self, a):
-        return self._mult_operator(a, False)
 
     # -- verification -----------------------------------------------------------
 

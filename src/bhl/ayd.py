@@ -12,11 +12,8 @@ the degree-i piece.  On such a module the sigma operator
     varsigma: m |-> xi^{-i^2 - mu i} (sum_{j<p} c_j z^j x^j) m,
     c_j = xi^{(j-1)j/2}/(j)_xi!,
 
-is an invertible degree-0 map.  On the regular module it is built by a
-recursion over the paths of x rather than from the series: x^j sends
-z^a e_t x^c through d raisings and l = j - d lowerings to z^{a-l}
-e_{t+d} x^{c+d}, and the total weight W(d, l) of those paths does not
-depend on c (see varsigma_H).  For odd p the substitutions
+is an invertible degree-0 map, which varsigma_H sums as its series on
+every module.  For odd p the substitutions
 
     E = q^{1-mu} x,   F = z g,   K = q^{mu-1} g^{-1}        (q = xi^{(p-1)/2})
 
@@ -29,10 +26,14 @@ substitution above.  The regular representation is faithful, so the
 element identity is the operator identity on every module at once.
 
 stable_analysis splits the regular module into the 2p^2 - p strings of
-fixed (a - c, (t - c) mod p), on which varsigma is lower triangular.  With
-no zero on the first subdiagonal each eigenvalue there has geometric
-multiplicity 1 (Golub and Van Loan, 7.4), so the kernel chain of
-1 - varsigma is read off the diagonals; else it takes sparse powers.
+fixed (a - c, (t - c) mod p), on which varsigma is lower triangular, and
+reads only its diagonal and first subdiagonal: x^j sends z^a e_t x^c
+through d raisings and l = j - d lowerings to z^{a-l} e_{t+d} x^{c+d}, and
+the total weight W(d, l) of those paths, needed for d = 0 and 1 only, does
+not depend on c (see _sigma_diagonals).  With no zero on the first
+subdiagonal each eigenvalue there has geometric multiplicity 1 (Golub and
+Van Loan, 7.4), so the kernel chain of 1 - varsigma is read off the
+diagonals; else it takes sparse powers of the whole varsigma.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ from .scalars import (
 
 class AydModule:
     """A Z/p-graded space with operators x (degree +1) and z (degree -1)."""
-
-    # (raising, lowering) weights of x when built by regular_ayd_module
-    _regular = None
 
     def __init__(self, p, mu, space, xop, zop):
         if space.N != p:
@@ -113,29 +111,11 @@ def verify_ayd(M):
 
 
 def varsigma_H(M):
-    """The sigma operator of an AydModule (degree 0, invertible).
-
-    On a module built by regular_ayd_module it is read off the paths of x.
-    With x raising z^a e_t x^c by weight xi^a and lowering it by
-    lambda(a, t) = (a)_xi (xi^{a-mu-2t} - 1), the paths through d raisings
-    and l lowerings end at z^{a-l} e_{t+d} x^{c+d}, so z^{d+l} x^{d+l} takes
-    z^a e_t x^c to W(d, l) z^{a+d} e_{t+d} x^{c+d}, where
-
-        W(d, l) = xi^{a-l} W(d-1, l) + lambda(a-l+1, t+d) W(d, l-1),
-        W(0, 0) = 1,
-
-    for a + d < p and c + d < p (and 0 otherwise).  W does not depend on
-    c, so each coefficient
-
-        E(a, t, d) = xi^{-i^2 - mu i} sum_{l <= a} c_{d+l} W(d, l),  i = t - a,
-
-    is computed once and written to the p - d columns that share it.  Any
-    other module sums the series of z^j x^j.
-    """
+    """The sigma operator of an AydModule (degree 0, invertible), summed as
+    its series xi^{-i^2 - mu i} sum_{j<p} c_j z^j x^j on degree i by p - 1
+    products of the matrices z^j and x^j, whatever built the module."""
     xi = M.xi
     coeffs = _series_coefficients(M.p)
-    if M._regular is not None:
-        return _varsigma_by_paths(M, coeffs)
     series = GradedMap.identity(M.space)
     zs = GradedMap.identity(M.space)
     xs = GradedMap.identity(M.space)
@@ -157,17 +137,33 @@ def _series_coefficients(p):
                   for j in range(1, p)]
 
 
-def _varsigma_by_paths(M, coeffs):
-    p, mu = M.p, M.mu
-    raising, lowering = M._regular
-    data = {}
+def _sigma_diagonals(p, mu):
+    """The tables E(a, t, 0) and E(a, t, 1), a, t < p, of varsigma on the
+    regular module: varsigma takes z^a e_t x^c to E(a, t, 0) z^a e_t x^c
+    plus E(a, t, 1) z^{a+1} e_{t+1} x^{c+1} plus higher shifts (the second
+    term only for a + 1 < p and c + 1 < p; E(p - 1, t, 1) is 0).
+
+    With x raising z^a e_t x^c by weight xi^a and lowering it by
+    lambda(a, t) = (a)_xi (xi^{a-mu-2t} - 1), the paths through d raisings
+    and l lowerings end at z^{a-l} e_{t+d} x^{c+d}, so z^{d+l} x^{d+l} takes
+    z^a e_t x^c to W(d, l) z^{a+d} e_{t+d} x^{c+d}, where
+
+        W(d, l) = xi^{a-l} W(d-1, l) + lambda(a-l+1, t+d) W(d, l-1),
+        W(0, 0) = 1,
+
+    and E(a, t, d) = xi^{-i^2 - mu i} sum_{l <= a} c_{d+l} W(d, l) with
+    i = t - a, for a + d < p.  W does not depend on c, so each table costs
+    O(p^3) scalar operations.
+    """
+    coeffs = _series_coefficients(p)
+    raising, lowering = _regular_weights(p, mu)
+    tables = [[[0] * p for _ in range(p)] for _ in range(2)]
     for a in range(p):
         for t in range(p):
             i = t - a
             prefactor = root_of_unity(p, -i * i - mu * i)
-            col0 = (a * p + t) * p
-            prev = None  # W(d - 1, l) for l = 0 .. a
-            for d in range(p - a):
+            prev = None  # W(0, l) for l = 0 .. a
+            for d in range(min(2, p - a)):
                 td = (t + d) % p
                 cur = []  # W(d, l) for l = 0 .. a, with W(0, 0) = 1
                 for l in range(a + 1):
@@ -179,14 +175,8 @@ def _varsigma_by_paths(M, coeffs):
                 for l, w in enumerate(cur):
                     total = total + coeffs[d + l] * w
                 prev = cur
-                if not total:
-                    continue
-                value = prefactor * total
-                row0 = ((a + d) * p + td) * p + d
-                for c in range(p - d):
-                    data[row0 + c, col0 + c] = value
-    n = M.dim
-    return GradedMap(M.space, M.space, Mat(n, n, data))
+                tables[d][a][t] = prefactor * total
+    return tables
 
 
 def _regular_weights(p, mu):
@@ -244,13 +234,11 @@ def regular_ayd_module(p, mu):
                     xdata[(col - p * p, col)] = lowering[a][t]
     zdata = {(j + p * p, j): 1 for j in range(n - p * p)}
     space = GradedSpace(p, degrees, labels)
-    M = AydModule(
+    return AydModule(
         p, mu, space,
         GradedMap(space, space, Mat(n, n, xdata), 1),
         GradedMap(space, space, Mat(n, n, zdata), p - 1),
     )
-    M._regular = (raising, lowering)
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -484,27 +472,31 @@ def stable_analysis(p, mu):
     Johnson, Matrix Analysis): 0 is one Jordan block of size z_b, the
     number of diagonal entries of string b where varsigma = 1, so dim ker
     T^k = sum_b min(k, z_b), rising until k = max_b z_b (k = 1 if all z_b
-    are 0).  Otherwise the chain is the nullities of sparse powers of T.
+    are 0).  The two diagonals come from _sigma_diagonals, at O(p^3) scalar
+    operations; only if a first-subdiagonal entry vanishes does it build
+    the regular module and take the nullities of sparse powers of T.
     """
     mu %= p
-    M = regular_ayd_module(p, mu)
-    sigma = varsigma_H(M).mat
-    strings = [[((a + s) * p + (t + s) % p) * p + c + s
-                for s in range(p - max(a, c))]
+    _check_regular_guard(p, mu)
+    _require_prime(p)
+    n = p ** 3
+    diag, sub = _sigma_diagonals(p, mu)
+    strings = [[(a + s, (t + s) % p) for s in range(p - max(a, c))]
                for a in range(p) for t in range(p) for c in range(p)
                if min(a, c) == 0]
-    if all(sigma[j, i] for b in strings for i, j in zip(b, b[1:])):
-        z = [sum(sigma[i, i] == 1 for i in b) for b in strings]
+    if all(sub[a][t] for b in strings for a, t in b[:-1]):
+        z = [sum(diag[a][t] == 1 for a, t in b) for b in strings]
         chain = [sum(min(k, zb) for zb in z)
                  for k in range(1, max(max(z), 1) + 1)]
     else:
-        chain = _kernel_chain_by_powers(Mat.identity(M.dim) - sigma)
+        M = regular_ayd_module(p, mu)
+        chain = _kernel_chain_by_powers(Mat.identity(n) - varsigma_H(M).mat)
     dims = {1: chain[0], 2: chain[1] if len(chain) > 1 else chain[0],
-            M.dim: chain[-1]}
+            n: chain[-1]}
     return {
         "p": p,
         "mu": mu,
-        "dim": M.dim,
+        "dim": n,
         "kernel_dims": dims,
         "stabilization_power": len(chain),
         "chain": chain,

@@ -27,9 +27,8 @@ generators read from the matrix S @ S, rather than by applying the
 antipode twice; and the stable witnesses of the twisted lines by scanning
 every y for each pair (s, t), and the eta invariant of each arrow by
 multiplying omega(y, y) with the value of a validated anti-twist, rather
-than by exponent arithmetic mod N; the sigma operator summed as its
-series of z^j x^j, rather than by the path recursion on the regular
-module; and the action of an algebra element as a running sum of scaled
+than by exponent arithmetic mod N; right multiplication b |-> b*a as a
+matrix, which bhl never builds; and the action of an algebra element as a running sum of scaled
 matrices, rather than accumulated into one dict.  run_script runs the
 table scripts under scripts/, themselves independent routes.
 """
@@ -57,7 +56,7 @@ from bhl.graded import (
 )
 from bhl.hopf import verify_antipode, verify_bialgebra
 from bhl.report import FAIL, map_check
-from bhl.scalars import format_scalar, q_factorial
+from bhl.scalars import format_scalar
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -286,25 +285,6 @@ def act_matrix_by_sums(M, element):
     return total
 
 
-def varsigma_by_series(M):
-    """The sigma operator of an AydModule summed as its series
-    xi^{-i^2 - mu i} sum_{j<p} xi^{(j-1)j/2}/(j)_xi! z^j x^j, by p - 1
-    products of the matrices z^j and x^j, whatever built the module."""
-    xi = M.xi
-    series = GradedMap.identity(M.space)
-    zs = GradedMap.identity(M.space)
-    xs = GradedMap.identity(M.space)
-    for j in range(1, M.p):
-        zs = zs @ M.zop
-        xs = xs @ M.xop
-        coeff = xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
-        series = series + (zs @ xs).scale(coeff)
-    prefactor = GradedMap.from_diagonal(
-        M.space, lambda d: xi ** (-d * d - M.mu * d)
-    )
-    return prefactor @ series
-
-
 def braided_module_E(X, M, sigma, chi):
     """E on X (x) M: multiplies x (x) m (degrees a, i) by
     omega(a,i)^(-1) sigma(a)."""
@@ -355,6 +335,17 @@ def element_from_column(A, col):
     return A.element({A.basis[i]: c for i, c in col.items()})
 
 
+def right_mult_operator(A, a):
+    """The matrix of b |-> b*a on the algebra A."""
+    data = {}
+    for j, mb in enumerate(A.basis):
+        for ma, ca in a.terms.items():
+            for mc, s in A.pair_product(mb, ma).items():
+                key = (A.index[mc], j)
+                data[key] = data.get(key, 0) + ca * s
+    return Mat(A.dim, A.dim, {key: v for key, v in data.items() if v})
+
+
 def center_by_restriction(A):
     """Basis of the center of A as columns, the joint kernel of
     ad(g) = L_g - R_g as matrices on all of A, taken one generator at a
@@ -362,7 +353,7 @@ def center_by_restriction(A):
     earlier generators left."""
     space = Mat.identity(A.dim)
     for _, g in A.generators():
-        ad = A.left_mult_operator(g) - A.right_mult_operator(g)
+        ad = A.left_mult_operator(g) - right_mult_operator(A, g)
         space = space * from_cols(space.cols, (ad * space).kernel_basis())
     return [{i: v for (i, jj), v in space.data.items() if jj == j}
             for j in range(space.cols)]

@@ -32,6 +32,7 @@ from bhl.ayd import (
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
 from bhl.report import FAIL, PASS
+from bhl.scalars import root_of_unity
 from oracle import (
     AlgebraModule,
     act_matrix_by_sums,
@@ -39,11 +40,11 @@ from oracle import (
     regular_ayd_by_conjugation,
     regular_module,
     ribbon_identity_by_matrices,
+    right_mult_operator,
     run_script,
     to_uqsl2,
     trivial_ayd_module,
     typed_entries,
-    varsigma_by_series,
     verify_module,
 )
 
@@ -178,21 +179,47 @@ def test_sigma_is_natural_for_right_multiplications():
     g = A.gen("g")
     for el in (g, g * g, A.gen("z") * A.gen("x")):
         R = GradedMap(M.space, M.space,
-                      Pinv * A.right_mult_operator(el) * P)
+                      Pinv * right_mult_operator(A, el) * P)
         assert s @ R == R @ s
 
 
 @pytest.mark.parametrize("p,mu", [
     (p, mu) for p in (2, 3, 5, 7) for mu in range(p)] + [
-    # the series costs about 0.6 s at p = 11 and 2 s at p = 13
+    # the series costs about 1.2 s at p = 11 and 2.8 s at p = 13
     pytest.param(p, mu, marks=pytest.mark.slow)
     for p, mu in ((11, 0), (11, 1), (13, 1))])
 def test_sigma_matches_the_series(monkeypatch, p, mu):
+    # the two tables stable_analysis reads, against the diagonal and first
+    # subdiagonal of the series that varsigma_H sums on the whole module
     monkeypatch.setenv("BHL_DIM_GUARD", "3000")
-    M = regular_ayd_module(p, mu)
-    sigma, oracle = varsigma_H(M), varsigma_by_series(M)
-    assert sigma == oracle
-    assert typed_entries(sigma.mat) == typed_entries(oracle.mat)
+    n = p ** 3
+    diag, sub = ayd._sigma_diagonals(p, mu)
+    tables = {}
+    for a in range(p):
+        for t in range(p):
+            for c in range(p):
+                col = (a * p + t) * p + c
+                tables[col, col] = diag[a][t]
+                if a + 1 < p and c + 1 < p:
+                    row = ((a + 1) * p + (t + 1) % p) * p + c + 1
+                    tables[row, col] = sub[a][t]
+    sigma = varsigma_H(regular_ayd_module(p, mu)).mat
+    near = {key: v for key, v in sigma.data.items() if key in tables}
+    assert typed_entries(Mat(n, n, {k: v for k, v in tables.items() if v})) \
+        == typed_entries(Mat(n, n, near))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_sigma_diagonals_are_the_closed_form(p):
+    # varsigma(z^a e_t x^c) = xi^{-t^2-mu t} sum_d c_d z^{a+d} e_{t+d} x^{c+d}
+    # with c_0 = c_1 = 1, so both tables are xi^{-t^2-mu t}, never 0
+    for mu in range(p):
+        diag, sub = ayd._sigma_diagonals(p, mu)
+        for a in range(p):
+            for t in range(p):
+                value = root_of_unity(p, -t * t - mu * t)
+                assert diag[a][t] == value
+                assert sub[a][t] == (value if a + 1 < p else 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -211,20 +238,22 @@ def test_sigma_keeps_a_minus_c_and_t_minus_c(p, mu):
         assert (t2 - c2 - t + c) % p == 0
 
 
-def test_sigma_of_other_modules_sums_the_series(monkeypatch):
-    def refuse(M, coeffs):
-        raise AssertionError("path recursion used")
+def sample_module():
+    return ayd_module_from_json(
+        json.loads((DATA_DIR / "sample_module_p3_mu1.json").read_text()))
 
-    data = json.loads((DATA_DIR / "sample_module_p3_mu1.json").read_text())
-    modules = [trivial_ayd_module(5, 1), trivial_ayd_module(3, 0),
-               ayd_module_from_json(data)]
-    expected = [varsigma_by_series(M) for M in modules]
-    monkeypatch.setattr(ayd, "_varsigma_by_paths", refuse)
-    for M, oracle in zip(modules, expected):
-        sigma = varsigma_H(M)
-        assert typed_entries(sigma.mat) == typed_entries(oracle.mat)
-    with pytest.raises(AssertionError, match="path recursion"):
-        varsigma_H(regular_ayd_module(3, 1))
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(
+    st.builds(trivial_ayd_module, st.sampled_from([2, 3, 5, 7, 11]),
+              st.integers(-20, 20)),
+    st.builds(sample_module)))
+def test_sigma_of_other_modules_is_invertible_and_commutes(M):
+    s = varsigma_H(M)
+    assert s.shift == 0
+    assert s.is_invertible()
+    assert s @ M.xop == M.xop @ s
+    assert s @ M.zop == M.zop @ s
 
 
 @pytest.mark.parametrize("mu", [0, 1])
@@ -268,7 +297,7 @@ def test_to_uqsl2_commutes_with_module_maps():
     oracle = regular_ayd_by_conjugation(3, 2)
     A, P, U = oracle.algebra, oracle.basis_change, to_uqsl2(M)
     R = GradedMap(M.space, M.space,
-                  P.inverse() * A.right_mult_operator(A.gen("g")) * P)
+                  P.inverse() * right_mult_operator(A, A.gen("g")) * P)
     for name in ("E", "F", "K"):
         assert U.ops[name] @ R == R @ U.ops[name]
 
@@ -560,13 +589,14 @@ def test_stable_dims_table_script_reproduces_the_frozen_table():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("mu", [0, 1])
-def test_stable_dimension_at_p11(monkeypatch, mu):
-    # dimension 1331: the stable kernel has dimension p^2 for mu = 0 and
-    # 2 p^2 otherwise, the rule the stable-dim report applies
-    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
-    result = stable_analysis(11, mu)
-    assert result["dim"] == 11 ** 3
-    assert result["chain"][-1] == (1 if mu == 0 else 2) * 11 ** 2
+@pytest.mark.parametrize("p,guard", [(11, "2000"), (23, "13000")])
+def test_stable_dimension_at_large_p(monkeypatch, p, guard, mu):
+    # dimensions 1331 and 12167: the stable kernel has dimension p^2 for
+    # mu = 0 and 2 p^2 otherwise, the rule the stable-dim report applies
+    monkeypatch.setenv("BHL_DIM_GUARD", guard)
+    result = stable_analysis(p, mu)
+    assert result["dim"] == p ** 3
+    assert result["chain"][-1] == (1 if mu == 0 else 2) * p ** 2
 
 
 @pytest.mark.parametrize("p,mu", [
@@ -593,12 +623,20 @@ def test_strings_match_the_sparse_chain(monkeypatch, p, mu):
 
 
 def test_a_zero_on_the_subdiagonal_takes_the_sparse_chain(monkeypatch):
-    # drop sigma[z e_0 x, e_2] = E(0, 2, 1): both ends of that step have
-    # sigma = 1 on the diagonal, so the Jordan block of their string splits
-    # and the chain is [14, 18], where the diagonal count gives [13, 18]
+    # zero E(0, 2, 1), the step from e_2 to z e_0 x, in the table and drop
+    # that entry of sigma: both ends of the step have sigma = 1 on the
+    # diagonal, so the Jordan block of their string splits and the chain is
+    # [14, 18], where the diagonal count gives [13, 18]
     p, mu = 3, 1
     col, row = (0 * p + 2) * p + 0, (1 * p + 0) * p + 1
-    real_sigma, real_chain = ayd.varsigma_H, ayd._kernel_chain_by_powers
+    real_tables, real_sigma = ayd._sigma_diagonals, ayd.varsigma_H
+    real_chain = ayd._kernel_chain_by_powers
+
+    def zeroed(p, mu):
+        diag, sub = real_tables(p, mu)
+        assert sub[0][2]
+        sub[0][2] = 0
+        return diag, sub
 
     def dropped(M):
         sigma = real_sigma(M)
@@ -612,6 +650,7 @@ def test_a_zero_on_the_subdiagonal_takes_the_sparse_chain(monkeypatch):
         calls.append(T)
         return real_chain(T)
 
+    monkeypatch.setattr(ayd, "_sigma_diagonals", zeroed)
     monkeypatch.setattr(ayd, "varsigma_H", dropped)
     monkeypatch.setattr(ayd, "_kernel_chain_by_powers", spy)
     result = stable_analysis(p, mu)
@@ -620,6 +659,20 @@ def test_a_zero_on_the_subdiagonal_takes_the_sparse_chain(monkeypatch):
     assert result["chain"] == real_chain(T) == [14, 18]
     assert result["kernel_dims"] == {1: 14, 2: 18, 27: 18}
     assert result["stabilization_power"] == 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stable_analysis_builds_neither_module_nor_sigma(monkeypatch, p):
+    # no subdiagonal value vanishes, so the two tables are all it needs
+    def refuse(*args):
+        raise AssertionError("built the regular module or its varsigma")
+
+    monkeypatch.setattr(ayd, "regular_ayd_module", refuse)
+    monkeypatch.setattr(ayd, "varsigma_H", refuse)
+    for mu in range(p):
+        result = stable_analysis(p, mu)
+        assert result["dim"] == p ** 3
+        assert result["chain"][-1] == (1 if mu == 0 else 2) * p ** 2
 
 
 def test_stable_analysis_respects_the_guard(monkeypatch):

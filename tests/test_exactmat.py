@@ -178,7 +178,7 @@ def test_one_entry_pivot_rows_take_no_inverse(monkeypatch):
     assert diag.kernel_basis() == [{4: 1}]
     U = uqsl2(5)
     K = U.gen("K")
-    ad = U.left_mult_operator(K) - U.right_mult_operator(K)
+    ad = U.left_mult_operator(K) - oracle.right_mult_operator(U, K)
     assert len(ad.kernel_basis()) == 25
     assert calls == []
 
@@ -203,7 +203,8 @@ def test_eliminations_match_scan_on_ad_of_uqsl2(monkeypatch):
     U = uqsl2(5)
     for _, g in U.generators():
         assert_eliminations_match_scan(
-            monkeypatch, U.left_mult_operator(g) - U.right_mult_operator(g))
+            monkeypatch,
+            U.left_mult_operator(g) - oracle.right_mult_operator(U, g))
 
 
 def test_eliminations_match_scan_on_the_kernel_chain(monkeypatch):

@@ -44,6 +44,7 @@ from oracle import (
     mult_map_by_pairs,
     pair_product_by_rescan,
     regular_module,
+    right_mult_operator,
     square_antipode_by_matrix,
     to_uqsl2,
     typed_entries,
@@ -495,7 +496,7 @@ def test_taft_antipode_square_is_conjugation_scalar(p):
     # S^2 is conjugation by the grouplike g^{-1}
     s2 = H.S @ H.S
     assert s2.is_invertible()
-    conj = A.left_mult_operator(g ** (p - 1)) * A.right_mult_operator(g)
+    conj = A.left_mult_operator(g ** (p - 1)) * right_mult_operator(A, g)
     assert s2.mat == conj
 
 
