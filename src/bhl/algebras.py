@@ -13,10 +13,17 @@ Two constructions cover everything needed:
   rule (used for the dual of the anyonic line, whose product is given in
   closed form, and for braided tensor products of algebras).
 
-On top of either: regular-representation matrices, the product and unit
-as graded maps, associativity and unitality checks on them, center
-computation by generator commutants, and relation-checking for algebra
-morphisms.
+Either keeps a table generator_monos, name -> basis monomial, which gen,
+generators and generator_rows read.  On top of either: regular-
+representation matrices (the columns of multiply), the product and unit
+as graded maps, associativity and unitality checks on them, and center
+computation by generator commutants.
+
+PresentedAlgebra.relation_residuals evaluates each power and
+straightening rule at generator images, elements or matrices, as lhs -
+rhs.  It is the one evaluator of a presentation's relations: on the L_g
+it gives associativity (below), on elements of a target algebra the
+relation checks of algebra_morphism.
 
 PresentedAlgebra.extend is the one place where values on generators are
 extended to every normal monomial: a single letter takes its image, any
@@ -55,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -201,13 +209,15 @@ class AlgebraElement:
 class FiniteDimAlgebra:
     """Shared machinery over an enumerated monomial basis."""
 
-    def _init_common(self, signature, N, basis, degrees, labels, unit_mono):
+    def _init_common(self, signature, N, basis, degrees, labels, unit_mono,
+                     generator_monos):
         self.signature = signature
         self.N = N
         self.basis = tuple(basis)
         self.mono_degrees = tuple(d % N for d in degrees)
         self.labels = tuple(labels)
         self.unit_mono = unit_mono
+        self.generator_monos = dict(generator_monos)
         self.index = {m: i for i, m in enumerate(self.basis)}
         self._pair_cache = {}
         self._mult = self._premises = None
@@ -235,6 +245,16 @@ class FiniteDimAlgebra:
 
     def zero(self):
         return AlgebraElement(self, {})
+
+    def gen(self, name):
+        mono = self.generator_monos.get(name)
+        if mono is None:
+            raise ValueError("no generator named %r" % (name,))
+        return AlgebraElement(self, {mono: 1})
+
+    def generators(self):
+        return [(n, AlgebraElement(self, {m: 1}))
+                for n, m in self.generator_monos.items()]
 
     def unit(self):
         return AlgebraElement(self, {self.unit_mono: 1})
@@ -273,17 +293,9 @@ class FiniteDimAlgebra:
 
     def left_mult_operator(self, a):
         """The matrix of b |-> a*b."""
-        data = {}
-        for j, mb in enumerate(self.basis):
-            for ma, ca in a.terms.items():
-                for mc, s in self.pair_product(ma, mb).items():
-                    key = (self.index[mc], j)
-                    v = data.get(key, 0) + ca * s
-                    if v:
-                        data[key] = v
-                    else:
-                        data.pop(key, None)
-        return Mat(self.dim, self.dim, data)
+        return from_cols(self.dim, [
+            self.multiply(a, AlgebraElement(self, {mb: 1})).as_column()
+            for mb in self.basis])
 
     # -- verification -----------------------------------------------------------
 
@@ -321,8 +333,7 @@ class FiniteDimAlgebra:
         """
         V = self.graded_space()
         rows = sorted({self.index[self.unit_mono]}
-                      | {self.index[next(iter(g.terms))]
-                         for _, g in self.generators()})
+                      | {self.index[m] for m in self.generator_monos.values()})
         R = GradedSpace(self.N, [V.degrees[i] for i in rows],
                         [V.labels[i] for i in rows])
         iota = GradedMap(R, V, Mat(self.dim, len(rows),
@@ -478,7 +489,9 @@ class PresentedAlgebra(FiniteDimAlgebra):
         labels = [self._label_of(m) for m in basis]
         self._init_common(
             signature or ("presented", pres.gens, pres.bounds),
-            pres.N, basis, degrees, labels, (0,) * k)
+            pres.N, basis, degrees, labels, (0,) * k,
+            [(name, tuple(int(i == gi) for i in range(k)))
+             for gi, name in enumerate(pres.gens)])
         self._actions = {}
 
     def _label_of(self, mono):
@@ -489,14 +502,6 @@ class PresentedAlgebra(FiniteDimAlgebra):
             elif e > 1:
                 parts.append("%s^%d" % (name, e))
         return "*".join(parts) if parts else "1"
-
-    def gen(self, name):
-        gi = self.pres.gens.index(name)
-        mono = tuple(1 if i == gi else 0 for i in range(len(self.pres.gens)))
-        return AlgebraElement(self, {mono: 1})
-
-    def generators(self):
-        return [(name, self.gen(name)) for name in self.pres.gens]
 
     def _left_operators(self):
         # L_a composes the generator operators along a's word (one normal
@@ -509,20 +514,29 @@ class PresentedAlgebra(FiniteDimAlgebra):
         return [L(ma) for ma in self.basis]
 
     def _relations_hold(self):
-        """Whether the L_g, built by mult_map, satisfy every power rule,
-        L_g^bound = power_rhs * I, and every straightening rule, L_hi L_lo
-        = sum of s * L_word."""
-        n, pres, L = self.dim, self.pres, self._gen_ops
+        """Whether the L_g, built by mult_map, satisfy every defining
+        relation."""
+        return all(r.is_zero() for *_, r in self.relation_residuals(
+            self._gen_ops, Mat.identity(self.dim)))
 
-        def word(w):
-            return functools.reduce(Mat.__mul__, (L[gi] ** e for gi, e in w),
-                                    Mat.identity(n))
-
-        return (all(L[i] ** b == Mat.identity(n).scale(r) for i, (b, r)
-                    in enumerate(zip(pres.bounds, pres.power_rhs)))
-                and all(L[hi] * L[lo] == sum((word(w).scale(s) for s, w in rule),
-                                             Mat.zeros(n, n))
-                        for (hi, lo), rule in pres.straighten.items()))
+    def relation_residuals(self, images, one):
+        """(check name, relation, lhs - rhs) for each defining relation
+        with the generators replaced by images, in generator order, and 1
+        by one; images and one may be AlgebraElements or Mats.  First each
+        power rule, g^bound = power_rhs, in generator order, then each
+        straightening rule, hi*lo = sum of s * word, sorted."""
+        pres = self.pres
+        for name, x, b, r in zip(pres.gens, images, pres.bounds,
+                                 pres.power_rhs):
+            yield ("relation %s^%d = %s" % (name, b, format_scalar(r)),
+                   "%s^%d" % (name, b), x ** b - r * one)
+        for (hi, lo), rule in sorted(pres.straighten.items()):
+            label = "%s*%s" % (pres.gens[hi], pres.gens[lo])
+            rhs = sum((s * functools.reduce(
+                operator.mul, (images[gi] ** e for gi, e in w), one)
+                for s, w in rule), 0 * one)
+            yield ("relation %s straightens" % label, label,
+                   images[hi] * images[lo] - rhs)
 
     def extend(self, gen_images, one, times):
         """The memoised map that extends generator images to normal monomials.
@@ -630,21 +644,12 @@ class StructureConstantAlgebra(FiniteDimAlgebra):
 
     def __init__(self, signature, N, basis, degrees, labels,
                  unit_mono, pair_rule, generator_monos):
-        self._init_common(signature, N, basis, degrees, labels, unit_mono)
+        self._init_common(signature, N, basis, degrees, labels, unit_mono,
+                          generator_monos)
         self._pair_rule = pair_rule
-        self._generator_monos = tuple(generator_monos)
 
     def _pair_product_raw(self, ma, mb):
         return self._pair_rule(ma, mb)
-
-    def gen(self, name):
-        for n, mono in self._generator_monos:
-            if n == name:
-                return AlgebraElement(self, {mono: 1})
-        raise ValueError("no generator named %r" % name)
-
-    def generators(self):
-        return [(n, AlgebraElement(self, {m: 1})) for n, m in self._generator_monos]
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +785,6 @@ def uqsl2(p):
 # ---------------------------------------------------------------------------
 
 
-def _image_of_word(target, images_by_index, word):
-    out = target.unit()
-    for gi, e in word:
-        out = out * images_by_index[gi] ** e
-    return out
-
-
 def induced_linear_map(source, target, images):
     """Matrix of the linear extension of the generator images on normal bases.
 
@@ -806,34 +804,11 @@ def algebra_morphism(source, target, images):
     element of target.  Bijectivity is certified via the induced linear map
     on normal bases.
     """
-    pres = source.pres
-    names = pres.gens
-    imgs = [images[name] for name in names]
-    checks = []
-    for i, name in enumerate(names):
-        rhs = pres.power_rhs[i]
-        residual = imgs[i] ** pres.bounds[i] - rhs * target.unit()
-        checks.append(check(
-            "relation %s^%d = %s" % (name, pres.bounds[i], format_scalar(rhs)),
-            residual.is_zero(),
-            "",
-            [] if residual.is_zero() else
-            [{"relation": "%s^%d" % (name, pres.bounds[i]),
-              "residual": target.element_to_json(residual)}],
-        ))
-    for (hi, lo), rule in sorted(pres.straighten.items()):
-        expected = target.zero()
-        for s, word in rule:
-            expected = expected + s * _image_of_word(target, imgs, word)
-        residual = imgs[hi] * imgs[lo] - expected
-        label = "%s*%s" % (names[hi], names[lo])
-        checks.append(check(
-            "relation %s straightens" % label,
-            residual.is_zero(),
-            "",
-            [] if residual.is_zero() else
-            [{"relation": label, "residual": target.element_to_json(residual)}],
-        ))
+    checks = [
+        check(name, r.is_zero(), "", [] if r.is_zero() else
+              [{"relation": rel, "residual": target.element_to_json(r)}])
+        for name, rel, r in source.relation_residuals(
+            [images[g] for g in source.pres.gens], target.unit())]
     mat = induced_linear_map(source, target, images)
     rank = mat.rank()
     ok = source.dim == target.dim and rank == target.dim

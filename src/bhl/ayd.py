@@ -45,7 +45,7 @@ from .algebras import (AlgebraElement, _require_prime, check_guard, d_a_mu,
                        is_prime, uqsl2)
 from .exactmat import Mat
 from .graded import GradedMap, GradedSpace
-from .report import check, map_check
+from .report import check, map_check, prefixed
 from .scalars import (
     balanced_q_factorial,
     format_scalar,
@@ -278,8 +278,8 @@ def ribbon_element(p):
 
 def ribbon_centrality_checks(p):
     """v_0 commutes with the generators; u_K is invertible."""
-    U = uqsl2(p)
     R = ribbon_element(p)
+    U = R.v_0.algebra
     checks = []
     for name, el in U.generators():
         lhs = R.v_0 * el
@@ -426,10 +426,7 @@ def verify_ribbon_family(p):
         _check_regular_guard(p, mu)
         if R is None:  # after the first dimension guard
             R = ribbon_element(p)
-        for c in _ribbon_identity(d_a_mu(p, mu), R):
-            c = dict(c)
-            c["name"] = "mu=%d: %s" % (mu, c["name"])
-            checks.append(c)
+        checks += prefixed("mu=%d: " % mu, _ribbon_identity(d_a_mu(p, mu), R))
     table = {mu: ribbon_prefactor(p, mu) for mu in range(p)}
     bad = []
     for mu in range(p):

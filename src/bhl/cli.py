@@ -63,6 +63,7 @@ from .report import (
     has_fail,
     has_skip,
     make_report,
+    prefixed,
     render_json,
     render_text,
     skip,
@@ -81,15 +82,6 @@ DATA_DIR = PACKAGE_DIR / "data"
 
 class UsageError(Exception):
     """Bad arguments or unreadable input files; exits with status 2."""
-
-
-def _prefixed(prefix, checks):
-    out = []
-    for c in checks:
-        c = dict(c)
-        c["name"] = prefix + c["name"]
-        out.append(c)
-    return out
 
 
 def _guarded(label, thunk):
@@ -111,16 +103,16 @@ def _require_odd_prime(p, what):
 def anyonic_hopf_checks(p, c=1):
     def run():
         H = anyonic_hopf(p, c)
-        return _prefixed("anyonic p=%d: " % p,
-                         verify_bialgebra(H) + verify_antipode(H))
+        return prefixed("anyonic p=%d: " % p,
+                        verify_bialgebra(H) + verify_antipode(H))
     return _guarded("anyonic p=%d" % p, run)
 
 
 def taft_hopf_checks(p):
     def run():
         H = taft_hopf(p)
-        checks = _prefixed("taft p=%d: " % p,
-                           verify_bialgebra(H) + verify_antipode(H))
+        checks = prefixed("taft p=%d: " % p,
+                          verify_bialgebra(H) + verify_antipode(H))
         x = H.algebra.gen("x")
         s2 = H.antipode(H.antipode(x))
         expected = (H.algebra.xi ** -1) * x
@@ -137,11 +129,11 @@ def taft_hopf_checks(p):
 def dual_algebra_checks(p):
     def run():
         A = dual_anyonic(p)
-        checks = _prefixed("dual p=%d: " % p, A.verify_associativity())
+        checks = prefixed("dual p=%d: " % p, A.verify_associativity())
         src = nilpotent_line(p, "z", p - 1)
         images = {"z": A.gen("e_1")}
-        checks += _prefixed("iso p=%d: " % p,
-                            algebra_morphism(src, A, images))
+        checks += prefixed("iso p=%d: " % p,
+                           algebra_morphism(src, A, images))
         mat = induced_linear_map(src, A, images)
         xi = A.xi
         bad = []
@@ -193,7 +185,7 @@ def uqsl2_iso_checks(p, mus=None):
             images = {"x": q ** (mu - 1) * E,
                       "z": q ** (1 - mu) * (F * K),
                       "g": q ** (mu - 1) * K ** (p - 1)}
-            checks += _prefixed(
+            checks += prefixed(
                 "p=%d mu=%d: " % (p, mu),
                 algebra_morphism(d_a_mu(p, mu), target, images))
         return checks
@@ -202,8 +194,8 @@ def uqsl2_iso_checks(p, mus=None):
 
 def coproduct_power_checks(p):
     def run():
-        return _prefixed("anyonic p=%d: " % p,
-                         verify_coproduct_powers(anyonic_hopf(p)))
+        return prefixed("anyonic p=%d: " % p,
+                        verify_coproduct_powers(anyonic_hopf(p)))
     return _guarded("coproduct powers p=%d" % p, run)
 
 
@@ -266,9 +258,9 @@ def stable_dim_checks(p, mus=None):
 def ayd_checks(p, mu):
     def run():
         M = regular_ayd_module(p, mu)
-        checks = _prefixed("regular p=%d mu=%d: " % (p, mu), verify_ayd(M))
+        checks = prefixed("regular p=%d mu=%d: " % (p, mu), verify_ayd(M))
         if p == 2:
-            checks += _prefixed("sweedler mu=%d: " % mu, sweedler_checks(mu))
+            checks += prefixed("sweedler mu=%d: " % mu, sweedler_checks(mu))
         return checks
     return _guarded("regular module p=%d mu=%d" % (p, mu), run)
 
@@ -383,7 +375,7 @@ def dsl_corpus_checks():
     for path in paths:
         sub = dsl_script_checks(_read_text(path), N, c, mu)
         if has_skip(sub):
-            checks += _prefixed("corpus %s: " % path.stem, sub)
+            checks += prefixed("corpus %s: " % path.stem, sub)
         elif path.stem == "negative_control":
             ok = bool(sub) and all(
                 s["status"] == FAIL and s["witnesses"] for s in sub)
@@ -421,7 +413,7 @@ def sweedler_case_checks(p):
     """The Sweedler algebra is the p = 2 Taft algebra; mu runs over 0, 1."""
     checks = []
     for mu in range(p):
-        checks += _prefixed("mu=%d: " % mu, sweedler_checks(mu))
+        checks += prefixed("mu=%d: " % mu, sweedler_checks(mu))
     return checks
 
 
@@ -714,6 +706,9 @@ def _validate(args):
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):
+        # scalars are exact: an int of any length reads and prints in full
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:

@@ -120,6 +120,9 @@ class Mat:
             return Mat.zeros(self.rows, self.cols)
         return Mat(self.rows, self.cols, {k: scalar * v for k, v in self.data.items()})
 
+    def __rmul__(self, scalar):
+        return self.scale(scalar)
+
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented

@@ -110,11 +110,9 @@ def braided_tensor_algebra(A, B, chi):
         return out
 
     gens = [
-        ("%s(x)1" % n, (next(iter(el.terms)), B.unit_mono))
-        for n, el in A.generators()
+        ("%s(x)1" % n, (m, B.unit_mono)) for n, m in A.generator_monos.items()
     ] + [
-        ("1(x)%s" % n, (A.unit_mono, next(iter(el.terms))))
-        for n, el in B.generators()
+        ("1(x)%s" % n, (A.unit_mono, m)) for n, m in B.generator_monos.items()
     ]
     return StructureConstantAlgebra(
         signature=("braided_tensor", A.signature, B.signature, chi.N, chi.c),
@@ -173,9 +171,9 @@ class HopfData:
         def extend(images, one, times):
             # a generator's image taken through the product with `one`, as
             # every longer monomial's is, so all columns share scalar types
-            return A.extend({name: times(one, images[name], A.unit_mono,
-                                         next(iter(g.terms)))
-                             for name, g in A.generators()}, one, times)
+            return A.extend({name: times(one, images[name], A.unit_mono, m)
+                             for name, m in A.generator_monos.items()},
+                            one, times)
 
         self._delta = extend(self.coproducts, TA.unit(),
                              lambda a, b, *_: a * b)

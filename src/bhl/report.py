@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 from .graded import diagram, first_difference
+from .scalars import format_scalar
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
@@ -52,10 +53,15 @@ def map_check(name, lhs, rhs, details="", label=None):
     j, diff = hit
     witness = {
         "input": (label or lhs.label)(j),
-        "difference": [[r, repr(diff[r])] for r in sorted(diff)],
+        "difference": [[r, format_scalar(diff[r])] for r in sorted(diff)],
     }
     return check(name, False, details=details or "maps differ",
                  witnesses=[witness])
+
+
+def prefixed(prefix, checks):
+    """The checks with prefix put before each name."""
+    return [dict(c, name=prefix + c["name"]) for c in checks]
 
 
 def has_fail(checks):

@@ -588,3 +588,32 @@ def test_element_json_and_repr():
     blob = A.element_to_json(e)
     assert blob == [[[1, 1], "2"]]
     assert "g*x" in repr(e)
+
+
+@pytest.mark.parametrize("as_mats", [True, False], ids=["L_g", "elements"])
+def test_relation_residuals_of_d_a_mu_3_1_in_d_a_mu_3_2(as_mats):
+    # only x*z = xi zx + xi^{1-mu} g - 1 depends on mu, so only it fails,
+    # whether the images are the L_g of d_a_mu(3, 2) or its generators
+    S, T = d_a_mu(3, 1), d_a_mu(3, 2)
+    images = [T.gen(name) for name in S.pres.gens]
+    one = T.unit()
+    if as_mats:
+        images = [T.left_mult_operator(g) for g in images]
+        one = Mat.identity(T.dim)
+    rows = list(S.relation_residuals(images, one))
+    assert [name for name, _, _ in rows] == [
+        "relation z^3 = 0", "relation g^3 = 1", "relation x^3 = 0",
+        "relation g*z straightens", "relation x*z straightens",
+        "relation x*g straightens"]
+    assert [name for name, _, r in rows if not r.is_zero()] == \
+        ["relation x*z straightens"]
+
+
+@pytest.mark.parametrize("make", [lambda: taft(3), lambda: dual_anyonic(3)],
+                         ids=["presented", "structure constants"])
+def test_unknown_generator_name_raises(make):
+    A = make()
+    with pytest.raises(ValueError, match="no generator named 'w'"):
+        A.gen("w")
+    assert [A.gen(name) for name, _ in A.generators()] == \
+        [g for _, g in A.generators()]

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import time
 import tracemalloc
 
@@ -835,3 +836,55 @@ def test_readme_commands_run(argv, monkeypatch, capsys):
     assert code == 0
     assert report["command"] == " ".join(
         w for w in argv[:2] if not w.startswith("-"))
+
+
+def test_dsl_witness_values_read_in_the_scalar_syntax(tmp_path, capsys):
+    script = tmp_path / "half.bdsl"
+    script.write_text("let V = obj { deg 0: 1 }\n"
+                      "let f = gen (V -> V) { [1/2] }\n"
+                      "assert f == id[V]\n")
+    code, report = run_json(["dsl", "check", str(script), "--n", "3"],
+                            capsys)
+    assert code == 1
+    (only,) = report["checks"]
+    assert only["witnesses"] == [{"input": "v0", "difference": [[0, "-1/2"]]}]
+
+
+@pytest.fixture
+def default_int_digits_limit():
+    # main lifts the interpreter's limit on int <-> str conversion; start
+    # each run from the default and put back what was there before
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int <-> str conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_a_5000_digit_dimension_skips_under_the_guard(
+        default_int_digits_limit, tmp_path, capsys):
+    script = tmp_path / "wide.bdsl"
+    script.write_text("let V = obj { deg 0: %s }\nassert id[V] == id[V]\n"
+                      % ("1" * 5000))
+    code, out, err = run_cli(["dsl", "check", str(script), "--format",
+                              "json"], capsys)
+    assert code == 0 and err == ""
+    (only,) = json.loads(out)["checks"]
+    assert (only["name"], only["status"]) == ("script loads", "SKIP")
+    assert "exceeds the guard 350" in only["details"]
+
+
+def test_a_witness_of_20000_bits_reads_back(default_int_digits_limit,
+                                            tmp_path, capsys):
+    script = tmp_path / "huge.bdsl"
+    script.write_text("let V = obj { deg 0: 1 }\n"
+                      "let f = gen (V -> V) { [2^20000] }\n"
+                      "assert f == id[V]\n")
+    code, out, err = run_cli(["dsl", "check", str(script), "--format",
+                              "json"], capsys)
+    assert code == 1 and err == ""
+    (only,) = json.loads(out)["checks"]
+    assert only["status"] == "FAIL"
+    ((row, text),) = only["witnesses"][0]["difference"]
+    assert row == 0 and parse_scalar(text) == 2 ** 20000 - 1

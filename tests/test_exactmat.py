@@ -215,3 +215,10 @@ def test_eliminations_match_scan_on_the_kernel_chain(monkeypatch):
     T = Mat.identity(M.dim) - varsigma_H(M).mat
     assert_eliminations_match_scan(monkeypatch, T)
     assert_eliminations_match_scan(monkeypatch, T * T)
+
+
+@pytest.mark.parametrize("s", [0, Fraction(-3, 2), root_of_unity(5, 2)],
+                         ids=["int 0", "Fraction", "Cyclotomic"])
+def test_scalar_times_matrix_is_scale(s):
+    M = Mat.from_rows([[1, 0, 2], [0, -1, 3]])
+    assert s * M == M.scale(s)

@@ -37,6 +37,7 @@ from bhl.hopf import (
     verify_coproduct_powers,
 )
 from bhl.report import FAIL, PASS, check
+from bhl.scalars import format_scalar
 from oracle import (
     AlgebraModule,
     hopf_checks_by_pairs,
@@ -162,7 +163,7 @@ def _matrix_map_check(name, lhs, rhs, source_labels):
     entries = sorted((r, s) for (r, c), s in diff.data.items() if c == j)
     witness = {
         "input": source_labels[j],
-        "difference": [[r, repr(s)] for r, s in entries],
+        "difference": [[r, format_scalar(s)] for r, s in entries],
     }
     return check(name, False, details="maps differ", witnesses=[witness])
 
