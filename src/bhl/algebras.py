@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -657,8 +656,35 @@ class StructureConstantAlgebra(FiniteDimAlgebra):
 # ---------------------------------------------------------------------------
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Miller-Rabin to the prime bases up to 41, which is exact below
+    3.3 * 10^24 (Sorenson and Webster, Strong pseudoprimes to twelve prime
+    bases, Math. Comp. 86 (2017)).  Past that bound a composite that passes
+    only reaches a dimension guard, which trips before anything over Z/p
+    is built."""
+    if p < 2:
+        return False
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)  # b^d = 1, or b^(d 2^r) = -1 for some r < s
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 def _require_prime(p):

@@ -588,7 +588,8 @@ def ayd_module_from_json(data):
     p is a prime, mu and the degrees are integers; x and z are dense
     row-major matrices whose entries are integers or strings in the scalar
     syntax (e.g. "q(3,2) - 1", "1/2") with values in Q(zeta_p).  Anything
-    else raises ValueError, KeyError or TypeError.
+    else raises ValueError, KeyError or TypeError.  p and the dimension pass
+    the dimension guard before any entry is read.
     """
     p = _int_field(data, "p")
     if not is_prime(p):
@@ -597,6 +598,8 @@ def ayd_module_from_json(data):
     degrees = data["degrees"]
     if type(degrees) is not list or any(type(d) is not int for d in degrees):
         raise ValueError("'degrees' must be a list of integers")
+    check_guard(p, "Z/%d grading of a module file" % p)
+    check_guard(len(degrees), "module file")
     space = GradedSpace(p, degrees)
     mats = {}
     for key in ("x", "z"):

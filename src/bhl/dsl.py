@@ -31,9 +31,11 @@ Grammar:
     objfactor := "I" | NAME | "^" objfactor | objfactor "^" | "(" objexpr ")"
     matrix    := "[" row (";" row)* "]" ;  row := entry ("," entry)*
 
-Matrix rows index the target basis; entries use the scalar syntax from
-scalars.py and the degree shift of a generator is inferred from its first
-nonzero entry.  ``#`` starts a comment running to end of line.
+Matrix rows index the target basis, and each entry is read by the scalar
+grammar of scalars.py (Parser is a scalars.TokenReader, whose tokenizer
+and cursor it shares); the degree shift of a generator is inferred from
+its first nonzero entry.  ``#`` starts a comment running to end of line.
+A syntax error names its line and column.
 
 Duals: the prefix form ``^V`` and postfix form ``V^`` both negate degrees;
 they pair with the four duality maps as  ev: V^ * V -> I,  ev_l: V * ^V -> I,
@@ -65,88 +67,19 @@ from .graded import (
 )
 from .hopf import anyonic_hopf
 from .report import check, map_check
-from .scalars import format_scalar, in_field, parse_scalar
+from .scalars import ParseError, TokenReader, format_scalar, in_field
 
 
 class DslError(Exception):
     pass
 
 
-class DslSyntaxError(DslError):
-    def __init__(self, message, line, col):
-        super().__init__("%s (line %d, column %d)" % (message, line, col))
-        self.line = line
-        self.col = col
+class DslSyntaxError(DslError, ParseError):
+    """A script outside the grammar, at a line and column."""
 
 
 class DslTypeError(DslError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# tokens
-# ---------------------------------------------------------------------------
-
-_TWO_CHAR = ("->", "==")
-_ONE_CHAR = "={}()[],;:*^+-/"
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            tokens.append(Token("sym", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -235,87 +168,48 @@ _PRIM_ARITY = {
 # ---------------------------------------------------------------------------
 
 
-class Parser:
-    def __init__(self, text):
-        self.tokens = tokenize(text)
-        self.pos = 0
+class Parser(TokenReader):
+    """The script grammar above, on the cursor and the scalar grammar of
+    scalars.TokenReader; a tree node per rule."""
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at_sym(self, s):
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == s
-
-    def expect_sym(self, s):
-        tok = self.take()
-        if tok.kind != "sym" or tok.text != s:
-            raise DslSyntaxError(
-                "expected %r, found %r" % (s, tok.text or "end of input"),
-                tok.line, tok.col)
-        return tok
-
-    def expect_name(self, what="a name"):
-        tok = self.take()
-        if tok.kind != "name":
-            raise DslSyntaxError(
-                "expected %s, found %r" % (what, tok.text or "end of input"),
-                tok.line, tok.col)
-        return tok
-
-    def expect_int(self):
-        tok = self.take()
-        if tok.kind != "int":
-            raise DslSyntaxError(
-                "expected an integer, found %r" % (tok.text or "end of input"),
-                tok.line, tok.col)
-        return int(tok.text)
+    script = True
 
     # -- script level -------------------------------------------------------
 
     def parse_script(self):
         stmts = []
         declared = set()
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             tok = self.peek()
-            if tok.kind == "name" and tok.text == "let":
+            if tok[1] == "let":
                 stmt = self.parse_let()
                 if stmt.name in declared:
-                    raise DslSyntaxError(
-                        "duplicate name %r" % stmt.name, tok.line, tok.col)
+                    self.fail("duplicate name %r" % stmt.name, tok)
                 declared.add(stmt.name)
                 stmts.append(stmt)
-            elif tok.kind == "name" and tok.text == "assert":
+            elif tok[1] == "assert":
                 stmts.append(self.parse_assertion())
             else:
-                raise DslSyntaxError(
-                    "expected 'let' or 'assert', found %r"
-                    % (tok.text or "end of input"), tok.line, tok.col)
+                self.expected("'let' or 'assert'", tok)
         return stmts
 
     def parse_let(self):
-        self.expect_name()  # let
+        self.take()  # let
         name_tok = self.expect_name("a declaration name")
-        if name_tok.text == "I":
-            raise DslSyntaxError("'I' names the unit object and is reserved",
-                                 name_tok.line, name_tok.col)
+        name = name_tok[1]
+        if name == "I":
+            self.fail("'I' names the unit object and is reserved", name_tok)
         self.expect_sym("=")
         kind = self.expect_name("'obj' or 'gen'")
-        if kind.text == "obj":
+        if kind[1] == "obj":
             self.expect_sym("{")
             dims = [self.parse_dim_entry()]
             while self.at_sym(","):
                 self.take()
                 dims.append(self.parse_dim_entry())
             self.expect_sym("}")
-            return Let(name_tok.text, ObjDecl(tuple(dims)))
-        if kind.text == "gen":
+            return Let(name, ObjDecl(tuple(dims)))
+        if kind[1] == "gen":
             self.expect_sym("(")
             source = self.parse_objexpr()
             self.expect_sym("->")
@@ -324,66 +218,38 @@ class Parser:
             self.expect_sym("{")
             entries = self.parse_matrix()
             self.expect_sym("}")
-            return Let(name_tok.text, GenDecl(source, target, entries))
-        raise DslSyntaxError("expected 'obj' or 'gen', found %r" % kind.text,
-                             kind.line, kind.col)
+            return Let(name, GenDecl(source, target, entries))
+        self.expected("'obj' or 'gen'", kind)
 
     def parse_dim_entry(self):
         tok = self.expect_name("'deg'")
-        if tok.text != "deg":
-            raise DslSyntaxError("expected 'deg', found %r" % tok.text,
-                                 tok.line, tok.col)
+        if tok[1] != "deg":
+            self.expected("'deg'", tok)
         degree = self.expect_int()
         self.expect_sym(":")
         dim = self.expect_int()
         return (degree, dim)
 
     def parse_matrix(self):
-        """Rows split on ';', entries on ',' — both at parenthesis depth 0;
-        each entry is handed to the scalar parser."""
-        open_tok = self.expect_sym("[")
-        rows, row, buf = [], [], []
-        entry_tok = self.peek()
-        depth = 0
-
-        def flush():
-            text = " ".join(buf)
-            try:
-                value = parse_scalar(text)
-            except ValueError as exc:
-                raise DslSyntaxError("bad matrix entry %r: %s" % (text, exc),
-                                     entry_tok.line, entry_tok.col)
-            row.append(value)
-            buf.clear()
-
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise DslSyntaxError("unclosed matrix literal",
-                                     open_tok.line, open_tok.col)
-            if tok.kind == "sym" and depth == 0 and tok.text in (",", ";", "]"):
-                self.take()
-                flush()
-                if tok.text == ";":
-                    rows.append(tuple(row))
-                    row = []
-                elif tok.text == "]":
-                    rows.append(tuple(row))
-                    return tuple(rows)
-                entry_tok = self.peek()
-                continue
-            if tok.kind == "sym" and tok.text == "(":
-                depth += 1
-            elif tok.kind == "sym" and tok.text == ")":
-                depth -= 1
-            buf.append(self.take().text)
+        """Rows end at ';', entries at ','; each entry is one scalar."""
+        self.expect_sym("[")
+        rows = [[self.scalar()]]
+        while not self.at_sym("]"):
+            tok = self.take()
+            if tok[1] == ";":
+                rows.append([])
+            elif tok[1] != ",":
+                self.expected("',', ';' or ']'", tok)
+            rows[-1].append(self.scalar())
+        self.take()
+        return tuple(map(tuple, rows))
 
     def parse_assertion(self):
-        tok = self.expect_name()  # assert
+        tok = self.take()  # assert
         lhs = self.parse_morexpr()
         self.expect_sym("==")
         rhs = self.parse_morexpr()
-        return Assertion(lhs, rhs, tok.line)
+        return Assertion(lhs, rhs, tok[2])
 
     # -- morphism expressions -------------------------------------------------
 
@@ -402,28 +268,22 @@ class Parser:
         return node
 
     def parse_morfactor(self):
-        tok = self.peek()
         if self.at_sym("("):
             self.take()
             node = self.parse_morexpr()
             self.expect_sym(")")
             return node
-        if tok.kind != "name":
-            raise DslSyntaxError(
-                "expected a morphism, found %r" % (tok.text or "end of input"),
-                tok.line, tok.col)
-        arity = _PRIM_ARITY.get(tok.text)
-        if arity and self.peek(1).kind == "sym" and self.peek(1).text == "[":
+        name = self.expect_name("a morphism")[1]
+        arity = _PRIM_ARITY.get(name)
+        if arity and self.at_sym("["):
             self.take()
-            self.expect_sym("[")
             objs = [self.parse_objexpr()]
             for _ in range(arity - 1):
                 self.expect_sym(",")
                 objs.append(self.parse_objexpr())
             self.expect_sym("]")
-            return MPrim(tok.text, tuple(objs))
-        self.take()
-        return MName(tok.text)
+            return MPrim(name, tuple(objs))
+        return MName(name)
 
     # -- object expressions -----------------------------------------------------
 
@@ -445,22 +305,20 @@ class Parser:
         return node
 
     def parse_objprimary(self):
-        tok = self.peek()
         if self.at_sym("("):
             self.take()
             node = self.parse_objexpr()
             self.expect_sym(")")
             return node
-        if tok.kind == "name":
-            self.take()
-            return OUnit() if tok.text == "I" else OName(tok.text)
-        raise DslSyntaxError(
-            "expected an object, found %r" % (tok.text or "end of input"),
-            tok.line, tok.col)
+        name = self.expect_name("an object")[1]
+        return OUnit() if name == "I" else OName(name)
 
 
 def parse(text):
-    return Parser(text).parse_script()
+    try:
+        return Parser(text).parse_script()
+    except ParseError as exc:
+        raise DslSyntaxError(exc.message, exc.line, exc.col) from None
 
 
 # ---------------------------------------------------------------------------

@@ -491,113 +491,190 @@ def gauss_sum(p: int, q, m: int):
 #   factor := '-'* atom ('^' ('-'? INT))?
 #   atom   := INT | 'q' '(' INT ',' INT ')' | '(' expr ')'
 #
-# q(N,k) denotes zeta_N^k.  This grammar is shared by the DSL matrix
-# literals, module files and JSON report serialization.
+# q(N,k) (or Q(N,k)) denotes zeta_N^k.  Module files and JSON reports write
+# scalars in this grammar, and the diagram scripts of bhl.dsl read their
+# matrix entries with the same TokenReader method.  One tokenizer serves
+# both: a lone scalar may have any whitespace between its tokens, a script
+# only spaces, tabs and line breaks, plus comments from '#' to end of line.
 
-_SCALAR_TOKEN = re.compile(r"\s*(\d+|[qQ]|\^|\(|\)|,|\*|/|\+|-)")
-
-
-def _tokenize_scalar(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _SCALAR_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError("bad scalar syntax at %r" % text[pos:])
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_SKIP = (re.compile(r"\s*"), re.compile(r"(?:[ \t\r\n]+|#.*)*"))
+_TOKEN = re.compile(
+    r"(?P<int>\d+)|(?P<name>\w+)|(?P<sym>->|==|[-={}()\[\],;:*^+/])")
 
 
-class _ScalarParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+class ParseError(ValueError):
+    """Text outside the grammar, at a line and column (both from 1)."""
+
+    def __init__(self, message, line, col):
+        super().__init__("%s (line %d, column %d)" % (message, line, col))
+        self.message = message
+        self.line = line
+        self.col = col
+
+
+def tokenize(text, script=False):
+    """The tokens (kind, text, line, col) of text, kind "int", "name" or
+    "sym", then one ("eof", "", line, col).
+
+    An int is a run of decimal digits; a name starts with a letter or '_'
+    and goes on with letters, digits and '_'.  A character that starts no
+    token raises ParseError.  script selects the separators of a diagram
+    script (see above) instead of those of a lone scalar.
+    """
+    skip = _SKIP[script]
+    tokens, line, start, i = [], 1, 0, 0
+    while True:
+        j = skip.match(text, i).end()
+        breaks = text.count("\n", i, j)
+        if breaks:
+            line += breaks
+            start = text.rindex("\n", i, j) + 1
+        col = j - start + 1
+        if j == len(text):
+            tokens.append(("eof", "", line, col))
+            return tokens
+        m = _TOKEN.match(text, j)
+        ch = text[j]
+        if m is None or m.lastgroup == "name" and not (ch.isalpha() or ch == "_"):
+            raise ParseError("unexpected character %r" % ch, line, col)
+        tokens.append((m.lastgroup, m.group(), line, col))
+        i = m.end()
+
+
+def _divide(a, b):
+    return Fraction(a) / b if isinstance(a, int) and isinstance(b, int) else a / b
+
+
+# the binary operators of expr (level 0) and of term (level 1)
+_LEVELS = ({"+": operator.add, "-": operator.sub},
+           {"*": operator.mul, "/": _divide})
+
+
+class TokenReader:
+    """A cursor over tokenize(text), and the scalar grammar read at it.
+
+    Tokens are tuples (kind, text, line, col); take() never passes the
+    final "eof" token.  No two kinds share a text, so a token is known by
+    its text alone.  A syntax error is a ParseError at the line and column
+    of the token at fault.  A reader of a diagram script subclasses this
+    one, sets ``script``, and reads each scalar in it with scalar().
+    """
+
+    script = False
+
+    def __init__(self, text):
+        self.tokens = tokenize(text, self.script)
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError("scalar syntax: expected %r, got %r" % (expected, tok))
-        self.pos += 1
+    def take(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
         return tok
 
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+    def at_sym(self, s):
+        return self.tokens[self.pos][1] == s
 
-    def term(self):
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                value = Fraction(value) / rhs if isinstance(value, int) and isinstance(rhs, int) \
-                    else value / rhs
-        return value
+    def fail(self, message, tok):
+        raise ParseError(message, tok[2], tok[3])
 
-    def factor(self):
+    def expected(self, what, tok):
+        found = tok[1] or "end of input"
+        self.fail("expected %s, found %r" % (what, found), tok)
+
+    def expect_sym(self, s):
+        tok = self.take()
+        if tok[1] != s:
+            self.expected(repr(s), tok)
+        return tok
+
+    def expect_name(self, what):
+        tok = self.take()
+        if tok[0] != "name":
+            self.expected(what, tok)
+        return tok
+
+    def expect_int(self):
+        tok = self.take()
+        if tok[0] != "int":
+            self.expected("an integer", tok)
+        return int(tok[1])
+
+    def scalar(self):
+        """The scalar at the cursor, an int, Fraction or Cyclotomic.
+
+        Division by zero, too deep nesting and two roots of unity of
+        different orders are errors at the scalar's first token.
+        """
+        tok = self.peek()
+        try:
+            return self._scalar(0)
+        except RecursionError:
+            message = "parentheses nested too deeply"
+        except ZeroDivisionError:
+            message = "division by zero"
+        except OrderMismatchError as exc:
+            message = str(exc)
+        self.fail(message, tok)
+
+    def _scalar(self, level):
+        """The grammar above: expr at level 0, term at 1, factor at 2."""
+        if level < 2:
+            ops = _LEVELS[level]
+            value = self._scalar(level + 1)
+            while self.peek()[1] in ops:
+                op = ops[self.take()[1]]
+                value = op(value, self._scalar(level + 1))
+            return value
         sign = 1
-        while self.peek() == "-":
+        while self.at_sym("-"):
             self.take()
             sign = -sign
-        value = self.atom()
-        if self.peek() == "^":
+        tok = self.take()
+        kind, text = tok[0], tok[1]
+        if text == "(":
+            value = self._scalar(0)
+            self.expect_sym(")")
+        elif text in ("q", "Q"):
+            self.expect_sym("(")
+            n = self.expect_int()
+            self.expect_sym(",")
+            k = self.expect_int()
+            self.expect_sym(")")
+            if n < 1:
+                self.fail("q(N,k) needs N >= 1", tok)
+            value = root_of_unity(n, k)
+        elif kind == "int":
+            value = int(text)
+        else:
+            self.expected("a scalar", tok)
+        if self.at_sym("^"):
             self.take()
             esign = 1
-            if self.peek() == "-":
+            if self.at_sym("-"):
                 self.take()
                 esign = -1
-            e = esign * int(self.take())
+            e = esign * self.expect_int()
             if isinstance(value, int):
                 value = Fraction(value)
             value = value ** e
         return sign * value
 
-    def atom(self):
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            value = self.expr()
-            self.take(")")
-            return value
-        if tok in ("q", "Q"):
-            self.take()
-            self.take("(")
-            n = int(self.take())
-            self.take(",")
-            k = int(self.take())
-            self.take(")")
-            return root_of_unity(n, k)
-        if tok is not None and tok.isdigit():
-            return int(self.take())
-        raise ValueError("scalar syntax: unexpected %r" % tok)
-
 
 def parse_scalar(text: str):
-    """Parse the textual scalar syntax; returns int, Fraction or Cyclotomic.
+    """Read text as one scalar; returns int, Fraction or Cyclotomic.
 
-    Bad input, division by zero and too deep nesting included, raises
-    ValueError.
+    Text outside the grammar, division by zero and too deep nesting
+    included, raises ParseError, a ValueError.
     """
-    parser = _ScalarParser(_tokenize_scalar(text))
-    try:
-        value = parser.expr()
-    except ZeroDivisionError:
-        raise ValueError("division by zero") from None
-    except RecursionError:
-        raise ValueError("parentheses nested too deeply") from None
-    if parser.peek() is not None:
-        raise ValueError("trailing scalar input: %r" % parser.tokens[parser.pos:])
+    reader = TokenReader(text)
+    value = reader.scalar()
+    tok = reader.peek()
+    if tok[0] != "eof":
+        reader.expected("end of input", tok)
     return value
 
 

@@ -29,10 +29,12 @@ every y for each pair (s, t), and the eta invariant of each arrow by
 multiplying omega(y, y) with the value of a validated anti-twist, rather
 than by exponent arithmetic mod N; right multiplication b |-> b*a as a
 matrix, which bhl never builds; and the action of an algebra element as a running sum of scaled
-matrices, rather than accumulated into one dict.  run_script runs the
+matrices, rather than accumulated into one dict; primality by trial
+division, rather than by Miller-Rabin.  run_script runs the
 table scripts under scripts/, themselves independent routes.
 """
 
+import math
 import os
 import pathlib
 import subprocess
@@ -168,6 +170,10 @@ class AlgebraModule:
             self.space, self.space, self.act_matrix(element),
             element.degree() % self.algebra.N,
         )
+
+
+def is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def to_uqsl2(M):

@@ -1,5 +1,6 @@
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from bhl.algebras import (
     d_a_mu,
     dual_anyonic,
     induced_linear_map,
+    is_prime,
     nilpotent_line,
     taft,
     uqsl2,
@@ -29,6 +31,7 @@ from oracle import (
     associativity_by_triples,
     center_by_restriction,
     induced_map_by_power_table,
+    is_prime_by_trial_division,
     kernel_dims,
     mult_map_by_pairs,
     normal_form_by_rescan,
@@ -617,3 +620,24 @@ def test_unknown_generator_name_raises(make):
         A.gen("w")
     assert [A.gen(name) for name, _ in A.generators()] == \
         [g for _, g in A.generators()]
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-3, 10 ** 5)
+            if is_prime(n) != is_prime_by_trial_division(n)] == []
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    start = time.perf_counter()
+    assert is_prime(10 ** 16 + 61)  # trial division: about 9 s
+    assert time.perf_counter() - start < 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3 * 10 ** 24), st.integers(2, 10 ** 12))
+def test_is_prime_agrees_with_sympy_below_the_bound(n, m):
+    # n itself, the next prime and a product of two primes
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(m)
+    for k in (n, sympy.nextprime(n), p * sympy.nextprime(p)):
+        assert is_prime(k) == sympy.isprime(k)

@@ -233,6 +233,16 @@ def test_dimension_guard_skips(monkeypatch, capsys):
     assert all(c["details"] for c in report["checks"])
 
 
+def test_stable_dim_family_past_the_guard_is_one_skip(capsys):
+    # the guard is checked once for the family, not once per mu
+    code, report = run_json(["stable-dim", "--p", "353"], capsys)
+    assert code == 0
+    (only,) = report["checks"]
+    assert (only["name"], only["status"]) == ("p=353: stable analysis",
+                                              "SKIP")
+    assert "dimension 43986977 exceeds the guard 350" in only["details"]
+
+
 def test_dimension_guard_strict_fails(monkeypatch, capsys):
     monkeypatch.setenv("BHL_DIM_GUARD", "10")
     code, _, _ = run_cli(["stable-dim", "--p", "3", "--strict"], capsys)
@@ -462,6 +472,19 @@ def test_too_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "is not valid JSON" in err
 
 
+def test_dsl_superscript_digit_fails_script_loads(tmp_path, capsys):
+    # str.isdigit accepts the superscript 2, int() does not
+    script = tmp_path / "square.bdsl"
+    script.write_text("let V = obj { deg \u00b2: 1 }\nassert id[V] == id[V]\n")
+    code, out, err = run_cli(["dsl", "check", str(script), "--format",
+                              "json"], capsys)
+    assert code == 1 and err == ""
+    (only,) = json.loads(out)["checks"]
+    assert (only["name"], only["status"]) == ("script loads", "FAIL")
+    assert only["witnesses"] == [
+        {"error": "unexpected character '\u00b2' (line 1, column 19)"}]
+
+
 def test_dsl_division_by_zero_fails_script_loads(tmp_path, capsys):
     script = tmp_path / "zero.bdsl"
     script.write_text("let V = obj { deg 0: 1 }\n"
@@ -589,6 +612,8 @@ def _module_file(path, where, value):
     (("mu",), False, "'mu' must be an integer, got False"),
     (("degrees", 0), 0.5, "'degrees' must be a list of integers"),
     (("z", 0), "000", "'z' matrix is not 3x3"),
+    # '#' starts a comment only in a diagram script
+    (("x", 1, 0), "1 # c", "unexpected character '#' (line 1, column 3)"),
 ])
 def test_ayd_module_file_with_a_bad_value_is_not_well_formed(
         where, value, error, tmp_path, capsys):
@@ -686,6 +711,41 @@ def test_product_of_roots_of_a_large_order_is_rejected_without_its_table(
         (first,) = json.loads(out)["checks"]
         assert (first["name"], first["status"]) == (name, "FAIL")
         assert error in first["witnesses"][0]["error"]
+
+
+@pytest.mark.parametrize("argv, fields, name, tripped", [
+    (["verify", "dual-algebra", "--p", "1000003"], None,
+     "dual algebra p=1000003",
+     "associativity sweep at dimension 1000003 exceeds the guard 350"),
+    (["verify", "ayd", "--module"],
+     {"p": 1000003, "degrees": [0], "x": [[0]], "z": [[0]]}, "module file",
+     "Z/1000003 grading of a module file at dimension 1000003 exceeds the "
+     "guard 350"),
+    (["verify", "ayd", "--module"], {"degrees": [0] * 400}, "module file",
+     "module file at dimension 400 exceeds the guard 350"),
+], ids=["dual algebra", "module file p", "module file dimension"])
+def test_past_the_guard_skips_before_anything_is_built(argv, fields, name,
+                                                       tripped, tmp_path):
+    # building dual_anyonic(1000003), or reading a module over
+    # Q(zeta_1000003), takes hundreds of MB
+    if fields is not None:  # the sample module with these fields replaced
+        data = json.loads(SAMPLE_MODULE.read_text())
+        data.update(fields)
+        module = tmp_path / "module.json"
+        module.write_text(json.dumps(data))
+        argv = argv + [str(module)]
+    tracemalloc.start()
+    try:
+        code, out, _ = _outcome(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert code == 0
+    (only,) = json.loads(out)["checks"]
+    assert (only["name"], only["status"]) == (name, "SKIP")
+    assert tripped in only["details"]
+    assert _outcome(argv + ["--strict"])[0] == 1
 
 
 def test_high_power_of_a_composite_order_is_rejected_quickly(tmp_path):

@@ -34,7 +34,8 @@ from bhl.dsl import (
 )
 from bhl.graded import GradedSpace, tensor_map, word_degrees
 from bhl.report import FAIL, PASS, map_check
-from bhl.scalars import root_of_unity
+from bhl.scalars import (Cyclotomic, euler_phi, format_scalar,
+                         parse_scalar, root_of_unity)
 from oracle import script_text
 
 CORPUS = pathlib.Path(bhl.__file__).parent / "corpus"
@@ -69,6 +70,25 @@ def test_parse_gen_with_scalar_entries():
     assert isinstance(stmt.decl, GenDecl)
     assert stmt.decl.entries[0][1] == root_of_unity(3)
     assert stmt.decl.entries[1][0] * 2 == -1
+
+
+_SCALARS = (st.integers() | st.fractions()
+            | st.sampled_from([1, 3, 4, 5, 8, 12]).flatmap(
+                lambda n: st.builds(
+                    Cyclotomic, st.just(n),
+                    st.lists(st.integers(-9, 9), min_size=euler_phi(n),
+                             max_size=euler_phi(n)),
+                    st.integers(1, 9))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SCALARS)
+def test_formatted_scalar_reads_back_alone_and_as_a_matrix_entry(value):
+    text = format_scalar(value)
+    assert parse_scalar(text) == value
+    (stmt,) = parse("let f = gen (V -> V) { [%s, 0;\n 0, %s] }"
+                    % (text, text))
+    assert stmt.decl.entries == ((value, 0), (0, value))
 
 
 def test_parse_rejects_deeply_nested_entry():

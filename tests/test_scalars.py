@@ -170,6 +170,29 @@ def test_format_parse_round_trip(x):
     assert parse_scalar(format_scalar(x)) == x
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1\f+2", 3), ("1\v+\u00a02", 3), ("\n Q(3, 1)\t", root_of_unity(3)),
+    ("\u0663", 3),  # Arabic-Indic three, a decimal digit
+])
+def test_parse_scalar_takes_any_whitespace_and_decimal_digits(text, value):
+    assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text, error", [
+    ("1 # c", "unexpected character '#' (line 1, column 3)"),
+    ("\u00b2", "unexpected character '\u00b2' (line 1, column 1)"),
+    ("1\n+ q(5", "expected ',', found 'end of input' (line 2, column 6)"),
+    ("1 2", "expected end of input, found '2' (line 1, column 3)"),
+    ("q(0,1)", "q(N,k) needs N >= 1 (line 1, column 1)"),
+    ("q(3,1) + q(5,1)", "cannot mix Q(zeta_3) with Q(zeta_5) (line 1, "
+                        "column 1)"),
+])
+def test_parse_scalar_errors_name_a_line_and_column(text, error):
+    with pytest.raises(ValueError) as err:
+        parse_scalar(text)
+    assert str(err.value) == error
+
+
 def test_format_round_trip_rationals():
     for v in (0, 5, -5, Fraction(2, 7), Fraction(-9, 4)):
         assert parse_scalar(format_scalar(v)) == v
