@@ -29,8 +29,9 @@ stable_analysis splits the regular module into the 2p^2 - p strings of
 fixed (a - c, (t - c) mod p), on which varsigma is lower triangular, and
 reads only its diagonal and first subdiagonal: x^j sends z^a e_t x^c
 through d raisings and l = j - d lowerings to z^{a-l} e_{t+d} x^{c+d}, and
-the total weight W(d, l) of those paths, needed for d = 0 and 1 only, does
-not depend on c (see _sigma_diagonals).  With no zero on the first
+the total weight of those paths, needed for d = 0 and 1 only, does not
+depend on c and takes mu only through u = mu + 2t, so one table per p
+serves every mu (see _series_tables).  With no zero on the first
 subdiagonal each eigenvalue there has geometric multiplicity 1 (Golub and
 Van Loan, 7.4), so the kernel chain of 1 - varsigma is read off the
 diagonals; else it takes sparse powers of the whole varsigma.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebras import (AlgebraElement, _require_prime, check_guard, d_a_mu,
                        is_prime, uqsl2)
@@ -129,65 +131,72 @@ def varsigma_H(M):
     return prefactor @ series
 
 
+@lru_cache(maxsize=None)
 def _series_coefficients(p):
     """c_j = xi^{(j-1)j/2}/(j)_xi! for j < p, the coefficients of the series
     sum_j c_j z^j x^j behind varsigma."""
     xi = root_of_unity(p)
-    return [1] + [xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
-                  for j in range(1, p)]
+    return (1,) + tuple(xi ** ((j - 1) * j // 2) * q_factorial(j, xi).inverse()
+                        for j in range(1, p))
 
 
 def _sigma_diagonals(p, mu):
     """The tables E(a, t, 0) and E(a, t, 1), a, t < p, of varsigma on the
     regular module: varsigma takes z^a e_t x^c to E(a, t, 0) z^a e_t x^c
     plus E(a, t, 1) z^{a+1} e_{t+1} x^{c+1} plus higher shifts (the second
-    term only for a + 1 < p and c + 1 < p; E(p - 1, t, 1) is 0).
-
-    With x raising z^a e_t x^c by weight xi^a and lowering it by
-    lambda(a, t) = (a)_xi (xi^{a-mu-2t} - 1), the paths through d raisings
-    and l lowerings end at z^{a-l} e_{t+d} x^{c+d}, so z^{d+l} x^{d+l} takes
-    z^a e_t x^c to W(d, l) z^{a+d} e_{t+d} x^{c+d}, where
-
-        W(d, l) = xi^{a-l} W(d-1, l) + lambda(a-l+1, t+d) W(d, l-1),
-        W(0, 0) = 1,
-
-    and E(a, t, d) = xi^{-i^2 - mu i} sum_{l <= a} c_{d+l} W(d, l) with
-    i = t - a, for a + d < p.  W does not depend on c, so each table costs
-    O(p^3) scalar operations.
-    """
-    coeffs = _series_coefficients(p)
-    raising, lowering = _regular_weights(p, mu)
+    term only for a + 1 < p and c + 1 < p; E(p - 1, t, 1) is 0).  They are
+    E(a, t, d) = xi^{-i^2 - mu i} S(a, (mu + 2t) mod p, d) with i = t - a,
+    from the one table S of _series_tables(p), in new lists on each call."""
+    series = _series_tables(p)
     tables = [[[0] * p for _ in range(p)] for _ in range(2)]
     for a in range(p):
         for t in range(p):
             i = t - a
             prefactor = root_of_unity(p, -i * i - mu * i)
-            prev = None  # W(0, l) for l = 0 .. a
-            for d in range(min(2, p - a)):
-                td = (t + d) % p
-                cur = []  # W(d, l) for l = 0 .. a, with W(0, 0) = 1
-                for l in range(a + 1):
-                    w = raising[a - l] * prev[l] if d else int(l == 0)
-                    if l:
-                        w = w + lowering[a - l + 1][td] * cur[l - 1]
-                    cur.append(w)
-                total = 0
-                for l, w in enumerate(cur):
-                    total = total + coeffs[d + l] * w
-                prev = cur
+            for d, total in enumerate(series[a][(mu + 2 * t) % p]):
                 tables[d][a][t] = prefactor * total
     return tables
 
 
-def _regular_weights(p, mu):
-    """The weights of x on z^a e_t x^c: raising[a] = xi^a and
-    lowering[a][t] = (a)_xi (xi^{a-mu-2t} - 1)."""
-    raising = [root_of_unity(p, k) for k in range(p)]
-    lowering = []
-    for a in range(p):
-        a_xi = sum(raising[:a])
-        lowering.append([a_xi * (raising[(a - mu - 2 * t) % p] - 1)
-                         for t in range(p)])
+@lru_cache(maxsize=None)
+def _series_tables(p):
+    """S(a, u, d) = sum_{l <= a} c_{d+l} W(d, l) as series[a][u][d], for
+    a + d < p and d < 2, where mu enters only through u = mu + 2t.
+
+    With x raising z^a e_t x^c by weight xi^a and lowering it by
+    lowering[a][u], the paths through d raisings and l lowerings end at
+    z^{a-l} e_{t+d} x^{c+d}, so z^{d+l} x^{d+l} takes z^a e_t x^c to
+    W(d, l) z^{a+d} e_{t+d} x^{c+d}, where W(0, 0) = 1 and
+
+        W(d, l) = xi^{a-l} W(d-1, l) + lowering[a-l+1][u+2d] W(d, l-1).
+
+    W does not depend on c, so the table costs O(p^3) scalar operations."""
+    coeffs = _series_coefficients(p)
+    raising, lowering = _regular_weights(p)
+
+    def sums(a, u):
+        out, prev = [], None  # prev: W(d - 1, l) for l = 0 .. a
+        for d in range(min(2, p - a)):
+            cur = []  # W(d, l) for l = 0 .. a
+            for l in range(a + 1):
+                w = raising[a - l] * prev[l] if d else int(l == 0)
+                if l:
+                    w = w + lowering[a - l + 1][(u + 2 * d) % p] * cur[l - 1]
+                cur.append(w)
+            out.append(sum(coeffs[d + l] * w for l, w in enumerate(cur)))
+            prev = cur
+        return tuple(out)
+
+    return tuple(tuple(sums(a, u) for u in range(p)) for a in range(p))
+
+
+@lru_cache(maxsize=None)
+def _regular_weights(p):
+    """The weights of x on z^a e_t x^c, with u = (mu + 2t) mod p:
+    raising[a] = xi^a and lowering[a][u] = (a)_xi (xi^{a-u} - 1)."""
+    raising = tuple(root_of_unity(p, k) for k in range(p))
+    lowering = tuple(tuple(sum(raising[:a]) * (raising[(a - u) % p] - 1)
+                           for u in range(p)) for a in range(p))
     return raising, lowering
 
 
@@ -211,7 +220,7 @@ def regular_ayd_module(p, mu):
     """
     _check_regular_guard(p, mu)
     _require_prime(p)
-    raising, lowering = _regular_weights(p, mu)
+    raising, lowering = _regular_weights(p)
     n = p ** 3
     degrees = [0] * n
     labels = [""] * n
@@ -231,7 +240,7 @@ def regular_ayd_module(p, mu):
                 if c + 1 < p:
                     xdata[((a * p + (t + 1) % p) * p + c + 1, col)] = raising[a]
                 if a:
-                    xdata[(col - p * p, col)] = lowering[a][t]
+                    xdata[(col - p * p, col)] = lowering[a][(mu + 2 * t) % p]
     zdata = {(j + p * p, j): 1 for j in range(n - p * p)}
     space = GradedSpace(p, degrees, labels)
     return AydModule(
@@ -469,9 +478,10 @@ def stable_analysis(p, mu):
     Johnson, Matrix Analysis): 0 is one Jordan block of size z_b, the
     number of diagonal entries of string b where varsigma = 1, so dim ker
     T^k = sum_b min(k, z_b), rising until k = max_b z_b (k = 1 if all z_b
-    are 0).  The two diagonals come from _sigma_diagonals, at O(p^3) scalar
-    operations; only if a first-subdiagonal entry vanishes does it build
-    the regular module and take the nullities of sparse powers of T.
+    are 0).  The two diagonals come from _sigma_diagonals, which reads one
+    table per p, built once at O(p^3) scalar operations, at u = mu + 2t;
+    only if a first-subdiagonal entry vanishes does it build the regular
+    module and take the nullities of sparse powers of T.
     """
     mu %= p
     _check_regular_guard(p, mu)

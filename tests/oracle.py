@@ -30,7 +30,9 @@ multiplying omega(y, y) with the value of a validated anti-twist, rather
 than by exponent arithmetic mod N; right multiplication b |-> b*a as a
 matrix, which bhl never builds; and the action of an algebra element as a running sum of scaled
 matrices, rather than accumulated into one dict; primality by trial
-division, rather than by Miller-Rabin.  run_script runs the
+division, rather than by Miller-Rabin; and the two diagonals of varsigma
+on the regular module by the path recursion for one mu, rather than from
+one table per p.  run_script runs the
 table scripts under scripts/, themselves independent routes.
 """
 
@@ -58,7 +60,7 @@ from bhl.graded import (
 )
 from bhl.hopf import verify_antipode, verify_bialgebra
 from bhl.report import FAIL, map_check
-from bhl.scalars import format_scalar
+from bhl.scalars import format_scalar, q_factorial, root_of_unity
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -408,6 +410,42 @@ def regular_ayd_by_conjugation(p, mu):
     M.basis_change = P
     M.algebra = A
     return M
+
+
+def sigma_diagonals_by_mu(p, mu):
+    """The tables E(a, t, 0) and E(a, t, 1) of bhl.ayd._sigma_diagonals by
+    the path recursion for this mu alone, with the lowering weight
+    (a)_xi (xi^{a-mu-2t} - 1) read at t, rather than from the one table per
+    p indexed by u = mu + 2t; entries with a + d = p are the int 0."""
+    xi = root_of_unity(p)
+    coeffs = [1] + [xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
+                    for j in range(1, p)]
+    raising = [root_of_unity(p, k) for k in range(p)]
+    lowering = []
+    for a in range(p):
+        a_xi = sum(raising[:a])
+        lowering.append([a_xi * (raising[(a - mu - 2 * t) % p] - 1)
+                         for t in range(p)])
+    tables = [[[0] * p for _ in range(p)] for _ in range(2)]
+    for a in range(p):
+        for t in range(p):
+            i = t - a
+            prefactor = root_of_unity(p, -i * i - mu * i)
+            prev = None  # W(0, l) for l = 0 .. a
+            for d in range(min(2, p - a)):
+                td = (t + d) % p
+                cur = []  # W(d, l) for l = 0 .. a, with W(0, 0) = 1
+                for l in range(a + 1):
+                    w = raising[a - l] * prev[l] if d else int(l == 0)
+                    if l:
+                        w = w + lowering[a - l + 1][td] * cur[l - 1]
+                    cur.append(w)
+                total = 0
+                for l, w in enumerate(cur):
+                    total = total + coeffs[d + l] * w
+                prev = cur
+                tables[d][a][t] = prefactor * total
+    return tables
 
 
 def hopf_maps_by_powers(H):

@@ -42,6 +42,7 @@ from oracle import (
     ribbon_identity_by_matrices,
     right_mult_operator,
     run_script,
+    sigma_diagonals_by_mu,
     to_uqsl2,
     trivial_ayd_module,
     typed_entries,
@@ -220,6 +221,32 @@ def test_sigma_diagonals_are_the_closed_form(p):
                 value = root_of_unity(p, -t * t - mu * t)
                 assert diag[a][t] == value
                 assert sub[a][t] == (value if a + 1 < p else 0)
+
+
+def typed_tables(tables):
+    return [[[(type(v).__name__, repr(v)) for v in row] for row in table]
+            for table in tables]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_sigma_diagonals_match_the_per_mu_recursion(p):
+    # the view of the one table per p, read at u = mu + 2t, against the
+    # path recursion run for each mu alone, value and type, int 0 included
+    for mu in range(p):
+        assert typed_tables(ayd._sigma_diagonals(p, mu)) \
+            == typed_tables(sigma_diagonals_by_mu(p, mu))
+
+
+def test_sigma_diagonals_are_new_lists_on_each_call():
+    # a caller that writes into the tables, as the sparse-chain test below
+    # does, leaves the cached table per p as it was
+    p, mu = 3, 1
+    diag, sub = ayd._sigma_diagonals(p, mu)
+    assert sub[0][2]
+    sub[0][2] = 0
+    diag[0][0] = 0
+    assert typed_tables(ayd._sigma_diagonals(p, mu)) \
+        == typed_tables(sigma_diagonals_by_mu(p, mu))
 
 
 @settings(max_examples=20, deadline=None)
@@ -589,11 +616,18 @@ def test_stable_dims_table_script_reproduces_the_frozen_table():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("mu", [0, 1])
-@pytest.mark.parametrize("p,guard", [(11, "2000"), (23, "13000")])
+@pytest.mark.parametrize("p,guard", [(11, "2000"), (23, "13000"),
+                                     (31, "30000")])
 def test_stable_dimension_at_large_p(monkeypatch, p, guard, mu):
-    # dimensions 1331 and 12167: the stable kernel has dimension p^2 for
-    # mu = 0 and 2 p^2 otherwise, the rule the stable-dim report applies
+    # dimensions 1331, 12167 and 29791: the stable kernel has dimension p^2
+    # for mu = 0 and 2 p^2 otherwise, the rule the stable-dim report
+    # applies; a zero on the subdiagonal fails here rather than building
+    # the whole varsigma
+    def refuse(T):
+        raise AssertionError("sparse chain used")
+
     monkeypatch.setenv("BHL_DIM_GUARD", guard)
+    monkeypatch.setattr(ayd, "_kernel_chain_by_powers", refuse)
     result = stable_analysis(p, mu)
     assert result["dim"] == p ** 3
     assert result["chain"][-1] == (1 if mu == 0 else 2) * p ** 2
