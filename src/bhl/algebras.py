@@ -458,6 +458,11 @@ class FiniteDimAlgebra:
         the basis, and each kernel replaces it by the combinations of its
         elements that commute with g.  No L_g or R_g on all of A is built.
 
+        Each column of ad(g) is summed straight from the products g*m and
+        m*g of the monomials m of v; a presented algebra takes each m*g
+        from its memo of this generator's right products (_right_products),
+        at one generator action per term.
+
         Generators of degree 0 go first, in presentation order otherwise.
         On uqsl2(p) and d_a_mu(p, mu) that one takes each monomial to a
         multiple of another, and its kernel is the p^2 monomials of weight
@@ -466,12 +471,29 @@ class FiniteDimAlgebra:
         order changes the basis found, never its span.
         """
         check_guard(self.dim, "center computation")
+        index = self.index
         space = [AlgebraElement(self, {m: 1}) for m in self.basis]
         for _, g in sorted(self.generators(), key=lambda ng: ng[1].degree() != 0):
-            ad = from_cols(self.dim, [(g * v - v * g).as_column() for v in space])
+            (gm,) = g.terms
+            right = self._right_products(gm)
+            cols = []
+            for v in space:
+                col = {}
+                for m, c in v.terms.items():
+                    for prod, k in ((self.pair_product(gm, m), c),
+                                    (right(m), -c)):
+                        for mo, s in prod.items():
+                            i = index[mo]
+                            col[i] = col.get(i, 0) + k * s
+                cols.append(col)
+            del right  # free this generator's memo before the elimination
             space = [sum((space[j] * c for j, c in vec.items()), self.zero())
-                     for vec in ad.kernel_basis()]
+                     for vec in from_cols(self.dim, cols).kernel_basis()]
         return space
+
+    def _right_products(self, g):
+        """m |-> m * g on basis monomials m, for a generator monomial g."""
+        return lambda m: self.pair_product(m, g)
 
 
 class PresentedAlgebra(FiniteDimAlgebra):
@@ -589,6 +611,22 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
     def _pair_product_raw(self, ma, mb):
         return self._apply([(i, e) for i, e in enumerate(ma) if e], {mb: 1})
+
+    def _right_products(self, g):
+        """m |-> m * g on basis monomials m, memoised in a dict that lives
+        as long as the returned map: with h the leading letter of m = h*m',
+        m * g = h * (m' * g), one generator action per term of m' * g."""
+        # a method, not a closure that calls itself (see extend)
+        return functools.partial(self._right_product, {self.unit_mono: {g: 1}})
+
+    def _right_product(self, memo, mono):
+        hit = memo.get(mono)
+        if hit is None:
+            h = next(j for j, e in enumerate(mono) if e)
+            rest = mono[:h] + (mono[h] - 1,) + mono[h + 1:]
+            hit = memo[mono] = self._apply(
+                [(h, 1)], self._right_product(memo, rest))
+        return hit
 
     def _apply(self, runs, terms):
         """The letters of runs applied right to left to terms, a dict

@@ -49,10 +49,11 @@ from .exactmat import Mat
 from .graded import GradedMap, GradedSpace
 from .report import check, map_check, prefixed
 from .scalars import (
+    FieldError,
+    ParseError,
     balanced_q_factorial,
     format_scalar,
     gauss_sum,
-    in_field,
     parse_scalar,
     q_factorial,
     root_of_unity,
@@ -358,15 +359,14 @@ def verify_ribbon_identity(p, mu):
     return _ribbon_identity(d_a_mu(p, mu), ribbon_element(p))
 
 
-def _ribbon_identity(A, R):
+def _ribbon_identity(A, R, psi_v0=None):
     """verify_ribbon_identity in A = d_a_mu(p, mu), with R =
-    ribbon_element(p) built by the caller.
+    ribbon_element(p) built by the caller, and psi(v_0) in A when the
+    caller has it (else it is built here, by _psi_v0).
 
     Route (b): varsigma is the action of w = P(g) sum_j c_j z^j x^j, where
     P(g) = sum_i xi^{-i^2-mu i} e_i = sum_b (1/p sum_i xi^{-i^2-mu i-ib}) g^b,
-    as g acts by xi^i on degree i.  The v_0-action is that of psi(v_0),
-    with psi the linear extension over normal monomials of E -> q^{1-mu} x,
-    F -> z g, K -> q^{mu-1} g^{p-1}.
+    as g acts by xi^i on degree i.  The v_0-action is that of psi(v_0).
     """
     p, mu = A.p, A.mu
     U = R.v_0.algebra
@@ -410,12 +410,9 @@ def _ribbon_identity(A, R):
         for b in range(p)})
     w = P * A.element({(j, 0, j): c
                        for j, c in enumerate(_series_coefficients(p))})
-    z, g, x = A.gen("z"), A.gen("g"), A.gen("x")
-    psi = U.extend({"E": q ** (1 - mu) * x, "F": z * g,
-                    "K": q ** (mu - 1) * g ** (p - 1)},
-                   A.unit(), lambda a, b, *_: a * b)
-    diff = w - pref * sum((c * psi(mono) for mono, c in R.v_0.terms.items()),
-                          A.zero())
+    if psi_v0 is None:
+        psi_v0 = _psi_v0(A, R)
+    diff = w - pref * psi_v0
     checks.append(
         check(
             "varsigma_equals_scaled_ribbon", not diff,
@@ -428,14 +425,47 @@ def _ribbon_identity(A, R):
     return checks
 
 
+def _psi_v0(A, R):
+    """psi(v_0) in A = d_a_mu(p, mu), with psi the linear extension over
+    normal monomials of E -> q^{1-mu} x, F -> z g, K -> q^{mu-1} g^{p-1}."""
+    q, mu, p = R.q, A.mu, A.p
+    z, g, x = A.gen("z"), A.gen("g"), A.gen("x")
+    psi = R.v_0.algebra.extend({"E": q ** (1 - mu) * x, "F": z * g,
+                                "K": q ** (mu - 1) * g ** (p - 1)},
+                               A.unit(), lambda a, b, *_: a * b)
+    return sum((c * psi(mono) for mono, c in R.v_0.terms.items()), A.zero())
+
+
+def _twisted_psi_v0(psi0, A):
+    """psi(v_0) in A = d_a_mu(p, mu) from psi0, the terms of psi(v_0) in
+    d_a_mu(p, 0), with no product: phi_s(psi0), s = mu/2 mod p, for the
+    isomorphism phi_s: g -> xi^s g, z -> z, x -> x of d_a_mu(p, 0) onto
+    d_a_mu(p, mu) (the term xi g^{p-2} of xz goes to xi^{1-mu} g^{p-2}),
+    which multiplies the coefficient of z^a g^b x^c by xi^{sb}.  As
+    q^{-mu} = xi^s, phi_s psi_0 = psi_mu after E -> q^mu E, F -> q^{-mu} F,
+    which fixes each monomial F^j K^k E^j of v_0."""
+    p = A.p
+    s = A.mu * pow(2, -1, p) % p
+    return A.element({(a, b, c): coeff * root_of_unity(p, s * b)
+                      for (a, b, c), coeff in psi0.items()})
+
+
 def verify_ribbon_family(p):
-    """All mu at once, plus: the prefactor is a function of mu^2 mod p."""
-    checks, R = [], None
+    """All mu at once, plus: the prefactor is a function of mu^2 mod p.
+
+    The ribbon element, and psi(v_0) in d_a_mu(p, 0), are built once; each
+    mu takes psi(v_0) from the latter by _twisted_psi_v0, with no product,
+    and w directly in d_a_mu(p, mu)."""
+    checks, R, psi0 = [], None, None
     for mu in range(p):
         _check_regular_guard(p, mu)
         if R is None:  # after the first dimension guard
             R = ribbon_element(p)
-        checks += prefixed("mu=%d: " % mu, _ribbon_identity(d_a_mu(p, mu), R))
+        A = d_a_mu(p, mu)
+        if psi0 is None:  # its terms: d_a_mu(p, 0) is not kept
+            psi0 = _psi_v0(A, R).terms
+        checks += prefixed("mu=%d: " % mu,
+                           _ribbon_identity(A, R, _twisted_psi_v0(psi0, A)))
     table = {mu: ribbon_prefactor(p, mu) for mu in range(p)}
     bad = []
     for mu in range(p):
@@ -586,10 +616,11 @@ def _parse_entry(v, p):
     if not isinstance(v, str):
         raise ValueError("entry %r is neither an integer nor a scalar string"
                          % (v,))
-    value = parse_scalar(v)
-    if not in_field(value, p):
-        raise ValueError("entry %r is not in Q(zeta_%d)" % (v, p))
-    return value
+    try:
+        return parse_scalar(v, p)
+    except FieldError as exc:
+        raise ParseError("entry %r is not in Q(zeta_%d)" % (v, p), exc.line,
+                         exc.col) from None
 
 
 def ayd_module_from_json(data):

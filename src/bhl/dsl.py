@@ -314,9 +314,11 @@ class Parser(TokenReader):
         return OUnit() if name == "I" else OName(name)
 
 
-def parse(text):
+def parse(text, order=None):
+    """The statements of a script; a q(N,k) outside Q(zeta_order), for an
+    order given, is a syntax error."""
     try:
-        return Parser(text).parse_script()
+        return Parser(text, order).parse_script()
     except ParseError as exc:
         raise DslSyntaxError(exc.message, exc.line, exc.col) from None
 
@@ -524,6 +526,6 @@ def check_script(stmts, env):
 
 def check_text(text, env):
     try:
-        return check_script(parse(text), env)
+        return check_script(parse(text, env.chi.N), env)
     except RecursionError:
         raise DslError("expression nested too deeply") from None

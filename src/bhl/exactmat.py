@@ -250,14 +250,14 @@ def _eliminate(rows, ncols):
                 prow = rows[r] = {j: inv * v for j, v in prow.items()}
         for t in holders[col] - {r}:
             row = rows[t]
-            factor = row[col]
+            nf = -row[col]  # negated once per row, not once per entry
             for j, v in prow.items():
                 s = row.get(j)
                 if s is None:
-                    row[j] = -(factor * v)
+                    row[j] = nf * v
                     holders[j].add(t)
                 else:
-                    s = s - factor * v
+                    s = s + nf * v
                     if s:
                         row[j] = s
                     else:

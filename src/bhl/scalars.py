@@ -491,11 +491,15 @@ def gauss_sum(p: int, q, m: int):
 #   factor := '-'* atom ('^' ('-'? INT))?
 #   atom   := INT | 'q' '(' INT ',' INT ')' | '(' expr ')'
 #
-# q(N,k) (or Q(N,k)) denotes zeta_N^k.  Module files and JSON reports write
-# scalars in this grammar, and the diagram scripts of bhl.dsl read their
-# matrix entries with the same TokenReader method.  One tokenizer serves
-# both: a lone scalar may have any whitespace between its tokens, a script
-# only spaces, tabs and line breaks, plus comments from '#' to end of line.
+# q(N,k) (or Q(N,k)) denotes zeta_N^k.  A reader given an ambient order n
+# (a script's --n, a module file's p) rejects a q(N,k) that in_field would,
+# N != n with zeta_N^k not +-1, before it builds it.  Every other value it
+# reads lies in Q(zeta_n): a rational operand keeps the order of the other.
+# Module files and JSON reports write scalars in this grammar, and the
+# diagram scripts of bhl.dsl read their matrix entries with the same
+# TokenReader method.  One tokenizer serves both: a lone scalar may have
+# any whitespace between its tokens, a script only spaces, tabs and line
+# breaks, plus comments from '#' to end of line.
 
 _SKIP = (re.compile(r"\s*"), re.compile(r"(?:[ \t\r\n]+|#.*)*"))
 _TOKEN = re.compile(
@@ -510,6 +514,10 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.col = col
+
+
+class FieldError(ParseError):
+    """A q(N,k) outside the ambient field of a TokenReader."""
 
 
 def tokenize(text, script=False):
@@ -556,15 +564,18 @@ class TokenReader:
     Tokens are tuples (kind, text, line, col); take() never passes the
     final "eof" token.  No two kinds share a text, so a token is known by
     its text alone.  A syntax error is a ParseError at the line and column
-    of the token at fault.  A reader of a diagram script subclasses this
-    one, sets ``script``, and reads each scalar in it with scalar().
+    of the token at fault; given an ambient order, a q(N,k) outside
+    Q(zeta_order) is one, a FieldError.  A reader of a diagram script
+    subclasses this one, sets ``script``, and reads each scalar in it with
+    scalar().
     """
 
     script = False
 
-    def __init__(self, text):
+    def __init__(self, text, order=None):
         self.tokens = tokenize(text, self.script)
         self.pos = 0
+        self.order = order
 
     def peek(self):
         return self.tokens[self.pos]
@@ -646,6 +657,9 @@ class TokenReader:
             self.expect_sym(")")
             if n < 1:
                 self.fail("q(N,k) needs N >= 1", tok)
+            if self.order not in (None, n) and 2 * k % n:
+                raise FieldError("q(%d,%d) is not in Q(zeta_%d)"
+                                 % (n, k, self.order), tok[2], tok[3])
             value = root_of_unity(n, k)
         elif kind == "int":
             value = int(text)
@@ -664,13 +678,14 @@ class TokenReader:
         return sign * value
 
 
-def parse_scalar(text: str):
-    """Read text as one scalar; returns int, Fraction or Cyclotomic.
+def parse_scalar(text: str, order=None):
+    """Read text as one scalar; returns int, Fraction or Cyclotomic, in
+    Q(zeta_order) if an order is given.
 
-    Text outside the grammar, division by zero and too deep nesting
-    included, raises ParseError, a ValueError.
+    Text outside the grammar, division by zero, too deep nesting and a
+    q(N,k) outside Q(zeta_order) included, raises ParseError, a ValueError.
     """
-    reader = TokenReader(text)
+    reader = TokenReader(text, order)
     value = reader.scalar()
     tok = reader.peek()
     if tok[0] != "eof":

@@ -556,6 +556,11 @@ def typed_entries(mat):
     return {key: (type(v).__name__, repr(v)) for key, v in mat.data.items()}
 
 
+def typed_terms(terms):
+    """The terms {monomial: scalar} of an element as (type name, repr)."""
+    return {m: (type(c).__name__, repr(c)) for m, c in terms.items()}
+
+
 def normalize_by_rescan(A, coeff, runs):
     """coeff times the word runs, a list of (generator index, exponent),
     in normal form: rewrite the first violation (a power at its bound, or

@@ -37,6 +37,7 @@ from oracle import (
     normal_form_by_rescan,
     pair_product_by_rescan,
     typed_entries,
+    typed_terms,
 )
 
 
@@ -253,10 +254,6 @@ def test_mult_map_matches_normal_forms_by_pairs(case):
         typed_entries(mult_map_by_pairs(A).mat)
 
 
-def typed_terms(terms):
-    return {m: (type(c).__name__, repr(c)) for m, c in terms.items()}
-
-
 def generator_monos(A):
     return [next(iter(g.terms)) for _, g in A.generators()]
 
@@ -339,6 +336,32 @@ def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     U.compute_center()
     assert len(calls) <= 350
     assert len(U._actions) <= 375
+
+
+@pytest.mark.parametrize("make", [lambda: uqsl2(5), lambda: d_a_mu(3, 1),
+                                  lambda: taft(3)],
+                         ids=["uqsl2(5)", "d_a_mu(3,1)", "taft(3)"])
+def test_right_products_match_pair_products(make):
+    # m*g as h*(m'*g) from the memo of _right_products, against pair_product
+    # in a second copy of the algebra, for every basis monomial m and
+    # generator g, by type and repr
+    A, B = make(), make()
+    for g in generator_monos(A):
+        right = A._right_products(g)
+        for m in A.basis:
+            assert typed_terms(right(m)) == \
+                typed_terms(B.pair_product(m, g)), (m, g)
+
+
+def test_center_keeps_only_left_products():
+    # the right products' memo lives for one generator of one call: the
+    # algebra gains no attribute, and its pair cache holds only g*m
+    U = uqsl2(5)
+    before = set(vars(U))
+    U.compute_center()
+    assert set(vars(U)) == before
+    gens = set(generator_monos(U))
+    assert {ma for ma, _ in U._pair_cache} <= gens
 
 
 def test_center_checks_the_guard_before_any_product(monkeypatch):

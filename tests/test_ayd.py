@@ -46,6 +46,7 @@ from oracle import (
     to_uqsl2,
     trivial_ayd_module,
     typed_entries,
+    typed_terms,
     verify_module,
 )
 
@@ -518,6 +519,36 @@ def test_ribbon_element_route_matches_the_matrix_oracle(p, mu):
     element = ayd._ribbon_identity(d_a_mu(p, mu), R)[1]
     assert element["status"] == PASS
     assert element == ribbon_identity_by_matrices(regular_ayd_module(p, mu), R)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7,
+                               pytest.param(11, marks=pytest.mark.slow)])
+def test_twisted_psi_matches_the_direct_substitution(monkeypatch, p):
+    # phi_s(psi_0(v_0)), s = mu/2 mod p, against psi_mu(v_0) built by
+    # substitution in d_a_mu(p, mu), term by term, by type and repr
+    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
+    R = ribbon_element(p)
+    psi0 = ayd._psi_v0(d_a_mu(p, 0), R).terms
+    for mu in range(p):
+        A = d_a_mu(p, mu)
+        got = ayd._twisted_psi_v0(psi0, A)
+        assert got.algebra is A
+        assert typed_terms(got.terms) == \
+            typed_terms(ayd._psi_v0(A, R).terms), mu
+
+
+def test_ribbon_family_substitutes_once(monkeypatch):
+    # psi(v_0) is built at mu = 0 only; the other mu twist it
+    calls = []
+    real = ayd._psi_v0
+
+    def counted(A, R):
+        calls.append(A.mu)
+        return real(A, R)
+
+    monkeypatch.setattr(ayd, "_psi_v0", counted)
+    assert all_pass(verify_ribbon_family(5))
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("p, mu", [(5, 1), (7, 3)])

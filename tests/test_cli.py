@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from bhl import cli
 from bhl.cli import PACKAGE_DIR, dsl_corpus_checks, main
-from bhl.scalars import format_scalar, parse_scalar
+from bhl.scalars import parse_scalar
 
 SCHEMA = json.loads(
     (PACKAGE_DIR / "schemas" / "report.schema.json").read_text())
@@ -500,7 +500,7 @@ def test_dsl_division_by_zero_fails_script_loads(tmp_path, capsys):
 
 def test_dsl_entry_outside_the_field_fails_script_loads(tmp_path, capsys):
     # the README's script example has the entry q(3,1), which is not in
-    # Q(zeta_5)
+    # Q(zeta_5): a syntax error at its token
     script = tmp_path / "readme.bdsl"
     script.write_text("let V = obj { deg 0: 1, deg 1: 1 }\n"
                       "let f = gen (V -> V) { [2, 0; 0, q(3,1)] }\n"
@@ -511,8 +511,8 @@ def test_dsl_entry_outside_the_field_fails_script_loads(tmp_path, capsys):
     assert code == 1
     (first,) = report["checks"]
     assert first["name"] == "script loads"
-    assert "generator 'f': entry q(3,1) is not in Q(zeta_5)" in \
-        first["witnesses"][0]["error"]
+    assert first["witnesses"][0]["error"] == \
+        "q(3,1) is not in Q(zeta_5) (line 2, column 34)"
 
 
 @pytest.mark.parametrize("expr", [
@@ -636,7 +636,7 @@ def test_root_of_a_large_order_is_rejected_without_its_table(tmp_path):
     module = _module_file(tmp_path / "module.json", ("x", 2, 1), "q(1013,1)")
     for argv, name, error in (
             (["dsl", "check", str(script)], "script loads",
-             "generator 'f': entry q(1009,1) is not in Q(zeta_3)"),
+             "q(1009,1) is not in Q(zeta_3) (line 2, column 25)"),
             (["verify", "ayd", "--module", str(module)],
              "module file is well formed",
              "entry 'q(1013,1)' is not in Q(zeta_3)")):
@@ -656,18 +656,18 @@ def test_root_of_a_large_order_is_rejected_without_its_table(tmp_path):
 def test_inverse_root_of_a_large_order_is_rejected_without_its_table(
         tmp_path):
     # inverting q(n,1) reads one row, not the table of powers of order n
-    # (about 16 MB at n = 1019); no other test builds these two tables
+    # (about 16 MB at n = 1019); no other test builds these two tables.
+    # A script or module file rejects q(n,1) before it builds it, so the
+    # inverse is taken by parse_scalar, which has no ambient order.
     script = tmp_path / "large.bdsl"
     script.write_text("let V = obj { deg 0: 1 }\n"
                       "let f = gen (V -> V) { [q(1019,1)^-1] }\n"
                       "assert f == f\n")
     module = _module_file(tmp_path / "module.json", ("x", 2, 1),
                           "q(1021,1)^-1")
-    # the DSL names the value, zeta^1018 written out on the power basis
-    value = format_scalar(parse_scalar("q(1019,1018)"))
     for argv, name, error in (
             (["dsl", "check", str(script)], "script loads",
-             "generator 'f': entry %s is not in Q(zeta_3)" % value),
+             "q(1019,1) is not in Q(zeta_3) (line 2, column 25)"),
             (["verify", "ayd", "--module", str(module)],
              "module file is well formed",
              "entry 'q(1021,1)^-1' is not in Q(zeta_3)")):
@@ -682,12 +682,22 @@ def test_inverse_root_of_a_large_order_is_rejected_without_its_table(
         (first,) = json.loads(out)["checks"]
         assert (first["name"], first["status"]) == (name, "FAIL")
         assert error in first["witnesses"][0]["error"]
+    tracemalloc.start()
+    try:
+        value = parse_scalar("q(1019,1)^-1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert value == parse_scalar("q(1019,1018)")
 
 
 def test_product_of_roots_of_a_large_order_is_rejected_without_its_table(
         tmp_path):
     # q(n,1000)^2 is reduced as one coordinate list of length 2 phi(n) - 1,
-    # not through a table of powers of order n (about 16 MB at n = 1031)
+    # not through a table of powers of order n (about 16 MB at n = 1031);
+    # as above, parse_scalar takes the product, and a script or module file
+    # rejects q(n,1000) before it builds it
     script = tmp_path / "large.bdsl"
     script.write_text("let V = obj { deg 0: 1 }\n"
                       "let f = gen (V -> V) { [q(1031,1000)*q(1031,1000)] }\n"
@@ -696,7 +706,7 @@ def test_product_of_roots_of_a_large_order_is_rejected_without_its_table(
                           "q(1033,1000)*q(1033,1000)")
     for argv, name, error in (
             (["dsl", "check", str(script)], "script loads",
-             "generator 'f': entry q(1031,969) is not in Q(zeta_3)"),
+             "q(1031,1000) is not in Q(zeta_3) (line 2, column 25)"),
             (["verify", "ayd", "--module", str(module)],
              "module file is well formed",
              "entry 'q(1033,1000)*q(1033,1000)' is not in Q(zeta_3)")):
@@ -711,6 +721,14 @@ def test_product_of_roots_of_a_large_order_is_rejected_without_its_table(
         (first,) = json.loads(out)["checks"]
         assert (first["name"], first["status"]) == (name, "FAIL")
         assert error in first["witnesses"][0]["error"]
+    tracemalloc.start()
+    try:
+        value = parse_scalar("q(1031,1000)*q(1031,1000)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert value == parse_scalar("q(1031,969)")
 
 
 @pytest.mark.parametrize("argv, fields, name, tripped", [
@@ -746,6 +764,39 @@ def test_past_the_guard_skips_before_anything_is_built(argv, fields, name,
     assert (only["name"], only["status"]) == (name, "SKIP")
     assert tripped in only["details"]
     assert _outcome(argv + ["--strict"])[0] == 1
+
+
+@pytest.mark.parametrize("kind, name, error", [
+    ("script", "script loads",
+     "q(1000003,1) is not in Q(zeta_3) (line 2, column 29)"),
+    ("module", "module file is well formed",
+     "entry '1 + q(1000003,1)' is not in Q(zeta_3) (line 1, column 5)"),
+], ids=["script", "module"])
+def test_a_root_outside_the_field_fails_before_anything_is_built(
+        kind, name, error, tmp_path):
+    # building zeta_1000003 takes seconds and about 100 MB; a script at
+    # --n 3 or a module file with p = 3 rejects q(1000003,1) at its token
+    if kind == "script":
+        path = tmp_path / "large.bdsl"
+        path.write_text("let V = obj { deg 0: 1 }\n"
+                        "let f = gen (V -> V) { [1 + q(1000003,1)] }\n"
+                        "assert f == f\n")
+        argv = ["dsl", "check", str(path), "--n", "3"]
+    else:
+        path = _module_file(tmp_path / "module.json", ("x", 2, 1),
+                            "1 + q(1000003,1)")
+        argv = ["verify", "ayd", "--module", str(path)]
+    tracemalloc.start()
+    try:
+        code, out, err = _outcome(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert code == 1 and "Traceback" not in err
+    (only,) = json.loads(out)["checks"]
+    assert (only["name"], only["status"]) == (name, "FAIL")
+    assert only["witnesses"][0]["error"] == error
 
 
 def test_high_power_of_a_composite_order_is_rejected_quickly(tmp_path):

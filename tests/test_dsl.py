@@ -26,6 +26,7 @@ from bhl.dsl import (
     OUnit,
     _leaf,
     apply_decl,
+    check_script,
     check_text,
     eval_obj,
     evaluate,
@@ -286,12 +287,17 @@ def test_checks_name_their_source_lines():
 
 
 def test_entries_outside_the_field_are_rejected():
-    # q(3,1) lies in Q(zeta_3), not in Q(zeta_5)
+    # q(3,1) lies in Q(zeta_3), not in Q(zeta_5): a script read at N = 5
+    # fails at its token, and a tree read with no order fails the type
+    # check of the generator's entries
     text = ("let V = obj { deg 0: 1, deg 1: 1 }\n"
             "let f = gen (V -> V) { [2, 0; 0, q(3,1)] }\n"
             "assert (f * id[V]) ; braid[V,V] == braid[V,V] ; (id[V] * f)\n")
-    with pytest.raises(DslTypeError) as err:
+    with pytest.raises(DslSyntaxError) as err:
         check_text(text, Environment.build(5, 1))
+    assert str(err.value) == "q(3,1) is not in Q(zeta_5) (line 2, column 34)"
+    with pytest.raises(DslTypeError) as err:
+        check_script(parse(text), Environment.build(5, 1))
     assert "generator 'f': entry q(3,1) is not in Q(zeta_5)" in str(err.value)
     # rational entries, and q(N,k) itself, are fine at every N
     for N in (1, 2, 5):

@@ -14,6 +14,7 @@ from bhl.graded import GradedMap, GradedSpace
 from bhl.scalars import (
     Cyclotomic,
     OrderMismatchError,
+    ParseError,
     _conjugate,
     balanced_q_factorial,
     balanced_q_int,
@@ -21,6 +22,7 @@ from bhl.scalars import (
     euler_phi,
     format_scalar,
     gauss_sum,
+    in_field,
     parse_scalar,
     power,
     q_binomial,
@@ -191,6 +193,23 @@ def test_parse_scalar_errors_name_a_line_and_column(text, error):
     with pytest.raises(ValueError) as err:
         parse_scalar(text)
     assert str(err.value) == error
+
+
+def test_an_ambient_order_rejects_exactly_the_roots_in_field_rejects():
+    # with an order, q(N,k) is a syntax error at its token exactly when
+    # in_field rejects its value; else the text reads as with no order
+    for order in range(1, 8):
+        for n in range(1, 13):
+            for k in range(2 * n + 1):
+                text = "1 + 2*q(%d,%d)" % (n, k)
+                if in_field(root_of_unity(n, k), order):
+                    _same(parse_scalar(text, order), parse_scalar(text))
+                    continue
+                with pytest.raises(ParseError) as err:
+                    parse_scalar(text, order)
+                assert str(err.value) == (
+                    "q(%d,%d) is not in Q(zeta_%d) (line 1, column 7)"
+                    % (n, k, order))
 
 
 def test_format_round_trip_rationals():
