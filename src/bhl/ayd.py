@@ -356,19 +356,15 @@ def verify_ribbon_identity(p, mu):
     # the guard of the p^3 regular module first: it trips before uqsl2(p)
     # and the ribbon element are built
     _check_regular_guard(p, mu % p)
-    return _ribbon_identity(d_a_mu(p, mu), ribbon_element(p))
+    R = ribbon_element(p)
+    return _ribbon_identity(p, mu % p, R, _psi_v0(p, R))
 
 
-def _ribbon_identity(A, R, psi_v0=None):
-    """verify_ribbon_identity in A = d_a_mu(p, mu), with R =
-    ribbon_element(p) built by the caller, and psi(v_0) in A when the
-    caller has it (else it is built here, by _psi_v0).
-
-    Route (b): varsigma is the action of w = P(g) sum_j c_j z^j x^j, where
-    P(g) = sum_i xi^{-i^2-mu i} e_i = sum_b (1/p sum_i xi^{-i^2-mu i-ib}) g^b,
-    as g acts by xi^i on degree i.  The v_0-action is that of psi(v_0).
-    """
-    p, mu = A.p, A.mu
+def _ribbon_identity(p, mu, R, psi0):
+    """verify_ribbon_identity for 0 <= mu < p, given R = ribbon_element(p)
+    and psi0 = _psi_v0(p, R).  Route (b) compares w (_w_terms) with the
+    prefactor times psi(v_0) = phi_s(psi0) (_twisted_psi_v0) as dicts of
+    terms over the monomials z^a g^b x^c of d_a_mu(p, mu)."""
     U = R.v_0.algebra
     if U.signature != ("uqsl2", p):
         raise ValueError("ribbon element of %r, algebra d_a_mu(%d, %d)"
@@ -404,68 +400,70 @@ def _ribbon_identity(A, R, psi_v0=None):
         )
     )
 
-    P = A.element({
-        (0, b, 0): Fraction(1, p) * sum(root_of_unity(p, -i * i - mu * i - i * b)
-                                        for i in range(p))
-        for b in range(p)})
-    w = P * A.element({(j, 0, j): c
-                       for j, c in enumerate(_series_coefficients(p))})
-    if psi_v0 is None:
-        psi_v0 = _psi_v0(A, R)
-    diff = w - pref * psi_v0
+    diff = _w_terms(p, mu)
+    for mono, c in _twisted_psi_v0(psi0, p, mu).items():
+        diff[mono] = diff.get(mono, 0) - pref * c
+    diff = {mono: c for mono, c in diff.items() if c}
     checks.append(
         check(
             "varsigma_equals_scaled_ribbon", not diff,
             details="on the regular representation (faithful), "
                     "prefactor %s" % format_scalar(pref),
-            witnesses=[{"difference": A.element_to_json(diff)}] if diff
-            else None,
+            witnesses=[{"difference": [[list(mono), format_scalar(c)]
+                                       for mono, c in sorted(diff.items())]}]
+            if diff else None,
         )
     )
     return checks
 
 
-def _psi_v0(A, R):
-    """psi(v_0) in A = d_a_mu(p, mu), with psi the linear extension over
-    normal monomials of E -> q^{1-mu} x, F -> z g, K -> q^{mu-1} g^{p-1}."""
-    q, mu, p = R.q, A.mu, A.p
+def _w_terms(p, mu):
+    """The terms of w = P(g) sum_j c_j z^j x^j in d_a_mu(p, mu), whose
+    action is varsigma: P(g) = sum_i xi^{-i^2-mu i} e_i = sum_b P_b g^b with
+    P_b = (1/p) sum_i xi^{-i^2-mu i-ib}, and g^b z^j = xi^{-bj} z^j g^b
+    (gz = xi^{-1} zg), so z^j g^b x^j has coefficient P_b c_j xi^{-bj}."""
+    P = [Fraction(1, p) * sum(root_of_unity(p, -i * i - mu * i - i * b)
+                              for i in range(p)) for b in range(p)]
+    return {(j, b, j): P[b] * c * root_of_unity(p, -b * j)
+            for b in range(p) for j, c in enumerate(_series_coefficients(p))}
+
+
+def _psi_v0(p, R):
+    """The terms of psi(v_0) in d_a_mu(p, 0), with psi the linear extension
+    over normal monomials of E -> q x, F -> z g, K -> q^{-1} g^{p-1}."""
+    A = d_a_mu(p, 0)
     z, g, x = A.gen("z"), A.gen("g"), A.gen("x")
-    psi = R.v_0.algebra.extend({"E": q ** (1 - mu) * x, "F": z * g,
-                                "K": q ** (mu - 1) * g ** (p - 1)},
+    psi = R.v_0.algebra.extend({"E": R.q * x, "F": z * g,
+                                "K": R.q ** -1 * g ** (p - 1)},
                                A.unit(), lambda a, b, *_: a * b)
-    return sum((c * psi(mono) for mono, c in R.v_0.terms.items()), A.zero())
+    return sum((c * psi(mono) for mono, c in R.v_0.terms.items()),
+               A.zero()).terms
 
 
-def _twisted_psi_v0(psi0, A):
-    """psi(v_0) in A = d_a_mu(p, mu) from psi0, the terms of psi(v_0) in
-    d_a_mu(p, 0), with no product: phi_s(psi0), s = mu/2 mod p, for the
-    isomorphism phi_s: g -> xi^s g, z -> z, x -> x of d_a_mu(p, 0) onto
-    d_a_mu(p, mu) (the term xi g^{p-2} of xz goes to xi^{1-mu} g^{p-2}),
-    which multiplies the coefficient of z^a g^b x^c by xi^{sb}.  As
-    q^{-mu} = xi^s, phi_s psi_0 = psi_mu after E -> q^mu E, F -> q^{-mu} F,
-    which fixes each monomial F^j K^k E^j of v_0."""
-    p = A.p
-    s = A.mu * pow(2, -1, p) % p
-    return A.element({(a, b, c): coeff * root_of_unity(p, s * b)
-                      for (a, b, c), coeff in psi0.items()})
+def _twisted_psi_v0(psi0, p, mu):
+    """The terms of psi(v_0) in d_a_mu(p, mu) from psi0, those in
+    d_a_mu(p, 0): phi_s(psi0), s = mu/2 mod p, for the isomorphism phi_s:
+    g -> xi^s g of d_a_mu(p, 0) onto d_a_mu(p, mu) (xi g^{p-2} in xz goes
+    to xi^{1-mu} g^{p-2}), which multiplies the coefficient of z^a g^b x^c
+    by xi^{sb}.  As q^{-mu} = xi^s, phi_s psi_0 = psi_mu after E -> q^mu E,
+    F -> q^{-mu} F, which fixes each monomial F^j K^k E^j of v_0."""
+    s = mu * pow(2, -1, p) % p
+    return {(a, b, c): coeff * root_of_unity(p, s * b)
+            for (a, b, c), coeff in psi0.items()}
 
 
 def verify_ribbon_family(p):
     """All mu at once, plus: the prefactor is a function of mu^2 mod p.
 
-    The ribbon element, and psi(v_0) in d_a_mu(p, 0), are built once; each
-    mu takes psi(v_0) from the latter by _twisted_psi_v0, with no product,
-    and w directly in d_a_mu(p, mu)."""
+    The ribbon element, and psi(v_0) in d_a_mu(p, 0), are built once, and
+    every mu runs the step of verify_ribbon_identity on them."""
     checks, R, psi0 = [], None, None
     for mu in range(p):
         _check_regular_guard(p, mu)
         if R is None:  # after the first dimension guard
             R = ribbon_element(p)
-        A = d_a_mu(p, mu)
-        if psi0 is None:  # its terms: d_a_mu(p, 0) is not kept
-            psi0 = _psi_v0(A, R).terms
-        checks += prefixed("mu=%d: " % mu,
-                           _ribbon_identity(A, R, _twisted_psi_v0(psi0, A)))
+            psi0 = _psi_v0(p, R)
+        checks += prefixed("mu=%d: " % mu, _ribbon_identity(p, mu, R, psi0))
     table = {mu: ribbon_prefactor(p, mu) for mu in range(p)}
     bad = []
     for mu in range(p):

@@ -10,8 +10,9 @@ finite scalar tables:
 * the N^2 arrows  y: sigma lambda_t -> sigma lambda_{t+2cy}, each with its
   eta invariant  eta(y, sigma lambda_t) = omega(y,y) sigma lambda_t(y)
   = zeta^{cy^2+ty}.  An arrow is a stable witness (lambda_t(y) = sigma(y))
-  exactly when it lies in the eta kernel, cy^2 + ty = 0 (mod N), so both
-  come from one pass over the arrows by exponent arithmetic mod N;
+  exactly when it lies in the eta kernel, y(cy + t) = 0 (mod N), that is
+  t = -cy (mod N/gcd(y, N)): the kernel's sum_y gcd(y, N) arrows are
+  listed directly, without a pass over all N^2 arrows;
 * stable isomorphism: the symmetric-transitive closure of the witnessed
   pairs (target, source);
 * the packet report I = theta(G) = {zeta^{cx^2}} with multiplicities
@@ -26,6 +27,7 @@ are the ones visible through the one-object embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .scalars import format_scalar, root_of_unity
 
@@ -65,25 +67,19 @@ def classify_braided(N, c):
     }
 
 
-def _arrows(N, c):
-    """The N^2 arrows y: sigma lambda_t -> sigma lambda_{t+2cy} in (t, y)
-    order, as (t, y, target, e) with eta = zeta^e, e = cy^2 + ty mod N."""
-    for t in range(N):
-        for y in range(N):
-            yield t, y, (t + 2 * c * y) % N, (c * y * y + t * y) % N
-
-
 def classify_stable(N, c):
     """Stable-isomorphism classes of anti-twists, plus the packet report.
 
     The stable witnesses for (s, t) are the y of the eta-kernel arrows
-    from t to s.  The relation "some witness exists" need not be
-    transitive a priori, so the closure is taken.
+    from t to s, for each y the gcd(y, N) values t = -cy (mod N/gcd(y, N)),
+    listed in increasing y.  The relation "some witness exists" need not
+    be transitive a priori, so the closure is taken.
     """
     related = {}
-    for t, y, target, e in _arrows(N, c):
-        if e == 0:
-            related.setdefault((target, t), []).append(y)
+    for y in range(N):
+        step = N // gcd(y, N)
+        for t in range(-c * y % step, N, step):
+            related.setdefault(((t + 2 * c * y) % N, t), []).append(y)
     related = dict(sorted(related.items()))
     # symmetric-transitive closure
     parent = list(range(N))
@@ -169,11 +165,12 @@ def eta_kernel(N, c):
     "kernel_size", "kernel_arrows"}.
     """
     roots = [root_of_unity(N, e) for e in range(N)]
-    arrows = [
-        {"y": y, "source": t, "target": target, "eta": roots[e],
-         "in_kernel": e == 0}
-        for t, y, target, e in _arrows(N, c)
-    ]
+    arrows = []
+    for t in range(N):
+        for y in range(N):
+            e = (c * y * y + t * y) % N
+            arrows.append({"y": y, "source": t, "target": (t + 2 * c * y) % N,
+                           "eta": roots[e], "in_kernel": e == 0})
     kernel = [a for a in arrows if a["in_kernel"]]
     return {
         "arrows": arrows,

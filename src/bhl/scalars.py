@@ -493,8 +493,9 @@ def gauss_sum(p: int, q, m: int):
 #
 # q(N,k) (or Q(N,k)) denotes zeta_N^k.  A reader given an ambient order n
 # (a script's --n, a module file's p) rejects a q(N,k) that in_field would,
-# N != n with zeta_N^k not +-1, before it builds it.  Every other value it
-# reads lies in Q(zeta_n): a rational operand keeps the order of the other.
+# N != n with zeta_N^k not +-1, before it builds it, and reads the q(N,k)
+# = +-1 of N != n as rationals of order n.  Every value it reads lies in
+# Q(zeta_n): a rational operand keeps the order of the other.
 # Module files and JSON reports write scalars in this grammar, and the
 # diagram scripts of bhl.dsl read their matrix entries with the same
 # TokenReader method.  One tokenizer serves both: a lone scalar may have
@@ -660,7 +661,8 @@ class TokenReader:
             if self.order not in (None, n) and 2 * k % n:
                 raise FieldError("q(%d,%d) is not in Q(zeta_%d)"
                                  % (n, k, self.order), tok[2], tok[3])
-            value = root_of_unity(n, k)
+            value = (root_of_unity(n, k) if self.order in (None, n) else
+                     Cyclotomic.from_rational(-1 if k % n else 1, self.order))
         elif kind == "int":
             value = int(text)
         else:

@@ -6,7 +6,9 @@ action of an element grouped around a diagonal generator, and their
 defining relations; the regular module of a presented algebra, an
 AydModule read as a d_a_mu module or, by to_uqsl2, as a uqsl2 module, and
 the ribbon identity as a matrix identity on it, rather than as an identity
-of elements of d_a_mu; the trivial AydModule (the control for verify_ayd,
+of elements of d_a_mu; psi(v_0) by substitution for each mu, rather
+than by twisting that of mu = 0, and the element w behind varsigma as a
+product in d_a_mu, rather than in closed form; the trivial AydModule (the control for verify_ayd,
 varsigma_H and to_uqsl2), the braided-module map E, the inverse of a graded map by elimination, a
 printer for DSL scripts, kernel dimensions of powers of 1 - a acting
 on an algebra, the center as kernels of the matrices L_g - R_g on all
@@ -213,6 +215,33 @@ def ribbon_identity_by_matrices(M, R):
         details="on the regular representation (faithful), "
                 "prefactor %s" % format_scalar(pref),
     )
+
+
+def psi_v0_by_substitution(A, R):
+    """psi(v_0) in A = d_a_mu(p, mu) by substitution for this mu, rather
+    than by twisting that of d_a_mu(p, 0): the linear extension over normal
+    monomials of E -> q^{1-mu} x, F -> z g, K -> q^{mu-1} g^{p-1}."""
+    q, mu, p = R.q, A.mu, A.p
+    z, g, x = A.gen("z"), A.gen("g"), A.gen("x")
+    psi = R.v_0.algebra.extend({"E": q ** (1 - mu) * x, "F": z * g,
+                                "K": q ** (mu - 1) * g ** (p - 1)},
+                               A.unit(), lambda a, b, *_: a * b)
+    return sum((c * psi(mono) for mono, c in R.v_0.terms.items()), A.zero())
+
+
+def w_by_product(p, mu):
+    """The terms of the element w = P(g) sum_j c_j z^j x^j of d_a_mu(p, mu),
+    whose action is varsigma, as one product of two p-term elements, rather
+    than in closed form: P(g) = sum_b (1/p sum_i xi^{-i^2-mu i-ib}) g^b."""
+    A = d_a_mu(p, mu)
+    xi = root_of_unity(p)
+    coeffs = [1] + [xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
+                    for j in range(1, p)]
+    P = A.element({
+        (0, b, 0): Fraction(1, p) * sum(root_of_unity(p, -i * i - mu * i - i * b)
+                                        for i in range(p))
+        for b in range(p)})
+    return (P * A.element({(j, 0, j): c for j, c in enumerate(coeffs)})).terms
 
 
 def verify_module(M):

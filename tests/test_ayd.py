@@ -37,6 +37,7 @@ from oracle import (
     AlgebraModule,
     act_matrix_by_sums,
     as_module,
+    psi_v0_by_substitution,
     regular_ayd_by_conjugation,
     regular_module,
     ribbon_identity_by_matrices,
@@ -48,6 +49,7 @@ from oracle import (
     typed_entries,
     typed_terms,
     verify_module,
+    w_by_product,
 )
 
 DATA_DIR = pathlib.Path(bhl.__file__).parent / "data"
@@ -516,7 +518,7 @@ def test_ribbon_element_route_matches_the_matrix_oracle(p, mu):
     # w = q^{m(mu^2-1)} psi(v_0) in d_a_mu(p, mu) against varsigma and the
     # v_0-action as p^3 x p^3 matrices on the regular module
     R = ribbon_element(p)
-    element = ayd._ribbon_identity(d_a_mu(p, mu), R)[1]
+    element = ayd._ribbon_identity(p, mu, R, ayd._psi_v0(p, R))[1]
     assert element["status"] == PASS
     assert element == ribbon_identity_by_matrices(regular_ayd_module(p, mu), R)
 
@@ -528,44 +530,55 @@ def test_twisted_psi_matches_the_direct_substitution(monkeypatch, p):
     # substitution in d_a_mu(p, mu), term by term, by type and repr
     monkeypatch.setenv("BHL_DIM_GUARD", "2000")
     R = ribbon_element(p)
-    psi0 = ayd._psi_v0(d_a_mu(p, 0), R).terms
+    psi0 = ayd._psi_v0(p, R)
     for mu in range(p):
-        A = d_a_mu(p, mu)
-        got = ayd._twisted_psi_v0(psi0, A)
-        assert got.algebra is A
-        assert typed_terms(got.terms) == \
-            typed_terms(ayd._psi_v0(A, R).terms), mu
+        got = ayd._twisted_psi_v0(psi0, p, mu)
+        assert typed_terms(got) == typed_terms(
+            psi_v0_by_substitution(d_a_mu(p, mu), R).terms), mu
+
+
+@pytest.mark.parametrize("p", [3, 5, 7,
+                               pytest.param(11, marks=pytest.mark.slow)])
+def test_w_terms_match_the_product(monkeypatch, p):
+    # the closed form of w against P(g) sum_j c_j z^j x^j multiplied in
+    # d_a_mu(p, mu), term by term, by type and repr
+    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
+    for mu in range(p):
+        assert typed_terms(ayd._w_terms(p, mu)) == \
+            typed_terms(w_by_product(p, mu)), mu
 
 
 def test_ribbon_family_substitutes_once(monkeypatch):
-    # psi(v_0) is built at mu = 0 only; the other mu twist it
+    # psi(v_0), and the one algebra, are built at mu = 0 only, for the
+    # family and for a single mu alike; every mu twists psi_0(v_0)
     calls = []
-    real = ayd._psi_v0
+    real_psi, real_algebra = ayd._psi_v0, ayd.d_a_mu
 
-    def counted(A, R):
-        calls.append(A.mu)
-        return real(A, R)
+    def counted_psi(p, R):
+        calls.append(("_psi_v0", p))
+        return real_psi(p, R)
 
-    monkeypatch.setattr(ayd, "_psi_v0", counted)
+    def counted_algebra(p, mu):
+        calls.append(("d_a_mu", p, mu))
+        return real_algebra(p, mu)
+
+    monkeypatch.setattr(ayd, "_psi_v0", counted_psi)
+    monkeypatch.setattr(ayd, "d_a_mu", counted_algebra)
     assert all_pass(verify_ribbon_family(5))
-    assert calls == [0]
+    assert calls == [("_psi_v0", 5), ("d_a_mu", 5, 0)]
+    calls.clear()
+    assert all_pass(verify_ribbon_identity(5, 3))
+    assert calls == [("_psi_v0", 5), ("d_a_mu", 5, 0)]
 
 
 @pytest.mark.parametrize("p, mu", [(5, 1), (7, 3)])
-def test_ribbon_identity_rejects_a_psi_of_the_wrong_mu(monkeypatch, p, mu):
-    # E -> q^{1-nu} x and K -> q^{nu-1} g^{p-1} with nu = mu + 1: the
-    # scalar route does not use psi, the element route fails
-    real = PresentedAlgebra.extend
-
-    def wrong(self, images, one, times):
-        if self.signature == ("uqsl2", p):
-            x, g = one.algebra.gen("x"), one.algebra.gen("g")
-            images = dict(images, E=self.q ** -mu * x,
-                          K=self.q ** mu * g ** (p - 1))
-        return real(self, images, one, times)
-
-    monkeypatch.setattr(PresentedAlgebra, "extend", wrong)
-    scalar, element = ayd._ribbon_identity(d_a_mu(p, mu), ribbon_element(p))
+def test_ribbon_identity_rejects_a_psi_of_the_wrong_mu(p, mu):
+    # psi(v_0) of d_a_mu(p, 1) in place of that of d_a_mu(p, 0): its twist
+    # is psi(v_0) of d_a_mu(p, mu + 1).  The scalar route does not use psi,
+    # the element route fails
+    R = ribbon_element(p)
+    wrong = psi_v0_by_substitution(d_a_mu(p, 1), R).terms
+    scalar, element = ayd._ribbon_identity(p, mu, R, wrong)
     assert scalar["status"] == PASS
     assert element["status"] == FAIL
     [witness] = element["witnesses"]
@@ -574,14 +587,14 @@ def test_ribbon_identity_rejects_a_psi_of_the_wrong_mu(monkeypatch, p, mu):
 
 def test_ribbon_identity_rejects_a_changed_prefactor(monkeypatch):
     p, mu = 5, 2
-    A, R = d_a_mu(p, mu), ribbon_element(p)
+    R, xi = ribbon_element(p), root_of_unity(p)
     real = ayd.ribbon_prefactor
     monkeypatch.setattr(ayd, "ribbon_prefactor",
-                        lambda p, mu: real(p, mu) * A.xi)
-    scalar, element = ayd._ribbon_identity(A, R)
+                        lambda p, mu: real(p, mu) * xi)
+    scalar, element = ayd._ribbon_identity(p, mu, R, ayd._psi_v0(p, R))
     assert scalar["status"] == element["status"] == FAIL
     assert element["details"] == ("on the regular representation (faithful), "
-                                  "prefactor %s" % (real(p, mu) * A.xi))
+                                  "prefactor %s" % (real(p, mu) * xi))
     # the difference (1 - xi) w, as JSON terms of d_a_mu(5, 2)
     [witness] = element["witnesses"]
     assert witness["difference"]
@@ -591,7 +604,7 @@ def test_ribbon_identity_rejects_a_changed_prefactor(monkeypatch):
 
 def test_ribbon_identity_refuses_a_ribbon_element_of_another_p():
     with pytest.raises(ValueError, match="uqsl2"):
-        ayd._ribbon_identity(d_a_mu(5, 1), ribbon_element(3))
+        ayd._ribbon_identity(5, 1, ribbon_element(3), {})
 
 
 def test_ribbon_prefactors():

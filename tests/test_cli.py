@@ -799,6 +799,34 @@ def test_a_root_outside_the_field_fails_before_anything_is_built(
     assert only["witnesses"][0]["error"] == error
 
 
+@pytest.mark.parametrize("kind", ["script", "module"])
+@pytest.mark.parametrize("value", ["q(1000003,0)", "-q(1000006,500003)"])
+def test_a_foreign_root_equal_to_one_reads_without_its_table(
+        kind, value, tmp_path):
+    # zeta_N^k = +-1 lies in Q(zeta_3), so a script at --n 3 or a module
+    # file with p = 3 accepts it; building zeta_N would take seconds and
+    # about 100 MB.  Both values are 1, which the checks confirm
+    if kind == "script":
+        path = tmp_path / "large.bdsl"
+        path.write_text("let V = obj { deg 0: 1 }\n"
+                        "let f = gen (V -> V) { [%s] }\n"
+                        "assert f == id[V]\n" % value)
+        argv = ["dsl", "check", str(path), "--n", "3"]
+    else:  # the sample module's entry 1
+        path = _module_file(tmp_path / "module.json", ("x", 1, 0), value)
+        argv = ["verify", "ayd", "--module", str(path)]
+    tracemalloc.start()
+    try:
+        code, out, err = _outcome(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert code == 0 and err == ""
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["status"] == "PASS" for c in checks)
+
+
 def test_high_power_of_a_composite_order_is_rejected_quickly(tmp_path):
     # zeta_16000^15999 lies 9600 powers past phi(16000) = 6400; Phi_16000
     # has five terms, so its reduction and Phi itself take milliseconds

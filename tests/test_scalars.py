@@ -197,13 +197,21 @@ def test_parse_scalar_errors_name_a_line_and_column(text, error):
 
 def test_an_ambient_order_rejects_exactly_the_roots_in_field_rejects():
     # with an order, q(N,k) is a syntax error at its token exactly when
-    # in_field rejects its value; else the text reads as with no order
+    # in_field rejects its value; else the text reads as with no order,
+    # except that a q(N,k) = +-1 of N != order is read with the ambient
+    # order, keeping its value, hash and text
     for order in range(1, 8):
         for n in range(1, 13):
             for k in range(2 * n + 1):
                 text = "1 + 2*q(%d,%d)" % (n, k)
                 if in_field(root_of_unity(n, k), order):
-                    _same(parse_scalar(text, order), parse_scalar(text))
+                    got, want = parse_scalar(text, order), parse_scalar(text)
+                    if n == order:
+                        _same(got, want)
+                        continue
+                    assert type(got) is type(want) and got.order == order
+                    assert got == want and hash(got) == hash(want)
+                    assert format_scalar(got) == format_scalar(want)
                     continue
                 with pytest.raises(ParseError) as err:
                     parse_scalar(text, order)
