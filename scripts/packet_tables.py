@@ -26,7 +26,7 @@ from bhl.classify import (
     eta_kernel,
     packet_report,
 )
-from bhl.scalars import format_scalar
+from bhl.scalars import format_root_of_unity
 
 
 def fmt_classes(classes):
@@ -35,7 +35,8 @@ def fmt_classes(classes):
 
 
 def fmt_packet(packet):
-    return ", ".join("%s:%d" % (format_scalar(e["value"]), e["multiplicity"])
+    return ", ".join("%s:%d" % (format_root_of_unity(packet.N, e["exponent"]),
+                                e["multiplicity"])
                      for e in packet.entries)
 
 

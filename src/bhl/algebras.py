@@ -15,9 +15,10 @@ Two constructions cover everything needed:
 
 Either keeps a table generator_monos, name -> basis monomial, which gen,
 generators and generator_rows read.  On top of either: regular-
-representation matrices (the columns of multiply), the product and unit
-as graded maps, associativity and unitality checks on them, and center
-computation by generator commutants.
+representation matrices (the columns of multiply), the product as a
+diagram leaf with column a (x) b = pair_product(a, b), the unit as a graded
+map, associativity and unitality checks on them, and center computation
+by generator commutants.
 
 PresentedAlgebra.relation_residuals evaluates each power and
 straightening rule at generator images, elements or matrices, as lhs -
@@ -31,11 +32,7 @@ other monomial splits at its last run, rest * g^e, a single run as
 g^(e-1) * g, and the images of the two parts are combined by a given
 rule.  The induced linear map of a morphism, the Hopf structure maps
 (hopf.HopfData) and the substitution of uqsl2 into d_a_mu behind the
-ribbon identity (ayd) are all built on it, and so is the product of a
-presented algebra: each generator's left multiplication L_g takes one
-generator action per basis element, L_a is the composite of the L_g along
-the word of a, and the column a (x) b of the product is L_a(e_b).  A
-StructureConstantAlgebra takes its product from its pair rule.
+ribbon identity (ayd) are all built on it.
 
 Generator rows.  A law that is multiplicative in its first argument
 (associativity, and in hopf the multiplicativity of Delta and eps and the
@@ -66,8 +63,8 @@ import os
 from dataclasses import dataclass
 
 from .exactmat import Mat, from_cols
-from .graded import (GradedMap, GradedSpace, diagram, first_difference, tensor,
-                     tensor_diagram)
+from .graded import (GradedMap, GradedSpace, diagram, first_difference,
+                     homogeneity_error, pair_leaf, tensor_diagram)
 from .report import FAIL, PASS, check, map_check
 from .scalars import format_scalar, power, q_binomial, root_of_unity
 
@@ -218,8 +215,8 @@ class FiniteDimAlgebra:
         self.unit_mono = unit_mono
         self.generator_monos = dict(generator_monos)
         self.index = {m: i for i, m in enumerate(self.basis)}
-        self._pair_cache = {}
-        self._mult = self._premises = None
+        self._pair_cache, self._mult_cols = {}, {}
+        self._premises = None
 
     @property
     def dim(self):
@@ -298,23 +295,26 @@ class FiniteDimAlgebra:
 
     # -- verification -----------------------------------------------------------
 
-    def _left_operators(self):
-        """L_a, the matrix of b |-> a*b, for each basis element a in order."""
-        return [self.left_mult_operator(AlgebraElement(self, {ma: 1}))
-                for ma in self.basis]
-
     def mult_map(self):
-        """The product m: A (x) A -> A as a GradedMap, built once; the
-        column of a (x) b is L_a(e_b)."""
-        if self._mult is None:
-            n = self.dim
-            data = {}
-            for ja, La in enumerate(self._left_operators()):
-                for (r, jb), s in La.data.items():
-                    data[r, ja * n + jb] = s
-            V = self.graded_space()
-            self._mult = GradedMap(tensor(V, V), V, Mat(n, n * n, data))
-        return self._mult
+        """The product m: A (x) A -> A as a diagram leaf on the word (V, V):
+        the column of a (x) b is pair_product(a, b), computed when a check
+        first reads it and kept on the algebra."""
+        V = self.graded_space()
+        return pair_leaf(V, V, (V,), self._mult_column)
+
+    def _mult_column(self, j):
+        col = self._mult_cols.get(j)
+        if col is None:
+            a, b = divmod(j, self.dim)
+            col = {self.index[m]: s for m, s in self.pair_product(
+                self.basis[a], self.basis[b]).items()}
+            deg = self.mono_degrees
+            source = (deg[a] + deg[b]) % self.N
+            for r in col:
+                if deg[r] != source:
+                    raise homogeneity_error(r, j, deg[r], source, 0)
+            self._mult_cols[j] = col
+        return col
 
     def unit_map(self):
         """The unit u: I -> A as a GradedMap."""
@@ -349,20 +349,22 @@ class FiniteDimAlgebra:
         associativity check, and the generation witness (None when every
         basis element is reached from 1).
 
-        Associativity follows when generation holds, the L_g satisfy the
-        defining relations (_relations_hold) and a*1 = a.  Let S be the
-        algebra the L_g generate.  It is a quotient of the presented
-        algebra Q, and the normal monomials span Q, because _act rewrites
-        by the rules of the presentation alone and terminates; so dim S <=
-        dim A.  Generation makes evaluation at 1 map S onto A, so it is a
-        bijection.  L_a, composed along the word of a, lies in S, and so do
-        L_a L_b and L_{a*b}; with a*1 = a both send 1 to a*b, so they are
-        equal, which is associativity.  Otherwise it is checked on
-        generator rows, (g*b)*c = g*(b*c) for g in {1} u G.
+        Associativity follows when generation holds, the L_g (the matrices
+        of b |-> g*b) satisfy the defining relations (_relations_hold) and
+        a*1 = a.  Let S be the algebra the L_g generate.  It is a quotient
+        of the presented algebra Q, and the normal monomials span Q,
+        because _act rewrites by the rules of the presentation alone and
+        terminates; so dim S <= dim A.  Generation makes evaluation at 1
+        map S onto A, so it is a bijection.  For a = g_1^e_1 ... g_k^e_k,
+        pair_product(a, b) applies a's letters right to left by _act, which
+        is L_a(e_b) with L_a = L_{g_1}^e_1 ... L_{g_k}^e_k in S; so do
+        L_a L_b and L_{a*b} lie in S, and with a*1 = a both send 1 to a*b,
+        so they are equal, which is associativity.  Otherwise it is checked
+        on generator rows, (g*b)*c = g*(b*c) for g in {1} u G.
         """
         if self._premises is None:
             iota, _ = self.generator_rows()
-            m = diagram(self.mult_map())
+            m = self.mult_map()
             idv = GradedMap.identity(self.graded_space())
             unreached = self._unreached(m @ tensor_diagram(iota, idv))
             if (unreached is None and self._relations_hold()
@@ -443,7 +445,7 @@ class FiniteDimAlgebra:
         assoc, unreached = self._row_premises()
         if assoc["status"] == PASS and unreached is not None:
             assoc = check("associativity", False, assoc["details"], [unreached])
-        m, u = diagram(self.mult_map()), self.unit_map()
+        m, u = self.mult_map(), self.unit_map()
         idv = GradedMap.identity(self.graded_space())
         units = [
             map_check("unitality", m @ tensor_diagram(*law), idv,
@@ -524,21 +526,12 @@ class PresentedAlgebra(FiniteDimAlgebra):
                 parts.append("%s^%d" % (name, e))
         return "*".join(parts) if parts else "1"
 
-    def _left_operators(self):
-        # L_a composes the generator operators along a's word (one normal
-        # form per generator and basis element), not one per basis pair;
-        # the L_g are kept for _relations_hold
-        self._gen_ops = [self.left_mult_operator(g)
-                         for _, g in self.generators()]
-        L = self.extend(dict(zip(self.pres.gens, self._gen_ops)),
-                        Mat.identity(self.dim), lambda a, b, *_: a * b)
-        return [L(ma) for ma in self.basis]
-
     def _relations_hold(self):
-        """Whether the L_g, built by mult_map, satisfy every defining
-        relation."""
+        """Whether the L_g, the matrices of b |-> g*b, satisfy every
+        defining relation."""
         return all(r.is_zero() for *_, r in self.relation_residuals(
-            self._gen_ops, Mat.identity(self.dim)))
+            [self.left_mult_operator(g) for _, g in self.generators()],
+            Mat.identity(self.dim)))
 
     def relation_residuals(self, images, one):
         """(check name, relation, lhs - rhs) for each defining relation

@@ -258,7 +258,7 @@ def regular_ayd_module(p, mu):
 
 @dataclass
 class RibbonData:
-    """The ribbon element of uqsl2(p) and its factors."""
+    """The ribbon element of uqsl2(p), its factors, and K u_K."""
 
     p: int
     m: int
@@ -266,6 +266,7 @@ class RibbonData:
     u_K: AlgebraElement
     u_0: AlgebraElement
     v_0: AlgebraElement
+    K_u_K: AlgebraElement
 
 
 def ribbon_element(p):
@@ -282,8 +283,9 @@ def ribbon_element(p):
     for j in range(p):
         coeff = q ** (((j + 3) * j) // 2) * balanced_q_factorial(j, q).inverse()
         u_0 = u_0 + coeff * (K ** j * F ** j * E ** j)
-    v_0 = K * u_K * u_0
-    return RibbonData(p=p, m=m, q=q, u_K=u_K, u_0=u_0, v_0=v_0)
+    K_u_K = K * u_K
+    return RibbonData(p=p, m=m, q=q, u_K=u_K, u_0=u_0, v_0=K_u_K * u_0,
+                      K_u_K=K_u_K)
 
 
 def ribbon_centrality_checks(p):
@@ -369,21 +371,18 @@ def _ribbon_identity(p, mu, R, psi0):
     if U.signature != ("uqsl2", p):
         raise ValueError("ribbon element of %r, algebra d_a_mu(%d, %d)"
                          % (U.signature, p, mu))
-    q = U.q
-    xi = U.xi
     pref = ribbon_prefactor(p, mu)
     checks = []
 
-    ku = U.gen("K") * R.u_K
     bad = []
     for i in range(p):
-        kappa = q ** (mu - 1) * xi ** (-i)
+        # K u_K at K = kappa = q^(mu-1) xi^(-i), so kappa^k = xi^(k(m(mu-1)-i))
         val = 0
-        for (f, k, e), cc in ku.terms.items():
+        for (f, k, e), cc in R.K_u_K.terms.items():
             if f or e:
                 raise AssertionError("K u_K is not a polynomial in K")
-            val = val + cc * kappa ** k
-        lhs = xi ** (-i * i - mu * i)
+            val = val + cc * root_of_unity(p, k * (U.m * (mu - 1) - i))
+        lhs = U.xi ** (-i * i - mu * i)
         rhs = pref * val
         if lhs != rhs:
             bad.append({

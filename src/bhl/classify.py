@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .scalars import format_scalar, root_of_unity
+from .scalars import format_root_of_unity, root_of_unity
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +107,17 @@ def classify_stable(N, c):
 
 @dataclass(frozen=True)
 class PacketReport:
-    """I = theta(G) with multiplicities; entries are (value, exponent
-    representative c*x^2 mod N, multiplicity, elements)."""
+    """I = theta(G) with multiplicities; entries are (exponent
+    representative c*x^2 mod N, multiplicity, elements).  A value
+    theta(x) = zeta^e is kept as its exponent e until it is formatted
+    (format_root_of_unity) or asked for (values)."""
 
     N: int
     entries: tuple
 
     @property
     def values(self):
-        return [e["value"] for e in self.entries]
+        return [root_of_unity(self.N, e["exponent"]) for e in self.entries]
 
     @property
     def multiplicities(self):
@@ -129,7 +131,7 @@ class PacketReport:
             "N": self.N,
             "entries": [
                 {
-                    "value": format_scalar(e["value"]),
+                    "value": format_root_of_unity(self.N, e["exponent"]),
                     "exponent": e["exponent"],
                     "multiplicity": e["multiplicity"],
                     "elements": list(e["elements"]),
@@ -140,18 +142,14 @@ class PacketReport:
 
 
 def packet_report(N, c):
-    """Group the twist values theta(x) = zeta^{c x^2} over x in Z/N."""
+    """Group the twist values theta(x) = zeta^{c x^2} over x in Z/N, by
+    exponent."""
     by_exponent = {}
     for x in range(N):
         e = (c * x * x) % N
         by_exponent.setdefault(e, []).append(x)
     entries = tuple(
-        {
-            "value": root_of_unity(N, e),
-            "exponent": e,
-            "multiplicity": len(xs),
-            "elements": tuple(xs),
-        }
+        {"exponent": e, "multiplicity": len(xs), "elements": tuple(xs)}
         for e, xs in sorted(by_exponent.items())
     )
     return PacketReport(N, entries)

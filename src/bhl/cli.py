@@ -70,6 +70,7 @@ from .report import (
 )
 from .scalars import (
     balanced_q_factorial,
+    format_root_of_unity,
     format_scalar,
     q_factorial,
     root_of_unity,
@@ -309,7 +310,8 @@ def vecg_checks(N, c):
               details="classes: %s" % (stb["classes"],)),
         check("packet of theta values", True,
               details=", ".join(
-                  "%s -> %d" % (format_scalar(e["value"]), e["multiplicity"])
+                  "%s -> %d" % (format_root_of_unity(N, e["exponent"]),
+                                e["multiplicity"])
                   for e in packet.entries)),
         check("multiplicities sum to N",
               packet.total() == N,

@@ -410,7 +410,8 @@ def _space_text(word, N):
 
 
 def _leaf(expr, env):
-    """The GradedMap of a generator name, or of id[...], braid[...] etc."""
+    """The map of a generator name, or of id[...], braid[...] etc.: a
+    GradedMap, or a diagram leaf for braid, braid_inv and the preloaded m."""
     if isinstance(expr, MName):
         if expr.name not in env.gens:
             raise DslTypeError("unknown generator %r" % expr.name)

@@ -17,7 +17,9 @@ A Diagram applies tensor products and composites one basis vector at a
 time, and first_difference compares two maps that way; every identity
 check in bhl goes through it.  Its source and target are tensor words, and
 it names a source basis vector from the word (Diagram.label), so a tensor
-product of maps never lists its basis.
+product of maps never lists its basis.  Its leaves are given by columns:
+a GradedMap's, or columns computed when read, as for the braiding and an
+algebra's product (pair_leaf).
 """
 
 from __future__ import annotations
@@ -140,17 +142,21 @@ def tensor(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     if V.N != W.N:
         raise ValueError("grading group mismatch: N=%d vs N=%d" % (V.N, W.N))
     degrees = [dv + dw for dv in V.degrees for dw in W.degrees]
-    if V.dim == 1 and V.degrees == (0,):
-        labels = W.labels
-    elif W.dim == 1 and W.degrees == (0,):
-        labels = V.labels
-    else:
-        labels = tuple(
-            "%s*%s" % (lv, lw) for lv in V.labels for lw in W.labels
-        )
-    out = GradedSpace(V.N, degrees, labels)
+    out = GradedSpace(V.N, degrees,
+                      map(_pair_label(V, W), range(len(degrees))))
     out.factors = _word(V) + _word(W)
     return out
+
+
+def _pair_label(V, W):
+    """j |-> the label of basis vector j of V (x) W; a unit factor (one
+    basis vector, of degree 0) is left out."""
+    if V.dim == 1 and V.degrees == (0,):
+        return W.labels.__getitem__
+    if W.dim == 1 and W.degrees == (0,):
+        return V.labels.__getitem__
+    n = W.dim
+    return lambda j: "%s*%s" % (V.labels[j // n], W.labels[j % n])
 
 
 def left_dual(V: GradedSpace) -> GradedSpace:
@@ -182,10 +188,8 @@ class GradedMap:
         shift %= N
         for (r, c) in mat.data:
             if (target.degrees[r] - source.degrees[c] - shift) % N:
-                raise ValueError(
-                    "entry (%d,%d) breaks homogeneity: target deg %d != source deg %d + %d"
-                    % (r, c, target.degrees[r], source.degrees[c], shift)
-                )
+                raise homogeneity_error(r, c, target.degrees[r],
+                                        source.degrees[c], shift)
         self.source = source
         self.target = target
         self.shift = shift
@@ -273,6 +277,13 @@ class GradedMap:
         }
 
 
+def homogeneity_error(r, c, target_deg, source_deg, shift):
+    """The error for entry (r, c) of a map that is not homogeneous."""
+    return ValueError("entry (%d,%d) breaks homogeneity: target deg %d != "
+                      "source deg %d + %d"
+                      % (r, c, target_deg, source_deg, shift))
+
+
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     """f (x) g on the flat tensor bases; shifts add."""
     return GradedMap(
@@ -344,7 +355,7 @@ def _add_into(out, key, value):
 
 
 class Diagram:
-    """A map built lazily from GradedMap leaves by tensor and composition.
+    """A map built lazily from leaves (_Leaf) by tensor and composition.
 
     No product matrix is ever formed.  Source and target are tensor words
     (tuples of GradedSpace factors), and a column is computed by pushing a
@@ -378,29 +389,22 @@ class Diagram:
 
 
 class _Leaf(Diagram):
-    __slots__ = ("_cols", "_labels")
+    """A map given by its columns: column(j) is the image of source basis
+    vector j as {row: scalar}, label(j) its name, called when it is read."""
 
-    def __init__(self, f):
-        self.N = f.source.N
-        self.source, self.target = _word(f.source), _word(f.target)
-        self.shift = f.shift
-        cols = [{} for _ in range(f.source.dim)]
-        for (r, c), v in f.mat.data.items():
-            cols[c][r] = v
-        self._cols = cols
-        self._labels = f.source.labels
+    __slots__ = ("_column", "label")
 
-    def label(self, j):
-        return self._labels[j]
-
-    def _column(self, j):
-        return self._cols[j]
+    def __init__(self, N, source, target, shift, column, label):
+        self.N = N
+        self.source, self.target = source, target
+        self.shift = shift % N
+        self._column, self.label = column, label
 
     def _apply(self, vec):
-        cols = self._cols
+        column = self._column
         out = {}
         for j, c in vec.items():
-            for r, a in cols[j].items():
+            for r, a in column(j).items():
                 _add_into(out, r, _times(c, a))
         return out
 
@@ -478,8 +482,19 @@ def diagram(f):
     if isinstance(f, Diagram):
         return f
     if isinstance(f, GradedMap):
-        return _Leaf(f)
+        cols = [{} for _ in range(f.source.dim)]
+        for (r, c), v in f.mat.data.items():
+            cols[c][r] = v
+        return _Leaf(f.source.N, _word(f.source), _word(f.target), f.shift,
+                     cols.__getitem__, f.source.labels.__getitem__)
     raise TypeError("not a map: %r" % (f,))
+
+
+def pair_leaf(V, W, target, column):
+    """The shift-0 leaf V (x) W -> target (a tensor word) with the given
+    columns, and the labels tensor(V, W) lists."""
+    return _Leaf(V.N, _word(V) + _word(W), target, 0, column,
+                 _pair_label(V, W))
 
 
 def tensor_diagram(*maps):
@@ -515,16 +530,20 @@ def first_difference(lhs, rhs):
     return None
 
 
-def braiding(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> GradedMap:
-    """tau: V (x) W -> W (x) V,  v (x) w |-> chi(deg v, deg w) w (x) v."""
-    data = {}
-    for i, dv in enumerate(V.degrees):
-        for j, dw in enumerate(W.degrees):
-            data[j * V.dim + i, i * W.dim + j] = chi.chi(dv, dw)
-    return GradedMap(tensor(V, W), tensor(W, V), Mat(W.dim * V.dim, V.dim * W.dim, data))
+def braiding(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> Diagram:
+    """tau: V (x) W -> W (x) V,  v (x) w |-> chi(deg v, deg w) w (x) v, a
+    diagram leaf whose column v_i (x) w_k is {k dim V + i: chi(deg v_i,
+    deg w_k)}, taken from chi's cached roots when it is read."""
+    n, width, dv, dw = V.dim, W.dim, V.degrees, W.degrees
+
+    def column(j):
+        i, k = divmod(j, width)
+        return {k * n + i: chi.chi(dv[i], dw[k])}
+
+    return pair_leaf(V, W, _word(W) + _word(V), column)
 
 
-def braiding_inverse(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> GradedMap:
+def braiding_inverse(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> Diagram:
     """Inverse of braiding(V, W): W (x) V -> V (x) W with chi(deg v, deg w)^(-1).
 
     chi is symmetric, so this is the braiding of W and V for chi^(-1).

@@ -48,7 +48,6 @@ default 350), which admits the Taft algebra up to p = 17 (dimension 289).
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .algebras import (
@@ -66,6 +65,7 @@ from .graded import (
     braiding,
     diagram,
     first_difference,
+    tensor,
     tensor_diagram,
 )
 from .report import check, map_check
@@ -141,14 +141,15 @@ def tensor_pair(TA, a, b):
 
 
 class HopfData:
-    """An algebra together with candidate Hopf structure maps as matrices.
+    """An algebra together with candidate Hopf structure maps.
 
     Fields: algebra, chi, tensor_algebra (the braided square, built by
-    _hopf_square after the dimension guard), space, and the five structure
-    maps m: H(x)H -> H, u: I -> H, Delta: H -> H(x)H, eps: H -> I,
-    S: H -> H, all shift-0 GradedMaps.  The generator images the maps were
-    extended from are kept in coproducts / counits / antipodes (keyed by
-    generator name).  The braiding tau of the square is built on first use.
+    _hopf_square after the dimension guard), space, the five shift-0
+    structure maps m: H(x)H -> H, u: I -> H, Delta: H -> H(x)H, eps: H -> I,
+    S: H -> H, and the braiding tau of H (x) H.  m and tau are diagram
+    leaves that compute a column when it is read, the others GradedMaps.
+    The generator images the maps were extended from are kept in coproducts
+    / counits / antipodes (keyed by generator name).
     """
 
     def __init__(self, algebra, chi, tensor_algebra, coproducts, counits,
@@ -161,7 +162,8 @@ class HopfData:
         self.antipodes = dict(antipodes)
         self.m = algebra.mult_map()
         self.u = algebra.unit_map()
-        self.space, self.square = self.m.target, self.m.source
+        V = self.space = algebra.graded_space()
+        self.tau = braiding(V, V, chi)
         A, TA = algebra, tensor_algebra
 
         def anti(a, b, ma, mb):
@@ -179,18 +181,12 @@ class HopfData:
                              lambda a, b, *_: a * b)
         self._eps = extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
         self._antipode = extend(self.antipodes, A.unit(), anti)
-        self.Delta = GradedMap(self.space, self.square, from_cols(
+        self.Delta = GradedMap(V, tensor(V, V), from_cols(
             TA.dim, [self._delta(mono).as_column() for mono in A.basis]))
-        self.eps = GradedMap(self.space, GradedSpace.unit(A.N), from_cols(
+        self.eps = GradedMap(V, GradedSpace.unit(A.N), from_cols(
             1, [{0: self._eps(mono)} for mono in A.basis]))
-        self.S = GradedMap(self.space, self.space, from_cols(
+        self.S = GradedMap(V, V, from_cols(
             A.dim, [self._antipode(mono).as_column() for mono in A.basis]))
-
-    @functools.cached_property
-    def tau(self):
-        """The braiding of the square as a diagram leaf, built on first use
-        and shared by verify_bialgebra and verify_antipode."""
-        return diagram(braiding(self.space, self.space, self.chi))
 
     # -- element-level structure maps --------------------------------------
 
@@ -287,52 +283,25 @@ def verify_bialgebra(H):
     product is formed; the size of H is bounded by the dimension guard
     when H is built.
     """
-    V, A = H.space, H.algebra
+    V, A, m, tau = H.space, H.algebra, H.m, H.tau
     idv = diagram(GradedMap.identity(V))
-    tau = H.tau
-    m, u, Delta, eps = (diagram(f) for f in (H.m, H.u, H.Delta, H.eps))
-    checks = []
-
-    lhs = Delta @ m
-    rhs = (
-        tensor_diagram(m, m)
-        @ tensor_diagram(idv, tau, idv)
-        @ tensor_diagram(Delta, Delta)
-    )
-    checks.append(A.row_check("coproduct_is_multiplicative", lhs, rhs))
-    checks.append(
-        map_check("coproduct_of_unit", Delta @ u, tensor_diagram(u, u))
-    )
-    checks.append(
+    u, Delta, eps = (diagram(f) for f in (H.u, H.Delta, H.eps))
+    return [
+        A.row_check("coproduct_is_multiplicative", Delta @ m,
+                    tensor_diagram(m, m) @ tensor_diagram(idv, tau, idv)
+                    @ tensor_diagram(Delta, Delta)),
+        map_check("coproduct_of_unit", Delta @ u, tensor_diagram(u, u)),
         A.row_check("counit_is_multiplicative", eps @ m,
-                    tensor_diagram(eps, eps))
-    )
-    checks.append(
-        map_check(
-            "counit_of_unit",
-            eps @ u,
-            GradedMap.identity(GradedSpace.unit(V.N)),
-        )
-    )
-    checks.append(
-        map_check(
-            "coassociativity",
-            tensor_diagram(Delta, idv) @ Delta,
-            tensor_diagram(idv, Delta) @ Delta,
-        )
-    )
-    counit_ok = (
-        first_difference(tensor_diagram(eps, idv) @ Delta, idv) is None
-        and first_difference(tensor_diagram(idv, eps) @ Delta, idv) is None
-    )
-    checks.append(
-        check(
-            "counit_law",
-            counit_ok,
-            details="(eps(x)id).Delta = id = (id(x)eps).Delta",
-        )
-    )
-    return checks
+                    tensor_diagram(eps, eps)),
+        map_check("counit_of_unit", eps @ u,
+                  GradedMap.identity(GradedSpace.unit(V.N))),
+        map_check("coassociativity", tensor_diagram(Delta, idv) @ Delta,
+                  tensor_diagram(idv, Delta) @ Delta),
+        check("counit_law", all(
+            first_difference(tensor_diagram(*law) @ Delta, idv) is None
+            for law in ((eps, idv), (idv, eps))),
+            details="(eps(x)id).Delta = id = (id(x)eps).Delta"),
+    ]
 
 
 def verify_antipode(H):
@@ -340,10 +309,9 @@ def verify_antipode(H):
 
     The identities are compared column by column, as in verify_bialgebra.
     """
-    V = H.space
+    V, m, tau = H.space, H.m, H.tau
     idv = diagram(GradedMap.identity(V))
-    tau = H.tau
-    m, Delta, S = (diagram(f) for f in (H.m, H.Delta, H.S))
+    Delta, S = (diagram(f) for f in (H.Delta, H.S))
     ue = diagram(H.u) @ H.eps
     rank = H.S.rank()
     checks = [

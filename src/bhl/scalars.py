@@ -701,6 +701,17 @@ def _format_fraction(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def format_root_of_unity(order: int, e: int) -> str:
+    """format_scalar(root_of_unity(order, e)), with no root built for
+    e mod order < phi(order): 1, or zeta^e, a power-basis vector."""
+    e %= order
+    if not e:
+        return "1"
+    if e < euler_phi(order):
+        return "q(%d,%d)" % (order, e)
+    return format_scalar(root_of_unity(order, e))
+
+
 def format_scalar(value) -> str:
     """Canonical text for a scalar; parse_scalar(format_scalar(v)) == v."""
     if isinstance(value, int):

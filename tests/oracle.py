@@ -35,7 +35,10 @@ matrices, rather than accumulated into one dict; primality by trial
 division, rather than by Miller-Rabin; and the two diagonals of varsigma
 on the regular module by the path recursion for one mu, rather than from
 one table per p.  run_script runs the
-table scripts under scripts/, themselves independent routes.
+table scripts under scripts/, themselves independent routes.  The
+braiding is an explicit matrix on the listed bases of V (x) W and
+W (x) V (braiding_matrix), rather than a diagram leaf that computes each
+column when it is read.
 """
 
 import math
@@ -55,7 +58,6 @@ from bhl.graded import (
     Bicharacter,
     GradedMap,
     GradedSpace,
-    braiding,
     diagram,
     tensor,
     tensor_diagram,
@@ -674,6 +676,28 @@ def normal_form_by_rescan(A, word):
     return normalize_by_rescan(A, coeff, runs)
 
 
+def braiding_matrix(V, W, chi):
+    """graded.braiding as an explicit GradedMap on the listed bases of
+    V (x) W and W (x) V."""
+    data = {}
+    for i, dv in enumerate(V.degrees):
+        for j, dw in enumerate(W.degrees):
+            data[j * V.dim + i, i * W.dim + j] = chi.chi(dv, dw)
+    return GradedMap(tensor(V, W), tensor(W, V),
+                     Mat(W.dim * V.dim, V.dim * W.dim, data))
+
+
+def braiding_inverse_matrix(V, W, chi):
+    """graded.braiding_inverse as an explicit GradedMap."""
+    return braiding_matrix(W, V, Bicharacter(chi.N, -chi.c))
+
+
+def leaf_entries(d):
+    """{(row, column): scalar} of a diagram, read column by column."""
+    return {(r, j): v for j, col in enumerate(d.columns())
+            for r, v in col.items()}
+
+
 def mult_map_by_pairs(A):
     """The product m: A (x) A -> A with one product per pair of basis
     elements (a normal form by normalize_by_rescan, for a presented
@@ -713,7 +737,7 @@ def hopf_checks_by_pairs(H):
     V = H.space
     m = diagram(mult_map_by_pairs(H.algebra))
     idv = diagram(GradedMap.identity(V))
-    tau = braiding(V, V, H.chi)
+    tau = braiding_matrix(V, V, H.chi)
     Delta, eps, S = (diagram(f) for f in (H.Delta, H.eps, H.S))
     laws = {
         "coproduct_is_multiplicative": (

@@ -33,6 +33,7 @@ from oracle import (
     induced_map_by_power_table,
     is_prime_by_trial_division,
     kernel_dims,
+    leaf_entries,
     mult_map_by_pairs,
     normal_form_by_rescan,
     pair_product_by_rescan,
@@ -246,11 +247,11 @@ def test_relations_route_pushes_no_associativity_column(monkeypatch):
         ("d_a_mu(5, 1)", lambda: d_a_mu(5, 1)))
 ], ids=lambda c: c[0])
 def test_mult_map_matches_normal_forms_by_pairs(case):
-    # entries are compared by type and repr, the values witnesses print;
-    # uqsl2(3) has entries that are the int -1 only when the normal form
-    # drops zeros once, at the end
+    # every column of the leaf, compared by type and repr, the values
+    # witnesses print; uqsl2(3) has entries that are the int -1 only when
+    # the normal form drops zeros once, at the end
     A = case[1]()
-    assert typed_entries(A.mult_map().mat) == \
+    assert typed_terms(leaf_entries(A.mult_map())) == \
         typed_entries(mult_map_by_pairs(A).mat)
 
 
@@ -405,6 +406,28 @@ def test_generation_premise():
     law = A.row_check("law", A.mult_map(), A.mult_map())
     assert law["status"] == FAIL
     assert law["witnesses"] == [witness]
+
+
+def test_a_non_homogeneous_pair_rule_raises_when_its_column_is_read():
+    # a*a = b puts an entry of degree 1 in the column of degree 2; the
+    # column raises the ValueError the product matrix raises
+    def rule(i, j):
+        return {max(i, j): 1} if 0 in (i, j) else {2: 1} if i == j == 1 else {}
+
+    A = StructureConstantAlgebra(
+        signature=("inhomogeneous",), N=3, basis=(0, 1, 2),
+        degrees=(0, 1, 1), labels=("1", "a", "b"), unit_mono=0,
+        pair_rule=rule, generator_monos=(("a", 1),))
+    m = A.mult_map()
+    # columns 1 (x) 1, 1 (x) a, 1 (x) b and a (x) 1 read fine
+    assert [m._column(j) for j in range(4)] == [{0: 1}, {1: 1}, {2: 1},
+                                                {1: 1}]
+    with pytest.raises(ValueError) as want:
+        mult_map_by_pairs(A)
+    with pytest.raises(ValueError) as got:
+        list(m.columns())
+    assert str(got.value) == str(want.value) == (
+        "entry (2,4) breaks homogeneity: target deg 1 != source deg 2 + 0")
 
 
 def test_dimension_guard(monkeypatch):

@@ -1,6 +1,7 @@
 """Sigma operators, the uqsl2 dictionary, the ribbon identity, and the
 frozen stable-dimension table."""
 
+import dataclasses
 import json
 import pathlib
 import random
@@ -442,7 +443,25 @@ def test_ribbon_element_structure():
     U = R.v_0.algebra
     assert R.u_0.terms[(0, 0, 0)] == 1  # j = 0 term of u_0
     assert R.v_0 == U.gen("K") * R.u_K * R.u_0
+    assert R.K_u_K == U.gen("K") * R.u_K
     assert R.q == U.q and R.m == (3 - 1) // 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_prefactor_scalar_route_reads_K_u_K(p):
+    # route (a) evaluates the K u_K kept in RibbonData: scaled, only that
+    # route fails, and a term that is no polynomial in K is refused
+    R = ribbon_element(p)
+    U = R.v_0.algebra
+    psi0 = ayd._psi_v0(p, R)
+    for mu in range(p):
+        scaled = ayd._ribbon_identity(
+            p, mu, dataclasses.replace(R, K_u_K=2 * R.K_u_K), psi0)
+        assert [c["status"] for c in scaled] == [FAIL, PASS]
+        assert len(scaled[0]["witnesses"]) == p
+    with pytest.raises(AssertionError, match="not a polynomial in K"):
+        ayd._ribbon_identity(
+            p, 1, dataclasses.replace(R, K_u_K=R.K_u_K + U.gen("F")), psi0)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -203,8 +203,9 @@ def test_packet_values_match_binary_powering():
         zeta = root_of_unity(N)
         powers = [zeta ** e for e in range(N)]
         for c in range(N):
-            for entry in packet_report(N, c).entries:
-                value, expected = entry["value"], powers[entry["exponent"]]
+            packet = packet_report(N, c)
+            for value, entry in zip(packet.values, packet.entries):
+                expected = powers[entry["exponent"]]
                 assert (type(value), repr(value)) == \
                     (type(expected), repr(expected)), (N, c, entry)
                 assert value == expected

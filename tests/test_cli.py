@@ -275,6 +275,25 @@ def test_decompose_vecg_n601_is_quick(capsys):
     assert all(c["status"] == "PASS" for c in report["checks"])
 
 
+def test_decompose_vecg_keeps_theta_values_as_exponents():
+    # N = 20011 has 10006 theta values; as roots of unity of phi(N) = 20010
+    # coordinates each they would take about 1.6 GB, as exponents the
+    # whole run peaks near 20 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = _outcome(["decompose", "vec-g", "--n", "20011"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert all(c["status"] == "PASS" for c in checks.values())
+    details = checks["packet of theta values"]["details"].split(", ")
+    assert len(details) == 10006
+    assert details[:3] == ["1 -> 1", "q(20011,1) -> 2", "q(20011,4) -> 2"]
+
+
 def test_decompose_repg_s3(capsys):
     code, out, _ = run_cli(["decompose", "rep-g", "--cayley", str(S3_TABLE)],
                            capsys)

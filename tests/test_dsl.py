@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bhl
+from bhl.algebras import anyonic_line
 from bhl.dsl import (
     Assertion,
     DslSyntaxError,
@@ -33,11 +34,12 @@ from bhl.dsl import (
     mor_text,
     parse,
 )
-from bhl.graded import GradedSpace, tensor_map, word_degrees
+from bhl.graded import GradedMap, GradedSpace, tensor_map, word_degrees
 from bhl.report import FAIL, PASS, map_check
 from bhl.scalars import (Cyclotomic, euler_phi, format_scalar,
                          parse_scalar, root_of_unity)
-from oracle import script_text
+from oracle import (braiding_inverse_matrix, braiding_matrix,
+                    mult_map_by_pairs, script_text)
 
 CORPUS = pathlib.Path(bhl.__file__).parent / "corpus"
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -377,13 +379,24 @@ def _columns(f):
 
 def materialise(expr, env):
     """The exact matrix of a morphism expression, built with tensor_map and
-    @ from the GradedMaps of its leaves."""
+    @ from the GradedMaps of its leaves: the oracle matrices of the
+    braidings, and the anyonic line's product by pairs for the lazy m of
+    the preloaded Hopf structure."""
     if isinstance(expr, MTensor):
         return tensor_map(materialise(expr.left, env),
                           materialise(expr.right, env))
     if isinstance(expr, MCompose):
         return materialise(expr.second, env) @ materialise(expr.first, env)
-    return _leaf(expr, env)
+    if isinstance(expr, MPrim) and expr.kind in ("braid", "braid_inv"):
+        V, W = (eval_obj(o, env) for o in expr.objs)
+        route = braiding_matrix if expr.kind == "braid" else \
+            braiding_inverse_matrix
+        return route(V, W, env.chi)
+    f = _leaf(expr, env)
+    if isinstance(f, GradedMap):
+        return f
+    assert expr == MName("m")
+    return mult_map_by_pairs(anyonic_line(env.chi.N))
 
 
 def oracle_checks(text, env):

@@ -14,6 +14,7 @@ from bhl.graded import (
     anti_twist,
     braiding,
     braiding_inverse,
+    diagram,
     ev_coev,
     first_difference,
     left_dual,
@@ -25,7 +26,9 @@ from bhl.graded import (
 )
 from bhl.report import map_check
 from bhl.scalars import root_of_unity
-from oracle import braided_module_E, inverse
+from oracle import (braided_module_E, braiding_inverse_matrix,
+                    braiding_matrix, inverse, leaf_entries, typed_entries,
+                    typed_terms)
 
 
 @st.composite
@@ -105,8 +108,8 @@ def test_graded_map_homogeneity_enforced():
 @given(nat_setup())
 def test_braiding_naturality_shift_zero(setup):
     chi, f, g = setup
-    lhs = braiding(f.target, g.target, chi) @ tensor_map(f, g)
-    rhs = tensor_map(g, f) @ braiding(f.source, g.source, chi)
+    lhs = braiding_matrix(f.target, g.target, chi) @ tensor_map(f, g)
+    rhs = tensor_map(g, f) @ braiding_matrix(f.source, g.source, chi)
     assert lhs == rhs
 
 
@@ -116,7 +119,7 @@ def test_braiding_naturality_shift_zero(setup):
 def test_yang_baxter(args):
     N, c, V = args
     chi = Bicharacter(N, c)
-    t = braiding(V, V, chi)
+    t = braiding_matrix(V, V, chi)
     i = GradedMap.identity(V)
     lhs = tensor_map(t, i) @ tensor_map(i, t) @ tensor_map(t, i)
     rhs = tensor_map(i, t) @ tensor_map(t, i) @ tensor_map(i, t)
@@ -128,12 +131,45 @@ def test_braiding_example_and_inverse():
     V = GradedSpace(3, (1,))
     W = GradedSpace(3, (1,))
     t = braiding(V, W, chi)
-    assert t.mat[0, 0] == root_of_unity(3)
-    assert braiding_inverse(V, W, chi) @ t == GradedMap.identity(tensor(V, W))
+    assert list(t.columns()) == [{0: root_of_unity(3)}]
+    assert first_difference(braiding_inverse(V, W, chi) @ t,
+                            GradedMap.identity(tensor(V, W))) is None
     # degree-0 second factor: plain flip
     W0 = GradedSpace(3, (0, 0))
     t0 = braiding(W0, W0, chi)
-    assert t0.mat == Mat(4, 4, {(0, 0): 1, (2, 1): 1, (1, 2): 1, (3, 3): 1})
+    assert list(t0.columns()) == [{0: 1}, {2: 1}, {1: 1}, {3: 1}]
+
+
+_A, _B = GradedSpace(5, (0, 1), ("a0", "a1")), GradedSpace(5, (2, 4, 4))
+BRAIDING_FACTORS = {
+    "plain spaces": (_A, _B),
+    "tensor product factors": (tensor(_A, _B), tensor(_B, _A)),
+    "tensor product and line": (tensor(_A, _B), _A),
+    "unit on the left": (GradedSpace.unit(5), _B),
+    "unit on the right": (_A, GradedSpace.unit(5)),
+    "two units": (GradedSpace.unit(5), GradedSpace.unit(5)),
+    "one-dimensional of nonzero degree": (GradedSpace(5, (3,)), _A),
+    "two one-dimensional": (GradedSpace(5, (3,)), GradedSpace(5, (1,))),
+    "declared degree-0 line": (GradedSpace(5, (0,), ("v0",)), _B),
+}
+
+
+@pytest.mark.parametrize("c", [0, 1, 3])
+@pytest.mark.parametrize("factors", BRAIDING_FACTORS.values(),
+                         ids=BRAIDING_FACTORS.keys())
+def test_lazy_braiding_matches_the_oracle_matrix(factors, c):
+    # entries by type and repr, labels as tensor() lists them, and the
+    # tensor words of source and target
+    V, W = factors
+    chi = Bicharacter(5, c)
+    for lazy, dense in ((braiding(V, W, chi), braiding_matrix(V, W, chi)),
+                        (braiding_inverse(V, W, chi),
+                         braiding_inverse_matrix(V, W, chi))):
+        assert typed_terms(leaf_entries(lazy)) == typed_entries(dense.mat)
+        assert [lazy.label(j) for j in range(dense.source.dim)] == \
+            list(dense.source.labels)
+        assert (lazy.source, lazy.target, lazy.shift) == (
+            diagram(dense).source, diagram(dense).target, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,7 +179,7 @@ def test_twist_and_anti_twist_laws(args):
     N, c, V, W = args
     chi = Bicharacter(N, c)
     VW = tensor(V, W)
-    tau2 = braiding(W, V, chi) @ braiding(V, W, chi)
+    tau2 = braiding_matrix(W, V, chi) @ braiding_matrix(V, W, chi)
     assert twist_theta(VW, chi) == tau2 @ tensor_map(twist_theta(V, chi), twist_theta(W, chi))
     for t in range(N):
         s = AntiTwist(chi, t)
@@ -213,8 +249,8 @@ def test_braided_module_axioms(args):
 
     # C1: E_{Y,XM} = tau^{-1}_{X,Y} (id_X (x) E_{Y,M}) tau^{-1}_{Y,X}
     # where tau^{-1}_{A,B} means the inverse of tau_{B,A}
-    t_xy = braiding(X, Y, chi)
-    t_yx = braiding(Y, X, chi)
+    t_xy = braiding_matrix(X, Y, chi)
+    t_yx = braiding_matrix(Y, X, chi)
     lhs1 = braided_module_E(Y, tensor(X, M), s, chi)
     rhs1 = (tensor_map(inverse(t_yx), i_m)
             @ tensor_map(i_x, braided_module_E(Y, M, s, chi))
@@ -280,7 +316,8 @@ def test_diagram_columns_match_materialised_maps(setup):
     ids = tensor_diagram(GradedMap.identity(g.target),
                          GradedMap.identity(f.target))
     composite = tensor_map(GradedMap.identity(g.target),
-                           GradedMap.identity(f.target)) @ tau @ dense
+                           GradedMap.identity(f.target)) @ \
+        braiding_matrix(f.target, g.target, chi) @ dense
     assert list((ids @ tau @ lazy).columns()) == dense_columns(composite)
     assert first_difference(tau @ lazy, tau @ dense) is None
 

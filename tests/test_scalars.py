@@ -20,6 +20,7 @@ from bhl.scalars import (
     balanced_q_int,
     cyclotomic_polynomial,
     euler_phi,
+    format_root_of_unity,
     format_scalar,
     gauss_sum,
     in_field,
@@ -570,3 +571,10 @@ def test_power_helper_starts_from_the_first_factor():
     assert power(3, 6, no_identity, mul) == 18
     with pytest.raises(ValueError):
         power(3, -1, no_identity)
+
+
+def test_format_root_of_unity_is_the_format_of_the_root():
+    for N in range(1, 61):
+        for e in range(N):
+            assert format_root_of_unity(N, e) == \
+                format_scalar(root_of_unity(N, e)), (N, e)
