@@ -215,7 +215,7 @@ class FiniteDimAlgebra:
         self.unit_mono = unit_mono
         self.generator_monos = dict(generator_monos)
         self.index = {m: i for i, m in enumerate(self.basis)}
-        self._pair_cache, self._mult_cols = {}, {}
+        self._pair_cache = {}
         self._premises = None
 
     @property
@@ -265,11 +265,27 @@ class FiniteDimAlgebra:
     # -- multiplication ---------------------------------------------------------
 
     def pair_product(self, ma, mb):
-        key = (ma, mb)
-        hit = self._pair_cache.get(key)
+        """ma * mb as {normal monomial: coefficient}."""
+        basis, index = self.basis, self.index
+        return {basis[i]: s for i, s in self._product_column(
+            index[ma] * self.dim + index[mb]).items()}
+
+    def _product_column(self, j):
+        """The product of basis elements a and b, j = a * dim + b, as
+        {basis index: coefficient}: column j of the product map, computed
+        once.  An entry whose degree is not deg a + deg b raises the
+        ValueError that GradedMap raises for it."""
+        hit = self._pair_cache.get(j)
         if hit is None:
-            hit = self._pair_product_raw(ma, mb)
-            self._pair_cache[key] = hit
+            a, b = divmod(j, self.dim)
+            index, deg = self.index, self.mono_degrees
+            source = (deg[a] + deg[b]) % self.N
+            hit = {index[m]: s for m, s in self._pair_product_raw(
+                self.basis[a], self.basis[b]).items()}
+            for r in hit:
+                if deg[r] != source:
+                    raise homogeneity_error(r, j, deg[r], source, 0)
+            self._pair_cache[j] = hit
         return hit
 
     def multiply(self, a, b):
@@ -298,23 +314,9 @@ class FiniteDimAlgebra:
     def mult_map(self):
         """The product m: A (x) A -> A as a diagram leaf on the word (V, V):
         the column of a (x) b is pair_product(a, b), computed when a check
-        first reads it and kept on the algebra."""
+        first reads it and kept in the algebra's pair cache."""
         V = self.graded_space()
-        return pair_leaf(V, V, (V,), self._mult_column)
-
-    def _mult_column(self, j):
-        col = self._mult_cols.get(j)
-        if col is None:
-            a, b = divmod(j, self.dim)
-            col = {self.index[m]: s for m, s in self.pair_product(
-                self.basis[a], self.basis[b]).items()}
-            deg = self.mono_degrees
-            source = (deg[a] + deg[b]) % self.N
-            for r in col:
-                if deg[r] != source:
-                    raise homogeneity_error(r, j, deg[r], source, 0)
-            self._mult_cols[j] = col
-        return col
+        return pair_leaf(V, V, (V,), self._product_column)
 
     def unit_map(self):
         """The unit u: I -> A as a GradedMap."""

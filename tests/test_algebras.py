@@ -362,7 +362,7 @@ def test_center_keeps_only_left_products():
     U.compute_center()
     assert set(vars(U)) == before
     gens = set(generator_monos(U))
-    assert {ma for ma, _ in U._pair_cache} <= gens
+    assert {U.basis[j // U.dim] for j in U._pair_cache} <= gens
 
 
 def test_center_checks_the_guard_before_any_product(monkeypatch):

@@ -111,6 +111,10 @@ def test_braiding_naturality_shift_zero(setup):
     lhs = braiding_matrix(f.target, g.target, chi) @ tensor_map(f, g)
     rhs = tensor_map(g, f) @ braiding_matrix(f.source, g.source, chi)
     assert lhs == rhs
+    # the same law on the lazy braiding leaves
+    assert first_difference(
+        braiding(f.target, g.target, chi) @ tensor_diagram(f, g),
+        tensor_diagram(g, f) @ braiding(f.source, g.source, chi)) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -124,6 +128,11 @@ def test_yang_baxter(args):
     lhs = tensor_map(t, i) @ tensor_map(i, t) @ tensor_map(t, i)
     rhs = tensor_map(i, t) @ tensor_map(t, i) @ tensor_map(i, t)
     assert lhs == rhs
+    t = braiding(V, V, chi)
+    assert first_difference(
+        tensor_diagram(t, i) @ tensor_diagram(i, t) @ tensor_diagram(t, i),
+        tensor_diagram(i, t) @ tensor_diagram(t, i) @ tensor_diagram(i, t)
+    ) is None
 
 
 def test_braiding_example_and_inverse():
@@ -138,6 +147,19 @@ def test_braiding_example_and_inverse():
     W0 = GradedSpace(3, (0, 0))
     t0 = braiding(W0, W0, chi)
     assert list(t0.columns()) == [{0: 1}, {2: 1}, {1: 1}, {3: 1}]
+
+
+def _assert_lazy_braiding_matches_the_oracle(V, W, chi):
+    # entries by type and repr, labels as tensor() lists them, and the
+    # tensor words of source and target
+    for lazy, dense in ((braiding(V, W, chi), braiding_matrix(V, W, chi)),
+                        (braiding_inverse(V, W, chi),
+                         braiding_inverse_matrix(V, W, chi))):
+        assert typed_terms(leaf_entries(lazy)) == typed_entries(dense.mat)
+        assert [lazy.label(j) for j in range(dense.source.dim)] == \
+            list(dense.source.labels)
+        assert (lazy.source, lazy.target, lazy.shift) == (
+            diagram(dense).source, diagram(dense).target, 0)
 
 
 _A, _B = GradedSpace(5, (0, 1), ("a0", "a1")), GradedSpace(5, (2, 4, 4))
@@ -158,18 +180,19 @@ BRAIDING_FACTORS = {
 @pytest.mark.parametrize("factors", BRAIDING_FACTORS.values(),
                          ids=BRAIDING_FACTORS.keys())
 def test_lazy_braiding_matches_the_oracle_matrix(factors, c):
-    # entries by type and repr, labels as tensor() lists them, and the
-    # tensor words of source and target
     V, W = factors
-    chi = Bicharacter(5, c)
-    for lazy, dense in ((braiding(V, W, chi), braiding_matrix(V, W, chi)),
-                        (braiding_inverse(V, W, chi),
-                         braiding_inverse_matrix(V, W, chi))):
-        assert typed_terms(leaf_entries(lazy)) == typed_entries(dense.mat)
-        assert [lazy.label(j) for j in range(dense.source.dim)] == \
-            list(dense.source.labels)
-        assert (lazy.source, lazy.target, lazy.shift) == (
-            diagram(dense).source, diagram(dense).target, 0)
+    _assert_lazy_braiding_matches_the_oracle(V, W, Bicharacter(5, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5]).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(0, N - 1), space(N),
+                        space(N))))
+def test_lazy_braiding_matches_the_oracle_on_random_spaces(args):
+    N, c, V, W = args
+    chi = Bicharacter(N, c)
+    _assert_lazy_braiding_matches_the_oracle(V, W, chi)
+    _assert_lazy_braiding_matches_the_oracle(tensor(V, W), V, chi)
 
 
 @settings(max_examples=30, deadline=None)
