@@ -26,10 +26,10 @@ is pushed through them, so no Kronecker product is ever formed, and the
 first input where the sides differ is the witness.
 
 The laws multiplicative in their first argument -- Delta and eps
-multiplicative, S anti-multiplicative -- are checked on generator rows,
-a in {1} u G, by FiniteDimAlgebra.row_check.  Writing a basis element a
-as c * g a' with c a nonzero scalar, g in {1} u G and a' reached earlier
-from 1,
+multiplicative, S anti-multiplicative, the row laws -- are checked on
+generator rows, a in {1} u G, by FiniteDimAlgebra.row_check.  Writing a
+basis element a as c * g a' with c a nonzero scalar, g in {1} u G and a'
+reached earlier from 1,
 
     Delta(a b) = c Delta(g (a' b)) = c Delta(g) Delta(a') Delta(b)
                = c Delta(g a') Delta(b) = Delta(a) Delta(b),
@@ -37,10 +37,40 @@ from 1,
 which uses the associativity of A and so of A (x)^tau A (chi is a
 bicharacter, and m is homogeneous).  eps goes the same way, and S also
 uses chi(|g|, |a'| + |b|) chi(|a'|, |b|) = chi(|g a'|, |b|) chi(|g|, |a'|)
-(Majid, *Foundations of Quantum Group Theory*, 1995).  row_check folds
-both premises, associativity (from the defining relations, or else on
-generator rows) and generation from 1, into each of the three checks, so
-a failed premise fails them.
+(Majid, *Foundations of Quantum Group Theory*, 1995, 9.2).  row_check
+folds both premises, associativity (from the defining relations, or else
+on generator rows) and generation from 1, into each of the three checks,
+so a failed premise fails them.  HopfData.row_law computes each once.
+
+The other five laws are compared on 1 and the generators alone, both
+sides precomposed with iota, the inclusion of span({1} u G) in A, once the
+row laws they rest on have passed (HopfData.rows); otherwise on every
+basis input.  The lemma: if f and h are linear maps out of A and each is
+an algebra map, or each braided anti-multiplicative, f(ab) = chi(|a|, |b|)
+f(b) f(a) on homogeneous a, b, then the a where f(a) = h(a) are closed
+under products of homogeneous elements; so, by generation from 1, f = h on
+A once f = h on {1} u G.  Delta, eps and S are homogeneous of shift 0.
+
+* coassociativity rests on coproduct_is_multiplicative: Delta (x) id and
+  id (x) Delta are then algebra maps into A (x)^tau A (x)^tau A, and so
+  are both sides.
+* counit_law rests on coproduct_is_multiplicative and
+  counit_is_multiplicative: (eps (x) id) Delta and (id (x) eps) Delta are
+  then algebra maps, as id is.
+* antipode_left and antipode_right rest on those two and on
+  antipode_is_antimultiplicative.  Their sides are not algebra maps, but
+  the braided Sweedler computation closes them under products:
+  m(S (x) id)Delta(ab) = sum chi(|a|, |b_1|) S(b_1) [S(a_1) a_2] b_2
+  = eps(a) eps(b), since eps(a) != 0 only in degree 0, where
+  chi(0, .) = 1; antipode_right goes the same way.
+* antipode_is_anticomultiplicative rests on coproduct_is_multiplicative
+  and antipode_is_antimultiplicative: Delta S and tau (S (x) S) Delta are
+  then both braided anti-multiplicative into A (x)^tau A, the second
+  because chi is a symmetric bicharacter.
+
+When a law fails on some a, it fails on a letter of a; in a presented
+algebra a monomial's letters come no later than it in basis order, so
+the first failing input on iota is the first of the full sweep.
 
 Building HopfData goes through the dimension guard (BHL_DIM_GUARD,
 default 350), which admits the Taft algebra up to p = 17 (dimension 289).
@@ -68,7 +98,7 @@ from .graded import (
     tensor,
     tensor_diagram,
 )
-from .report import check, map_check
+from .report import PASS, check, map_check
 from .scalars import q_binomial
 
 
@@ -149,7 +179,8 @@ class HopfData:
     S: H -> H, and the braiding tau of H (x) H.  m and tau are diagram
     leaves that compute a column when it is read, the others GradedMaps.
     The generator images the maps were extended from are kept in coproducts
-    / counits / antipodes (keyed by generator name).
+    / counits / antipodes (keyed by generator name).  The checks of the
+    three row laws are kept once computed (row_law).
     """
 
     def __init__(self, algebra, chi, tensor_algebra, coproducts, counits,
@@ -160,6 +191,7 @@ class HopfData:
         self.coproducts = dict(coproducts)
         self.counits = dict(counits)
         self.antipodes = dict(antipodes)
+        self._row_laws = {}
         self.m = algebra.mult_map()
         self.u = algebra.unit_map()
         V = self.space = algebra.graded_space()
@@ -187,6 +219,40 @@ class HopfData:
             1, [{0: self._eps(mono)} for mono in A.basis]))
         self.S = GradedMap(V, V, from_cols(
             A.dim, [self._antipode(mono).as_column() for mono in A.basis]))
+
+    # -- the row laws and the rows they admit ------------------------------
+
+    def row_law(self, name):
+        """The row_check of coproduct_is_multiplicative,
+        counit_is_multiplicative or antipode_is_antimultiplicative,
+        computed once per HopfData."""
+        if name not in self._row_laws:
+            m, tau = self.m, self.tau
+            idv = diagram(GradedMap.identity(self.space))
+            Delta, eps, S = (diagram(f) for f in (self.Delta, self.eps, self.S))
+            sides = {
+                "coproduct_is_multiplicative": (
+                    Delta @ m,
+                    tensor_diagram(m, m)
+                    @ tensor_diagram(idv, tau, idv)
+                    @ tensor_diagram(Delta, Delta)),
+                "counit_is_multiplicative": (eps @ m,
+                                             tensor_diagram(eps, eps)),
+                "antipode_is_antimultiplicative": (
+                    S @ m, m @ tensor_diagram(S, S) @ tau),
+            }
+            self._row_laws[name] = self.algebra.row_check(name, *sides[name])
+        return self._row_laws[name]
+
+    def rows(self, *premises):
+        """The inputs on which a law resting on the named row laws is
+        compared: iota, the inclusion of span({1} u G) in A
+        (FiniteDimAlgebra.generator_rows), when every one of them passed,
+        and else the identity of A, every basis input (see the module
+        docstring for the lemma)."""
+        if all(self.row_law(name)["status"] == PASS for name in premises):
+            return self.algebra.generator_rows()[0]
+        return GradedMap.identity(self.space)
 
     # -- element-level structure maps --------------------------------------
 
@@ -281,45 +347,38 @@ def verify_bialgebra(H):
     Both sides of each identity are lazy diagrams of the structure maps
     (graded.Diagram), compared one basis input at a time, so no Kronecker
     product is formed; the size of H is bounded by the dimension guard
-    when H is built.
+    when H is built.  coproduct_is_multiplicative and
+    counit_is_multiplicative are checked on generator rows
+    (HopfData.row_law).  coassociativity, which rests on the first, and
+    counit_law, which rests on both, are compared on 1 and the generators
+    when those pass, and on every basis input otherwise (HopfData.rows).
     """
-    V, A = H.space, H.algebra
+    V = H.space
     idv = diagram(GradedMap.identity(V))
-    m, tau = H.m, H.tau
     u, Delta, eps = (diagram(f) for f in (H.u, H.Delta, H.eps))
-    checks = []
-
-    lhs = Delta @ m
-    rhs = (
-        tensor_diagram(m, m)
-        @ tensor_diagram(idv, tau, idv)
-        @ tensor_diagram(Delta, Delta)
-    )
-    checks.append(A.row_check("coproduct_is_multiplicative", lhs, rhs))
-    checks.append(
-        map_check("coproduct_of_unit", Delta @ u, tensor_diagram(u, u))
-    )
-    checks.append(
-        A.row_check("counit_is_multiplicative", eps @ m,
-                    tensor_diagram(eps, eps))
-    )
-    checks.append(
+    checks = [
+        H.row_law("coproduct_is_multiplicative"),
+        map_check("coproduct_of_unit", Delta @ u, tensor_diagram(u, u)),
+        H.row_law("counit_is_multiplicative"),
         map_check(
             "counit_of_unit",
             eps @ u,
             GradedMap.identity(GradedSpace.unit(V.N)),
-        )
-    )
+        ),
+    ]
+    rows = H.rows("coproduct_is_multiplicative")
     checks.append(
         map_check(
             "coassociativity",
-            tensor_diagram(Delta, idv) @ Delta,
-            tensor_diagram(idv, Delta) @ Delta,
+            tensor_diagram(Delta, idv) @ Delta @ rows,
+            tensor_diagram(idv, Delta) @ Delta @ rows,
         )
     )
+    rows = H.rows("coproduct_is_multiplicative", "counit_is_multiplicative")
     counit_ok = (
-        first_difference(tensor_diagram(eps, idv) @ Delta, idv) is None
-        and first_difference(tensor_diagram(idv, eps) @ Delta, idv) is None
+        first_difference(tensor_diagram(eps, idv) @ Delta @ rows, rows) is None
+        and first_difference(tensor_diagram(idv, eps) @ Delta @ rows,
+                             rows) is None
     )
     checks.append(
         check(
@@ -335,24 +394,33 @@ def verify_antipode(H):
     """Check the antipode axiom, (anti)morphism properties and report S^2.
 
     The identities are compared column by column, as in verify_bialgebra.
+    antipode_is_antimultiplicative is checked on generator rows, and
+    computed first (HopfData.row_law).  antipode_left and antipode_right
+    rest on it and on the multiplicativity of Delta and eps,
+    antipode_is_anticomultiplicative on it and that of Delta; each is
+    compared on 1 and the generators when the laws it rests on pass, and on
+    every basis input otherwise (HopfData.rows).
     """
     V, m, tau = H.space, H.m, H.tau
     idv = diagram(GradedMap.identity(V))
     Delta, S = (diagram(f) for f in (H.Delta, H.S))
     ue = diagram(H.u) @ H.eps
+    anti = H.row_law("antipode_is_antimultiplicative")
+    rows = H.rows("coproduct_is_multiplicative", "counit_is_multiplicative",
+                  "antipode_is_antimultiplicative")
+    co_rows = H.rows("coproduct_is_multiplicative",
+                     "antipode_is_antimultiplicative")
     rank = H.S.rank()
     checks = [
-        map_check("antipode_left", m @ tensor_diagram(S, idv) @ Delta, ue),
-        map_check("antipode_right", m @ tensor_diagram(idv, S) @ Delta, ue),
-        H.algebra.row_check(
-            "antipode_is_antimultiplicative",
-            S @ m,
-            m @ tensor_diagram(S, S) @ tau,
-        ),
+        map_check("antipode_left", m @ tensor_diagram(S, idv) @ Delta @ rows,
+                  ue @ rows),
+        map_check("antipode_right", m @ tensor_diagram(idv, S) @ Delta @ rows,
+                  ue @ rows),
+        anti,
         map_check(
             "antipode_is_anticomultiplicative",
-            Delta @ S,
-            tau @ tensor_diagram(S, S) @ Delta,
+            Delta @ S @ co_rows,
+            tau @ tensor_diagram(S, S) @ Delta @ co_rows,
         ),
         check(
             "antipode_invertible",

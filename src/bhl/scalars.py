@@ -496,11 +496,17 @@ def gauss_sum(p: int, q, m: int):
 # N != n with zeta_N^k not +-1, before it builds it, and reads the q(N,k)
 # = +-1 of N != n as rationals of order n.  Every value it reads lies in
 # Q(zeta_n): a rational operand keeps the order of the other.
+# q(N,k)^e is read as q(N,ke), with no power taken.  Any other power whose
+# value would have more than POWER_BITS bits is a syntax error at its
+# exponent, unless its base is a root of unity, whose exponent is first
+# reduced modulo 2N (_power_bits gives the estimate).
 # Module files and JSON reports write scalars in this grammar, and the
 # diagram scripts of bhl.dsl read their matrix entries with the same
 # TokenReader method.  One tokenizer serves both: a lone scalar may have
 # any whitespace between its tokens, a script only spaces, tabs and line
 # breaks, plus comments from '#' to end of line.
+
+POWER_BITS = 1 << 20
 
 _SKIP = (re.compile(r"\s*"), re.compile(r"(?:[ \t\r\n]+|#.*)*"))
 _TOKEN = re.compile(
@@ -548,6 +554,27 @@ def tokenize(text, script=False):
             raise ParseError("unexpected character %r" % ch, line, col)
         tokens.append((m.lastgroup, m.group(), line, col))
         i = m.end()
+
+
+def _power_bits(value, e):
+    """An estimate of the bits of value ** e, for a Fraction or Cyclotomic:
+    |e| ceil(log2 m), m the larger of the denominator and the sum of the
+    absolute numerator coordinates, for each of the phi(N) coordinates of
+    an irrational element of Q(zeta_N)."""
+    if isinstance(value, Fraction):
+        m, width = max(abs(value.numerator), value.denominator), 1
+    else:
+        m = max(sum(map(abs, value.num)), value.den)
+        width = 1 if value.is_rational() else len(value.num)
+    return abs(e) * (m - 1).bit_length() * width
+
+
+def _is_root_of_unity(value):
+    """Whether a Cyclotomic is a root of unity: an algebraic integer with
+    x * sigma_-1(x) = 1 has absolute value 1 under every embedding of the
+    CM field Q(zeta_N), so it is one (Kronecker)."""
+    return (isinstance(value, Cyclotomic) and value.den == 1
+            and value * _conjugate(value, -1) == 1)
 
 
 def _divide(a, b):
@@ -661,23 +688,39 @@ class TokenReader:
             if self.order not in (None, n) and 2 * k % n:
                 raise FieldError("q(%d,%d) is not in Q(zeta_%d)"
                                  % (n, k, self.order), tok[2], tok[3])
-            value = (root_of_unity(n, k) if self.order in (None, n) else
-                     Cyclotomic.from_rational(-1 if k % n else 1, self.order))
+            k *= self._exponent()[0]
+            return sign * (
+                root_of_unity(n, k) if self.order in (None, n) else
+                Cyclotomic.from_rational(-1 if k % n else 1, self.order))
         elif kind == "int":
             value = int(text)
         else:
             self.expected("a scalar", tok)
-        if self.at_sym("^"):
-            self.take()
-            esign = 1
-            if self.at_sym("-"):
-                self.take()
-                esign = -1
-            e = esign * self.expect_int()
+        e, etok = self._exponent()
+        if etok is not None:
             if isinstance(value, int):
                 value = Fraction(value)
+            bits = _power_bits(value, e)
+            if bits > POWER_BITS:
+                if not _is_root_of_unity(value):
+                    self.fail("power of about %d bits, more than %d"
+                              % (bits, POWER_BITS), etok)
+                e %= 2 * value.order
             value = value ** e
         return sign * value
+
+    def _exponent(self):
+        """The exponent of '^' '-'? INT at the cursor and the token of its
+        INT, or (1, None) when no '^' follows."""
+        if not self.at_sym("^"):
+            return 1, None
+        self.take()
+        esign = 1
+        if self.at_sym("-"):
+            self.take()
+            esign = -1
+        etok = self.peek()
+        return esign * self.expect_int(), etok
 
 
 def parse_scalar(text: str, order=None):

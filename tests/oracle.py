@@ -59,11 +59,12 @@ from bhl.graded import (
     GradedMap,
     GradedSpace,
     diagram,
+    first_difference,
     tensor,
     tensor_diagram,
 )
 from bhl.hopf import verify_antipode, verify_bialgebra
-from bhl.report import FAIL, map_check
+from bhl.report import FAIL, check, map_check
 from bhl.scalars import format_scalar, q_factorial, root_of_unity
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
@@ -733,13 +734,15 @@ def associativity_by_triples(A):
 def hopf_checks_by_pairs(H):
     """verify_bialgebra + verify_antipode, with the three laws that are
     multiplicative in their first argument compared on every pair of basis
-    elements, m by pairs."""
+    elements, and the five other laws on every basis element, m by
+    pairs."""
     V = H.space
     m = diagram(mult_map_by_pairs(H.algebra))
     idv = diagram(GradedMap.identity(V))
     tau = braiding_matrix(V, V, H.chi)
     Delta, eps, S = (diagram(f) for f in (H.Delta, H.eps, H.S))
-    laws = {
+    ue = diagram(H.u) @ H.eps
+    pairs = {
         "coproduct_is_multiplicative": (
             Delta @ m,
             tensor_diagram(m, m) @ tensor_diagram(idv, tau, idv)
@@ -748,13 +751,33 @@ def hopf_checks_by_pairs(H):
         "antipode_is_antimultiplicative": (
             S @ m, m @ tensor_diagram(S, S) @ tau),
     }
+    singles = {
+        "coassociativity": (tensor_diagram(Delta, idv) @ Delta,
+                            tensor_diagram(idv, Delta) @ Delta),
+        "antipode_left": (m @ tensor_diagram(S, idv) @ Delta, ue),
+        "antipode_right": (m @ tensor_diagram(idv, S) @ Delta, ue),
+        "antipode_is_anticomultiplicative": (
+            Delta @ S, tau @ tensor_diagram(S, S) @ Delta),
+    }
+    counit_ok = (
+        first_difference(tensor_diagram(eps, idv) @ Delta, idv) is None
+        and first_difference(tensor_diagram(idv, eps) @ Delta, idv) is None)
 
     def pair(j):
         return "%s , %s" % tuple(V.labels[i] for i in divmod(j, V.dim))
 
-    return [map_check(c["name"], *laws[c["name"]], label=pair)
-            if c["name"] in laws else c
-            for c in verify_bialgebra(H) + verify_antipode(H)]
+    def swept(c):
+        name = c["name"]
+        if name in pairs:
+            return map_check(name, *pairs[name], label=pair)
+        if name in singles:
+            return map_check(name, *singles[name])
+        if name == "counit_law":
+            return check(name, counit_ok,
+                         details="(eps(x)id).Delta = id = (id(x)eps).Delta")
+        return c
+
+    return [swept(c) for c in verify_bialgebra(H) + verify_antipode(H)]
 
 
 def square_antipode_by_matrix(H):

@@ -1033,6 +1033,40 @@ def test_a_5000_digit_dimension_skips_under_the_guard(
     assert "exceeds the guard 350" in only["details"]
 
 
+@pytest.mark.parametrize("kind", ["script", "module"])
+def test_a_huge_power_fails_at_its_exponent_before_it_is_taken(kind,
+                                                               tmp_path):
+    # 2^100000000000 would take about 12 GB; past POWER_BITS it is a
+    # syntax error at its exponent, as 1/0 is one at its scalar
+    power = "2^100000000000"
+    error = "power of about 100000000000 bits, more than 1048576"
+    if kind == "script":
+        path = tmp_path / "huge.bdsl"
+        path.write_text("let V = obj { deg 0: 1 }\n"
+                        "let f = gen (V -> V) { [%s] }\n"
+                        "assert f == id[V]\n" % power)
+        argv = ["dsl", "check", str(path)]
+        name, error = "script loads", error + " (line 2, column 27)"
+    else:  # the sample module's entry 1
+        path = _module_file(tmp_path / "module.json", ("x", 1, 0), power)
+        argv = ["verify", "ayd", "--module", str(path)]
+        name, error = ("module file is well formed",
+                       error + " (line 1, column 3)")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = _outcome(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2
+    assert peak < 5e6
+    assert code == 1 and err == ""
+    (first,) = json.loads(out)["checks"]
+    assert (first["name"], first["status"]) == (name, "FAIL")
+    assert error in first["witnesses"][0]["error"]
+
+
 def test_a_witness_of_20000_bits_reads_back(default_int_digits_limit,
                                             tmp_path, capsys):
     script = tmp_path / "huge.bdsl"

@@ -1,5 +1,6 @@
 """Braided tensor squares, Hopf axioms and modules."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -250,7 +251,8 @@ ORACLE_CASES = (
     + [("broken taft coproduct",
         lambda: broken_taft_hopf(3, primitive_x=True)),
        ("broken taft counit and antipode",
-        lambda: broken_taft_hopf(3, eps_x=1, antipode_sign=1))]
+        lambda: broken_taft_hopf(3, eps_x=1, antipode_sign=1)),
+       ("group algebra Z/3", lambda: group_algebra_hopf(3))]
 )
 
 
@@ -438,6 +440,115 @@ def test_coproduct_law_pushes_generator_rows_only(monkeypatch):
     assert check["name"] == "coproduct_is_multiplicative"
     assert check["status"] == PASS
     assert 0 < len(pushed) <= 75
+
+
+ROW_LAWS = ("coproduct_is_multiplicative", "counit_is_multiplicative",
+            "antipode_is_antimultiplicative")
+REST_LAWS = ("coassociativity", "counit_law", "antipode_left",
+             "antipode_right", "antipode_is_anticomultiplicative")
+
+
+def _columns_pushed(monkeypatch, H):
+    """{law: [(source dimension, columns pushed)]} for each comparison of
+    the five laws that rest on the row laws; counit_law makes two."""
+    pushed = {}
+    columns = Diagram.columns
+    real_map_check, real_first = hopf.map_check, hopf.first_difference
+
+    def counted(name, compare, lhs, rhs):
+        entry = [math.prod(V.dim for V in lhs.source), 0]
+        pushed.setdefault(name, []).append(entry)
+
+        def counting(self):
+            for col in columns(self):
+                if self is lhs:
+                    entry[1] += 1
+                yield col
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Diagram, "columns", counting)
+            return compare(lhs, rhs)
+
+    def watched(name, lhs, rhs, *args, **kwargs):
+        if name not in REST_LAWS:
+            return real_map_check(name, lhs, rhs, *args, **kwargs)
+        return counted(name, lambda l, r: real_map_check(name, l, r, *args,
+                                                         **kwargs), lhs, rhs)
+
+    monkeypatch.setattr(hopf, "map_check", watched)
+    monkeypatch.setattr(hopf, "first_difference",
+                        lambda lhs, rhs: counted("counit_law", real_first,
+                                                 lhs, rhs))
+    checks = verify_bialgebra(H) + verify_antipode(H)
+    monkeypatch.undo()
+    return checks, {name: [tuple(e) for e in v] for name, v in pushed.items()}
+
+
+def test_coalgebra_and_antipode_laws_push_generator_rows_only(monkeypatch):
+    # 1, g and x of taft p = 5; the sweep over every basis input pushes 25
+    H = taft_hopf(5)
+    checks, pushed = _columns_pushed(monkeypatch, H)
+    assert all_pass(checks), failed_names(checks)
+    assert pushed == {name: [(3, 3)] * (2 if name == "counit_law" else 1)
+                      for name in REST_LAWS}
+
+
+@pytest.mark.parametrize("make, failing", [
+    # Delta is not multiplicative: every law resting on it sweeps all 5
+    (lambda: anyonic_hopf(5, 0), ["coproduct_is_multiplicative"]),
+    (lambda: broken_taft_hopf(3, primitive_x=True),
+     ["coproduct_is_multiplicative", "antipode_left", "antipode_right",
+      "antipode_is_anticomultiplicative"]),
+], ids=["anyonic p=5 c=0", "broken taft p=3 primitive x"])
+def test_a_failed_row_law_sweeps_every_basis_input(monkeypatch, make,
+                                                   failing):
+    H = make()
+    checks, pushed = _columns_pushed(monkeypatch, H)
+    assert failed_names(checks) == failing
+    assert set(pushed) == set(REST_LAWS)
+    for name, comparisons in pushed.items():
+        for source, count in comparisons:
+            assert source == H.algebra.dim
+            assert count == source or name in failing
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_failed_premise_sweeps_the_antipode_laws(p):
+    # without associativity the generator rows prove nothing: on skew
+    # Taft the antipode laws hold on 1, g and x but fail further on
+    H = skew_taft_hopf(p)
+    checks = verify_bialgebra(H) + verify_antipode(H)
+    by_pairs = hopf_checks_by_pairs(H)
+    assert ([c for c in checks if c["name"] in REST_LAWS]
+            == [c for c in by_pairs if c["name"] in REST_LAWS])
+    assert "antipode_left" in failed_names(checks)
+
+
+def group_algebra_hopf(n):
+    """k[Z/n] with Delta(g) = g (x) g^2, eps(g) = 1 and S(g) = g^2: Delta,
+    eps and S respect g^n = 1 for n = 3, so every row law holds, but the
+    structure is no Hopf algebra."""
+    A = PresentedAlgebra(Presentation(
+        N=1, gens=("g",), degrees=(0,), bounds=(n,), power_rhs=(1,),
+        straighten={}), signature=("group_algebra", n))
+    chi = Bicharacter(1, 0)
+    TA = braided_tensor_algebra(A, A, chi)
+    g = A.gen("g")
+    return build_hopf(A, chi, {"g": tensor_pair(TA, g, g * g)}, {"g": 1},
+                      {"g": g * g})
+
+
+def test_row_laws_pass_and_the_rest_fail_at_the_generator():
+    H = group_algebra_hopf(3)
+    assert all_pass(H.algebra.verify_associativity())
+    checks = verify_bialgebra(H) + verify_antipode(H)
+    assert checks == hopf_checks_by_pairs(H)
+    by_name = {c["name"]: c for c in checks}
+    assert all(by_name[name]["status"] == PASS for name in ROW_LAWS)
+    assert failed_names(checks) == list(REST_LAWS)
+    for name in REST_LAWS:
+        if name != "counit_law":
+            assert by_name[name]["witnesses"][0]["input"] == "g"
 
 
 @pytest.mark.parametrize("kwargs, failing", [

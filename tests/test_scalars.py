@@ -13,6 +13,7 @@ from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
 from bhl.scalars import (
     Cyclotomic,
+    POWER_BITS,
     OrderMismatchError,
     ParseError,
     _conjugate,
@@ -194,6 +195,34 @@ def test_parse_scalar_errors_name_a_line_and_column(text, error):
     with pytest.raises(ValueError) as err:
         parse_scalar(text)
     assert str(err.value) == error
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_a_power_of_a_root_of_unity_takes_its_exponent_modulo_the_order(n):
+    # q(N,k)^e is read as q(N,ke), and a root of unity in parentheses takes
+    # its power modulo 2N, however large e is
+    big = 10 ** 30 + 7
+    for k in range(n + 1):
+        root = root_of_unity(n, k)
+        for e in (-3, -1, 0, 1, 2, 7):
+            _same(parse_scalar("q(%d,%d)^%d" % (n, k, e)), root ** e)
+            _same(parse_scalar("(q(%d,%d))^%d" % (n, k, e)), root ** e)
+        for e in (big, -big):
+            _same(parse_scalar("q(%d,%d)^%d" % (n, k, e)), root ** (e % n))
+            _same(parse_scalar("(-q(%d,%d))^%d" % (n, k, e)),
+                  (-root) ** (e % (2 * n)))
+
+
+def test_a_power_past_the_size_bound_is_an_error_at_its_exponent():
+    assert parse_scalar("2^%d" % POWER_BITS) == 2 ** POWER_BITS
+    for text, col in (("2^%d" % (POWER_BITS + 1), 3),
+                      ("(3/2)^-700000", 8),
+                      ("(1 + q(5,1))^300000", 14),
+                      ("-2^100000000000", 4)):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert err.value.message.endswith("bits, more than %d" % POWER_BITS)
 
 
 def test_an_ambient_order_rejects_exactly_the_roots_in_field_rejects():
