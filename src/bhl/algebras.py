@@ -467,18 +467,33 @@ class FiniteDimAlgebra:
         from its memo of this generator's right products (_right_products),
         at one generator action per term.
 
+        A diagonal generator needs no columns (_diagonal_commutant).  The
+        lemma: let g be invertible, and let g*h = lambda_h h*g for every
+        generator h, with both products a single term on one monomial.
+        Then g*m*g^-1 = lambda_m m for each basis monomial m, with
+        lambda_m the product of the lambda_h over the letters of m, and
+        m |-> m*g is injective; so while the span is a set of basis
+        monomials, ker ad(g) on it is the monomials with lambda_m = 1, in
+        basis order, which is the kernel the columns give.  A presented
+        algebra checks the three premises: g^bound is a nonzero scalar,
+        the products g*h and h*g, and the span.
+
         Generators of degree 0 go first, in presentation order otherwise.
-        On uqsl2(p) and d_a_mu(p, mu) that one takes each monomial to a
-        multiple of another, and its kernel is the p^2 monomials of weight
-        zero (F^a K^b E^a, z^a g^b x^a), so the other generators act on few
-        elements.  The center is the intersection of the kernels, so the
-        order changes the basis found, never its span.
+        On uqsl2(p) and d_a_mu(p, mu) that one is diagonal, and its kernel
+        is the p^2 monomials of weight zero (F^a K^b E^a, z^a g^b x^a), so
+        the other generators act on few elements.  The center is the
+        intersection of the kernels, so the order changes the basis found,
+        never its span.
         """
         check_guard(self.dim, "center computation")
         index = self.index
         space = [AlgebraElement(self, {m: 1}) for m in self.basis]
         for _, g in sorted(self.generators(), key=lambda ng: ng[1].degree() != 0):
             (gm,) = g.terms
+            kept = self._diagonal_commutant(gm, space)
+            if kept is not None:
+                space = kept
+                continue
             right = self._right_products(gm)
             cols = []
             for v in space:
@@ -494,6 +509,11 @@ class FiniteDimAlgebra:
             space = [sum((space[j] * c for j, c in vec.items()), self.zero())
                      for vec in from_cols(self.dim, cols).kernel_basis()]
         return space
+
+    def _diagonal_commutant(self, g, space):
+        """None: without a presentation no power rule shows g invertible
+        (see PresentedAlgebra._diagonal_commutant)."""
+        return None
 
     def _right_products(self, g):
         """m |-> m * g on basis monomials m, for a generator monomial g."""
@@ -606,6 +626,24 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
     def _pair_product_raw(self, ma, mb):
         return self._apply([(i, e) for i, e in enumerate(ma) if e], {mb: 1})
+
+    def _diagonal_commutant(self, g, space):
+        """The monomials m of space with g*m = m*g, by the lemma of
+        compute_center, when its premises hold, else None.  lambda_m = 1 is
+        compared as prod of a_h = prod of b_h over the letters h of m, for
+        g*h = a_h (h*g) and h*g = b_h (h*g), so nothing is inverted."""
+        if (not self.pres.power_rhs[g.index(1)]
+                or any(len(v.terms) != 1 for v in space)):
+            return None
+        pairs = {}
+        for name, h in self.generator_monos.items():
+            left, right = self.pair_product(g, h), self.pair_product(h, g)
+            if len(left) != 1 or left.keys() != right.keys():
+                return None
+            pairs[name] = (*left.values(), *right.values())
+        ratio = self.extend(pairs, (1, 1),
+                            lambda x, y, *_: (x[0] * y[0], x[1] * y[1]))
+        return [v for v in space if (lam := ratio(*v.terms))[0] == lam[1]]
 
     def _right_products(self, g):
         """m |-> m * g on basis monomials m, memoised in a dict that lives

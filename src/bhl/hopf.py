@@ -94,11 +94,10 @@ from .graded import (
     GradedSpace,
     braiding,
     diagram,
-    first_difference,
     tensor,
     tensor_diagram,
 )
-from .report import PASS, check, map_check
+from .report import FAIL, PASS, check, map_check
 from .scalars import q_binomial
 
 
@@ -352,6 +351,8 @@ def verify_bialgebra(H):
     (HopfData.row_law).  coassociativity, which rests on the first, and
     counit_law, which rests on both, are compared on 1 and the generators
     when those pass, and on every basis input otherwise (HopfData.rows).
+    A failed counit_law names the side that differs, (eps(x)id).Delta or
+    (id(x)eps).Delta, with its first differing input.
     """
     V = H.space
     idv = diagram(GradedMap.identity(V))
@@ -375,18 +376,14 @@ def verify_bialgebra(H):
         )
     )
     rows = H.rows("coproduct_is_multiplicative", "counit_is_multiplicative")
-    counit_ok = (
-        first_difference(tensor_diagram(eps, idv) @ Delta @ rows, rows) is None
-        and first_difference(tensor_diagram(idv, eps) @ Delta @ rows,
-                             rows) is None
-    )
-    checks.append(
-        check(
-            "counit_law",
-            counit_ok,
-            details="(eps(x)id).Delta = id = (id(x)eps).Delta",
-        )
-    )
+    for side, law in (("(eps(x)id).Delta", (eps, idv)),
+                      ("(id(x)eps).Delta", (idv, eps))):
+        counit = map_check("counit_law", tensor_diagram(*law) @ Delta @ rows,
+                           rows, "(eps(x)id).Delta = id = (id(x)eps).Delta")
+        if counit["status"] == FAIL:
+            counit["witnesses"] = [dict(side=side, **counit["witnesses"][0])]
+            break
+    checks.append(counit)
     return checks
 
 

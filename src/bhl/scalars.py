@@ -746,12 +746,17 @@ def _format_fraction(f: Fraction) -> str:
 
 def format_root_of_unity(order: int, e: int) -> str:
     """format_scalar(root_of_unity(order, e)), with no root built for
-    e mod order < phi(order): 1, or zeta^e, a power-basis vector."""
+    e mod order < phi(order): 1, or zeta^e, a power-basis vector.  For
+    even order zeta^(order/2) = -1, so zeta^e with order/2 <= e <
+    order/2 + phi(order) is minus such a vector."""
     e %= order
-    if not e:
-        return "1"
-    if e < euler_phi(order):
-        return "q(%d,%d)" % (order, e)
+    sign, k = "", e
+    if order % 2 == 0 and e >= order // 2:
+        sign, k = "-", e - order // 2
+    if not k:
+        return sign + "1"
+    if k < euler_phi(order):
+        return "%sq(%d,%d)" % (sign, order, k)
     return format_scalar(root_of_unity(order, e))
 
 

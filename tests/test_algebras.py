@@ -319,12 +319,13 @@ def test_normal_form_matches_rescan(make):
 
 
 def test_center_acts_once_per_generator_and_monomial(monkeypatch):
-    # the center takes K*m and m*K for the 125 basis monomials m, then F*m
-    # and m*F for the 25 weight-zero monomials F^a K^b E^a that commute
-    # with K, then E*m and m*E for the monomials m in the support of the
-    # kernel of F, 45 products not already cached: 2 * 125 + 2 * 25 + 45 =
-    # 345; and every generator action it memoises is one of the 3 * 125
-    # pairs (g, m)
+    # K is diagonal, so the center takes K*h and h*K for the generators h,
+    # 5 products, and no K*m; then F*m for the 25 weight-zero monomials
+    # F^a K^b E^a that commute with K, and E*m for the 25 monomials in the
+    # support of the kernel of F, each less F*K or E*K, already taken:
+    # 5 + 24 + 24 = 53.  The right products m*F and m*E come from the
+    # memo of _right_products, not from pair products.  It memoises 214
+    # of the 3 * 125 generator actions (g, m).
     calls = []
     raw = PresentedAlgebra._pair_product_raw
 
@@ -335,8 +336,8 @@ def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     monkeypatch.setattr(PresentedAlgebra, "_pair_product_raw", counted)
     U = uqsl2(5)
     U.compute_center()
-    assert len(calls) <= 350
-    assert len(U._actions) <= 375
+    assert len(calls) == 53
+    assert len(U._actions) == 214
 
 
 @pytest.mark.parametrize("make", [lambda: uqsl2(5), lambda: d_a_mu(3, 1),
@@ -513,6 +514,37 @@ def test_center_matches_the_restricted_chain(build):
             assert c * g == g * c
     assert same_span(A, [c.as_column() for c in center],
                      center_by_restriction(A))
+
+
+@pytest.mark.parametrize("build, routes", [
+    (lambda: uqsl2(3), [True, False, False]),
+    (lambda: uqsl2(5), [True, False, False]),
+    (lambda: uqsl2(7), [True, False, False]),
+    (lambda: d_a_mu(3, 1), [True, False, False]),
+    (lambda: d_a_mu(5, 2), [True, False, False]),
+    (lambda: taft(3), [True, False])],
+    ids=["uqsl2(3)", "uqsl2(5)", "uqsl2(7)", "d_a_mu(3,1)", "d_a_mu(5,2)",
+         "taft(3)"])
+def test_diagonal_generators_take_the_kernel_of_their_columns(
+        monkeypatch, build, routes):
+    # the monomials with lambda_m = 1 are the basis that the kernel of the
+    # columns of ad(g) gives, by type and repr.  The degree-0 generator
+    # goes first and is diagonal (K, g); the others take their columns,
+    # taft(3)'s x too, which has degree 0 but is nilpotent
+    taken = []
+    diagonal = PresentedAlgebra._diagonal_commutant
+
+    def spy(self, g, space):
+        kept = diagonal(self, g, space)
+        taken.append(kept is not None)
+        return kept
+
+    monkeypatch.setattr(PresentedAlgebra, "_diagonal_commutant", spy)
+    center = [typed_terms(c.terms) for c in build().compute_center()]
+    assert taken == routes
+    monkeypatch.setattr(PresentedAlgebra, "_diagonal_commutant",
+                        lambda self, g, space: None)
+    assert center == [typed_terms(c.terms) for c in build().compute_center()]
 
 
 @pytest.mark.parametrize("build", [lambda: uqsl2(5), lambda: d_a_mu(3, 1)],

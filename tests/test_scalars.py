@@ -607,3 +607,17 @@ def test_format_root_of_unity_is_the_format_of_the_root():
         for e in range(N):
             assert format_root_of_unity(N, e) == \
                 format_scalar(root_of_unity(N, e)), (N, e)
+
+
+@pytest.mark.parametrize("N", [6, 10, 12, 30, 34, 46, 210])
+def test_format_root_of_unity_negates_past_half_an_even_order(N, monkeypatch):
+    # zeta^e = -zeta^(e - N/2): every e with e - N/2 < phi(N) is printed
+    # without a root built, and so without its long division
+    want = [format_scalar(root_of_unity(N, e)) for e in range(2 * N)]
+    built = []
+    monkeypatch.setattr(bhl.scalars, "root_of_unity",
+                        lambda order, k=1: built.append(k % order)
+                        or root_of_unity(order, k))
+    assert [format_root_of_unity(N, e) for e in range(2 * N)] == want
+    phi = euler_phi(N)
+    assert all(k >= phi and not N // 2 <= k < N // 2 + phi for k in built)
