@@ -458,57 +458,64 @@ class FiniteDimAlgebra:
 
     def compute_center(self):
         """Basis of the center, the joint kernel of ad(g): v |-> g*v - v*g
-        over the generators g, one generator at a time: the span starts as
-        the basis, and each kernel replaces it by the combinations of its
-        elements that commute with g.  No L_g or R_g on all of A is built.
+        over the generators g, from one elimination.  No L_g or R_g on all
+        of A is built.
 
-        Each column of ad(g) is summed straight from the products g*m and
-        m*g of the monomials m of v; a presented algebra takes each m*g
-        from its memo of this generator's right products (_right_products),
-        at one generator action per term.
+        First each diagonal generator cuts the basis to the monomials it
+        commutes with (_diagonal_commutant).  The lemma: let g be
+        invertible, and let g*h = lambda_h h*g for every generator h, with
+        both products a single term on one monomial.  Then
+        g*m*g^-1 = lambda_m m for each basis monomial m, with lambda_m the
+        product of the lambda_h over the letters of m, and m |-> m*g is
+        injective; so ker ad(g) on the span of any set of monomials is the
+        monomials of the set with lambda_m = 1.  A presented algebra checks
+        two premises: g^bound is a nonzero scalar, and the products g*h
+        and h*g.
 
-        A diagonal generator needs no columns (_diagonal_commutant).  The
-        lemma: let g be invertible, and let g*h = lambda_h h*g for every
-        generator h, with both products a single term on one monomial.
-        Then g*m*g^-1 = lambda_m m for each basis monomial m, with
-        lambda_m the product of the lambda_h over the letters of m, and
-        m |-> m*g is injective; so while the span is a set of basis
-        monomials, ker ad(g) on it is the monomials with lambda_m = 1, in
-        basis order, which is the kernel the columns give.  A presented
-        algebra checks the three premises: g^bound is a nonzero scalar,
-        the products g*h and h*g, and the span.
+        Then the other generators g_0, g_1, ... act on the monomials m that
+        are left: column m of one matrix is ad(g_0)(m) over ad(g_1)(m) and
+        so on, generator k's rows offset by k * dim.  Each column is summed
+        straight from g*m and m*g; a presented algebra takes each m*g from
+        its memo of this generator's right products (_right_products), at
+        one generator action per term, and frees it before the
+        elimination.  The kernel vectors, read over the monomials left,
+        are the center.
 
-        Generators of degree 0 go first, in presentation order otherwise.
-        On uqsl2(p) and d_a_mu(p, mu) that one is diagonal, and its kernel
-        is the p^2 monomials of weight zero (F^a K^b E^a, z^a g^b x^a), so
-        the other generators act on few elements.  The center is the
-        intersection of the kernels, so the order changes the basis found,
-        never its span.
+        Generators of degree 0 go first, in presentation order otherwise;
+        on uqsl2(p) and d_a_mu(p, mu) that one is diagonal and leaves the
+        p^2 monomials of weight zero (F^a K^b E^a, z^a g^b x^a).  The order
+        does not change the basis found: over a fixed column order a
+        subspace has exactly one basis in the reduced form that
+        kernel_basis returns, 1 at its free column and 0 at the others,
+        and a monomial outside the set is a zero coordinate of every
+        kernel vector.  A kernel per generator, one generator at a time,
+        gives B N, with B the basis so far and N the kernel on B; B is in
+        that form and N is over B's free columns, so B N is too, and it is
+        the same basis (tests/oracle.py, center_by_generator_chain).
         """
         check_guard(self.dim, "center computation")
-        index = self.index
-        space = [AlgebraElement(self, {m: 1}) for m in self.basis]
+        index, dim = self.index, self.dim
+        space, stacked = list(self.basis), []
         for _, g in sorted(self.generators(), key=lambda ng: ng[1].degree() != 0):
             (gm,) = g.terms
             kept = self._diagonal_commutant(gm, space)
-            if kept is not None:
+            if kept is None:
+                stacked.append(gm)
+            else:
                 space = kept
-                continue
-            right = self._right_products(gm)
-            cols = []
-            for v in space:
-                col = {}
-                for m, c in v.terms.items():
-                    for prod, k in ((self.pair_product(gm, m), c),
-                                    (right(m), -c)):
-                        for mo, s in prod.items():
-                            i = index[mo]
-                            col[i] = col.get(i, 0) + k * s
-                cols.append(col)
+        cols = [{} for _ in space]
+        for k, gm in enumerate(stacked):
+            right, offset = self._right_products(gm), k * dim
+            for col, m in zip(cols, space):
+                for mo, s in self.pair_product(gm, m).items():
+                    col[offset + index[mo]] = s
+                for mo, s in right(m).items():
+                    i = offset + index[mo]
+                    col[i] = col.get(i, 0) - s
             del right  # free this generator's memo before the elimination
-            space = [sum((space[j] * c for j, c in vec.items()), self.zero())
-                     for vec in from_cols(self.dim, cols).kernel_basis()]
-        return space
+        kernel = from_cols(len(stacked) * dim, cols).kernel_basis()
+        return [AlgebraElement(self, {space[j]: c for j, c in vec.items()})
+                for vec in kernel]
 
     def _diagonal_commutant(self, g, space):
         """None: without a presentation no power rule shows g invertible
@@ -632,8 +639,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
         compute_center, when its premises hold, else None.  lambda_m = 1 is
         compared as prod of a_h = prod of b_h over the letters h of m, for
         g*h = a_h (h*g) and h*g = b_h (h*g), so nothing is inverted."""
-        if (not self.pres.power_rhs[g.index(1)]
-                or any(len(v.terms) != 1 for v in space)):
+        if not self.pres.power_rhs[g.index(1)]:
             return None
         pairs = {}
         for name, h in self.generator_monos.items():
@@ -643,7 +649,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
             pairs[name] = (*left.values(), *right.values())
         ratio = self.extend(pairs, (1, 1),
                             lambda x, y, *_: (x[0] * y[0], x[1] * y[1]))
-        return [v for v in space if (lam := ratio(*v.terms))[0] == lam[1]]
+        return [m for m in space if (lam := ratio(m))[0] == lam[1]]
 
     def _right_products(self, g):
         """m |-> m * g on basis monomials m, memoised in a dict that lives

@@ -51,7 +51,7 @@ from .report import check, map_check, prefixed
 from .scalars import (
     FieldError,
     ParseError,
-    balanced_q_factorial,
+    balanced_q_int,
     format_scalar,
     gauss_sum,
     parse_scalar,
@@ -279,9 +279,11 @@ def ribbon_element(p):
     for i in range(p):
         u_K = u_K + q ** (m * i * i) * K ** i
     u_K = gs.inverse() * u_K
-    u_0 = U.zero()
+    u_0, factorial = U.zero(), q ** 0  # [j]_q!, carried from j - 1
     for j in range(p):
-        coeff = q ** (((j + 3) * j) // 2) * balanced_q_factorial(j, q).inverse()
+        if j:
+            factorial = factorial * balanced_q_int(j, q)
+        coeff = q ** (((j + 3) * j) // 2) * factorial.inverse()
         u_0 = u_0 + coeff * (K ** j * F ** j * E ** j)
     K_u_K = K * u_K
     return RibbonData(p=p, m=m, q=q, u_K=u_K, u_0=u_0, v_0=K_u_K * u_0,

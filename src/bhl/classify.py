@@ -155,28 +155,6 @@ def packet_report(N, c):
     return PacketReport(N, entries)
 
 
-def eta_kernel(N, c):
-    """The eta invariant on arrows (y, sigma lambda_t) and its kernel.
-
-    eta(y, sigma lambda_t) = omega(y, y) sigma lambda_t(y) = zeta^(cy^2+ty);
-    the arrow runs from parameter t to t + 2cy.  Returns {"arrows",
-    "kernel_size", "kernel_arrows"}.
-    """
-    roots = [root_of_unity(N, e) for e in range(N)]
-    arrows = []
-    for t in range(N):
-        for y in range(N):
-            e = (c * y * y + t * y) % N
-            arrows.append({"y": y, "source": t, "target": (t + 2 * c * y) % N,
-                           "eta": roots[e], "in_kernel": e == 0})
-    kernel = [a for a in arrows if a["in_kernel"]]
-    return {
-        "arrows": arrows,
-        "kernel_size": len(kernel),
-        "kernel_arrows": kernel,
-    }
-
-
 # ---------------------------------------------------------------------------
 # finite groups from Cayley tables
 # ---------------------------------------------------------------------------

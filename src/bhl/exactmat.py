@@ -164,10 +164,16 @@ class Mat:
     # -- elimination -----------------------------------------------------------
 
     def _row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
+        """The nonzero rows, top to bottom, as {col: scalar} dicts.  A zero
+        row holds no column, so it never takes a pivot or a fill entry, and
+        the elimination of the others is the same without it."""
+        rows = {}
         for (i, j), v in self.data.items():
-            rows[i][j] = v
-        return rows
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = {}
+            row[j] = v
+        return [rows[i] for i in sorted(rows)]
 
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list)."""
@@ -187,7 +193,8 @@ class Mat:
         _back_substitute(rows, pivots)
         pivot_set = set(pivots)
         basis = {f: {f: 1} for f in range(self.cols) if f not in pivot_set}
-        for row, p in zip(rows, pivots):
+        for k, p in enumerate(pivots):
+            row, rows[k] = rows[k], None  # freed once read: -v is a new scalar
             for j, v in row.items():
                 if j != p:
                     basis[j][p] = -v
@@ -200,9 +207,9 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        rows = self._row_dicts()
-        for i, r in enumerate(rows):
-            r[n + i] = 1
+        rows = [{n + i: 1} for i in range(n)]
+        for (i, j), v in self.data.items():
+            rows[i][j] = v
         rows, pivots = _echelon(rows, 2 * n)
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ValueError("matrix is singular")

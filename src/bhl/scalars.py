@@ -458,10 +458,15 @@ def q_binomial(n: int, k: int, xi):
 
 
 def balanced_q_int(n: int, q):
-    """[n]_q = (q^n - q^-n)/(q - q^-1); [0]_q = 0."""
-    if n == 0:
-        return q ** 0 * 0
-    return (q ** n - q ** (-n)) / (q - q ** (-1))
+    """[n]_q = q^(n-1) + q^(n-3) + ... + q^(1-n), which is
+    (q^n - q^-n)/(q - q^-1) with no division; [0]_q = 0 and
+    [-n]_q = -[n]_q."""
+    if n < 0:
+        return -balanced_q_int(-n, q)
+    total, term, step = q ** 0 * 0, q ** (1 - n), q * q
+    for _ in range(n):
+        total, term = total + term, term * step
+    return total
 
 
 def balanced_q_factorial(n: int, q):

@@ -13,8 +13,10 @@ varsigma_H and to_uqsl2), the braided-module map E, the inverse of a graded map 
 printer for DSL scripts, kernel dimensions of powers of 1 - a acting
 on an algebra, the center as kernels of the matrices L_g - R_g on all
 of A, one generator at a time in presentation order, rather than of
-v |-> g*v - v*g on the span the earlier generators left, degree-0
-generators first and a diagonal one with no columns, and the regular
+v |-> g*v - v*g on the monomials that the diagonal generators leave,
+all other generators in one matrix, and also by the kernel of
+v |-> g*v - v*g on the span the earlier generators left, one generator
+at a time with no generator skipped as diagonal, and the regular
 AydModule by conjugating left multiplication into the g-eigenbasis; the
 structure maps of a Hopf structure and the induced linear map of an
 algebra morphism, each built from generator powers rather than by
@@ -31,8 +33,9 @@ rather than by applying the
 antipode twice; and the stable witnesses of the twisted lines by scanning
 every y for each pair (s, t), and the eta invariant of each arrow by
 multiplying omega(y, y) with the value of a validated anti-twist, rather
-than by exponent arithmetic mod N; right multiplication b |-> b*a as a
-matrix, which bhl never builds; and the action of an algebra element as a running sum of scaled
+than by exponent arithmetic mod N; the eta invariant on all N^2 arrows
+(eta_kernel), whose kernel bhl lists directly as the stable witnesses;
+right multiplication b |-> b*a as a matrix, which bhl never builds; and the action of an algebra element as a running sum of scaled
 matrices, rather than accumulated into one dict; primality by trial
 division, rather than by Miller-Rabin; and the two diagonals of varsigma
 on the regular module by the path recursion for one mu, rather than from
@@ -400,6 +403,29 @@ def center_by_restriction(A):
     return [{i: v for (i, jj), v in space.data.items() if jj == j}
             for j in range(space.cols)]
 
+
+def center_by_generator_chain(A):
+    """Basis of the center of A as elements, one generator at a time:
+    the span starts as the basis, and each generator g, degree 0 first,
+    replaces it by the combinations of its elements that the kernel of
+    the columns of ad(g) = g*v - v*g on the span gives, every product a
+    pair_product, and no generator skipped as diagonal."""
+    space = [A.element({m: 1}) for m in A.basis]
+    for _, g in sorted(A.generators(), key=lambda ng: ng[1].degree() != 0):
+        (gm,) = g.terms
+        cols = []
+        for v in space:
+            col = {}
+            for m, c in v.terms.items():
+                for prod, k in ((A.pair_product(gm, m), c),
+                                (A.pair_product(m, gm), -c)):
+                    for mo, s in prod.items():
+                        i = A.index[mo]
+                        col[i] = col.get(i, 0) + k * s
+            cols.append(col)
+        space = [sum((space[j] * c for j, c in vec.items()), A.zero())
+                 for vec in from_cols(A.dim, cols).kernel_basis()]
+    return space
 
 
 def regular_ayd_by_conjugation(p, mu):
@@ -816,7 +842,7 @@ def stable_witnesses_by_pairs(N, c):
 
 
 def eta_arrows_by_anti_twists(N, c):
-    """The arrows of classify.eta_kernel with eta = omega(y, y) sigma(y),
+    """The arrows of eta_kernel with eta = omega(y, y) sigma(y),
     sigma = sigma lambda_t the validated anti-twist."""
     chi = Bicharacter(N, c)
     arrows = []
@@ -828,6 +854,30 @@ def eta_arrows_by_anti_twists(N, c):
                            "target": (t + 2 * c * y) % N,
                            "eta": val, "in_kernel": val == 1})
     return arrows
+
+
+def eta_kernel(N, c):
+    """The eta invariant on all N^2 arrows (y, sigma lambda_t) and its
+    kernel, by exponent arithmetic mod N.
+
+    eta(y, sigma lambda_t) = omega(y, y) sigma lambda_t(y) = zeta^(cy^2+ty);
+    the arrow runs from parameter t to t + 2cy.  Returns {"arrows",
+    "kernel_size", "kernel_arrows"}; classify_stable lists the kernel
+    directly, as its witnesses.
+    """
+    roots = [root_of_unity(N, e) for e in range(N)]
+    arrows = []
+    for t in range(N):
+        for y in range(N):
+            e = (c * y * y + t * y) % N
+            arrows.append({"y": y, "source": t, "target": (t + 2 * c * y) % N,
+                           "eta": roots[e], "in_kernel": e == 0})
+    kernel = [a for a in arrows if a["in_kernel"]]
+    return {
+        "arrows": arrows,
+        "kernel_size": len(kernel),
+        "kernel_arrows": kernel,
+    }
 
 
 def run_script(name, *args):

@@ -11,7 +11,6 @@ from bhl.classify import (
     CayleyGroup,
     classify_braided,
     classify_stable,
-    eta_kernel,
     omega_hom,
     packet_report,
     rep_g_decomposition,
@@ -20,6 +19,7 @@ from bhl.graded import AntiTwist, Bicharacter
 from bhl.scalars import root_of_unity
 from oracle import (
     eta_arrows_by_anti_twists,
+    eta_kernel,
     run_script,
     stable_witnesses_by_pairs,
 )
@@ -304,6 +304,10 @@ def test_packet_tables_script_runs():
     assert {int(r[0]) for r in prime_rows} == {2, 3, 5, 7}
     for r in prime_rows:
         assert int(r[2]) == 2 * int(r[0]) - 1, r
+    # the script counts the stable witnesses; the listing of all N^2
+    # arrows gives the same kernel size for every N and c
+    for r in rows:
+        assert int(r[2]) == eta_kernel(int(r[0]), int(r[1]))["kernel_size"], r
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,19 @@ def test_unbalanced_vs_balanced_factorial(p):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_balanced_q_int_is_the_quotient_it_sums(p):
+    # the sum of the powers q^(n-1-2k), k < n, against the quotient
+    # (q^n - q^-n)/(q - q^-1), or 0 of q's type at n = 0, by type and
+    # repr, at q = xi^m as in uqsl2(p)
+    q = root_of_unity(p) ** ((p - 1) // 2)
+    for n in range(p):
+        want = (q ** n - q ** (-n)) / (q - q ** (-1)) if n else q ** 0 * 0
+        got = balanced_q_int(n, q)
+        assert (type(got), repr(got)) == (type(want), repr(want)), n
+        assert balanced_q_int(-n, q) == -want
+
+
 def test_balanced_q_int_values():
     q = root_of_unity(10)  # q^2 is a primitive 5th root
     assert balanced_q_int(0, q) == 0
