@@ -21,7 +21,6 @@ import argparse
 import sys
 
 from bhl.classify import classify_braided, classify_stable, packet_report
-from bhl.scalars import format_root_of_unity
 
 
 def fmt_classes(classes):
@@ -30,9 +29,8 @@ def fmt_classes(classes):
 
 
 def fmt_packet(packet):
-    return ", ".join("%s:%d" % (format_root_of_unity(packet.N, e["exponent"]),
-                                e["multiplicity"])
-                     for e in packet.entries)
+    return ", ".join("%s:%d" % (text, e["multiplicity"])
+                     for text, e in zip(packet.texts, packet.entries))
 
 
 def row(N, c):

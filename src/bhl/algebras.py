@@ -60,11 +60,11 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 
 from .exactmat import Mat, from_cols
 from .graded import (GradedMap, GradedSpace, diagram, first_difference,
                      homogeneity_error, pair_leaf, tensor_diagram)
+from .record import Record
 from .report import FAIL, PASS, check, map_check
 from .scalars import format_scalar, power, q_binomial, root_of_unity
 
@@ -88,8 +88,7 @@ def check_guard(dim, what):
         )
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators with power rules and straightening rules.
 
     gens are listed in normal order; a normal monomial multiplies them
@@ -100,12 +99,7 @@ class Presentation:
     a tuple of (generator index, exponent >= 0).
     """
 
-    N: int
-    gens: tuple
-    degrees: tuple
-    bounds: tuple
-    power_rhs: tuple
-    straighten: dict
+    _fields = ("N", "gens", "degrees", "bounds", "power_rhs", "straighten")
 
 
 class AlgebraElement:

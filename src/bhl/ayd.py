@@ -39,14 +39,13 @@ diagonals; else it takes sparse powers of the whole varsigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import (AlgebraElement, _require_prime, check_guard, d_a_mu,
-                       is_prime, uqsl2)
+from .algebras import _require_prime, check_guard, d_a_mu, is_prime, uqsl2
 from .exactmat import Mat
 from .graded import GradedMap, GradedSpace
+from .record import Record
 from .report import check, map_check, prefixed
 from .scalars import (
     FieldError,
@@ -256,17 +255,10 @@ def regular_ayd_module(p, mu):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RibbonData:
+class RibbonData(Record):
     """The ribbon element of uqsl2(p), its factors, and K u_K."""
 
-    p: int
-    m: int
-    q: object
-    u_K: AlgebraElement
-    u_0: AlgebraElement
-    v_0: AlgebraElement
-    K_u_K: AlgebraElement
+    _fields = ("p", "m", "q", "u_K", "u_0", "v_0", "K_u_K")
 
 
 def ribbon_element(p):

@@ -26,10 +26,10 @@ are the ones visible through the one-object embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .scalars import format_root_of_unity, root_of_unity
+from .record import Record
+from .scalars import format_roots_of_unity, root_of_unity
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +105,23 @@ def classify_stable(N, c):
     }
 
 
-@dataclass(frozen=True)
-class PacketReport:
+class PacketReport(Record):
     """I = theta(G) with multiplicities; entries are (exponent
     representative c*x^2 mod N, multiplicity, elements).  A value
     theta(x) = zeta^e is kept as its exponent e until it is formatted
-    (format_root_of_unity) or asked for (values)."""
+    (texts) or asked for (values)."""
 
-    N: int
-    entries: tuple
+    _fields = ("N", "entries")
 
     @property
     def values(self):
         return [root_of_unity(self.N, e["exponent"]) for e in self.entries]
+
+    @property
+    def texts(self):
+        """The values as text, formatted in one pass."""
+        return format_roots_of_unity(self.N,
+                                     [e["exponent"] for e in self.entries])
 
     @property
     def multiplicities(self):
@@ -131,12 +135,12 @@ class PacketReport:
             "N": self.N,
             "entries": [
                 {
-                    "value": format_root_of_unity(self.N, e["exponent"]),
+                    "value": text,
                     "exponent": e["exponent"],
                     "multiplicity": e["multiplicity"],
                     "elements": list(e["elements"]),
                 }
-                for e in self.entries
+                for text, e in zip(self.texts, self.entries)
             ],
         }
 

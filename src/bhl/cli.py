@@ -70,7 +70,6 @@ from .report import (
 )
 from .scalars import (
     balanced_q_factorial,
-    format_root_of_unity,
     format_scalar,
     q_factorial,
     root_of_unity,
@@ -310,9 +309,8 @@ def vecg_checks(N, c):
               details="classes: %s" % (stb["classes"],)),
         check("packet of theta values", True,
               details=", ".join(
-                  "%s -> %d" % (format_root_of_unity(N, e["exponent"]),
-                                e["multiplicity"])
-                  for e in packet.entries)),
+                  "%s -> %d" % (text, e["multiplicity"])
+                  for text, e in zip(packet.texts, packet.entries))),
         check("multiplicities sum to N",
               packet.total() == N,
               details="total %d, N = %d" % (packet.total(), N),

@@ -44,8 +44,6 @@ coev: I -> V * V^,  coev_l: I -> ^V * V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebras import check_guard, is_prime
 from .exactmat import Mat
 from .graded import (
@@ -66,6 +64,7 @@ from .graded import (
     word_degrees,
 )
 from .hopf import anyonic_hopf
+from .record import Record
 from .report import check, map_check
 from .scalars import ParseError, TokenReader, format_scalar, in_field
 
@@ -87,74 +86,59 @@ class DslTypeError(DslError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OUnit:
+class OUnit(Record):
     pass
 
 
-@dataclass(frozen=True)
-class OName:
-    name: str
+class OName(Record):
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class OTensor:
-    left: object
-    right: object
+class OTensor(Record):
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class ODual:
-    inner: object
-    prefix: bool  # True for ^V, False for V^
+class ODual(Record):
+    _fields = ("inner", "prefix")  # prefix: True for ^V, False for V^
 
 
-@dataclass(frozen=True)
-class MPrim:
-    kind: str
-    objs: tuple
+class MPrim(Record):
+    _fields = ("kind", "objs")
 
 
-@dataclass(frozen=True)
-class MName:
-    name: str
+class MName(Record):
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class MTensor:
-    left: object
-    right: object
+class MTensor(Record):
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class MCompose:
-    first: object
-    second: object  # diagram order: first, then second
+class MCompose(Record):
+    _fields = ("first", "second")  # diagram order: first, then second
 
 
-@dataclass(frozen=True)
-class ObjDecl:
-    dims: tuple  # ((degree, dimension), ...)
+class ObjDecl(Record):
+    _fields = ("dims",)  # ((degree, dimension), ...)
 
 
-@dataclass(frozen=True)
-class GenDecl:
-    source: object
-    target: object
-    entries: tuple  # rows of exact scalars, row = target index
+class GenDecl(Record):
+    # entries: rows of exact scalars, row = target index
+    _fields = ("source", "target", "entries")
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    decl: object
+class Let(Record):
+    _fields = ("name", "decl")
 
 
-@dataclass(frozen=True)
-class Assertion:
-    lhs: object
-    rhs: object
-    line: int = field(default=0, compare=False)
+class Assertion(Record):
+    """lhs == rhs, asserted at a line that takes no part in equality."""
+
+    _fields = ("lhs", "rhs", "line")
+    _defaults = {"line": 0}
+
+    def _key(self):
+        return self[:2]
 
 
 _PRIM_ARITY = {
@@ -297,11 +281,11 @@ class Parser(TokenReader):
     def parse_objfactor(self):
         if self.at_sym("^"):
             self.take()
-            return ODual(self.parse_objfactor(), prefix=True)
+            return ODual(self.parse_objfactor(), True)
         node = self.parse_objprimary()
         while self.at_sym("^"):
             self.take()
-            node = ODual(node, prefix=False)
+            node = ODual(node, False)
         return node
 
     def parse_objprimary(self):

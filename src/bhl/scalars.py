@@ -749,20 +749,31 @@ def _format_fraction(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def format_root_of_unity(order: int, e: int) -> str:
-    """format_scalar(root_of_unity(order, e)), with no root built for
-    e mod order < phi(order): 1, or zeta^e, a power-basis vector.  For
-    even order zeta^(order/2) = -1, so zeta^e with order/2 <= e <
-    order/2 + phi(order) is minus such a vector."""
-    e %= order
-    sign, k = "", e
-    if order % 2 == 0 and e >= order // 2:
-        sign, k = "-", e - order // 2
-    if not k:
-        return sign + "1"
-    if k < euler_phi(order):
-        return "%sq(%d,%d)" % (sign, order, k)
-    return format_scalar(root_of_unity(order, e))
+def format_roots_of_unity(order: int, exponents) -> list:
+    """[format_scalar(root_of_unity(order, e)) for e in exponents], with
+    no long division.  For even order zeta^e = -zeta^(e - order/2) when
+    e >= order/2, and zeta^j with j < phi(order) is 1 or a power-basis
+    vector.  Each other zeta^j is one shift and one Phi_order step from
+    zeta^(j-1), so one pass up the sorted j builds them all."""
+    exponents = [e % order for e in exponents]
+    d = euler_phi(order)
+    terms = [(i, f) for i, f in enumerate(cyclotomic_polynomial(order)[:d]) if f]
+    half = order // 2 if order % 2 == 0 else order
+    row, k, texts = [0] * (d - 1) + [1], d - 1, {}  # row is zeta^k
+    for e in sorted(set(exponents), key=lambda e: e % half):
+        sign, j = ("-", e - half) if e >= half else ("", e)
+        if j < d:
+            texts[e] = sign + ("q(%d,%d)" % (order, j) if j else "1")
+            continue
+        while k < j:  # zeta^d = -(phi_0 + phi_1 zeta + ... )
+            c = row.pop()
+            row.insert(0, 0)
+            for i, f in terms:
+                row[i] -= c * f
+            k += 1
+        num = [-x for x in row] if sign else row
+        texts[e] = format_scalar(_make(order, tuple(num), 1))
+    return [texts[e] for e in exponents]
 
 
 def format_scalar(value) -> str:
@@ -779,7 +790,7 @@ def format_scalar(value) -> str:
     for k, coeff in enumerate(value.num):
         if not coeff:
             continue
-        c = Fraction(coeff, value.den)
+        c = Fraction(coeff, value.den) if value.den > 1 else coeff
         if k == 0:
             body = _format_fraction(abs(c))
         else:

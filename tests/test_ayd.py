@@ -1,7 +1,6 @@
 """Sigma operators, the uqsl2 dictionary, the ribbon identity, and the
 frozen stable-dimension table."""
 
-import dataclasses
 import json
 import pathlib
 import random
@@ -456,12 +455,12 @@ def test_prefactor_scalar_route_reads_K_u_K(p):
     psi0 = ayd._psi_v0(p, R)
     for mu in range(p):
         scaled = ayd._ribbon_identity(
-            p, mu, dataclasses.replace(R, K_u_K=2 * R.K_u_K), psi0)
+            p, mu, R.replace(K_u_K=2 * R.K_u_K), psi0)
         assert [c["status"] for c in scaled] == [FAIL, PASS]
         assert len(scaled[0]["witnesses"]) == p
     with pytest.raises(AssertionError, match="not a polynomial in K"):
         ayd._ribbon_identity(
-            p, 1, dataclasses.replace(R, K_u_K=R.K_u_K + U.gen("F")), psi0)
+            p, 1, R.replace(K_u_K=R.K_u_K + U.gen("F")), psi0)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bhl.scalars
 from bhl.algebras import taft
+from bhl.classify import packet_report
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
 from bhl.scalars import (
@@ -21,7 +22,7 @@ from bhl.scalars import (
     balanced_q_int,
     cyclotomic_polynomial,
     euler_phi,
-    format_root_of_unity,
+    format_roots_of_unity,
     format_scalar,
     gauss_sum,
     in_field,
@@ -618,19 +619,32 @@ def test_power_helper_starts_from_the_first_factor():
 def test_format_root_of_unity_is_the_format_of_the_root():
     for N in range(1, 61):
         for e in range(N):
-            assert format_root_of_unity(N, e) == \
-                format_scalar(root_of_unity(N, e)), (N, e)
+            assert format_roots_of_unity(N, [e]) == \
+                [format_scalar(root_of_unity(N, e))], (N, e)
+        # one pass over exponents in any order, repeated, or out of range
+        es = list(range(2 * N, -N, -1)) + [N - 1, 0, N - 1]
+        assert format_roots_of_unity(N, es) == \
+            [format_scalar(root_of_unity(N, e)) for e in es], N
+
+
+def test_one_pass_matches_one_root_per_exponent_at_an_odd_composite_order():
+    # the theta packet of decompose vec-g --n 1155: most of its exponents
+    # are past phi(1155) = 480, where the per-root route divides by Phi_N
+    es = [e["exponent"] for e in packet_report(1155, 1).entries]
+    assert sum(e >= euler_phi(1155) for e in es) > len(es) // 2
+    assert format_roots_of_unity(1155, es) == \
+        [format_scalar(root_of_unity(1155, e)) for e in es]
 
 
 @pytest.mark.parametrize("N", [6, 10, 12, 30, 34, 46, 210])
 def test_format_root_of_unity_negates_past_half_an_even_order(N, monkeypatch):
     # zeta^e = -zeta^(e - N/2): every e with e - N/2 < phi(N) is printed
-    # without a root built, and so without its long division
+    # without a root built, and the others come from the one pass, so no
+    # root and no long division is built at all
     want = [format_scalar(root_of_unity(N, e)) for e in range(2 * N)]
     built = []
     monkeypatch.setattr(bhl.scalars, "root_of_unity",
                         lambda order, k=1: built.append(k % order)
                         or root_of_unity(order, k))
-    assert [format_root_of_unity(N, e) for e in range(2 * N)] == want
-    phi = euler_phi(N)
-    assert all(k >= phi and not N // 2 <= k < N // 2 + phi for k in built)
+    assert format_roots_of_unity(N, range(2 * N)) == want
+    assert built == []
