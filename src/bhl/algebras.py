@@ -11,7 +11,8 @@ Two constructions cover everything needed:
 
 * StructureConstantAlgebra — an explicit basis with a pairwise product
   rule (used for the dual of the anyonic line, whose product is given in
-  closed form, and for braided tensor products of algebras).
+  closed form, and for hopf.braided_tensor_algebra, the braided square
+  on pair monomials, which only the tests build).
 
 Either keeps a table generator_monos, name -> basis monomial, which gen,
 generators and generator_rows read.  On top of either: regular-
@@ -31,8 +32,9 @@ extended to every normal monomial: a single letter takes its image, any
 other monomial splits at its last run, rest * g^e, a single run as
 g^(e-1) * g, and the images of the two parts are combined by a given
 rule.  The induced linear map of a morphism, the Hopf structure maps
-(hopf.HopfData) and the substitution of uqsl2 into d_a_mu behind the
-ribbon identity (ayd) are all built on it.
+(hopf.HopfData, Delta with the product of the braided square) and the
+substitution of uqsl2 into d_a_mu behind the ribbon identity (ayd) are
+all built on it.
 
 Generator rows.  A law that is multiplicative in its first argument
 (associativity, and in hopf the multiplicativity of Delta and eps and the

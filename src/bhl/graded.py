@@ -360,7 +360,8 @@ class Diagram:
     No product matrix is ever formed.  Source and target are tensor words
     (tuples of GradedSpace factors), and a column is computed by pushing a
     basis vector through the diagram on sparse {row: scalar} vectors, with
-    (f (x) g)(e_i (x) e_j) = f(e_i) (x) g(e_j).  An entry or coefficient
+    (f (x) g)(e_i (x) e_j) = f(e_i) (x) g(e_j); apply(vec) pushes any
+    sparse vector {source index: scalar} through.  An entry or coefficient
     that is the integer 1 (as in identity maps) is passed through, never
     multiplied.  Build diagrams with diagram(), tensor_diagram() and @
     (usual composition order).  label(j) names source basis vector j as
@@ -400,7 +401,7 @@ class _Leaf(Diagram):
         self.shift = shift % N
         self._column, self.label = column, label
 
-    def _apply(self, vec):
+    def apply(self, vec):
         column = self._column
         out = {}
         for j, c in vec.items():
@@ -437,7 +438,7 @@ class _Tensor(Diagram):
         self._add_image(out, j, 1)
         return out
 
-    def _apply(self, vec):
+    def apply(self, vec):
         out = {}
         for j, c in vec.items():
             self._add_image(out, j, c)
@@ -471,10 +472,10 @@ class _Composite(Diagram):
         return self._inner.label(j)
 
     def _column(self, j):
-        return self._outer._apply(self._inner._column(j))
+        return self._outer.apply(self._inner._column(j))
 
-    def _apply(self, vec):
-        return self._outer._apply(self._inner._apply(vec))
+    def apply(self, vec):
+        return self._outer.apply(self._inner.apply(vec))
 
 
 def diagram(f):

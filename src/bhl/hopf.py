@@ -4,12 +4,15 @@ The braided tensor square A (x)^tau A of a graded algebra carries the product
 
     (a (x) b) * (c (x) d)  =  chi(deg b, deg c) * (ac (x) bd),
 
-and a Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a counit
+the diagram square = (m (x) m) . (id (x) tau (x) id) on columns of V (x) V,
+V being A as a graded space, where a (x) b has index i_a * dim + i_b.  A
+Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a counit
 eps: A -> k and an antipode S: A -> A.  Here the structure maps are stored
 as exact matrices (GradedMap), built from their values on generators by
 the one extension PresentedAlgebra.extend: a monomial splits at its last
-run, rest * g^e, and a single run as g^(e-1) * g.  Delta and eps extend
-multiplicatively, S anti-multiplicatively with the braiding scalar,
+run, rest * g^e, and a single run as g^(e-1) * g.  Delta (by square) and
+eps extend multiplicatively, S anti-multiplicatively with the braiding
+scalar,
 
     S(ab) = chi(deg a, deg b) * S(b) * S(a).
 
@@ -74,6 +77,8 @@ the first failing input on iota is the first of the full sweep.
 
 Building HopfData goes through the dimension guard (BHL_DIM_GUARD,
 default 350), which admits the Taft algebra up to p = 17 (dimension 289).
+braided_tensor_algebra lists the square's dim^2 pair monomials; only the
+tests build it, as an independent route to Delta.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ from .graded import (
     tensor,
     tensor_diagram,
 )
-from .report import FAIL, PASS, check, map_check
+from .report import FAIL, PASS, check, column_entries, map_check
 from .scalars import q_binomial
 
 
@@ -106,11 +111,16 @@ from .scalars import q_binomial
 # ---------------------------------------------------------------------------
 
 
+def _square_signature(A, B, chi):
+    return ("braided_tensor", A.signature, B.signature, chi.N, chi.c)
+
+
 def braided_tensor_algebra(A, B, chi):
     """The algebra A (x)^tau B on pair monomials.
 
     Crossing scalar chi(deg b, deg c); Bicharacter(N, -c) gives the
-    variant A (x)^{tau^-1} B.
+    variant A (x)^{tau^-1} B.  The pair (ma, mb) has index i_a * B.dim +
+    i_b, as in tensor(A.graded_space(), B.graded_space()).
     """
     if A.N != B.N:
         raise ValueError("grading groups differ")
@@ -144,7 +154,7 @@ def braided_tensor_algebra(A, B, chi):
         ("1(x)%s" % n, (A.unit_mono, m)) for n, m in B.generator_monos.items()
     ]
     return StructureConstantAlgebra(
-        signature=("braided_tensor", A.signature, B.signature, chi.N, chi.c),
+        signature=_square_signature(A, B, chi),
         N=A.N,
         basis=basis,
         degrees=degrees,
@@ -155,13 +165,17 @@ def braided_tensor_algebra(A, B, chi):
     )
 
 
-def tensor_pair(TA, a, b):
-    """The element a (x) b of a braided tensor algebra TA."""
-    terms = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            terms[(ma, mb)] = ca * cb
-    return TA.element(terms)
+def _tensor_column(*pairs):
+    """sum a (x) b over pairs (a, b) of elements of one algebra A, as a
+    column of V (x) V: a (x) b has index i_a * dim + i_b."""
+    out = {}
+    for a, b in pairs:
+        n = a.algebra.dim
+        for i, ca in a.as_column().items():
+            for j, cb in b.as_column().items():
+                k = i * n + j
+                out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +186,20 @@ def tensor_pair(TA, a, b):
 class HopfData:
     """An algebra together with candidate Hopf structure maps.
 
-    Fields: algebra, chi, tensor_algebra (the braided square, built by
-    _hopf_square after the dimension guard), space, the five shift-0
-    structure maps m: H(x)H -> H, u: I -> H, Delta: H -> H(x)H, eps: H -> I,
-    S: H -> H, and the braiding tau of H (x) H.  m and tau are diagram
-    leaves that compute a column when it is read, the others GradedMaps.
-    The generator images the maps were extended from are kept in coproducts
-    / counits / antipodes (keyed by generator name).  The checks of the
-    three row laws are kept once computed (row_law).
+    Fields: algebra, chi, space V, the five shift-0 structure maps
+    m: V(x)V -> V, u: I -> V, Delta: V -> V(x)V, eps: V -> I, S: V -> V,
+    the braiding tau of V (x) V, and square = (m (x) m) . (id (x) tau (x)
+    id), the product of A (x)^tau A (times).  m, tau and square are
+    diagrams that compute a column when it is read, the others GradedMaps.
+    The generator images the maps were extended from are kept in
+    coproducts (columns of V (x) V) / counits / antipodes (keyed by
+    generator name).  The checks of the three row laws are kept once
+    computed (row_law).
     """
 
-    def __init__(self, algebra, chi, tensor_algebra, coproducts, counits,
-                 antipodes):
+    def __init__(self, algebra, chi, coproducts, counits, antipodes):
         self.algebra = algebra
         self.chi = chi
-        self.tensor_algebra = tensor_algebra
         self.coproducts = dict(coproducts)
         self.counits = dict(counits)
         self.antipodes = dict(antipodes)
@@ -195,7 +208,10 @@ class HopfData:
         self.u = algebra.unit_map()
         V = self.space = algebra.graded_space()
         self.tau = braiding(V, V, chi)
-        A, TA = algebra, tensor_algebra
+        idv = diagram(GradedMap.identity(V))
+        self.square = (tensor_diagram(self.m, self.m)
+                       @ tensor_diagram(idv, self.tau, idv))
+        A = algebra
 
         def anti(a, b, ma, mb):
             # S(ab) = chi(deg a, deg b) S(b) S(a)
@@ -208,16 +224,23 @@ class HopfData:
                              for name, m in A.generator_monos.items()},
                             one, times)
 
-        self._delta = extend(self.coproducts, TA.unit(),
-                             lambda a, b, *_: a * b)
-        self._eps = extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
+        delta = extend(self.coproducts, _tensor_column((A.unit(), A.unit())),
+                       lambda x, y, *_: self.times(x, y))
+        eps = extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
         self._antipode = extend(self.antipodes, A.unit(), anti)
         self.Delta = GradedMap(V, tensor(V, V), from_cols(
-            TA.dim, [self._delta(mono).as_column() for mono in A.basis]))
+            A.dim ** 2, [delta(mono) for mono in A.basis]))
         self.eps = GradedMap(V, GradedSpace.unit(A.N), from_cols(
-            1, [{0: self._eps(mono)} for mono in A.basis]))
+            1, [{0: eps(mono)} for mono in A.basis]))
         self.S = GradedMap(V, V, from_cols(
             A.dim, [self._antipode(mono).as_column() for mono in A.basis]))
+
+    def times(self, x, y):
+        """x * y in A (x)^tau A, for columns x and y of V (x) V: square
+        applied to x (x) y."""
+        n = self.algebra.dim ** 2
+        return self.square.apply({i * n + j: a * b for i, a in x.items()
+                                  for j, b in y.items()})
 
     # -- the row laws and the rows they admit ------------------------------
 
@@ -227,14 +250,10 @@ class HopfData:
         computed once per HopfData."""
         if name not in self._row_laws:
             m, tau = self.m, self.tau
-            idv = diagram(GradedMap.identity(self.space))
             Delta, eps, S = (diagram(f) for f in (self.Delta, self.eps, self.S))
             sides = {
                 "coproduct_is_multiplicative": (
-                    Delta @ m,
-                    tensor_diagram(m, m)
-                    @ tensor_diagram(idv, tau, idv)
-                    @ tensor_diagram(Delta, Delta)),
+                    Delta @ m, self.square @ tensor_diagram(Delta, Delta)),
                 "counit_is_multiplicative": (eps @ m,
                                              tensor_diagram(eps, eps)),
                 "antipode_is_antimultiplicative": (
@@ -255,13 +274,6 @@ class HopfData:
 
     # -- element-level structure maps --------------------------------------
 
-    def coproduct(self, a):
-        """Delta(a) as an element of the braided tensor square."""
-        out = self.tensor_algebra.zero()
-        for mono, c in a.terms.items():
-            out = out + c * self._delta(mono)
-        return out
-
     def antipode(self, a):
         out = self.algebra.zero()
         for mono, c in a.terms.items():
@@ -269,31 +281,22 @@ class HopfData:
         return out
 
 
-def _hopf_square(algebra, chi):
-    """braided_tensor_algebra(algebra, algebra, chi), after the dimension
-    guard on algebra: the square lists dim^2 basis pairs."""
-    check_guard(algebra.dim, "Hopf structure")
-    return braided_tensor_algebra(algebra, algebra, chi)
-
-
 def build_hopf(algebra, chi, coproducts, counits, antipodes):
-    """Assemble HopfData from generator images.
+    """Assemble HopfData from generator images, after the dimension guard.
 
-    coproducts: name -> element of braided_tensor_algebra(A, A, chi)
-    (anything accepted by tensor_pair works); counits: name -> scalar;
-    antipodes: name -> element of A.
+    coproducts: name -> element of braided_tensor_algebra(A, A, chi), read
+    as its column; counits: name -> scalar; antipodes: name -> element of A.
     """
-    TA = _hopf_square(algebra, chi)
-    fixed = {}
+    check_guard(algebra.dim, "Hopf structure")
+    square = _square_signature(algebra, algebra, chi)
+    columns = {}
     for name, img in coproducts.items():
-        if isinstance(img, AlgebraElement) and img.algebra.signature == TA.signature:
-            fixed[name] = TA.element(img.terms)
-        else:
-            raise ValueError(
-                "coproduct image for %r must live in the braided tensor square"
-                % name
-            )
-    return HopfData(algebra, chi, TA, fixed, counits, antipodes)
+        if not (isinstance(img, AlgebraElement)
+                and img.algebra.signature == square):
+            raise ValueError("coproduct image for %r must live in the "
+                             "braided tensor square" % name)
+        columns[name] = img.as_column()
+    return HopfData(algebra, chi, columns, counits, antipodes)
 
 
 def anyonic_hopf(p, c=1):
@@ -306,12 +309,10 @@ def anyonic_hopf(p, c=1):
     """
     check_guard(p, "Hopf structure")
     A = anyonic_line(p)
-    chi = Bicharacter(p, c)
-    TA = _hopf_square(A, chi)
     x = A.gen("x")
     one = A.unit()
-    dx = tensor_pair(TA, x, one) + tensor_pair(TA, one, x)
-    return HopfData(A, chi, TA, {"x": dx}, {"x": 0}, {"x": -x})
+    dx = _tensor_column((x, one), (one, x))
+    return HopfData(A, Bicharacter(p, c), {"x": dx}, {"x": 0}, {"x": -x})
 
 
 def taft_hopf(p):
@@ -322,17 +323,12 @@ def taft_hopf(p):
     """
     check_guard(p * p, "Hopf structure")
     A = taft(p)
-    chi = Bicharacter(1, 0)
-    TA = _hopf_square(A, chi)
     g, x = A.gen("g"), A.gen("x")
     one = A.unit()
-    cop = {
-        "g": tensor_pair(TA, g, g),
-        "x": tensor_pair(TA, x, one) + tensor_pair(TA, g, x),
-    }
+    cop = {"g": _tensor_column((g, g)), "x": _tensor_column((x, one), (g, x))}
     cou = {"g": 1, "x": 0}
     ant = {"g": g ** (p - 1), "x": -(g ** (p - 1) * x)}
-    return HopfData(A, chi, TA, cop, cou, ant)
+    return HopfData(A, Bicharacter(1, 0), cop, cou, ant)
 
 
 # ---------------------------------------------------------------------------
@@ -440,38 +436,32 @@ def verify_antipode(H):
 
 
 def coproduct_power(H, n):
-    """The closed form Delta(x^n) = sum_i binom(n,i)_xi x^i (x) x^{n-i}.
+    """The closed form Delta(x^n) = sum_i binom(n,i)_xi x^i (x) x^{n-i}, as
+    a column of V (x) V.
 
-    Only meaningful for the anyonic line; cross-checked elsewhere against
-    the n-fold product of Delta(x) in the braided tensor square.
+    Only meaningful for the anyonic line; verify_coproduct_powers compares
+    it with the n-fold product of Delta(x) in the braided square.
     """
-    A = H.algebra
-    xi = H.chi.chi(1, 1)
-    terms = {}
-    for i in range(n + 1):
-        terms[((i,), (n - i,))] = q_binomial(n, i, xi)
-    return H.tensor_algebra.element(terms)
+    xi, A = H.chi.chi(1, 1), H.algebra
+    return _tensor_column(*((q_binomial(n, i, xi) * A.element({(i,): 1}),
+                             A.element({(n - i,): 1})) for i in range(n + 1)))
 
 
 def verify_coproduct_powers(H):
-    """Check the closed form against iterated braided multiplication."""
-    p = H.algebra.p
+    """Check the closed form against iterated multiplication in the
+    braided square (HopfData.times); a failure lists both columns as
+    [row, value] pairs."""
     dx = H.coproducts["x"]
     checks = []
-    acc = H.tensor_algebra.unit()
-    for n in range(p):
+    acc = _tensor_column((H.algebra.unit(), H.algebra.unit()))
+    for n in range(H.algebra.p):
         formula = coproduct_power(H, n)
         ok = acc == formula
-        also = H.coproduct(H.algebra.element({(n,): 1})) == formula
-        checks.append(
-            check(
-                "coproduct_power_%d" % n,
-                ok and also,
-                details="Delta(x)^%d vs Gaussian binomial sum" % n,
-                witnesses=None if (ok and also) else [
-                    {"power": n, "product": repr(acc), "formula": repr(formula)}
-                ],
-            )
-        )
-        acc = acc * dx
+        checks.append(check(
+            "coproduct_power_%d" % n, ok,
+            details="Delta(x)^%d vs Gaussian binomial sum" % n,
+            witnesses=None if ok else [
+                {"power": n, "product": column_entries(acc),
+                 "formula": column_entries(formula)}]))
+        acc = H.times(acc, dx)
     return checks

@@ -53,10 +53,15 @@ def map_check(name, lhs, rhs, details="", label=None):
     j, diff = hit
     witness = {
         "input": (label or lhs.label)(j),
-        "difference": [[r, format_scalar(diff[r])] for r in sorted(diff)],
+        "difference": column_entries(diff),
     }
     return check(name, False, details=details or "maps differ",
                  witnesses=[witness])
+
+
+def column_entries(column):
+    """{row: scalar} as the sorted [row, value] pairs a witness lists."""
+    return [[r, format_scalar(column[r])] for r in sorted(column)]
 
 
 def prefixed(prefix, checks):

@@ -20,8 +20,11 @@ at a time with no generator skipped as diagonal, and the regular
 AydModule by conjugating left multiplication into the g-eigenbasis; the
 structure maps of a Hopf structure and the induced linear map of an
 algebra morphism, each built from generator powers rather than by
-PresentedAlgebra.extend; normal forms by rewriting the first violation
-of the whole word, rather than by memoised generator actions, and the
+PresentedAlgebra.extend, with Delta multiplied in the braided tensor
+algebra on pair monomials (elements a (x) b by tensor_pair) rather than
+through the diagram (m (x) m) . (id (x) tau (x) id); normal forms by
+rewriting the first violation of the whole word, rather than by memoised
+generator actions, and the
 product of an algebra with one such normal form per pair of basis
 elements, with the associativity and Hopf laws checked on every pair
 or triple of basis elements rather than on generator rows;
@@ -68,7 +71,7 @@ from bhl.graded import (
     tensor,
     tensor_diagram,
 )
-from bhl.hopf import verify_antipode, verify_bialgebra
+from bhl.hopf import braided_tensor_algebra, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, check, map_check
 from bhl.scalars import format_scalar, q_factorial, root_of_unity
 
@@ -508,11 +511,25 @@ def sigma_diagonals_by_mu(p, mu):
     return tables
 
 
+def tensor_pair(TA, a, b):
+    """The element a (x) b of a braided tensor algebra TA."""
+    terms = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            terms[(ma, mb)] = ca * cb
+    return TA.element(terms)
+
+
 def hopf_maps_by_powers(H):
     """The matrices of Delta, eps and S of a HopfData H: Delta and eps of a
-    normal monomial as the ordered product of its generator powers, S by
-    peeling the last letter, S(rest g) = chi(deg rest, deg g) S(g) S(rest)."""
-    A, TA = H.algebra, H.tensor_algebra
+    normal monomial as the ordered product of its generator powers, Delta
+    in braided_tensor_algebra, by its pair rule rather than the square of
+    H, S by peeling the last letter, S(rest g) = chi(deg rest, deg g) S(g)
+    S(rest)."""
+    A = H.algebra
+    TA = braided_tensor_algebra(A, A, H.chi)
+    coproducts = {name: TA.element({TA.basis[k]: c for k, c in col.items()})
+                  for name, col in H.coproducts.items()}
     names = A.pres.gens
     memo = {}
 
@@ -533,7 +550,7 @@ def hopf_maps_by_powers(H):
         d, e = TA.unit(), Fraction(1)
         for name, k in zip(names, mono):
             if k:
-                d = d * H.coproducts[name] ** k
+                d = d * coproducts[name] ** k
                 e = e * H.counits[name] ** k
         for pair, c in d.terms.items():
             delta[TA.index[pair], j] = c

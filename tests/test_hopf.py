@@ -32,7 +32,6 @@ from bhl.hopf import (
     build_hopf,
     coproduct_power,
     taft_hopf,
-    tensor_pair,
     verify_antipode,
     verify_bialgebra,
     verify_coproduct_powers,
@@ -49,6 +48,7 @@ from oracle import (
     regular_module,
     right_mult_operator,
     square_antipode_by_matrix,
+    tensor_pair,
     to_uqsl2,
     typed_entries,
     verify_module,
@@ -153,9 +153,10 @@ def test_taft_is_hopf(p):
 
 
 def test_taft_battery_at_p11_lists_no_product_or_braiding_matrix():
-    # m and tau are diagram leaves that compute a column when it is read;
-    # with m's 121 x 121^2 matrix, its 121^2 column dicts and tau as a
-    # 121^2 x 121^2 matrix, the peak was about 16 MB
+    # m and tau are diagram leaves that compute a column when it is read,
+    # and Delta is built through them; with m's 121 x 121^2 matrix, its
+    # 121^2 column dicts and tau as a 121^2 x 121^2 matrix, the peak was
+    # about 16 MB, and with Delta built in braided_tensor_algebra 5.8 MB
     tracemalloc.start()
     try:
         H = taft_hopf(11)
@@ -164,7 +165,7 @@ def test_taft_battery_at_p11_lists_no_product_or_braiding_matrix():
     finally:
         tracemalloc.stop()
     assert all_pass(checks), failed_names(checks)
-    assert peak < 10e6
+    assert peak < 3.5e6
 
 
 # The matrix route the verifiers used before they went column by column:
@@ -619,14 +620,21 @@ def test_hopf_data_is_behind_the_dimension_guard(monkeypatch):
 
 
 def test_hopf_builders_check_the_guard_before_the_square(monkeypatch):
-    # the braided square lists dim^2 basis pairs, so it must not be built
-    # for an algebra the guard rejects, nor the algebra itself, whose build
-    # grows with p
+    # the braided square as an algebra lists dim^2 basis pairs, and no
+    # Hopf structure builds it, even under the guard: Delta is extended
+    # through the diagram (m (x) m) . (id (x) tau (x) id).  Nor is the
+    # algebra built for a size the guard rejects, since its build grows
+    # with p
     def built(*args):
-        raise AssertionError("built before the guard")
+        raise AssertionError("built")
 
+    monkeypatch.setattr(hopf, "braided_tensor_algebra", built)
+    for H in (taft_hopf(5), anyonic_hopf(5), anyonic_hopf(5, 0)):
+        verify_bialgebra(H)
+        verify_antipode(H)
+    assert all_pass(verify_coproduct_powers(anyonic_hopf(5)))
     monkeypatch.setenv("BHL_DIM_GUARD", "10")
-    for name in ("braided_tensor_algebra", "anyonic_line", "taft"):
+    for name in ("anyonic_line", "taft"):
         monkeypatch.setattr(hopf, name, built)
     for build in (lambda: taft_hopf(5), lambda: anyonic_hopf(11),
                   lambda: build_hopf(anyonic_line(11), Bicharacter(11), {},
@@ -691,16 +699,18 @@ def test_coproduct_powers_match_iterated_product(p):
 
 
 def test_coproduct_square_explicit():
+    # columns of V (x) V: x^i (x) x^j has index 3i + j
     H = anyonic_hopf(3)
-    A = H.algebra
-    xi = A.xi
-    el = coproduct_power(H, 2)
-    want = {
-        ((2,), (0,)): 1,
-        ((1,), (1,)): 1 + xi,
-        ((0,), (2,)): 1,
-    }
-    assert el == H.tensor_algebra.element(want)
+    xi = H.algebra.xi
+    assert coproduct_power(H, 2) == {2 * 3 + 0: 1, 1 * 3 + 1: 1 + xi,
+                                     0 * 3 + 2: 1}
+    # a wrong Delta(x) = 2 (x (x) 1 + 1 (x) x) fails from the first power
+    H.coproducts["x"] = {k: 2 * c for k, c in H.coproducts["x"].items()}
+    checks = verify_coproduct_powers(H)
+    assert failed_names(checks) == ["coproduct_power_1", "coproduct_power_2"]
+    assert checks[1]["witnesses"] == [{"power": 1,
+                                       "product": [[1, "2"], [3, "2"]],
+                                       "formula": [[1, "1"], [3, "1"]]}]
 
 
 # ---------------------------------------------------------------------------
