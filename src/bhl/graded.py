@@ -6,7 +6,9 @@ scalar, the twist is theta(v) = chi(x,x) v on degree x, and anti-twists are
 the degree-wise scalars satisfying the inverse-square law
 sigma(i+j) = omega(i,j)^(-1) sigma(i) sigma(j) with omega = chi * chi-flipped.
 
-Spaces carry a flat ordered basis (one degree per basis vector); maps are
+Spaces carry a flat ordered basis (one degree per basis vector); tensor()
+lists the degrees of V (x) W but names basis vector j (its label) only
+when it is read, from the labels of V and W.  Maps are
 sparse exact matrices with a degree shift, and homogeneity is enforced at
 construction.  Shift-0 maps are the categorical morphisms; the shifted ones
 are what algebra generators act by.  @ materialises composites of
@@ -18,8 +20,8 @@ time, and first_difference compares two maps that way; every identity
 check in bhl goes through it.  Its source and target are tensor words, and
 it names a source basis vector from the word (Diagram.label), so a tensor
 product of maps never lists its basis.  Its leaves are given by columns:
-a GradedMap's, or columns computed when read, as for the braiding and an
-algebra's product (pair_leaf).
+a GradedMap's, built once per map (diagram), or columns computed when
+read, as for the braiding and an algebra's product (pair_leaf).
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class GradedSpace:
     """A finite-dimensional Z/N-graded space with an ordered homogeneous basis.
 
     A space made by tensor() remembers its factors (unit factors dropped),
-    so lazy diagrams can match tensor products without listing their bases.
+    so lazy diagrams can match tensor products without listing their bases,
+    and keeps its labels as a sequence that names each one when read.
     """
 
     __slots__ = ("N", "degrees", "labels", "factors")
@@ -87,10 +90,10 @@ class GradedSpace:
         self.degrees = tuple(d % N for d in degrees)
         if labels is None:
             labels = tuple("v%d" % i for i in range(len(self.degrees)))
-        else:
+        elif not isinstance(labels, _PairLabels):
             labels = tuple(labels)
-            if len(labels) != len(self.degrees):
-                raise ValueError("label count != basis size")
+        if len(labels) != len(self.degrees):
+            raise ValueError("label count != basis size")
         self.labels = labels
 
     @staticmethod
@@ -138,14 +141,30 @@ class GradedSpace:
 
 
 def tensor(V: GradedSpace, W: GradedSpace) -> GradedSpace:
-    """V (x) W with the flat row-major basis v_i (x) w_j; degrees add."""
+    """V (x) W with the flat row-major basis v_i (x) w_j; degrees add, and
+    labels are named when read."""
     if V.N != W.N:
         raise ValueError("grading group mismatch: N=%d vs N=%d" % (V.N, W.N))
-    degrees = [dv + dw for dv in V.degrees for dw in W.degrees]
-    out = GradedSpace(V.N, degrees,
-                      map(_pair_label(V, W), range(len(degrees))))
+    degrees = (dv + dw for dv in V.degrees for dw in W.degrees)
+    out = GradedSpace(V.N, degrees, _PairLabels(V, W))
     out.factors = _word(V) + _word(W)
     return out
+
+
+class _PairLabels:
+    """The labels of V (x) W, each named by _pair_label when it is read;
+    none is listed."""
+
+    __slots__ = ("_label", "_len")
+
+    def __init__(self, V, W):
+        self._label, self._len = _pair_label(V, W), V.dim * W.dim
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, j):
+        return self._label(range(self._len)[j])
 
 
 def _pair_label(V, W):
@@ -174,7 +193,7 @@ def right_dual(V: GradedSpace) -> GradedSpace:
 class GradedMap:
     """A homogeneous exact linear map source -> target of fixed degree shift."""
 
-    __slots__ = ("source", "target", "shift", "mat")
+    __slots__ = ("source", "target", "shift", "mat", "_leaf")
 
     def __init__(self, source, target, mat, shift=0):
         if source.N != target.N:
@@ -194,6 +213,7 @@ class GradedMap:
         self.target = target
         self.shift = shift
         self.mat = mat
+        self._leaf = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -479,15 +499,19 @@ class _Composite(Diagram):
 
 
 def diagram(f):
-    """f as a Diagram: a GradedMap becomes a leaf, a Diagram is kept."""
+    """f as a Diagram: a GradedMap becomes a leaf, built once and kept on
+    the map (GradedMaps are not mutated), a Diagram is kept."""
     if isinstance(f, Diagram):
         return f
     if isinstance(f, GradedMap):
-        cols = [{} for _ in range(f.source.dim)]
-        for (r, c), v in f.mat.data.items():
-            cols[c][r] = v
-        return _Leaf(f.source.N, _word(f.source), _word(f.target), f.shift,
-                     cols.__getitem__, f.source.labels.__getitem__)
+        if f._leaf is None:
+            cols = [{} for _ in range(f.source.dim)]
+            for (r, c), v in f.mat.data.items():
+                cols[c][r] = v
+            f._leaf = _Leaf(f.source.N, _word(f.source), _word(f.target),
+                            f.shift, cols.__getitem__,
+                            f.source.labels.__getitem__)
+        return f._leaf
     raise TypeError("not a map: %r" % (f,))
 
 

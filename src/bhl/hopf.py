@@ -4,8 +4,9 @@ The braided tensor square A (x)^tau A of a graded algebra carries the product
 
     (a (x) b) * (c (x) d)  =  chi(deg b, deg c) * (ac (x) bd),
 
-the diagram square = (m (x) m) . (id (x) tau (x) id) on columns of V (x) V,
-V being A as a graded space, where a (x) b has index i_a * dim + i_b.  A
+the diagram leaf square on columns of V (x) V, V being A as a graded space,
+where a (x) b has index i_a * dim + i_b; it reads ac and bd from A's
+product cache, and equals (m (x) m) . (id (x) tau (x) id).  A
 Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a counit
 eps: A -> k and an antipode S: A -> A.  Here the structure maps are stored
 as exact matrices (GradedMap), built from their values on generators by
@@ -19,7 +20,7 @@ scalar,
 Whether the extensions actually define a bialgebra is *not* assumed; it is
 checked by verify_bialgebra, one basis input at a time, as the identity
 
-    Delta . m  =  (m (x) m) . (id (x) tau (x) id) . (Delta (x) Delta),
+    Delta . m  =  square . (Delta (x) Delta),
 
 together with unit/counit compatibility, coassociativity and the counit
 law.  verify_antipode checks the antipode axiom and the (anti)morphism
@@ -77,6 +78,8 @@ the first failing input on iota is the first of the full sweep.
 
 Building HopfData goes through the dimension guard (BHL_DIM_GUARD,
 default 350), which admits the Taft algebra up to p = 17 (dimension 289).
+Delta's target tensor(V, V) lists the dim^2 degrees of V (x) V, but names
+a basis vector only when it is read.
 braided_tensor_algebra lists the square's dim^2 pair monomials; only the
 tests build it, as an independent route to Delta.
 """
@@ -97,8 +100,10 @@ from .graded import (
     Bicharacter,
     GradedMap,
     GradedSpace,
+    _times,
     braiding,
     diagram,
+    pair_leaf,
     tensor,
     tensor_diagram,
 )
@@ -178,6 +183,29 @@ def _tensor_column(*pairs):
     return {k: c for k, c in out.items() if c}
 
 
+def _square(A, chi, VV):
+    """The product of A (x)^tau A as one leaf (V(x)V) (x) (V(x)V) -> V(x)V,
+    VV = tensor(V, V): the column of (a(x)b) (x) (c(x)d) is chi(deg b,
+    deg c) m(a(x)c) (x) m(b(x)d), read from A's product cache and
+    multiplied in the order of (m (x) m) . (id (x) tau (x) id)."""
+    n, deg, product = A.dim, A.mono_degrees, A._product_column
+
+    def column(j):
+        ab, cd = divmod(j, n * n)
+        a, b = divmod(ab, n)
+        c, d = divmod(cd, n)
+        s = chi.chi(deg[b], deg[c])
+        right = product(b * n + d)
+        out = {}
+        for r, x in product(a * n + c).items():
+            sx, base = _times(s, x), r * n
+            for t, y in right.items():
+                out[base + t] = _times(sx, y)
+        return out
+
+    return pair_leaf(VV, VV, VV.factors, column)
+
+
 # ---------------------------------------------------------------------------
 # Hopf structure data
 # ---------------------------------------------------------------------------
@@ -188,9 +216,11 @@ class HopfData:
 
     Fields: algebra, chi, space V, the five shift-0 structure maps
     m: V(x)V -> V, u: I -> V, Delta: V -> V(x)V, eps: V -> I, S: V -> V,
-    the braiding tau of V (x) V, and square = (m (x) m) . (id (x) tau (x)
-    id), the product of A (x)^tau A (times).  m, tau and square are
-    diagrams that compute a column when it is read, the others GradedMaps.
+    the braiding tau of V (x) V, and square, the product of A (x)^tau A
+    (times), with column chi(deg b, deg c) m(a(x)c) (x) m(b(x)d) at
+    (a(x)b) (x) (c(x)d).  m, tau and square are diagram leaves that
+    compute a column when it is read, m and square from the algebra's
+    product cache, the others GradedMaps.
     The generator images the maps were extended from are kept in
     coproducts (columns of V (x) V) / counits / antipodes (keyed by
     generator name).  The checks of the three row laws are kept once
@@ -207,10 +237,9 @@ class HopfData:
         self.m = algebra.mult_map()
         self.u = algebra.unit_map()
         V = self.space = algebra.graded_space()
+        VV = tensor(V, V)
         self.tau = braiding(V, V, chi)
-        idv = diagram(GradedMap.identity(V))
-        self.square = (tensor_diagram(self.m, self.m)
-                       @ tensor_diagram(idv, self.tau, idv))
+        self.square = _square(algebra, chi, VV)
         A = algebra
 
         def anti(a, b, ma, mb):
@@ -228,7 +257,7 @@ class HopfData:
                        lambda x, y, *_: self.times(x, y))
         eps = extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
         self._antipode = extend(self.antipodes, A.unit(), anti)
-        self.Delta = GradedMap(V, tensor(V, V), from_cols(
+        self.Delta = GradedMap(V, VV, from_cols(
             A.dim ** 2, [delta(mono) for mono in A.basis]))
         self.eps = GradedMap(V, GradedSpace.unit(A.N), from_cols(
             1, [{0: eps(mono)} for mono in A.basis]))
@@ -303,9 +332,9 @@ def anyonic_hopf(p, c=1):
     """The anyonic line as a Hopf algebra in (Vec_{Z/p}, xi^{c*ij}).
 
     x is primitive: Delta(x) = x(x)1 + 1(x)x, eps(x) = 0, S(x) = -x.
-    With the standard bicharacter (c=1) this is a braided Hopf algebra;
-    c=0 (the unbraided square) violates multiplicativity of Delta as soon
-    as p > 2 and serves as the negative control.
+    Every c != 0 mod p gives a braided Hopf algebra.  c = 0 mod p (the
+    unbraided square) violates the multiplicativity of Delta at every p,
+    p = 2 included, and serves as the negative control.
     """
     check_guard(p, "Hopf structure")
     A = anyonic_line(p)

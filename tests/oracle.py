@@ -22,7 +22,9 @@ structure maps of a Hopf structure and the induced linear map of an
 algebra morphism, each built from generator powers rather than by
 PresentedAlgebra.extend, with Delta multiplied in the braided tensor
 algebra on pair monomials (elements a (x) b by tensor_pair) rather than
-through the diagram (m (x) m) . (id (x) tau (x) id); normal forms by
+through the square's diagram leaf, and that product as the composite
+(m (x) m) . (id (x) tau (x) id) (square_by_composite), rather than one
+leaf read from the product cache; normal forms by
 rewriting the first violation of the whole word, rather than by memoised
 generator actions, and the
 product of an algebra with one such normal form per pair of basis
@@ -778,21 +780,30 @@ def associativity_by_triples(A):
     ]
 
 
+def square_by_composite(m, tau):
+    """The product of A (x)^tau A as the composite diagram (m (x) m) .
+    (id (x) tau (x) id), rather than one leaf read from the product cache
+    (HopfData.square); m: V (x) V -> V and tau are GradedMaps."""
+    idv = diagram(GradedMap.identity(m.target))
+    return (tensor_diagram(m, m)
+            @ tensor_diagram(idv, diagram(tau), idv))
+
+
 def hopf_checks_by_pairs(H):
     """verify_bialgebra + verify_antipode, with the three laws that are
     multiplicative in their first argument compared on every pair of basis
     elements, and the five other laws on every basis element, m by
     pairs."""
     V = H.space
-    m = diagram(mult_map_by_pairs(H.algebra))
+    by_pairs = mult_map_by_pairs(H.algebra)
+    m = diagram(by_pairs)
     idv = diagram(GradedMap.identity(V))
     tau = braiding_matrix(V, V, H.chi)
     Delta, eps, S = (diagram(f) for f in (H.Delta, H.eps, H.S))
     ue = diagram(H.u) @ H.eps
     pairs = {
         "coproduct_is_multiplicative": (
-            Delta @ m,
-            tensor_diagram(m, m) @ tensor_diagram(idv, tau, idv)
+            Delta @ m, square_by_composite(by_pairs, tau)
             @ tensor_diagram(Delta, Delta)),
         "counit_is_multiplicative": (eps @ m, tensor_diagram(eps, eps)),
         "antipode_is_antimultiplicative": (

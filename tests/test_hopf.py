@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhl import algebras, hopf
+from bhl import algebras, graded, hopf
 from bhl.algebras import (
     DimensionGuardError,
     Presentation,
@@ -48,9 +48,11 @@ from oracle import (
     regular_module,
     right_mult_operator,
     square_antipode_by_matrix,
+    square_by_composite,
     tensor_pair,
     to_uqsl2,
     typed_entries,
+    typed_terms,
     verify_module,
 )
 
@@ -150,6 +152,60 @@ def test_taft_is_hopf(p):
     H = taft_hopf(p)
     checks = verify_bialgebra(H) + verify_antipode(H)
     assert all_pass(checks), failed_names(checks)
+
+
+@pytest.mark.parametrize("p,c,failing", [
+    (2, 0, ["coproduct_is_multiplicative"]),
+    (5, 5, ["coproduct_is_multiplicative"]),
+    (3, 2, []),
+    (5, 3, []),
+])
+def test_anyonic_line_is_braided_hopf_exactly_when_c_is_nonzero(p, c,
+                                                                failing):
+    # c = 0 mod p fails at every p, p = 2 included: Delta(x)^2 = 2 x (x) x
+    # in the unbraided square, while Delta(x^2) = 0
+    H = anyonic_hopf(p, c)
+    checks = (verify_bialgebra(H) + verify_antipode(H)
+              + verify_coproduct_powers(H))
+    assert failed_names(checks) == failing
+    if p == 2:
+        bad = next(ch for ch in checks if ch["status"] == FAIL)
+        assert bad["witnesses"] == [{"input": "x , x",
+                                     "difference": [[3, "-2"]]}]
+
+
+@pytest.mark.parametrize("build,args", [
+    *((anyonic_hopf, (p, c)) for p in (2, 3, 5, 7) for c in (0, 1)),
+    (taft_hopf, (2,)),
+    (taft_hopf, (3,)),
+    # 625^2 columns, about 6 s
+    pytest.param(taft_hopf, (5,), marks=pytest.mark.slow),
+])
+def test_square_leaf_matches_the_composite(build, args):
+    # HopfData.square reads both products from the product cache; the
+    # composite (m (x) m) . (id (x) tau (x) id), with m by pairs and tau a
+    # matrix, is the route it replaced.  Entries agree by type and repr,
+    # and labels as the composite names them
+    H = build(*args)
+    V = H.space
+    composite = square_by_composite(mult_map_by_pairs(H.algebra),
+                                    braiding_matrix(V, V, H.chi))
+    assert H.square.parallel(composite)
+    for j, (leaf, comp) in enumerate(zip(H.square.columns(),
+                                         composite.columns(), strict=True)):
+        assert typed_terms(leaf) == typed_terms(comp), j
+        assert H.square.label(j) == composite.label(j)
+
+
+def test_hopf_builders_push_no_tensor_of_diagrams(monkeypatch):
+    # Delta is extended through the square, one leaf, so building H and
+    # multiplying Delta(x) out push nothing through a tensor of diagrams
+    def pushed(*args):
+        raise AssertionError("pushed through a tensor of diagrams")
+
+    monkeypatch.setattr(graded._Tensor, "_add_image", pushed)
+    taft_hopf(3)
+    assert all_pass(verify_coproduct_powers(anyonic_hopf(5)))
 
 
 def test_taft_battery_at_p11_lists_no_product_or_braiding_matrix():
@@ -622,7 +678,7 @@ def test_hopf_data_is_behind_the_dimension_guard(monkeypatch):
 def test_hopf_builders_check_the_guard_before_the_square(monkeypatch):
     # the braided square as an algebra lists dim^2 basis pairs, and no
     # Hopf structure builds it, even under the guard: Delta is extended
-    # through the diagram (m (x) m) . (id (x) tau (x) id).  Nor is the
+    # through the square's diagram leaf.  Nor is the
     # algebra built for a size the guard rejects, since its build grows
     # with p
     def built(*args):
