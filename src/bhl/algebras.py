@@ -212,7 +212,7 @@ class FiniteDimAlgebra:
         self.generator_monos = dict(generator_monos)
         self.index = {m: i for i, m in enumerate(self.basis)}
         self._pair_cache = {}
-        self._premises = None
+        self._premises = self._identity = self._rows = None
 
     @property
     def dim(self):
@@ -319,28 +319,36 @@ class FiniteDimAlgebra:
         return GradedMap(GradedSpace.unit(self.N), self.graded_space(),
                          Mat(self.dim, 1, {(self.index[self.unit_mono], 0): 1}))
 
+    def identity_map(self):
+        """The identity of A, built once, so it becomes a leaf once."""
+        if self._identity is None:
+            self._identity = GradedMap.identity(self.graded_space())
+        return self._identity
+
     def generator_rows(self):
         """The inclusion iota of span({1} u G) in A, and the label "a , b"
-        of the basis vectors of span({1} u G) (x) A.
+        of the basis vectors of span({1} u G) (x) A, built once per algebra.
 
         iota's basis is 1 and the generators, in A's basis order, with A's
         labels.  A law that is multiplicative in its first argument holds
         once it holds after precomposing both sides with iota (x) id; see
         row_check for the premises.
         """
-        V = self.graded_space()
-        rows = sorted({self.index[self.unit_mono]}
-                      | {self.index[m] for m in self.generator_monos.values()})
-        R = GradedSpace(self.N, [V.degrees[i] for i in rows],
-                        [V.labels[i] for i in rows])
-        iota = GradedMap(R, V, Mat(self.dim, len(rows),
-                                   {(i, k): 1 for k, i in enumerate(rows)}))
+        if self._rows is None:
+            V = self.graded_space()
+            rows = sorted({self.index[self.unit_mono]} | {
+                self.index[m] for m in self.generator_monos.values()})
+            R = GradedSpace(self.N, [V.degrees[i] for i in rows],
+                            [V.labels[i] for i in rows])
+            iota = GradedMap(R, V, Mat(self.dim, len(rows), {
+                (i, k): 1 for k, i in enumerate(rows)}))
 
-        def label(j):
-            r, b = divmod(j, self.dim)
-            return "%s , %s" % (R.labels[r], V.labels[b])
+            def label(j):
+                r, b = divmod(j, self.dim)
+                return "%s , %s" % (R.labels[r], V.labels[b])
 
-        return iota, label
+            self._rows = iota, label
+        return self._rows
 
     def _row_premises(self):
         """The premises of the generator-row lemma, checked once: the
@@ -362,8 +370,7 @@ class FiniteDimAlgebra:
         """
         if self._premises is None:
             iota, _ = self.generator_rows()
-            m = self.mult_map()
-            idv = GradedMap.identity(self.graded_space())
+            m, idv = self.mult_map(), self.identity_map()
             unreached = self._unreached(m @ tensor_diagram(iota, idv))
             if (unreached is None and self._relations_hold()
                     and first_difference(
@@ -425,7 +432,7 @@ class FiniteDimAlgebra:
             return check(name, False, "premise fails: %s" % failure["premise"],
                          [failure])
         iota, label = self.generator_rows()
-        rows = tensor_diagram(iota, GradedMap.identity(self.graded_space()))
+        rows = tensor_diagram(iota, self.identity_map())
         return map_check(name, diagram(lhs) @ rows, diagram(rhs) @ rows,
                          label=label)
 
@@ -443,8 +450,7 @@ class FiniteDimAlgebra:
         assoc, unreached = self._row_premises()
         if assoc["status"] == PASS and unreached is not None:
             assoc = check("associativity", False, assoc["details"], [unreached])
-        m, u = self.mult_map(), self.unit_map()
-        idv = GradedMap.identity(self.graded_space())
+        m, u, idv = self.mult_map(), self.unit_map(), self.identity_map()
         units = [
             map_check("unitality", m @ tensor_diagram(*law), idv,
                       "unit monomial %s" % self.mono_label(self.unit_mono))
@@ -541,15 +547,12 @@ class PresentedAlgebra(FiniteDimAlgebra):
             [(name, tuple(int(i == gi) for i in range(k)))
              for gi, name in enumerate(pres.gens)])
         self._actions = {}
+        self._diagonal = [_diagonal_factors(pres, i) for i in range(k)]
+        self._diagonal_scales = {}
 
     def _label_of(self, mono):
-        parts = []
-        for name, e in zip(self.pres.gens, mono):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append("%s^%d" % (name, e))
-        return "*".join(parts) if parts else "1"
+        return "*".join(name if e == 1 else "%s^%d" % (name, e)
+                        for name, e in zip(self.pres.gens, mono) if e) or "1"
 
     def _relations_hold(self):
         """Whether the L_g, the matrices of b |-> g*b, satisfy every
@@ -665,8 +668,29 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
     def _apply(self, runs, terms):
         """The letters of runs applied right to left to terms, a dict
-        {normal monomial: coefficient}, by _act."""
+        {normal monomial: coefficient}, by _act; a diagonal generator's run
+        in one step.  The lemma: let g^bound = r != 0 and g*h = s_h h*g for
+        each generator h before g (_diagonal_factors).  Then g*m moves g
+        past m's letters before it, s_h for each, and raises g's exponent,
+        with r when it wraps to 0; those letters stay, so g^e*m =
+        (prod_h s_h^(m_h e)) r^q m', (q, t) = divmod(m_g + e, bound), m'
+        with g's exponent t.  The scale is memoised on (g, e, m[:g])."""
+        scales = self._diagonal_scales
         for gi, e in reversed(runs):
+            if e and (factors := self._diagonal[gi]) is not None:
+                bound, rhs = self.pres.bounds[gi], self.pres.power_rhs[gi]
+                out = {}
+                for m, c in terms.items():
+                    key = gi, e, m[:gi]
+                    s = scales.get(key)
+                    if s is None:
+                        s = scales[key] = functools.reduce(operator.mul, (
+                            f ** (k * e) for f, k in zip(factors, m) if k), 1)
+                    q, t = divmod(m[gi] + e, bound)
+                    out[m[:gi] + (t,) + m[gi + 1:]] = (
+                        c * s * rhs ** q if q else c * s)
+                terms = out
+                continue
             for _ in range(e):
                 out = {}
                 for m, c in terms.items():
@@ -709,6 +733,17 @@ class PresentedAlgebra(FiniteDimAlgebra):
                         hit[m] = c if v is None else v + c
             self._actions[key] = hit
         return hit
+
+
+def _diagonal_factors(pres, i):
+    """(s_h for h < i) when g = gens[i] is diagonal: g^bound is a nonzero
+    scalar and each rule g*h, h < i, is one term s_h h*g, s_h != 0."""
+    rules = [pres.straighten.get((i, h), ()) for h in range(i)]
+    if pres.power_rhs[i] and all(
+            len(r) == 1 and r[0][0] and tuple(r[0][1]) == ((h, 1), (i, 1))
+            for h, r in enumerate(rules)):
+        return tuple(r[0][0] for r in rules)
+    return None
 
 
 class StructureConstantAlgebra(FiniteDimAlgebra):
@@ -912,11 +947,9 @@ def algebra_morphism(source, target, images):
     rank = mat.rank()
     ok = source.dim == target.dim and rank == target.dim
     checks.append(check(
-        "bijective",
-        ok,
+        "bijective", ok,
         "induced linear map rank %d, source dim %d, target dim %d"
         % (rank, source.dim, target.dim),
         [] if ok else [{"rank": rank, "source_dim": source.dim,
-                        "target_dim": target.dim}],
-    ))
+                        "target_dim": target.dim}]))
     return checks

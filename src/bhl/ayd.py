@@ -48,6 +48,7 @@ from .graded import GradedMap, GradedSpace
 from .record import Record
 from .report import check, map_check, prefixed
 from .scalars import (
+    Cyclotomic,
     FieldError,
     ParseError,
     balanced_q_int,
@@ -100,15 +101,11 @@ def verify_ayd(M):
                   details="z^%d = 0" % M.p),
     ]
     lhs = M.xop @ M.zop - (M.zop @ M.xop).scale(xi)
-    rhs = GradedMap.from_diagonal(
-        M.space, lambda d: xi ** (-2 * d + 1 - mu) - 1
-    )
-    checks.append(
-        map_check(
-            "xz_commutation", lhs, rhs,
-            details="(xz - xi zx) = (xi^{-2i+1-mu} - 1) id on degree i",
-        )
-    )
+    rhs = GradedMap.from_diagonal(M.space,
+                                  lambda d: xi ** (-2 * d + 1 - mu) - 1)
+    checks.append(map_check(
+        "xz_commutation", lhs, rhs,
+        details="(xz - xi zx) = (xi^{-2i+1-mu} - 1) id on degree i"))
     return checks
 
 
@@ -284,21 +281,18 @@ def ribbon_element(p):
 
 def ribbon_centrality_checks(p):
     """v_0 commutes with the generators; u_K is invertible."""
-    R = ribbon_element(p)
-    U = R.v_0.algebra
-    checks = []
+    return _ribbon_centrality(ribbon_element(p))
+
+
+def _ribbon_centrality(R):
+    """ribbon_centrality_checks, given R = ribbon_element(p)."""
+    U, checks = R.v_0.algebra, []
     for name, el in U.generators():
-        lhs = R.v_0 * el
-        rhs = el * R.v_0
-        ok = lhs == rhs
-        checks.append(
-            check(
-                "v0_commutes_with_%s" % name, ok,
-                witnesses=None if ok else [
-                    {"generator": name, "difference": repr(lhs - rhs)}
-                ],
-            )
-        )
+        lhs, rhs = R.v_0 * el, el * R.v_0
+        checks.append(check("v0_commutes_with_%s" % name, lhs == rhs,
+                            witnesses=None if lhs == rhs else [{
+                                "generator": name,
+                                "difference": repr(lhs - rhs)}]))
     checks.append(_u_K_invertible(U, R.u_K))
     return checks
 
@@ -356,11 +350,21 @@ def verify_ribbon_identity(p, mu):
     return _ribbon_identity(p, mu % p, R, _psi_v0(p, R))
 
 
-def _ribbon_identity(p, mu, R, psi0):
-    """verify_ribbon_identity for 0 <= mu < p, given R = ribbon_element(p)
-    and psi0 = _psi_v0(p, R).  Route (b) compares w (_w_terms) with the
-    prefactor times psi(v_0) = phi_s(psi0) (_twisted_psi_v0) as dicts of
-    terms over the monomials z^a g^b x^c of d_a_mu(p, mu)."""
+def _ribbon_identity(p, mu, R, psi0, table=None):
+    """verify_ribbon_identity for 0 <= mu < p, given R = ribbon_element(p),
+    psi0 = _psi_v0(p, R) and table = _rank_one_table(p, psi0) (or None).
+
+    Route (b): w has the terms P_b c_j xi^(-bj) z^j g^b x^j (module
+    docstring), and psi(v_0) in d_a_mu(p, mu) is phi_s(psi0), s = mu/2 mod
+    p, for the isomorphism phi_s: g -> xi^s g from d_a_mu(p, 0), which
+    multiplies the coefficient of z^a g^b x^c by xi^(sb) (q^(-mu) = xi^s,
+    and E -> q^mu E, F -> q^(-mu) F fixes each F^j K^k E^j of v_0).  No
+    c_j is zero, so w = pref phi_s(psi0) exactly when psi0 has no term off
+    the z^j g^b x^j and P_b xi^(-bj-sb) / pref = psi0[j, b, j] / c_j, the
+    table, for all j, b.  Completing the square, P_b = xi^(h^2) G_0 with
+    h = (mu + b)/2 and G_0 = (1/p) sum_i xi^(-i^2), and pref = xi^t; so the
+    left side is the rotation G_(h^2-bj-sb-t), with no product.  The
+    witness is w - pref phi_s(psi0) on the monomials where they differ."""
     U = R.v_0.algebra
     if U.signature != ("uqsl2", p):
         raise ValueError("ribbon element of %r, algebra d_a_mu(%d, %d)"
@@ -379,46 +383,60 @@ def _ribbon_identity(p, mu, R, psi0):
         lhs = U.xi ** (-i * i - mu * i)
         rhs = pref * val
         if lhs != rhs:
-            bad.append({
-                "degree": i,
-                "sigma_scalar": format_scalar(lhs),
-                "scaled_Ku_K_scalar": format_scalar(rhs),
-            })
-    checks.append(
-        check(
-            "prefactor_scalar_route", not bad,
-            details="xi^{-i^2-mu i} vs q^{m(mu^2-1)} K u_K at "
-                    "K = q^{mu-1} xi^{-i}, all i",
-            witnesses=bad or None,
-        )
-    )
+            bad.append({"degree": i, "sigma_scalar": format_scalar(lhs),
+                        "scaled_Ku_K_scalar": format_scalar(rhs)})
+    checks.append(check(
+        "prefactor_scalar_route", not bad,
+        details="xi^{-i^2-mu i} vs q^{m(mu^2-1)} K u_K at "
+                "K = q^{mu-1} xi^{-i}, all i",
+        witnesses=bad or None))
 
-    diff = _w_terms(p, mu)
-    for mono, c in _twisted_psi_v0(psi0, p, mu).items():
-        diff[mono] = diff.get(mono, 0) - pref * c
+    table, off, G = table or _rank_one_table(p, psi0)
+    t = pref.num.index(1) if 1 in pref.num else p - 1  # pref = xi^t
+    if pref != root_of_unity(p, t):
+        raise AssertionError("prefactor %s is no power of xi" % pref)
+    half, coeffs = (p + 1) // 2, None
+    s = mu * half % p
+    diff = {mono: -pref * root_of_unity(p, s * mono[1]) * c
+            for mono, c in off.items()}
+    for b, row in enumerate(table):
+        h2 = ((mu + b) * half) ** 2
+        for j, x in enumerate(row):
+            if x != G[(h2 - b * j - s * b - t) % p]:
+                coeffs = coeffs or _series_coefficients(p)
+                diff[(j, b, j)] = (coeffs[j] * G[(h2 - b * j) % p] - pref
+                                   * root_of_unity(p, s * b)
+                                   * psi0.get((j, b, j), 0))
     diff = {mono: c for mono, c in diff.items() if c}
-    checks.append(
-        check(
-            "varsigma_equals_scaled_ribbon", not diff,
-            details="on the regular representation (faithful), "
-                    "prefactor %s" % format_scalar(pref),
-            witnesses=[{"difference": [[list(mono), format_scalar(c)]
-                                       for mono, c in sorted(diff.items())]}]
-            if diff else None,
-        )
-    )
+    checks.append(check(
+        "varsigma_equals_scaled_ribbon", not diff,
+        details="on the regular representation (faithful), "
+                "prefactor %s" % format_scalar(pref),
+        witnesses=[{"difference": [[list(mono), format_scalar(c)]
+                                   for mono, c in sorted(diff.items())]}]
+        if diff else None))
     return checks
 
 
-def _w_terms(p, mu):
-    """The terms of w = P(g) sum_j c_j z^j x^j in d_a_mu(p, mu), whose
-    action is varsigma: P(g) = sum_i xi^{-i^2-mu i} e_i = sum_b P_b g^b with
-    P_b = (1/p) sum_i xi^{-i^2-mu i-ib}, and g^b z^j = xi^{-bj} z^j g^b
-    (gz = xi^{-1} zg), so z^j g^b x^j has coefficient P_b c_j xi^{-bj}."""
-    P = [Fraction(1, p) * sum(root_of_unity(p, -i * i - mu * i - i * b)
-                              for i in range(p)) for b in range(p)]
-    return {(j, b, j): P[b] * c * root_of_unity(p, -b * j)
-            for b in range(p) for j, c in enumerate(_series_coefficients(p))}
+def _rank_one_table(p, psi0):
+    """(table, off, G): table[b][j] = psi0[j, b, j] / c_j, as 1/c_j =
+    (j)_xi! xi^(-(j-1)j/2) with no inverse; off, the terms of psi0 off the
+    z^j g^b x^j; G[k] = xi^k G_0, the exponent vector of -i^2 rotated."""
+    table = [[0] * p for _ in range(p)]
+    factorial, qint = 1, 0  # (j)_xi! and (j)_xi = 1 + xi + ... + xi^(j-1)
+    for j in range(p):
+        if j:
+            qint = qint + root_of_unity(p, j - 1)
+            factorial = factorial * qint
+        unscale = factorial * root_of_unity(p, -(j - 1) * j // 2)
+        for b in range(p):
+            table[b][j] = psi0.get((j, b, j), 0) * unscale
+    counts = [0] * p
+    for i in range(p):
+        counts[-i * i % p] += 1
+    G = [Cyclotomic(p, [v - vec[-1] for v in vec[:-1]], p)
+         for vec in (counts[-k:] + counts[:-k] for k in range(p))]
+    return table, {m: c for m, c in psi0.items() if m[0] != m[2]}, G
 
 
 def _psi_v0(p, R):
@@ -433,50 +451,34 @@ def _psi_v0(p, R):
                A.zero()).terms
 
 
-def _twisted_psi_v0(psi0, p, mu):
-    """The terms of psi(v_0) in d_a_mu(p, mu) from psi0, those in
-    d_a_mu(p, 0): phi_s(psi0), s = mu/2 mod p, for the isomorphism phi_s:
-    g -> xi^s g of d_a_mu(p, 0) onto d_a_mu(p, mu) (xi g^{p-2} in xz goes
-    to xi^{1-mu} g^{p-2}), which multiplies the coefficient of z^a g^b x^c
-    by xi^{sb}.  As q^{-mu} = xi^s, phi_s psi_0 = psi_mu after E -> q^mu E,
-    F -> q^{-mu} F, which fixes each monomial F^j K^k E^j of v_0."""
-    s = mu * pow(2, -1, p) % p
-    return {(a, b, c): coeff * root_of_unity(p, s * b)
-            for (a, b, c), coeff in psi0.items()}
-
-
 def verify_ribbon_family(p):
     """All mu at once, plus: the prefactor is a function of mu^2 mod p.
 
-    The ribbon element, and psi(v_0) in d_a_mu(p, 0), are built once, and
-    every mu runs the step of verify_ribbon_identity on them."""
-    checks, R, psi0 = [], None, None
+    The ribbon element, psi(v_0) in d_a_mu(p, 0) and the rank-one table of
+    _ribbon_identity are built once, and every mu runs the step of
+    verify_ribbon_identity on them."""
+    # the guard of the p^3 regular modules trips before uqsl2(p) is built
+    _check_regular_guard(p, 0)
+    return _ribbon_family(ribbon_element(p))
+
+
+def _ribbon_family(R):
+    """verify_ribbon_family, given R = ribbon_element(p)."""
+    p, checks = R.p, []
+    psi0 = _psi_v0(p, R)
+    table = _rank_one_table(p, psi0)
     for mu in range(p):
-        _check_regular_guard(p, mu)
-        if R is None:  # after the first dimension guard
-            R = ribbon_element(p)
-            psi0 = _psi_v0(p, R)
-        checks += prefixed("mu=%d: " % mu, _ribbon_identity(p, mu, R, psi0))
-    table = {mu: ribbon_prefactor(p, mu) for mu in range(p)}
-    bad = []
-    for mu in range(p):
-        for nu in range(p):
-            if (mu * mu - nu * nu) % p == 0 and table[mu] != table[nu]:
-                bad.append({
-                    "mu": mu, "nu": nu,
-                    "prefactors": [format_scalar(table[mu]),
-                                   format_scalar(table[nu])],
-                })
-    checks.append(
-        check(
-            "prefactor_depends_only_on_mu_squared", not bad,
-            details="; ".join(
-                "mu=%d: %s" % (mu, format_scalar(table[mu]))
-                for mu in range(p)
-            ),
-            witnesses=bad or None,
-        )
-    )
+        checks += prefixed("mu=%d: " % mu,
+                           _ribbon_identity(p, mu, R, psi0, table))
+    prefs = [ribbon_prefactor(p, mu) for mu in range(p)]
+    texts = [format_scalar(f) for f in prefs]
+    bad = [{"mu": mu, "nu": nu, "prefactors": [texts[mu], texts[nu]]}
+           for mu in range(p) for nu in range(p)
+           if (mu * mu - nu * nu) % p == 0 and prefs[mu] != prefs[nu]]
+    checks.append(check(
+        "prefactor_depends_only_on_mu_squared", not bad,
+        details="; ".join("mu=%d: %s" % m for m in enumerate(texts)),
+        witnesses=bad or None))
     return checks
 
 
@@ -548,44 +550,21 @@ def sweedler_checks(mu):
     """
     mu %= 2
     M = regular_ayd_module(2, mu)
-    x, z = M.xop, M.zop
-    anti = x @ z + z @ x
-    checks = []
+    x, z, one = M.xop, M.zop, GradedMap.identity(M.space)
     if mu == 0:
         y = z.scale(-1)
-        checks.append(
-            map_check(
-                "anticommutator_xy_plus_yx",
-                x @ y + y @ x,
-                GradedMap.identity(M.space).scale(2),
-                details="with y = -z: xy + yx = 2",
-            )
-        )
-        closed = GradedMap.from_diagonal(
-            M.space, lambda d: (-1) ** d
-        ) @ (GradedMap.identity(M.space) - y @ x)
-        checks.append(
-            map_check(
-                "sigma_closed_form", varsigma_H(M), closed,
-                details="varsigma = (-1)^i (1 - yx)",
-            )
-        )
+        checks = [map_check("anticommutator_xy_plus_yx", x @ y + y @ x,
+                            one.scale(2), details="with y = -z: xy + yx = 2")]
+        closed = GradedMap.from_diagonal(M.space, lambda d: (-1) ** d) @ (
+            one - y @ x)
+        form = "varsigma = (-1)^i (1 - yx)"
     else:
-        checks.append(
-            map_check(
-                "anticommutator_xz_plus_zx",
-                anti,
-                GradedMap.zero(M.space, M.space),
-                details="xz + zx = 0",
-            )
-        )
-        closed = GradedMap.identity(M.space) + z @ x
-        checks.append(
-            map_check(
-                "sigma_closed_form", varsigma_H(M), closed,
-                details="varsigma = 1 + zx",
-            )
-        )
+        checks = [map_check("anticommutator_xz_plus_zx", x @ z + z @ x,
+                            GradedMap.zero(M.space, M.space),
+                            details="xz + zx = 0")]
+        closed, form = one + z @ x, "varsigma = 1 + zx"
+    checks.append(map_check("sigma_closed_form", varsigma_H(M), closed,
+                            details=form))
     return checks
 
 

@@ -33,9 +33,13 @@ from .algebras import (
     uqsl2,
 )
 from .ayd import (
+    _check_regular_guard,
+    _ribbon_centrality,
+    _ribbon_family,
     ayd_module_from_json,
     regular_ayd_module,
     ribbon_centrality_checks,
+    ribbon_element,
     stable_analysis,
     sweedler_checks,
     verify_ayd,
@@ -208,25 +212,27 @@ def ribbon_checks(p, mu=None):
                         lambda: verify_ribbon_identity(p, mu))
 
     def run():
-        return (verify_ribbon_family(p)
-                + ribbon_centrality_checks(p)
-                + center_checks(p))
+        # after the family's guard, one uqsl2(p) and ribbon element for all
+        _check_regular_guard(p, 0)
+        R = ribbon_element(p)
+        return (_ribbon_family(R) + _ribbon_centrality(R)
+                + _center_dimension(p, R.v_0.algebra))
     return _guarded("ribbon family p=%d" % p, run)
 
 
 def center_checks(p):
     _require_odd_prime(p, "the center computation")
+    return _guarded("center p=%d" % p, lambda: _center_dimension(p, uqsl2(p)))
 
-    def run():
-        Z = uqsl2(p).compute_center()
-        expected = 1 + 3 * (p - 1) // 2
-        ok = len(Z) == expected
-        return [check(
-            "p=%d: center dimension is 1 + 3(p-1)/2" % p, ok,
-            details="dim Z = %d, expected %d" % (len(Z), expected),
-            witnesses=None if ok else [{"dim": len(Z),
-                                        "expected": expected}])]
-    return _guarded("center p=%d" % p, run)
+
+def _center_dimension(p, U):
+    Z = U.compute_center()
+    expected = 1 + 3 * (p - 1) // 2
+    ok = len(Z) == expected
+    return [check(
+        "p=%d: center dimension is 1 + 3(p-1)/2" % p, ok,
+        details="dim Z = %d, expected %d" % (len(Z), expected),
+        witnesses=None if ok else [{"dim": len(Z), "expected": expected}])]
 
 
 def stable_dim_checks(p, mus=None):

@@ -299,7 +299,7 @@ class HopfData:
         docstring for the lemma)."""
         if all(self.row_law(name)["status"] == PASS for name in premises):
             return self.algebra.generator_rows()[0]
-        return GradedMap.identity(self.space)
+        return self.algebra.identity_map()
 
     # -- element-level structure maps --------------------------------------
 
@@ -380,26 +380,19 @@ def verify_bialgebra(H):
     (id(x)eps).Delta, with its first differing input.
     """
     V = H.space
-    idv = diagram(GradedMap.identity(V))
+    idv = diagram(H.algebra.identity_map())
     u, Delta, eps = (diagram(f) for f in (H.u, H.Delta, H.eps))
     checks = [
         H.row_law("coproduct_is_multiplicative"),
         map_check("coproduct_of_unit", Delta @ u, tensor_diagram(u, u)),
         H.row_law("counit_is_multiplicative"),
-        map_check(
-            "counit_of_unit",
-            eps @ u,
-            GradedMap.identity(GradedSpace.unit(V.N)),
-        ),
+        map_check("counit_of_unit", eps @ u,
+                  GradedMap.identity(GradedSpace.unit(V.N))),
     ]
     rows = H.rows("coproduct_is_multiplicative")
-    checks.append(
-        map_check(
-            "coassociativity",
-            tensor_diagram(Delta, idv) @ Delta @ rows,
-            tensor_diagram(idv, Delta) @ Delta @ rows,
-        )
-    )
+    checks.append(map_check("coassociativity",
+                            tensor_diagram(Delta, idv) @ Delta @ rows,
+                            tensor_diagram(idv, Delta) @ Delta @ rows))
     rows = H.rows("coproduct_is_multiplicative", "counit_is_multiplicative")
     for side, law in (("(eps(x)id).Delta", (eps, idv)),
                       ("(id(x)eps).Delta", (idv, eps))):
@@ -424,7 +417,7 @@ def verify_antipode(H):
     every basis input otherwise (HopfData.rows).
     """
     V, m, tau = H.space, H.m, H.tau
-    idv = diagram(GradedMap.identity(V))
+    idv = diagram(H.algebra.identity_map())
     Delta, S = (diagram(f) for f in (H.Delta, H.S))
     ue = diagram(H.u) @ H.eps
     anti = H.row_law("antipode_is_antimultiplicative")
@@ -439,28 +432,16 @@ def verify_antipode(H):
         map_check("antipode_right", m @ tensor_diagram(idv, S) @ Delta @ rows,
                   ue @ rows),
         anti,
-        map_check(
-            "antipode_is_anticomultiplicative",
-            Delta @ S @ co_rows,
-            tau @ tensor_diagram(S, S) @ Delta @ co_rows,
-        ),
-        check(
-            "antipode_invertible",
-            rank == V.dim,
-            details="rank %d of %d" % (rank, V.dim),
-        ),
+        map_check("antipode_is_anticomultiplicative", Delta @ S @ co_rows,
+                  tau @ tensor_diagram(S, S) @ Delta @ co_rows),
+        check("antipode_invertible", rank == V.dim,
+              details="rank %d of %d" % (rank, V.dim)),
     ]
     images = [{"generator": name,
                "square_antipode_image": repr(H.antipode(H.antipode(el)))}
               for name, el in H.algebra.generators()]
-    checks.append(
-        check(
-            "antipode_square_recorded",
-            True,
-            details="S^2 on generators",
-            witnesses=images,
-        )
-    )
+    checks.append(check("antipode_square_recorded", True,
+                        details="S^2 on generators", witnesses=images))
     return checks
 
 

@@ -8,7 +8,10 @@ AydModule read as a d_a_mu module or, by to_uqsl2, as a uqsl2 module, and
 the ribbon identity as a matrix identity on it, rather than as an identity
 of elements of d_a_mu; psi(v_0) by substitution for each mu, rather
 than by twisting that of mu = 0, and the element w behind varsigma as a
-product in d_a_mu, rather than in closed form; the trivial AydModule (the control for verify_ayd,
+product in d_a_mu, rather than in closed form, and the element identity
+as w in closed form against the twist of psi(v_0), term by term
+(ribbon_identity_by_terms), rather than on the rank-one table; the
+trivial AydModule (the control for verify_ayd,
 varsigma_H and to_uqsl2), the braided-module map E, the inverse of a graded map by elimination, a
 printer for DSL scripts, kernel dimensions of powers of 1 - a acting
 on an algebra, the center as kernels of the matrices L_g - R_g on all
@@ -26,7 +29,9 @@ through the square's diagram leaf, and that product as the composite
 (m (x) m) . (id (x) tau (x) id) (square_by_composite), rather than one
 leaf read from the product cache; normal forms by
 rewriting the first violation of the whole word, rather than by memoised
-generator actions, and the
+generator actions, and generator actions one letter at a time
+(apply_by_letters), rather than a diagonal generator's run in one step;
+the
 product of an algebra with one such normal form per pair of basis
 elements, with the associativity and Hopf laws checked on every pair
 or triple of basis elements rather than on generator rows;
@@ -60,7 +65,8 @@ from fractions import Fraction
 
 import bhl
 from bhl.algebras import d_a_mu, uqsl2
-from bhl.ayd import AydModule, ribbon_prefactor, varsigma_H
+from bhl.ayd import (AydModule, _series_coefficients, ribbon_prefactor,
+                     varsigma_H)
 from bhl.dsl import Assertion, GenDecl, Let, ObjDecl, mor_text, obj_text
 from bhl.exactmat import Mat, _inv_scalar, from_cols
 from bhl.graded import (
@@ -255,6 +261,45 @@ def w_by_product(p, mu):
                                         for i in range(p))
         for b in range(p)})
     return (P * A.element({(j, 0, j): c for j, c in enumerate(coeffs)})).terms
+
+
+def w_terms(p, mu):
+    """The terms of w = P(g) sum_j c_j z^j x^j in d_a_mu(p, mu), whose
+    action is varsigma, in closed form: P(g) = sum_i xi^{-i^2-mu i} e_i =
+    sum_b P_b g^b with P_b = (1/p) sum_i xi^{-i^2-mu i-ib}, and g^b z^j =
+    xi^{-bj} z^j g^b (gz = xi^{-1} zg), so z^j g^b x^j has coefficient
+    P_b c_j xi^{-bj}."""
+    P = [Fraction(1, p) * sum(root_of_unity(p, -i * i - mu * i - i * b)
+                              for i in range(p)) for b in range(p)]
+    return {(j, b, j): P[b] * c * root_of_unity(p, -b * j)
+            for b in range(p) for j, c in enumerate(_series_coefficients(p))}
+
+
+def twisted_psi_v0(psi0, p, mu):
+    """The terms of psi(v_0) in d_a_mu(p, mu) from psi0, those in
+    d_a_mu(p, 0): phi_s(psi0), s = mu/2 mod p, which multiplies the
+    coefficient of z^a g^b x^c by xi^{sb} (see ayd._ribbon_identity)."""
+    s = mu * pow(2, -1, p) % p
+    return {(a, b, c): coeff * root_of_unity(p, s * b)
+            for (a, b, c), coeff in psi0.items()}
+
+
+def ribbon_identity_by_terms(p, mu, psi0, pref):
+    """The check varsigma_equals_scaled_ribbon with w (w_terms) and pref
+    times phi_s(psi0) (twisted_psi_v0) compared as dicts of terms, every
+    term a product, rather than on the rank-one table."""
+    diff = w_terms(p, mu)
+    for mono, c in twisted_psi_v0(psi0, p, mu).items():
+        diff[mono] = diff.get(mono, 0) - pref * c
+    diff = {mono: c for mono, c in diff.items() if c}
+    return check(
+        "varsigma_equals_scaled_ribbon", not diff,
+        details="on the regular representation (faithful), "
+                "prefactor %s" % format_scalar(pref),
+        witnesses=[{"difference": [[list(mono), format_scalar(c)]
+                                   for mono, c in sorted(diff.items())]}]
+        if diff else None,
+    )
 
 
 def verify_module(M):
@@ -698,6 +743,40 @@ def normalize_by_rescan(A, coeff, runs):
             for s, rw in rule:
                 agenda.append((c * s, prefix + list(rw) + suffix))
     return {m: c for m, c in out.items() if c}
+
+
+def apply_by_letters(A, runs, terms):
+    """PresentedAlgebra._apply one letter at a time, every generator by
+    its rule and nothing memoised, rather than a diagonal generator's run
+    in one step."""
+    for gi, e in reversed(runs):
+        for _ in range(e):
+            out = {}
+            for m, c in terms.items():
+                for mo, s in act_by_letters(A, gi, m).items():
+                    v = out.get(mo)
+                    out[mo] = c * s if v is None else v + c * s
+            terms = out
+    return {m: c for m, c in terms.items() if c}
+
+
+def act_by_letters(A, gi, mono):
+    """g * mono, g = gens[gi], as PresentedAlgebra._act rewrites it, with
+    the letters of a straightening rule applied by apply_by_letters."""
+    pres = A.pres
+    h = next((j for j, e in enumerate(mono) if e), gi)
+    if gi <= h:
+        e, rhs = mono[gi] + 1, pres.power_rhs[gi]
+        if e < pres.bounds[gi]:
+            return {mono[:gi] + (e,) + mono[gi + 1:]: 1}
+        return {mono[:gi] + (0,) + mono[gi + 1:]: rhs} if rhs else {}
+    rest = mono[:h] + (mono[h] - 1,) + mono[h + 1:]
+    out = {}
+    for s, word in pres.straighten[(gi, h)]:
+        for m, c in apply_by_letters(A, word, {rest: s}).items():
+            v = out.get(m)
+            out[m] = c if v is None else v + c
+    return out
 
 
 def pair_product_by_rescan(A, ma, mb):

@@ -1,6 +1,7 @@
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bhl.algebras import (
     DimensionGuardError,
     PresentedAlgebra,
+    Presentation,
     StructureConstantAlgebra,
     algebra_morphism,
     anyonic_line,
@@ -28,6 +30,7 @@ from bhl.hopf import braided_tensor_algebra
 from bhl.report import FAIL, PASS
 from bhl.scalars import q_factorial, q_int, root_of_unity
 from oracle import (
+    apply_by_letters,
     associativity_by_triples,
     center_by_generator_chain,
     center_by_restriction,
@@ -319,13 +322,85 @@ def test_normal_form_matches_rescan(make):
         assert A.normal_form(word).terms == normal_form_by_rescan(A, word), word
 
 
+def skew_line(s_a, s_b, r, extra=()):
+    """a, b, g with a^2 = 0, b^3 = 0, g^4 = r, ba = ab, ga = s_a ag and
+    gb = s_b bg, plus the terms extra in the rule for gb."""
+    pres = Presentation(
+        N=1, gens=("a", "b", "g"), degrees=(0, 0, 0), bounds=(2, 3, 4),
+        power_rhs=(0, 0, r),
+        straighten={(1, 0): ((1, ((0, 1), (1, 1))),),
+                    (2, 0): ((s_a, ((0, 1), (2, 1))),),
+                    (2, 1): ((s_b, ((1, 1), (2, 1))),) + tuple(extra)})
+    return PresentedAlgebra(pres, signature=("skew", s_a, s_b, r, extra))
+
+
+# g^4 = -2 and 1/2: power_rhs neither 0 nor 1, so a run that passes the
+# bound takes the factor rhs^q; the factors are a root of unity and ints
+DIAGONAL_CASES = [
+    lambda: uqsl2(5), lambda: d_a_mu(3, 1), lambda: taft(3),
+    lambda: skew_line(root_of_unity(4), -1, -2),
+    lambda: skew_line(-1, 1, Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("make", DIAGONAL_CASES,
+                         ids=lambda make: repr(make().signature))
+def test_diagonal_runs_match_the_letter_route(make):
+    # a run g^e of a diagonal generator, e up to twice the bound, on every
+    # basis monomial with an int and a Fraction coefficient, and then the
+    # products of all basis pairs of the small algebras, against the
+    # letters applied one at a time, by type and repr
+    A = make()
+    diagonal = [gi for gi, f in enumerate(A._diagonal) if f is not None]
+    assert diagonal
+    for gi in diagonal:
+        for e in range(1, 2 * A.pres.bounds[gi] + 1):
+            for m in A.basis:
+                for c in (1, Fraction(-2, 3)):
+                    assert typed_terms(A._apply([(gi, e)], {m: c})) == \
+                        typed_terms(apply_by_letters(A, [(gi, e)], {m: c})), \
+                        (gi, e, m, c)
+    if A.dim <= 27:
+        for ma in A.basis:
+            runs = [(i, e) for i, e in enumerate(ma) if e]
+            for mb in A.basis:
+                assert typed_terms(A.pair_product(ma, mb)) == \
+                    typed_terms(apply_by_letters(A, runs, {mb: 1})), (ma, mb)
+
+
+def test_a_generator_off_the_lemma_takes_the_letter_route(monkeypatch):
+    # F and E of uqsl2 (F^p = E^p = 0, and EF = FE + K - K^(p-1) has
+    # three terms), a and b of the skew line (power_rhs 0), and g once gb
+    # has a second term act one letter at a time; K and the skew line's g
+    # act in one step
+    acts = []
+    real = PresentedAlgebra._act
+
+    def counted(self, gi, mono):
+        acts.append(gi)
+        return real(self, gi, mono)
+
+    monkeypatch.setattr(PresentedAlgebra, "_act", counted)
+    U = uqsl2(5)
+    A = skew_line(root_of_unity(4), -1, -2)
+    B = skew_line(root_of_unity(4), -1, -2, extra=((1, ()),))
+    for C, letters, runs in ((U, [0, 2], [1]), (A, [0, 1], [2]),
+                             (B, [0, 1, 2], [])):
+        assert [gi for gi, f in enumerate(C._diagonal) if f is None] == letters
+        for gi in letters + runs:
+            acts.clear()
+            C._apply([(gi, 2)], {C.basis[-1]: 1})
+            assert (gi in acts) == (gi in letters), (C.signature, gi)
+
+
 def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     # K is diagonal, so the center takes K*h and h*K for the generators h,
     # 5 products, and no K*m; then F*m and E*m for the 25 weight-zero
     # monomials F^a K^b E^a that commute with K, each less F*K or E*K,
     # already taken: 5 + 24 + 24 = 53.  The right products m*F and m*E come from the
-    # memo of _right_products, not from pair products.  It memoises 214
-    # of the 3 * 125 generator actions (g, m).
+    # memo of _right_products, not from pair products.  It memoises 151
+    # of the 2 * 125 actions (F, m) and (E, m): a run K^e takes one step,
+    # with no action of K memoised (PresentedAlgebra._apply).
     calls = []
     raw = PresentedAlgebra._pair_product_raw
 
@@ -337,7 +412,7 @@ def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     U = uqsl2(5)
     U.compute_center()
     assert len(calls) == 53
-    assert len(U._actions) == 214
+    assert len(U._actions) == 151
 
 
 @pytest.mark.parametrize("make", [lambda: uqsl2(5), lambda: d_a_mu(3, 1),

@@ -41,15 +41,18 @@ from oracle import (
     regular_ayd_by_conjugation,
     regular_module,
     ribbon_identity_by_matrices,
+    ribbon_identity_by_terms,
     right_mult_operator,
     run_script,
     sigma_diagonals_by_mu,
     to_uqsl2,
     trivial_ayd_module,
+    twisted_psi_v0,
     typed_entries,
     typed_terms,
     verify_module,
     w_by_product,
+    w_terms,
 )
 
 DATA_DIR = pathlib.Path(bhl.__file__).parent / "data"
@@ -550,7 +553,7 @@ def test_twisted_psi_matches_the_direct_substitution(monkeypatch, p):
     R = ribbon_element(p)
     psi0 = ayd._psi_v0(p, R)
     for mu in range(p):
-        got = ayd._twisted_psi_v0(psi0, p, mu)
+        got = twisted_psi_v0(psi0, p, mu)
         assert typed_terms(got) == typed_terms(
             psi_v0_by_substitution(d_a_mu(p, mu), R).terms), mu
 
@@ -562,8 +565,29 @@ def test_w_terms_match_the_product(monkeypatch, p):
     # d_a_mu(p, mu), term by term, by type and repr
     monkeypatch.setenv("BHL_DIM_GUARD", "2000")
     for mu in range(p):
-        assert typed_terms(ayd._w_terms(p, mu)) == \
+        assert typed_terms(w_terms(p, mu)) == \
             typed_terms(w_by_product(p, mu)), mu
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_rank_one_table_matches_the_terms(monkeypatch, p):
+    # the element check on the rank-one table against w and pref phi_s(psi0)
+    # compared as dicts of terms, for every mu, check by check, witnesses
+    # included: with psi0 of d_a_mu(p, 0), of d_a_mu(p, 1) (the wrong mu),
+    # and with a term off the monomials z^j g^b x^j, under the prefactor
+    # and under the prefactor times xi
+    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
+    R, xi, real = ribbon_element(p), root_of_unity(p), ayd.ribbon_prefactor
+    good = ayd._psi_v0(p, R)
+    wrong = psi_v0_by_substitution(d_a_mu(p, 1), R).terms
+    for psi0 in (good, wrong, {**good, (1, 2, 0): xi}):
+        table = ayd._rank_one_table(p, psi0)
+        for shift in (1, xi):
+            monkeypatch.setattr(ayd, "ribbon_prefactor",
+                                lambda p, mu: real(p, mu) * shift)
+            for mu in range(p):
+                assert ayd._ribbon_identity(p, mu, R, psi0, table)[1] == \
+                    ribbon_identity_by_terms(p, mu, psi0, real(p, mu) * shift)
 
 
 def test_ribbon_family_substitutes_once(monkeypatch):

@@ -208,6 +208,32 @@ def test_hopf_builders_push_no_tensor_of_diagrams(monkeypatch):
     assert all_pass(verify_coproduct_powers(anyonic_hopf(5)))
 
 
+@pytest.mark.parametrize("build", [lambda: taft_hopf(3),
+                                   lambda: anyonic_hopf(5),
+                                   lambda: anyonic_hopf(5, 0)],
+                         ids=["taft(3)", "anyonic(5)", "anyonic(5, c=0)"])
+def test_battery_builds_one_identity_and_one_iota(monkeypatch, build):
+    # the identity of A and the inclusion iota of 1 and the generators are
+    # kept with the algebra: the battery builds each once and turns each
+    # into a diagram leaf once, however many laws compare on them
+    identities, real_identity = [], GradedMap.identity
+
+    def identity(V):
+        identities.append(V.dim)
+        return real_identity(V)
+
+    monkeypatch.setattr(GradedMap, "identity", staticmethod(identity))
+    H = build()
+    A = H.algebra
+    checks = verify_bialgebra(H) + verify_antipode(H)
+    iota = A._rows[0]
+    assert identities.count(A.dim) == 1
+    assert A.generator_rows()[0] is iota and iota._leaf is not None
+    assert A.identity_map() is A.identity_map()
+    assert A.identity_map()._leaf is not None
+    assert checks
+
+
 def test_taft_battery_at_p11_lists_no_product_or_braiding_matrix():
     # m and tau are diagram leaves that compute a column when it is read,
     # and Delta is built through them; with m's 121 x 121^2 matrix, its
