@@ -614,22 +614,6 @@ class PresentedAlgebra(FiniteDimAlgebra):
             memo[mono] = hit
         return hit
 
-    def normal_form(self, word):
-        """Normalize a word of (generator name or index, integer exponent) pairs."""
-        coeff, runs = 1, []
-        for g, e in word:
-            gi = g if isinstance(g, int) else self.pres.gens.index(g)
-            q, e = divmod(e, self.pres.bounds[gi])
-            rhs = self.pres.power_rhs[gi]
-            if q < 0 and not rhs:
-                raise ValueError(
-                    "negative exponent on nilpotent generator %r"
-                    % self.pres.gens[gi])
-            if q and rhs != 1:
-                coeff = coeff * rhs ** q
-            runs.append((gi, e))
-        return AlgebraElement(self, self._apply(runs, {self.unit_mono: coeff}))
-
     def _pair_product_raw(self, ma, mb):
         return self._apply([(i, e) for i, e in enumerate(ma) if e], {mb: 1})
 

@@ -288,13 +288,25 @@ def _ribbon_centrality(R):
     """ribbon_centrality_checks, given R = ribbon_element(p)."""
     U, checks = R.v_0.algebra, []
     for name, el in U.generators():
-        lhs, rhs = R.v_0 * el, el * R.v_0
+        lhs, rhs = _times_generator(R.v_0, el), el * R.v_0
         checks.append(check("v0_commutes_with_%s" % name, lhs == rhs,
                             witnesses=None if lhs == rhs else [{
                                 "generator": name,
                                 "difference": repr(lhs - rhs)}]))
     checks.append(_u_K_invertible(U, R.u_K))
     return checks
+
+
+def _times_generator(v, g):
+    """v * g for a generator g, summed over the right products m * g of
+    the monomials m of v (_right_products): one generator action per term,
+    where multiply would keep each pair (m, g) in the pair cache."""
+    (gm,) = g.terms
+    right, terms = v.algebra._right_products(gm), {}
+    for m, c in v.terms.items():
+        for mo, s in right(m).items():
+            terms[mo] = terms.get(mo, 0) + c * s
+    return v.algebra.element({m: c for m, c in terms.items() if c})
 
 
 def _u_K_invertible(U, u_K):

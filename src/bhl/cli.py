@@ -6,9 +6,10 @@ Exit status: 0 when nothing failed, 1 when at least one check failed (or,
 under ``--strict``, when anything was skipped), 2 for usage errors.
 
 The check producers below are shared by the subcommands and the acceptance
-battery.  ``build_parser`` is the one list of subcommands (``bhl -h``
-prints it): each leaf subparser carries its handler, args -> (params,
-checks).  ``CRITERIA`` is the one table of acceptance criteria, read by
+battery.  ``COMMANDS`` is the one table of subcommands (``bhl -h`` prints
+it), each leaf with its handler, args -> (params, checks); a call builds
+only the parsers on the path to the leaf it names (``build_parser``).
+``CRITERIA`` is the one table of acceptance criteria, read by
 ``bhl suite`` and ``tests/test_acceptance.py``: entries (number, slug, run)
 with run(p) -> checks, built from steps (parameter values, producer, ...).
 """
@@ -561,7 +562,7 @@ def suite_checks(pf=None):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing: each leaf subcommand carries its handler
+# argument parsing: one table of commands, each leaf with its handler
 # args -> (params, checks)
 
 def _read_text(path):
@@ -593,107 +594,103 @@ def _verify_ayd(args):
              "module": args.module}, checks)
 
 
-def build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_P = _arg("--p", type=int, default=3)
+_MU = _arg("--mu", type=int, default=None,
+           help="single parameter value (default: all residues)")
+_CHI = _arg("--chi", type=int, default=1,
+            help="bicharacter exponent (default 1)")
+
+# every leaf takes these, after -h and before its own arguments
+COMMON = (
+    _arg("--format", choices=("text", "json"), default="text",
+         help="report rendering (default: text)"),
+    _arg("--strict", action="store_true",
+         help="treat skipped checks as failures"),
+)
+
+# (command words, help, arguments, handler); a group has no handler and
+# comes before its leaves, and the order is the order of the choices
+COMMANDS = (
+    (("verify",), "run one verification batch", (), None),
+    (("verify", "hopf-axioms"), "bialgebra and antipode axioms",
+     (_arg("--p", type=int, default=3, help="order of the grading"), _CHI),
+     lambda a: ({"p": a.p, "chi": a.chi},
+                anyonic_hopf_checks(a.p, a.chi) + taft_hopf_checks(a.p))),
+    (("verify", "dual-algebra"),
+     "dual of the anyonic line and its presentation", (_P,),
+     lambda a: ({"p": a.p}, dual_algebra_checks(a.p))),
+    (("verify", "uqsl2-iso"), "identification with the small quantum group",
+     (_P, _MU), lambda a: ({"p": a.p, "mu": a.mu}, uqsl2_iso_checks(
+         a.p, _one(a.mu)) + coproduct_power_checks(a.p))),
+    (("verify", "ribbon"), "ribbon element identities",
+     (_P, _arg("--mu", type=int, default=None,
+               help="single parameter value (default: whole family)")),
+     lambda a: ({"p": a.p, "mu": a.mu}, ribbon_checks(a.p, a.mu))),
+    (("verify", "ayd"), "anti-Yetter-Drinfeld module axioms",
+     (_arg("--p", type=int, default=None, help="default 3"),
+      _arg("--mu", type=int, default=None, help="default 0"),
+      _arg("--module", metavar="FILE", default=None,
+           help="JSON module description to verify instead of the "
+                "built-in regular module; it fixes p and mu")),
+     _verify_ayd),
+    (("stable-dim",), "kernel stabilization of the anti-twist operator",
+     (_P, _MU),
+     lambda a: ({"p": a.p, "mu": a.mu}, stable_dim_checks(a.p, _one(a.mu)))),
+    (("decompose",), "decomposition tables", (), None),
+    (("decompose", "vec-g"), "braided and stable classes of graded lines",
+     (_arg("--n", type=int, required=True, help="order of the grading"), _CHI),
+     lambda a: ({"n": a.n, "chi": a.chi}, vecg_checks(a.n, a.chi))),
+    (("decompose", "rep-g"), "conjugacy classes from a Cayley table",
+     (_arg("--cayley", metavar="FILE", required=True,
+           help="JSON file holding the multiplication table"),),
+     lambda a: ({"cayley": a.cayley}, repg_checks(_read_json(a.cayley)))),
+    (("dsl",), "diagram script tools", (), None),
+    (("dsl", "check"), "type-check and evaluate a diagram script",
+     (_arg("file", metavar="FILE", help="script to check"),
+      _arg("--n", type=int, default=3, help="order of the grading"),
+      _arg("--chi", type=int, default=1),
+      _arg("--mu", type=int, default=0,
+           help="anti-twist parameter (default 0)")),
+     lambda a: ({"file": a.file, "n": a.n, "chi": a.chi, "mu": a.mu},
+                dsl_script_checks(_read_text(a.file), a.n, a.chi, a.mu))),
+    (("suite",), "run the acceptance battery",
+     (_arg("--p", type=int, default=None,
+           help="restrict every criterion to one parameter value"),),
+     lambda a: ({"p": a.p}, suite_checks(a.p))),
+)
+LEAVES = {path for path, *_, run in COMMANDS if run is not None}
+
+
+def build_parser(argv=()):
+    """The parsers of COMMANDS on the path to the leaf that argv's command
+    words name (argv[0], and argv[1] under a group), or all of them when
+    they name none.  A pruned level takes its full choices as metavar, so
+    usage reads as in the full tree; the full tree keeps the default, as
+    argparse names a positional by its metavar in errors."""
+    leaf = next((w for w in (tuple(argv[:1]), tuple(argv[:2]))
+                 if w in LEAVES), None)
     parser = argparse.ArgumentParser(
         prog="bhl",
         description="exact checks for braided Hopf-algebra structures")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report rendering (default: text)")
-    common.add_argument("--strict", action="store_true",
-                        help="treat skipped checks as failures")
-
-    verify = sub.add_parser("verify", help="run one verification batch")
-    vsub = verify.add_subparsers(dest="what", required=True)
-
-    v = vsub.add_parser("hopf-axioms", parents=[common],
-                        help="bialgebra and antipode axioms")
-    v.add_argument("--p", type=int, default=3, help="order of the grading")
-    v.add_argument("--chi", type=int, default=1,
-                   help="bicharacter exponent (default 1)")
-    v.set_defaults(run=lambda a: (
-        {"p": a.p, "chi": a.chi},
-        anyonic_hopf_checks(a.p, a.chi) + taft_hopf_checks(a.p)))
-
-    v = vsub.add_parser("dual-algebra", parents=[common],
-                        help="dual of the anyonic line and its presentation")
-    v.add_argument("--p", type=int, default=3)
-    v.set_defaults(run=lambda a: ({"p": a.p}, dual_algebra_checks(a.p)))
-
-    v = vsub.add_parser("uqsl2-iso", parents=[common],
-                        help="identification with the small quantum group")
-    v.add_argument("--p", type=int, default=3)
-    v.add_argument("--mu", type=int, default=None,
-                   help="single parameter value (default: all residues)")
-    v.set_defaults(run=lambda a: (
-        {"p": a.p, "mu": a.mu},
-        uqsl2_iso_checks(a.p, _one(a.mu)) + coproduct_power_checks(a.p)))
-
-    v = vsub.add_parser("ribbon", parents=[common],
-                        help="ribbon element identities")
-    v.add_argument("--p", type=int, default=3)
-    v.add_argument("--mu", type=int, default=None,
-                   help="single parameter value (default: whole family)")
-    v.set_defaults(run=lambda a: ({"p": a.p, "mu": a.mu},
-                                  ribbon_checks(a.p, a.mu)))
-
-    v = vsub.add_parser("ayd", parents=[common],
-                        help="anti-Yetter-Drinfeld module axioms")
-    v.add_argument("--p", type=int, default=None, help="default 3")
-    v.add_argument("--mu", type=int, default=None, help="default 0")
-    v.add_argument("--module", metavar="FILE", default=None,
-                   help="JSON module description to verify instead of the "
-                        "built-in regular module; it fixes p and mu")
-    v.set_defaults(run=_verify_ayd)
-
-    v = sub.add_parser("stable-dim", parents=[common],
-                       help="kernel stabilization of the anti-twist operator")
-    v.add_argument("--p", type=int, default=3)
-    v.add_argument("--mu", type=int, default=None,
-                   help="single parameter value (default: all residues)")
-    v.set_defaults(run=lambda a: ({"p": a.p, "mu": a.mu},
-                                  stable_dim_checks(a.p, _one(a.mu))))
-
-    dec = sub.add_parser("decompose", help="decomposition tables")
-    dsub = dec.add_subparsers(dest="what", required=True)
-
-    v = dsub.add_parser("vec-g", parents=[common],
-                        help="braided and stable classes of graded lines")
-    v.add_argument("--n", type=int, required=True, help="order of the grading")
-    v.add_argument("--chi", type=int, default=1,
-                   help="bicharacter exponent (default 1)")
-    v.set_defaults(run=lambda a: ({"n": a.n, "chi": a.chi},
-                                  vecg_checks(a.n, a.chi)))
-
-    v = dsub.add_parser("rep-g", parents=[common],
-                        help="conjugacy classes from a Cayley table")
-    v.add_argument("--cayley", metavar="FILE", required=True,
-                   help="JSON file holding the multiplication table")
-    v.set_defaults(run=lambda a: ({"cayley": a.cayley},
-                                  repg_checks(_read_json(a.cayley))))
-
-    dsl = sub.add_parser("dsl", help="diagram script tools")
-    dslsub = dsl.add_subparsers(dest="what", required=True)
-
-    v = dslsub.add_parser("check", parents=[common],
-                          help="type-check and evaluate a diagram script")
-    v.add_argument("file", metavar="FILE", help="script to check")
-    v.add_argument("--n", type=int, default=3, help="order of the grading")
-    v.add_argument("--chi", type=int, default=1)
-    v.add_argument("--mu", type=int, default=0,
-                   help="anti-twist parameter (default 0)")
-    v.set_defaults(run=lambda a: (
-        {"file": a.file, "n": a.n, "chi": a.chi, "mu": a.mu},
-        dsl_script_checks(_read_text(a.file), a.n, a.chi, a.mu)))
-
-    v = sub.add_parser("suite", parents=[common],
-                       help="run the acceptance battery")
-    v.add_argument("--p", type=int, default=None,
-                   help="restrict every criterion to one parameter value")
-    v.set_defaults(run=lambda a: ({"p": a.p}, suite_checks(a.p)))
-
+    parsers, actions = {(): parser}, {}
+    for path, text, arguments, run in COMMANDS:
+        if leaf is not None and leaf[:len(path)] != path:
+            continue
+        group = path[:-1]
+        if group not in actions:
+            actions[group] = parsers[group].add_subparsers(
+                dest="what" if group else "command", required=True,
+                metavar=None if leaf is None else "{%s}" % ",".join(
+                    w[-1] for w, *_ in COMMANDS if w[:-1] == group))
+        sub = parsers[path] = actions[group].add_parser(path[-1], help=text)
+        if run is not None:
+            for flags, kwargs in COMMON + arguments:
+                sub.add_argument(*flags, **kwargs)
+            sub.set_defaults(run=run)
     return parser
 
 
@@ -726,7 +723,8 @@ def main(argv=None):
     if hasattr(sys, "set_int_max_str_digits"):
         # scalars are exact: an int of any length reads and prints in full
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     started = time.monotonic()
     try:
         _validate(args)

@@ -114,12 +114,6 @@ class GradedSpace:
     def dim(self):
         return len(self.degrees)
 
-    def dims_by_degree(self):
-        out = [0] * self.N
-        for d in self.degrees:
-            out[d] += 1
-        return tuple(out)
-
     def __eq__(self, other):
         # labels are bookkeeping only: I (x) V and V agree on the nose
         if not isinstance(other, GradedSpace):
@@ -268,9 +262,6 @@ class GradedMap:
 
     def rank(self):
         return self.mat.rank()
-
-    def is_invertible(self):
-        return self.source.dim == self.target.dim and self.mat.rank() == self.source.dim
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):

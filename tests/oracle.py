@@ -53,7 +53,10 @@ one table per p.  run_script runs the
 table scripts under scripts/, themselves independent routes.  The
 braiding is an explicit matrix on the listed bases of V (x) W and
 W (x) V (braiding_matrix), rather than a diagram leaf that computes each
-column when it is read.
+column when it is read.  Three readers of results live here too, as
+bhl never calls them: the normal form of a word (normal_form), the
+dimension of each degree of a graded space and whether a graded map is
+invertible.
 """
 
 import math
@@ -390,6 +393,19 @@ def braided_module_E(X, M, sigma, chi):
             diag.append(chi.omega(a, i).inverse() * sa)
     XM = tensor(X, M)
     return GradedMap(XM, XM, Mat.diagonal(diag))
+
+
+def dims_by_degree(V):
+    """The dimension of each degree of the graded space V, in degree order."""
+    out = [0] * V.N
+    for d in V.degrees:
+        out[d] += 1
+    return tuple(out)
+
+
+def is_invertible(f):
+    """Whether the GradedMap f is invertible: square, of full rank."""
+    return f.source.dim == f.target.dim and f.mat.rank() == f.source.dim
 
 
 def inverse(f):
@@ -789,8 +805,26 @@ def pair_product_by_rescan(A, ma, mb):
     return normalize_by_rescan(A, 1, runs)
 
 
+def normal_form(A, word):
+    """A word of (generator name or index, integer exponent) pairs in
+    normal form, by A's generator actions (PresentedAlgebra._apply): each
+    exponent is first reduced below its bound by the power rule."""
+    coeff, runs = 1, []
+    for g, e in word:
+        gi = g if isinstance(g, int) else A.pres.gens.index(g)
+        q, e = divmod(e, A.pres.bounds[gi])
+        rhs = A.pres.power_rhs[gi]
+        if q < 0 and not rhs:
+            raise ValueError("negative exponent on nilpotent generator %r"
+                             % A.pres.gens[gi])
+        if q and rhs != 1:
+            coeff = coeff * rhs ** q
+        runs.append((gi, e))
+    return A.element(A._apply(runs, {A.unit_mono: coeff}))
+
+
 def normal_form_by_rescan(A, word):
-    """PresentedAlgebra.normal_form by normalize_by_rescan."""
+    """normal_form by normalize_by_rescan."""
     coeff = 1
     runs = []
     for g, e in word:

@@ -39,6 +39,7 @@ from oracle import (
     kernel_dims,
     leaf_entries,
     mult_map_by_pairs,
+    normal_form,
     normal_form_by_rescan,
     pair_product_by_rescan,
     typed_entries,
@@ -77,12 +78,12 @@ def test_taft_normal_forms():
     assert g ** p == A.unit()
     assert x ** p == A.zero()
     # negative exponents only on invertible generators
-    assert A.normal_form([("g", -2)]) == g ** (p - 2)
+    assert normal_form(A, [("g", -2)]) == g ** (p - 2)
     with pytest.raises(ValueError):
-        A.normal_form([("x", -1)])
+        normal_form(A, [("x", -1)])
     # a power past the bound is reduced, not applied letter by letter
-    assert A.normal_form([("g", p * 10 ** 12 + 1), ("x", 1)]) == g * x
-    assert A.normal_form([("x", 10 ** 12)]) == A.zero()
+    assert normal_form(A, [("g", p * 10 ** 12 + 1), ("x", 1)]) == g * x
+    assert normal_form(A, [("x", 10 ** 12)]) == A.zero()
     A2 = taft(2)
     assert A2.gen("x") ** 2 == A2.zero()  # Sweedler case
 
@@ -311,7 +312,7 @@ def test_normal_form_matches_rescan(make):
         word = [(name if rng.random() < 0.5 else gi, exponent(gi, bound))
                 for _ in range(2)
                 for gi, (name, bound) in enumerate(zip(pres.gens, pres.bounds))]
-        assert typed_terms(A.normal_form(word).terms) == \
+        assert typed_terms(normal_form(A, word).terms) == \
             typed_terms(normal_form_by_rescan(A, word)), word
         # any word, with exponents past the bounds, by value: the two
         # routes rewrite in different orders, so a coefficient that one of
@@ -319,7 +320,7 @@ def test_normal_form_matches_rescan(make):
         word = [(gi, exponent(gi, pres.bounds[gi] + 2))
                 for gi in (rng.randrange(len(pres.gens))
                            for _ in range(rng.randint(0, 6)))]
-        assert A.normal_form(word).terms == normal_form_by_rescan(A, word), word
+        assert normal_form(A, word).terms == normal_form_by_rescan(A, word), word
 
 
 def skew_line(s_a, s_b, r, extra=()):

@@ -37,6 +37,8 @@ from oracle import (
     AlgebraModule,
     act_matrix_by_sums,
     as_module,
+    dims_by_degree,
+    is_invertible,
     psi_v0_by_substitution,
     regular_ayd_by_conjugation,
     regular_module,
@@ -102,9 +104,9 @@ def test_regular_rep_is_a_module_over_the_presented_algebra(mu):
 
 def test_regular_rep_grading_dimensions():
     M = regular_ayd_module(2, 1)
-    assert M.space.dims_by_degree() == (4, 4)
+    assert dims_by_degree(M.space) == (4, 4)
     M3 = regular_ayd_module(3, 0)
-    assert M3.space.dims_by_degree() == (9, 9, 9)
+    assert dims_by_degree(M3.space) == (9, 9, 9)
 
 
 def test_eigenbasis_conjugates_left_multiplication():
@@ -171,7 +173,7 @@ def test_sigma_invertible_and_central(p, mu):
     M = regular_ayd_module(p, mu)
     s = varsigma_H(M)
     assert s.shift == 0
-    assert s.is_invertible()
+    assert is_invertible(s)
     assert s @ M.xop == M.xop @ s
     assert s @ M.zop == M.zop @ s
 
@@ -284,7 +286,7 @@ def sample_module():
 def test_sigma_of_other_modules_is_invertible_and_commutes(M):
     s = varsigma_H(M)
     assert s.shift == 0
-    assert s.is_invertible()
+    assert is_invertible(s)
     assert s @ M.xop == M.xop @ s
     assert s @ M.zop == M.zop @ s
 
@@ -469,6 +471,26 @@ def test_prefactor_scalar_route_reads_K_u_K(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_ribbon_element_is_central(p):
     assert all_pass(ribbon_centrality_checks(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_times_generator_matches_multiply(p):
+    # v_0 * g by the right products of g, against multiply through the
+    # pair cache, by type and repr; also on v_0 + F*K, which is not central
+    R = ribbon_element(p)
+    U = R.v_0.algebra
+    for v in (R.v_0, R.v_0 + U.gen("F") * U.gen("K")):
+        for name, g in U.generators():
+            assert typed_terms(ayd._times_generator(v, g).terms) == \
+                typed_terms(U.multiply(v, g).terms), name
+
+
+def test_ribbon_centrality_fails_with_a_witness_off_the_center():
+    R = ribbon_element(3)
+    F = R.v_0.algebra.gen("F")
+    checks = ayd._ribbon_centrality(R.replace(v_0=R.v_0 + F))
+    assert [c["status"] for c in checks] == [PASS, FAIL, FAIL, PASS]
+    assert checks[1]["witnesses"][0]["generator"] == "K"
 
 
 def count_ranks(monkeypatch):
@@ -837,7 +859,7 @@ def test_sample_module_file_verifies():
     M = ayd_module_from_json(data)
     assert (M.p, M.mu, M.dim) == (3, 1, 3)
     assert all_pass(verify_ayd(M))
-    assert varsigma_H(M).is_invertible()
+    assert is_invertible(varsigma_H(M))
 
 
 def test_module_json_roundtrip():

@@ -5,6 +5,7 @@ exit codes, both output formats, schema conformance of the JSON reports,
 and the skip/strict behavior around the dimension guard.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -431,6 +432,55 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def parse_outcome(parser, argv):
+    """(stdout, stderr, exit code) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv", [
+    list(path) + ["--help"] for path in [()] + [p for p, *_ in cli.COMMANDS]
+] + [
+    ["bogus"],
+    ["verify", "bogus"],
+    ["suite", "--p", "3", "--seed", "7"],
+    ["verify", "hopf-axioms", "--p", "x"],
+    ["decompose", "vec-g"],
+    ["dsl", "check"],
+], ids=" ".join)
+def test_the_pruned_walk_prints_as_the_full_tree(argv):
+    # help on stdout with exit 0, or a usage error on stderr with exit 2
+    pruned = parse_outcome(cli.build_parser(argv), argv)
+    assert pruned == parse_outcome(cli.build_parser(), argv)
+    out, err, code = pruned
+    assert (out if code == 0 else err).startswith("usage: bhl")
+    assert code in (0, 2) and not (out and err)
+
+
+def test_a_leaf_call_builds_only_its_branch(monkeypatch, capsys):
+    # the top-level parser, the decompose group and its vec-g leaf; the
+    # full tree has 14
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["decompose", "vec-g", "--n", "5", "--format", "json"]) == 0
+    assert built == ["bhl", "bhl decompose", "bhl decompose vec-g"]
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 14
+
+
 def test_json_reports_are_deterministic(capsys):
     def snapshot():
         _, report = run_json(["decompose", "vec-g", "--n", "5"], capsys)
@@ -452,7 +502,11 @@ def test_seed_option_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "--p", "3", "--seed", "7"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 7" in err
+    # the suite branch alone is built, and the usage line names every command
+    assert err.startswith(
+        "usage: bhl [-h] {verify,stable-dim,decompose,dsl,suite} ...\n")
 
 
 def test_repg_table_of_the_wrong_shape_fails_with_a_witness(tmp_path,
