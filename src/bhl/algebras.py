@@ -68,7 +68,7 @@ from .graded import (GradedMap, GradedSpace, diagram, first_difference,
                      homogeneity_error, pair_leaf, tensor_diagram)
 from .record import Record
 from .report import FAIL, PASS, check, map_check
-from .scalars import format_scalar, power, q_binomial, root_of_unity
+from .scalars import format_scalar, power, q_binomials, root_of_unity
 
 DEFAULT_DIM_GUARD = 350
 
@@ -826,11 +826,12 @@ def dual_anyonic(p):
     _require_prime(p)
     xi = root_of_unity(p)
     basis = tuple(range(p))
+    binomials = q_binomials(p - 1, xi)
 
     def rule(i, j):
         if i + j >= p:
             return {}
-        return {i + j: root_of_unity(p, -i * j) * q_binomial(i + j, i, xi)}
+        return {i + j: root_of_unity(p, -i * j) * binomials[i + j][i]}
 
     A = StructureConstantAlgebra(
         signature=("dual_anyonic", p), N=p,

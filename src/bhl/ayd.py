@@ -54,8 +54,9 @@ from .scalars import (
     balanced_q_int,
     format_scalar,
     gauss_sum,
+    inverse_factorials,
     parse_scalar,
-    q_factorial,
+    q_int,
     root_of_unity,
 )
 
@@ -131,10 +132,10 @@ def varsigma_H(M):
 @lru_cache(maxsize=None)
 def _series_coefficients(p):
     """c_j = xi^{(j-1)j/2}/(j)_xi! for j < p, the coefficients of the series
-    sum_j c_j z^j x^j behind varsigma."""
+    sum_j c_j z^j x^j behind varsigma, with one inverse for all j."""
     xi = root_of_unity(p)
-    return (1,) + tuple(xi ** ((j - 1) * j // 2) * q_factorial(j, xi).inverse()
-                        for j in range(1, p))
+    inv = inverse_factorials([q_int(j, xi) for j in range(1, p)])
+    return (1,) + tuple(xi ** ((j - 1) * j // 2) * inv[j] for j in range(1, p))
 
 
 def _sigma_diagonals(p, mu):
@@ -268,12 +269,9 @@ def ribbon_element(p):
     for i in range(p):
         u_K = u_K + q ** (m * i * i) * K ** i
     u_K = gs.inverse() * u_K
-    u_0, factorial = U.zero(), q ** 0  # [j]_q!, carried from j - 1
-    for j in range(p):
-        if j:
-            factorial = factorial * balanced_q_int(j, q)
-        coeff = q ** (((j + 3) * j) // 2) * factorial.inverse()
-        u_0 = u_0 + coeff * (K ** j * F ** j * E ** j)
+    inv = inverse_factorials([balanced_q_int(j, q) for j in range(1, p)])
+    u_0 = sum((q ** ((j + 3) * j // 2) * inv[j] * (K ** j * F ** j * E ** j)
+               for j in range(p)), U.zero())  # inv[j] = 1/[j]_q!
     K_u_K = K * u_K
     return RibbonData(p=p, m=m, q=q, u_K=u_K, u_0=u_0, v_0=K_u_K * u_0,
                       K_u_K=K_u_K)

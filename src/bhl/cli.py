@@ -15,6 +15,7 @@ with run(p) -> checks, built from steps (parameter values, producer, ...).
 """
 
 import argparse
+import functools
 import json
 import os
 import pathlib
@@ -372,12 +373,12 @@ def repg_checks(data):
     ]
 
 
-def dsl_script_checks(text, N, c, mu):
+def dsl_script_checks(text, N, c, mu, hopf=anyonic_hopf):
     """One check per assertion; a script that does not load fails "script
     loads", and one that trips the size guard is one SKIP."""
     def run():
         try:
-            return check_text(text, Environment.build(N, c, mu))
+            return check_text(text, Environment.build(N, c, mu, hopf))
         except DslError as exc:
             return [check("script loads", False,
                           witnesses=[{"error": str(exc)}])]
@@ -389,9 +390,10 @@ def dsl_corpus_checks():
     paths = sorted(CORPUS_DIR.glob("*.bdsl"))
     if not paths:
         raise UsageError("no DSL corpus scripts (*.bdsl) in %s" % CORPUS_DIR)
-    checks = []
+    # one Hopf structure for all scripts; a build past the guard is not kept
+    hopf, checks = functools.lru_cache(anyonic_hopf), []
     for path in paths:
-        sub = dsl_script_checks(_read_text(path), N, c, mu)
+        sub = dsl_script_checks(_read_text(path), N, c, mu, hopf)
         if has_skip(sub):
             checks += prefixed("corpus %s: " % path.stem, sub)
         elif path.stem == "negative_control":

@@ -357,13 +357,13 @@ class Environment:
         self.gens = {}
 
     @staticmethod
-    def build(N, c=1, mu=0):
-        """When N is prime and gcd(c, N) = 1, the Hopf structure of the
-        anyonic line is preloaded: object H with generators m, u, Delta,
-        eps, S."""
+    def build(N, c=1, mu=0, hopf=anyonic_hopf):
+        """When N is prime and gcd(c, N) = 1, the anyonic line's Hopf
+        structure hopf(N, c mod N) is preloaded: object H with generators
+        m, u, Delta, eps, S."""
         env = Environment(N, c, mu)
         if is_prime(N) and c % N:
-            H = anyonic_hopf(N, c % N)
+            H = hopf(N, c % N)
             env.objects["H"] = H.space
             env.gens.update(m=H.m, u=H.u, Delta=H.Delta, eps=H.eps, S=H.S)
         return env

@@ -108,7 +108,7 @@ from .graded import (
     tensor_diagram,
 )
 from .report import FAIL, PASS, check, column_entries, map_check
-from .scalars import q_binomial
+from .scalars import q_binomials
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +447,13 @@ def verify_antipode(H):
 
 def coproduct_power(H, n):
     """The closed form Delta(x^n) = sum_i binom(n,i)_xi x^i (x) x^{n-i}, as
-    a column of V (x) V.
+    a column of V (x) V, with row n of q_binomials.
 
     Only meaningful for the anyonic line; verify_coproduct_powers compares
     it with the n-fold product of Delta(x) in the braided square.
     """
-    xi, A = H.chi.chi(1, 1), H.algebra
-    return _tensor_column(*((q_binomial(n, i, xi) * A.element({(i,): 1}),
+    A, row = H.algebra, q_binomials(n, H.chi.chi(1, 1))[n]
+    return _tensor_column(*((row[i] * A.element({(i,): 1}),
                              A.element({(n - i,): 1})) for i in range(n + 1)))
 
 

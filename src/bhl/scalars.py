@@ -25,9 +25,9 @@ x*y rational.  The conjugate sigma_-1(x) alone does for c*zeta^k, and
 every other element takes the product over all conjugates but x, so that
 x*y is the norm of x.
 
-Also provides the q-combinatorics used throughout: q-integers (n)_xi,
-q-factorials, Gaussian binomials, the balanced quantum integers [n]_q, and
-quadratic Gauss sums.
+Also provides the q-combinatorics used throughout, with no division per
+coefficient: q-integers (n)_xi, q-factorials, Gaussian binomials from one
+q-Pascal table, inverse factorials from one inverse, [n]_q, Gauss sums.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import gcd, prod
 
 
 class OrderMismatchError(ValueError):
@@ -433,28 +434,46 @@ def in_field(value, order: int) -> bool:
 
 
 def q_int(n: int, xi):
-    """(n)_xi = 1 + xi + ... + xi^(n-1)."""
+    """(n)_xi = 1 + xi + ... + xi^(n-1), with a running term xi^i."""
     if n < 0:
         raise ValueError("q_int needs n >= 0")
-    total = xi ** 0 * 0
-    for i in range(n):
-        total = total + xi ** i
+    total, term = xi ** 0 * 0, xi ** 0
+    for _ in range(n):
+        total, term = total + term, term * xi
     return total
 
 
 def q_factorial(n: int, xi):
-    """(n)_xi! = (n)_xi (n-1)_xi ... (1)_xi, empty product for n = 0."""
-    total = xi ** 0
-    for i in range(1, n + 1):
-        total = total * q_int(i, xi)
+    """(n)_xi! = (n)_xi ... (1)_xi, a running product of running sums."""
+    total, factor, term = xi ** 0, xi ** 0 * 0, xi ** 0
+    for _ in range(n):
+        factor, term = factor + term, term * xi
+        total = total * factor
     return total
 
 
+def q_binomials(n: int, xi):
+    """Rows m <= n of the Gaussian binomials (m k)_xi, k <= m, by q-Pascal:
+    (m k)_xi = (m-1 k-1)_xi + xi^k (m-1 k)_xi (Kac and Cheung, ch. 6), with
+    no division, so also for m >= ord xi, where q-Lucas gives them."""
+    rows, powers = [[xi ** 0]], [xi ** 0]
+    for _ in range(n):  # row m from row m - 1, padded by a 0 at each end
+        powers.append(powers[-1] * xi)
+        rows.append([a + x * b for a, x, b in
+                     zip([0] + rows[-1], powers, rows[-1] + [0])])
+    return rows
+
+
 def q_binomial(n: int, k: int, xi):
-    """Gaussian binomial (n choose k)_xi via factorials."""
-    if not 0 <= k <= n:
-        return xi ** 0 * 0
-    return q_factorial(n, xi) / (q_factorial(k, xi) * q_factorial(n - k, xi))
+    """(n choose k)_xi from q_binomials; zero unless 0 <= k <= n."""
+    return q_binomials(n, xi)[n][k] if 0 <= k <= n else xi ** 0 * 0
+
+
+def inverse_factorials(factors):
+    """[1/(f_1 ... f_j) for j = 0..n] of n >= 1 nonzero factors, from the
+    one inverse of f_1 ... f_n: 1/(f_1 ... f_(j-1)) = f_j/(f_1 ... f_j)."""
+    return list(accumulate(reversed(factors), operator.mul,
+                           initial=prod(factors).inverse()))[::-1]
 
 
 def balanced_q_int(n: int, q):
@@ -513,9 +532,10 @@ def gauss_sum(p: int, q, m: int):
 
 POWER_BITS = 1 << 20
 
-_SKIP = (re.compile(r"\s*"), re.compile(r"(?:[ \t\r\n]+|#.*)*"))
-_TOKEN = re.compile(
-    r"(?P<int>\d+)|(?P<name>\w+)|(?P<sym>->|==|[-={}()\[\],;:*^+/])")
+# the separators of a lone scalar or of a script (group 1), then any token
+_TOKENS = tuple(re.compile(
+    r"(%s)(?:(?P<int>\d+)|(?P<name>\w+)|(?P<sym>->|==|[-={}()\[\],;:*^+/]))?"
+    % skip) for skip in (r"\s*", r"(?:[ \t\r\n]+|#.*)*"))
 
 
 class ParseError(ValueError):
@@ -541,10 +561,10 @@ def tokenize(text, script=False):
     token raises ParseError.  script selects the separators of a diagram
     script (see above) instead of those of a lone scalar.
     """
-    skip = _SKIP[script]
+    pattern = _TOKENS[script]
     tokens, line, start, i = [], 1, 0, 0
     while True:
-        j = skip.match(text, i).end()
+        j = (m := pattern.match(text, i)).end(1)
         breaks = text.count("\n", i, j)
         if breaks:
             line += breaks
@@ -553,11 +573,10 @@ def tokenize(text, script=False):
         if j == len(text):
             tokens.append(("eof", "", line, col))
             return tokens
-        m = _TOKEN.match(text, j)
-        ch = text[j]
-        if m is None or m.lastgroup == "name" and not (ch.isalpha() or ch == "_"):
+        kind, ch = m.lastgroup, text[j]
+        if kind is None or kind == "name" and not (ch.isalpha() or ch == "_"):
             raise ParseError("unexpected character %r" % ch, line, col)
-        tokens.append((m.lastgroup, m.group(), line, col))
+        tokens.append((kind, m[kind], line, col))
         i = m.end()
 
 

@@ -56,12 +56,18 @@ W (x) V (braiding_matrix), rather than a diagram leaf that computes each
 column when it is read.  Three readers of results live here too, as
 bhl never calls them: the normal form of a word (normal_form), the
 dimension of each degree of a graded space and whether a graded map is
-invertible.
+invertible.  The q-combinatorics bhl.scalars computes by recurrences
+are here as they were first computed: (n)_xi as a sum of powers xi^i,
+(n)_xi! as a product of those, and Gaussian binomials as a quotient of
+three factorials (q_binomial_by_factorials), which divides by zero once
+n >= ord xi; and the tokenizer of bhl.scalars with two matches per token,
+one for the separators and one for the token (tokenize_by_two_matches).
 """
 
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -84,7 +90,7 @@ from bhl.graded import (
 )
 from bhl.hopf import braided_tensor_algebra, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, check, map_check
-from bhl.scalars import format_scalar, q_factorial, root_of_unity
+from bhl.scalars import ParseError, format_scalar, root_of_unity
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -257,7 +263,8 @@ def w_by_product(p, mu):
     than in closed form: P(g) = sum_b (1/p sum_i xi^{-i^2-mu i-ib}) g^b."""
     A = d_a_mu(p, mu)
     xi = root_of_unity(p)
-    coeffs = [1] + [xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
+    coeffs = [1] + [xi ** (((j - 1) * j) // 2)
+                    * q_factorial_by_powers(j, xi).inverse()
                     for j in range(1, p)]
     P = A.element({
         (0, b, 0): Fraction(1, p) * sum(root_of_unity(p, -i * i - mu * i - i * b)
@@ -544,7 +551,8 @@ def sigma_diagonals_by_mu(p, mu):
     (a)_xi (xi^{a-mu-2t} - 1) read at t, rather than from the one table per
     p indexed by u = mu + 2t; entries with a + d = p are the int 0."""
     xi = root_of_unity(p)
-    coeffs = [1] + [xi ** (((j - 1) * j) // 2) * q_factorial(j, xi).inverse()
+    coeffs = [1] + [xi ** (((j - 1) * j) // 2)
+                    * q_factorial_by_powers(j, xi).inverse()
                     for j in range(1, p)]
     raising = [root_of_unity(p, k) for k in range(p)]
     lowering = []
@@ -1030,3 +1038,58 @@ def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(SCRIPTS_DIR / name), *args],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def q_int_by_powers(n, xi):
+    """(n)_xi = 1 + xi + ... + xi^(n-1), each power taken afresh."""
+    if n < 0:
+        raise ValueError("q_int needs n >= 0")
+    total = xi ** 0 * 0
+    for i in range(n):
+        total = total + xi ** i
+    return total
+
+
+def q_factorial_by_powers(n, xi):
+    """(n)_xi! as the product of q_int_by_powers(i, xi), i = 1..n."""
+    total = xi ** 0
+    for i in range(1, n + 1):
+        total = total * q_int_by_powers(i, xi)
+    return total
+
+
+def q_binomial_by_factorials(n, k, xi):
+    """(n choose k)_xi = (n)_xi! / ((k)_xi! (n-k)_xi!), zero unless
+    0 <= k <= n; ZeroDivisionError once n >= ord xi > 1."""
+    if not 0 <= k <= n:
+        return xi ** 0 * 0
+    return q_factorial_by_powers(n, xi) / (q_factorial_by_powers(k, xi)
+                                           * q_factorial_by_powers(n - k, xi))
+
+
+_SKIPS = (re.compile(r"\s*"), re.compile(r"(?:[ \t\r\n]+|#.*)*"))
+_TOKEN = re.compile(
+    r"(?P<int>\d+)|(?P<name>\w+)|(?P<sym>->|==|[-={}()\[\],;:*^+/])")
+
+
+def tokenize_by_two_matches(text, script=False):
+    """bhl.scalars.tokenize with one match for the separators before each
+    token and a second one for the token."""
+    skip = _SKIPS[script]
+    tokens, line, start, i = [], 1, 0, 0
+    while True:
+        j = skip.match(text, i).end()
+        breaks = text.count("\n", i, j)
+        if breaks:
+            line += breaks
+            start = text.rindex("\n", i, j) + 1
+        col = j - start + 1
+        if j == len(text):
+            tokens.append(("eof", "", line, col))
+            return tokens
+        m = _TOKEN.match(text, j)
+        ch = text[j]
+        if m is None or m.lastgroup == "name" and not (ch.isalpha() or ch == "_"):
+            raise ParseError("unexpected character %r" % ch, line, col)
+        tokens.append((m.lastgroup, m.group(), line, col))
+        i = m.end()

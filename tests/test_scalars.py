@@ -1,7 +1,8 @@
 import operator
+import pathlib
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +30,20 @@ from bhl.scalars import (
     parse_scalar,
     power,
     q_binomial,
+    q_binomials,
     q_factorial,
     q_int,
     root_of_unity,
+    tokenize,
 )
+from oracle import (
+    q_binomial_by_factorials,
+    q_factorial_by_powers,
+    q_int_by_powers,
+    tokenize_by_two_matches,
+)
+
+CORPUS = pathlib.Path(bhl.scalars.__file__).parent / "corpus"
 
 
 def test_cyclotomic_polynomials_small():
@@ -116,13 +127,54 @@ def test_q_int_factorial_binomial():
     assert q_int(3, xi) == 1 + xi + xi ** 2
     assert q_factorial(0, xi) == 1
     assert q_factorial(5, xi) == 0  # contains (5)_xi = 0
-    # Pascal-type recursion: (n k)_xi = xi^k (n-1 k)_xi + (n-1 k-1)_xi
+    # Pascal-type recursion: (n k)_xi = xi^k (n-1 k)_xi + (n-1 k-1)_xi, on
+    # the factorial route that q_binomials is compared with below
+    binom = q_binomial_by_factorials
     for n in range(1, 5):
         for k in range(1, n):
-            lhs = q_binomial(n, k, xi)
-            rhs = xi ** k * q_binomial(n - 1, k, xi) + q_binomial(n - 1, k - 1, xi)
+            lhs = binom(n, k, xi)
+            rhs = xi ** k * binom(n - 1, k, xi) + binom(n - 1, k - 1, xi)
             assert lhs == rhs
     assert q_binomial(4, 2, root_of_unity(1)) == 6  # classical limit
+
+
+def _typed(x):
+    return type(x), repr(x)
+
+
+@pytest.mark.parametrize("order, top", [
+    (1, 9), (2, 2), (3, 3), (5, 5), (7, 7), (11, 11), (13, 13)])
+def test_q_combinatorics_match_the_factorial_route(order, top):
+    # the running sums and products and the q-Pascal table against powers
+    # and factorial quotients, by type and repr, for all n < top: every
+    # n < p at xi = zeta_p, and n < 9 at xi = 1, where no factorial vanishes
+    xi = root_of_unity(order)
+    rows = q_binomials(top - 1, xi)
+    assert [len(row) for row in rows] == list(range(1, top + 1))
+    for n in range(top):
+        assert _typed(q_int(n, xi)) == _typed(q_int_by_powers(n, xi))
+        assert _typed(q_factorial(n, xi)) == _typed(q_factorial_by_powers(n, xi))
+        for k in range(-1, n + 2):
+            want = _typed(q_binomial_by_factorials(n, k, xi))
+            assert _typed(q_binomial(n, k, xi)) == want, (n, k)
+            if 0 <= k <= n:
+                assert _typed(rows[n][k]) == want, (n, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_q_binomials_past_the_order_follow_q_lucas(p):
+    # q-Lucas (Desarmenien 1982): with n = n1 p + n0 and k = k1 p + k0,
+    # (n k)_xi = C(n1, k1) (n0 k0)_xi at a primitive p-th root xi, where
+    # the factorial route divides by (p)_xi = 0
+    xi = root_of_unity(p)
+    rows = q_binomials(3 * p - 1, xi)
+    for n in range(3 * p):
+        for k in range(n + 1):
+            (n1, n0), (k1, k0) = divmod(n, p), divmod(k, p)
+            want = comb(n1, k1) * q_binomial_by_factorials(n0, k0, xi)
+            assert _typed(rows[n][k]) == _typed(want), (n, k)
+            assert rows[n][k] == q_binomial(n, k, xi)
+    assert q_binomial(6, 1, root_of_unity(5)) == 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -166,6 +218,34 @@ def test_gauss_sum():
             xi = root_of_unity(p)
             s = gauss_sum(p, xi, m)
             assert s != 0
+
+
+_TOKEN_ALPHABET = "ab_1 2\n\t#->==*^()[],;:{}+/-xq(7,2)\u00e9\u00b2\r;!"
+
+
+def _tokens_or_error(tokenizer, text, script):
+    try:
+        return tokenizer(text, script)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_one_match_per_token_reads_as_two_matches_did():
+    # the same tokens, or the same ParseError text, as the tokenizer that
+    # matched the separators and the token apart, on the corpus scripts
+    # and on random strings, as a lone scalar and as a script
+    rng = random.Random(38)
+    texts = [path.read_text() for path in sorted(CORPUS.glob("*.bdsl"))]
+    texts += ["".join(rng.choice(_TOKEN_ALPHABET)
+                      for _ in range(rng.randrange(12))) for _ in range(1500)]
+    for script in (False, True):
+        errors = 0
+        for text in texts:
+            got = _tokens_or_error(tokenize, text, script)
+            assert got == _tokens_or_error(tokenize_by_two_matches, text,
+                                           script), (text, script)
+            errors += isinstance(got, str)
+        assert 0 < errors < len(texts)  # both outcomes are exercised
 
 
 def test_parse_scalar_basics():
