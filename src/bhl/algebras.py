@@ -476,24 +476,16 @@ class FiniteDimAlgebra:
 
         Then the other generators g_0, g_1, ... act on the monomials m that
         are left: column m of one matrix is ad(g_0)(m) over ad(g_1)(m) and
-        so on, generator k's rows offset by k * dim.  Each column is summed
-        straight from g*m and m*g; a presented algebra takes each m*g from
-        its memo of this generator's right products (_right_products), at
-        one generator action per term, and frees it before the
-        elimination.  The kernel vectors, read over the monomials left,
-        are the center.
+        so on, generator k's rows offset by k * dim, each generator's memo
+        of right products freed before the elimination.  The kernel
+        vectors, read over the monomials left, are the center.
 
         Generators of degree 0 go first, in presentation order otherwise;
         on uqsl2(p) and d_a_mu(p, mu) that one is diagonal and leaves the
         p^2 monomials of weight zero (F^a K^b E^a, z^a g^b x^a).  The order
-        does not change the basis found: over a fixed column order a
-        subspace has exactly one basis in the reduced form that
-        kernel_basis returns, 1 at its free column and 0 at the others,
-        and a monomial outside the set is a zero coordinate of every
-        kernel vector.  A kernel per generator, one generator at a time,
-        gives B N, with B the basis so far and N the kernel on B; B is in
-        that form and N is over B's free columns, so B N is too, and it is
-        the same basis (tests/oracle.py, center_by_generator_chain).
+        does not change the basis found
+        (test_center_does_not_depend_on_the_generator_order, against
+        tests/oracle.py::center_by_generator_chain).
         """
         check_guard(self.dim, "center computation")
         index, dim = self.index, self.dim
@@ -507,17 +499,29 @@ class FiniteDimAlgebra:
                 space = kept
         cols = [{} for _ in space]
         for k, gm in enumerate(stacked):
-            right, offset = self._right_products(gm), k * dim
+            ad, offset = self.ad(gm), k * dim
             for col, m in zip(cols, space):
-                for mo, s in self.pair_product(gm, m).items():
+                for mo, s in ad(AlgebraElement(self, {m: 1})).terms.items():
                     col[offset + index[mo]] = s
-                for mo, s in right(m).items():
-                    i = offset + index[mo]
-                    col[i] = col.get(i, 0) - s
-            del right  # free this generator's memo before the elimination
+            del ad  # free this generator's memo before the elimination
         kernel = from_cols(len(stacked) * dim, cols).kernel_basis()
         return [AlgebraElement(self, {space[j]: c for j, c in vec.items()})
                 for vec in kernel]
+
+    def ad(self, g):
+        """ad(g): v |-> g*v - v*g for a generator monomial g, g*v by
+        multiply from the pair cache and v*g summed over the right
+        products m*g of v's monomials (_right_products), whose memo lives
+        as long as the map."""
+        right, gen = self._right_products(g), AlgebraElement(self, {g: 1})
+
+        def commutator(v):
+            terms = self.multiply(gen, v).terms
+            for m, c in v.terms.items():
+                for mo, s in right(m).items():
+                    terms[mo] = terms.get(mo, 0) - c * s
+            return AlgebraElement(self, terms)
+        return commutator
 
     def _diagonal_commutant(self, g, space):
         """None: without a presentation no power rule shows g invertible

@@ -56,6 +56,7 @@ from .scalars import (
     gauss_sum,
     inverse_factorials,
     parse_scalar,
+    q_factorials,
     q_int,
     root_of_unity,
 )
@@ -285,26 +286,14 @@ def ribbon_centrality_checks(p):
 def _ribbon_centrality(R):
     """ribbon_centrality_checks, given R = ribbon_element(p)."""
     U, checks = R.v_0.algebra, []
-    for name, el in U.generators():
-        lhs, rhs = _times_generator(R.v_0, el), el * R.v_0
-        checks.append(check("v0_commutes_with_%s" % name, lhs == rhs,
-                            witnesses=None if lhs == rhs else [{
-                                "generator": name,
-                                "difference": repr(lhs - rhs)}]))
+    for name, g in U.generator_monos.items():
+        diff = U.ad(g)(R.v_0)  # g*v_0 - v_0*g
+        checks.append(check("v0_commutes_with_%s" % name, not diff,
+                            witnesses=[{"generator": name,
+                                        "difference": repr(-diff)}]
+                            if diff else None))
     checks.append(_u_K_invertible(U, R.u_K))
     return checks
-
-
-def _times_generator(v, g):
-    """v * g for a generator g, summed over the right products m * g of
-    the monomials m of v (_right_products): one generator action per term,
-    where multiply would keep each pair (m, g) in the pair cache."""
-    (gm,) = g.terms
-    right, terms = v.algebra._right_products(gm), {}
-    for m, c in v.terms.items():
-        for mo, s in right(m).items():
-            terms[mo] = terms.get(mo, 0) + c * s
-    return v.algebra.element({m: c for m, c in terms.items() if c})
 
 
 def _u_K_invertible(U, u_K):
@@ -357,12 +346,13 @@ def verify_ribbon_identity(p, mu):
     # and the ribbon element are built
     _check_regular_guard(p, mu % p)
     R = ribbon_element(p)
-    return _ribbon_identity(p, mu % p, R, _psi_v0(p, R))
+    psi0 = _psi_v0(p, R)
+    return _ribbon_identity(p, mu % p, R, psi0, _rank_one_table(p, psi0))
 
 
-def _ribbon_identity(p, mu, R, psi0, table=None):
+def _ribbon_identity(p, mu, R, psi0, table):
     """verify_ribbon_identity for 0 <= mu < p, given R = ribbon_element(p),
-    psi0 = _psi_v0(p, R) and table = _rank_one_table(p, psi0) (or None).
+    psi0 = _psi_v0(p, R) and table = _rank_one_table(p, psi0).
 
     Route (b): w has the terms P_b c_j xi^(-bj) z^j g^b x^j (module
     docstring), and psi(v_0) in d_a_mu(p, mu) is phi_s(psi0), s = mu/2 mod
@@ -401,7 +391,7 @@ def _ribbon_identity(p, mu, R, psi0, table=None):
                 "K = q^{mu-1} xi^{-i}, all i",
         witnesses=bad or None))
 
-    table, off, G = table or _rank_one_table(p, psi0)
+    table, off, G = table
     t = pref.num.index(1) if 1 in pref.num else p - 1  # pref = xi^t
     if pref != root_of_unity(p, t):
         raise AssertionError("prefactor %s is no power of xi" % pref)
@@ -433,11 +423,7 @@ def _rank_one_table(p, psi0):
     (j)_xi! xi^(-(j-1)j/2) with no inverse; off, the terms of psi0 off the
     z^j g^b x^j; G[k] = xi^k G_0, the exponent vector of -i^2 rotated."""
     table = [[0] * p for _ in range(p)]
-    factorial, qint = 1, 0  # (j)_xi! and (j)_xi = 1 + xi + ... + xi^(j-1)
-    for j in range(p):
-        if j:
-            qint = qint + root_of_unity(p, j - 1)
-            factorial = factorial * qint
+    for j, factorial in enumerate(q_factorials(p - 1, root_of_unity(p))):
         unscale = factorial * root_of_unity(p, -(j - 1) * j // 2)
         for b in range(p):
             table[b][j] = psi0.get((j, b, j), 0) * unscale
@@ -490,6 +476,27 @@ def _ribbon_family(R):
         details="; ".join("mu=%d: %s" % m for m in enumerate(texts)),
         witnesses=bad or None))
     return checks
+
+
+def verify_ribbon(p):
+    """verify_ribbon_family, ribbon_centrality_checks and
+    center_dimension_checks on one uqsl2(p) and one ribbon element, after
+    the family's guard."""
+    _check_regular_guard(p, 0)
+    R = ribbon_element(p)
+    return (_ribbon_family(R) + _ribbon_centrality(R)
+            + center_dimension_checks(R.v_0.algebra))
+
+
+def center_dimension_checks(U):
+    """The center of U = uqsl2(p) has dimension 1 + 3(p-1)/2."""
+    p, Z = U.p, U.compute_center()
+    expected = 1 + 3 * (p - 1) // 2
+    ok = len(Z) == expected
+    return [check(
+        "p=%d: center dimension is 1 + 3(p-1)/2" % p, ok,
+        details="dim Z = %d, expected %d" % (len(Z), expected),
+        witnesses=None if ok else [{"dim": len(Z), "expected": expected}])]
 
 
 # ---------------------------------------------------------------------------

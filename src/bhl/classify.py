@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import gcd
 
 from .record import Record
-from .scalars import format_roots_of_unity, root_of_unity
+from .scalars import format_roots_of_unity
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +109,9 @@ class PacketReport(Record):
     """I = theta(G) with multiplicities; entries are (exponent
     representative c*x^2 mod N, multiplicity, elements).  A value
     theta(x) = zeta^e is kept as its exponent e until it is formatted
-    (texts) or asked for (values)."""
+    (texts)."""
 
     _fields = ("N", "entries")
-
-    @property
-    def values(self):
-        return [root_of_unity(self.N, e["exponent"]) for e in self.entries]
 
     @property
     def texts(self):

@@ -35,16 +35,14 @@ from .algebras import (
     uqsl2,
 )
 from .ayd import (
-    _check_regular_guard,
-    _ribbon_centrality,
-    _ribbon_family,
     ayd_module_from_json,
+    center_dimension_checks,
     regular_ayd_module,
     ribbon_centrality_checks,
-    ribbon_element,
     stable_analysis,
     sweedler_checks,
     verify_ayd,
+    verify_ribbon,
     verify_ribbon_family,
     verify_ribbon_identity,
 )
@@ -56,6 +54,7 @@ from .classify import (
 )
 from .dsl import DslError, Environment, check_text
 from .hopf import (
+    antipode_square,
     anyonic_hopf,
     taft_hopf,
     verify_antipode,
@@ -77,7 +76,7 @@ from .report import (
 from .scalars import (
     balanced_q_factorial,
     format_scalar,
-    q_factorial,
+    q_factorials,
     root_of_unity,
 )
 
@@ -120,7 +119,7 @@ def taft_hopf_checks(p):
         checks = prefixed("taft p=%d: " % p,
                           verify_bialgebra(H) + verify_antipode(H))
         x = H.algebra.gen("x")
-        s2 = H.antipode(H.antipode(x))
+        s2 = antipode_square(H, x)
         expected = (H.algebra.xi ** -1) * x
         ok = s2 == expected
         checks.append(check(
@@ -143,10 +142,9 @@ def dual_algebra_checks(p):
         checks += prefixed("iso p=%d: " % p,
                            algebra_morphism(src, A, images))
         mat = induced_linear_map(src, A, images)
-        xi = A.xi
         bad = []
-        for i in range(p):
-            expected = root_of_unity(p, -(i - 1) * i // 2) * q_factorial(i, xi)
+        for i, factorial in enumerate(q_factorials(p - 1, A.xi)):
+            expected = root_of_unity(p, -(i - 1) * i // 2) * factorial
             if mat[i, i] != expected:
                 bad.append({"i": i,
                             "entry": format_scalar(mat[i, i]),
@@ -164,8 +162,7 @@ def q_factorial_checks(p):
     xi = root_of_unity(p)
     q = xi ** ((p - 1) // 2)
     bad = []
-    for n in range(p):
-        lhs = q_factorial(n, xi)
+    for n, lhs in enumerate(q_factorials(p - 1, xi)):
         rhs = q ** (-(n * (n - 1) // 2)) * balanced_q_factorial(n, q)
         if lhs != rhs:
             bad.append({"n": n,
@@ -212,29 +209,13 @@ def ribbon_checks(p, mu=None):
     if mu is not None:
         return _guarded("ribbon p=%d mu=%d" % (p, mu),
                         lambda: verify_ribbon_identity(p, mu))
-
-    def run():
-        # after the family's guard, one uqsl2(p) and ribbon element for all
-        _check_regular_guard(p, 0)
-        R = ribbon_element(p)
-        return (_ribbon_family(R) + _ribbon_centrality(R)
-                + _center_dimension(p, R.v_0.algebra))
-    return _guarded("ribbon family p=%d" % p, run)
+    return _guarded("ribbon family p=%d" % p, lambda: verify_ribbon(p))
 
 
 def center_checks(p):
     _require_odd_prime(p, "the center computation")
-    return _guarded("center p=%d" % p, lambda: _center_dimension(p, uqsl2(p)))
-
-
-def _center_dimension(p, U):
-    Z = U.compute_center()
-    expected = 1 + 3 * (p - 1) // 2
-    ok = len(Z) == expected
-    return [check(
-        "p=%d: center dimension is 1 + 3(p-1)/2" % p, ok,
-        details="dim Z = %d, expected %d" % (len(Z), expected),
-        witnesses=None if ok else [{"dim": len(Z), "expected": expected}])]
+    return _guarded("center p=%d" % p,
+                    lambda: center_dimension_checks(uqsl2(p)))
 
 
 def stable_dim_checks(p, mus=None):

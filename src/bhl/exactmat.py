@@ -16,12 +16,9 @@ when a row below it or the back-substitution needs it, and a row whose
 only entry is its lead becomes 1 of the type the product would have
 (Cyclotomic or Fraction), with no inverse taken.
 
-The reduced rows are Gauss-Jordan's with the same pivots (tests/oracle.py,
-eliminate_by_scan), value for value, and type for type except rarely:
-about 4 in 10 000 random matrices of up to 9 x 9 that mix int, Fraction
-and Cyclotomic entries have a rational entry that comes out as a Fraction
-instead of a Cyclotomic, or the other way round, because partial sums
-cancel at different steps.
+The reduced rows are Gauss-Jordan's with the same pivots, value for
+value, and type for type except when partial sums cancel at different
+steps (test_eliminations_match_scan_on_random_matrices).
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ import math
 import operator
 
 from .exactmat import Mat
-from .scalars import format_scalar, power, root_of_unity
+from .scalars import power, root_of_unity
 
 
 class Bicharacter:
@@ -56,10 +56,6 @@ class Bicharacter:
 
     def chi(self, i, j):
         return self._root(self.c * i * j)
-
-    def omega(self, i, j):
-        """omega(i,j) = chi(i,j) chi(j,i) = zeta^(2c i j)."""
-        return self._root(2 * self.c * i * j)
 
     def theta(self, i):
         return self.chi(i, i)
@@ -125,13 +121,6 @@ class GradedSpace:
 
     def __repr__(self):
         return "GradedSpace(N=%d, degrees=%s)" % (self.N, list(self.degrees))
-
-    def to_json(self):
-        return {
-            "N": self.N,
-            "degrees": list(self.degrees),
-            "labels": list(self.labels),
-        }
 
 
 def tensor(V: GradedSpace, W: GradedSpace) -> GradedSpace:
@@ -275,17 +264,6 @@ class GradedMap:
     def __repr__(self):
         return "GradedMap(%r -> %r, shift=%d, %d entries)" % (
             self.source, self.target, self.shift, len(self.mat.data))
-
-    def to_json(self):
-        entries = sorted(
-            [r, c, format_scalar(v)] for (r, c), v in self.mat.data.items()
-        )
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "shift": self.shift,
-            "entries": entries,
-        }
 
 
 def homogeneity_error(r, c, target_deg, source_deg, shift):

@@ -53,7 +53,3 @@ class Record(tuple):
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def replace(self, **changes):
-        """A copy with the named fields changed."""
-        return type(self)(**dict(zip(self._fields, self), **changes))

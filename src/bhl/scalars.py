@@ -443,13 +443,19 @@ def q_int(n: int, xi):
     return total
 
 
-def q_factorial(n: int, xi):
-    """(n)_xi! = (n)_xi ... (1)_xi, a running product of running sums."""
-    total, factor, term = xi ** 0, xi ** 0 * 0, xi ** 0
+def q_factorials(n: int, xi):
+    """[(0)_xi!, ..., (n)_xi!], (j)_xi! = (j)_xi ... (1)_xi, a running
+    product of running sums."""
+    out, factor, term = [xi ** 0], xi ** 0 * 0, xi ** 0
     for _ in range(n):
         factor, term = factor + term, term * xi
-        total = total * factor
-    return total
+        out.append(out[-1] * factor)
+    return out
+
+
+def q_factorial(n: int, xi):
+    """(n)_xi!, the last entry of q_factorials(n, xi)."""
+    return q_factorials(n, xi)[-1]
 
 
 def q_binomials(n: int, xi):
@@ -462,11 +468,6 @@ def q_binomials(n: int, xi):
         rows.append([a + x * b for a, x, b in
                      zip([0] + rows[-1], powers, rows[-1] + [0])])
     return rows
-
-
-def q_binomial(n: int, k: int, xi):
-    """(n choose k)_xi from q_binomials; zero unless 0 <= k <= n."""
-    return q_binomials(n, xi)[n][k] if 0 <= k <= n else xi ** 0 * 0
 
 
 def inverse_factorials(factors):

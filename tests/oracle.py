@@ -53,14 +53,18 @@ one table per p.  run_script runs the
 table scripts under scripts/, themselves independent routes.  The
 braiding is an explicit matrix on the listed bases of V (x) W and
 W (x) V (braiding_matrix), rather than a diagram leaf that computes each
-column when it is read.  Three readers of results live here too, as
-bhl never calls them: the normal form of a word (normal_form), the
-dimension of each degree of a graded space and whether a graded map is
-invertible.  The q-combinatorics bhl.scalars computes by recurrences
-are here as they were first computed: (n)_xi as a sum of powers xi^i,
-(n)_xi! as a product of those, and Gaussian binomials as a quotient of
-three factorials (q_binomial_by_factorials), which divides by zero once
-n >= ord xi; and the tokenizer of bhl.scalars with two matches per token,
+column when it is read.  Readers of results live here too, as bhl
+never calls them: the normal form of a word (normal_form), the
+dimension of each degree of a graded space, whether a graded map is
+invertible, a record with fields replaced (replace), one Gaussian
+binomial (q_binomial), omega of a bicharacter, a graded space or map
+as JSON and the values of a packet.  S^2 is also taken from the
+generator images by peeling the last letter (antipode_square_by_peeling),
+rather than by S's diagram leaf.  The q-combinatorics bhl.scalars
+computes by recurrences are here as they were first computed: (n)_xi as
+a sum of powers xi^i, (n)_xi! as a product of those, and Gaussian
+binomials as a quotient of three factorials (q_binomial_by_factorials),
+which divides by zero once n >= ord xi; and the tokenizer of bhl.scalars with two matches per token,
 one for the separators and one for the token (tokenize_by_two_matches).
 """
 
@@ -90,7 +94,7 @@ from bhl.graded import (
 )
 from bhl.hopf import braided_tensor_algebra, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, check, map_check
-from bhl.scalars import ParseError, format_scalar, root_of_unity
+from bhl.scalars import ParseError, format_scalar, q_binomials, root_of_unity
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -397,7 +401,7 @@ def braided_module_E(X, M, sigma, chi):
     for a in X.degrees:
         sa = sigma(a)
         for i in M.degrees:
-            diag.append(chi.omega(a, i).inverse() * sa)
+            diag.append(omega(chi, a, i).inverse() * sa)
     XM = tensor(X, M)
     return GradedMap(XM, XM, Mat.diagonal(diag))
 
@@ -602,20 +606,7 @@ def hopf_maps_by_powers(H):
     coproducts = {name: TA.element({TA.basis[k]: c for k, c in col.items()})
                   for name, col in H.coproducts.items()}
     names = A.pres.gens
-    memo = {}
-
-    def antipode(mono):
-        if mono not in memo:
-            if mono == A.unit_mono:
-                memo[mono] = A.unit()
-            else:
-                last = max(i for i, e in enumerate(mono) if e)
-                rest = tuple(e - (i == last) for i, e in enumerate(mono))
-                dg = A.pres.degrees[last] % A.N
-                s = H.chi.chi((A.mono_degree(mono) - dg) % A.N, dg)
-                memo[mono] = s * (H.antipodes[names[last]] * antipode(rest))
-        return memo[mono]
-
+    antipode = antipode_by_peeling(H)
     delta, eps, S = {}, {}, {}
     for j, mono in enumerate(A.basis):
         d, e = TA.unit(), Fraction(1)
@@ -631,6 +622,37 @@ def hopf_maps_by_powers(H):
             S[A.index[m], j] = c
     n = A.dim
     return Mat(n * n, n, delta), Mat(1, n, eps), Mat(n, n, S)
+
+
+def antipode_by_peeling(H):
+    """mono |-> S(mono) for a HopfData H on a presented algebra, by peeling
+    the last letter g, S(rest g) = chi(deg rest, deg g) S(g) S(rest), from
+    the generator images H.antipodes, memoised."""
+    A, memo = H.algebra, {}
+
+    def antipode(mono):
+        if mono not in memo:
+            if mono == A.unit_mono:
+                memo[mono] = A.unit()
+            else:
+                last = max(i for i, e in enumerate(mono) if e)
+                rest = tuple(e - (i == last) for i, e in enumerate(mono))
+                dg = A.pres.degrees[last] % A.N
+                s = H.chi.chi((A.mono_degree(mono) - dg) % A.N, dg)
+                memo[mono] = s * (H.antipodes[A.pres.gens[last]]
+                                  * antipode(rest))
+        return memo[mono]
+    return antipode
+
+
+def antipode_square_by_peeling(H, a):
+    """S(S(a)) for an element a, each S summed over the monomials of its
+    argument by antipode_by_peeling, rather than by S's diagram leaf."""
+    antipode = antipode_by_peeling(H)
+    for _ in range(2):
+        a = sum((c * antipode(m) for m, c in a.terms.items()),
+                H.algebra.zero())
+    return a
 
 
 def induced_map_by_power_table(source, target, images):
@@ -998,7 +1020,7 @@ def eta_arrows_by_anti_twists(N, c):
     for t in range(N):
         sig = AntiTwist(chi, t)
         for y in range(N):
-            val = chi.omega(y, y) * sig(y)
+            val = omega(chi, y, y) * sig(y)
             arrows.append({"y": y, "source": t,
                            "target": (t + 2 * c * y) % N,
                            "eta": val, "in_kernel": val == 1})
@@ -1065,6 +1087,39 @@ def q_binomial_by_factorials(n, k, xi):
         return xi ** 0 * 0
     return q_factorial_by_powers(n, xi) / (q_factorial_by_powers(k, xi)
                                            * q_factorial_by_powers(n - k, xi))
+
+
+def q_binomial(n, k, xi):
+    """(n choose k)_xi, row n of bhl's q_binomials; zero unless
+    0 <= k <= n."""
+    return q_binomials(n, xi)[n][k] if 0 <= k <= n else xi ** 0 * 0
+
+
+def omega(chi, i, j):
+    """omega(i,j) = chi(i,j) chi(j,i) = zeta^(2c i j) of a Bicharacter."""
+    return chi.chi(i, j) * chi.chi(j, i)
+
+
+def space_to_json(V):
+    return {"N": V.N, "degrees": list(V.degrees), "labels": list(V.labels)}
+
+
+def map_to_json(f):
+    """A GradedMap as JSON: its spaces, shift and sorted entries."""
+    return {"source": space_to_json(f.source),
+            "target": space_to_json(f.target), "shift": f.shift,
+            "entries": sorted([r, c, format_scalar(v)]
+                              for (r, c), v in f.mat.data.items())}
+
+
+def packet_values(packet):
+    """The values theta(x) = zeta^e of a PacketReport's entries."""
+    return [root_of_unity(packet.N, e["exponent"]) for e in packet.entries]
+
+
+def replace(record, **changes):
+    """A copy of a bhl Record with the named fields changed."""
+    return type(record)(**dict(zip(record._fields, record), **changes))
 
 
 _SKIPS = (re.compile(r"\s*"), re.compile(r"(?:[ \t\r\n]+|#.*)*"))

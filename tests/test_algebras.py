@@ -23,7 +23,8 @@ from bhl.algebras import (
     taft,
     uqsl2,
 )
-from bhl import algebras
+from bhl import algebras, cli, scalars
+from bhl.ayd import ribbon_element
 from bhl.exactmat import Mat, from_cols
 from bhl.graded import Bicharacter, Diagram
 from bhl.hopf import braided_tensor_algebra
@@ -431,6 +432,30 @@ def test_right_products_match_pair_products(make):
                 typed_terms(B.pair_product(m, g)), (m, g)
 
 
+@pytest.mark.parametrize("make", [lambda: uqsl2(3), lambda: uqsl2(5),
+                                  lambda: uqsl2(7), lambda: d_a_mu(3, 1),
+                                  lambda: taft(3)],
+                         ids=["uqsl2(3)", "uqsl2(5)", "uqsl2(7)",
+                              "d_a_mu(3,1)", "taft(3)"])
+def test_ad_matches_multiply(make):
+    # ad(g)(v) = g*v - v*g against multiply(g, v) - multiply(v, g) in a
+    # second copy of the algebra, by type and repr, for every generator g
+    # and basis monomial v, and on uqsl2 also v_0 and v_0 + F*K, which is
+    # not central
+    A, B = make(), make()
+    vectors = [{m: 1} for m in A.basis]
+    if A.signature[0] == "uqsl2":
+        R = ribbon_element(A.p)
+        F, K = R.v_0.algebra.gen("F"), R.v_0.algebra.gen("K")
+        vectors += [R.v_0.terms, (R.v_0 + F * K).terms]
+    for g in generator_monos(A):
+        ad, gen = A.ad(g), B.element({g: 1})
+        for terms in vectors:
+            v = B.element(terms)
+            assert typed_terms(ad(A.element(terms)).terms) == typed_terms(
+                (B.multiply(gen, v) - B.multiply(v, gen)).terms), (g, terms)
+
+
 def test_center_keeps_only_left_products():
     # the right products' memo lives for one generator of one call: the
     # algebra gains no attribute, and its pair cache holds only g*m
@@ -680,6 +705,19 @@ def test_morphism_nilline_to_dual_anyonic():
         for i in range(p):
             expected = root_of_unity(p, -(i - 1) * i // 2) * q_factorial(i, xi)
             assert mat[i, i] == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+def test_dual_algebra_checks_read_one_factorial_table(monkeypatch, p):
+    # the diagonal xi^(-(i-1)i/2) (i)_xi! of the induced map is read from
+    # one running table (scalars.q_factorials), with no q_factorial per i
+    def refuse(n, xi):
+        raise AssertionError("q_factorial(%d, xi) called" % n)
+
+    monkeypatch.setattr(scalars, "q_factorial", refuse)
+    monkeypatch.setattr(cli, "q_factorial", refuse, raising=False)
+    checks = cli.dual_algebra_checks(p)
+    assert checks and all_pass(checks)
 
 
 def test_morphism_d_a_mu_to_uqsl2():

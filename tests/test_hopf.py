@@ -25,9 +25,12 @@ from bhl.graded import (
     Diagram,
     GradedMap,
     GradedSpace,
+    diagram,
     tensor_map,
 )
+from bhl.cli import taft_hopf_checks
 from bhl.hopf import (
+    antipode_square,
     anyonic_hopf,
     braided_tensor_algebra,
     build_hopf,
@@ -41,7 +44,9 @@ from bhl.report import FAIL, PASS, check
 from bhl.scalars import Cyclotomic, format_scalar
 from oracle import (
     AlgebraModule,
+    antipode_square_by_peeling,
     braiding_matrix,
+    element_from_column,
     hopf_checks_by_pairs,
     hopf_maps_by_powers,
     is_invertible,
@@ -65,6 +70,11 @@ def all_pass(checks):
 
 def failed_names(checks):
     return [c["name"] for c in checks if c["status"] == FAIL]
+
+
+def antipode(H, a):
+    """S(a) by S's diagram leaf."""
+    return element_from_column(H.algebra, diagram(H.S).apply(a.as_column()))
 
 
 # ---------------------------------------------------------------------------
@@ -732,13 +742,41 @@ def test_taft_antipode_square_is_conjugation_scalar(p):
     H = taft_hopf(p)
     A = H.algebra
     g, x = A.gen("g"), A.gen("x")
-    assert H.antipode(H.antipode(x)) == A.xi ** -1 * x
-    assert H.antipode(H.antipode(g)) == g
+    assert antipode_square(H, x) == A.xi ** -1 * x
+    assert antipode_square(H, g) == g
     # S^2 is conjugation by the grouplike g^{-1}
     s2 = H.S @ H.S
     assert is_invertible(s2)
     conj = A.left_mult_operator(g ** (p - 1)) * right_mult_operator(A, g)
     assert s2.mat == conj
+
+
+SQUARE_CASES = (
+    [("anyonic p=%d c=%d" % (p, c), lambda p=p, c=c: anyonic_hopf(p, c))
+     for p in (2, 3, 5, 7, 11, 13) for c in (0, 1)]
+    + [("taft p=%d" % p, lambda p=p: taft_hopf(p)) for p in (2, 3, 5)])
+
+
+@pytest.mark.parametrize("case", SQUARE_CASES, ids=lambda c: c[0])
+def test_antipode_square_matches_the_generator_images(case):
+    # S^2 by S's leaf against S summed over monomials from the generator
+    # images by peeling, by type and repr: on every basis element, in the
+    # record of verify_antipode, and in the Taft S^2(x) check
+    name, build = case
+    H = build()
+    A = H.algebra
+    for mono in A.basis:
+        a = A.element({mono: 1})
+        assert typed_terms(antipode_square(H, a).terms) == typed_terms(
+            antipode_square_by_peeling(H, a).terms), (name, mono)
+    assert verify_antipode(H)[-1]["witnesses"] == [
+        {"generator": g, "square_antipode_image":
+         repr(antipode_square_by_peeling(H, el))}
+        for g, el in A.generators()]
+    if name.startswith("taft"):
+        x = A.gen("x")
+        assert antipode_square_by_peeling(H, x) == A.xi ** -1 * x
+        assert taft_hopf_checks(A.p)[-1]["status"] == PASS
 
 
 def test_anyonic_antipode_signs():
@@ -749,7 +787,7 @@ def test_anyonic_antipode_signs():
     for n in range(p):
         xn = A.element({(n,): 1})
         want = (-1) ** n * xi ** (n * (n - 1) // 2) * xn
-        assert H.antipode(xn) == want
+        assert antipode(H, xn) == want
 
 
 def test_unbraided_square_breaks_coproduct_multiplicativity():
@@ -771,8 +809,8 @@ def test_antipode_antimultiplicative_on_elements(data):
     cb = data.draw(st.integers(-3, 3))
     a = ca * A.element({(na,): 1})
     b = cb * A.element({(nb,): 1})
-    lhs = H.antipode(a * b)
-    rhs = H.chi.chi(na, nb) * (H.antipode(b) * H.antipode(a))
+    lhs = antipode(H, a * b)
+    rhs = H.chi.chi(na, nb) * (antipode(H, b) * antipode(H, a))
     assert lhs == rhs
 
 

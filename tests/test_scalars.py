@@ -29,14 +29,15 @@ from bhl.scalars import (
     in_field,
     parse_scalar,
     power,
-    q_binomial,
     q_binomials,
     q_factorial,
+    q_factorials,
     q_int,
     root_of_unity,
     tokenize,
 )
 from oracle import (
+    q_binomial,
     q_binomial_by_factorials,
     q_factorial_by_powers,
     q_int_by_powers,
@@ -151,6 +152,8 @@ def test_q_combinatorics_match_the_factorial_route(order, top):
     xi = root_of_unity(order)
     rows = q_binomials(top - 1, xi)
     assert [len(row) for row in rows] == list(range(1, top + 1))
+    assert [_typed(f) for f in q_factorials(top - 1, xi)] == [
+        _typed(q_factorial_by_powers(n, xi)) for n in range(top)]
     for n in range(top):
         assert _typed(q_int(n, xi)) == _typed(q_int_by_powers(n, xi))
         assert _typed(q_factorial(n, xi)) == _typed(q_factorial_by_powers(n, xi))
