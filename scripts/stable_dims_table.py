@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from bhl.algebras import d_a_mu, uqsl2
-from bhl.scalars import balanced_q_factorial, gauss_sum, q_factorial, root_of_unity
+from bhl.scalars import balanced_q_factorials, gauss_sum, q_factorial, root_of_unity
 
 
 def sigma_element(p, mu):
@@ -60,8 +60,8 @@ def ribbon_transport(p, mu):
         u_K = u_K + q ** (m * i * i) * K ** i
     u_K = (gauss_sum(p, q, m)).inverse() * u_K
     u_0 = A.zero()
-    for j in range(p):
-        u_0 = u_0 + (q ** ((j + 3) * j // 2) / balanced_q_factorial(j, q)) \
+    for j, factorial in enumerate(balanced_q_factorials(p - 1, q)):
+        u_0 = u_0 + (q ** ((j + 3) * j // 2) / factorial) \
             * (K ** j * F ** j * E ** j)
     v_0 = K * u_K * u_0
     return q ** (m * (mu * mu - 1)) * v_0

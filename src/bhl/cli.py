@@ -6,12 +6,14 @@ Exit status: 0 when nothing failed, 1 when at least one check failed (or,
 under ``--strict``, when anything was skipped), 2 for usage errors.
 
 The check producers below are shared by the subcommands and the acceptance
-battery.  ``COMMANDS`` is the one table of subcommands (``bhl -h`` prints
-it), each leaf with its handler, args -> (params, checks); a call builds
-only the parsers on the path to the leaf it names (``build_parser``).
-``CRITERIA`` is the one table of acceptance criteria, read by
-``bhl suite`` and ``tests/test_acceptance.py``: entries (number, slug, run)
-with run(p) -> checks, built from steps (parameter values, producer, ...).
+battery.  Each imports the layers of bhl it runs when it is called, so
+importing this module loads only bhl.report and bhl.guard.  ``COMMANDS``
+is the one table of subcommands (``bhl -h`` prints it), each leaf with its
+handler, args -> (params, checks); a call builds only the parsers on the
+path to the leaf it names (``build_parser``).  ``CRITERIA`` is the one
+table of acceptance criteria, read by ``bhl suite`` and
+``tests/test_acceptance.py``: entries (number, slug, run) with run(p) ->
+checks, built from steps (parameter values, producer, ...).
 """
 
 import argparse
@@ -22,63 +24,9 @@ import pathlib
 import sys
 import time
 
-from .algebras import (
-    DimensionGuardError,
-    algebra_morphism,
-    check_guard,
-    d_a_mu,
-    dim_guard,
-    dual_anyonic,
-    induced_linear_map,
-    is_prime,
-    nilpotent_line,
-    uqsl2,
-)
-from .ayd import (
-    ayd_module_from_json,
-    center_dimension_checks,
-    regular_ayd_module,
-    ribbon_centrality_checks,
-    stable_analysis,
-    sweedler_checks,
-    verify_ayd,
-    verify_ribbon,
-    verify_ribbon_family,
-    verify_ribbon_identity,
-)
-from .classify import (
-    CayleyGroup,
-    classify_braided,
-    classify_stable,
-    rep_g_decomposition,
-)
-from .dsl import DslError, Environment, check_text
-from .hopf import (
-    antipode_square,
-    anyonic_hopf,
-    taft_hopf,
-    verify_antipode,
-    verify_bialgebra,
-    verify_coproduct_powers,
-)
-from .report import (
-    FAIL,
-    PASS,
-    check,
-    has_fail,
-    has_skip,
-    make_report,
-    prefixed,
-    render_json,
-    render_text,
-    skip,
-)
-from .scalars import (
-    balanced_q_factorial,
-    format_scalar,
-    q_factorials,
-    root_of_unity,
-)
+from .guard import DimensionGuardError, check_guard, dim_guard, is_prime
+from .report import (FAIL, PASS, check, has_fail, has_skip, make_report,
+                     prefixed, render_json, render_text, skip)
 
 PACKAGE_DIR = pathlib.Path(__file__).parent
 CORPUS_DIR = PACKAGE_DIR / "corpus"
@@ -106,6 +54,8 @@ def _require_odd_prime(p, what):
 # check producers (shared between the subcommands and the acceptance suite)
 
 def anyonic_hopf_checks(p, c=1):
+    from .hopf import anyonic_hopf, verify_antipode, verify_bialgebra
+
     def run():
         H = anyonic_hopf(p, c)
         return prefixed("anyonic p=%d: " % p,
@@ -114,6 +64,9 @@ def anyonic_hopf_checks(p, c=1):
 
 
 def taft_hopf_checks(p):
+    from .hopf import (antipode_square, taft_hopf, verify_antipode,
+                       verify_bialgebra)
+
     def run():
         H = taft_hopf(p)
         checks = prefixed("taft p=%d: " % p,
@@ -132,6 +85,10 @@ def taft_hopf_checks(p):
 
 
 def dual_algebra_checks(p):
+    from .algebras import (algebra_morphism, dual_anyonic,
+                           induced_linear_map, nilpotent_line)
+    from .scalars import format_scalar, q_factorials, root_of_unity
+
     def run():
         # dual_anyonic(p) has dimension p: guard it before it lists a basis
         check_guard(p, "associativity sweep")
@@ -159,11 +116,14 @@ def dual_algebra_checks(p):
 
 
 def q_factorial_checks(p):
+    from .scalars import (balanced_q_factorials, format_scalar, q_factorials,
+                          root_of_unity)
     xi = root_of_unity(p)
     q = xi ** ((p - 1) // 2)
     bad = []
-    for n, lhs in enumerate(q_factorials(p - 1, xi)):
-        rhs = q ** (-(n * (n - 1) // 2)) * balanced_q_factorial(n, q)
+    tables = zip(q_factorials(p - 1, xi), balanced_q_factorials(p - 1, q))
+    for n, (lhs, balanced) in enumerate(tables):
+        rhs = q ** (-(n * (n - 1) // 2)) * balanced
         if lhs != rhs:
             bad.append({"n": n,
                         "unbalanced": format_scalar(lhs),
@@ -177,6 +137,7 @@ def q_factorial_checks(p):
 
 def uqsl2_iso_checks(p, mus=None):
     _require_odd_prime(p, "the small quantum group")
+    from .algebras import algebra_morphism, d_a_mu, uqsl2
 
     def run():
         check_guard(p ** 3, "induced map d_a_mu(%d, mu) -> uqsl2(%d)" % (p, p))
@@ -198,6 +159,8 @@ def uqsl2_iso_checks(p, mus=None):
 
 
 def coproduct_power_checks(p):
+    from .hopf import anyonic_hopf, verify_coproduct_powers
+
     def run():
         return prefixed("anyonic p=%d: " % p,
                         verify_coproduct_powers(anyonic_hopf(p)))
@@ -206,6 +169,7 @@ def coproduct_power_checks(p):
 
 def ribbon_checks(p, mu=None):
     _require_odd_prime(p, "the ribbon identity")
+    from .ayd import verify_ribbon, verify_ribbon_identity
     if mu is not None:
         return _guarded("ribbon p=%d mu=%d" % (p, mu),
                         lambda: verify_ribbon_identity(p, mu))
@@ -214,6 +178,8 @@ def ribbon_checks(p, mu=None):
 
 def center_checks(p):
     _require_odd_prime(p, "the center computation")
+    from .algebras import uqsl2
+    from .ayd import center_dimension_checks
     return _guarded("center p=%d" % p,
                     lambda: center_dimension_checks(uqsl2(p)))
 
@@ -221,6 +187,7 @@ def center_checks(p):
 def stable_dim_checks(p, mus=None):
     """Per mu; the whole family (mus None) passes the guard once, as all
     its regular modules have dimension p^3, so a large p is one SKIP."""
+    from .ayd import stable_analysis
     if mus is None:
         def family():
             check_guard(p ** 3, "regular module of each d_a_mu(%d, mu)" % p)
@@ -254,6 +221,8 @@ def stable_dim_checks(p, mus=None):
 
 
 def ayd_checks(p, mu):
+    from .ayd import regular_ayd_module, sweedler_checks, verify_ayd
+
     def run():
         M = regular_ayd_module(p, mu)
         checks = prefixed("regular p=%d mu=%d: " % (p, mu), verify_ayd(M))
@@ -266,6 +235,7 @@ def ayd_checks(p, mu):
 def ayd_file_checks(path):
     """(module, checks) for a JSON module file; module is None when the
     file does not describe one."""
+    from .ayd import ayd_module_from_json, verify_ayd
     data = _read_json(path)
     try:
         M = ayd_module_from_json(data)
@@ -281,6 +251,7 @@ def ayd_file_checks(path):
 
 
 def vecg_checks(N, c):
+    from .classify import classify_braided, classify_stable
     br = classify_braided(N, c)
     stb = classify_stable(N, c)
     packet = stb["packet"]
@@ -324,6 +295,7 @@ def vecg_checks(N, c):
 
 
 def repg_checks(data):
+    from .classify import CayleyGroup, rep_g_decomposition
     try:
         G = CayleyGroup.from_json(data)
     except ValueError as exc:
@@ -354,9 +326,14 @@ def repg_checks(data):
     ]
 
 
-def dsl_script_checks(text, N, c, mu, hopf=anyonic_hopf):
-    """One check per assertion; a script that does not load fails "script
-    loads", and one that trips the size guard is one SKIP."""
+def dsl_script_checks(text, N, c, mu, hopf=None):
+    """One check per assertion, on the Hopf structure hopf(N, c), by default
+    anyonic_hopf; a script that does not load fails "script loads", and one
+    that trips the size guard is one SKIP."""
+    from .dsl import DslError, Environment, check_text
+    if hopf is None:
+        from .hopf import anyonic_hopf as hopf
+
     def run():
         try:
             return check_text(text, Environment.build(N, c, mu, hopf))
@@ -367,6 +344,7 @@ def dsl_script_checks(text, N, c, mu, hopf=anyonic_hopf):
 
 
 def dsl_corpus_checks():
+    from .hopf import anyonic_hopf
     N, c, mu = 3, 1, 0
     paths = sorted(CORPUS_DIR.glob("*.bdsl"))
     if not paths:
@@ -402,16 +380,19 @@ def dsl_corpus_checks():
 # acceptance criteria: one table of steps
 
 def ribbon_family_checks(p):
+    from .ayd import verify_ribbon_family
     return _guarded("ribbon family p=%d" % p, lambda: verify_ribbon_family(p))
 
 
 def centrality_checks(p):
+    from .ayd import ribbon_centrality_checks
     return _guarded("centrality p=%d" % p,
                     lambda: ribbon_centrality_checks(p))
 
 
 def sweedler_case_checks(p):
     """The Sweedler algebra is the p = 2 Taft algebra; mu runs over 0, 1."""
+    from .ayd import sweedler_checks
     checks = []
     for mu in range(p):
         checks += prefixed("mu=%d: " % mu, sweedler_checks(mu))
@@ -419,6 +400,7 @@ def sweedler_case_checks(p):
 
 
 def vecg_criterion_checks(N):
+    from .classify import classify_braided, classify_stable
     br = classify_braided(N, 1)
     stb = classify_stable(N, 1)
     packet = stb["packet"]
@@ -458,6 +440,7 @@ def vecg_criterion_checks(N):
 
 
 def s3_class_checks():
+    from .classify import CayleyGroup, rep_g_decomposition
     data = _read_json(DATA_DIR / "cayley_s3.json")
     classes = rep_g_decomposition(CayleyGroup.from_json(data))
     sizes = tuple(cls["size"] for cls in classes)

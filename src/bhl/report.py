@@ -5,15 +5,13 @@ map_check makes one from two maps and names its witness from the maps'
 own source, so no caller lists a basis.  A report bundles checks with the
 invoking command, its parameters, and a wall-clock figure.  Everything is
 plain JSON-serializable data so the CLI can render text or JSON without
-translation.
+translation.  Only map_check and column_entries read graded and scalars,
+and they import them when called, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import json
-
-from .graded import diagram, first_difference
-from .scalars import format_scalar
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
@@ -43,6 +41,7 @@ def map_check(name, lhs, rhs, details="", label=None):
     name tensor() gives that basis vector.  Maps with different sources or
     targets are unequal, as for GradedMap.
     """
+    from .graded import diagram, first_difference
     lhs, rhs = diagram(lhs), diagram(rhs)
     if not lhs.parallel(rhs):
         return check(name, False, details=details or "maps differ",
@@ -61,6 +60,7 @@ def map_check(name, lhs, rhs, details="", label=None):
 
 def column_entries(column):
     """{row: scalar} as the sorted [row, value] pairs a witness lists."""
+    from .scalars import format_scalar
     return [[r, format_scalar(column[r])] for r in sorted(column)]
 
 

@@ -23,7 +23,8 @@ vector; two general elements are convolved over their nonzero coordinates.
 Inverses: x^-1 = y / (x*y) for a product y of Galois conjugates of x with
 x*y rational.  The conjugate sigma_-1(x) alone does for c*zeta^k, and
 every other element takes the product over all conjugates but x, so that
-x*y is the norm of x.
+x*y is the norm of x.  A power (c*zeta^k)^e is c^e*zeta^(ke) for any
+integer e, with no inverse; other elements take square-and-multiply.
 
 Also provides the q-combinatorics used throughout, with no division per
 coefficient: q-integers (n)_xi, q-factorials, Gaussian binomials from one
@@ -285,6 +286,14 @@ class Cyclotomic:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
+        num = self.num
+        if num.count(0) == len(num) - 1:  # (c zeta^k)^e = c^e zeta^(ke)
+            c = sum(num)
+            n, m = (c, self.den) if e >= 0 else (self.den, c)
+            if m < 0:
+                n, m = -n, -m
+            return _scaled(root_of_unity(self.order, num.index(c) * e),
+                           n ** abs(e), m ** abs(e))
         if e < 0:
             return self.inverse() ** (-e)
         return power(self, e, lambda: Cyclotomic.one(self.order))
@@ -489,12 +498,14 @@ def balanced_q_int(n: int, q):
     return total
 
 
-def balanced_q_factorial(n: int, q):
-    """[n]_q! = [n]_q [n-1]_q ... [1]_q, with [0]_q! = 1."""
-    total = q ** 0
-    for i in range(1, n + 1):
-        total = total * balanced_q_int(i, q)
-    return total
+def balanced_q_factorials(n: int, q):
+    """[[0]_q!, ..., [n]_q!], [j]_q! = [j]_q ... [1]_q, a running product
+    of [j]_q = q^-1 [j-1]_q + q^(j-1)."""
+    out, factor, term, back = [q ** 0], q ** 0 * 0, q ** 0, q ** -1
+    for _ in range(n):
+        factor, term = back * factor + term, term * q
+        out.append(out[-1] * factor)
+    return out
 
 
 def gauss_sum(p: int, q, m: int):

@@ -62,9 +62,11 @@ as JSON and the values of a packet.  S^2 is also taken from the
 generator images by peeling the last letter (antipode_square_by_peeling),
 rather than by S's diagram leaf.  The q-combinatorics bhl.scalars
 computes by recurrences are here as they were first computed: (n)_xi as
-a sum of powers xi^i, (n)_xi! as a product of those, and Gaussian
+a sum of powers xi^i, (n)_xi! as a product of those, [n]_q! as a
+product of balanced q-integers each summed afresh, and Gaussian
 binomials as a quotient of three factorials (q_binomial_by_factorials),
-which divides by zero once n >= ord xi; and the tokenizer of bhl.scalars with two matches per token,
+which divides by zero once n >= ord xi; the powers of a scalar by
+square-and-multiply (power_by_squaring); and the tokenizer of bhl.scalars with two matches per token,
 one for the separators and one for the token (tokenize_by_two_matches).
 """
 
@@ -94,7 +96,8 @@ from bhl.graded import (
 )
 from bhl.hopf import braided_tensor_algebra, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, check, map_check
-from bhl.scalars import ParseError, format_scalar, q_binomials, root_of_unity
+from bhl.scalars import (Cyclotomic, ParseError, balanced_q_int, format_scalar,
+                         power, q_binomials, root_of_unity)
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -1078,6 +1081,23 @@ def q_factorial_by_powers(n, xi):
     for i in range(1, n + 1):
         total = total * q_int_by_powers(i, xi)
     return total
+
+
+def balanced_q_factorial(n, q):
+    """[n]_q! = [n]_q [n-1]_q ... [1]_q, with [0]_q! = 1, each [i]_q
+    summed afresh."""
+    total = q ** 0
+    for i in range(1, n + 1):
+        total = total * balanced_q_int(i, q)
+    return total
+
+
+def power_by_squaring(x, e):
+    """x ** e for a Cyclotomic x by square-and-multiply, of x^-1 for e < 0,
+    rather than c^e zeta^(ke) in one step for x = c zeta^k."""
+    if e < 0:
+        x, e = x.inverse(), -e
+    return power(x, e, lambda: Cyclotomic.one(x.order))
 
 
 def q_binomial_by_factorials(n, k, xi):

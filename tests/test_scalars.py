@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import bhl.scalars
 from bhl.algebras import taft
 from bhl.classify import packet_report
+from bhl.cli import q_factorial_checks
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
 from bhl.scalars import (
@@ -19,7 +20,7 @@ from bhl.scalars import (
     OrderMismatchError,
     ParseError,
     _conjugate,
-    balanced_q_factorial,
+    balanced_q_factorials,
     balanced_q_int,
     cyclotomic_polynomial,
     euler_phi,
@@ -37,6 +38,8 @@ from bhl.scalars import (
     tokenize,
 )
 from oracle import (
+    balanced_q_factorial,
+    power_by_squaring,
     q_binomial,
     q_binomial_by_factorials,
     q_factorial_by_powers,
@@ -191,6 +194,75 @@ def test_unbalanced_vs_balanced_factorial(p):
         lhs = q_factorial(n, xi)
         rhs = q ** (-(n * (n - 1) // 2) % p) * balanced_q_factorial(n, q)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 10, 13])
+def test_balanced_q_factorials_match_the_product_route(order):
+    # the running table against the product of [i]_q, each summed afresh,
+    # by type and repr: at q = zeta_N, at q = zeta_p^((p-1)/2) as in
+    # criterion 3, and at the rational q = 2/3 of order N
+    qs = [root_of_unity(order), Cyclotomic(order, [2], 3)]
+    if order % 2:
+        qs.append(root_of_unity(order) ** ((order - 1) // 2))
+    for q in qs:
+        table = balanced_q_factorials(order + 2, q)
+        assert [_typed(f) for f in table] == [
+            _typed(balanced_q_factorial(n, q)) for n in range(order + 3)]
+
+
+def test_criterion_3_takes_no_field_inverse(monkeypatch):
+    # q^-1 and q^(-n(n-1)/2) are powers of the monomial q, taken in one
+    # step, and [n]_q! is read off one running table
+    def refuse(self):
+        raise AssertionError("a field inverse was taken")
+    monkeypatch.setattr(Cyclotomic, "inverse", refuse)
+    for p in (3, 5, 7, 11, 13, 31):
+        assert [c["status"] for c in q_factorial_checks(p)] == ["PASS"]
+    q = root_of_unity(13) ** 6
+    assert [balanced_q_int(n, q) for n in (-3, 5)] == [
+        -(q ** 2 + 1 + q ** -2), q ** 4 + q ** 2 + 1 + q ** -2 + q ** -4]
+
+
+@st.composite
+def power_base(draw):
+    """Zero, a rational, c zeta^k or a general element, of some order."""
+    order = draw(st.sampled_from(ORDERS))
+    kind = draw(st.sampled_from(["zero", "rational", "monomial", "general"]))
+    if kind == "general":
+        return draw(cyclo(order))
+    vec = [0] * euler_phi(order)
+    if kind != "zero":
+        k = 0 if kind == "rational" else draw(st.integers(0, len(vec) - 1))
+        vec[k] = draw(st.integers(-9, 9).filter(bool))
+    return Cyclotomic(order, vec, draw(st.integers(1, 9)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(power_base(), st.integers(-15, 15))
+def test_powers_match_square_and_multiply(x, e):
+    # c zeta^k takes c^e zeta^(ke) in one step; the result is the canonical
+    # element square-and-multiply gives, of the same type and order, and a
+    # zero base still raises for e < 0
+    if not x and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** e
+    else:
+        _same(x ** e, power_by_squaring(x, e))
+
+
+def test_powers_of_a_monomial_past_its_order():
+    # exponents far past the order and the size of a pass of square-and-
+    # multiply, against zeta^(ke mod N) scaled by c^e
+    for order in (1, 2, 5, 12, 105):
+        d = euler_phi(order)
+        for k in range(d):
+            vec = [0] * d
+            vec[k] = -2
+            x = Cyclotomic(order, vec, 3)
+            for e in (10 ** 3 + 1, -(10 ** 3) - 2):
+                want = root_of_unity(order, k * e % order) * (
+                    Fraction(-2, 3) ** e)
+                _same(x ** e, want)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
