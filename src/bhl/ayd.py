@@ -31,16 +31,19 @@ reads only its diagonal and first subdiagonal: x^j sends z^a e_t x^c
 through d raisings and l = j - d lowerings to z^{a-l} e_{t+d} x^{c+d}, and
 the total weight of those paths, needed for d = 0 and 1 only, does not
 depend on c and takes mu only through u = mu + 2t, so one table per p
-serves every mu (see _series_tables).  With no zero on the first
-subdiagonal each eigenvalue there has geometric multiplicity 1 (Golub and
-Van Loan, 7.4), so the kernel chain of 1 - varsigma is read off the
-diagonals; else it takes sparse powers of the whole varsigma.
+serves every mu (see _series_tables).  Each string is a prefix or a suffix
+of a line of fixed t - a mod p, so each entry of the two diagonals is read
+once per mu.  With no zero on the first subdiagonal each eigenvalue there
+has geometric multiplicity 1 (Golub and Van Loan, 7.4), so the kernel
+chain of 1 - varsigma is read off the diagonals; else it takes sparse
+powers of the whole varsigma.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .algebras import _require_prime, check_guard, d_a_mu, is_prime, uqsl2
 from .exactmat import Mat
@@ -137,24 +140,6 @@ def _series_coefficients(p):
     xi = root_of_unity(p)
     inv = inverse_factorials([q_int(j, xi) for j in range(1, p)])
     return (1,) + tuple(xi ** ((j - 1) * j // 2) * inv[j] for j in range(1, p))
-
-
-def _sigma_diagonals(p, mu):
-    """The tables E(a, t, 0) and E(a, t, 1), a, t < p, of varsigma on the
-    regular module: varsigma takes z^a e_t x^c to E(a, t, 0) z^a e_t x^c
-    plus E(a, t, 1) z^{a+1} e_{t+1} x^{c+1} plus higher shifts (the second
-    term only for a + 1 < p and c + 1 < p; E(p - 1, t, 1) is 0).  They are
-    E(a, t, d) = xi^{-i^2 - mu i} S(a, (mu + 2t) mod p, d) with i = t - a,
-    from the one table S of _series_tables(p), in new lists on each call."""
-    series = _series_tables(p)
-    tables = [[[0] * p for _ in range(p)] for _ in range(2)]
-    for a in range(p):
-        for t in range(p):
-            i = t - a
-            prefactor = root_of_unity(p, -i * i - mu * i)
-            for d, total in enumerate(series[a][(mu + 2 * t) % p]):
-                tables[d][a][t] = prefactor * total
-    return tables
 
 
 @lru_cache(maxsize=None)
@@ -330,8 +315,13 @@ def _u_K_invertible(U, u_K):
 def ribbon_prefactor(p, mu):
     """The scalar q^{m(mu^2 - 1)} relating varsigma and the v_0-action,
     with q = xi^m and m = (p - 1)/2 as in uqsl2(p)."""
+    return root_of_unity(p, _prefactor_exponent(p, mu))
+
+
+def _prefactor_exponent(p, mu):
+    """t = m^2 (mu^2 - 1) mod p, so that ribbon_prefactor(p, mu) = xi^t."""
     m = (p - 1) // 2
-    return root_of_unity(p, m * m * (mu * mu - 1))
+    return m * m * (mu * mu - 1) % p
 
 
 def verify_ribbon_identity(p, mu):
@@ -369,7 +359,8 @@ def _ribbon_identity(p, mu, R, psi0, table):
     if U.signature != ("uqsl2", p):
         raise ValueError("ribbon element of %r, algebra d_a_mu(%d, %d)"
                          % (U.signature, p, mu))
-    pref = ribbon_prefactor(p, mu)
+    t = _prefactor_exponent(p, mu)
+    pref = root_of_unity(p, t)
     checks = []
 
     bad = []
@@ -389,12 +380,9 @@ def _ribbon_identity(p, mu, R, psi0, table):
         "prefactor_scalar_route", not bad,
         details="xi^{-i^2-mu i} vs q^{m(mu^2-1)} K u_K at "
                 "K = q^{mu-1} xi^{-i}, all i",
-        witnesses=bad or None))
+        witnesses=bad))
 
     table, off, G = table
-    t = pref.num.index(1) if 1 in pref.num else p - 1  # pref = xi^t
-    if pref != root_of_unity(p, t):
-        raise AssertionError("prefactor %s is no power of xi" % pref)
     half, coeffs = (p + 1) // 2, None
     s = mu * half % p
     diff = {mono: -pref * root_of_unity(p, s * mono[1]) * c
@@ -474,7 +462,7 @@ def _ribbon_family(R):
     checks.append(check(
         "prefactor_depends_only_on_mu_squared", not bad,
         details="; ".join("mu=%d: %s" % m for m in enumerate(texts)),
-        witnesses=bad or None))
+        witnesses=bad))
     return checks
 
 
@@ -512,27 +500,35 @@ def stable_analysis(p, mu):
 
     varsigma takes z^a e_t x^c only to z^{a+d} e_{t+d} x^{c+d}, d >= 0, so
     it is lower triangular on each of the 2p^2 - p strings of fixed
-    (a - c, (t - c) mod p), ordered by c.  If no first-subdiagonal entry
-    E(a, t, 1) vanishes, each eigenvalue on a string has geometric
-    multiplicity 1 (Golub and Van Loan, Matrix Computations, 7.4; Horn and
-    Johnson, Matrix Analysis): 0 is one Jordan block of size z_b, the
-    number of diagonal entries of string b where varsigma = 1, so dim ker
-    T^k = sum_b min(k, z_b), rising until k = max_b z_b (k = 1 if all z_b
-    are 0).  The two diagonals come from _sigma_diagonals, which reads one
-    table per p, built once at O(p^3) scalar operations, at u = mu + 2t;
-    only if a first-subdiagonal entry vanishes does it build the regular
+    (a - c, (t - c) mod p), ordered by c, with entries xi^{-i^2 - mu i}
+    S(a, u, d), i = t - a and u = (mu + 2t) mod p, from the one table S of
+    _series_tables(p): d = 0 on the diagonal, d = 1 on the first
+    subdiagonal.  The strings on a line of fixed i mod p, ordered by a,
+    are its p suffixes and p - 1 proper prefixes, so the subdiagonal
+    entries of all strings are the S(a, u, 1) with a + 1 < p.  If none
+    vanishes, each eigenvalue on a string has geometric multiplicity 1
+    (Golub and Van Loan, Matrix Computations, 7.4; Horn and Johnson,
+    Matrix Analysis): 0 is one Jordan block of size z_b, the number of
+    diagonal entries of string b where varsigma = 1, that is S(a, u, 0) =
+    xi^{i^2 + mu i}, so dim ker T^k = sum_b min(k, z_b), rising until k =
+    max_b z_b (k = 1 if all z_b are 0).  Each z_b is a difference of one
+    running count along its line, so each entry of either diagonal is read
+    once.  Only if a subdiagonal entry vanishes does it build the regular
     module and take the nullities of sparse powers of T.
     """
     mu %= p
     _check_regular_guard(p, mu)
     _require_prime(p)
     n = p ** 3
-    diag, sub = _sigma_diagonals(p, mu)
-    strings = [[(a + s, (t + s) % p) for s in range(p - max(a, c))]
-               for a in range(p) for t in range(p) for c in range(p)
-               if min(a, c) == 0]
-    if all(sub[a][t] for b in strings for a, t in b[:-1]):
-        z = [sum(diag[a][t] == 1 for a, t in b) for b in strings]
+    series = _series_tables(p)
+    lines = [[series[a][(mu + 2 * (a + i)) % p] for a in range(p)]
+             for i in range(p)]
+    if all(s[1] for line in lines for s in line[:-1]):
+        z = []
+        for i, line in enumerate(lines):
+            one = root_of_unity(p, i * i + mu * i)
+            count = list(accumulate((s[0] == one for s in line), initial=0))
+            z += count[1:p] + [count[p] - k for k in count[:p]]
         chain = [sum(min(k, zb) for zb in z)
                  for k in range(1, max(max(z), 1) + 1)]
     else:

@@ -110,7 +110,7 @@ def dual_algebra_checks(p):
             "iso p=%d: z^i maps to xi^(-(i-1)i/2) (i)_xi! e_i" % p,
             not bad,
             details="checked the diagonal of the induced linear map",
-            witnesses=bad or None))
+            witnesses=bad))
         return checks
     return _guarded("dual algebra p=%d" % p, run)
 
@@ -132,7 +132,7 @@ def q_factorial_checks(p):
         "p=%d: (n)_xi! = q^(-n(n-1)/2) [n]_q! for all n < p" % p,
         not bad,
         details="q = xi^((p-1)/2)",
-        witnesses=bad or None)]
+        witnesses=bad)]
 
 
 def uqsl2_iso_checks(p, mus=None):
@@ -282,7 +282,7 @@ def vecg_checks(N, c):
     checks.append(check(
         "stable classes refine braided classes",
         not unrefined,
-        witnesses=[{"stable class": list(cls)} for cls in unrefined] or None))
+        witnesses=[{"stable class": list(cls)} for cls in unrefined]))
     if br["omega_injective"]:
         ok = len(stb["classes"]) == len(packet.entries)
         checks.append(check(
@@ -372,7 +372,7 @@ def dsl_corpus_checks():
                 details="%d assertion(s)" % len(sub),
                 witnesses=[{"check": s["name"],
                             "witnesses": s["witnesses"]}
-                           for s in bad] or None))
+                           for s in bad]))
     return checks
 
 

@@ -49,7 +49,9 @@ right multiplication b |-> b*a as a matrix, which bhl never builds; and the acti
 matrices, rather than accumulated into one dict; primality by trial
 division, rather than by Miller-Rabin; and the two diagonals of varsigma
 on the regular module by the path recursion for one mu, rather than from
-one table per p.  run_script runs the
+one table per p, and the kernel chain of 1 - varsigma read off them at
+each listed position of each string (stable_chain_by_strings), rather
+than by one running count per line.  run_script runs the
 table scripts under scripts/, themselves independent routes.  The
 braiding is an explicit matrix on the listed bases of V (x) W and
 W (x) V (braiding_matrix), rather than a diagram leaf that computes each
@@ -553,10 +555,13 @@ def regular_ayd_by_conjugation(p, mu):
 
 
 def sigma_diagonals_by_mu(p, mu):
-    """The tables E(a, t, 0) and E(a, t, 1) of bhl.ayd._sigma_diagonals by
-    the path recursion for this mu alone, with the lowering weight
-    (a)_xi (xi^{a-mu-2t} - 1) read at t, rather than from the one table per
-    p indexed by u = mu + 2t; entries with a + d = p are the int 0."""
+    """The tables E(a, t, 0) and E(a, t, 1) of varsigma on the regular
+    module, which takes z^a e_t x^c to E(a, t, 0) z^a e_t x^c plus
+    E(a, t, 1) z^{a+1} e_{t+1} x^{c+1} plus higher shifts, by the path
+    recursion for this mu alone, with the lowering weight
+    (a)_xi (xi^{a-mu-2t} - 1) read at t, rather than as xi^{-i^2-mu i}
+    times the one table per p of bhl.ayd._series_tables indexed by
+    u = mu + 2t; entries with a + d = p are the int 0."""
     xi = root_of_unity(p)
     coeffs = [1] + [xi ** (((j - 1) * j) // 2)
                     * q_factorial_by_powers(j, xi).inverse()
@@ -587,6 +592,25 @@ def sigma_diagonals_by_mu(p, mu):
                 prev = cur
                 tables[d][a][t] = prefactor * total
     return tables
+
+
+def stable_chain_by_strings(p, mu):
+    """The kernel chain of 1 - varsigma on the regular module read off the
+    tables of sigma_diagonals_by_mu string by string: each of the 2p^2 - p
+    strings of fixed (a - c, (t - c) mod p), started at min(a, c) = 0, is
+    listed by its positions (a, t), about p^3 in all, rather than counted
+    as a prefix or suffix of its line.  None when a first-subdiagonal
+    entry on a string vanishes, where the diagonals do not decide the
+    chain."""
+    diag, sub = sigma_diagonals_by_mu(p, mu)
+    strings = [[(a + s, (t + s) % p) for s in range(p - max(a, c))]
+               for a in range(p) for t in range(p) for c in range(p)
+               if min(a, c) == 0]
+    if not all(sub[a][t] for b in strings for a, t in b[:-1]):
+        return None
+    z = [sum(diag[a][t] == 1 for a, t in b) for b in strings]
+    return [sum(min(k, zb) for zb in z)
+            for k in range(1, max(max(z), 1) + 1)]
 
 
 def tensor_pair(TA, a, b):

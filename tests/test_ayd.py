@@ -32,7 +32,7 @@ from bhl.ayd import (
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
 from bhl.report import FAIL, PASS
-from bhl.scalars import root_of_unity
+from bhl.scalars import Cyclotomic, root_of_unity
 from oracle import (
     AlgebraModule,
     act_matrix_by_sums,
@@ -48,6 +48,7 @@ from oracle import (
     right_mult_operator,
     run_script,
     sigma_diagonals_by_mu,
+    stable_chain_by_strings,
     to_uqsl2,
     trivial_ayd_module,
     twisted_psi_v0,
@@ -209,7 +210,7 @@ def test_sigma_matches_the_series(monkeypatch, p, mu):
     # subdiagonal of the series that varsigma_H sums on the whole module
     monkeypatch.setenv("BHL_DIM_GUARD", "3000")
     n = p ** 3
-    diag, sub = ayd._sigma_diagonals(p, mu)
+    diag, sub = sigma_diagonals(p, mu)
     tables = {}
     for a in range(p):
         for t in range(p):
@@ -225,17 +226,32 @@ def test_sigma_matches_the_series(monkeypatch, p, mu):
         == typed_entries(Mat(n, n, near))
 
 
+def sigma_diagonals(p, mu):
+    """E(a, t, d) = xi^{-i^2 - mu i} S(a, (mu + 2t) mod p, d), i = t - a,
+    the diagonal (d = 0) and first subdiagonal (d = 1) of varsigma on the
+    regular module as stable_analysis reads them from the one table S of
+    ayd._series_tables, with the int 0 where a + d = p."""
+    series = ayd._series_tables(p)
+    tables = [[[0] * p for _ in range(p)] for _ in range(2)]
+    for a in range(p):
+        for t in range(p):
+            i = t - a
+            prefactor = root_of_unity(p, -i * i - mu * i)
+            for d, total in enumerate(series[a][(mu + 2 * t) % p]):
+                tables[d][a][t] = prefactor * total
+    return tables
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_sigma_diagonals_are_the_closed_form(p):
-    # varsigma(z^a e_t x^c) = xi^{-t^2-mu t} sum_d c_d z^{a+d} e_{t+d} x^{c+d}
-    # with c_0 = c_1 = 1, so both tables are xi^{-t^2-mu t}, never 0
-    for mu in range(p):
-        diag, sub = ayd._sigma_diagonals(p, mu)
-        for a in range(p):
-            for t in range(p):
-                value = root_of_unity(p, -t * t - mu * t)
-                assert diag[a][t] == value
-                assert sub[a][t] == (value if a + 1 < p else 0)
+    # S(a, u, 0) = xi^{a(a-u)} for all a, and S(a, u, 1) = xi^{a(a-u)} for
+    # a + 1 < p; with u = mu + 2t and i = t - a, both diagonals of varsigma
+    # are then xi^{-t^2-mu t}, never 0
+    series = ayd._series_tables(p)
+    for a in range(p):
+        for u in range(p):
+            value = root_of_unity(p, a * (a - u))
+            assert series[a][u] == (value,) * min(2, p - a)
 
 
 def typed_tables(tables):
@@ -248,20 +264,8 @@ def test_sigma_diagonals_match_the_per_mu_recursion(p):
     # the view of the one table per p, read at u = mu + 2t, against the
     # path recursion run for each mu alone, value and type, int 0 included
     for mu in range(p):
-        assert typed_tables(ayd._sigma_diagonals(p, mu)) \
+        assert typed_tables(sigma_diagonals(p, mu)) \
             == typed_tables(sigma_diagonals_by_mu(p, mu))
-
-
-def test_sigma_diagonals_are_new_lists_on_each_call():
-    # a caller that writes into the tables, as the sparse-chain test below
-    # does, leaves the cached table per p as it was
-    p, mu = 3, 1
-    diag, sub = ayd._sigma_diagonals(p, mu)
-    assert sub[0][2]
-    sub[0][2] = 0
-    diag[0][0] = 0
-    assert typed_tables(ayd._sigma_diagonals(p, mu)) \
-        == typed_tables(sigma_diagonals_by_mu(p, mu))
 
 
 @settings(max_examples=20, deadline=None)
@@ -592,17 +596,18 @@ def test_rank_one_table_matches_the_terms(monkeypatch, p):
     # and with a term off the monomials z^j g^b x^j, under the prefactor
     # and under the prefactor times xi
     monkeypatch.setenv("BHL_DIM_GUARD", "2000")
-    R, xi, real = ribbon_element(p), root_of_unity(p), ayd.ribbon_prefactor
+    R, xi, real = ribbon_element(p), root_of_unity(p), ayd._prefactor_exponent
     good = ayd._psi_v0(p, R)
     wrong = psi_v0_by_substitution(d_a_mu(p, 1), R).terms
     for psi0 in (good, wrong, {**good, (1, 2, 0): xi}):
         table = ayd._rank_one_table(p, psi0)
-        for shift in (1, xi):
-            monkeypatch.setattr(ayd, "ribbon_prefactor",
-                                lambda p, mu: real(p, mu) * shift)
+        for shift in (0, 1):  # the prefactor times xi^shift
+            monkeypatch.setattr(ayd, "_prefactor_exponent",
+                                lambda p, mu: real(p, mu) + shift)
             for mu in range(p):
                 assert ayd._ribbon_identity(p, mu, R, psi0, table)[1] == \
-                    ribbon_identity_by_terms(p, mu, psi0, real(p, mu) * shift)
+                    ribbon_identity_by_terms(
+                        p, mu, psi0, root_of_unity(p, real(p, mu) + shift))
 
 
 def test_ribbon_family_substitutes_once(monkeypatch):
@@ -644,14 +649,15 @@ def test_ribbon_identity_rejects_a_psi_of_the_wrong_mu(p, mu):
 
 def test_ribbon_identity_rejects_a_changed_prefactor(monkeypatch):
     p, mu = 5, 2
-    R, xi = ribbon_element(p), root_of_unity(p)
-    real = ayd.ribbon_prefactor
-    monkeypatch.setattr(ayd, "ribbon_prefactor",
-                        lambda p, mu: real(p, mu) * xi)
+    R, real = ribbon_element(p), ayd._prefactor_exponent
+    # the prefactor times xi
+    monkeypatch.setattr(ayd, "_prefactor_exponent",
+                        lambda p, mu: real(p, mu) + 1)
     scalar, element = ribbon_identity(p, mu, R, ayd._psi_v0(p, R))
     assert scalar["status"] == element["status"] == FAIL
     assert element["details"] == ("on the regular representation (faithful), "
-                                  "prefactor %s" % (real(p, mu) * xi))
+                                  "prefactor %s"
+                                  % root_of_unity(p, real(p, mu) + 1))
     # the difference (1 - xi) w, as JSON terms of d_a_mu(5, 2)
     [witness] = element["witnesses"]
     assert witness["difference"]
@@ -758,20 +764,17 @@ def test_strings_match_the_sparse_chain(monkeypatch, p, mu):
 
 
 def test_a_zero_on_the_subdiagonal_takes_the_sparse_chain(monkeypatch):
-    # zero E(0, 2, 1), the step from e_2 to z e_0 x, in the table and drop
-    # that entry of sigma: both ends of the step have sigma = 1 on the
-    # diagonal, so the Jordan block of their string splits and the chain is
-    # [14, 18], where the diagonal count gives [13, 18]
+    # zero E(0, 2, 1), the step from e_2 to z e_0 x, through S(0, 2, 1) in
+    # a copy of the table (u = (mu + 2t) mod p = 2) and drop that entry of
+    # sigma: both ends of the step have sigma = 1 on the diagonal, so the
+    # Jordan block of their string splits and the chain is [14, 18], where
+    # the diagonal count gives [13, 18]
     p, mu = 3, 1
     col, row = (0 * p + 2) * p + 0, (1 * p + 0) * p + 1
-    real_tables, real_sigma = ayd._sigma_diagonals, ayd.varsigma_H
-    real_chain = ayd._kernel_chain_by_powers
-
-    def zeroed(p, mu):
-        diag, sub = real_tables(p, mu)
-        assert sub[0][2]
-        sub[0][2] = 0
-        return diag, sub
+    real_sigma, real_chain = ayd.varsigma_H, ayd._kernel_chain_by_powers
+    series = [list(rows) for rows in ayd._series_tables(p)]
+    assert series[0][2][1]
+    series[0][2] = (series[0][2][0], 0)
 
     def dropped(M):
         sigma = real_sigma(M)
@@ -785,7 +788,7 @@ def test_a_zero_on_the_subdiagonal_takes_the_sparse_chain(monkeypatch):
         calls.append(T)
         return real_chain(T)
 
-    monkeypatch.setattr(ayd, "_sigma_diagonals", zeroed)
+    monkeypatch.setattr(ayd, "_series_tables", lambda p: series)
     monkeypatch.setattr(ayd, "varsigma_H", dropped)
     monkeypatch.setattr(ayd, "_kernel_chain_by_powers", spy)
     result = stable_analysis(p, mu)
@@ -794,6 +797,38 @@ def test_a_zero_on_the_subdiagonal_takes_the_sparse_chain(monkeypatch):
     assert result["chain"] == real_chain(T) == [14, 18]
     assert result["kernel_dims"] == {1: 14, 2: 18, 27: 18}
     assert result["stabilization_power"] == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7] + [
+    # the per-mu recursion costs about 0.4 s at p = 11 and 0.8 s at p = 13
+    pytest.param(p, marks=pytest.mark.slow) for p in (11, 13)])
+def test_line_counts_match_the_string_listing(monkeypatch, p):
+    # the chain from one running count per line against the chain read at
+    # each of the p^3 listed string positions, over the per-mu recursion
+    monkeypatch.setenv("BHL_DIM_GUARD", "3000")
+    for mu in range(p):
+        chain = stable_chain_by_strings(p, mu)
+        assert chain is not None
+        assert stable_analysis(p, mu)["chain"] == chain
+
+
+def test_stable_analysis_compares_each_diagonal_entry_once(monkeypatch):
+    # with the table built, the chain takes p^2 = 49 field comparisons at
+    # p = 7, one per diagonal entry of varsigma, not one per string
+    # position (p^3 = 343)
+    p, mu = 7, 1
+    ayd._series_tables(p)
+    real_eq, calls = Cyclotomic.__eq__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return real_eq(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__eq__", counted)
+    chain = stable_analysis(p, mu)["chain"]
+    monkeypatch.undo()
+    assert chain == [61, 98]
+    assert len(calls) == p * p
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
