@@ -19,7 +19,13 @@ generators and generator_rows read.  On top of either: regular-
 representation matrices (the columns of multiply), the product as a
 diagram leaf with column a (x) b = pair_product(a, b), the unit as a graded
 map, associativity and unitality checks on them, and center computation
-by generator commutants.
+by generator commutants (center_matrix).
+
+PresentedAlgebra.mirror_premise checks once, on the presentation, that
+reversing the generator order, g_i -> g_(k-1-i), extends to an
+anti-automorphism sigma of A; sigma then maps each normal monomial m to
+m[::-1].  On the sigma-fixed monomials ad(sigma h) = -sigma ad(h), so the
+center of uqsl2(p) is the kernel of ad(F) alone, with no column of ad(E).
 
 PresentedAlgebra.relation_residuals evaluates each power and
 straightening rule at generator images, elements or matrices, as lhs -
@@ -440,10 +446,14 @@ class FiniteDimAlgebra:
         ]
         return [assoc, next((c for c in units if c["status"] == FAIL), units[0])]
 
-    def compute_center(self):
-        """Basis of the center, the joint kernel of ad(g): v |-> g*v - v*g
-        over the generators g, from one elimination.  No L_g or R_g on all
-        of A is built.
+    def center_matrix(self):
+        """(M, space): the joint kernel of ad(g): v |-> g*v - v*g over the
+        generators g is the center, and it is the kernel of M read over
+        the monomials of space.  No L_g or R_g on all of A is built.
+
+        The center is the joint kernel over generators only because A is
+        associative: then [g*h, v] = g*[h, v] + [g, v]*h.  ad(g) relies on
+        it too, taking m*g as h*(m'*g) for m = h*m' (_right_products).
 
         First each diagonal generator cuts the basis to the monomials it
         commutes with (_diagonal_commutant).  The lemma: let g be
@@ -456,16 +466,25 @@ class FiniteDimAlgebra:
         two premises: g^bound is a nonzero scalar, and the products g*h
         and h*g.
 
-        Then the other generators g_0, g_1, ... act on the monomials m that
-        are left: column m of one matrix is ad(g_0)(m) over ad(g_1)(m) and
-        so on, generator k's rows offset by k * dim, each generator's memo
-        of right products freed before the elimination.  The kernel
-        vectors, read over the monomials left, are the center.
+        Then the mirror.  Let sigma be an anti-automorphism of A that
+        maps each generator to a generator and fixes each monomial left
+        (mirror_premise: sigma(m) = m[::-1]).  For v in their span,
+        sigma(v) = v, so ad(sigma h)(v) = sigma(v*h) - sigma(h*v) =
+        -sigma(ad(h)(v)), and sigma is injective: ad(sigma h) has the
+        kernel of ad(h) there.  So a generator whose mirror is already
+        stacked is dropped.  On uqsl2(p) that is E, the mirror of F, and
+        on d_a_mu(p, mu) x, the mirror of z.
+
+        The other generators g_0, g_1, ... act on the monomials m that
+        are left: column m of M is ad(g_0)(m) over ad(g_1)(m) and so on,
+        generator k's rows offset by k * dim, each generator's memo of
+        right products freed before any elimination.
 
         Generators of degree 0 go first, in presentation order otherwise;
         on uqsl2(p) and d_a_mu(p, mu) that one is diagonal and leaves the
-        p^2 monomials of weight zero (F^a K^b E^a, z^a g^b x^a).  The order
-        does not change the basis found
+        p^2 monomials of weight zero (F^a K^b E^a, z^a g^b x^a).  Neither
+        the order nor the mirror changes the kernel or the column order,
+        so not the reduced basis compute_center reads
         (test_center_does_not_depend_on_the_generator_order, against
         tests/oracle.py::center_by_generator_chain).
         """
@@ -479,6 +498,9 @@ class FiniteDimAlgebra:
                 stacked.append(gm)
             else:
                 space = kept
+        if self.mirror_premise() and all(m == m[::-1] for m in space):
+            stacked = [gm for k, gm in enumerate(stacked)
+                       if gm[::-1] not in stacked[:k]]
         cols = [{} for _ in space]
         for k, gm in enumerate(stacked):
             ad, offset = self.ad(gm), k * dim
@@ -486,9 +508,19 @@ class FiniteDimAlgebra:
                 for mo, s in ad(AlgebraElement(self, {m: 1})).terms.items():
                     col[offset + index[mo]] = s
             del ad  # free this generator's memo before the elimination
-        kernel = from_cols(len(stacked) * dim, cols).kernel_basis()
+        return from_cols(len(stacked) * dim, cols), space
+
+    def compute_center(self):
+        """Basis of the center: the kernel vectors of center_matrix, read
+        over the monomials it leaves, from one elimination."""
+        M, space = self.center_matrix()
         return [AlgebraElement(self, {space[j]: c for j, c in vec.items()})
-                for vec in kernel]
+                for vec in M.kernel_basis()]
+
+    def mirror_premise(self):
+        """False: without a presentation sigma is not known (see
+        PresentedAlgebra.mirror_premise)."""
+        return False
 
     def ad(self, g):
         """ad(g): v |-> g*v - v*g for a generator monomial g, g*v by
@@ -535,6 +567,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
         self._actions = {}
         self._diagonal = [_diagonal_factors(pres, i) for i in range(k)]
         self._diagonal_scales = {}
+        self._mirror = None
 
     def _label_of(self, mono):
         return "*".join(name if e == 1 else "%s^%d" % (name, e)
@@ -605,7 +638,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
     def _diagonal_commutant(self, g, space):
         """The monomials m of space with g*m = m*g, by the lemma of
-        compute_center, when its premises hold, else None.  lambda_m = 1 is
+        center_matrix, when its premises hold, else None.  lambda_m = 1 is
         compared as prod of a_h = prod of b_h over the letters h of m, for
         g*h = a_h (h*g) and h*g = b_h (h*g), so nothing is inverted."""
         if not self.pres.power_rhs[g.index(1)]:
@@ -619,6 +652,38 @@ class PresentedAlgebra(FiniteDimAlgebra):
         ratio = self.extend(pairs, (1, 1),
                             lambda x, y, *_: (x[0] * y[0], x[1] * y[1]))
         return [m for m in space if (lam := ratio(m))[0] == lam[1]]
+
+    def mirror_premise(self):
+        """Whether sigma: g_i -> g_(k-1-i), for k generators, extends to an
+        anti-automorphism of A, checked once: bounds and power_rhs read
+        the same reversed, and each straightening rule hi*lo = sum s w,
+        read right to left under sigma, sigma(lo)*sigma(hi) = sum s
+        sigma(w), holds in A, sigma(w) being w's letters reversed and
+        mirrored.  Then sigma, extended to the free algebra, maps each
+        defining relation to one that holds in A, and A (associative) is
+        the presented algebra, so sigma is an anti-automorphism of A.  It
+        reverses the letters of g_0^e_0 ... g_(k-1)^e_(k-1) to the normal
+        monomial m[::-1], with coefficient 1: a permutation of the basis.
+        It holds on uqsl2 (F <-> E) and d_a_mu (z <-> x), not on taft."""
+        if self._mirror is None:
+            pres, k = self.pres, len(self.pres.gens)
+
+            def mirrored(word):
+                return self._apply([(k - 1 - gi, e) for gi, e in reversed(word)],
+                                   {self.unit_mono: 1})
+
+            def holds(hi, lo, rule):
+                terms = dict(mirrored(((hi, 1), (lo, 1))))
+                for s, w in rule:
+                    for m, c in mirrored(w).items():
+                        terms[m] = terms.get(m, 0) - s * c
+                return not any(terms.values())
+
+            self._mirror = (pres.bounds == pres.bounds[::-1]
+                            and pres.power_rhs == pres.power_rhs[::-1]
+                            and all(holds(hi, lo, rule) for (hi, lo), rule
+                                    in pres.straighten.items()))
+        return self._mirror
 
     def _right_products(self, g):
         """m |-> m * g on basis monomials m, memoised in a dict that lives

@@ -397,11 +397,12 @@ def test_a_generator_off_the_lemma_takes_the_letter_route(monkeypatch):
 
 def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     # K is diagonal, so the center takes K*h and h*K for the generators h,
-    # 5 products, and no K*m; then F*m and E*m for the 25 weight-zero
-    # monomials F^a K^b E^a that commute with K, each less F*K or E*K,
-    # already taken: 5 + 24 + 24 = 53.  The right products m*F and m*E come from the
-    # memo of _right_products, not from pair products.  It memoises 151
-    # of the 2 * 125 actions (F, m) and (E, m): a run K^e takes one step,
+    # 5 products, and no K*m; then F*m for the 25 weight-zero monomials
+    # F^a K^b E^a that commute with K, less F*K, already taken: 5 + 24 =
+    # 29.  E, the mirror of F, takes no column.  The right products m*F
+    # come from the memo of _right_products, not from pair products.  It
+    # memoises 91 actions: 6 that the mirror premise's straightening rules
+    # take and 85 more of the 125 actions (F, m); a run K^e takes one step,
     # with no action of K memoised (PresentedAlgebra._apply).
     calls = []
     raw = PresentedAlgebra._pair_product_raw
@@ -413,8 +414,8 @@ def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     monkeypatch.setattr(PresentedAlgebra, "_pair_product_raw", counted)
     U = uqsl2(5)
     U.compute_center()
-    assert len(calls) == 53
-    assert len(U._actions) == 151
+    assert len(calls) == 29
+    assert len(U._actions) == 91
 
 
 @pytest.mark.parametrize("make", [lambda: uqsl2(5), lambda: d_a_mu(3, 1),
@@ -679,6 +680,87 @@ def test_center_does_not_depend_on_the_generator_order(monkeypatch, build):
     monkeypatch.setattr(B, "generators", lambda: gens[::-1])
     backward = [c.as_column() for c in B.compute_center()]
     assert backward == forward
+
+
+def skew_algebra():
+    # a, b, c with a^2 = b^2 = c^2 = 0, ba = 2ab, cb = bc and ca = ac.
+    # Reversed under sigma: a <-> c, b -> b, ba = 2ab reads cb = 2bc, which
+    # fails in A
+    return PresentedAlgebra(Presentation(
+        N=1, gens=("a", "b", "c"), degrees=(0, 0, 0), bounds=(2, 2, 2),
+        power_rhs=(0, 0, 0), straighten={
+            (1, 0): ((2, ((0, 1), (1, 1))),),
+            (2, 1): ((1, ((1, 1), (2, 1))),),
+            (2, 0): ((1, ((0, 1), (2, 1))),)}))
+
+
+def test_the_skew_algebra_is_associative():
+    A = skew_algebra()
+    full, _ = associativity_by_triples(A)
+    assert full["status"] == PASS
+    assert all_pass(A.verify_associativity())
+    assert A.pair_product((0, 0, 1), (0, 1, 0)) == {(0, 1, 1): 1}
+
+
+@pytest.mark.parametrize("build, holds", [
+    (lambda: uqsl2(3), True), (lambda: uqsl2(5), True),
+    (lambda: uqsl2(7), True), (lambda: d_a_mu(3, 1), True),
+    (lambda: d_a_mu(5, 2), True), (lambda: taft(3), False),
+    (skew_algebra, False), (lambda: dual_anyonic(5), False)],
+    ids=["uqsl2(3)", "uqsl2(5)", "uqsl2(7)", "d_a_mu(3,1)", "d_a_mu(5,2)",
+         "taft(3)", "skew", "dual_anyonic(5)"])
+def test_mirror_premise(build, holds):
+    # checked on the presentation, once: the flag is cached in the slot
+    # that __init__ leaves; where it holds, sigma(m) = m[::-1] reverses
+    # each product of a generator and a basis monomial, on either side
+    A = build()
+    assert A.mirror_premise() is holds
+    assert A.mirror_premise() is holds
+    if holds:
+        for g in generator_monos(A):
+            for m in A.basis:
+                for ma, mb in ((g, m), (m, g)):
+                    assert A.pair_product(mb[::-1], ma[::-1]) == {
+                        mo[::-1]: c
+                        for mo, c in A.pair_product(ma, mb).items()}
+
+
+@pytest.mark.parametrize("build, stacked", [
+    (lambda: uqsl2(5), ["F"]), (lambda: d_a_mu(3, 1), ["z"]),
+    (lambda: taft(3), ["x"]), (skew_algebra, ["a", "b", "c"])],
+    ids=["uqsl2(5)", "d_a_mu(3,1)", "taft(3)", "skew"])
+def test_center_stacks_no_mirror(monkeypatch, build, stacked):
+    # on uqsl2 and d_a_mu the mirror of F (of z) takes no column and no
+    # ad; taft and the skew algebra fail the premise and stack every
+    # generator that is not diagonal
+    taken = []
+    ad = PresentedAlgebra.ad
+
+    def spy(self, g):
+        taken.append(self.mono_label(g))
+        return ad(self, g)
+
+    monkeypatch.setattr(PresentedAlgebra, "ad", spy)
+    A = build()
+    M, space = A.center_matrix()
+    assert taken == stacked
+    assert (M.rows, M.cols) == (len(stacked) * A.dim, len(space))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: uqsl2(3), lambda: uqsl2(5), lambda: uqsl2(7),
+    pytest.param(lambda: uqsl2(11), marks=pytest.mark.slow),
+    lambda: d_a_mu(3, 1), lambda: d_a_mu(5, 2)],
+    ids=["uqsl2(3)", "uqsl2(5)", "uqsl2(7)", "uqsl2(11)", "d_a_mu(3,1)",
+         "d_a_mu(5,2)"])
+def test_center_does_not_depend_on_the_mirror(monkeypatch, build):
+    # the kernel of ad(F) alone is the kernel of ad(F) over ad(E) on the
+    # sigma-fixed monomials, and the column order is the same, so the
+    # reduced basis is too: by type and repr, in order
+    monkeypatch.setenv("BHL_DIM_GUARD", "2000")
+    center = [typed_terms(c.terms) for c in build().compute_center()]
+    monkeypatch.setattr(PresentedAlgebra, "mirror_premise", lambda self: False)
+    assert center == [typed_terms(c.terms) for c in build().compute_center()]
 
 
 @pytest.mark.slow

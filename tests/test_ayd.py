@@ -490,6 +490,38 @@ def test_ribbon_centrality_fails_with_a_witness_off_the_center():
     assert checks[1]["witnesses"][0]["generator"] == "K"
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_commutators_take_the_mirror_on_sigma_fixed_elements(monkeypatch, p):
+    # v_0 and v_0 + F*E are sigma-fixed: E's difference is -sigma of F's,
+    # with no ad(E), and equals U.ad(E)(v) by type and repr.  v_0 + F is
+    # not sigma-fixed, so E takes ad(E)
+    R = ribbon_element(p)
+    U = R.v_0.algebra
+    F, E = U.gen("F"), U.gen("E")
+    taken = []
+    ad = U.ad
+    monkeypatch.setattr(U, "ad", lambda g: taken.append(U.mono_label(g))
+                        or ad(g))
+    for v, direct in ((R.v_0, ["F", "K"]), (R.v_0 + F * E, ["F", "K"]),
+                      (R.v_0 + F, ["F", "K", "E"])):
+        taken.clear()
+        got = ayd._commutators(U, v)
+        assert taken == direct
+        assert [name for name, _ in got] == ["F", "K", "E"]
+        for (name, diff), (_, g) in zip(got, U.generators()):
+            assert typed_terms(diff.terms) == typed_terms(ad(
+                next(iter(g.terms)))(v).terms), name
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_center_dimension_is_the_number_of_center_vectors(p):
+    # the nullity of center_matrix, against the kernel basis
+    [c] = ayd.center_dimension_checks(uqsl2(p))
+    assert c["status"] == PASS
+    assert c["details"] == "dim Z = %d, expected %d" % (
+        len(uqsl2(p).compute_center()), 1 + 3 * (p - 1) // 2)
+
+
 def count_ranks(monkeypatch):
     ranks = []
     real = Mat.rank
