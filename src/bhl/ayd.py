@@ -31,17 +31,15 @@ The center's dimension is the nullity of center_matrix, with no kernel
 basis.
 
 stable_analysis splits the regular module into the 2p^2 - p strings of
-fixed (a - c, (t - c) mod p), on which varsigma is lower triangular, and
-reads only its diagonal and first subdiagonal: x^j sends z^a e_t x^c
-through d raisings and l = j - d lowerings to z^{a-l} e_{t+d} x^{c+d}, and
-the total weight of those paths, needed for d = 0 and 1 only, does not
-depend on c and takes mu only through u = mu + 2t, so one table per p
-serves every mu (see _series_tables).  Each string is a prefix or a suffix
-of a line of fixed t - a mod p, so each entry of the two diagonals is read
-once per mu.  With no zero on the first subdiagonal each eigenvalue there
-has geometric multiplicity 1 (Golub and Van Loan, 7.4), so the kernel
-chain of 1 - varsigma is read off the diagonals; else it takes sparse
-powers of the whole varsigma.
+fixed (a - c, (t - c) mod p), on which varsigma is lower triangular with no
+zero on its first subdiagonal (the lemma in its docstring), so each
+eigenvalue has one Jordan block per string (Golub and Van Loan, 7.4) and
+the kernel chain of 1 - varsigma is read off the diagonal alone.  The
+diagonal entry at z^a e_t x^c sums the paths of x^j through j lowerings,
+whose weight does not depend on c and takes mu only through u = mu + 2t,
+so one table per p serves every mu (see _series_tables).  Each string is a
+prefix or a suffix of a line of fixed t - a mod p, so each diagonal entry
+is read once per mu.
 """
 
 from __future__ import annotations
@@ -149,34 +147,27 @@ def _series_coefficients(p):
 
 @lru_cache(maxsize=None)
 def _series_tables(p):
-    """S(a, u, d) = sum_{l <= a} c_{d+l} W(d, l) as series[a][u][d], for
-    a + d < p and d < 2, where mu enters only through u = mu + 2t.
+    """S(a, u) = sum_{l <= a} c_l W(l) as series[a][u], where mu enters
+    only through u = mu + 2t.
 
-    With x raising z^a e_t x^c by weight xi^a and lowering it by
-    lowering[a][u], the paths through d raisings and l lowerings end at
-    z^{a-l} e_{t+d} x^{c+d}, so z^{d+l} x^{d+l} takes z^a e_t x^c to
-    W(d, l) z^{a+d} e_{t+d} x^{c+d}, where W(0, 0) = 1 and
+    x lowers z^a e_t x^c by lowering[a][u], so the paths of l lowerings end
+    at z^{a-l} e_t x^c, and z^l x^l takes z^a e_t x^c to W(l) z^a e_t x^c
+    plus terms that raise c, where W(0) = 1 and
 
-        W(d, l) = xi^{a-l} W(d-1, l) + lowering[a-l+1][u+2d] W(d, l-1).
+        W(l) = lowering[a-l+1][u] W(l-1).
 
     W does not depend on c, so the table costs O(p^3) scalar operations."""
     coeffs = _series_coefficients(p)
-    raising, lowering = _regular_weights(p)
+    lowering = _regular_weights(p)[1]
 
-    def sums(a, u):
-        out, prev = [], None  # prev: W(d - 1, l) for l = 0 .. a
-        for d in range(min(2, p - a)):
-            cur = []  # W(d, l) for l = 0 .. a
-            for l in range(a + 1):
-                w = raising[a - l] * prev[l] if d else int(l == 0)
-                if l:
-                    w = w + lowering[a - l + 1][(u + 2 * d) % p] * cur[l - 1]
-                cur.append(w)
-            out.append(sum(coeffs[d + l] * w for l, w in enumerate(cur)))
-            prev = cur
-        return tuple(out)
+    def diagonal(a, u):
+        total = w = 1
+        for l in range(1, a + 1):
+            w = lowering[a - l + 1][u] * w
+            total = total + coeffs[l] * w
+        return total
 
-    return tuple(tuple(sums(a, u) for u in range(p)) for a in range(p))
+    return tuple(tuple(diagonal(a, u) for u in range(p)) for a in range(p))
 
 
 @lru_cache(maxsize=None)
@@ -524,39 +515,57 @@ def stable_analysis(p, mu):
     varsigma takes z^a e_t x^c only to z^{a+d} e_{t+d} x^{c+d}, d >= 0, so
     it is lower triangular on each of the 2p^2 - p strings of fixed
     (a - c, (t - c) mod p), ordered by c, with entries xi^{-i^2 - mu i}
-    S(a, u, d), i = t - a and u = (mu + 2t) mod p, from the one table S of
-    _series_tables(p): d = 0 on the diagonal, d = 1 on the first
-    subdiagonal.  The strings on a line of fixed i mod p, ordered by a,
-    are its p suffixes and p - 1 proper prefixes, so the subdiagonal
-    entries of all strings are the S(a, u, 1) with a + 1 < p.  If none
-    vanishes, each eigenvalue on a string has geometric multiplicity 1
+    S(a, u, d), i = t - a and u = (mu + 2t) mod p: d = 0 on the diagonal,
+    d = 1 on the first subdiagonal.  S(a, u, d) = sum_{l <= a} c_{d+l}
+    W(d, l) sums the paths of x^{d+l} through d raisings and l lowerings,
+    where W(0, 0) = 1 and
+
+        W(d, l) = xi^{a-l} W(d-1, l)
+                  + (a-l+1)_xi (xi^{a-l+1-u-2d} - 1) W(d, l-1).
+
+    Lemma: S(a, u, 1) = S(a, u, 0) = xi^{a(a-u)}, never 0, for every prime
+    p and a + 1 < p.  By induction on l, with (l+1)_xi = (l)_xi + xi^l,
+
+        W(0, l) = (a)_xi!/(a-l)_xi! prod_{k=a-l+1}^{a} (xi^{k-u} - 1),
+        W(1, l) = xi^{a-l} (l+1)_xi (a)_xi!/(a-l)_xi!
+                  prod_{k=a-l}^{a-1} (xi^{k-u} - 1).
+
+    With X = xi^{a-u} and c_l = xi^{(l-1)l/2}/(l)_xi!, these give
+
+        c_l W(0, l) = [a l]_xi prod_{j<l} (X - xi^j),
+        c_{l+1} W(1, l) = xi^a [a l]_xi prod_{j<l} (X/xi - xi^j),
+
+    and the q-Newton expansion x^a = sum_l [a l]_q prod_{j<l} (x - q^j)
+    (Kac and Cheung, Quantum Calculus), a polynomial identity in q and x,
+    sums them to X^a and xi^a (X/xi)^a = X^a; no (j)_xi with j <= a + 1 < p
+    vanishes.  The strings on a line of fixed i mod p, ordered by a, are
+    its p suffixes and p - 1 proper prefixes, so the subdiagonal entries of
+    all strings are xi^{-i^2 - mu i} S(a, u, 1) with a + 1 < p, and none
+    vanishes.  So each eigenvalue on a string has geometric multiplicity 1
     (Golub and Van Loan, Matrix Computations, 7.4; Horn and Johnson,
     Matrix Analysis): 0 is one Jordan block of size z_b, the number of
     diagonal entries of string b where varsigma = 1, that is S(a, u, 0) =
     xi^{i^2 + mu i}, so dim ker T^k = sum_b min(k, z_b), rising until k =
-    max_b z_b (k = 1 if all z_b are 0).  Each z_b is a difference of one
-    running count along its line, so each entry of either diagonal is read
-    once.  Only if a subdiagonal entry vanishes does it build the regular
-    module and take the nullities of sparse powers of T.
+    max_b z_b (k = 1 if all z_b are 0).  Only that premise is the lemma:
+    the diagonal S(a, u, 0) is summed in Q(zeta_p), from the one table of
+    _series_tables(p), and not taken from its closed form.  Each z_b is a
+    difference of one running count along its line, so each diagonal entry
+    is read once.
     """
     mu %= p
     _check_regular_guard(p, mu)
     _require_prime(p)
-    n = p ** 3
     series = _series_tables(p)
-    lines = [[series[a][(mu + 2 * (a + i)) % p] for a in range(p)]
-             for i in range(p)]
-    if all(s[1] for line in lines for s in line[:-1]):
-        z = []
-        for i, line in enumerate(lines):
-            one = root_of_unity(p, i * i + mu * i)
-            count = list(accumulate((s[0] == one for s in line), initial=0))
-            z += count[1:p] + [count[p] - k for k in count[:p]]
-        chain = [sum(min(k, zb) for zb in z)
-                 for k in range(1, max(max(z), 1) + 1)]
-    else:
-        M = regular_ayd_module(p, mu)
-        chain = _kernel_chain_by_powers(Mat.identity(n) - varsigma_H(M).mat)
+    z = []
+    for i in range(p):
+        one = root_of_unity(p, i * i + mu * i)
+        count = list(accumulate(
+            (series[a][(mu + 2 * (a + i)) % p] == one for a in range(p)),
+            initial=0))
+        z += count[1:p] + [count[p] - k for k in count[:p]]
+    chain = [sum(min(k, zb) for zb in z)
+             for k in range(1, max(max(z), 1) + 1)]
+    n = p ** 3
     dims = {1: chain[0], 2: chain[1] if len(chain) > 1 else chain[0],
             n: chain[-1]}
     return {
@@ -567,15 +576,6 @@ def stable_analysis(p, mu):
         "stabilization_power": len(chain),
         "chain": chain,
     }
-
-
-def _kernel_chain_by_powers(T):
-    """Nullities of T, T^2, ... up to the first repeat, by sparse products."""
-    chain, Tk = [T.nullity()], T * T
-    while (nk := Tk.nullity()) != chain[-1]:
-        chain.append(nk)
-        Tk = Tk * T
-    return chain
 
 
 def sweedler_checks(mu):

@@ -208,10 +208,6 @@ class CayleyGroup:
     def mul(self, a, b):
         return self.table[a][b]
 
-    @staticmethod
-    def from_json(data):
-        return CayleyGroup(data)
-
 
 def rep_g_decomposition(G):
     """Conjugacy classes of a CayleyGroup with centralizer data.

@@ -297,7 +297,7 @@ def vecg_checks(N, c):
 def repg_checks(data):
     from .classify import CayleyGroup, rep_g_decomposition
     try:
-        G = CayleyGroup.from_json(data)
+        G = CayleyGroup(data)
     except ValueError as exc:
         return [check("cayley table is a group", False,
                       witnesses=[{"error": str(exc)}])]
@@ -442,7 +442,7 @@ def vecg_criterion_checks(N):
 def s3_class_checks():
     from .classify import CayleyGroup, rep_g_decomposition
     data = _read_json(DATA_DIR / "cayley_s3.json")
-    classes = rep_g_decomposition(CayleyGroup.from_json(data))
+    classes = rep_g_decomposition(CayleyGroup(data))
     sizes = tuple(cls["size"] for cls in classes)
     cents = tuple(cls["centralizer_order"] for cls in classes)
     singles = [cls for cls in classes if cls["singleton"]]

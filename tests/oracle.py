@@ -51,7 +51,9 @@ division, rather than by Miller-Rabin; and the two diagonals of varsigma
 on the regular module by the path recursion for one mu, rather than from
 one table per p, and the kernel chain of 1 - varsigma read off them at
 each listed position of each string (stable_chain_by_strings), rather
-than by one running count per line.  run_script runs the
+than by one running count per line, and as the nullities of sparse
+powers of the whole 1 - varsigma (kernel_chain_by_powers), rather than
+off the diagonal alone.  run_script runs the
 table scripts under scripts/, themselves independent routes.  The
 braiding is an explicit matrix on the listed bases of V (x) W and
 W (x) V (braiding_matrix), rather than a diagram leaf that computes each
@@ -559,9 +561,10 @@ def sigma_diagonals_by_mu(p, mu):
     module, which takes z^a e_t x^c to E(a, t, 0) z^a e_t x^c plus
     E(a, t, 1) z^{a+1} e_{t+1} x^{c+1} plus higher shifts, by the path
     recursion for this mu alone, with the lowering weight
-    (a)_xi (xi^{a-mu-2t} - 1) read at t, rather than as xi^{-i^2-mu i}
-    times the one table per p of bhl.ayd._series_tables indexed by
-    u = mu + 2t; entries with a + d = p are the int 0."""
+    (a)_xi (xi^{a-mu-2t} - 1) read at t, rather than, for the diagonal, as
+    xi^{-i^2-mu i} times the one table per p of bhl.ayd._series_tables
+    indexed by u = mu + 2t, and, for the subdiagonal, not at all (bhl
+    proves it has no zero); entries with a + d = p are the int 0."""
     xi = root_of_unity(p)
     coeffs = [1] + [xi ** (((j - 1) * j) // 2)
                     * q_factorial_by_powers(j, xi).inverse()
@@ -611,6 +614,15 @@ def stable_chain_by_strings(p, mu):
     z = [sum(diag[a][t] == 1 for a, t in b) for b in strings]
     return [sum(min(k, zb) for zb in z)
             for k in range(1, max(max(z), 1) + 1)]
+
+
+def kernel_chain_by_powers(T):
+    """Nullities of T, T^2, ... up to the first repeat, by sparse products."""
+    chain, Tk = [T.nullity()], T * T
+    while (nk := Tk.nullity()) != chain[-1]:
+        chain.append(nk)
+        Tk = Tk * T
+    return chain
 
 
 def tensor_pair(TA, a, b):

@@ -39,6 +39,7 @@ from oracle import (
     as_module,
     dims_by_degree,
     is_invertible,
+    kernel_chain_by_powers,
     psi_v0_by_substitution,
     regular_ayd_by_conjugation,
     regular_module,
@@ -206,11 +207,13 @@ def test_sigma_is_natural_for_right_multiplications():
     pytest.param(p, mu, marks=pytest.mark.slow)
     for p, mu in ((11, 0), (11, 1), (13, 1))])
 def test_sigma_matches_the_series(monkeypatch, p, mu):
-    # the two tables stable_analysis reads, against the diagonal and first
-    # subdiagonal of the series that varsigma_H sums on the whole module
+    # the diagonal stable_analysis reads off the one table per p, and the
+    # first subdiagonal by the per-mu recursion, against the diagonal and
+    # first subdiagonal of the series that varsigma_H sums on the whole
+    # module
     monkeypatch.setenv("BHL_DIM_GUARD", "3000")
     n = p ** 3
-    diag, sub = sigma_diagonals(p, mu)
+    diag, sub = sigma_diagonal(p, mu), sigma_diagonals_by_mu(p, mu)[1]
     tables = {}
     for a in range(p):
         for t in range(p):
@@ -226,32 +229,73 @@ def test_sigma_matches_the_series(monkeypatch, p, mu):
         == typed_entries(Mat(n, n, near))
 
 
-def sigma_diagonals(p, mu):
-    """E(a, t, d) = xi^{-i^2 - mu i} S(a, (mu + 2t) mod p, d), i = t - a,
-    the diagonal (d = 0) and first subdiagonal (d = 1) of varsigma on the
-    regular module as stable_analysis reads them from the one table S of
-    ayd._series_tables, with the int 0 where a + d = p."""
+def sigma_diagonal(p, mu):
+    """E(a, t, 0) = xi^{-i^2 - mu i} S(a, (mu + 2t) mod p), i = t - a, the
+    diagonal of varsigma on the regular module as stable_analysis reads it
+    from the one table S of ayd._series_tables."""
     series = ayd._series_tables(p)
-    tables = [[[0] * p for _ in range(p)] for _ in range(2)]
-    for a in range(p):
-        for t in range(p):
-            i = t - a
-            prefactor = root_of_unity(p, -i * i - mu * i)
-            for d, total in enumerate(series[a][(mu + 2 * t) % p]):
-                tables[d][a][t] = prefactor * total
-    return tables
+    return [[root_of_unity(p, -(t - a) ** 2 - mu * (t - a))
+             * series[a][(mu + 2 * t) % p] for t in range(p)]
+            for a in range(p)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_sigma_diagonals_are_the_closed_form(p):
-    # S(a, u, 0) = xi^{a(a-u)} for all a, and S(a, u, 1) = xi^{a(a-u)} for
-    # a + 1 < p; with u = mu + 2t and i = t - a, both diagonals of varsigma
-    # are then xi^{-t^2-mu t}, never 0
+    # the lemma of stable_analysis: S(a, u, 0) = xi^{a(a-u)} on the table
+    # for all a, and S(a, u, 1) = xi^{a(a-u)} for a + 1 < p by the per-mu
+    # recursion; with u = mu + 2t and i = t - a, both diagonals of
+    # varsigma are then xi^{-t^2-mu t}, never 0
     series = ayd._series_tables(p)
     for a in range(p):
         for u in range(p):
-            value = root_of_unity(p, a * (a - u))
-            assert series[a][u] == (value,) * min(2, p - a)
+            assert series[a][u] == root_of_unity(p, a * (a - u))
+    for mu in range(p):
+        sub = sigma_diagonals_by_mu(p, mu)[1]
+        for a in range(p - 1):
+            for t in range(p):
+                i, u = t - a, mu + 2 * t
+                assert sub[a][t] == root_of_unity(
+                    p, -i * i - mu * i + a * (a - u))
+
+
+@pytest.mark.parametrize("a", list(range(5)) + [
+    # cancel takes about 1 to 3.5 s at a = 5 to 7
+    pytest.param(a, marks=pytest.mark.slow) for a in (5, 6, 7)])
+def test_sigma_diagonal_lemma_in_generic_q(a):
+    # the path recursion of stable_analysis in generic q and y = q^{-u},
+    # so that xi^{k-u} is q^k y: both closed forms of W, and S(a, u, 0) =
+    # S(a, u, 1) = X^a with X = q^a y, which the q-Newton expansion gives
+    sympy = pytest.importorskip("sympy")
+    q, y = sympy.symbols("q y")
+
+    def q_int(k):
+        return sympy.Add(*[q ** j for j in range(k)])
+
+    def q_factorial(k):
+        return sympy.Mul(*[q_int(j) for j in range(1, k + 1)])
+
+    def lowering(k, d):
+        # (k)_q (xi^{k-u-2d} - 1), the weight of a lowering after d raisings
+        return q_int(k) * (q ** (k - 2 * d) * y - 1)
+
+    def vanishes(expr):
+        return sympy.cancel(expr) == 0
+
+    W0, W1 = [1], [q ** a]
+    for l in range(1, a + 1):
+        W0.append(lowering(a - l + 1, 0) * W0[l - 1])
+        W1.append(q ** (a - l) * W0[l] + lowering(a - l + 1, 1) * W1[l - 1])
+    for l in range(a + 1):
+        ratio = q_factorial(a) / q_factorial(a - l)
+        assert vanishes(W0[l] - ratio * sympy.Mul(
+            *[q ** k * y - 1 for k in range(a - l + 1, a + 1)]))
+        assert vanishes(W1[l] - q ** (a - l) * q_int(l + 1) * ratio
+                        * sympy.Mul(*[q ** k * y - 1
+                                      for k in range(a - l, a)]))
+    c = [q ** ((l - 1) * l // 2) / q_factorial(l) for l in range(a + 2)]
+    for d, W in enumerate((W0, W1)):
+        assert vanishes(sum(c[d + l] * w for l, w in enumerate(W))
+                        - q ** (a * a) * y ** a)
 
 
 def typed_tables(tables):
@@ -262,10 +306,10 @@ def typed_tables(tables):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_sigma_diagonals_match_the_per_mu_recursion(p):
     # the view of the one table per p, read at u = mu + 2t, against the
-    # path recursion run for each mu alone, value and type, int 0 included
+    # path recursion run for each mu alone, value and type
     for mu in range(p):
-        assert typed_tables(sigma_diagonals(p, mu)) \
-            == typed_tables(sigma_diagonals_by_mu(p, mu))
+        assert typed_tables([sigma_diagonal(p, mu)]) \
+            == typed_tables(sigma_diagonals_by_mu(p, mu)[:1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -760,13 +804,8 @@ def test_stable_dims_table_script_reproduces_the_frozen_table():
 def test_stable_dimension_at_large_p(monkeypatch, p, guard, mu):
     # dimensions 1331, 12167 and 29791: the stable kernel has dimension p^2
     # for mu = 0 and 2 p^2 otherwise, the rule the stable-dim report
-    # applies; a zero on the subdiagonal fails here rather than building
-    # the whole varsigma
-    def refuse(T):
-        raise AssertionError("sparse chain used")
-
+    # applies
     monkeypatch.setenv("BHL_DIM_GUARD", guard)
-    monkeypatch.setattr(ayd, "_kernel_chain_by_powers", refuse)
     result = stable_analysis(p, mu)
     assert result["dim"] == p ** 3
     assert result["chain"][-1] == (1 if mu == 0 else 2) * p ** 2
@@ -778,57 +817,17 @@ def test_stable_dimension_at_large_p(monkeypatch, p, guard, mu):
     pytest.param(p, mu, marks=pytest.mark.slow)
     for p, mu in ((11, 0), (11, 1), (13, 1))])
 def test_strings_match_the_sparse_chain(monkeypatch, p, mu):
+    # the chain off the diagonal, through the lemma, against the nullities
+    # of sparse powers of 1 - varsigma on the whole regular module
     monkeypatch.setenv("BHL_DIM_GUARD", "3000")
     M = regular_ayd_module(p, mu)
-    chain = ayd._kernel_chain_by_powers(
-        Mat.identity(M.dim) - varsigma_H(M).mat)
-
-    def refuse(T):
-        raise AssertionError("sparse chain used")
-
-    monkeypatch.setattr(ayd, "_kernel_chain_by_powers", refuse)
+    chain = kernel_chain_by_powers(Mat.identity(M.dim) - varsigma_H(M).mat)
     result = stable_analysis(p, mu)
     assert result["chain"] == chain
     assert result["stabilization_power"] == len(chain)
     assert result["kernel_dims"] == {
         1: chain[0], 2: chain[1] if len(chain) > 1 else chain[0],
         M.dim: chain[-1]}
-
-
-def test_a_zero_on_the_subdiagonal_takes_the_sparse_chain(monkeypatch):
-    # zero E(0, 2, 1), the step from e_2 to z e_0 x, through S(0, 2, 1) in
-    # a copy of the table (u = (mu + 2t) mod p = 2) and drop that entry of
-    # sigma: both ends of the step have sigma = 1 on the diagonal, so the
-    # Jordan block of their string splits and the chain is [14, 18], where
-    # the diagonal count gives [13, 18]
-    p, mu = 3, 1
-    col, row = (0 * p + 2) * p + 0, (1 * p + 0) * p + 1
-    real_sigma, real_chain = ayd.varsigma_H, ayd._kernel_chain_by_powers
-    series = [list(rows) for rows in ayd._series_tables(p)]
-    assert series[0][2][1]
-    series[0][2] = (series[0][2][0], 0)
-
-    def dropped(M):
-        sigma = real_sigma(M)
-        data = dict(sigma.mat.data)
-        assert data.pop((row, col))
-        return GradedMap(sigma.source, sigma.target, Mat(M.dim, M.dim, data))
-
-    calls = []
-
-    def spy(T):
-        calls.append(T)
-        return real_chain(T)
-
-    monkeypatch.setattr(ayd, "_series_tables", lambda p: series)
-    monkeypatch.setattr(ayd, "varsigma_H", dropped)
-    monkeypatch.setattr(ayd, "_kernel_chain_by_powers", spy)
-    result = stable_analysis(p, mu)
-    T = Mat.identity(p ** 3) - dropped(regular_ayd_module(p, mu)).mat
-    assert calls == [T]
-    assert result["chain"] == real_chain(T) == [14, 18]
-    assert result["kernel_dims"] == {1: 14, 2: 18, 27: 18}
-    assert result["stabilization_power"] == 2
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7] + [
@@ -865,7 +864,7 @@ def test_stable_analysis_compares_each_diagonal_entry_once(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_stable_analysis_builds_neither_module_nor_sigma(monkeypatch, p):
-    # no subdiagonal value vanishes, so the two tables are all it needs
+    # no subdiagonal value vanishes, so the diagonal table is all it needs
     def refuse(*args):
         raise AssertionError("built the regular module or its varsigma")
 

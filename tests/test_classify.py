@@ -332,7 +332,7 @@ def test_cyclic_group_decomposition():
 
 
 def test_s3_decomposition():
-    G = CayleyGroup.from_json(s3_table())
+    G = CayleyGroup(s3_table())
     assert G.order == 6
     assert G.identity == 0
     classes = rep_g_decomposition(G)
@@ -342,7 +342,7 @@ def test_s3_decomposition():
 
 
 def test_orbit_stabilizer_product():
-    for G in [cyclic_cayley(6), CayleyGroup.from_json(s3_table())]:
+    for G in [cyclic_cayley(6), CayleyGroup(s3_table())]:
         classes = rep_g_decomposition(G)
         assert sum(c["size"] for c in classes) == G.order
         for c in classes:

@@ -236,7 +236,7 @@ def test_eliminations_match_scan_on_ad_of_uqsl2():
 def test_eliminations_match_scan_on_the_kernel_chain():
     # T = 1 - varsigma on the regular module of d_a_mu(5, 1), and T^2: the
     # first two powers that the sparse kernel chain eliminates, the oracle
-    # and fallback of stable_analysis (ayd._kernel_chain_by_powers)
+    # of stable_analysis (oracle.kernel_chain_by_powers)
     M = regular_ayd_module(5, 1)
     T = Mat.identity(M.dim) - varsigma_H(M).mat
     assert_eliminations_match_scan(T)
