@@ -32,14 +32,13 @@ basis.
 
 stable_analysis splits the regular module into the 2p^2 - p strings of
 fixed (a - c, (t - c) mod p), on which varsigma is lower triangular with no
-zero on its first subdiagonal (the lemma in its docstring), so each
-eigenvalue has one Jordan block per string (Golub and Van Loan, 7.4) and
-the kernel chain of 1 - varsigma is read off the diagonal alone.  The
-diagonal entry at z^a e_t x^c sums the paths of x^j through j lowerings,
-whose weight does not depend on c and takes mu only through u = mu + 2t,
-so one table per p serves every mu (see _series_tables).  Each string is a
-prefix or a suffix of a line of fixed t - a mod p, so each diagonal entry
-is read once per mu.
+zero on its first subdiagonal, so each eigenvalue has one Jordan block per
+string (Golub and Van Loan, 7.4) and the kernel chain of 1 - varsigma is
+read off the diagonal alone.  By the lemma in its docstring, the diagonal
+entry at z^a e_t x^c is xi^{-t(t+mu)}, so varsigma = 1 there exactly when
+p divides t(t + mu), and the chain is counted in integers.  Each string is
+a prefix or a suffix of a line of fixed t - a mod p, so one running count
+per line serves all of its strings.
 """
 
 from __future__ import annotations
@@ -143,31 +142,6 @@ def _series_coefficients(p):
     xi = root_of_unity(p)
     inv = inverse_factorials([q_int(j, xi) for j in range(1, p)])
     return (1,) + tuple(xi ** ((j - 1) * j // 2) * inv[j] for j in range(1, p))
-
-
-@lru_cache(maxsize=None)
-def _series_tables(p):
-    """S(a, u) = sum_{l <= a} c_l W(l) as series[a][u], where mu enters
-    only through u = mu + 2t.
-
-    x lowers z^a e_t x^c by lowering[a][u], so the paths of l lowerings end
-    at z^{a-l} e_t x^c, and z^l x^l takes z^a e_t x^c to W(l) z^a e_t x^c
-    plus terms that raise c, where W(0) = 1 and
-
-        W(l) = lowering[a-l+1][u] W(l-1).
-
-    W does not depend on c, so the table costs O(p^3) scalar operations."""
-    coeffs = _series_coefficients(p)
-    lowering = _regular_weights(p)[1]
-
-    def diagonal(a, u):
-        total = w = 1
-        for l in range(1, a + 1):
-            w = lowering[a - l + 1][u] * w
-            total = total + coeffs[l] * w
-        return total
-
-    return tuple(tuple(diagonal(a, u) for u in range(p)) for a in range(p))
 
 
 @lru_cache(maxsize=None)
@@ -282,14 +256,21 @@ def _commutators(U, v):
     monomials) and sigma(v) = v, a generator whose mirror came before takes
     -sigma of the mirror's difference, as sigma(h*v - v*h) = v*sigma(h) -
     sigma(h)*v; on uqsl2(p), E takes -sigma([F, v]) and no ad(E).  v_0 is
-    sigma-fixed: its monomials F^a K^b E^a are."""
+    sigma-fixed: its monomials F^a K^b E^a are.  A diagonal generator that
+    commutes with every monomial of v (U._diagonal_commutant) has
+    difference 0 with no product, as K has with v_0 on uqsl2(p)."""
     fixed = U.mirror_premise() and all(
         v.terms.get(m[::-1]) == c for m, c in v.terms.items())
     out, diffs = [], {}
     for name, g in U.generator_monos.items():
         mirror = diffs.get(g[::-1]) if fixed else None
-        diffs[g] = diff = U.ad(g)(v) if mirror is None else -U.element(
-            {m[::-1]: c for m, c in mirror.terms.items()})
+        if mirror is not None:
+            diff = -U.element({m[::-1]: c for m, c in mirror.terms.items()})
+        elif U._diagonal_commutant(g, list(v.terms)) == list(v.terms):
+            diff = U.zero()
+        else:
+            diff = U.ad(g)(v)
+        diffs[g] = diff
         out.append((name, diff))
     return out
 
@@ -523,45 +504,50 @@ def stable_analysis(p, mu):
         W(d, l) = xi^{a-l} W(d-1, l)
                   + (a-l+1)_xi (xi^{a-l+1-u-2d} - 1) W(d, l-1).
 
-    Lemma: S(a, u, 1) = S(a, u, 0) = xi^{a(a-u)}, never 0, for every prime
-    p and a + 1 < p.  By induction on l, with (l+1)_xi = (l)_xi + xi^l,
+    Lemma: S(a, u, 0) = xi^{a(a-u)} for every prime p and a < p, and
+    S(a, u, 1) = xi^{a(a-u)} for a + 1 < p, so neither is 0.  By induction
+    on l, with (l+1)_xi = (l)_xi + xi^l,
 
         W(0, l) = (a)_xi!/(a-l)_xi! prod_{k=a-l+1}^{a} (xi^{k-u} - 1),
         W(1, l) = xi^{a-l} (l+1)_xi (a)_xi!/(a-l)_xi!
                   prod_{k=a-l}^{a-1} (xi^{k-u} - 1).
 
-    With X = xi^{a-u} and c_l = xi^{(l-1)l/2}/(l)_xi!, these give
+    With X = xi^{a-u} and c_l = xi^{(l-1)l/2}/(l)_xi!, these give, for
+    l <= a,
 
         c_l W(0, l) = [a l]_xi prod_{j<l} (X - xi^j),
         c_{l+1} W(1, l) = xi^a [a l]_xi prod_{j<l} (X/xi - xi^j),
 
     and the q-Newton expansion x^a = sum_l [a l]_q prod_{j<l} (x - q^j)
     (Kac and Cheung, Quantum Calculus), a polynomial identity in q and x,
-    sums them to X^a and xi^a (X/xi)^a = X^a; no (j)_xi with j <= a + 1 < p
-    vanishes.  The strings on a line of fixed i mod p, ordered by a, are
+    sums them to X^a and xi^a (X/xi)^a = X^a.  The first inverts only
+    (l)_xi! for l <= a < p, the second (l+1)_xi! for l + 1 <= a + 1 < p,
+    and no (j)_xi with 0 < j < p vanishes.  With u = mu + 2t and
+    i = t - a, the diagonal entry at z^a e_t x^c is then
+
+        xi^{-i^2 - mu i} xi^{a(a-u)} = xi^{-t(t+mu)},
+
+    whatever a and c, so varsigma = 1 there exactly when p divides
+    t(t + mu).  The strings on a line of fixed i mod p, ordered by a, are
     its p suffixes and p - 1 proper prefixes, so the subdiagonal entries of
     all strings are xi^{-i^2 - mu i} S(a, u, 1) with a + 1 < p, and none
     vanishes.  So each eigenvalue on a string has geometric multiplicity 1
     (Golub and Van Loan, Matrix Computations, 7.4; Horn and Johnson,
     Matrix Analysis): 0 is one Jordan block of size z_b, the number of
-    diagonal entries of string b where varsigma = 1, that is S(a, u, 0) =
-    xi^{i^2 + mu i}, so dim ker T^k = sum_b min(k, z_b), rising until k =
-    max_b z_b (k = 1 if all z_b are 0).  Only that premise is the lemma:
-    the diagonal S(a, u, 0) is summed in Q(zeta_p), from the one table of
-    _series_tables(p), and not taken from its closed form.  Each z_b is a
-    difference of one running count along its line, so each diagonal entry
-    is read once.
+    diagonal entries of string b where p divides t(t + mu), so
+    dim ker T^k = sum_b min(k, z_b), rising until k = max_b z_b (k = 1 if
+    all z_b are 0).  Each z_b is a difference of one running count of that
+    integer predicate along its line, with no operation in Q(zeta_p); the
+    diagonal summed in Q(zeta_p) is the tests' oracle
+    (tests/oracle.py::series_tables).
     """
     mu %= p
     _check_regular_guard(p, mu)
     _require_prime(p)
-    series = _series_tables(p)
     z = []
     for i in range(p):
-        one = root_of_unity(p, i * i + mu * i)
         count = list(accumulate(
-            (series[a][(mu + 2 * (a + i)) % p] == one for a in range(p)),
-            initial=0))
+            ((a + i) * (a + i + mu) % p == 0 for a in range(p)), initial=0))
         z += count[1:p] + [count[p] - k for k in count[:p]]
     chain = [sum(min(k, zb) for zb in z)
              for k in range(1, max(max(z), 1) + 1)]

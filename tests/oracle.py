@@ -47,10 +47,12 @@ than by exponent arithmetic mod N; the eta invariant on all N^2 arrows
 (eta_kernel), whose kernel bhl lists directly as the stable witnesses;
 right multiplication b |-> b*a as a matrix, which bhl never builds; and the action of an algebra element as a running sum of scaled
 matrices, rather than accumulated into one dict; primality by trial
-division, rather than by Miller-Rabin; and the two diagonals of varsigma
-on the regular module by the path recursion for one mu, rather than from
-one table per p, and the kernel chain of 1 - varsigma read off them at
-each listed position of each string (stable_chain_by_strings), rather
+division, rather than by Miller-Rabin; the diagonal of varsigma on the
+regular module summed in Q(zeta_p) over the lowering paths of x, one
+table per p for every mu (series_tables), and the two diagonals by the
+path recursion for one mu, rather than read from the closed form
+xi^{-t(t+mu)} that bhl proves, and the kernel chain of 1 - varsigma read
+off them at each listed position of each string (stable_chain_by_strings), rather
 than by one running count per line, and as the nullities of sparse
 powers of the whole 1 - varsigma (kernel_chain_by_powers), rather than
 off the diagonal alone.  run_script runs the
@@ -81,11 +83,12 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import bhl
 from bhl.algebras import d_a_mu, uqsl2
-from bhl.ayd import (AydModule, _series_coefficients, ribbon_prefactor,
-                     varsigma_H)
+from bhl.ayd import (AydModule, _regular_weights, _series_coefficients,
+                     ribbon_prefactor, varsigma_H)
 from bhl.dsl import Assertion, GenDecl, Let, ObjDecl, mor_text, obj_text
 from bhl.exactmat import Mat, _inv_scalar, from_cols
 from bhl.graded import (
@@ -556,15 +559,40 @@ def regular_ayd_by_conjugation(p, mu):
     return M
 
 
+@lru_cache(maxsize=None)
+def series_tables(p):
+    """S(a, u) = sum_{l <= a} c_l W(l) as series[a][u], where mu enters
+    only through u = mu + 2t.
+
+    x lowers z^a e_t x^c by lowering[a][u], so the paths of l lowerings end
+    at z^{a-l} e_t x^c, and z^l x^l takes z^a e_t x^c to W(l) z^a e_t x^c
+    plus terms that raise c, where W(0) = 1 and
+
+        W(l) = lowering[a-l+1][u] W(l-1).
+
+    W does not depend on c, so the table costs O(p^3) scalar operations."""
+    coeffs = _series_coefficients(p)
+    lowering = _regular_weights(p)[1]
+
+    def diagonal(a, u):
+        total = w = 1
+        for l in range(1, a + 1):
+            w = lowering[a - l + 1][u] * w
+            total = total + coeffs[l] * w
+        return total
+
+    return tuple(tuple(diagonal(a, u) for u in range(p)) for a in range(p))
+
+
 def sigma_diagonals_by_mu(p, mu):
     """The tables E(a, t, 0) and E(a, t, 1) of varsigma on the regular
     module, which takes z^a e_t x^c to E(a, t, 0) z^a e_t x^c plus
     E(a, t, 1) z^{a+1} e_{t+1} x^{c+1} plus higher shifts, by the path
     recursion for this mu alone, with the lowering weight
     (a)_xi (xi^{a-mu-2t} - 1) read at t, rather than, for the diagonal, as
-    xi^{-i^2-mu i} times the one table per p of bhl.ayd._series_tables
-    indexed by u = mu + 2t, and, for the subdiagonal, not at all (bhl
-    proves it has no zero); entries with a + d = p are the int 0."""
+    xi^{-i^2-mu i} times the one table per p of series_tables indexed by
+    u = mu + 2t; bhl reads neither (it proves both closed forms);
+    entries with a + d = p are the int 0."""
     xi = root_of_unity(p)
     coeffs = [1] + [xi ** (((j - 1) * j) // 2)
                     * q_factorial_by_powers(j, xi).inverse()
