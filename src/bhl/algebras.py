@@ -69,8 +69,9 @@ import itertools
 import operator
 
 from .exactmat import Mat, from_cols
-from .graded import (GradedMap, GradedSpace, diagram, first_difference,
-                     homogeneity_error, pair_leaf, tensor_diagram)
+from .graded import (GradedMap, GradedSpace, LazyLabels, diagram,
+                     first_difference, homogeneity_error, pair_leaf,
+                     tensor_diagram)
 from .guard import (DEFAULT_DIM_GUARD, DimensionGuardError, check_guard,
                     dim_guard, is_prime)
 from .record import Record
@@ -194,11 +195,11 @@ class FiniteDimAlgebra:
         self.signature = signature
         self.N = N
         self.basis = tuple(basis)
-        self.mono_degrees = tuple(d % N for d in degrees)
-        self.labels = tuple(labels)
+        space = GradedSpace(N, degrees, labels)
+        self.mono_degrees, self.labels = space.degrees, space.labels
         self.unit_mono = unit_mono
         self.generator_monos = dict(generator_monos)
-        self.index = {m: i for i, m in enumerate(self.basis)}
+        self.index = dict(zip(self.basis, range(len(self.basis))))
         self._pair_cache = {}
         self._premises = self._identity = self._rows = None
 
@@ -278,7 +279,8 @@ class FiniteDimAlgebra:
             for mb, cb in b.terms.items():
                 cab = ca * cb
                 for m, s in self.pair_product(ma, mb).items():
-                    v = terms.get(m, 0) + cab * s
+                    v = terms.get(m)
+                    v = cab * s if v is None else v + cab * s
                     if v:
                         terms[m] = v
                     else:
@@ -464,7 +466,10 @@ class FiniteDimAlgebra:
         injective; so ker ad(g) on the span of any set of monomials is the
         monomials of the set with lambda_m = 1.  A presented algebra checks
         two premises: g^bound is a nonzero scalar, and the products g*h
-        and h*g.
+        and h*g.  The premise on h = g itself, g*g and g*g the same single
+        nonzero term, gives lambda_g = 1; so lambda_m is read with g's own
+        exponent in m set to 0, about p^2 values on the p^3 monomials of
+        uqsl2(p) and d_a_mu(p, mu).
 
         Then the mirror.  Let sigma be an anti-automorphism of A that
         maps each generator to a generator and fixes each monomial left
@@ -556,9 +561,12 @@ class PresentedAlgebra(FiniteDimAlgebra):
         k = len(pres.gens)
         if not (len(pres.degrees) == len(pres.bounds) == len(pres.power_rhs) == k):
             raise ValueError("presentation field lengths disagree")
-        basis = list(itertools.product(*(range(b) for b in pres.bounds)))
-        degrees = [sum(e * d for e, d in zip(m, pres.degrees)) % pres.N for m in basis]
-        labels = [self._label_of(m) for m in basis]
+        basis = tuple(itertools.product(*(range(b) for b in pres.bounds)))
+        degrees = [0]  # one sweep per generator, in the order of the basis
+        for d, b in zip(pres.degrees, pres.bounds):
+            degrees = [x + e * d for x in degrees for e in range(b)]
+        labels = LazyLabels(len(basis), functools.partial(
+            _monomial_label, pres.gens, basis))
         self._init_common(
             signature or ("presented", pres.gens, pres.bounds),
             pres.N, basis, degrees, labels, (0,) * k,
@@ -568,10 +576,6 @@ class PresentedAlgebra(FiniteDimAlgebra):
         self._diagonal = [_diagonal_factors(pres, i) for i in range(k)]
         self._diagonal_scales = {}
         self._mirror = None
-
-    def _label_of(self, mono):
-        return "*".join(name if e == 1 else "%s^%d" % (name, e)
-                        for name, e in zip(self.pres.gens, mono) if e) or "1"
 
     def _relations_hold(self):
         """Whether the L_g, the matrices of b |-> g*b, satisfy every
@@ -640,8 +644,10 @@ class PresentedAlgebra(FiniteDimAlgebra):
         """The monomials m of space with g*m = m*g, by the lemma of
         center_matrix, when its premises hold, else None.  lambda_m = 1 is
         compared as prod of a_h = prod of b_h over the letters h of m, for
-        g*h = a_h (h*g) and h*g = b_h (h*g), so nothing is inverted."""
-        if not self.pres.power_rhs[g.index(1)]:
+        g*h = a_h (h*g) and h*g = b_h (h*g), so nothing is inverted; and
+        on m with g's own exponent set to 0, as lambda_g = 1."""
+        gi = g.index(1)
+        if not self.pres.power_rhs[gi]:
             return None
         pairs = {}
         for name, h in self.generator_monos.items():
@@ -651,7 +657,8 @@ class PresentedAlgebra(FiniteDimAlgebra):
             pairs[name] = (*left.values(), *right.values())
         ratio = self.extend(pairs, (1, 1),
                             lambda x, y, *_: (x[0] * y[0], x[1] * y[1]))
-        return [m for m in space if (lam := ratio(m))[0] == lam[1]]
+        return [m for m in space
+                if (lam := ratio(m[:gi] + (0,) + m[gi + 1:]))[0] == lam[1]]
 
     def mirror_premise(self):
         """Whether sigma: g_i -> g_(k-1-i), for k generators, extends to an
@@ -768,6 +775,12 @@ class PresentedAlgebra(FiniteDimAlgebra):
                         hit[m] = c if v is None else v + c
             self._actions[key] = hit
         return hit
+
+
+def _monomial_label(gens, basis, j):
+    """The label of basis monomial j, such as F^2*K*E, or 1."""
+    return "*".join(name if e == 1 else "%s^%d" % (name, e)
+                    for name, e in zip(gens, basis[j]) if e) or "1"
 
 
 def _diagonal_factors(pres, i):

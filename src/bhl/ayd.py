@@ -44,12 +44,12 @@ per line serves all of its strings.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 from .algebras import _require_prime, check_guard, d_a_mu, is_prime, uqsl2
 from .exactmat import Mat
-from .graded import GradedMap, GradedSpace
+from .graded import GradedMap, GradedSpace, LazyLabels
 from .record import Record
 from .report import check, map_check, prefixed
 from .scalars import (
@@ -177,31 +177,35 @@ def regular_ayd_module(p, mu):
     raising, lowering = _regular_weights(p)
     n = p ** 3
     degrees = [0] * n
-    labels = [""] * n
     xdata = {}
     for a in range(p):
         for t in range(p):
             for c in range(p):
                 col = (a * p + t) * p + c
                 degrees[col] = (t - a) % p
-                parts = []
-                if a:
-                    parts.append("z" if a == 1 else "z^%d" % a)
-                parts.append("e_%d" % t)
-                if c:
-                    parts.append("x" if c == 1 else "x^%d" % c)
-                labels[col] = "*".join(parts)
                 if c + 1 < p:
                     xdata[((a * p + (t + 1) % p) * p + c + 1, col)] = raising[a]
                 if a:
                     xdata[(col - p * p, col)] = lowering[a][(mu + 2 * t) % p]
     zdata = {(j + p * p, j): 1 for j in range(n - p * p)}
-    space = GradedSpace(p, degrees, labels)
+    space = GradedSpace(p, degrees,
+                        LazyLabels(n, partial(_regular_label, p)))
     return AydModule(
         p, mu, space,
         GradedMap(space, space, Mat(n, n, xdata), 1),
         GradedMap(space, space, Mat(n, n, zdata), p - 1),
     )
+
+
+def _regular_label(p, col):
+    """The label of column (a p + t) p + c, z^a e_t x^c, such as z^2*e_1*x."""
+    at, c = divmod(col, p)
+    a, t = divmod(at, p)
+    parts = ["z" if a == 1 else "z^%d" % a] if a else []
+    parts.append("e_%d" % t)
+    if c:
+        parts.append("x" if c == 1 else "x^%d" % c)
+    return "*".join(parts)
 
 
 # ---------------------------------------------------------------------------

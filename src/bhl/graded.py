@@ -6,9 +6,12 @@ scalar, the twist is theta(v) = chi(x,x) v on degree x, and anti-twists are
 the degree-wise scalars satisfying the inverse-square law
 sigma(i+j) = omega(i,j)^(-1) sigma(i) sigma(j) with omega = chi * chi-flipped.
 
-Spaces carry a flat ordered basis (one degree per basis vector); tensor()
-lists the degrees of V (x) W but names basis vector j (its label) only
-when it is read, from the labels of V and W.  Maps are
+Spaces carry a flat ordered basis (one degree per basis vector) and a
+label per basis vector.  Labels are kept as given, or as a LazyLabels
+sequence that names label j only when it is read: tensor() lists the
+degrees of V (x) W and names its labels from those of V and W, a space
+with no labels given names them v0, v1, ..., and a presented algebra and
+the regular AYD module name their monomials.  Maps are
 sparse exact matrices with a degree shift, and homogeneity is enforced at
 construction.  Shift-0 maps are the categorical morphisms; the shifted ones
 are what algebra generators act by.  @ materialises composites of
@@ -85,8 +88,8 @@ class GradedSpace:
         self.factors = None
         self.degrees = tuple(d % N for d in degrees)
         if labels is None:
-            labels = tuple("v%d" % i for i in range(len(self.degrees)))
-        elif not isinstance(labels, _PairLabels):
+            labels = LazyLabels(len(self.degrees), "v%d".__mod__)
+        elif not isinstance(labels, LazyLabels):
             labels = tuple(labels)
         if len(labels) != len(self.degrees):
             raise ValueError("label count != basis size")
@@ -99,12 +102,7 @@ class GradedSpace:
     @staticmethod
     def from_dims(N, dims):
         """dims: iterable of (degree, dimension) pairs, in construction order."""
-        degrees, labels = [], []
-        for deg, dim in dims:
-            for k in range(dim):
-                labels.append("v%d" % len(labels))
-                degrees.append(deg)
-        return GradedSpace(N, degrees, labels)
+        return GradedSpace(N, [deg for deg, dim in dims for _ in range(dim)])
 
     @property
     def dim(self):
@@ -129,25 +127,32 @@ def tensor(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     if V.N != W.N:
         raise ValueError("grading group mismatch: N=%d vs N=%d" % (V.N, W.N))
     degrees = (dv + dw for dv in V.degrees for dw in W.degrees)
-    out = GradedSpace(V.N, degrees, _PairLabels(V, W))
+    labels = LazyLabels(V.dim * W.dim, _pair_label(V, W))
+    out = GradedSpace(V.N, degrees, labels)
     out.factors = _word(V) + _word(W)
     return out
 
 
-class _PairLabels:
-    """The labels of V (x) W, each named by _pair_label when it is read;
-    none is listed."""
+class LazyLabels:
+    """The labels of a basis of n vectors, label j named by name(j) when
+    it is read; none is listed.
 
-    __slots__ = ("_label", "_len")
+    name must not refer back to the object that keeps the labels, as a
+    bound method of it would: that is a reference cycle, which keeps the
+    object and its caches alive until the cyclic collector runs (see
+    algebras.PresentedAlgebra.extend).
+    """
 
-    def __init__(self, V, W):
-        self._label, self._len = _pair_label(V, W), V.dim * W.dim
+    __slots__ = ("_name", "_len")
+
+    def __init__(self, n, name):
+        self._name, self._len = name, n
 
     def __len__(self):
         return self._len
 
     def __getitem__(self, j):
-        return self._label(range(self._len)[j])
+        return self._name(range(self._len)[j])
 
 
 def _pair_label(V, W):

@@ -74,8 +74,19 @@ binomials as a quotient of three factorials (q_binomial_by_factorials),
 which divides by zero once n >= ord xi; the powers of a scalar by
 square-and-multiply (power_by_squaring); and the tokenizer of bhl.scalars with two matches per token,
 one for the separators and one for the token (tokenize_by_two_matches).
+Products in Q(zeta_N) are here as bhl took them before it reduced prime
+orders by their top coordinate: convolved and divided by Phi_N at every
+order (mul_by_division, reduce_by_division), and inverses with the
+conjugates multiplied in one at a time (inverse_by_conjugates), rather
+than by an addition chain over the Galois group; and the degree and label
+of each normal monomial of a presented algebra, and of each column of the
+regular AYD module, one at a time (presented_degrees_and_labels,
+regular_degrees_and_labels), rather than by one sweep per generator and
+named when read, and the monomials a diagonal generator commutes with by
+comparing both products (commutant_by_sweep).
 """
 
+import itertools
 import math
 import os
 import pathlib
@@ -103,7 +114,8 @@ from bhl.graded import (
 )
 from bhl.hopf import braided_tensor_algebra, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, check, map_check
-from bhl.scalars import (Cyclotomic, ParseError, balanced_q_int, format_scalar,
+from bhl.scalars import (Cyclotomic, OrderMismatchError, ParseError,
+                         balanced_q_int, cyclotomic_polynomial, format_scalar,
                          power, q_binomials, root_of_unity)
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
@@ -526,27 +538,17 @@ def regular_ayd_by_conjugation(p, mu):
     unit = Fraction(1, p)
     pdata = {}
     pinv = {}
-    degrees = [0] * n
-    labels = [""] * n
     for a in range(p):
         for t in range(p):
             for c in range(p):
                 col = A.index[(a, t, c)]
-                degrees[col] = (t - a) % p
-                parts = []
-                if a:
-                    parts.append("z" if a == 1 else "z^%d" % a)
-                parts.append("e_%d" % t)
-                if c:
-                    parts.append("x" if c == 1 else "x^%d" % c)
-                labels[col] = "*".join(parts)
                 for b in range(p):
                     row = A.index[(a, b, c)]
                     pdata[(row, col)] = unit * xi ** (-t * b)
                     pinv[(col, row)] = xi ** (t * b)
     P = Mat(n, n, pdata)
     Pinv = Mat(n, n, pinv)
-    space = GradedSpace(p, degrees, labels)
+    space = GradedSpace(p, *regular_degrees_and_labels(p))
     xmat = Pinv * A.left_mult_operator(A.gen("x")) * P
     zmat = Pinv * A.left_mult_operator(A.gen("z")) * P
     M = AydModule(
@@ -557,6 +559,24 @@ def regular_ayd_by_conjugation(p, mu):
     M.basis_change = P
     M.algebra = A
     return M
+
+
+def regular_degrees_and_labels(p):
+    """The degree t - a and the label of each column (a p + t) p + c,
+    z^a e_t x^c, of the regular AYD module, one column at a time."""
+    degrees, labels = [], []
+    for a in range(p):
+        for t in range(p):
+            for c in range(p):
+                degrees.append((t - a) % p)
+                parts = []
+                if a:
+                    parts.append("z" if a == 1 else "z^%d" % a)
+                parts.append("e_%d" % t)
+                if c:
+                    parts.append("x" if c == 1 else "x^%d" % c)
+                labels.append("*".join(parts))
+    return degrees, labels
 
 
 @lru_cache(maxsize=None)
@@ -1232,3 +1252,98 @@ def tokenize_by_two_matches(text, script=False):
             raise ParseError("unexpected character %r" % ch, line, col)
         tokens.append((m.lastgroup, m.group(), line, col))
         i = m.end()
+
+
+def presented_degrees_and_labels(A):
+    """The normal monomials of a PresentedAlgebra as itertools.product
+    lists them, with the degree and the label of each, one monomial at a
+    time: sum of e * deg over its letters mod N, and its letters named as
+    F^2*K, or 1."""
+    pres = A.pres
+    basis = list(itertools.product(*(range(b) for b in pres.bounds)))
+    degrees = [sum(e * d for e, d in zip(m, pres.degrees)) % pres.N
+               for m in basis]
+    labels = ["*".join(name if e == 1 else "%s^%d" % (name, e)
+                       for name, e in zip(pres.gens, m) if e) or "1"
+              for m in basis]
+    return basis, degrees, labels
+
+
+def commutant_by_sweep(A, g):
+    """The basis monomials m with g*m = m*g, each pair of products
+    compared, rather than read off lambda_m (_diagonal_commutant)."""
+    return [m for m in A.basis if A.pair_product(g, m) == A.pair_product(m, g)]
+
+
+def reduce_by_division(order, vec):
+    """sum_k vec[k] zeta^k on the power basis: folded by zeta^order = 1 one
+    coordinate at a time, then divided by the monic Phi_order one nonzero
+    term at a time, top coefficient first, at every order, rather than by
+    subtracting the top coordinate at a prime order."""
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    terms = [(i, c) for i, c in enumerate(phi[:d]) if c]
+    vec = list(vec)
+    while len(vec) > order:
+        c = vec.pop()
+        vec[len(vec) - order] += c
+    n = len(vec)
+    for k in range(n - 1, d - 1, -1):
+        c = vec[k]
+        if c:
+            for i, f in terms:
+                vec[k - d + i] -= c * f
+    return vec[:d] if n >= d else vec + [0] * (d - n)
+
+
+def mul_by_division(a, b):
+    """a * b for Cyclotomic a, b: a rational operand (any order, shape read
+    off num[1:]) scales the other, a monomial c zeta^k rotates it, and two
+    general elements are convolved, reduced by reduce_by_division."""
+    an, bn = a.num, b.num
+    if not any(bn[1:]):
+        return Cyclotomic(a.order, [v * bn[0] for v in an], a.den * b.den)
+    if not any(an[1:]):
+        return Cyclotomic(b.order, [v * an[0] for v in bn], a.den * b.den)
+    if a.order != b.order:
+        raise OrderMismatchError("orders %d and %d" % (a.order, b.order))
+    n = len(an)
+    if an.count(0) == n - 1:
+        a, b, an, bn = b, a, bn, an
+    if bn.count(0) == n - 1:
+        c = sum(bn)
+        k = bn.index(c)
+        vec = [c * v for v in an] + [0] * (a.order - n)
+        vec = vec[-k:] + vec[:-k]
+    else:
+        vec = [0] * (2 * n - 1)
+        for i, x in enumerate(an):
+            for j, y in enumerate(bn):
+                vec[i + j] += x * y
+    return Cyclotomic(a.order, reduce_by_division(a.order, vec), a.den * b.den)
+
+
+def conjugate_by_division(x, k):
+    """sigma_k(x), zeta -> zeta^k, reduced by reduce_by_division."""
+    vec = [0] * x.order
+    for j, v in enumerate(x.num):
+        vec[j * k % x.order] += v
+    return Cyclotomic(x.order, reduce_by_division(x.order, vec), x.den)
+
+
+def inverse_by_conjugates(x):
+    """x^-1 = y / (x*y) with y = sigma_-1(x) when x*y is rational, and
+    otherwise y the product of the conjugates sigma_k(x), k != 1 a unit
+    mod N, one at a time, at every order, rather than by an addition chain
+    at a prime order; products by mul_by_division."""
+    if not any(x.num):
+        raise ZeroDivisionError("division by zero")
+    y = conjugate_by_division(x, -1)
+    norm = mul_by_division(x, y)
+    if any(norm.num[1:]):
+        for k in range(2, x.order - 1):
+            if math.gcd(k, x.order) == 1:
+                y = mul_by_division(y, conjugate_by_division(x, k))
+        norm = mul_by_division(x, y)
+    return Cyclotomic(x.order, [v * norm.den for v in y.num],
+                      y.den * norm.num[0])

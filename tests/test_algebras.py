@@ -1,6 +1,8 @@
+import gc
 import os
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,8 @@ from bhl.algebras import (
     taft,
     uqsl2,
 )
-from bhl import algebras, cli, scalars
-from bhl.ayd import ribbon_element
+from bhl import algebras, ayd, cli, scalars
+from bhl.ayd import regular_ayd_module, ribbon_element
 from bhl.exactmat import Mat, from_cols
 from bhl.graded import Bicharacter, Diagram
 from bhl.hopf import braided_tensor_algebra
@@ -35,6 +37,7 @@ from oracle import (
     associativity_by_triples,
     center_by_generator_chain,
     center_by_restriction,
+    commutant_by_sweep,
     induced_map_by_power_table,
     is_prime_by_trial_division,
     kernel_dims,
@@ -43,6 +46,8 @@ from oracle import (
     normal_form,
     normal_form_by_rescan,
     pair_product_by_rescan,
+    presented_degrees_and_labels,
+    regular_degrees_and_labels,
     typed_entries,
     typed_terms,
 )
@@ -54,6 +59,86 @@ def all_pass(checks):
 
 def basis_element(A, i):
     return A.element({A.basis[i]: 1})
+
+
+SMALL_PRESENTED = {
+    "uqsl2(%d)" % p: (uqsl2, p) for p in (3, 5, 7)} | {
+    "d_a_mu(%d,%d)" % (p, mu): (d_a_mu, p, mu)
+    for p in (2, 3, 5, 7) for mu in sorted({0, 1, p - 1})} | {
+    "taft(%d)" % p: (taft, p) for p in (2, 3, 5, 7)} | {
+    "anyonic_line(%d)" % p: (anyonic_line, p) for p in (2, 3, 5, 7)} | {
+    "nilpotent_line(6,y,4)": (nilpotent_line, 6, "y", 4),
+    "nilpotent_line(7,x,-2)": (nilpotent_line, 7, "x", -2)}
+
+
+@pytest.mark.parametrize("build", SMALL_PRESENTED.values(),
+                         ids=SMALL_PRESENTED.keys())
+def test_degrees_and_labels_match_the_per_monomial_formulas(build):
+    A = build[0](*build[1:])
+    basis, degrees, labels = presented_degrees_and_labels(A)
+    assert list(A.basis) == basis
+    assert list(A.mono_degrees) == degrees
+    assert list(A.labels) == labels
+    V = A.graded_space()
+    assert list(V.degrees) == degrees and list(V.labels) == labels
+    assert [A.mono_label(m) for m in basis] == labels
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_regular_module_degrees_and_labels_match_the_formulas(p):
+    degrees, labels = regular_degrees_and_labels(p)
+    for mu in sorted({0, 1, p - 1}):
+        space = regular_ayd_module(p, mu).space
+        assert list(space.degrees) == degrees and list(space.labels) == labels
+
+
+def test_building_names_no_monomial(monkeypatch):
+    # labels are named when read, through the module-level naming
+    # functions, which the builds below never call
+    def refuse(*args):
+        raise AssertionError("a monomial was named")
+
+    monkeypatch.setattr(algebras, "_monomial_label", refuse)
+    monkeypatch.setattr(ayd, "_regular_label", refuse)
+    U, M = uqsl2(7), regular_ayd_module(5, 1)
+    assert len(U.labels) == 343 and len(M.space.labels) == 125
+    for labels in (U.labels, M.space.labels, U.graded_space().labels):
+        with pytest.raises(AssertionError, match="named"):
+            labels[0]
+
+
+def test_an_algebra_with_its_center_is_freed_by_reference_counting():
+    # no reference cycle back to the algebra (a label sequence that named
+    # monomials by a bound method would be one), so the algebra and its
+    # caches go as soon as the last reference does
+    gc.collect()
+    gc.disable()
+    try:
+        U = uqsl2(5)
+        U.compute_center()
+        ref = weakref.ref(U)
+        del U
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+DIAGONAL = {"uqsl2(%d)" % p: ("K", uqsl2, p) for p in (3, 5, 7)} | {
+    "d_a_mu(%d,%d)" % (p, mu): ("g", d_a_mu, p, mu)
+    for p in (3, 5, 7) for mu in (0, 1)} | {
+    "taft(%d)" % p: ("g", taft, p) for p in (2, 3, 5, 7)}
+
+
+@pytest.mark.parametrize("case", DIAGONAL.values(), ids=DIAGONAL.keys())
+def test_diagonal_commutant_matches_the_sweep(case):
+    # lambda_m read with g's own exponent set to 0, against g*m == m*g
+    # compared on every basis monomial; the other generators are nilpotent
+    gen, build, *args = case
+    A = build(*args)
+    kept = {name: A._diagonal_commutant(m, list(A.basis))
+            for name, m in A.generator_monos.items()}
+    assert [name for name, k in kept.items() if k is not None] == [gen]
+    assert kept[gen] == commutant_by_sweep(A, A.generator_monos[gen])
 
 
 def test_builder_dimensions():

@@ -20,6 +20,7 @@ from bhl.scalars import (
     OrderMismatchError,
     ParseError,
     _conjugate,
+    _reduce,
     balanced_q_factorials,
     balanced_q_int,
     cyclotomic_polynomial,
@@ -39,11 +40,14 @@ from bhl.scalars import (
 )
 from oracle import (
     balanced_q_factorial,
+    inverse_by_conjugates,
+    mul_by_division,
     power_by_squaring,
     q_binomial,
     q_binomial_by_factorials,
     q_factorial_by_powers,
     q_int_by_powers,
+    reduce_by_division,
     tokenize_by_two_matches,
 )
 
@@ -528,6 +532,74 @@ def test_fast_paths_match_the_general_route(pair):
     # a same-order rational Cyclotomic on either side takes the scaling path
     if isinstance(y, Cyclotomic) and y.order == x.order and y.is_rational():
         _same(y * x, x * y)
+
+
+@st.composite
+def shaped(draw, order):
+    """An element of Q(zeta_order) of a drawn shape, with 20-bit
+    coordinates over a denominator up to 50: a rational of this order or
+    of order 1, one term, two terms, or dense."""
+    d = euler_phi(order)
+    kind = draw(st.sampled_from(["rational", "rational1", "one", "two", "dense"]))
+    coord = st.integers(-(1 << 20), 1 << 20)
+    if kind == "rational1":
+        order, d = 1, 1
+    if kind == "dense":
+        vec = draw(st.lists(coord, min_size=d, max_size=d))
+    else:
+        vec = [0] * d
+        if kind in ("rational", "rational1"):
+            slots = [0]
+        else:
+            size = 1 if kind == "one" else min(2, d)
+            slots = draw(st.lists(st.integers(0, d - 1), min_size=size,
+                                  max_size=size, unique=True))
+        for k in slots:
+            vec[k] = draw(coord)
+    return Cyclotomic(order, vec, draw(st.integers(1, 50)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 31).flatmap(lambda n: st.tuples(shaped(n), shaped(n))))
+def test_products_and_inverses_match_the_division_routes(pair):
+    # the fold-then-subtract reduction at prime orders and the addition
+    # chain of inverses against the conjugate loop and the division by
+    # Phi_N at every order, prime and composite, by type and repr
+    x, y = pair
+    _same(x * y, mul_by_division(x, y))
+    _same(y * x, mul_by_division(y, x))
+    for a in pair:
+        if a:
+            _same(a.inverse(), inverse_by_conjugates(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 31).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.integers(-(1 << 20), 1 << 20), max_size=2 * n - 1))))
+def test_reduce_matches_the_division_by_phi(args):
+    order, vec = args
+    assert _reduce(order, list(vec)) == reduce_by_division(order, vec)
+
+
+def test_a_dense_inverse_at_29_takes_8_dense_products(monkeypatch):
+    # floor(log2 27) + popcount(27) - 1 = 7 products up the addition chain
+    # and 1 for the norm; the conjugates one at a time took 28
+    products, mul = [], Cyclotomic.__mul__
+
+    def dense(x):
+        return isinstance(x, Cyclotomic) and x.num.count(0) + 1 < len(x.num)
+
+    def counting(a, b):
+        if dense(a) and dense(b):
+            products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting)
+    x = Cyclotomic(29, [k * k - 7 for k in range(28)], 3)
+    inverse = x.inverse()
+    monkeypatch.undo()
+    assert len(products) == 8
+    _same(inverse, inverse_by_conjugates(x))
 
 
 def test_monomial_products_at_a_composite_order():
