@@ -16,22 +16,20 @@ OrderMismatchError — no silent compositum.
 
 Reduction: a product, a root of unity zeta^k and the columns of a
 multiplication matrix all reduce through _reduce, which folds once by
-zeta^N = 1.  At a prime order p it then subtracts the coordinate of
-zeta^(p-1) from every other one, as Phi_p = 1 + x + ... + x^(p-1); any
-other order divides by Phi_N, keeping per order only phi(N) and the
+zeta^N = 1 and divides by Phi_N, keeping per order only phi(N) and the
 nonzero terms of Phi_N.  A monomial c*zeta^k times x is c*x rotated by k
 in a length-N vector; two general elements are convolved over their
-nonzero coordinates.  Each operand's shape (rational, monomial or
-general) is read off one count of its zero coordinates.
+nonzero coordinates.
 
 Inverses: x^-1 = y / (x*y) for a product y of Galois conjugates of x with
-x*y rational.  The conjugate sigma_-1(x) alone does for c*zeta^k.  At a
-prime order p >= 5 every other element takes the product of its other
-conjugates by an addition chain over the cyclic Galois group (Itoh and
-Tsujii), 8 products rather than 28 at p = 29, counting the norm x*y; at a
-composite order, whose Galois group need not be cyclic, it takes them one
-at a time.  A power (c*zeta^k)^e is c^e*zeta^(ke) for any integer e, with
-no inverse; other elements take square-and-multiply.
+x*y rational.  The conjugate sigma_-1(x) alone does for c*zeta^k, which
+at a prime order p includes -c*zeta^(p-1), all of whose coordinates are
+c.  At a prime order p >= 5 every other element takes the product of its
+other conjugates by an addition chain over the cyclic Galois group (Itoh
+and Tsujii), 8 products rather than 28 at p = 29, counting the norm x*y;
+at a composite order, whose Galois group need not be cyclic, it takes
+them one at a time.  A power (c*zeta^k)^e is c^e*zeta^(ke) for any
+integer e, with no inverse; other elements take square-and-multiply.
 
 Also provides the q-combinatorics used throughout, with no division per
 coefficient: q-integers (n)_xi, q-factorials, Gaussian binomials from one
@@ -102,10 +100,8 @@ def _reduce(order, vec):
     """The coordinates of sum_k vec[k] zeta^k on the power basis.
 
     vec is an integer list shorter than 2 * order, used up by the call.
-    It is folded once by zeta^order = 1.  At a prime order p, Phi_p = 1 +
-    x + ... + x^(p-1), so the coordinate of zeta^(p-1) is then subtracted
-    from every other one; any other order divides by the monic Phi_order
-    one nonzero term at a time, top coefficient first.
+    It is folded once by zeta^order = 1, then divided by the monic
+    Phi_order one nonzero term at a time, top coefficient first.
     """
     reducer = _REDUCERS.get(order)
     if reducer is None:
@@ -120,9 +116,6 @@ def _reduce(order, vec):
         n = order
     if n <= d:
         return vec + [0] * (d - n)
-    if d == order - 1:  # prime: zeta^d = -(1 + zeta + ... + zeta^(d-1))
-        top = vec.pop()
-        return [v - top for v in vec] if top else vec
     for k in range(n - 1, d - 1, -1):
         c = vec[k]
         if c:  # zeta^d = -(phi_0 + ... + phi_{d-1} zeta^{d-1})
@@ -237,19 +230,16 @@ class Cyclotomic:
         if isinstance(other, Cyclotomic):
             a, b = self, other
             an, bn = a.num, b.num
-            # shapes by each operand's own length: an order-1 rational may
-            # meet an element of order p
-            za, zb = an.count(0), bn.count(0)
-            if zb == len(bn) or zb + 1 == len(bn) and bn[0]:
+            if not any(bn[1:]):
                 return _scaled(a, bn[0], b.den)
-            if za == len(an) or za + 1 == len(an) and an[0]:
+            if not any(an[1:]):
                 return _scaled(b, an[0], a.den)
             if a.order != b.order:
                 raise _mismatch(a, b)
             n = len(an)
-            if za + 1 == n:
-                a, b, an, bn, zb = b, a, bn, an, za
-            if zb + 1 == n:  # b = c zeta^k, 0 < k < n: rotate c*a by k
+            if an.count(0) == n - 1:
+                a, b, an, bn = b, a, bn, an
+            if bn.count(0) == n - 1:  # b = c zeta^k, 0 < k < n: rotate c*a by k
                 c = sum(bn)
                 k = bn.index(c)
                 vec = [c * v for v in an] + [0] * (a.order - n)
@@ -276,20 +266,22 @@ class Cyclotomic:
         *Introduction to Cyclotomic Fields*, GTM 83, ch. 2).
 
         A monomial c*zeta^k takes y = sigma_-1(x), as x*y = c^2 is already
-        rational; so does every element at p = 3, where sigma_-1 is the
-        only automorphism but the identity.  Any other element of prime
-        order p takes y = _norm_cofactor(x), an addition chain over the
-        cyclic Galois group.  At a composite order y starts as
-        sigma_-1(x), and when x*y is not rational y takes every other
-        conjugate sigma_k(x), k != 1 a unit mod N, one at a time, as the
-        Galois group need not be cyclic.  Then x*y = N(x), and Q(zeta_N)
-        is Q or a CM field, so it is a positive rational.
+        rational; so does c*(1 + zeta + ... + zeta^(p-2)) = -c*zeta^(p-1)
+        at a prime order p, whose coordinates are all equal, and every
+        element at p = 3, where sigma_-1 is the only automorphism but the
+        identity.  Any other element of prime order p takes y =
+        _norm_cofactor(x), an addition chain over the cyclic Galois group.
+        At a composite order y starts as sigma_-1(x), and when x*y is not
+        rational y takes every other conjugate sigma_k(x), k != 1 a unit
+        mod N, one at a time, as the Galois group need not be cyclic.
+        Then x*y = N(x), and Q(zeta_N) is Q or a CM field, so it is a
+        positive rational.
         """
         num = self.num
         n = len(num)
         if not any(num):
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        if num.count(0) + 1 < n and n + 1 == self.order > 4:
+        if n + 1 == self.order > 4 and num.count(0) + 1 < n and num.count(num[0]) < n:
             y = _norm_cofactor(self)
         else:
             y = _conjugate(self, -1)

@@ -1277,9 +1277,8 @@ def commutant_by_sweep(A, g):
 
 def reduce_by_division(order, vec):
     """sum_k vec[k] zeta^k on the power basis: folded by zeta^order = 1 one
-    coordinate at a time, then divided by the monic Phi_order one nonzero
-    term at a time, top coefficient first, at every order, rather than by
-    subtracting the top coordinate at a prime order."""
+    coordinate at a time, rather than by one slice, then divided by the
+    monic Phi_order one nonzero term at a time, top coefficient first."""
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
     terms = [(i, c) for i, c in enumerate(phi[:d]) if c]

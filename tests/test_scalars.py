@@ -538,14 +538,17 @@ def test_fast_paths_match_the_general_route(pair):
 def shaped(draw, order):
     """An element of Q(zeta_order) of a drawn shape, with 20-bit
     coordinates over a denominator up to 50: a rational of this order or
-    of order 1, one term, two terms, or dense."""
+    of order 1, one term, two terms, dense, or with all coordinates equal."""
     d = euler_phi(order)
-    kind = draw(st.sampled_from(["rational", "rational1", "one", "two", "dense"]))
+    kind = draw(st.sampled_from(["rational", "rational1", "one", "two", "dense",
+                                 "equal"]))
     coord = st.integers(-(1 << 20), 1 << 20)
     if kind == "rational1":
         order, d = 1, 1
     if kind == "dense":
         vec = draw(st.lists(coord, min_size=d, max_size=d))
+    elif kind == "equal":
+        vec = [draw(coord)] * d
     else:
         vec = [0] * d
         if kind in ("rational", "rational1"):
@@ -562,9 +565,9 @@ def shaped(draw, order):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 31).flatmap(lambda n: st.tuples(shaped(n), shaped(n))))
 def test_products_and_inverses_match_the_division_routes(pair):
-    # the fold-then-subtract reduction at prime orders and the addition
-    # chain of inverses against the conjugate loop and the division by
-    # Phi_N at every order, prime and composite, by type and repr
+    # the one-slice fold and the addition chain of inverses against the
+    # conjugate loop and the fold one coordinate at a time at every order,
+    # prime and composite, by type and repr
     x, y = pair
     _same(x * y, mul_by_division(x, y))
     _same(y * x, mul_by_division(y, x))
@@ -581,9 +584,17 @@ def test_reduce_matches_the_division_by_phi(args):
     assert _reduce(order, list(vec)) == reduce_by_division(order, vec)
 
 
-def test_a_dense_inverse_at_29_takes_8_dense_products(monkeypatch):
+@pytest.mark.parametrize("num, count", [
     # floor(log2 27) + popcount(27) - 1 = 7 products up the addition chain
     # and 1 for the norm; the conjugates one at a time took 28
+    ([k * k - 7 for k in range(28)], 8),
+    # 2*zeta^28 = -2*(1 + zeta + ... + zeta^27), all coordinates equal:
+    # sigma_-1 alone gives the rational norm x*sigma_-1(x) = 4, x times
+    # the monomial 2*zeta
+    ([-6] * 28, 0),
+])
+def test_a_dense_inverse_at_29_takes_the_dense_products_of_its_route(
+        monkeypatch, num, count):
     products, mul = [], Cyclotomic.__mul__
 
     def dense(x):
@@ -595,10 +606,10 @@ def test_a_dense_inverse_at_29_takes_8_dense_products(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(Cyclotomic, "__mul__", counting)
-    x = Cyclotomic(29, [k * k - 7 for k in range(28)], 3)
+    x = Cyclotomic(29, num, 3)
     inverse = x.inverse()
     monkeypatch.undo()
-    assert len(products) == 8
+    assert len(products) == count
     _same(inverse, inverse_by_conjugates(x))
 
 
