@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from bhl.algebras import d_a_mu, uqsl2
-from bhl.scalars import balanced_q_factorials, gauss_sum, q_factorial, root_of_unity
+from bhl.scalars import balanced_q_factorials, gauss_sum, q_factorials, root_of_unity
 
 
 def sigma_element(p, mu):
@@ -39,9 +39,9 @@ def sigma_element(p, mu):
             e_t = e_t + Fraction(1, p) * root_of_unity(p, -t * b) * g ** b
         prefactor = prefactor + root_of_unity(p, -t * t - mu * t) * e_t
     series = A.zero()
-    for j in range(p):
+    for j, factorial in enumerate(q_factorials(p - 1, xi)):
         coeff = root_of_unity(p, (j - 1) * j // 2)
-        series = series + (coeff / q_factorial(j, xi)) * (z ** j * x ** j)
+        series = series + (coeff / factorial) * (z ** j * x ** j)
     return A, prefactor * series
 
 

@@ -214,27 +214,31 @@ def _regular_label(p, col):
 
 
 class RibbonData(Record):
-    """The ribbon element of uqsl2(p), its factors, and K u_K."""
+    """The ribbon element of uqsl2(p), its factors, and the transform
+    u_K_values[j] = u_K(xi^j) of u_K, a polynomial in K."""
 
-    _fields = ("p", "m", "q", "u_K", "u_0", "v_0", "K_u_K")
+    _fields = ("p", "m", "q", "u_K", "u_0", "v_0", "u_K_values")
 
 
 def ribbon_element(p):
-    """v_0 = K u_K u_0 with the normalized Gauss-sum Casimir factors."""
+    """v_0 = K u_K u_0 with the normalized Gauss-sum Casimir factors, and
+    u_K(xi^j) = sum_i alpha_i xi^{ij} for u_K = sum_i alpha_i K^i,
+    alpha_i = q^{m i^2}/G (G the Gauss sum): the one evaluation of u_K at
+    the p-th roots of unity, p^2 products, which route (a) of
+    _ribbon_identity and _u_K_invertible read."""
     U = uqsl2(p)
     q, m = U.q, U.m
     F, K, E = U.gen("F"), U.gen("K"), U.gen("E")
-    gs = gauss_sum(p, q, m)
-    u_K = U.zero()
-    for i in range(p):
-        u_K = u_K + q ** (m * i * i) * K ** i
-    u_K = gs.inverse() * u_K
+    inv_gs = gauss_sum(p, q, m).inverse()
+    alpha = [inv_gs * q ** (m * i * i) for i in range(p)]
+    u_K = U.element({(0, i, 0): a for i, a in enumerate(alpha)})
+    values = [sum(a * root_of_unity(p, i * j) for i, a in enumerate(alpha))
+              for j in range(p)]
     inv = inverse_factorials([balanced_q_int(j, q) for j in range(1, p)])
     u_0 = sum((q ** ((j + 3) * j // 2) * inv[j] * (K ** j * F ** j * E ** j)
                for j in range(p)), U.zero())  # inv[j] = 1/[j]_q!
-    K_u_K = K * u_K
-    return RibbonData(p=p, m=m, q=q, u_K=u_K, u_0=u_0, v_0=K_u_K * u_0,
-                      K_u_K=K_u_K)
+    return RibbonData(p=p, m=m, q=q, u_K=u_K, u_0=u_0, v_0=K * u_K * u_0,
+                      u_K_values=values)
 
 
 def ribbon_centrality_checks(p):
@@ -250,7 +254,7 @@ def _ribbon_centrality(R):
                             witnesses=[{"generator": name,
                                         "difference": repr(-diff)}]
                             if diff else None))
-    checks.append(_u_K_invertible(U, R.u_K))
+    checks.append(_u_K_invertible(U, R.u_K, R.u_K_values))
     return checks
 
 
@@ -279,30 +283,24 @@ def _commutators(U, v):
     return out
 
 
-def _u_K_invertible(U, u_K):
-    """The check that u_K = sum_i alpha_i K^i is invertible in U = uqsl2(p).
+def _u_K_invertible(U, u_K, values):
+    """The check that u_K = sum_i alpha_i K^i is invertible in U = uqsl2(p),
+    given its transform values[j] = u_K(xi^j) (RibbonData.u_K_values).
 
-    As K^p = 1, the product of two polynomials in K has as discrete Fourier
-    transform the product of theirs, u(xi^j) = sum_i alpha_i xi^{ij}.  So
-    y = sum_i beta_i K^i, with beta the inverse transform of 1/u(xi^j), is
-    the inverse of u_K, which u_K y = y u_K = 1 confirms by element
-    products; then L_{u_K} has full rank.  When that y does not exist -- a
-    zero u(xi^j), or a u_K that is no polynomial in K -- the rank of
-    L_{u_K} decides.
+    As K^p = 1, the product of two polynomials in K has as transform the
+    product of theirs.  So y = sum_i beta_i K^i, with beta the inverse
+    transform of 1/u_K(xi^j), is the inverse of u_K, which u_K y = y u_K = 1
+    confirms by element products; then L_{u_K} has full rank.  When values
+    is None or holds a zero, or y is no inverse, the rank of L_{u_K} decides.
     """
     p, n = U.p, U.dim
     y = None
-    if all(f == e == 0 for f, _, e in u_K.terms):
-        values = [sum(c * root_of_unity(p, k * j)
-                      for (_, k, _), c in u_K.terms.items())
-                  for j in range(p)]
-        if all(values):
-            inverses = [v.inverse() for v in values]
-            y = U.element({
-                (0, i, 0): Fraction(1, p) * sum(
-                    w * root_of_unity(p, -i * j)
-                    for j, w in enumerate(inverses))
-                for i in range(p)})
+    if values is not None and all(values):
+        inverses = [v.inverse() for v in values]
+        y = U.element({
+            (0, i, 0): Fraction(1, p) * sum(
+                w * root_of_unity(p, -i * j) for j, w in enumerate(inverses))
+            for i in range(p)})
     if y is not None and u_K * y == U.unit() == y * u_K:
         rank = n
     else:
@@ -325,9 +323,10 @@ def _prefactor_exponent(p, mu):
 def verify_ribbon_identity(p, mu):
     """Two independent checks that varsigma = q^{m(mu^2-1)} v_0.
 
-    (a) per-degree scalar identity against K u_K with K evaluated at
-    q^{mu-1} xi^{-i}; (b) the element identity w = q^{m(mu^2-1)} psi(v_0)
-    in d_a_mu(p, mu), which is the operator identity on the regular
+    (a) per-degree scalar identity against K u_K at K = q^{mu-1} xi^{-i} =
+    xi^e, read as xi^e u_K(xi^e) off RibbonData.u_K_values, one lookup per
+    degree; (b) the element identity w = q^{m(mu^2-1)} psi(v_0) in
+    d_a_mu(p, mu), which is the operator identity on the regular
     representation, a faithful one.
     """
     # the guard of the p^3 regular module first: it trips before uqsl2(p)
@@ -363,14 +362,10 @@ def _ribbon_identity(p, mu, R, psi0, table):
 
     bad = []
     for i in range(p):
-        # K u_K at K = kappa = q^(mu-1) xi^(-i), so kappa^k = xi^(k(m(mu-1)-i))
-        val = 0
-        for (f, k, e), cc in R.K_u_K.terms.items():
-            if f or e:
-                raise AssertionError("K u_K is not a polynomial in K")
-            val = val + cc * root_of_unity(p, k * (U.m * (mu - 1) - i))
+        # K u_K at K = kappa = q^(mu-1) xi^(-i) = xi^e is xi^e u_K(xi^e)
+        e = (U.m * (mu - 1) - i) % p
         lhs = U.xi ** (-i * i - mu * i)
-        rhs = pref * val
+        rhs = pref * root_of_unity(p, e) * R.u_K_values[e]
         if lhs != rhs:
             bad.append({"degree": i, "sigma_scalar": format_scalar(lhs),
                         "scaled_Ku_K_scalar": format_scalar(rhs)})

@@ -513,11 +513,6 @@ def q_factorials(n: int, xi):
     return out
 
 
-def q_factorial(n: int, xi):
-    """(n)_xi!, the last entry of q_factorials(n, xi)."""
-    return q_factorials(n, xi)[-1]
-
-
 def q_binomials(n: int, xi):
     """Rows m <= n of the Gaussian binomials (m k)_xi, k <= m, by q-Pascal:
     (m k)_xi = (m-1 k-1)_xi + xi^k (m-1 k)_xi (Kac and Cheung, ch. 6), with

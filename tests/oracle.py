@@ -62,12 +62,13 @@ W (x) V (braiding_matrix), rather than a diagram leaf that computes each
 column when it is read.  Readers of results live here too, as bhl
 never calls them: the normal form of a word (normal_form), the
 dimension of each degree of a graded space, whether a graded map is
-invertible, a record with fields replaced (replace), one Gaussian
-binomial (q_binomial), omega of a bicharacter, a graded space or map
-as JSON and the values of a packet.  S^2 is also taken from the
-generator images by peeling the last letter (antipode_square_by_peeling),
-rather than by S's diagram leaf.  The q-combinatorics bhl.scalars
-computes by recurrences are here as they were first computed: (n)_xi as
+invertible, a record with fields replaced (replace), one q-factorial
+(q_factorial), one Gaussian binomial (q_binomial), omega of a
+bicharacter, a graded space or map as JSON and the values of a packet.
+S^2 is also taken from the generator images by peeling the last letter
+(antipode_square_by_peeling), rather than by S's diagram leaf.  The
+q-combinatorics bhl.scalars computes by recurrences are here as they
+were first computed: (n)_xi as
 a sum of powers xi^i, (n)_xi! as a product of those, [n]_q! as a
 product of balanced q-integers each summed afresh, and Gaussian
 binomials as a quotient of three factorials (q_binomial_by_factorials),
@@ -83,7 +84,10 @@ of each normal monomial of a presented algebra, and of each column of the
 regular AYD module, one at a time (presented_degrees_and_labels,
 regular_degrees_and_labels), rather than by one sweep per generator and
 named when read, and the monomials a diagonal generator commutes with by
-comparing both products (commutant_by_sweep).
+comparing both products (commutant_by_sweep).  The scalar route of the
+ribbon identity evaluates K u_K at each degree by summing its terms
+(prefactor_route_by_sums), rather than by one lookup in the transform of
+u_K, which values_by_sums takes afresh.
 """
 
 import itertools
@@ -116,7 +120,7 @@ from bhl.hopf import braided_tensor_algebra, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, check, map_check
 from bhl.scalars import (Cyclotomic, OrderMismatchError, ParseError,
                          balanced_q_int, cyclotomic_polynomial, format_scalar,
-                         power, q_binomials, root_of_unity)
+                         power, q_binomials, q_factorials, root_of_unity)
 
 SCRIPTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -336,6 +340,37 @@ def ribbon_identity_by_terms(p, mu, psi0, pref):
                                    for mono, c in sorted(diff.items())]}]
         if diff else None,
     )
+
+
+def values_by_sums(u):
+    """[u(xi^j) for j < p] for a polynomial u = sum_k c_k K^k of uqsl2(p),
+    each value summed over the terms of u."""
+    p = u.algebra.p
+    return [sum(c * root_of_unity(p, k * j)
+                for (_, k, _), c in u.terms.items()) for j in range(p)]
+
+
+def prefactor_route_by_sums(p, mu, R):
+    """The check prefactor_scalar_route of route (a) of the ribbon identity
+    for 0 <= mu < p, with K u_K at K = q^(mu-1) xi^(-i) summed over the
+    terms of K * R.u_K for each degree i, rather than read off
+    R.u_K_values."""
+    K_u_K = R.v_0.algebra.gen("K") * R.u_K
+    pref = ribbon_prefactor(p, mu)
+    bad = []
+    for i in range(p):
+        val = 0
+        for (_, k, _), c in K_u_K.terms.items():
+            val = val + c * root_of_unity(p, k * (R.m * (mu - 1) - i))
+        lhs = root_of_unity(p, -i * i - mu * i)
+        rhs = pref * val
+        if lhs != rhs:
+            bad.append({"degree": i, "sigma_scalar": format_scalar(lhs),
+                        "scaled_Ku_K_scalar": format_scalar(rhs)})
+    return check("prefactor_scalar_route", not bad,
+                 details="xi^{-i^2-mu i} vs q^{m(mu^2-1)} K u_K at "
+                         "K = q^{mu-1} xi^{-i}, all i",
+                 witnesses=bad)
 
 
 def verify_module(M):
@@ -1165,6 +1200,11 @@ def q_factorial_by_powers(n, xi):
     for i in range(1, n + 1):
         total = total * q_int_by_powers(i, xi)
     return total
+
+
+def q_factorial(n, xi):
+    """(n)_xi!, the last entry of bhl's q_factorials(n, xi)."""
+    return q_factorials(n, xi)[-1]
 
 
 def balanced_q_factorial(n, q):

@@ -31,7 +31,7 @@ from bhl.exactmat import Mat, from_cols
 from bhl.graded import Bicharacter, Diagram
 from bhl.hopf import braided_tensor_algebra
 from bhl.report import FAIL, PASS
-from bhl.scalars import q_factorial, q_int, root_of_unity
+from bhl.scalars import q_int, root_of_unity
 from oracle import (
     apply_by_letters,
     associativity_by_triples,
@@ -47,6 +47,7 @@ from oracle import (
     normal_form_by_rescan,
     pair_product_by_rescan,
     presented_degrees_and_labels,
+    q_factorial,
     regular_degrees_and_labels,
     typed_entries,
     typed_terms,
@@ -877,14 +878,14 @@ def test_morphism_nilline_to_dual_anyonic():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
 def test_dual_algebra_checks_read_one_factorial_table(monkeypatch, p):
     # the diagonal xi^(-(i-1)i/2) (i)_xi! of the induced map is read from
-    # one running table (scalars.q_factorials), with no q_factorial per i
-    def refuse(n, xi):
-        raise AssertionError("q_factorial(%d, xi) called" % n)
-
-    monkeypatch.setattr(scalars, "q_factorial", refuse)
-    monkeypatch.setattr(cli, "q_factorial", refuse, raising=False)
+    # one running table, scalars.q_factorials, taken once
+    tables = []
+    real = scalars.q_factorials
+    monkeypatch.setattr(scalars, "q_factorials",
+                        lambda n, xi: tables.append(n) or real(n, xi))
     checks = cli.dual_algebra_checks(p)
     assert checks and all_pass(checks)
+    assert tables == [p - 1]
 
 
 def test_morphism_d_a_mu_to_uqsl2():

@@ -40,6 +40,7 @@ from oracle import (
     dims_by_degree,
     is_invertible,
     kernel_chain_by_powers,
+    prefactor_route_by_sums,
     psi_v0_by_substitution,
     regular_ayd_by_conjugation,
     regular_module,
@@ -56,6 +57,7 @@ from oracle import (
     twisted_psi_v0,
     typed_entries,
     typed_terms,
+    values_by_sums,
     verify_module,
     w_by_product,
     w_terms,
@@ -519,23 +521,40 @@ def test_ribbon_element_structure():
     U = R.v_0.algebra
     assert R.u_0.terms[(0, 0, 0)] == 1  # j = 0 term of u_0
     assert R.v_0 == U.gen("K") * R.u_K * R.u_0
-    assert R.K_u_K == U.gen("K") * R.u_K
+    assert all(f == e == 0 for f, _, e in R.u_K.terms)
+    assert R.u_K_values == values_by_sums(R.u_K)
     assert R.q == U.q and R.m == (3 - 1) // 2
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_prefactor_scalar_route_reads_K_u_K(p):
-    # route (a) evaluates the K u_K kept in RibbonData: scaled, only that
-    # route fails, and a term that is no polynomial in K is refused
+    # route (a) reads K u_K off the transform kept in RibbonData: with the
+    # values scaled, only that route fails, at every degree
     R = ribbon_element(p)
-    U = R.v_0.algebra
     psi0 = ayd._psi_v0(p, R)
+    scaled = replace(R, u_K_values=[2 * v for v in R.u_K_values])
     for mu in range(p):
-        scaled = ribbon_identity(p, mu, replace(R, K_u_K=2 * R.K_u_K), psi0)
-        assert [c["status"] for c in scaled] == [FAIL, PASS]
-        assert len(scaled[0]["witnesses"]) == p
-    with pytest.raises(AssertionError, match="not a polynomial in K"):
-        ribbon_identity(p, 1, replace(R, K_u_K=R.K_u_K + U.gen("F")), psi0)
+        checks = ribbon_identity(p, mu, scaled, psi0)
+        assert [c["status"] for c in checks] == [FAIL, PASS]
+        assert len(checks[0]["witnesses"]) == p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_prefactor_scalar_route_matches_the_sums(p):
+    # one lookup in the transform per degree against K u_K summed over its
+    # terms for each degree, on the ribbon element and on one whose u_K is
+    # doubled, with its transform taken afresh: the same check dict
+    R = ribbon_element(p)
+    psi0 = ayd._psi_v0(p, R)
+    table = ayd._rank_one_table(p, psi0)
+    doubled = replace(R, u_K=2 * R.u_K, u_K_values=values_by_sums(2 * R.u_K))
+    for S, status in ((R, PASS), (doubled, FAIL)):
+        for mu in range(p):
+            route = ayd._ribbon_identity(p, mu, S, psi0, table)[0]
+            assert route["status"] == status
+            if status == FAIL:
+                assert len(route["witnesses"]) == p
+            assert route == prefactor_route_by_sums(p, mu, S)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -609,9 +628,9 @@ def test_ribbon_centrality_inverts_u_K_without_a_rank(monkeypatch, p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_u_K_invertible_agrees_with_the_rank(p):
     U = uqsl2(p)
-    u_K = ribbon_element(p).u_K
-    rank = U.left_mult_operator(u_K).rank()
-    assert ayd._u_K_invertible(U, u_K)["details"] == \
+    R = ribbon_element(p)
+    rank = U.left_mult_operator(R.u_K).rank()
+    assert ayd._u_K_invertible(U, R.u_K, R.u_K_values)["details"] == \
         "rank %d of %d" % (rank, U.dim)
 
 
@@ -619,19 +638,24 @@ def test_u_K_invertible_agrees_with_the_rank(p):
 def test_u_K_without_an_inverse_by_the_transform_takes_the_rank(
         monkeypatch, p):
     # u(t) = 1 - t vanishes at t = xi^0, and u_K + F is no polynomial in
-    # K: neither is inverted by the transform, so the rank of L_{u_K}
-    # decides, and it fails for 1 - K
+    # K, so it has no transform (None): neither is inverted by the
+    # transform, so the rank of L_{u_K} decides, and it fails for 1 - K.
+    # Values that are no transform of the element give a y that u_K y = 1
+    # refutes, and the rank decides too
     U = uqsl2(p)
-    cases = [(el, U.left_mult_operator(el).rank())
-             for el in (U.unit() - U.gen("K"),
-                        ribbon_element(p).u_K + U.gen("F"))]
-    assert cases[0][1] < U.dim
+    one_minus_K = U.unit() - U.gen("K")
+    R = ribbon_element(p)
+    cases = [(el, values, U.left_mult_operator(el).rank())
+             for el, values in ((one_minus_K, values_by_sums(one_minus_K)),
+                                (R.u_K + U.gen("F"), None),
+                                (one_minus_K, R.u_K_values))]
+    assert cases[0][2] < U.dim
     ranks = count_ranks(monkeypatch)
-    for el, rank in cases:
-        c = ayd._u_K_invertible(U, el)
+    for el, values, rank in cases:
+        c = ayd._u_K_invertible(U, el, values)
         assert c["status"] == (PASS if rank == U.dim else FAIL)
         assert c["details"] == "rank %d of %d" % (rank, U.dim)
-    assert ranks == [U.dim, U.dim]
+    assert ranks == [U.dim] * 3
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -101,8 +101,9 @@ def test_replace_copy_and_pickle_keep_the_class():
             assert type(again) is type(record) and again == record
             assert repr(again) == repr(record)
     R = ribbon_element(3)
-    S = replace(R, K_u_K=2 * R.K_u_K)
-    assert S.K_u_K == 2 * R.K_u_K and S.v_0 is R.v_0 and S.p == 3
+    doubled = [2 * v for v in R.u_K_values]
+    S = replace(R, u_K_values=doubled)
+    assert S.u_K_values == doubled and S.v_0 is R.v_0 and S.p == 3
 
 
 def test_packet_report_keeps_its_properties():

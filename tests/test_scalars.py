@@ -32,7 +32,6 @@ from bhl.scalars import (
     parse_scalar,
     power,
     q_binomials,
-    q_factorial,
     q_factorials,
     q_int,
     root_of_unity,
@@ -45,6 +44,7 @@ from oracle import (
     power_by_squaring,
     q_binomial,
     q_binomial_by_factorials,
+    q_factorial,
     q_factorial_by_powers,
     q_int_by_powers,
     reduce_by_division,
