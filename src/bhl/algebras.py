@@ -587,7 +587,8 @@ class PresentedAlgebra(FiniteDimAlgebra):
     def relation_residuals(self, images, one):
         """(check name, relation, lhs - rhs) for each defining relation
         with the generators replaced by images, in generator order, and 1
-        by one; images and one may be AlgebraElements or Mats.  First each
+        by one; images and one may be AlgebraElements, Mats or the column
+        images of hopf.  First each
         power rule, g^bound = power_rhs, in generator order, then each
         straightening rule, hi*lo = sum of s * word, sorted."""
         pres = self.pres

@@ -56,6 +56,7 @@ from .scalars import (
     Cyclotomic,
     FieldError,
     ParseError,
+    _conjugate,
     balanced_q_int,
     format_scalar,
     gauss_sum,
@@ -225,11 +226,15 @@ def ribbon_element(p):
     u_K(xi^j) = sum_i alpha_i xi^{ij} for u_K = sum_i alpha_i K^i,
     alpha_i = q^{m i^2}/G (G the Gauss sum): the one evaluation of u_K at
     the p-th roots of unity, p^2 products, which route (a) of
-    _ribbon_identity and _u_K_invertible read."""
+    _ribbon_identity and _u_K_invertible read.  G is inverted as
+    sigma_-1(G)/(G sigma_-1(G)), G sigma_-1(G) = |G|^2 = p being rational,
+    in one dense product."""
     U = uqsl2(p)
     q, m = U.q, U.m
     F, K, E = U.gen("F"), U.gen("K"), U.gen("E")
-    inv_gs = gauss_sum(p, q, m).inverse()
+    gs = gauss_sum(p, q, m)
+    conj = _conjugate(gs, -1)
+    inv_gs = conj / (gs * conj)
     alpha = [inv_gs * q ** (m * i * i) for i in range(p)]
     u_K = U.element({(0, i, 0): a for i, a in enumerate(alpha)})
     values = [sum(a * root_of_unity(p, i * j) for i, a in enumerate(alpha))

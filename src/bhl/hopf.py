@@ -31,8 +31,34 @@ is pushed through them, so no Kronecker product is ever formed, and the
 first input where the sides differ is the witness.
 
 The laws multiplicative in their first argument -- Delta and eps
-multiplicative, S anti-multiplicative, the row laws -- are checked on
-generator rows, a in {1} u G, by FiniteDimAlgebra.row_check.  Writing a
+multiplicative, S anti-multiplicative, the row laws -- are read off the
+defining relations when A is presented and the two premises of the row
+lemma below hold, associativity and generation from 1.  The relation
+lemma: A is then T(G)/I, I the ideal of the defining relations.  A's
+product of letters is the rewriting by those relations, so they hold in
+A, and by generation A is a quotient of T(G)/I, in which the normal
+monomials span, as the rewriting terminates; they are a basis of A, so
+A = T(G)/I (Bergman, "The diamond lemma for ring theory", *Adv. Math.*
+29, 1978).  Let B be an associative algebra and f(g) in B for g in G.
+If every defining relation vanishes on the f(g) in B
+(PresentedAlgebra.relation_residuals), g |-> f(g) extends to an algebra
+map Phi: A -> B (Kassel, *Quantum Groups*, GTM 155, ch. I); extend
+multiplies the images of a normal monomial's letters in B, which is Phi
+of the monomial, so f = Phi is multiplicative.  Conversely, a
+multiplicative f carries the relations, which hold in A, to the f(g).
+B is A (x)^tau A for Delta, associative because A is and chi is a
+bicharacter, and k for eps.  For S it is the braided opposite,
+a .' b = chi(|a|, |b|) b a on homogeneous a, b, again associative for a
+bicharacter (Majid, *Foundations of Quantum Group Theory*, 1995, 9.2);
+extend's chi(|m|, |m'|) S(m') S(m) is S(m) .' S(m') because S(m) is
+homogeneous of degree |m|, S being a GradedMap of shift 0 (HopfData
+refuses any other S).  So a law whose residuals all vanish passes with
+no input pushed (HopfData.row_law).  A power g^e below g's bound is f's
+own column at the monomial g^e, so g^bound takes one product in B.
+
+When a residual does not vanish, a premise fails or A is given by
+structure constants, the law is compared on generator rows, a in {1} u
+G, by FiniteDimAlgebra.row_check, which names the witness.  Writing a
 basis element a as c * g a' with c a nonzero scalar, g in {1} u G and a'
 reached earlier from 1,
 
@@ -42,10 +68,10 @@ reached earlier from 1,
 which uses the associativity of A and so of A (x)^tau A (chi is a
 bicharacter, and m is homogeneous).  eps goes the same way, and S also
 uses chi(|g|, |a'| + |b|) chi(|a'|, |b|) = chi(|g a'|, |b|) chi(|g|, |a'|)
-(Majid, *Foundations of Quantum Group Theory*, 1995, 9.2).  row_check
-folds both premises, associativity (from the defining relations, or else
-on generator rows) and generation from 1, into each of the three checks,
-so a failed premise fails them.  HopfData.row_law computes each once.
+(Majid, 9.2).  row_check folds both premises, associativity (from the
+defining relations, or else on generator rows) and generation from 1,
+into each of the three checks, so a failed premise fails them.
+HopfData.row_law computes each law once, by either route.
 
 The other five laws are compared on 1 and the generators alone, both
 sides precomposed with iota, the inclusion of span({1} u G) in A, once the
@@ -87,10 +113,12 @@ tests build it, as an independent route to Delta.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .algebras import (
     AlgebraElement,
+    PresentedAlgebra,
     StructureConstantAlgebra,
     anyonic_line,
     check_guard,
@@ -101,6 +129,7 @@ from .graded import (
     Bicharacter,
     GradedMap,
     GradedSpace,
+    _add_into,
     _times,
     braiding,
     diagram,
@@ -207,6 +236,53 @@ def _square(A, chi, VV):
     return pair_leaf(VV, VV, VV.factors, column)
 
 
+def _on_pairs(leaf, n, x, y):
+    """leaf applied to x (x) y, for columns x and y of a space of dimension
+    n: the product of a target algebra given as a leaf on pairs."""
+    return leaf.apply({i * n + j: a * b for i, a in x.items()
+                       for j, b in y.items()})
+
+
+def _unit_product(x, y):
+    """The product of k, on columns of the unit space."""
+    return {0: x[0] * y[0]} if x and y else {}
+
+
+class _Image:
+    """An element of the target of a structure map, as a sparse column, for
+    PresentedAlgebra.relation_residuals: sums and scalar multiples go
+    entry by entry, products by the target's product times(x, y) on
+    columns, and the image of a generator takes its powers from power(e)."""
+
+    __slots__ = ("col", "times", "power")
+
+    def __init__(self, col, times, power=None):
+        self.col, self.times, self.power = col, times, power
+
+    def is_zero(self):
+        return not self.col
+
+    def __add__(self, other):
+        out = dict(self.col)
+        for r, c in other.col.items():
+            _add_into(out, r, c)
+        return _Image(out, self.times)
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __mul__(self, other):
+        if isinstance(other, _Image):
+            return _Image(self.times(self.col, other.col), self.times)
+        return _Image({r: other * c for r, c in self.col.items()}
+                      if other else {}, self.times)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        return _Image(self.power(e), self.times)
+
+
 # ---------------------------------------------------------------------------
 # Hopf structure data
 # ---------------------------------------------------------------------------
@@ -268,29 +344,62 @@ class HopfData:
     def times(self, x, y):
         """x * y in A (x)^tau A, for columns x and y of V (x) V: square
         applied to x (x) y."""
-        n = self.algebra.dim ** 2
-        return self.square.apply({i * n + j: a * b for i, a in x.items()
-                                  for j, b in y.items()})
+        return _on_pairs(self.square, self.algebra.dim ** 2, x, y)
 
     # -- the row laws and the rows they admit ------------------------------
 
     def row_law(self, name):
-        """The row_check of coproduct_is_multiplicative,
+        """The check of coproduct_is_multiplicative,
         counit_is_multiplicative or antipode_is_antimultiplicative,
-        computed once per HopfData."""
+        computed once per HopfData: PASS when the defining relations vanish
+        on the generator images in the map's target (_relations_vanish),
+        and else the row_check, which finds the witness."""
         if name not in self._row_laws:
             m, tau = self.m, self.tau
             Delta, eps, S = (diagram(f) for f in (self.Delta, self.eps, self.S))
-            sides = {
+            f, times, rhs = {
                 "coproduct_is_multiplicative": (
-                    Delta @ m, self.square @ tensor_diagram(Delta, Delta)),
-                "counit_is_multiplicative": (eps @ m,
-                                             tensor_diagram(eps, eps)),
+                    Delta, self.times,
+                    self.square @ tensor_diagram(Delta, Delta)),
+                "counit_is_multiplicative": (
+                    eps, _unit_product, tensor_diagram(eps, eps)),
                 "antipode_is_antimultiplicative": (
-                    S @ m, m @ tensor_diagram(S, S) @ tau),
-            }
-            self._row_laws[name] = self.algebra.row_check(name, *sides[name])
+                    S, functools.partial(_on_pairs, m @ tau, self.space.dim),
+                    m @ tensor_diagram(S, S) @ tau),
+            }[name]
+            self._row_laws[name] = (
+                check(name, True) if self._relations_vanish(f, times)
+                else self.algebra.row_check(name, f @ m, rhs))
         return self._row_laws[name]
+
+    def _relations_vanish(self, f, times):
+        """Whether the algebra is presented, the premises of row_check hold,
+        and every defining relation vanishes on the images f(g) of the
+        generators, multiplied by times in f's target (the relation lemma
+        of the module docstring).  A power g^e below g's bound is f's own
+        column at the monomial g^e, so g^bound takes one product."""
+        A = self.algebra
+        if not isinstance(A, PresentedAlgebra):
+            return False
+        assoc, unreached = A._row_premises()
+        if assoc["status"] == FAIL or unreached is not None:
+            return False
+
+        def column(mono):
+            return f.apply({A.index[mono]: 1})
+
+        def power(mono, bound, e):
+            col = column(tuple(min(e, bound - 1) * x for x in mono))
+            for _ in range(bound - 1, e):
+                col = times(col, column(mono))
+            return col
+
+        images = [_Image(column(mono), times,
+                         functools.partial(power, mono, bound))
+                  for mono, bound in zip(A.generator_monos.values(),
+                                         A.pres.bounds)]
+        return all(r.is_zero() for *_, r in A.relation_residuals(
+            images, _Image(column(A.unit_mono), times)))
 
     def rows(self, *premises):
         """The inputs on which a law resting on the named row laws is
@@ -365,10 +474,11 @@ def verify_bialgebra(H):
     (graded.Diagram), compared one basis input at a time, so no Kronecker
     product is formed; the size of H is bounded by the dimension guard
     when H is built.  coproduct_is_multiplicative and
-    counit_is_multiplicative are checked on generator rows
-    (HopfData.row_law).  coassociativity, which rests on the first, and
-    counit_law, which rests on both, are compared on 1 and the generators
-    when those pass, and on every basis input otherwise (HopfData.rows).
+    counit_is_multiplicative are read off the defining relations, or else
+    checked on generator rows (HopfData.row_law).  coassociativity, which
+    rests on the first, and counit_law, which rests on both, are compared
+    on 1 and the generators when those pass, and on every basis input
+    otherwise (HopfData.rows).
     A failed counit_law names the side that differs, (eps(x)id).Delta or
     (id(x)eps).Delta, with its first differing input.
     """
@@ -402,12 +512,13 @@ def verify_antipode(H):
     """Check the antipode axiom, (anti)morphism properties and report S^2.
 
     The identities are compared column by column, as in verify_bialgebra.
-    antipode_is_antimultiplicative is checked on generator rows, and
-    computed first (HopfData.row_law).  antipode_left and antipode_right
-    rest on it and on the multiplicativity of Delta and eps,
-    antipode_is_anticomultiplicative on it and that of Delta; each is
-    compared on 1 and the generators when the laws it rests on pass, and on
-    every basis input otherwise (HopfData.rows).
+    antipode_is_antimultiplicative is read off the defining relations, or
+    else checked on generator rows, and computed first (HopfData.row_law).
+    antipode_left and antipode_right rest on it and on the
+    multiplicativity of Delta and eps, antipode_is_anticomultiplicative on
+    it and that of Delta; each is compared on 1 and the generators when
+    the laws it rests on pass, and on every basis input otherwise
+    (HopfData.rows).
     """
     V, m, tau = H.space, H.m, H.tau
     idv = diagram(H.algebra.identity_map())

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bhl
-from bhl import ayd
+from bhl import ayd, scalars
 from bhl.algebras import (DimensionGuardError, PresentedAlgebra, d_a_mu, taft,
                           uqsl2)
 from bhl.ayd import (
@@ -32,7 +32,7 @@ from bhl.ayd import (
 from bhl.exactmat import Mat
 from bhl.graded import GradedMap, GradedSpace
 from bhl.report import FAIL, PASS
-from bhl.scalars import Cyclotomic, root_of_unity
+from bhl.scalars import Cyclotomic, gauss_sum, root_of_unity
 from oracle import (
     AlgebraModule,
     act_matrix_by_sums,
@@ -524,6 +524,22 @@ def test_ribbon_element_structure():
     assert all(f == e == 0 for f, _, e in R.u_K.terms)
     assert R.u_K_values == values_by_sums(R.u_K)
     assert R.q == U.q and R.m == (3 - 1) // 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_gauss_sum_inverse_matches_the_norm_route(monkeypatch, p):
+    # u_K's coefficients alpha_i = q^(m i^2)/G with G inverted through
+    # sigma_-1, against Cyclotomic.inverse, by type and repr; the only
+    # addition chain left is that of inverse_factorials
+    chains = []
+    real = scalars._norm_cofactor
+    monkeypatch.setattr(scalars, "_norm_cofactor",
+                        lambda x: chains.append(x) or real(x))
+    R = ribbon_element(p)
+    assert len(chains) == (p > 3)
+    inv_gs = gauss_sum(p, R.q, R.m).inverse()
+    assert typed_terms(R.u_K.terms) == typed_terms({
+        (0, i, 0): inv_gs * R.q ** (R.m * i * i) for i in range(p)})
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

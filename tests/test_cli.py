@@ -9,6 +9,8 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import pathlib
 import re
 import sys
 import time
@@ -28,6 +30,7 @@ SCHEMA = json.loads(
 CORPUS = PACKAGE_DIR / "corpus"
 S3_TABLE = PACKAGE_DIR / "data" / "cayley_s3.json"
 SAMPLE_MODULE = PACKAGE_DIR / "data" / "sample_module_p3_mu1.json"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -76,6 +79,30 @@ def test_hopf_axioms_p2(capsys):
     code, report = run_json(["verify", "hopf-axioms", "--p", "2"], capsys)
     assert code == 0
     assert all(c["status"] == "PASS" for c in report["checks"])
+
+
+def binomial_witness(p):
+    """The witness of coproduct_is_multiplicative on the unbraided anyonic
+    line: at x , x^(p-1), Delta(x) Delta(x^(p-1)) - Delta(x^p) is the sum of
+    binom(p, i) x^i (x) x^(p-i) over 0 < i < p, and the row sweep lists
+    Delta(x^p) - Delta(x) Delta(x^(p-1))."""
+    return {"input": "x , x^%d" % (p - 1),
+            "difference": [[i * p + p - i, str(-math.comb(p, i))]
+                           for i in range(1, p)]}
+
+
+def test_unbraided_anyonic_line_fails_one_law_with_the_golden_witness(
+        capsys):
+    golden = json.loads((GOLDEN / "hopf_axioms_p5_chi0.json").read_text())
+    assert [c["witnesses"] for c in golden["checks"]
+            if c["status"] == "FAIL"] == [[binomial_witness(5)]]
+    code, report = run_json(["verify", "hopf-axioms", "--p", "11",
+                             "--chi", "0"], capsys)
+    assert code == 1
+    failed = [c for c in report["checks"] if c["status"] == "FAIL"]
+    assert failed == [{"name": "anyonic p=11: coproduct_is_multiplicative",
+                       "status": "FAIL", "details": "maps differ",
+                       "witnesses": [binomial_witness(11)]}]
 
 
 @pytest.mark.slow

@@ -1,7 +1,9 @@
 """Braided tensor squares, Hopf axioms and modules."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -513,33 +515,40 @@ def test_non_associative_check_lists_match_rescan(monkeypatch, p):
 
 
 def test_coproduct_law_pushes_generator_rows_only(monkeypatch):
-    # (|G| + 1) * dim = 3 * 25 inputs for taft p = 5; all dim^2 pairs would
-    # be 625.  The premises are checked once per algebra, before this.
-    H = taft_hopf(5)
-    H.algebra.verify_associativity()
-    pushed = []
-    columns = Diagram.columns
-    real = algebras.map_check
+    # a PASS goes by the relation residuals and pushes no input; a nonzero
+    # residual falls back to the generator rows, (|G| + 1) * dim = 3 * 25
+    # inputs for taft p = 5, where all dim^2 pairs would be 625.  The
+    # premises are checked once per algebra, before this.
+    def pushed_by(H):
+        H.algebra.verify_associativity()
+        pushed = []
+        columns = Diagram.columns
+        real = algebras.map_check
 
-    def watched(name, lhs, rhs, *args, **kwargs):
-        if name != "coproduct_is_multiplicative":
-            return real(name, lhs, rhs, *args, **kwargs)
+        def watched(name, lhs, rhs, *args, **kwargs):
+            if name != "coproduct_is_multiplicative":
+                return real(name, lhs, rhs, *args, **kwargs)
 
-        def counting(self):
-            for col in columns(self):
-                if self is lhs:
-                    pushed.append(col)
-                yield col
+            def counting(self):
+                for col in columns(self):
+                    if self is lhs:
+                        pushed.append(col)
+                    yield col
+
+            with monkeypatch.context() as mp:
+                mp.setattr(Diagram, "columns", counting)
+                return real(name, lhs, rhs, *args, **kwargs)
 
         with monkeypatch.context() as mp:
-            mp.setattr(Diagram, "columns", counting)
-            return real(name, lhs, rhs, *args, **kwargs)
+            mp.setattr(algebras, "map_check", watched)
+            check = verify_bialgebra(H)[0]
+        assert check["name"] == "coproduct_is_multiplicative"
+        return check["status"], len(pushed)
 
-    monkeypatch.setattr(algebras, "map_check", watched)
-    check = verify_bialgebra(H)[0]
-    assert check["name"] == "coproduct_is_multiplicative"
-    assert check["status"] == PASS
-    assert 0 < len(pushed) <= 75
+    assert pushed_by(taft_hopf(5)) == (PASS, 0)
+    status, count = pushed_by(broken_taft_hopf(5, primitive_x=True))
+    assert status == FAIL
+    assert 0 < count <= 75
 
 
 ROW_LAWS = ("coproduct_is_multiplicative", "counit_is_multiplicative",
@@ -647,18 +656,24 @@ def test_row_laws_pass_and_the_rest_fail_at_the_generator():
         assert by_name[name]["witnesses"][0]["input"] == "g"
 
 
-@pytest.mark.parametrize("left, side", [
-    (1, "(eps(x)id).Delta"), (2, "(id(x)eps).Delta")])
-def test_a_failed_counit_law_names_its_side_and_input(left, side):
-    # k[Z/3] with Delta(g) = g^left (x) g^(3 - left) and eps(g) = 1: eps
-    # is multiplicative, and the counit law fails at g on one side only,
-    # where it gives g^2 - g
+def counit_side_hopf(left):
+    """k[Z/3] with Delta(g) = g^left (x) g^(3 - left), eps(g) = 1 and
+    S(g) = g^2."""
     A = group_algebra_hopf(3).algebra
     chi = Bicharacter(1, 0)
     TA = braided_tensor_algebra(A, A, chi)
     g = A.gen("g")
-    H = build_hopf(A, chi, {"g": tensor_pair(TA, g ** left, g ** (3 - left))},
-                   {"g": 1}, {"g": g * g})
+    return build_hopf(A, chi, {"g": tensor_pair(TA, g ** left,
+                                                g ** (3 - left))},
+                      {"g": 1}, {"g": g * g})
+
+
+@pytest.mark.parametrize("left, side", [
+    (1, "(eps(x)id).Delta"), (2, "(id(x)eps).Delta")])
+def test_a_failed_counit_law_names_its_side_and_input(left, side):
+    # eps is multiplicative, and the counit law fails at g on one side
+    # only, where it gives g^2 - g
+    H = counit_side_hopf(left)
     by_name = {c["name"]: c for c in verify_bialgebra(H)}
     assert by_name["counit_is_multiplicative"]["status"] == PASS
     assert by_name["counit_law"] == {
@@ -684,6 +699,77 @@ def test_broken_taft_fails_with_witnesses(kwargs, failing):
     for c in checks:
         if c["status"] == FAIL:
             assert c["witnesses"][0]["difference"]
+
+
+RESIDUAL_CASES = (
+    [("taft p=%d" % p, lambda p=p: taft_hopf(p)) for p in (2, 3, 5, 7)]
+    + [("anyonic p=%d c=%d" % (p, c), lambda p=p, c=c: anyonic_hopf(p, c))
+       for p in (2, 3, 5, 7) for c in range(p)]
+    + [("broken taft p=%d %s" % (p, sorted(kw.items())),
+        lambda p=p, kw=kw: broken_taft_hopf(p, **kw))
+       for p in (2, 3, 5) for kw in BROKEN_TAFT]
+    + [("skew taft p=%d" % p, lambda p=p: skew_taft_hopf(p))
+       for p in (2, 3, 5)]
+    + [("group algebra Z/3", lambda: group_algebra_hopf(3))]
+    + [("counit side %d" % left, lambda left=left: counit_side_hopf(left))
+       for left in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES, ids=lambda c: c[0])
+def test_relation_residuals_match_the_row_sweep(monkeypatch, case):
+    # each row law by the residuals of the defining relations, against the
+    # row_check that a route which never finds them vanishing takes: the
+    # verdicts agree law by law, and so do the checks, witnesses included
+    vanish = []
+    real = hopf.HopfData._relations_vanish
+
+    def watched(self, f, times):
+        vanish.append(real(self, f, times))
+        return vanish[-1]
+
+    monkeypatch.setattr(hopf.HopfData, "_relations_vanish", watched)
+    H = case[1]()
+    by_residuals = [H.row_law(name) for name in ROW_LAWS]
+    monkeypatch.setattr(hopf.HopfData, "_relations_vanish",
+                        lambda *_: False)
+    H = case[1]()
+    by_rows = [H.row_law(name) for name in ROW_LAWS]
+    assert by_residuals == by_rows
+    assert vanish == [c["status"] == PASS for c in by_rows]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_a_non_homogeneous_antipode_image_is_refused(p):
+    # S is a GradedMap of shift 0, so every S(g) is homogeneous of degree
+    # |g|, as the braided opposite route needs: S(x) = 1 - x is refused
+    # before either route could read it
+    A = anyonic_line(p)
+    chi = Bicharacter(p)
+    TA = braided_tensor_algebra(A, A, chi)
+    x, one = A.gen("x"), A.unit()
+    with pytest.raises(ValueError, match="breaks homogeneity"):
+        build_hopf(A, chi, {"x": tensor_pair(TA, x, one)
+                            + tensor_pair(TA, one, x)},
+                   {"x": 0}, {"x": one - x})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: taft_hopf(5), lambda: anyonic_hopf(5), lambda: anyonic_hopf(5, 0),
+], ids=["taft p=5", "anyonic p=5 c=1", "anyonic p=5 c=0"])
+def test_hopf_data_is_freed_by_reference_counting(make):
+    # neither route leaves a reference cycle through the structure maps,
+    # so a battery's HopfData goes as soon as its last reference does
+    gc.collect()
+    gc.disable()
+    try:
+        H = make()
+        verify_bialgebra(H) + verify_antipode(H)
+        ref = weakref.ref(H)
+        del H
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 EXTENSION_CASES = (
