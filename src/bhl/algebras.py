@@ -52,14 +52,12 @@ given two premises that are checked once per algebra and folded into each
 such check: (g*b)*c = g*(b*c) for g in {1} u G and all basis b, c, and
 every basis element other than 1 is a nonzero multiple of g*b for some g
 in {1} u G and a basis element b reached before it.  A presented algebra
-takes the first premise, indeed associativity on all triples, from its
-defining relations: when the L_g satisfy every power and straightening
-rule and a*1 = a, evaluation at 1 is a bijection from the algebra they
-generate onto A, so L_a L_b = L_{a*b} (FiniteDimAlgebra._row_premises).
-This is the situation of the diamond lemma, in which the normal
-monomials are a basis (Bergman, "The diamond lemma for ring theory",
-1978).  Otherwise, and for a StructureConstantAlgebra, the premise is
-checked on the (|G|+1)*dim^2 generator-row triples.
+meets the second by construction, and takes the first, indeed
+associativity on all triples, from its defining relations when the L_g
+satisfy them (FiniteDimAlgebra._row_premises), the situation of the
+diamond lemma (Bergman, "The diamond lemma for ring theory", 1978).
+Otherwise both are checked, associativity on the (|G|+1)*dim^2
+generator-row triples.
 """
 
 from __future__ import annotations
@@ -70,8 +68,7 @@ import operator
 
 from .exactmat import Mat, from_cols
 from .graded import (GradedMap, GradedSpace, LazyLabels, diagram,
-                     first_difference, homogeneity_error, pair_leaf,
-                     tensor_diagram)
+                     homogeneity_error, tensor_diagram, word_leaf)
 from .guard import (DEFAULT_DIM_GUARD, DimensionGuardError, check_guard,
                     dim_guard, is_prime)
 from .record import Record
@@ -302,7 +299,7 @@ class FiniteDimAlgebra:
         the column of a (x) b is pair_product(a, b), computed when a check
         first reads it and kept in the algebra's pair cache."""
         V = self.graded_space()
-        return pair_leaf(V, V, (V,), self._product_column)
+        return word_leaf((V, V), (V,), self._product_column)
 
     def unit_map(self):
         """The unit u: I -> A as a GradedMap."""
@@ -345,35 +342,38 @@ class FiniteDimAlgebra:
         associativity check, and the generation witness (None when every
         basis element is reached from 1).
 
-        Associativity follows when generation holds, the L_g (the matrices
-        of b |-> g*b) satisfy the defining relations (_relations_hold) and
-        a*1 = a.  Let S be the algebra the L_g generate.  It is a quotient
-        of the presented algebra Q, and the normal monomials span Q,
-        because _act rewrites by the rules of the presentation alone and
-        terminates; so dim S <= dim A.  Generation makes evaluation at 1
-        map S onto A, so it is a bijection.  For a = g_1^e_1 ... g_k^e_k,
-        pair_product(a, b) applies a's letters right to left by _act, which
-        is L_a(e_b) with L_a = L_{g_1}^e_1 ... L_{g_k}^e_k in S; so do
-        L_a L_b and L_{a*b} lie in S, and with a*1 = a both send 1 to a*b,
-        so they are equal, which is associativity.  Otherwise it is checked
-        on generator rows, (g*b)*c = g*(b*c) for g in {1} u G.
+        A presented algebra is generated from 1 and has a*1 = a by
+        construction.  Let m != 1 have leading letter h, and m' lower h's
+        exponent by one.  _act of h on m' only raises that exponent, below
+        its bound, with coefficient 1; a diagonal h scales by factors of
+        letters before h, and m' has none.  So h*m' = m, m' being reached
+        first, and a*1 = a, as a's letters act on 1 the same way.  Then
+        associativity follows when the L_g (the matrices of b |-> g*b)
+        satisfy the defining relations (_relations_hold).  Let S be the
+        algebra the L_g generate.  It is a quotient of the presented
+        algebra Q, and the normal monomials span Q, because _act rewrites
+        by the rules of the presentation alone and terminates; so dim S <=
+        dim A.  Generation makes evaluation at 1 map S onto A, so it is a
+        bijection.  For a = g_1^e_1 ... g_k^e_k, pair_product(a, b) applies
+        a's letters right to left by _act, which is L_a(e_b) with L_a =
+        L_{g_1}^e_1 ... L_{g_k}^e_k in S; so do L_a L_b and L_{a*b} lie in
+        S, and with a*1 = a both send 1 to a*b, so they are equal, which is
+        associativity.  Otherwise generation is searched from 1
+        (_unreached) and associativity checked on generator rows.
         """
         if self._premises is None:
-            iota, _ = self.generator_rows()
-            m, idv = self.mult_map(), self.identity_map()
-            unreached = self._unreached(m @ tensor_diagram(iota, idv))
-            if (unreached is None and self._relations_hold()
-                    and first_difference(
-                        m @ tensor_diagram(idv, self.unit_map()), idv) is None):
-                assoc = check("associativity", True,
-                              "all %d^3 basis triples" % self.dim)
+            if self._relations_hold():
+                self._premises = check("associativity", True,
+                                       "all %d^3 basis triples" % self.dim), None
             else:
+                iota, _ = self.generator_rows()
+                m, idv = self.mult_map(), self.identity_map()
+                unreached = self._unreached(m @ tensor_diagram(iota, idv))
                 rows = tensor_diagram(iota, idv, idv)
-                assoc = map_check("associativity",
-                                  m @ tensor_diagram(m, idv) @ rows,
-                                  m @ tensor_diagram(idv, m) @ rows,
-                                  "all %d^3 basis triples" % self.dim)
-            self._premises = assoc, unreached
+                self._premises = map_check(
+                    "associativity", m @ tensor_diagram(m, idv) @ rows,
+                    m @ tensor_diagram(idv, m) @ rows,
+                    "all %d^3 basis triples" % self.dim), unreached
         return self._premises
 
     def _relations_hold(self):

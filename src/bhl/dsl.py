@@ -55,7 +55,7 @@ from .graded import (
     braiding,
     braiding_inverse,
     diagram,
-    ev_coev,
+    duality,
     left_dual,
     right_dual,
     tensor,
@@ -395,7 +395,8 @@ def _space_text(word, N):
 
 def _leaf(expr, env):
     """The map of a generator name, or of id[...], braid[...] etc.: a
-    GradedMap, or a diagram leaf for braid, braid_inv and the preloaded m."""
+    GradedMap, or a diagram leaf for braid, braid_inv, the duality maps
+    and the preloaded m and Delta."""
     if isinstance(expr, MName):
         if expr.name not in env.gens:
             raise DslTypeError("unknown generator %r" % expr.name)
@@ -411,8 +412,7 @@ def _leaf(expr, env):
         return braiding(spaces[0], spaces[1], env.chi)
     if expr.kind == "braid_inv":
         return braiding_inverse(spaces[0], spaces[1], env.chi)
-    ev, ev_l, coev, coev_l = ev_coev(spaces[0])
-    return {"ev": ev, "ev_l": ev_l, "coev": coev, "coev_l": coev_l}[expr.kind]
+    return duality(expr.kind, spaces[0])
 
 
 def evaluate(expr, env):

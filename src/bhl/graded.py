@@ -24,7 +24,8 @@ check in bhl goes through it.  Its source and target are tensor words, and
 it names a source basis vector from the word (Diagram.label), so a tensor
 product of maps never lists its basis.  Its leaves are given by columns:
 a GradedMap's, built once per map (diagram), or columns computed when
-read, as for the braiding and an algebra's product (pair_leaf).
+read, as for the braiding, the duality maps and an algebra's product
+(word_leaf).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def tensor(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     if V.N != W.N:
         raise ValueError("grading group mismatch: N=%d vs N=%d" % (V.N, W.N))
     degrees = (dv + dw for dv in V.degrees for dw in W.degrees)
-    labels = LazyLabels(V.dim * W.dim, _pair_label(V, W))
+    labels = LazyLabels(V.dim * W.dim, _tensor_label((V, W)))
     out = GradedSpace(V.N, degrees, labels)
     out.factors = _word(V) + _word(W)
     return out
@@ -155,15 +156,20 @@ class LazyLabels:
         return self._name(range(self._len)[j])
 
 
-def _pair_label(V, W):
-    """j |-> the label of basis vector j of V (x) W; a unit factor (one
-    basis vector, of degree 0) is left out."""
-    if V.dim == 1 and V.degrees == (0,):
-        return W.labels.__getitem__
-    if W.dim == 1 and W.degrees == (0,):
-        return V.labels.__getitem__
-    n = W.dim
-    return lambda j: "%s*%s" % (V.labels[j // n], W.labels[j % n])
+def _tensor_label(spaces):
+    """j |-> the label tensor() gives basis vector j of the product of
+    spaces: a unit factor (one basis vector, of degree 0) is left out."""
+    named = [V for V in spaces
+             if not (V.dim == 1 and V.degrees == (0,))] or spaces[-1:]
+
+    def label(j):
+        out = []
+        for V in reversed(named):
+            j, k = divmod(j, V.dim)
+            out.append(V.labels[k])
+        return "*".join(out[::-1])
+
+    return label
 
 
 def left_dual(V: GradedSpace) -> GradedSpace:
@@ -482,18 +488,19 @@ def diagram(f):
             cols = [{} for _ in range(f.source.dim)]
             for (r, c), v in f.mat.data.items():
                 cols[c][r] = v
-            f._leaf = _Leaf(f.source.N, _word(f.source), _word(f.target),
-                            f.shift, cols.__getitem__,
-                            f.source.labels.__getitem__)
+            f._leaf = word_leaf((f.source,), (f.target,), cols.__getitem__,
+                                f.shift)
         return f._leaf
     raise TypeError("not a map: %r" % (f,))
 
 
-def pair_leaf(V, W, target, column):
-    """The shift-0 leaf V (x) W -> target (a tensor word) with the given
-    columns, and the labels tensor(V, W) lists."""
-    return _Leaf(V.N, _word(V) + _word(W), target, 0, column,
-                 _pair_label(V, W))
+def word_leaf(source, target, column, shift=0):
+    """The leaf from the tensor word of the spaces in source to that of
+    target, with the given columns and the labels tensor() gives the
+    source's basis, which is not listed."""
+    return _Leaf(source[0].N, sum(map(_word, source), ()),
+                 sum(map(_word, target), ()), shift, column,
+                 _tensor_label(source))
 
 
 def tensor_diagram(*maps):
@@ -539,7 +546,7 @@ def braiding(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> Diagram:
         i, k = divmod(j, width)
         return {k * n + i: chi.chi(dv[i], dw[k])}
 
-    return pair_leaf(V, W, _word(W) + _word(V), column)
+    return word_leaf((V, W), (W, V), column)
 
 
 def braiding_inverse(V: GradedSpace, W: GradedSpace, chi: Bicharacter) -> Diagram:
@@ -590,22 +597,18 @@ def anti_twist(V: GradedSpace, sigma: AntiTwist) -> GradedMap:
     return GradedMap.from_diagonal(V, sigma)
 
 
-def ev_coev(V: GradedSpace):
-    """The four duality maps (ev, ev_l, coev, coev_l).
+def duality(kind, V: GradedSpace) -> Diagram:
+    """The duality map of V named kind, a diagram leaf on its tensor words:
 
     ev:     V^ (x) V  -> I      e^i (x) e_j |-> delta_ij
     ev_l:   V  (x) ^V -> I      e_i (x) ^e_j |-> delta_ij
     coev:   I -> V (x) V^       1 |-> sum e_i (x) e^i
     coev_l: I -> ^V (x) V       1 |-> sum ^e_i (x) e_i
     """
-    I = GradedSpace.unit(V.N)
-    n = V.dim
-    dualL = left_dual(V)
-    dualR = right_dual(V)
-    pair = Mat(1, n * n, {(0, i * n + i): 1 for i in range(n)})
-    copair = Mat(n * n, 1, {(i * n + i, 0): 1 for i in range(n)})
-    ev = GradedMap(tensor(dualL, V), I, pair)
-    ev_l = GradedMap(tensor(V, dualR), I, pair)
-    coev = GradedMap(I, tensor(V, dualL), copair)
-    coev_l = GradedMap(I, tensor(dualR, V), copair)
-    return ev, ev_l, coev, coev_l
+    n, I = V.dim, GradedSpace.unit(V.N)
+    dual = left_dual(V) if kind in ("ev", "coev") else right_dual(V)
+    word = (dual, V) if kind in ("ev", "coev_l") else (V, dual)
+    if kind.startswith("ev"):
+        return word_leaf(word, (I,), lambda j: {} if j % (n + 1) else {0: 1})
+    copair = {i * (n + 1): 1 for i in range(n)}
+    return word_leaf((I,), word, lambda j: copair)

@@ -4,16 +4,15 @@ The braided tensor square A (x)^tau A of a graded algebra carries the product
 
     (a (x) b) * (c (x) d)  =  chi(deg b, deg c) * (ac (x) bd),
 
-the diagram leaf square on columns of V (x) V, V being A as a graded space,
-where a (x) b has index i_a * dim + i_b; it reads ac and bd from A's
-product cache, and equals (m (x) m) . (id (x) tau (x) id).  A
-Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a counit
-eps: A -> k and an antipode S: A -> A.  Here the structure maps are stored
-as exact matrices (GradedMap), built from their values on generators by
-the one extension PresentedAlgebra.extend: a monomial splits at its last
-run, rest * g^e, and a single run as g^(e-1) * g.  Delta (by square) and
-eps extend multiplicatively, S anti-multiplicatively with the braiding
-scalar,
+the diagram leaf square from the word (V, V, V, V) to (V, V), V being A
+as a graded space, where a (x) b has index i_a * dim + i_b; it reads ac
+and bd from A's product cache, and equals (m (x) m) . (id (x) tau (x) id).
+A Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a leaf from
+(V,) to (V, V), a counit eps: A -> k and an antipode S: A -> A, both
+GradedMaps, extended from their values on generators by the one extension
+PresentedAlgebra.extend: a monomial splits at its last run, rest * g^e,
+and a single run as g^(e-1) * g.  Delta (by square) and eps extend
+multiplicatively, S anti-multiplicatively with the braiding scalar,
 
     S(ab) = chi(deg a, deg b) * S(b) * S(a).
 
@@ -105,10 +104,10 @@ the first failing input on iota is the first of the full sweep.
 
 Building HopfData goes through the dimension guard (BHL_DIM_GUARD,
 default 350), which admits the Taft algebra up to p = 17 (dimension 289).
-Delta's target tensor(V, V) lists the dim^2 degrees of V (x) V, but names
-a basis vector only when it is read.
-braided_tensor_algebra lists the square's dim^2 pair monomials; only the
-tests build it, as an independent route to Delta.
+No degree of V (x) V is listed: Delta is checked homogeneous on the
+generators, and its other columns are products of those through the
+square, which A's product keeps homogeneous.  braided_tensor_algebra
+lists the square's dim^2 pair monomials; only the tests build it.
 """
 
 from __future__ import annotations
@@ -133,9 +132,9 @@ from .graded import (
     _times,
     braiding,
     diagram,
-    pair_leaf,
-    tensor,
+    homogeneity_error,
     tensor_diagram,
+    word_leaf,
 )
 from .report import FAIL, PASS, check, column_entries, map_check
 from .scalars import q_binomials
@@ -213,11 +212,11 @@ def _tensor_column(*pairs):
     return {k: c for k, c in out.items() if c}
 
 
-def _square(A, chi, VV):
-    """The product of A (x)^tau A as one leaf (V(x)V) (x) (V(x)V) -> V(x)V,
-    VV = tensor(V, V): the column of (a(x)b) (x) (c(x)d) is chi(deg b,
-    deg c) m(a(x)c) (x) m(b(x)d), read from A's product cache and
-    multiplied in the order of (m (x) m) . (id (x) tau (x) id)."""
+def _square(A, chi, V):
+    """The product of A (x)^tau A as one leaf from the word (V, V, V, V)
+    to (V, V): the column of (a(x)b) (x) (c(x)d) is chi(deg b, deg c)
+    m(a(x)c) (x) m(b(x)d), read from A's product cache and multiplied in
+    the order of (m (x) m) . (id (x) tau (x) id)."""
     n, deg, product = A.dim, A.mono_degrees, A._product_column
 
     def column(j):
@@ -233,7 +232,7 @@ def _square(A, chi, VV):
                 out[base + t] = _times(sx, y)
         return out
 
-    return pair_leaf(VV, VV, VV.factors, column)
+    return word_leaf((V,) * 4, (V, V), column)
 
 
 def _on_pairs(leaf, n, x, y):
@@ -293,11 +292,10 @@ class HopfData:
 
     Fields: algebra, chi, space V, the five shift-0 structure maps
     m: V(x)V -> V, u: I -> V, Delta: V -> V(x)V, eps: V -> I, S: V -> V,
-    the braiding tau of V (x) V, and square, the product of A (x)^tau A
-    (times), with column chi(deg b, deg c) m(a(x)c) (x) m(b(x)d) at
-    (a(x)b) (x) (c(x)d).  m, tau and square are diagram leaves that
-    compute a column when it is read, m and square from the algebra's
-    product cache, the others GradedMaps.
+    the braiding tau of V (x) V, square, the product of A (x)^tau A, and
+    times(x, y), square applied to x (x) y for columns of V (x) V.  m,
+    tau, square and Delta are diagram leaves that compute a column when it
+    is read, Delta's by extend through the square, the others GradedMaps.
     The generator images the maps were extended from are kept in
     coproducts (columns of V (x) V) / counits / antipodes (keyed by
     generator name).  The checks of the three row laws are kept once
@@ -305,7 +303,7 @@ class HopfData:
     """
 
     def __init__(self, algebra, chi, coproducts, counits, antipodes):
-        self.algebra = algebra
+        self.algebra = A = algebra
         self.chi = chi
         self.coproducts = dict(coproducts)
         self.counits = dict(counits)
@@ -314,10 +312,10 @@ class HopfData:
         self.m = algebra.mult_map()
         self.u = algebra.unit_map()
         V = self.space = algebra.graded_space()
-        VV = tensor(V, V)
         self.tau = braiding(V, V, chi)
-        self.square = _square(algebra, chi, VV)
-        A = algebra
+        self.square = _square(A, chi, V)
+        # not a bound method: Delta's memo keeps it, and must not reach self
+        times = self.times = functools.partial(_on_pairs, self.square, A.dim ** 2)
 
         def anti(a, b, ma, mb):
             # S(ab) = chi(deg a, deg b) S(b) S(a)
@@ -331,20 +329,21 @@ class HopfData:
                             one, times)
 
         delta = extend(self.coproducts, _tensor_column((A.unit(), A.unit())),
-                       lambda x, y, *_: self.times(x, y))
+                       lambda x, y, *_: times(x, y))
+        # Delta's other columns are products of these through the square
+        n, deg = A.dim, A.mono_degrees
+        for j in sorted(A.index[mono] for mono in A.generator_monos.values()):
+            for r in delta(A.basis[j]):
+                target = (deg[r // n] + deg[r % n]) % A.N
+                if target != deg[j]:
+                    raise homogeneity_error(r, j, target, deg[j], 0)
+        self.Delta = word_leaf((V,), (V, V), lambda j: delta(A.basis[j]))
         eps = extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
         antipode = extend(self.antipodes, A.unit(), anti)
-        self.Delta = GradedMap(V, VV, from_cols(
-            A.dim ** 2, [delta(mono) for mono in A.basis]))
         self.eps = GradedMap(V, GradedSpace.unit(A.N), from_cols(
             1, [{0: eps(mono)} for mono in A.basis]))
         self.S = GradedMap(V, V, from_cols(
             A.dim, [antipode(mono).as_column() for mono in A.basis]))
-
-    def times(self, x, y):
-        """x * y in A (x)^tau A, for columns x and y of V (x) V: square
-        applied to x (x) y."""
-        return _on_pairs(self.square, self.algebra.dim ** 2, x, y)
 
     # -- the row laws and the rows they admit ------------------------------
 
@@ -378,11 +377,9 @@ class HopfData:
         generators, multiplied by times in f's target (the relation lemma
         of the module docstring).  A power g^e below g's bound is f's own
         column at the monomial g^e, so g^bound takes one product."""
-        A = self.algebra
-        if not isinstance(A, PresentedAlgebra):
-            return False
-        assoc, unreached = A._row_premises()
-        if assoc["status"] == FAIL or unreached is not None:
+        A = self.algebra  # generated from 1 by construction, if presented
+        if not (isinstance(A, PresentedAlgebra)
+                and A._row_premises()[0]["status"] == PASS):
             return False
 
         def column(mono):

@@ -34,7 +34,10 @@ generator actions, and generator actions one letter at a time
 the
 product of an algebra with one such normal form per pair of basis
 elements, with the associativity and Hopf laws checked on every pair
-or triple of basis elements rather than on generator rows;
+or triple of basis elements rather than on generator rows, and the
+generation and right-unit premises of a presented algebra by sweeps
+(row_premises_by_sweep) rather than by its construction; the columns of
+a diagram leaf as a matrix (leaf_map);
 Gauss-Jordan elimination that scans every row for
 each pivot and target and clears each pivot column above its pivot too,
 rather than an echelon form through a column index and a
@@ -111,10 +114,12 @@ from bhl.graded import (
     Bicharacter,
     GradedMap,
     GradedSpace,
+    LazyLabels,
     diagram,
     first_difference,
     tensor,
     tensor_diagram,
+    word_degrees,
 )
 from bhl.hopf import braided_tensor_algebra, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, check, map_check
@@ -1007,6 +1012,21 @@ def braiding_inverse_matrix(V, W, chi):
     return braiding_matrix(W, V, Bicharacter(chi.N, -chi.c))
 
 
+def leaf_map(f):
+    """The columns of a diagram leaf assembled into a GradedMap, between
+    spaces with the degrees of its tensor words; the source's labels are
+    the leaf's.  The matrix a lazy structure map or duality map stood for
+    before it became a leaf."""
+    def space(word, label=None):
+        n = math.prod(V.dim for V in word)
+        return GradedSpace(f.N, word_degrees(word, f.N),
+                           label and LazyLabels(n, label))
+
+    target = space(f.target)
+    return GradedMap(space(f.source, f.label), target,
+                     from_cols(target.dim, list(f.columns())), f.shift)
+
+
 def leaf_entries(d):
     """{(row, column): scalar} of a diagram, read column by column."""
     return {(r, j): v for j, col in enumerate(d.columns())
@@ -1043,6 +1063,17 @@ def associativity_by_triples(A):
                   "all %d^3 basis triples" % A.dim),
         next((c for c in units if c["status"] == FAIL), units[0]),
     ]
+
+
+def row_premises_by_sweep(A):
+    """The generation witness of the search from 1 and the first input
+    where a*1 != a, both by pushing every basis input, rather than taken
+    from the construction of a presented algebra
+    (FiniteDimAlgebra._row_premises)."""
+    iota, _ = A.generator_rows()
+    m, idv = A.mult_map(), A.identity_map()
+    return (A._unreached(m @ tensor_diagram(iota, idv)),
+            first_difference(m @ tensor_diagram(idv, A.unit_map()), idv))
 
 
 def square_by_composite(m, tau):

@@ -49,6 +49,7 @@ from oracle import (
     presented_degrees_and_labels,
     q_factorial,
     regular_degrees_and_labels,
+    row_premises_by_sweep,
     typed_entries,
     typed_terms,
 )
@@ -304,9 +305,10 @@ def test_relations_route_matches_the_row_premise(monkeypatch, case):
 
 
 def test_relations_route_pushes_no_associativity_column(monkeypatch):
-    # taft(5): the generation search pushes 3 * 25 columns and the right
-    # unit law 25 on each side; the row premise adds 3 * 25^2 triples on
-    # each side of its map_check
+    # taft(5): the relations route pushes no column, as a presented
+    # algebra is generated from 1 and has a*1 = a by construction; the
+    # fallback's generation search pushes 3 * 25 columns and its row
+    # premise 3 * 25^2 triples on each side of its map_check
     pushed, names = [], []
     columns, real = Diagram.columns, algebras.map_check
 
@@ -323,7 +325,7 @@ def test_relations_route_pushes_no_associativity_column(monkeypatch):
     monkeypatch.setattr(algebras, "map_check", watched)
     assoc, unreached = taft(5)._row_premises()
     assert (assoc["status"], unreached, names) == (PASS, None, [])
-    assert len(pushed) == 3 * 25 + 2 * 25
+    assert len(pushed) == 0
     pushed.clear()
     monkeypatch.setattr(PresentedAlgebra, "_relations_hold",
                         lambda self: False)
@@ -778,6 +780,17 @@ def skew_algebra():
             (1, 0): ((2, ((0, 1), (1, 1))),),
             (2, 1): ((1, ((1, 1), (2, 1))),),
             (2, 0): ((1, ((0, 1), (2, 1))),)}))
+
+
+@pytest.mark.parametrize("build", [
+    *SMALL_PRESENTED.values(), (skew_line, root_of_unity(4), -1, -2),
+    (skew_line, -1, 1, Fraction(1, 2)),
+    (skew_line, root_of_unity(4), -1, -2, ((1, ()),)), (skew_algebra,),
+], ids=[*SMALL_PRESENTED, "skew_line(i,-1,-2)", "skew_line(-1,1,1/2)",
+        "skew_line(i,-1,-2,extra)", "skew_algebra"])
+def test_presented_algebras_are_generated_with_a_right_unit(build):
+    # the premises _row_premises takes from the construction, swept
+    assert row_premises_by_sweep(build[0](*build[1:])) == (None, None)
 
 
 def test_the_skew_algebra_is_associative():

@@ -38,7 +38,7 @@ from bhl.graded import GradedMap, GradedSpace, tensor_map, word_degrees
 from bhl.report import FAIL, PASS, map_check
 from bhl.scalars import (Cyclotomic, euler_phi, format_scalar,
                          parse_scalar, root_of_unity)
-from oracle import (braiding_inverse_matrix, braiding_matrix,
+from oracle import (braiding_inverse_matrix, braiding_matrix, leaf_map,
                     mult_map_by_pairs, script_text)
 
 CORPUS = pathlib.Path(bhl.__file__).parent / "corpus"
@@ -317,7 +317,7 @@ def test_build_preloads_hopf_names_for_prime_order():
     env = Environment.build(5, 1)
     assert env.objects["H"].dim == 5
     assert set(env.gens) == {"m", "u", "Delta", "eps", "S"}
-    assert env.gens["Delta"].source == env.objects["H"]
+    assert env.gens["Delta"].source == (env.objects["H"],)
 
 
 def test_build_skips_hopf_names_otherwise():
@@ -380,8 +380,9 @@ def _columns(f):
 def materialise(expr, env):
     """The exact matrix of a morphism expression, built with tensor_map and
     @ from the GradedMaps of its leaves: the oracle matrices of the
-    braidings, and the anyonic line's product by pairs for the lazy m of
-    the preloaded Hopf structure."""
+    braidings, the anyonic line's product by pairs for the lazy m of the
+    preloaded Hopf structure, and the columns of the other leaves, Delta
+    and the duality maps, as matrices (leaf_map)."""
     if isinstance(expr, MTensor):
         return tensor_map(materialise(expr.left, env),
                           materialise(expr.right, env))
@@ -395,8 +396,9 @@ def materialise(expr, env):
     f = _leaf(expr, env)
     if isinstance(f, GradedMap):
         return f
-    assert expr == MName("m")
-    return mult_map_by_pairs(anyonic_line(env.chi.N))
+    if expr == MName("m"):
+        return mult_map_by_pairs(anyonic_line(env.chi.N))
+    return leaf_map(f)
 
 
 def oracle_checks(text, env):
@@ -501,6 +503,24 @@ def test_tensor_product_of_morphisms_lists_no_basis():
     assert got["status"] == FAIL
     assert got["witnesses"][0]["input"] == "v0*v0*v28"
     assert peak < 5 * 2 ** 20, peak
+
+
+def test_duality_maps_list_no_basis_of_their_product(monkeypatch):
+    # each duality map is a leaf on its tensor word, built alone: no space
+    # of the 60^2 vectors of V^ * V is built, nor its degrees listed
+    text = "let V = obj { deg 0: 30, deg 1: 30 }\n" + "".join(
+        "assert %s[V] == %s[V]\n" % (k, k)
+        for k in ("ev", "ev_l", "coev", "coev_l"))
+    dims, init = [], GradedSpace.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        dims.append(self.dim)
+
+    monkeypatch.setattr(GradedSpace, "__init__", spy)
+    checks = check_text(text, env3())
+    assert [c["status"] for c in checks] == [PASS] * 4
+    assert max(dims) == 60
 
 
 # ---------------------------------------------------------------------------

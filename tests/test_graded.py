@@ -16,7 +16,7 @@ from bhl.graded import (
     braiding,
     braiding_inverse,
     diagram,
-    ev_coev,
+    duality,
     first_difference,
     left_dual,
     right_dual,
@@ -28,8 +28,9 @@ from bhl.graded import (
 from bhl.report import map_check
 from bhl.scalars import root_of_unity
 from oracle import (braided_module_E, braiding_inverse_matrix,
-                    braiding_matrix, inverse, leaf_entries, map_to_json, omega,
-                    space_to_json, typed_entries, typed_terms)
+                    braiding_matrix, inverse, leaf_entries, leaf_map,
+                    map_to_json, omega, space_to_json, typed_entries,
+                    typed_terms)
 
 
 @st.composite
@@ -284,6 +285,12 @@ def test_anti_twist_values():
     assert hash(AntiTwist(chi3, -2)) == hash(AntiTwist(chi3, 1))
     assert AntiTwist(chi3, 0) != AntiTwist(Bicharacter(3, 2), 0)
     assert repr(AntiTwist(chi3, -2)) == "AntiTwist(N=3, c=1, t=1)"
+
+
+def ev_coev(V):
+    """The four duality maps (ev, ev_l, coev, coev_l) as matrices."""
+    return tuple(leaf_map(duality(kind, V))
+                 for kind in ("ev", "ev_l", "coev", "coev_l"))
 
 
 def test_duals_and_zigzags_small():

@@ -52,10 +52,12 @@ from oracle import (
     hopf_checks_by_pairs,
     hopf_maps_by_powers,
     is_invertible,
+    leaf_map,
     mult_map_by_pairs,
     pair_product_by_rescan,
     regular_module,
     right_mult_operator,
+    row_premises_by_sweep,
     square_antipode_by_matrix,
     square_by_composite,
     tensor_pair,
@@ -283,8 +285,9 @@ def _matrix_map_check(name, lhs, rhs, source_labels):
 
 
 def matrix_route_checks(H):
-    # the product by pairs, so that the oracle shares no route with H.m
-    m = mult_map_by_pairs(H.algebra)
+    # the product by pairs, so that the oracle shares no route with H.m,
+    # and the columns of Delta's leaf as a matrix
+    m, Delta = mult_map_by_pairs(H.algebra), leaf_map(H.Delta)
     V = H.space
     idv = GradedMap.identity(V)
     tau = braiding_matrix(V, V, H.chi)
@@ -295,7 +298,7 @@ def matrix_route_checks(H):
     counit = []
     for side, law in (("(eps(x)id).Delta", (H.eps, idv)),
                       ("(id(x)eps).Delta", (idv, H.eps))):
-        c = _matrix_map_check("counit_law", tensor_map(*law) @ H.Delta, idv,
+        c = _matrix_map_check("counit_law", tensor_map(*law) @ Delta, idv,
                               singles)
         counit.append(dict(
             c, details="(eps(x)id).Delta = id = (id(x)eps).Delta",
@@ -303,25 +306,25 @@ def matrix_route_checks(H):
     ue = H.u @ H.eps
     rank = H.S.rank()
     checks = [
-        _matrix_map_check("coproduct_is_multiplicative", H.Delta @ m,
-                          mm @ tensor_map(H.Delta, H.Delta), pairs),
-        _matrix_map_check("coproduct_of_unit", H.Delta @ H.u,
+        _matrix_map_check("coproduct_is_multiplicative", Delta @ m,
+                          mm @ tensor_map(Delta, Delta), pairs),
+        _matrix_map_check("coproduct_of_unit", Delta @ H.u,
                           tensor_map(H.u, H.u), ["1"]),
         _matrix_map_check("counit_is_multiplicative", H.eps @ m,
                           tensor_map(H.eps, H.eps), pairs),
         _matrix_map_check("counit_of_unit", H.eps @ H.u, unit, ["1"]),
         _matrix_map_check("coassociativity",
-                          tensor_map(H.Delta, idv) @ H.Delta,
-                          tensor_map(idv, H.Delta) @ H.Delta, singles),
+                          tensor_map(Delta, idv) @ Delta,
+                          tensor_map(idv, Delta) @ Delta, singles),
         next((c for c in counit if c["status"] == FAIL), counit[0]),
         _matrix_map_check("antipode_left",
-                          m @ tensor_map(H.S, idv) @ H.Delta, ue, singles),
+                          m @ tensor_map(H.S, idv) @ Delta, ue, singles),
         _matrix_map_check("antipode_right",
-                          m @ tensor_map(idv, H.S) @ H.Delta, ue, singles),
+                          m @ tensor_map(idv, H.S) @ Delta, ue, singles),
         _matrix_map_check("antipode_is_antimultiplicative", H.S @ m,
                           m @ tensor_map(H.S, H.S) @ tau, pairs),
-        _matrix_map_check("antipode_is_anticomultiplicative", H.Delta @ H.S,
-                          tau @ tensor_map(H.S, H.S) @ H.Delta, singles),
+        _matrix_map_check("antipode_is_anticomultiplicative", Delta @ H.S,
+                          tau @ tensor_map(H.S, H.S) @ Delta, singles),
         check("antipode_invertible", rank == V.dim,
               details="rank %d of %d" % (rank, V.dim)),
     ]
@@ -423,6 +426,14 @@ def skew_taft_hopf(p):
         {"g": tensor_pair(TA, g, g),
          "x": tensor_pair(TA, x, one) + tensor_pair(TA, g, x)},
         {"g": 1, "x": 0}, {"g": g ** (p - 1), "x": -(g ** (p - 1) * x)})
+
+
+@pytest.mark.parametrize("make", [skew_taft, skew_taft_x_first])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_skew_taft_is_generated_with_a_right_unit(make, p):
+    # the premises _row_premises takes from the construction, swept, on
+    # presentations that are not associative
+    assert row_premises_by_sweep(make(p, Fraction(1, 2))) == (None, None)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -754,6 +765,37 @@ def test_a_non_homogeneous_antipode_image_is_refused(p):
                    {"x": 0}, {"x": one - x})
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_a_non_homogeneous_coproduct_image_is_refused(p):
+    # Delta is a leaf, checked homogeneous on the generator images when
+    # it is built: 1 (x) 1 has degree 0, not |x| = 1
+    A = anyonic_line(p)
+    chi = Bicharacter(p)
+    TA = braided_tensor_algebra(A, A, chi)
+    x, one = A.gen("x"), A.unit()
+    with pytest.raises(ValueError, match="breaks homogeneity"):
+        build_hopf(A, chi, {"x": tensor_pair(TA, x, one)
+                            + tensor_pair(TA, one, x)
+                            + tensor_pair(TA, one, one)},
+                   {"x": 0}, {"x": -x})
+
+
+def test_a_hopf_battery_builds_no_space_larger_than_its_algebra(
+        monkeypatch):
+    # Delta and the square are leaves on tensor words, so no structure
+    # lists V (x) V or its dim^2 degrees
+    dims, init = [], GradedSpace.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        dims.append(self.dim)
+
+    monkeypatch.setattr(GradedSpace, "__init__", spy)
+    H = taft_hopf(5)
+    assert all_pass(verify_bialgebra(H) + verify_antipode(H))
+    assert max(dims) == H.algebra.dim == 25
+
+
 @pytest.mark.parametrize("make", [
     lambda: taft_hopf(5), lambda: anyonic_hopf(5), lambda: anyonic_hopf(5, 0),
 ], ids=["taft p=5", "anyonic p=5 c=1", "anyonic p=5 c=0"])
@@ -787,7 +829,7 @@ def test_structure_maps_match_generator_powers(case):
     # entries are compared by type and repr, the values witnesses print
     H = case[1]()
     delta, eps, S = hopf_maps_by_powers(H)
-    assert typed_entries(H.Delta.mat) == typed_entries(delta)
+    assert typed_entries(leaf_map(H.Delta).mat) == typed_entries(delta)
     assert typed_entries(H.eps.mat) == typed_entries(eps)
     assert typed_entries(H.S.mat) == typed_entries(S)
 
