@@ -36,11 +36,11 @@ relation checks of algebra_morphism.
 PresentedAlgebra.extend is the one place where values on generators are
 extended to every normal monomial: a single letter takes its image, any
 other monomial splits at its last run, rest * g^e, a single run as
-g^(e-1) * g, and the images of the two parts are combined by a given
-rule.  The induced linear map of a morphism, the Hopf structure maps
-(hopf.HopfData, Delta with the product of the braided square) and the
-substitution of uqsl2 into d_a_mu behind the ribbon identity (ayd) are
-all built on it.
+g^(e-1) * g, and the two parts' images are multiplied by a given
+product times(x, y).  The induced linear map of a morphism, the Hopf
+structure maps (hopf.HopfData, each on columns through the product of
+its target) and the substitution of uqsl2 into d_a_mu behind the ribbon
+identity (ayd) are all built on it.
 
 Generator rows.  A law that is multiplicative in its first argument
 (associativity, and in hopf the multiplicativity of Delta and eps and the
@@ -610,8 +610,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
         The unit monomial maps to `one` and a single letter g to
         gen_images[name of g].  Any other monomial splits at its last run,
         rest * g^e, and a single run g^e splits as g^(e-1) * g.  The image
-        of a split is times(left image, right image, left monomial, right
-        monomial).
+        of a split is times(left image, right image).
         """
         # a method, not a closure that calls itself: that would be a
         # reference cycle, and the memo would wait for the cyclic collector
@@ -624,17 +623,15 @@ class PresentedAlgebra(FiniteDimAlgebra):
             i = max(j for j, e in enumerate(mono) if e)
             rest = mono[:i] + (0,) * (len(mono) - i)
             if any(rest):
-                run = (0,) * i + mono[i:]
                 hit = times(self._extended(memo, gen_images, times, rest),
-                            self._extended(memo, gen_images, times, run),
-                            rest, run)
+                            self._extended(memo, gen_images, times,
+                                           (0,) * i + mono[i:]))
             elif mono[i] == 1:
                 hit = gen_images[self.pres.gens[i]]
             else:
                 left = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-                g = (0,) * i + (1,) + mono[i + 1:]
                 hit = times(self._extended(memo, gen_images, times, left),
-                            gen_images[self.pres.gens[i]], left, g)
+                            gen_images[self.pres.gens[i]])
             memo[mono] = hit
         return hit
 
@@ -657,7 +654,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
                 return None
             pairs[name] = (*left.values(), *right.values())
         ratio = self.extend(pairs, (1, 1),
-                            lambda x, y, *_: (x[0] * y[0], x[1] * y[1]))
+                            lambda x, y: (x[0] * y[0], x[1] * y[1]))
         return [m for m in space
                 if (lam := ratio(m[:gi] + (0,) + m[gi + 1:]))[0] == lam[1]]
 
@@ -946,7 +943,7 @@ def induced_linear_map(source, target, images):
     product (a StructureConstantAlgebra's pair rule may promote them)."""
     one = target.unit()
     image = source.extend({name: one * images[name] for name in source.pres.gens},
-                          one, lambda a, b, *_: a * b)
+                          one, operator.mul)
     return from_cols(target.dim, [image(m).as_column() for m in source.basis])
 
 

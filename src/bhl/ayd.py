@@ -43,6 +43,7 @@ per line serves all of its strings.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -428,7 +429,7 @@ def _psi_v0(p, R):
     z, g, x = A.gen("z"), A.gen("g"), A.gen("x")
     psi = R.v_0.algebra.extend({"E": R.q * x, "F": z * g,
                                 "K": R.q ** -1 * g ** (p - 1)},
-                               A.unit(), lambda a, b, *_: a * b)
+                               A.unit(), operator.mul)
     return sum((c * psi(mono) for mono, c in R.v_0.terms.items()),
                A.zero()).terms
 

@@ -9,12 +9,11 @@ as a graded space, where a (x) b has index i_a * dim + i_b; it reads ac
 and bd from A's product cache, and equals (m (x) m) . (id (x) tau (x) id).
 A Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a leaf from
 (V,) to (V, V), a counit eps: A -> k and an antipode S: A -> A, both
-GradedMaps, extended from their values on generators by the one extension
-PresentedAlgebra.extend: a monomial splits at its last run, rest * g^e,
-and a single run as g^(e-1) * g.  Delta (by square) and eps extend
-multiplicatively, S anti-multiplicatively with the braiding scalar,
-
-    S(ab) = chi(deg a, deg b) * S(b) * S(a).
+GradedMaps: algebra maps into A (x)^tau A, k and the braided opposite,
+a .' b = chi(|a|, |b|) b a, extended on columns from their values on
+generators, through the target's product (HopfData.products), by the one
+extension PresentedAlgebra.extend: a monomial splits at its last run,
+rest * g^e, and a single run as g^(e-1) * g.
 
 Whether the extensions actually define a bialgebra is *not* assumed; it is
 checked by verify_bialgebra, one basis input at a time, as the identity
@@ -46,14 +45,14 @@ multiplies the images of a normal monomial's letters in B, which is Phi
 of the monomial, so f = Phi is multiplicative.  Conversely, a
 multiplicative f carries the relations, which hold in A, to the f(g).
 B is A (x)^tau A for Delta, associative because A is and chi is a
-bicharacter, and k for eps.  For S it is the braided opposite,
-a .' b = chi(|a|, |b|) b a on homogeneous a, b, again associative for a
-bicharacter (Majid, *Foundations of Quantum Group Theory*, 1995, 9.2);
-extend's chi(|m|, |m'|) S(m') S(m) is S(m) .' S(m') because S(m) is
-homogeneous of degree |m|, S being a GradedMap of shift 0 (HopfData
-refuses any other S).  So a law whose residuals all vanish passes with
-no input pushed (HopfData.row_law).  A power g^e below g's bound is f's
-own column at the monomial g^e, so g^bound takes one product in B.
+bicharacter, k for eps, and the braided opposite for S, associative for
+a bicharacter too (Majid, *Foundations of Quantum Group Theory*, 1995,
+9.2).  The law's right side m(S (x) S)tau is chi(|m|, |m'|) S(m') S(m)
+on m (x) m', which is S(m) .' S(m') because S(m) is homogeneous of
+degree |m|, S being a GradedMap of shift 0 (HopfData refuses any other
+S).  So a law whose residuals all vanish passes with no input pushed
+(HopfData.row_law).  A power g^e below g's bound is f's own column at
+the monomial g^e, so g^bound takes one product in B.
 
 When a residual does not vanish, a premise fails or A is given by
 structure constants, the law is compared on generator rows, a in {1} u
@@ -237,7 +236,7 @@ def _square(A, chi, V):
 
 def _on_pairs(leaf, n, x, y):
     """leaf applied to x (x) y, for columns x and y of a space of dimension
-    n: the product of a target algebra given as a leaf on pairs."""
+    n: the product of a target algebra given as a diagram on pairs."""
     return leaf.apply({i * n + j: a * b for i, a in x.items()
                        for j, b in y.items()})
 
@@ -293,13 +292,13 @@ class HopfData:
     Fields: algebra, chi, space V, the five shift-0 structure maps
     m: V(x)V -> V, u: I -> V, Delta: V -> V(x)V, eps: V -> I, S: V -> V,
     the braiding tau of V (x) V, square, the product of A (x)^tau A, and
-    times(x, y), square applied to x (x) y for columns of V (x) V.  m,
-    tau, square and Delta are diagram leaves that compute a column when it
-    is read, Delta's by extend through the square, the others GradedMaps.
-    The generator images the maps were extended from are kept in
-    coproducts (columns of V (x) V) / counits / antipodes (keyed by
-    generator name).  The checks of the three row laws are kept once
-    computed (row_law).
+    products, map name -> its target's product on columns, read by extend
+    and row_law.  m, tau, square and Delta are diagram leaves that compute
+    a column when it is read, Delta's by extend through the square, the
+    others GradedMaps.  The generator images the maps were extended from
+    are kept in coproducts (columns of V (x) V) / counits / antipodes
+    (elements of A), keyed by generator name.  The checks of the three row
+    laws are kept once computed (row_law).
     """
 
     def __init__(self, algebra, chi, coproducts, counits, antipodes):
@@ -308,28 +307,32 @@ class HopfData:
         self.coproducts = dict(coproducts)
         self.counits = dict(counits)
         self.antipodes = dict(antipodes)
+        for name, img in self.antipodes.items():
+            if not (isinstance(img, AlgebraElement)
+                    and img.algebra.signature == A.signature):
+                raise ValueError("antipode image for %r must live in the "
+                                 "algebra" % name)
         self._row_laws = {}
         self.m = algebra.mult_map()
         self.u = algebra.unit_map()
         V = self.space = algebra.graded_space()
         self.tau = braiding(V, V, chi)
         self.square = _square(A, chi, V)
-        # not a bound method: Delta's memo keeps it, and must not reach self
-        times = self.times = functools.partial(_on_pairs, self.square, A.dim ** 2)
+        # partials, not bound methods, so Delta's memo does not reach self
+        products = self.products = {
+            "Delta": functools.partial(_on_pairs, self.square, A.dim ** 2),
+            "eps": _unit_product,
+            "S": functools.partial(_on_pairs, self.m @ self.tau, A.dim)}
 
-        def anti(a, b, ma, mb):
-            # S(ab) = chi(deg a, deg b) S(b) S(a)
-            return chi.chi(A.mono_degree(ma), A.mono_degree(mb)) * (b * a)
-
-        def extend(images, one, times):
+        def extend(times, one, images):
             # a generator's image taken through the product with `one`, as
             # every longer monomial's is, so all columns share scalar types
-            return A.extend({name: times(one, images[name], A.unit_mono, m)
-                             for name, m in A.generator_monos.items()},
-                            one, times)
+            return A.extend({g: times(one, images[g])
+                             for g in A.generator_monos}, one, times)
 
-        delta = extend(self.coproducts, _tensor_column((A.unit(), A.unit())),
-                       lambda x, y, *_: times(x, y))
+        one = A.unit()
+        delta = extend(products["Delta"], _tensor_column((one, one)),
+                       self.coproducts)
         # Delta's other columns are products of these through the square
         n, deg = A.dim, A.mono_degrees
         for j in sorted(A.index[mono] for mono in A.generator_monos.values()):
@@ -338,12 +341,14 @@ class HopfData:
                 if target != deg[j]:
                     raise homogeneity_error(r, j, target, deg[j], 0)
         self.Delta = word_leaf((V,), (V, V), lambda j: delta(A.basis[j]))
-        eps = extend(self.counits, Fraction(1), lambda a, b, *_: a * b)
-        antipode = extend(self.antipodes, A.unit(), anti)
+        eps = extend(products["eps"], {0: Fraction(1)},
+                     {g: {0: c} if c else {} for g, c in self.counits.items()})
+        antipode = extend(products["S"], one.as_column(), {
+            g: img.as_column() for g, img in self.antipodes.items()})
         self.eps = GradedMap(V, GradedSpace.unit(A.N), from_cols(
-            1, [{0: eps(mono)} for mono in A.basis]))
+            1, [eps(mono) for mono in A.basis]))
         self.S = GradedMap(V, V, from_cols(
-            A.dim, [antipode(mono).as_column() for mono in A.basis]))
+            A.dim, [antipode(mono) for mono in A.basis]))
 
     # -- the row laws and the rows they admit ------------------------------
 
@@ -356,18 +361,17 @@ class HopfData:
         if name not in self._row_laws:
             m, tau = self.m, self.tau
             Delta, eps, S = (diagram(f) for f in (self.Delta, self.eps, self.S))
-            f, times, rhs = {
+            key, f, rhs = {
                 "coproduct_is_multiplicative": (
-                    Delta, self.times,
-                    self.square @ tensor_diagram(Delta, Delta)),
+                    "Delta", Delta, self.square @ tensor_diagram(Delta, Delta)),
                 "counit_is_multiplicative": (
-                    eps, _unit_product, tensor_diagram(eps, eps)),
+                    "eps", eps, tensor_diagram(eps, eps)),
                 "antipode_is_antimultiplicative": (
-                    S, functools.partial(_on_pairs, m @ tau, self.space.dim),
-                    m @ tensor_diagram(S, S) @ tau),
+                    "S", S, m @ tensor_diagram(S, S) @ tau),
             }[name]
             self._row_laws[name] = (
-                check(name, True) if self._relations_vanish(f, times)
+                check(name, True)
+                if self._relations_vanish(f, self.products[key])
                 else self.algebra.row_check(name, f @ m, rhs))
         return self._row_laws[name]
 
@@ -566,20 +570,17 @@ def coproduct_power(H, n):
 
 
 def verify_coproduct_powers(H):
-    """Check the closed form against iterated multiplication in the
-    braided square (HopfData.times); a failure lists both columns as
-    [row, value] pairs."""
-    dx = H.coproducts["x"]
+    """Check the closed form against Delta's own column at x^n (index n),
+    the n-fold product of Delta(x) in the braided square; a failure lists
+    both columns as [row, value] pairs."""
     checks = []
-    acc = _tensor_column((H.algebra.unit(), H.algebra.unit()))
-    for n in range(H.algebra.p):
+    for n, product in enumerate(H.Delta.columns()):
         formula = coproduct_power(H, n)
-        ok = acc == formula
+        ok = product == formula
         checks.append(check(
             "coproduct_power_%d" % n, ok,
             details="Delta(x)^%d vs Gaussian binomial sum" % n,
             witnesses=None if ok else [
-                {"power": n, "product": column_entries(acc),
+                {"power": n, "product": column_entries(product),
                  "formula": column_entries(formula)}]))
-        acc = H.times(acc, dx)
     return checks

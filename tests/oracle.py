@@ -95,6 +95,7 @@ u_K, which values_by_sums takes afresh.
 
 import itertools
 import math
+import operator
 import os
 import pathlib
 import re
@@ -160,7 +161,7 @@ class AlgebraModule:
                 )
         # the action of a basis monomial (exponent tuple), as a GradedMap
         self.act_mono = algebra.extend(
-            self.ops, GradedMap.identity(space), lambda a, b, *_: a @ b)
+            self.ops, GradedMap.identity(space), operator.matmul)
         # (index, diagonal entries) of the first generator acting
         # diagonally, or None
         ops = [self.ops[name] for name in algebra.pres.gens]
@@ -288,7 +289,7 @@ def psi_v0_by_substitution(A, R):
     z, g, x = A.gen("z"), A.gen("g"), A.gen("x")
     psi = R.v_0.algebra.extend({"E": q ** (1 - mu) * x, "F": z * g,
                                 "K": q ** (mu - 1) * g ** (p - 1)},
-                               A.unit(), lambda a, b, *_: a * b)
+                               A.unit(), operator.mul)
     return sum((c * psi(mono) for mono, c in R.v_0.terms.items()), A.zero())
 
 

@@ -948,19 +948,19 @@ def test_induced_map_matches_power_table(case):
 @pytest.mark.parametrize("A", [uqsl2(3), taft(3), d_a_mu(3, 1)],
                          ids=lambda A: repr(A.signature))
 def test_extend_takes_a_single_letter_to_its_image(A):
-    # with words as images, a monomial's image is its word; no split has
-    # the unit monomial as a part, so nothing is multiplied by `one`
+    # with words as images, a monomial's image is its word; no operand of a
+    # split is `one`'s image "", so nothing is multiplied by `one`
     parts = []
 
-    def times(a, b, left, right):
-        parts.append((left, right))
+    def times(a, b):
+        parts.append((a, b))
         return a + b
 
     image = A.extend({name: name for name in A.pres.gens}, "", times)
     for mono in A.basis:
         assert image(mono) == "".join(
             name * e for name, e in zip(A.pres.gens, mono))
-    assert parts and all(A.unit_mono not in pair for pair in parts)
+    assert parts and all("" not in pair for pair in parts)
 
 
 def test_morphism_negative_control():

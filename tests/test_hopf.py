@@ -18,6 +18,7 @@ from bhl.algebras import (
     anyonic_line,
     d_a_mu,
     dual_anyonic,
+    nilpotent_line,
     taft,
     uqsl2,
 )
@@ -32,6 +33,7 @@ from bhl.graded import (
 )
 from bhl.cli import taft_hopf_checks
 from bhl.hopf import (
+    HopfData,
     antipode_square,
     anyonic_hopf,
     braided_tensor_algebra,
@@ -780,6 +782,41 @@ def test_a_non_homogeneous_coproduct_image_is_refused(p):
                    {"x": 0}, {"x": -x})
 
 
+@pytest.mark.parametrize("foreign", [
+    lambda: anyonic_line(7), lambda: taft(3), lambda: nilpotent_line(5)],
+    ids=["anyonic p=7", "taft p=3", "nilpotent p=5"])
+def test_an_antipode_image_from_another_algebra_is_refused(foreign):
+    # S is extended on columns, which index a foreign element's monomials
+    # as if they were A's, so the image is refused before it is read
+    A = anyonic_line(5)
+    chi = Bicharacter(5)
+    TA = braided_tensor_algebra(A, A, chi)
+    x, one = A.gen("x"), A.unit()
+    with pytest.raises(ValueError):
+        build_hopf(A, chi, {"x": tensor_pair(TA, x, one)
+                            + tensor_pair(TA, one, x)},
+                   {"x": 0}, {"x": -foreign().gen("x")})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: taft_hopf(5), lambda: anyonic_hopf(5)],
+    ids=["taft p=5", "anyonic p=5"])
+def test_hopf_data_extends_its_maps_with_no_element_product(make,
+                                                            monkeypatch):
+    # Delta, eps and S are extended on columns through the products of
+    # their targets, so building from ready generator images multiplies no
+    # AlgebraElements
+    H, calls, multiply = make(), [], algebras.FiniteDimAlgebra.multiply
+
+    def spy(self, *args):
+        calls.append(args)
+        return multiply(self, *args)
+
+    monkeypatch.setattr(algebras.FiniteDimAlgebra, "multiply", spy)
+    HopfData(H.algebra, H.chi, H.coproducts, H.counits, H.antipodes)
+    assert calls == []
+
+
 def test_a_hopf_battery_builds_no_space_larger_than_its_algebra(
         monkeypatch):
     # Delta and the square are leaves on tensor words, so no structure
@@ -815,9 +852,9 @@ def test_hopf_data_is_freed_by_reference_counting(make):
 
 
 EXTENSION_CASES = (
-    [("taft p=%d" % p, lambda p=p: taft_hopf(p)) for p in (2, 3, 5)]
+    [("taft p=%d" % p, lambda p=p: taft_hopf(p)) for p in (2, 3, 5, 7)]
     + [("anyonic p=%d c=%d" % (p, c), lambda p=p, c=c: anyonic_hopf(p, c))
-       for p in (2, 3, 5, 7) for c in (0, 1)]
+       for p in (2, 3, 5, 7) for c in range(p)]
     + [("broken taft %s" % sorted(kw.items()),
         lambda kw=kw: broken_taft_hopf(3, **kw))
        for kw in ({"primitive_x": True}, {"eps_x": 1, "antipode_sign": 1})]
@@ -969,7 +1006,9 @@ def test_coproduct_square_explicit():
     assert coproduct_power(H, 2) == {2 * 3 + 0: 1, 1 * 3 + 1: 1 + xi,
                                      0 * 3 + 2: 1}
     # a wrong Delta(x) = 2 (x (x) 1 + 1 (x) x) fails from the first power
-    H.coproducts["x"] = {k: 2 * c for k, c in H.coproducts["x"].items()}
+    H = HopfData(H.algebra, H.chi,
+                 {"x": {k: 2 * c for k, c in H.coproducts["x"].items()}},
+                 H.counits, H.antipodes)
     checks = verify_coproduct_powers(H)
     assert failed_names(checks) == ["coproduct_power_1", "coproduct_power_2"]
     assert checks[1]["witnesses"] == [{"power": 1,
