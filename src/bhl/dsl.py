@@ -396,7 +396,7 @@ def _space_text(word, N):
 def _leaf(expr, env):
     """The map of a generator name, or of id[...], braid[...] etc.: a
     GradedMap, or a diagram leaf for braid, braid_inv, the duality maps
-    and the preloaded m and Delta."""
+    and the preloaded m, Delta, eps, S."""
     if isinstance(expr, MName):
         if expr.name not in env.gens:
             raise DslTypeError("unknown generator %r" % expr.name)

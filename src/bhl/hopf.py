@@ -7,9 +7,9 @@ The braided tensor square A (x)^tau A of a graded algebra carries the product
 the diagram leaf square from the word (V, V, V, V) to (V, V), V being A
 as a graded space, where a (x) b has index i_a * dim + i_b; it reads ac
 and bd from A's product cache, and equals (m (x) m) . (id (x) tau (x) id).
-A Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a leaf from
-(V,) to (V, V), a counit eps: A -> k and an antipode S: A -> A, both
-GradedMaps: algebra maps into A (x)^tau A, k and the braided opposite,
+A Hopf structure on A is a coproduct Delta: A -> A (x)^tau A, a counit
+eps: A -> k and an antipode S: A -> A, leaves from (V,) to (V, V), (I,)
+and (V,): algebra maps into A (x)^tau A, k and the braided opposite,
 a .' b = chi(|a|, |b|) b a, extended on columns from their values on
 generators, through the target's product (HopfData.products), by the one
 extension PresentedAlgebra.extend: a monomial splits at its last run,
@@ -49,8 +49,8 @@ bicharacter, k for eps, and the braided opposite for S, associative for
 a bicharacter too (Majid, *Foundations of Quantum Group Theory*, 1995,
 9.2).  The law's right side m(S (x) S)tau is chi(|m|, |m'|) S(m') S(m)
 on m (x) m', which is S(m) .' S(m') because S(m) is homogeneous of
-degree |m|, S being a GradedMap of shift 0 (HopfData refuses any other
-S).  So a law whose residuals all vanish passes with no input pushed
+degree |m|, S being of shift 0 (HopfData refuses any other S).  So a
+law whose residuals all vanish passes with no input pushed
 (HopfData.row_law).  A power g^e below g's bound is f's own column at
 the monomial g^e, so g^bound takes one product in B.
 
@@ -101,11 +101,11 @@ When a law fails on some a, it fails on a letter of a; in a presented
 algebra a monomial's letters come no later than it in basis order, so
 the first failing input on iota is the first of the full sweep.
 
-Building HopfData goes through the dimension guard (BHL_DIM_GUARD,
-default 350), which admits the Taft algebra up to p = 17 (dimension 289).
-No degree of V (x) V is listed: Delta is checked homogeneous on the
-generators, and its other columns are products of those through the
-square, which A's product keeps homogeneous.  braided_tensor_algebra
+build_hopf, anyonic_hopf and taft_hopf go through the dimension guard
+(BHL_DIM_GUARD, default 350), which admits Taft up to p = 17 (dim 289).
+No degree of V (x) V is listed: Delta, eps and S are checked homogeneous
+on the generators; their other columns are products of those in their
+targets, whose products are homogeneous.  braided_tensor_algebra
 lists the square's dim^2 pair monomials; only the tests build it.
 """
 
@@ -293,12 +293,12 @@ class HopfData:
     m: V(x)V -> V, u: I -> V, Delta: V -> V(x)V, eps: V -> I, S: V -> V,
     the braiding tau of V (x) V, square, the product of A (x)^tau A, and
     products, map name -> its target's product on columns, read by extend
-    and row_law.  m, tau, square and Delta are diagram leaves that compute
-    a column when it is read, Delta's by extend through the square, the
-    others GradedMaps.  The generator images the maps were extended from
-    are kept in coproducts (columns of V (x) V) / counits / antipodes
-    (elements of A), keyed by generator name.  The checks of the three row
-    laws are kept once computed (row_law).
+    and row_law.  u is a GradedMap, the others diagram leaves that compute
+    a column when it is read, Delta's, eps's and S's by extend.  The
+    generator images they were extended from are kept in coproducts
+    (columns of V (x) V) / counits / antipodes (elements of A), keyed by
+    generator name.  The row laws' checks are kept once computed
+    (row_law).
     """
 
     def __init__(self, algebra, chi, coproducts, counits, antipodes):
@@ -318,37 +318,34 @@ class HopfData:
         V = self.space = algebra.graded_space()
         self.tau = braiding(V, V, chi)
         self.square = _square(A, chi, V)
-        # partials, not bound methods, so Delta's memo does not reach self
+        # partials, not bound methods, so the maps' memos do not reach self
         products = self.products = {
             "Delta": functools.partial(_on_pairs, self.square, A.dim ** 2),
             "eps": _unit_product,
             "S": functools.partial(_on_pairs, self.m @ self.tau, A.dim)}
-
-        def extend(times, one, images):
-            # a generator's image taken through the product with `one`, as
-            # every longer monomial's is, so all columns share scalar types
-            return A.extend({g: times(one, images[g])
-                             for g in A.generator_monos}, one, times)
-
-        one = A.unit()
-        delta = extend(products["Delta"], _tensor_column((one, one)),
-                       self.coproducts)
-        # Delta's other columns are products of these through the square
-        n, deg = A.dim, A.mono_degrees
-        for j in sorted(A.index[mono] for mono in A.generator_monos.values()):
-            for r in delta(A.basis[j]):
-                target = (deg[r // n] + deg[r % n]) % A.N
-                if target != deg[j]:
-                    raise homogeneity_error(r, j, target, deg[j], 0)
-        self.Delta = word_leaf((V,), (V, V), lambda j: delta(A.basis[j]))
-        eps = extend(products["eps"], {0: Fraction(1)},
-                     {g: {0: c} if c else {} for g, c in self.counits.items()})
-        antipode = extend(products["S"], one.as_column(), {
-            g: img.as_column() for g, img in self.antipodes.items()})
-        self.eps = GradedMap(V, GradedSpace.unit(A.N), from_cols(
-            1, [eps(mono) for mono in A.basis]))
-        self.S = GradedMap(V, V, from_cols(
-            A.dim, [antipode(mono) for mono in A.basis]))
+        one, n, deg = A.unit(), A.dim, A.mono_degrees
+        gens = sorted(A.index[mono] for mono in A.generator_monos.values())
+        for name, target, unit, images in (
+                ("Delta", (V, V), _tensor_column((one, one)), self.coproducts),
+                ("eps", (GradedSpace.unit(A.N),), {0: Fraction(1)},
+                 {g: {0: c} if c else {} for g, c in self.counits.items()}),
+                ("S", (V,), one.as_column(),
+                 {g: img.as_column() for g, img in self.antipodes.items()})):
+            times = products[name]
+            # a generator's image taken through the product with the unit,
+            # as every longer monomial's is, so all columns share scalar types
+            f = A.extend({g: times(unit, images[g])
+                          for g in A.generator_monos}, unit, times)
+            leaf = word_leaf((V,), target, lambda j, f=f: f(A.basis[j]))
+            # homogeneous on the generators, row r's degree summed over its
+            # base-n digits; the other columns are products of theirs
+            for j in gens:
+                for r in f(A.basis[j]):
+                    d = sum(deg[r // n ** i % n]
+                            for i in range(len(leaf.target))) % A.N
+                    if d != deg[j]:
+                        raise homogeneity_error(r, j, d, deg[j], 0)
+            setattr(self, name, leaf)
 
     # -- the row laws and the rows they admit ------------------------------
 
@@ -359,8 +356,8 @@ class HopfData:
         on the generator images in the map's target (_relations_vanish),
         and else the row_check, which finds the witness."""
         if name not in self._row_laws:
-            m, tau = self.m, self.tau
-            Delta, eps, S = (diagram(f) for f in (self.Delta, self.eps, self.S))
+            m, tau, Delta, eps, S = (self.m, self.tau, self.Delta, self.eps,
+                                     self.S)
             key, f, rhs = {
                 "coproduct_is_multiplicative": (
                     "Delta", Delta, self.square @ tensor_diagram(Delta, Delta)),
@@ -485,7 +482,7 @@ def verify_bialgebra(H):
     """
     V = H.space
     idv = diagram(H.algebra.identity_map())
-    u, Delta, eps = (diagram(f) for f in (H.u, H.Delta, H.eps))
+    u, Delta, eps = H.u, H.Delta, H.eps
     checks = [
         H.row_law("coproduct_is_multiplicative"),
         map_check("coproduct_of_unit", Delta @ u, tensor_diagram(u, u)),
@@ -519,18 +516,17 @@ def verify_antipode(H):
     multiplicativity of Delta and eps, antipode_is_anticomultiplicative on
     it and that of Delta; each is compared on 1 and the generators when
     the laws it rests on pass, and on every basis input otherwise
-    (HopfData.rows).
+    (HopfData.rows).  antipode_invertible reads all of S's columns.
     """
     V, m, tau = H.space, H.m, H.tau
     idv = diagram(H.algebra.identity_map())
-    Delta, S = (diagram(f) for f in (H.Delta, H.S))
-    ue = diagram(H.u) @ H.eps
+    Delta, S, ue = H.Delta, H.S, H.u @ H.eps
     anti = H.row_law("antipode_is_antimultiplicative")
     rows = H.rows("coproduct_is_multiplicative", "counit_is_multiplicative",
                   "antipode_is_antimultiplicative")
     co_rows = H.rows("coproduct_is_multiplicative",
                      "antipode_is_antimultiplicative")
-    rank = H.S.rank()
+    rank = from_cols(V.dim, list(S.columns())).rank()
     checks = [
         map_check("antipode_left", m @ tensor_diagram(S, idv) @ Delta @ rows,
                   ue @ rows),
@@ -552,7 +548,7 @@ def verify_antipode(H):
 
 def antipode_square(H, a):
     """S^2(a) for an element a of H.algebra, by S's diagram leaf."""
-    S, A = diagram(H.S), H.algebra
+    S, A = H.S, H.algebra
     return A.element({A.basis[i]: c
                       for i, c in S.apply(S.apply(a.as_column())).items()})
 

@@ -1141,8 +1141,10 @@ def hopf_checks_by_pairs(H):
 
 
 def square_antipode_by_matrix(H):
-    """repr of S^2 on each generator, read from a column of H.S @ H.S."""
-    s2 = H.S @ H.S
+    """repr of S^2 on each generator, read from a column of S @ S, S the
+    matrix of H.S's leaf."""
+    S = leaf_map(H.S)
+    s2 = S @ S
     out = []
     for name, el in H.algebra.generators():
         col = H.algebra.index[next(iter(el.terms))]

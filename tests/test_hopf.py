@@ -288,8 +288,9 @@ def _matrix_map_check(name, lhs, rhs, source_labels):
 
 def matrix_route_checks(H):
     # the product by pairs, so that the oracle shares no route with H.m,
-    # and the columns of Delta's leaf as a matrix
-    m, Delta = mult_map_by_pairs(H.algebra), leaf_map(H.Delta)
+    # and the columns of the leaves Delta, eps and S as matrices
+    m = mult_map_by_pairs(H.algebra)
+    Delta, eps, S = (leaf_map(f) for f in (H.Delta, H.eps, H.S))
     V = H.space
     idv = GradedMap.identity(V)
     tau = braiding_matrix(V, V, H.chi)
@@ -298,35 +299,35 @@ def matrix_route_checks(H):
     mm = tensor_map(m, m) @ tensor_map(idv, tensor_map(tau, idv))
     unit = GradedMap.identity(GradedSpace.unit(V.N))
     counit = []
-    for side, law in (("(eps(x)id).Delta", (H.eps, idv)),
-                      ("(id(x)eps).Delta", (idv, H.eps))):
+    for side, law in (("(eps(x)id).Delta", (eps, idv)),
+                      ("(id(x)eps).Delta", (idv, eps))):
         c = _matrix_map_check("counit_law", tensor_map(*law) @ Delta, idv,
                               singles)
         counit.append(dict(
             c, details="(eps(x)id).Delta = id = (id(x)eps).Delta",
             witnesses=[dict(side=side, **w) for w in c["witnesses"]]))
-    ue = H.u @ H.eps
-    rank = H.S.rank()
+    ue = H.u @ eps
+    rank = S.rank()
     checks = [
         _matrix_map_check("coproduct_is_multiplicative", Delta @ m,
                           mm @ tensor_map(Delta, Delta), pairs),
         _matrix_map_check("coproduct_of_unit", Delta @ H.u,
                           tensor_map(H.u, H.u), ["1"]),
-        _matrix_map_check("counit_is_multiplicative", H.eps @ m,
-                          tensor_map(H.eps, H.eps), pairs),
-        _matrix_map_check("counit_of_unit", H.eps @ H.u, unit, ["1"]),
+        _matrix_map_check("counit_is_multiplicative", eps @ m,
+                          tensor_map(eps, eps), pairs),
+        _matrix_map_check("counit_of_unit", eps @ H.u, unit, ["1"]),
         _matrix_map_check("coassociativity",
                           tensor_map(Delta, idv) @ Delta,
                           tensor_map(idv, Delta) @ Delta, singles),
         next((c for c in counit if c["status"] == FAIL), counit[0]),
         _matrix_map_check("antipode_left",
-                          m @ tensor_map(H.S, idv) @ Delta, ue, singles),
+                          m @ tensor_map(S, idv) @ Delta, ue, singles),
         _matrix_map_check("antipode_right",
-                          m @ tensor_map(idv, H.S) @ Delta, ue, singles),
-        _matrix_map_check("antipode_is_antimultiplicative", H.S @ m,
-                          m @ tensor_map(H.S, H.S) @ tau, pairs),
-        _matrix_map_check("antipode_is_anticomultiplicative", Delta @ H.S,
-                          tau @ tensor_map(H.S, H.S) @ Delta, singles),
+                          m @ tensor_map(idv, S) @ Delta, ue, singles),
+        _matrix_map_check("antipode_is_antimultiplicative", S @ m,
+                          m @ tensor_map(S, S) @ tau, pairs),
+        _matrix_map_check("antipode_is_anticomultiplicative", Delta @ S,
+                          tau @ tensor_map(S, S) @ Delta, singles),
         check("antipode_invertible", rank == V.dim,
               details="rank %d of %d" % (rank, V.dim)),
     ]
@@ -754,9 +755,9 @@ def test_relation_residuals_match_the_row_sweep(monkeypatch, case):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_a_non_homogeneous_antipode_image_is_refused(p):
-    # S is a GradedMap of shift 0, so every S(g) is homogeneous of degree
-    # |g|, as the braided opposite route needs: S(x) = 1 - x is refused
-    # before either route could read it
+    # S is checked homogeneous of shift 0 on the generator images when it
+    # is built, as the braided opposite route needs: S(x) = 1 - x is
+    # refused before either route could read it
     A = anyonic_line(p)
     chi = Bicharacter(p)
     TA = braided_tensor_algebra(A, A, chi)
@@ -765,6 +766,20 @@ def test_a_non_homogeneous_antipode_image_is_refused(p):
         build_hopf(A, chi, {"x": tensor_pair(TA, x, one)
                             + tensor_pair(TA, one, x)},
                    {"x": 0}, {"x": one - x})
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_a_non_homogeneous_counit_image_is_refused(p):
+    # eps is a leaf into k, checked homogeneous on the generator images
+    # when it is built: eps(x) = 1 has degree 0, not |x| = 1
+    A = anyonic_line(p)
+    chi = Bicharacter(p)
+    TA = braided_tensor_algebra(A, A, chi)
+    x, one = A.gen("x"), A.unit()
+    with pytest.raises(ValueError, match="breaks homogeneity"):
+        build_hopf(A, chi, {"x": tensor_pair(TA, x, one)
+                            + tensor_pair(TA, one, x)},
+                   {"x": 1}, {"x": -x})
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -817,6 +832,26 @@ def test_hopf_data_extends_its_maps_with_no_element_product(make,
     assert calls == []
 
 
+@pytest.mark.parametrize("make, calls", [
+    (lambda: taft_hopf(5), (4, 2)), (lambda: taft_hopf(7), (4, 2)),
+    (lambda: anyonic_hopf(7), (2, 1))],
+    ids=["taft p=5", "taft p=7", "anyonic p=7"])
+def test_hopf_data_computes_no_column_past_the_generators(make, calls,
+                                                          monkeypatch):
+    # Delta, eps and S are leaves: the build takes each generator image
+    # through its target's product with the unit, and computes no other
+    # column until a check reads it
+    counts = {"_on_pairs": 0, "_unit_product": 0}
+    for name in counts:
+        def spy(*args, name=name, product=getattr(hopf, name)):
+            counts[name] += 1
+            return product(*args)
+
+        monkeypatch.setattr(hopf, name, spy)
+    make()
+    assert (counts["_on_pairs"], counts["_unit_product"]) == calls
+
+
 def test_a_hopf_battery_builds_no_space_larger_than_its_algebra(
         monkeypatch):
     # Delta and the square are leaves on tensor words, so no structure
@@ -867,8 +902,8 @@ def test_structure_maps_match_generator_powers(case):
     H = case[1]()
     delta, eps, S = hopf_maps_by_powers(H)
     assert typed_entries(leaf_map(H.Delta).mat) == typed_entries(delta)
-    assert typed_entries(H.eps.mat) == typed_entries(eps)
-    assert typed_entries(H.S.mat) == typed_entries(S)
+    assert typed_entries(leaf_map(H.eps).mat) == typed_entries(eps)
+    assert typed_entries(leaf_map(H.S).mat) == typed_entries(S)
 
 
 def test_hopf_data_is_behind_the_dimension_guard(monkeypatch):
@@ -910,7 +945,8 @@ def test_taft_antipode_square_is_conjugation_scalar(p):
     assert antipode_square(H, x) == A.xi ** -1 * x
     assert antipode_square(H, g) == g
     # S^2 is conjugation by the grouplike g^{-1}
-    s2 = H.S @ H.S
+    S = leaf_map(H.S)
+    s2 = S @ S
     assert is_invertible(s2)
     conj = A.left_mult_operator(g ** (p - 1)) * right_mult_operator(A, g)
     assert s2.mat == conj
