@@ -27,11 +27,11 @@ anti-automorphism sigma of A; sigma then maps each normal monomial m to
 m[::-1].  On the sigma-fixed monomials ad(sigma h) = -sigma ad(h), so the
 center of uqsl2(p) is the kernel of ad(F) alone, with no column of ad(E).
 
-PresentedAlgebra.relation_residuals evaluates each power and
-straightening rule at generator images, elements or matrices, as lhs -
-rhs.  It is the one evaluator of a presentation's relations: on the L_g
-it gives associativity (below), on elements of a target algebra the
-relation checks of algebra_morphism.
+PresentedAlgebra.relation_residuals is the one evaluator of a
+presentation's relations, each read as a*b = sum c*w on normal monomials
+and evaluated on sparse columns of a left module: in A's regular module
+it gives associativity (below), in a target algebra the relation checks
+of algebra_morphism and of hopf's row laws.
 
 PresentedAlgebra.extend is the one place where values on generators are
 extended to every normal monomial: a single letter takes its image, any
@@ -53,11 +53,9 @@ such check: (g*b)*c = g*(b*c) for g in {1} u G and all basis b, c, and
 every basis element other than 1 is a nonzero multiple of g*b for some g
 in {1} u G and a basis element b reached before it.  A presented algebra
 meets the second by construction, and takes the first, indeed
-associativity on all triples, from its defining relations when the L_g
-satisfy them (FiniteDimAlgebra._row_premises), the situation of the
-diamond lemma (Bergman, "The diamond lemma for ring theory", 1978).
-Otherwise both are checked, associativity on the (|G|+1)*dim^2
-generator-row triples.
+associativity on all triples, from the overlaps of its rules by the
+diamond lemma (PresentedAlgebra._relations_hold).  Otherwise both are
+checked, associativity on the (|G|+1)*dim^2 generator-row triples.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ import itertools
 import operator
 
 from .exactmat import Mat, from_cols
-from .graded import (GradedMap, GradedSpace, LazyLabels, diagram,
+from .graded import (GradedMap, GradedSpace, LazyLabels, _add_into, diagram,
                      homogeneity_error, tensor_diagram, word_leaf)
 from .guard import (DEFAULT_DIM_GUARD, DimensionGuardError, check_guard,
                     dim_guard, is_prime)
@@ -84,7 +82,8 @@ class Presentation(Record):
     value of gens[i]**bounds[i] (0 for nilpotent, 1 for a group-like of that
     order).  straighten maps an out-of-order adjacent pair (hi, lo) with
     hi > lo to a sum: gens[hi]*gens[lo] -> sum of (scalar, word), each word
-    a tuple of (generator index, exponent >= 0).
+    a normal monomial, a tuple of (generator index, exponent) with the
+    indices increasing and each exponent below its bound.
     """
 
     _fields = ("N", "gens", "degrees", "bounds", "power_rhs", "straighten")
@@ -347,19 +346,11 @@ class FiniteDimAlgebra:
         exponent by one.  _act of h on m' only raises that exponent, below
         its bound, with coefficient 1; a diagonal h scales by factors of
         letters before h, and m' has none.  So h*m' = m, m' being reached
-        first, and a*1 = a, as a's letters act on 1 the same way.  Then
-        associativity follows when the L_g (the matrices of b |-> g*b)
-        satisfy the defining relations (_relations_hold).  Let S be the
-        algebra the L_g generate.  It is a quotient of the presented
-        algebra Q, and the normal monomials span Q, because _act rewrites
-        by the rules of the presentation alone and terminates; so dim S <=
-        dim A.  Generation makes evaluation at 1 map S onto A, so it is a
-        bijection.  For a = g_1^e_1 ... g_k^e_k, pair_product(a, b) applies
-        a's letters right to left by _act, which is L_a(e_b) with L_a =
-        L_{g_1}^e_1 ... L_{g_k}^e_k in S; so do L_a L_b and L_{a*b} lie in
-        S, and with a*1 = a both send 1 to a*b, so they are equal, which is
-        associativity.  Otherwise generation is searched from 1
-        (_unreached) and associativity checked on generator rows.
+        first, and a*1 = a, as a's letters act on 1 the same way.  It is
+        associative when its rules decrease and their overlaps resolve
+        (PresentedAlgebra._relations_hold, the overlap lemma).  Otherwise
+        generation is searched from 1 (_unreached) and associativity
+        checked on generator rows.
         """
         if self._premises is None:
             if self._relations_hold():
@@ -570,39 +561,74 @@ class PresentedAlgebra(FiniteDimAlgebra):
         self._init_common(
             signature or ("presented", pres.gens, pres.bounds),
             pres.N, basis, degrees, labels, (0,) * k,
-            [(name, tuple(int(i == gi) for i in range(k)))
-             for gi, name in enumerate(pres.gens)])
+            [(name, _run(k, gi, 1)) for gi, name in enumerate(pres.gens)])
+        # each defining relation as (check name, relation, a, b, ((c, w),
+        # ...)), a*b = sum c*w on normal monomials (relation_residuals)
+        self._relations = [
+            ("relation %s^%d = %s" % (name, b, format_scalar(r)),
+             "%s^%d" % (name, b), _run(k, i, b - 1), _run(k, i, 1),
+             ((r, self.unit_mono),) if r else ())
+            for i, (name, b, r) in enumerate(zip(
+                pres.gens, pres.bounds, pres.power_rhs))] + [
+            ("relation %s*%s straightens" % (pres.gens[hi], pres.gens[lo]),
+             "%s*%s" % (pres.gens[hi], pres.gens[lo]), _run(k, hi, 1),
+             _run(k, lo, 1), tuple((s, _normal_monomial(pres, w))
+                                     for s, w in rule))
+            for (hi, lo), rule in sorted(pres.straighten.items())]
         self._actions = {}
         self._diagonal = [_diagonal_factors(pres, i) for i in range(k)]
         self._diagonal_scales = {}
         self._mirror = None
 
     def _relations_hold(self):
-        """Whether the L_g, the matrices of b |-> g*b, satisfy every
-        defining relation."""
-        return all(r.is_zero() for *_, r in self.relation_residuals(
-            [self.left_mult_operator(g) for _, g in self.generators()],
-            Mat.identity(self.dim)))
+        """Whether A is associative by the diamond lemma (Bergman, Adv.
+        Math. 29, 1978, Thm. 1.2) for the reductions hi*lo -> sum s*w and
+        g^bound -> r.  Words are ordered by their count of letters with
+        power_rhs 0, then length, and within one multiset by inversions:
+        a semigroup order, as counts add under products and inversions do
+        up to terms the multisets fix, with DCC, as (count, length) is well
+        ordered and a multiset has finitely many words.  g^bound -> r
+        decreases, and hi*lo -> sum s*w when each w has a smaller (count,
+        length) or is lo*hi.  _act reduces by these rules, a diagonal run
+        g^e by g*h -> s_h h*g and g^bound -> r, so pair_product(a, b)
+        reduces the word a b.  The overlaps hi*mid*lo, hi*g^bound and
+        g^bound*lo resolve (g^bound with itself does, r being a scalar)
+        when each relation a*b = sum c*w holds in the regular module at m,
+        a*(b*m) = sum c w*m, for m a letter or g^(bound-1): its two sides
+        reduce the overlap from its two rules.  Then the normal monomials
+        are a basis of the presented algebra, and pair_product its product."""
+        pres, index, product = self.pres, self.index, self.mult_map()
 
-    def relation_residuals(self, images, one):
-        """(check name, relation, lhs - rhs) for each defining relation
-        with the generators replaced by images, in generator order, and 1
-        by one; images and one may be AlgebraElements, Mats or the column
-        images of hopf.  First each
-        power rule, g^bound = power_rhs, in generator order, then each
-        straightening rule, hi*lo = sum of s * word, sorted."""
-        pres = self.pres
-        for name, x, b, r in zip(pres.gens, images, pres.bounds,
-                                 pres.power_rhs):
-            yield ("relation %s^%d = %s" % (name, b, format_scalar(r)),
-                   "%s^%d" % (name, b), x ** b - r * one)
-        for (hi, lo), rule in sorted(pres.straighten.items()):
-            label = "%s*%s" % (pres.gens[hi], pres.gens[lo])
-            rhs = sum((s * functools.reduce(
-                operator.mul, (images[gi] ** e for gi, e in w), one)
-                for s, w in rule), 0 * one)
-            yield ("relation %s straightens" % label, label,
-                   images[hi] * images[lo] - rhs)
+        def order(mono):  # (count of letters with power_rhs 0, length)
+            return (sum(e for e, r in zip(mono, pres.power_rhs) if not r),
+                    sum(mono))
+
+        for _, _, a, b, rhs in self._relations:
+            ab = tuple(map(operator.add, a, b))
+            if any(order(w) >= order(ab) and w != ab for _, w in rhs):
+                return False
+
+        def act(a, y):
+            return _on_pairs(product, self.dim, {index[a]: 1}, y)
+        overlaps = {_run(len(pres.gens), i, e)
+                    for i, b in enumerate(pres.bounds) for e in (1, b - 1)}
+        return not any(
+            r for m in overlaps for *_, r in self.relation_residuals(
+                lambda w, m=m: act(w, {index[m]: 1}), act))
+
+    def relation_residuals(self, f, act):
+        """(check name, relation, residual) for each defining relation,
+        read as a*b = sum c*w on normal monomials: act(a, f(b)) - sum
+        c*f(w) as a sparse dict, f(w) the image of w in a left module and
+        act(a, y) a acting on an image y there.  First each power rule
+        g^bound = r, read g^(bound-1)*g = r*1, in generator order, then
+        each straightening rule hi*lo = sum s*w, sorted."""
+        for name, rel, a, b, rhs in self._relations:
+            out = dict(act(a, f(b)))
+            for c, w in rhs:
+                for k, v in f(w).items():
+                    _add_into(out, k, -c * v)
+            yield name, rel, {k: v for k, v in out.items() if v}
 
     def extend(self, gen_images, one, times):
         """The memoised map that extends generator images to normal monomials.
@@ -781,6 +807,28 @@ def _monomial_label(gens, basis, j):
                     for name, e in zip(gens, basis[j]) if e) or "1"
 
 
+def _on_pairs(leaf, n, x, y):
+    """leaf applied to x (x) y, for columns x and y of a space of dimension
+    n: the product of an algebra given as a diagram on pairs."""
+    return leaf.apply({i * n + j: a * b for i, a in x.items()
+                       for j, b in y.items()})
+
+
+def _run(k, i, e):
+    """The normal monomial g_i^e, a run of one of k generators."""
+    return (0,) * i + (e,) + (0,) * (k - 1 - i)
+
+
+def _normal_monomial(pres, word):
+    """A rule word as a normal monomial, or ValueError."""
+    mono, last = [0] * len(pres.gens), -1
+    for gi, e in word:
+        if not (last < gi < len(mono) and 0 <= e < pres.bounds[gi]):
+            raise ValueError("rule word %r is not a normal monomial" % (word,))
+        mono[gi], last = e, gi
+    return tuple(mono)
+
+
 def _diagonal_factors(pres, i):
     """(s_h for h < i) when g = gens[i] is diagonal: g^bound is a nonzero
     scalar and each rule g*h, h < i, is one term s_h h*g, s_h != 0."""
@@ -935,15 +983,18 @@ def uqsl2(p):
 # ---------------------------------------------------------------------------
 
 
-def induced_linear_map(source, target, images):
-    """Matrix of the linear extension of the generator images on normal bases.
-
-    Each image is taken through the product with 1, as every longer
-    monomial's is, so all columns carry the scalar types of target's
-    product (a StructureConstantAlgebra's pair rule may promote them)."""
+def _induced(source, target, images):
+    """The extension of the images to source's normal monomials, each
+    through the product with 1, as every longer monomial's, so all carry
+    the scalar types of target's product (a pair rule may promote them)."""
     one = target.unit()
-    image = source.extend({name: one * images[name] for name in source.pres.gens},
-                          one, operator.mul)
+    return source.extend({name: one * images[name] for name in source.pres.gens},
+                         one, operator.mul)
+
+
+def induced_linear_map(source, target, images):
+    """Matrix of the linear extension of the images on normal bases."""
+    image = _induced(source, target, images)
     return from_cols(target.dim, [image(m).as_column() for m in source.basis])
 
 
@@ -954,11 +1005,14 @@ def algebra_morphism(source, target, images):
     element of target.  Bijectivity is certified via the induced linear map
     on normal bases.
     """
+    image = _induced(source, target, images)
     checks = [
-        check(name, r.is_zero(), "", [] if r.is_zero() else
-              [{"relation": rel, "residual": target.element_to_json(r)}])
+        check(name, not r, "", [] if not r else [{
+            "relation": rel,
+            "residual": target.element_to_json(AlgebraElement(target, r))}])
         for name, rel, r in source.relation_residuals(
-            [images[g] for g in source.pres.gens], target.unit())]
+            lambda m: image(m).terms,
+            lambda a, y: (image(a) * AlgebraElement(target, y)).terms)]
     mat = induced_linear_map(source, target, images)
     rank = mat.rank()
     ok = source.dim == target.dim and rank == target.dim

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Cyclotomic, power
+from .scalars import Cyclotomic
 
 
 def _inv_scalar(x):
@@ -152,11 +152,6 @@ class Mat:
                     else:
                         acc.pop(key, None)
         return Mat(self.rows, other.cols, acc)
-
-    def __pow__(self, e):
-        if self.rows != self.cols or e < 0:
-            raise ValueError("power needs a square matrix and e >= 0")
-        return power(self, e, lambda: Mat.identity(self.rows))
 
     # -- elimination -----------------------------------------------------------
 

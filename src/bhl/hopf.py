@@ -37,12 +37,12 @@ product of letters is the rewriting by those relations, so they hold in
 A, and by generation A is a quotient of T(G)/I, in which the normal
 monomials span, as the rewriting terminates; they are a basis of A, so
 A = T(G)/I (Bergman, "The diamond lemma for ring theory", *Adv. Math.*
-29, 1978).  Let B be an associative algebra and f(g) in B for g in G.
-If every defining relation vanishes on the f(g) in B
-(PresentedAlgebra.relation_residuals), g |-> f(g) extends to an algebra
-map Phi: A -> B (Kassel, *Quantum Groups*, GTM 155, ch. I); extend
-multiplies the images of a normal monomial's letters in B, which is Phi
-of the monomial, so f = Phi is multiplicative.  Conversely, a
+29, 1978).  Let B be an associative algebra, f(g) in B for g in G, and
+f(m) the product in B of the images of m's letters, as extend computes
+it.  If every defining relation a*b = sum c*w vanishes, f(a) f(b) = sum
+c f(w) (PresentedAlgebra.relation_residuals), g |-> f(g) extends to an
+algebra map Phi: A -> B (Kassel, *Quantum Groups*, GTM 155, ch. I) with
+Phi = f on monomials, so f is multiplicative.  Conversely, a
 multiplicative f carries the relations, which hold in A, to the f(g).
 B is A (x)^tau A for Delta, associative because A is and chi is a
 bicharacter, k for eps, and the braided opposite for S, associative for
@@ -51,8 +51,7 @@ a bicharacter too (Majid, *Foundations of Quantum Group Theory*, 1995,
 on m (x) m', which is S(m) .' S(m') because S(m) is homogeneous of
 degree |m|, S being of shift 0 (HopfData refuses any other S).  So a
 law whose residuals all vanish passes with no input pushed
-(HopfData.row_law).  A power g^e below g's bound is f's own column at
-the monomial g^e, so g^bound takes one product in B.
+(HopfData.row_law).
 
 When a residual does not vanish, a premise fails or A is given by
 structure constants, the law is compared on generator rows, a in {1} u
@@ -118,6 +117,7 @@ from .algebras import (
     AlgebraElement,
     PresentedAlgebra,
     StructureConstantAlgebra,
+    _on_pairs,
     anyonic_line,
     check_guard,
     taft,
@@ -127,7 +127,6 @@ from .graded import (
     Bicharacter,
     GradedMap,
     GradedSpace,
-    _add_into,
     _times,
     braiding,
     diagram,
@@ -234,51 +233,9 @@ def _square(A, chi, V):
     return word_leaf((V,) * 4, (V, V), column)
 
 
-def _on_pairs(leaf, n, x, y):
-    """leaf applied to x (x) y, for columns x and y of a space of dimension
-    n: the product of a target algebra given as a diagram on pairs."""
-    return leaf.apply({i * n + j: a * b for i, a in x.items()
-                       for j, b in y.items()})
-
-
 def _unit_product(x, y):
     """The product of k, on columns of the unit space."""
     return {0: x[0] * y[0]} if x and y else {}
-
-
-class _Image:
-    """An element of the target of a structure map, as a sparse column, for
-    PresentedAlgebra.relation_residuals: sums and scalar multiples go
-    entry by entry, products by the target's product times(x, y) on
-    columns, and the image of a generator takes its powers from power(e)."""
-
-    __slots__ = ("col", "times", "power")
-
-    def __init__(self, col, times, power=None):
-        self.col, self.times, self.power = col, times, power
-
-    def is_zero(self):
-        return not self.col
-
-    def __add__(self, other):
-        out = dict(self.col)
-        for r, c in other.col.items():
-            _add_into(out, r, c)
-        return _Image(out, self.times)
-
-    def __sub__(self, other):
-        return self + -1 * other
-
-    def __mul__(self, other):
-        if isinstance(other, _Image):
-            return _Image(self.times(self.col, other.col), self.times)
-        return _Image({r: other * c for r, c in self.col.items()}
-                      if other else {}, self.times)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        return _Image(self.power(e), self.times)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +331,9 @@ class HopfData:
 
     def _relations_vanish(self, f, times):
         """Whether the algebra is presented, the premises of row_check hold,
-        and every defining relation vanishes on the images f(g) of the
-        generators, multiplied by times in f's target (the relation lemma
-        of the module docstring).  A power g^e below g's bound is f's own
-        column at the monomial g^e, so g^bound takes one product."""
+        and every defining relation a*b = sum c*w vanishes in f's target,
+        f(a) f(b) = sum c f(w) with f's own columns multiplied by times (the
+        relation lemma of the module docstring)."""
         A = self.algebra  # generated from 1 by construction, if presented
         if not (isinstance(A, PresentedAlgebra)
                 and A._row_premises()[0]["status"] == PASS):
@@ -385,19 +341,8 @@ class HopfData:
 
         def column(mono):
             return f.apply({A.index[mono]: 1})
-
-        def power(mono, bound, e):
-            col = column(tuple(min(e, bound - 1) * x for x in mono))
-            for _ in range(bound - 1, e):
-                col = times(col, column(mono))
-            return col
-
-        images = [_Image(column(mono), times,
-                         functools.partial(power, mono, bound))
-                  for mono, bound in zip(A.generator_monos.values(),
-                                         A.pres.bounds)]
-        return all(r.is_zero() for *_, r in A.relation_residuals(
-            images, _Image(column(A.unit_mono), times)))
+        return not any(r for *_, r in A.relation_residuals(
+            column, lambda a, y: times(column(a), y)))
 
     def rows(self, *premises):
         """The inputs on which a law resting on the named row laws is

@@ -45,7 +45,7 @@ from bhl.hopf import (
     verify_coproduct_powers,
 )
 from bhl.report import FAIL, PASS, check
-from bhl.scalars import Cyclotomic, format_scalar
+from bhl.scalars import Cyclotomic, format_scalar, root_of_unity
 from oracle import (
     AlgebraModule,
     antipode_square_by_peeling,
@@ -68,6 +68,7 @@ from oracle import (
     typed_terms,
     verify_module,
 )
+from test_algebras import skew_algebra, skew_line
 
 
 def all_pass(checks):
@@ -465,9 +466,9 @@ def test_non_associative_presentation_fails_every_row_law(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_a_failed_relation_falls_back_to_the_row_premise(monkeypatch, skew,
                                                           p):
-    # xg = gx/2 fails as an identity of the L_g (in the order x, g it is
-    # g^p = 1 that fails), so associativity is checked on generator rows,
-    # which finds the witness
+    # xg = gx/2 leaves the overlap x*g^p unresolved (in the order x, g it
+    # is g^p*x), so associativity is checked on generator rows, which
+    # finds the witness
     A = skew(p, Fraction(1, 2))
     assert not A._relations_hold()
     names = []
@@ -486,13 +487,18 @@ def test_a_failed_relation_falls_back_to_the_row_premise(monkeypatch, skew,
 @pytest.mark.parametrize("make", [
     lambda: taft(3), lambda: taft(5), lambda: anyonic_line(5),
     lambda: uqsl2(3), lambda: d_a_mu(3, 1), lambda: d_a_mu(2, 0),
-    lambda: skew_taft(2, Fraction(1, 2)), lambda: skew_taft(3, Fraction(1, 2)),
-    lambda: skew_taft_x_first(3, Fraction(1, 2)),
+    lambda: d_a_mu(2, 1), skew_algebra,
+    *(lambda a=a, extra=extra: skew_line(*a, extra=extra)
+      for a in ((root_of_unity(4), -1, -2), (-1, 1, Fraction(1, 2)))
+      for extra in ((), ((1, ()),))),
+    *(lambda skew=skew, p=p, s=s: skew(p, s)
+      for skew in (skew_taft, skew_taft_x_first) for p in (2, 3, 5)
+      for s in (1, -1, root_of_unity(p), Fraction(1, 2))),
 ], ids=lambda make: repr(make().signature))
 def test_relation_check_matches_the_regular_module(make):
-    # the defining relations on the L_g, against verify_module's map_check
-    # of the same relations on the regular module, on a fresh algebra:
-    # _relations_hold builds the L_g itself
+    # the overlap lemma of _relations_hold, on a fresh algebra, against
+    # verify_module's map_check of the defining relations on the L_g of
+    # the regular module, associative or not
     A = make()
     assert A._relations_hold() == all_pass(verify_module(regular_module(A)))
 
