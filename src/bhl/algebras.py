@@ -591,12 +591,16 @@ class PresentedAlgebra(FiniteDimAlgebra):
         decreases, and hi*lo -> sum s*w when each w has a smaller (count,
         length) or is lo*hi.  _act reduces by these rules, a diagonal run
         g^e by g*h -> s_h h*g and g^bound -> r, so pair_product(a, b)
-        reduces the word a b.  The overlaps hi*mid*lo, hi*g^bound and
-        g^bound*lo resolve (g^bound with itself does, r being a scalar)
-        when each relation a*b = sum c*w holds in the regular module at m,
-        a*(b*m) = sum c w*m, for m a letter or g^(bound-1): its two sides
-        reduce the overlap from its two rules.  Then the normal monomials
-        are a basis of the presented algebra, and pair_product its product."""
+        reduces the word a b.  A relation a*b = sum c*w holds in the
+        regular module at m when a*(b*m) = sum c w*m, its two sides
+        reducing the word a b m by its two rules.  So the overlaps
+        hi*mid*lo, g^bound*lo and hi*g^bound resolve (g^bound with itself
+        does, r being a scalar) when hi*mid = ... holds at m = lo,
+        g^bound = r, read g^(bound-1)*g, at m = lo, and hi*g = ... at
+        m = g^(bound-1): each power rule at the letters, each straightening
+        rule hi*lo at the letters and lo^(bound-1).  Then the normal
+        monomials are a basis of the presented algebra, and pair_product
+        its product."""
         pres, index, product = self.pres, self.index, self.mult_map()
 
         def order(mono):  # (count of letters with power_rhs 0, length)
@@ -610,11 +614,12 @@ class PresentedAlgebra(FiniteDimAlgebra):
 
         def act(a, y):
             return _on_pairs(product, self.dim, {index[a]: 1}, y)
-        overlaps = {_run(len(pres.gens), i, e)
-                    for i, b in enumerate(pres.bounds) for e in (1, b - 1)}
-        return not any(
-            r for m in overlaps for *_, r in self.relation_residuals(
-                lambda w, m=m: act(w, {index[m]: 1}), act))
+        letters = list(self.generator_monos.values())
+        return not any(  # each rule at the letters, hi*lo also at lo^(bound-1)
+            _residual(a, b, rhs, lambda w, m=m: act(w, {index[m]: 1}), act)
+            for j, (*_, a, b, rhs) in enumerate(self._relations)
+            for m in letters + [tuple(e * (n - 1) for e, n in zip(
+                b, pres.bounds))] * (j >= len(letters)))
 
     def relation_residuals(self, f, act):
         """(check name, relation, residual) for each defining relation,
@@ -624,11 +629,7 @@ class PresentedAlgebra(FiniteDimAlgebra):
         g^bound = r, read g^(bound-1)*g = r*1, in generator order, then
         each straightening rule hi*lo = sum s*w, sorted."""
         for name, rel, a, b, rhs in self._relations:
-            out = dict(act(a, f(b)))
-            for c, w in rhs:
-                for k, v in f(w).items():
-                    _add_into(out, k, -c * v)
-            yield name, rel, {k: v for k, v in out.items() if v}
+            yield name, rel, _residual(a, b, rhs, f, act)
 
     def extend(self, gen_images, one, times):
         """The memoised map that extends generator images to normal monomials.
@@ -812,6 +813,15 @@ def _on_pairs(leaf, n, x, y):
     n: the product of an algebra given as a diagram on pairs."""
     return leaf.apply({i * n + j: a * b for i, a in x.items()
                        for j, b in y.items()})
+
+
+def _residual(a, b, rhs, f, act):
+    """act(a, f(b)) - sum c*f(w) over rhs = ((c, w), ...), as a sparse dict."""
+    out = dict(act(a, f(b)))
+    for c, w in rhs:
+        for k, v in f(w).items():
+            _add_into(out, k, -c * v)
+    return {k: v for k, v in out.items() if v}
 
 
 def _run(k, i, e):

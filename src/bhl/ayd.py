@@ -31,14 +31,10 @@ The center's dimension is the nullity of center_matrix, with no kernel
 basis.
 
 stable_analysis splits the regular module into the 2p^2 - p strings of
-fixed (a - c, (t - c) mod p), on which varsigma is lower triangular with no
-zero on its first subdiagonal, so each eigenvalue has one Jordan block per
-string (Golub and Van Loan, 7.4) and the kernel chain of 1 - varsigma is
-read off the diagonal alone.  By the lemma in its docstring, the diagonal
-entry at z^a e_t x^c is xi^{-t(t+mu)}, so varsigma = 1 there exactly when
-p divides t(t + mu), and the chain is counted in integers.  Each string is
-a prefix or a suffix of a line of fixed t - a mod p, so one running count
-per line serves all of its strings.
+fixed (a - c, (t - c) mod p), on which varsigma is lower triangular with
+no zero on its first subdiagonal and the diagonal xi^{-t(t+mu)} at
+z^a e_t x^c, so the kernel chain of 1 - varsigma is counted from where p
+divides t(t + mu): [p^2] for mu = 0, else [p^2 + 2 mu (p - mu), 2 p^2].
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
 
 from .algebras import _require_prime, check_guard, d_a_mu, is_prime, uqsl2
 from .exactmat import Mat
@@ -540,33 +535,25 @@ def stable_analysis(p, mu):
     (Golub and Van Loan, Matrix Computations, 7.4; Horn and Johnson,
     Matrix Analysis): 0 is one Jordan block of size z_b, the number of
     diagonal entries of string b where p divides t(t + mu), so
-    dim ker T^k = sum_b min(k, z_b), rising until k = max_b z_b (k = 1 if
-    all z_b are 0).  Each z_b is a difference of one running count of that
-    integer predicate along its line, with no operation in Q(zeta_p); the
-    diagonal summed in Q(zeta_p) is the tests' oracle
+    dim ker T^k = sum_b min(k, z_b).  On line i, t = a + i, so the
+    predicate holds at a = -i and a = -i - mu (mod p), once when mu = 0.
+    A place h lies in the h + 1 suffixes starting at or before it and the
+    p - 1 - h prefixes longer than it, p strings, so sum_b z_b is p^2 or
+    2 p^2, every z_b at most 2, and the whole line 2.  Two places lo < hi
+    share p - (hi - lo) strings, and hi - lo is mu on p - mu lines and
+    p - mu on mu lines, so p^2 - 2 mu (p - mu) strings hold both: the
+    chain is [p^2] for mu = 0, else [p^2 + 2 mu (p - mu), 2 p^2].  The
+    tests count it along each line (tests/oracle.py::
+    stable_chain_by_line_counts) and sum the diagonal in Q(zeta_p)
     (tests/oracle.py::series_tables).
     """
     mu %= p
     _check_regular_guard(p, mu)
     _require_prime(p)
-    z = []
-    for i in range(p):
-        count = list(accumulate(
-            ((a + i) * (a + i + mu) % p == 0 for a in range(p)), initial=0))
-        z += count[1:p] + [count[p] - k for k in count[:p]]
-    chain = [sum(min(k, zb) for zb in z)
-             for k in range(1, max(max(z), 1) + 1)]
-    n = p ** 3
-    dims = {1: chain[0], 2: chain[1] if len(chain) > 1 else chain[0],
-            n: chain[-1]}
-    return {
-        "p": p,
-        "mu": mu,
-        "dim": n,
-        "kernel_dims": dims,
-        "stabilization_power": len(chain),
-        "chain": chain,
-    }
+    chain = [p * p + 2 * mu * (p - mu), 2 * p * p] if mu else [p * p]
+    return {"p": p, "mu": mu, "dim": p ** 3,
+            "kernel_dims": {1: chain[0], 2: chain[-1], p ** 3: chain[-1]},
+            "stabilization_power": len(chain), "chain": chain}
 
 
 def sweedler_checks(mu):

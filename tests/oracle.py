@@ -55,11 +55,13 @@ regular module summed in Q(zeta_p) over the lowering paths of x, one
 table per p for every mu (series_tables), and the two diagonals by the
 path recursion for one mu, rather than read from the closed form
 xi^{-t(t+mu)} that bhl proves, and the kernel chain of 1 - varsigma read
-off them at each listed position of each string (stable_chain_by_strings), rather
-than by one running count per line, and as the nullities of sparse
-powers of the whole 1 - varsigma (kernel_chain_by_powers), rather than
-off the diagonal alone.  run_script runs the
-table scripts under scripts/, themselves independent routes.  The
+off them at each listed position of each string (stable_chain_by_strings),
+rather than by the counting lemma, counted from xi^{-t(t+mu)} by one
+running count per line (stable_chain_by_line_counts), rather than in
+closed form, and as the nullities of sparse powers of the whole
+1 - varsigma (kernel_chain_by_powers), rather than off the diagonal
+alone.  run_script runs the table scripts under scripts/, themselves
+independent routes.  The
 braiding is an explicit matrix on the listed bases of V (x) W and
 W (x) V (braiding_matrix), rather than a diagram leaf that computes each
 column when it is read.  Readers of results live here too, as bhl
@@ -701,6 +703,24 @@ def stable_chain_by_strings(p, mu):
     if not all(sub[a][t] for b in strings for a, t in b[:-1]):
         return None
     z = [sum(diag[a][t] == 1 for a, t in b) for b in strings]
+    return [sum(min(k, zb) for zb in z)
+            for k in range(1, max(max(z), 1) + 1)]
+
+
+def stable_chain_by_line_counts(p, mu):
+    """The kernel chain of 1 - varsigma on the regular module counted from
+    the closed-form diagonal xi^{-t(t+mu)}, rather than by the counting
+    lemma of stable_analysis: z_b, the number of positions of string b
+    where p divides t(t + mu), is a difference of one running count of
+    that predicate along the line of fixed i = t - a mod p that holds b,
+    b being one of the line's p - 1 proper prefixes or p suffixes;
+    O(p^2) integer steps."""
+    mu %= p
+    z = []
+    for i in range(p):
+        count = list(itertools.accumulate(
+            ((a + i) * (a + i + mu) % p == 0 for a in range(p)), initial=0))
+        z += count[1:p] + [count[p] - k for k in count[:p]]
     return [sum(min(k, zb) for zb in z)
             for k in range(1, max(max(z), 1) + 1)]
 

@@ -308,7 +308,7 @@ def test_relations_route_matches_the_row_premise(monkeypatch, case):
 
 def test_relations_route_reads_products_at_the_overlaps_alone(monkeypatch):
     # _relations_hold evaluates the relations in the regular module at the
-    # overlap words g, x, g^(p-1) and x^(p-1), so the product columns it
+    # letters g and x, and x*g also at g^(p-1), so the product columns it
     # computes do not grow with p; the L_g over the basis took 2 p^2
     counts = []
     for p in (5, 17):
@@ -319,6 +319,16 @@ def test_relations_route_reads_products_at_the_overlaps_alone(monkeypatch):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts[0] == counts[1] < 2 * 5 ** 2
+
+
+@pytest.mark.parametrize("p", [17, 29])
+def test_relations_route_acts_on_few_monomials(p):
+    # the power rule x^p = 0 is evaluated at the letters alone, where it
+    # meets an overlap; at m = g^(p-1) it would straighten x past every
+    # g^j x^k and fill all p^2 memoised actions
+    A = taft(p)
+    assert A._relations_hold()
+    assert len(A._actions) < 4 * p
 
 
 @pytest.mark.parametrize("word", [((1, 1), (0, 1)), ((0, 1), (0, 1)),

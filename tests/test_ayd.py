@@ -39,6 +39,7 @@ from oracle import (
     as_module,
     dims_by_degree,
     is_invertible,
+    is_prime_by_trial_division,
     kernel_chain_by_powers,
     prefactor_route_by_sums,
     psi_v0_by_substitution,
@@ -51,6 +52,7 @@ from oracle import (
     run_script,
     series_tables,
     sigma_diagonals_by_mu,
+    stable_chain_by_line_counts,
     stable_chain_by_strings,
     to_uqsl2,
     trivial_ayd_module,
@@ -892,19 +894,51 @@ def test_strings_match_the_sparse_chain(monkeypatch, p, mu):
     # the per-mu recursion costs about 0.4 s at p = 11 and 0.8 s at p = 13
     pytest.param(p, marks=pytest.mark.slow) for p in (11, 13)])
 def test_line_counts_match_the_string_listing(monkeypatch, p):
-    # the chain from one running count per line against the chain read at
-    # each of the p^3 listed string positions, over the per-mu recursion
+    # the chain from one running count per line, and in closed form,
+    # against the chain read at each of the p^3 listed string positions,
+    # over the per-mu recursion
     monkeypatch.setenv("BHL_DIM_GUARD", "3000")
     for mu in range(p):
         chain = stable_chain_by_strings(p, mu)
         assert chain is not None
+        assert stable_chain_by_line_counts(p, mu) == chain
         assert stable_analysis(p, mu)["chain"] == chain
 
 
+@pytest.mark.parametrize("p", [
+    p for p in range(2, 32) if is_prime_by_trial_division(p)] + [
+    # about 8 s in all for the primes 37 to 109, the running counts
+    # taking O(p^3) steps per p
+    pytest.param(p, marks=pytest.mark.slow)
+    for p in range(32, 110) if is_prime_by_trial_division(p)])
+def test_closed_form_matches_the_line_counts(monkeypatch, p):
+    # the counting lemma of stable_analysis against the running count of
+    # p | t(t + mu) along each line, for every mu
+    monkeypatch.setenv("BHL_DIM_GUARD", str(p ** 3))
+    for mu in range(p):
+        assert stable_analysis(p, mu)["chain"] == (
+            stable_chain_by_line_counts(p, mu))
+
+
+def test_stable_analysis_at_a_million(monkeypatch):
+    # p = 1 000 003: the closed form takes no step per line, where a
+    # running count would take about p^2
+    p = 1_000_003
+    monkeypatch.setenv("BHL_DIM_GUARD", str(p ** 3))
+    for mu in (0, 1, 2, p // 2, p - 1, p + 5):
+        m = mu % p
+        chain = [p * p + 2 * m * (p - m), 2 * p * p] if m else [p * p]
+        result = stable_analysis(p, mu)
+        assert result["chain"] == chain
+        assert result["kernel_dims"] == {1: chain[0], 2: chain[-1],
+                                         p ** 3: chain[-1]}
+        assert result["stabilization_power"] == len(chain)
+
+
 def test_stable_analysis_takes_no_field_arithmetic(monkeypatch):
-    # the diagonal is the closed form xi^{-t(t+mu)}, so the chain counts
-    # the integer predicate p | t(t + mu) and takes no operation in
-    # Q(zeta_p)
+    # the diagonal is the closed form xi^{-t(t+mu)}, so the chain follows
+    # from where p divides t(t + mu), in closed form, and takes no
+    # operation in Q(zeta_p)
     def refuse(*args):
         raise AssertionError("an operation in Q(zeta_p)")
 
