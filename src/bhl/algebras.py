@@ -64,8 +64,8 @@ import functools
 import itertools
 import operator
 
-from .exactmat import Mat, from_cols
-from .graded import (GradedMap, GradedSpace, LazyLabels, _add_into, diagram,
+from .exactmat import Mat, _add_into, from_cols
+from .graded import (GradedMap, GradedSpace, LazyLabels, _kron_into, diagram,
                      homogeneity_error, tensor_diagram, word_leaf)
 from .guard import (DEFAULT_DIM_GUARD, DimensionGuardError, check_guard,
                     dim_guard, is_prime)
@@ -117,11 +117,7 @@ class AlgebraElement:
         self._compatible(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            _add_into(terms, m, c)
         return AlgebraElement(self.algebra, terms)
 
     def __radd__(self, other):
@@ -275,12 +271,7 @@ class FiniteDimAlgebra:
             for mb, cb in b.terms.items():
                 cab = ca * cb
                 for m, s in self.pair_product(ma, mb).items():
-                    v = terms.get(m)
-                    v = cab * s if v is None else v + cab * s
-                    if v:
-                        terms[m] = v
-                    else:
-                        terms.pop(m, None)
+                    _add_into(terms, m, cab * s)
         return AlgebraElement(self, terms)
 
     # -- regular representation ----------------------------------------------------
@@ -811,8 +802,9 @@ def _monomial_label(gens, basis, j):
 def _on_pairs(leaf, n, x, y):
     """leaf applied to x (x) y, for columns x and y of a space of dimension
     n: the product of an algebra given as a diagram on pairs."""
-    return leaf.apply({i * n + j: a * b for i, a in x.items()
-                       for j, b in y.items()})
+    pairs = {}
+    _kron_into(pairs, x, y, n)
+    return leaf.apply(pairs)
 
 
 def _residual(a, b, rhs, f, act):

@@ -607,15 +607,25 @@ def _parse_entry(v, p):
                          exc.col) from None
 
 
+_MODULE_KEYS = ("p", "mu", "degrees", "x", "z")
+
+
 def ayd_module_from_json(data):
-    """Build an AydModule from {"p", "mu", "degrees", "x", "z"}.
+    """Build an AydModule from a JSON object {"p", "mu", "degrees", "x", "z"}.
 
     p is a prime, mu and the degrees are integers; x and z are dense
     row-major matrices whose entries are integers or strings in the scalar
     syntax (e.g. "q(3,2) - 1", "1/2") with values in Q(zeta_p).  Anything
-    else raises ValueError, KeyError or TypeError.  p and the dimension pass
-    the dimension guard before any entry is read.
+    else, a value that is no JSON object or a missing key included, raises
+    ValueError naming the fault.  p and the dimension pass the dimension
+    guard before any entry is read.
     """
+    if type(data) is not dict:
+        raise ValueError("a module file holds a JSON object with the keys "
+                         + ", ".join(_MODULE_KEYS))
+    for key in _MODULE_KEYS:
+        if key not in data:
+            raise ValueError("module file has no key %r" % key)
     p = _int_field(data, "p")
     if not is_prime(p):
         raise ValueError("p must be prime, got %d" % p)

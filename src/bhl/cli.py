@@ -186,7 +186,12 @@ def center_checks(p):
 
 def stable_dim_checks(p, mus=None):
     """Per mu; the whole family (mus None) passes the guard once, as all
-    its regular modules have dimension p^3, so a large p is one SKIP."""
+    its regular modules have dimension p^3, so a large p is one SKIP.
+
+    The 2p checks of a family restate the closed form of stable_analysis
+    (power 1 or 2, stable dimension p^2 or 2p^2), so they cannot FAIL.
+    The independent routes are tests: test_closed_form_matches_the_line_counts
+    and the oracles stable_chain_by_strings and kernel_chain_by_powers."""
     from .ayd import stable_analysis
     if mus is None:
         def family():

@@ -6,6 +6,12 @@ sparse echelon elimination here, so this module has no idea about
 gradings or algebras — it only needs scalars that support + - * and exact
 inversion.
 
+A sparse sum that drops zeros as it goes, here (Mat's + and *, the
+back-substitution) or in graded, algebras and hopf, adds through one
+accumulator, _add_into, which deletes a sum that reaches zero.  The
+elimination below keeps its own loop, as it updates a column index with
+each entry that appears or cancels.
+
 Pivot columns are taken in index order and cleared below the pivot only,
 through a column index, the unpivoted rows holding each column, kept up
 to date as fill creates and cancels entries.  The pivot row is that of a
@@ -26,6 +32,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Cyclotomic
+
+
+def _add_into(out, key, value):
+    """out[key] += value for a sparse dict out; a sum that reaches zero is
+    deleted, so out never holds a zero."""
+    old = out.get(key)
+    if old is None:
+        out[key] = value
+    else:
+        s = old + value
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
 def _inv_scalar(x):
@@ -106,12 +126,7 @@ class Mat:
             raise ValueError("shape mismatch in +")
         data = dict(self.data)
         for key, v in other.data.items():
-            s = data.get(key)
-            s = v if s is None else s + v
-            if s:
-                data[key] = s
-            else:
-                data.pop(key, None)
+            _add_into(data, key, v)
         return Mat(self.rows, self.cols, data)
 
     def __neg__(self):
@@ -141,16 +156,8 @@ class Mat:
             by_row.setdefault(k, []).append((j, v))
         acc = {}
         for (i, k), a in self.data.items():
-            hits = by_row.get(k)
-            if hits:
-                for j, b in hits:
-                    key = (i, j)
-                    s = acc.get(key)
-                    s = a * b if s is None else s + a * b
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
+            for j, b in by_row.get(k, ()):
+                _add_into(acc, (i, j), a * b)
         return Mat(self.rows, other.cols, acc)
 
     # -- elimination -----------------------------------------------------------
@@ -295,17 +302,8 @@ def _back_substitute(rows, pivots):
         for p in sorted(j for j in row if j != col and j in at):
             nf = -row.pop(p)
             for j, v in rows[at[p]].items():
-                if j == p:
-                    continue
-                s = row.get(j)
-                if s is None:
-                    row[j] = nf * v
-                else:
-                    s = s + nf * v
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
+                if j != p:
+                    _add_into(row, j, nf * v)
         rows[k] = _unit_lead(row, col)
 
 

@@ -25,7 +25,10 @@ it names a source basis vector from the word (Diagram.label), so a tensor
 product of maps never lists its basis.  Its leaves are given by columns:
 a GradedMap's, built once per map (diagram), or columns computed when
 read, as for the braiding, the duality maps and an algebra's product
-(word_leaf).
+(word_leaf).  The tensor product of two sparse columns has one kernel,
+_kron_into, which puts entry (r, s) at r * width + s: the lazy tensor
+product, hopf's braided square and tensor columns, and algebras' products
+on pairs all call it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import itertools
 import math
 import operator
 
-from .exactmat import Mat
+from .exactmat import Mat, _add_into
 from .scalars import power, root_of_unity
 
 
@@ -260,9 +263,6 @@ class GradedMap:
         return power(self, e, lambda: GradedMap.identity(self.source),
                      operator.matmul)
 
-    def rank(self):
-        return self.mat.rank()
-
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return NotImplemented
@@ -342,16 +342,13 @@ def _times(c, a):
     return c * a
 
 
-def _add_into(out, key, value):
-    old = out.get(key)
-    if old is None:
-        out[key] = value
-    else:
-        s = old + value
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+def _kron_into(out, x, y, width, c=1):
+    """out += c * x (x) y for sparse columns x and y, y of dimension width:
+    the entry x_r y_s goes to index r * width + s (row-major, as tensor())."""
+    for r, a in x.items():
+        ca, base = _times(c, a), r * width
+        for s, b in y.items():
+            _add_into(out, base + s, _times(ca, b))
 
 
 class Diagram:
@@ -448,12 +445,7 @@ class _Tensor(Diagram):
         """out += c * f(e_i) (x) g(e_k), where j is the index of e_i (x) e_k."""
         i, k = divmod(j, self._right_src)
         right = self._right._column(k)
-        width = self._right_tgt
-        for r, a in self._left._column(i).items():
-            ca = _times(c, a)
-            base = r * width
-            for s, b in right.items():
-                _add_into(out, base + s, _times(ca, b))
+        _kron_into(out, self._left._column(i), right, self._right_tgt, c)
 
 
 class _Composite(Diagram):
@@ -527,11 +519,7 @@ def first_difference(lhs, rhs):
         if a != b:
             diff = dict(a)
             for r, v in b.items():
-                s = diff.get(r, 0) - v
-                if s:
-                    diff[r] = s
-                else:
-                    del diff[r]
+                _add_into(diff, r, -v)
             return j, diff
     return None
 

@@ -122,12 +122,12 @@ from .algebras import (
     check_guard,
     taft,
 )
-from .exactmat import from_cols
+from .exactmat import _add_into, from_cols
 from .graded import (
     Bicharacter,
     GradedMap,
     GradedSpace,
-    _times,
+    _kron_into,
     braiding,
     diagram,
     homogeneity_error,
@@ -173,11 +173,7 @@ def braided_tensor_algebra(A, B, chi):
         out = {}
         for m1, c1 in A.pair_product(ma, mc).items():
             for m2, c2 in B.pair_product(mb, md).items():
-                v = out.get((m1, m2), 0) + s * c1 * c2
-                if v:
-                    out[(m1, m2)] = v
-                else:
-                    out.pop((m1, m2), None)
+                _add_into(out, (m1, m2), s * c1 * c2)
         return out
 
     gens = [
@@ -202,12 +198,8 @@ def _tensor_column(*pairs):
     column of V (x) V: a (x) b has index i_a * dim + i_b."""
     out = {}
     for a, b in pairs:
-        n = a.algebra.dim
-        for i, ca in a.as_column().items():
-            for j, cb in b.as_column().items():
-                k = i * n + j
-                out[k] = out.get(k, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+        _kron_into(out, a.as_column(), b.as_column(), a.algebra.dim)
+    return out
 
 
 def _square(A, chi, V):
@@ -221,13 +213,8 @@ def _square(A, chi, V):
         ab, cd = divmod(j, n * n)
         a, b = divmod(ab, n)
         c, d = divmod(cd, n)
-        s = chi.chi(deg[b], deg[c])
-        right = product(b * n + d)
-        out = {}
-        for r, x in product(a * n + c).items():
-            sx, base = _times(s, x), r * n
-            for t, y in right.items():
-                out[base + t] = _times(sx, y)
+        right, out = product(b * n + d), {}
+        _kron_into(out, product(a * n + c), right, n, chi.chi(deg[b], deg[c]))
         return out
 
     return word_leaf((V,) * 4, (V, V), column)

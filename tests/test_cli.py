@@ -726,6 +726,31 @@ def test_ayd_module_file_with_a_bad_value_is_not_well_formed(
     assert error in first["witnesses"][0]["error"]
 
 
+MODULE_OBJECT = ("a module file holds a JSON object with the keys "
+                 "p, mu, degrees, x, z")
+MODULE_KEYS = ("p", "mu", "degrees", "x", "z")
+
+
+@pytest.mark.parametrize("payload, error", [
+    ([1, 2], MODULE_OBJECT),
+    ("x", MODULE_OBJECT),
+] + [({k: v for k, v in json.loads(SAMPLE_MODULE.read_text()).items()
+       if k != key}, "module file has no key %r" % key)
+     for key in MODULE_KEYS],
+    ids=["array", "string"] + ["no " + key for key in MODULE_KEYS])
+def test_a_module_file_names_a_missing_object_or_key(payload, error,
+                                                     tmp_path, capsys):
+    # the witness names the fault, not the text of a KeyError or TypeError
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(payload))
+    code, report = run_json(["verify", "ayd", "--module", str(path)], capsys)
+    assert code == 1
+    (first,) = report["checks"]
+    assert (first["name"], first["status"]) == ("module file is well formed",
+                                                "FAIL")
+    assert first["witnesses"] == [{"file": str(path), "error": error}]
+
+
 def test_root_of_a_large_order_is_rejected_without_its_table(tmp_path):
     # q(1009,1) and q(1013,1) lie outside Q(zeta_3).  Naming one must not
     # build the table of powers of its order (about 30 MB at 1009).

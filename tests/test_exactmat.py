@@ -243,6 +243,27 @@ def test_eliminations_match_scan_on_the_kernel_chain():
     assert_eliminations_match_scan(T * T)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.one_of(
+    st.integers(-2, 2),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+    st.builds(lambda n, k: n * root_of_unity(3, k), st.integers(-2, 2),
+              st.integers(0, 2)))).filter(lambda t: t[1]), max_size=16))
+def test_add_into_keeps_no_cancelled_sum(terms):
+    # small entries of the three types on four keys, so many sums cancel
+    # on the way; taking each total away at the end leaves nothing
+    out, totals = {}, {}
+    for key, value in terms:
+        exactmat._add_into(out, key, value)
+        totals[key] = totals.get(key, 0) + value
+    assert all(out.values())
+    assert out == {k: v for k, v in totals.items() if v}
+    for key, total in totals.items():
+        if total:
+            exactmat._add_into(out, key, -total)
+    assert out == {}
+
+
 @pytest.mark.parametrize("s", [0, Fraction(-3, 2), root_of_unity(5, 2)],
                          ids=["int 0", "Fraction", "Cyclotomic"])
 def test_scalar_times_matrix_is_scale(s):

@@ -24,6 +24,7 @@ from bhl.graded import (
     tensor_diagram,
     tensor_map,
     twist_theta,
+    _kron_into,
 )
 from bhl.report import map_check
 from bhl.scalars import root_of_unity
@@ -191,6 +192,45 @@ def test_yang_baxter(args):
         tensor_diagram(t, i) @ tensor_diagram(i, t) @ tensor_diagram(t, i),
         tensor_diagram(i, t) @ tensor_diagram(t, i) @ tensor_diagram(i, t)
     ) is None
+
+
+# nonzero entries of the three scalar types, the Cyclotomic ones in Q(zeta_5)
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(2, 4)),
+    st.builds(lambda n, k: n * root_of_unity(5, k), st.integers(-2, 2),
+              st.integers(0, 4)),
+).filter(bool)
+
+
+def sparse_column(n):
+    return st.dictionaries(st.integers(0, n - 1), ENTRIES, max_size=n)
+
+
+def column_mat(n, col):
+    return Mat(n, 1, {(r, 0): v for r, v in col.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_kron_into_matches_the_column_of_kron(m, w, data):
+    # out += c x (x) y, summed over a few terms into one column: entry by
+    # entry, type and repr, the column of the sum of c X . kron(Y), a
+    # c of 1 included; no key is left whose sum cancelled, so taking the
+    # terms away again leaves nothing
+    terms = data.draw(st.lists(st.tuples(
+        sparse_column(m), sparse_column(w), st.one_of(st.just(1), ENTRIES)),
+        min_size=1, max_size=3))
+    out, want = {}, Mat.zeros(m * w, 1)
+    for x, y, c in terms:
+        _kron_into(out, x, y, w, c)
+        want = want + column_mat(m, x).scale(c).kron(column_mat(w, y))
+    assert all(out.values())
+    assert typed_terms(out) == typed_terms(
+        {r: v for (r, _), v in want.data.items()})
+    for x, y, c in terms:
+        _kron_into(out, x, y, w, -c)
+    assert out == {}
 
 
 def test_braiding_example_and_inverse():

@@ -308,7 +308,7 @@ def matrix_route_checks(H):
             c, details="(eps(x)id).Delta = id = (id(x)eps).Delta",
             witnesses=[dict(side=side, **w) for w in c["witnesses"]]))
     ue = H.u @ eps
-    rank = S.rank()
+    rank = S.mat.rank()
     checks = [
         _matrix_map_check("coproduct_is_multiplicative", Delta @ m,
                           mm @ tensor_map(Delta, Delta), pairs),
