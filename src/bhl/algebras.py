@@ -994,10 +994,14 @@ def _induced(source, target, images):
                          one, operator.mul)
 
 
+def _induced_matrix(source, target, image):
+    """The matrix of an extension image (_induced) on normal bases."""
+    return from_cols(target.dim, [image(m).as_column() for m in source.basis])
+
+
 def induced_linear_map(source, target, images):
     """Matrix of the linear extension of the images on normal bases."""
-    image = _induced(source, target, images)
-    return from_cols(target.dim, [image(m).as_column() for m in source.basis])
+    return _induced_matrix(source, target, _induced(source, target, images))
 
 
 def algebra_morphism(source, target, images):
@@ -1007,6 +1011,12 @@ def algebra_morphism(source, target, images):
     element of target.  Bijectivity is certified via the induced linear map
     on normal bases.
     """
+    return _morphism(source, target, images)[0]
+
+
+def _morphism(source, target, images):
+    """algebra_morphism's checks and the induced linear map, both from one
+    extension of the images."""
     image = _induced(source, target, images)
     checks = [
         check(name, not r, "", [] if not r else [{
@@ -1015,7 +1025,7 @@ def algebra_morphism(source, target, images):
         for name, rel, r in source.relation_residuals(
             lambda m: image(m).terms,
             lambda a, y: (image(a) * AlgebraElement(target, y)).terms)]
-    mat = induced_linear_map(source, target, images)
+    mat = _induced_matrix(source, target, image)
     rank = mat.rank()
     ok = source.dim == target.dim and rank == target.dim
     checks.append(check(
@@ -1024,4 +1034,4 @@ def algebra_morphism(source, target, images):
         % (rank, source.dim, target.dim),
         [] if ok else [{"rank": rank, "source_dim": source.dim,
                         "target_dim": target.dim}]))
-    return checks
+    return checks, mat

@@ -42,30 +42,22 @@ from .scalars import power, root_of_unity
 
 
 class Bicharacter:
-    """chi(i,j) = zeta_N^(c*i*j) on Z/N x Z/N; each power of zeta_N it
-    returns is built once per exponent mod N and then shared."""
+    """chi(i,j) = zeta_N^(c*i*j) on Z/N x Z/N; the powers of zeta_N it
+    returns come from the one shared table, scalars.root_of_unity."""
 
-    __slots__ = ("N", "c", "_roots")
+    __slots__ = ("N", "c")
 
     def __init__(self, N, c=1):
         if N < 1:
             raise ValueError("N must be positive")
         self.N = N
         self.c = c % N
-        self._roots = {}
-
-    def _root(self, e):
-        e %= self.N
-        root = self._roots.get(e)
-        if root is None:
-            root = self._roots[e] = root_of_unity(self.N, e)
-        return root
 
     def chi(self, i, j):
-        return self._root(self.c * i * j)
+        return root_of_unity(self.N, self.c * i * j)
 
     def theta(self, i):
-        return self.chi(i, i)
+        return root_of_unity(self.N, self.c * i * i)
 
     def __eq__(self, other):
         return isinstance(other, Bicharacter) and (self.N, self.c) == (other.N, other.c)
@@ -568,7 +560,8 @@ class AntiTwist:
         self.parameter = t % chi.N
 
     def __call__(self, degree):
-        return self.chi._root(degree * (self.parameter - self.chi.c * degree))
+        return root_of_unity(self.chi.N,
+                             degree * (self.parameter - self.chi.c * degree))
 
     def __eq__(self, other):
         return (isinstance(other, AntiTwist) and self.chi == other.chi

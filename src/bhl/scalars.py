@@ -14,22 +14,36 @@ one) scales the other operand or shifts its constant coordinate, which
 keeps its order.  Two irrational elements of *different* orders raise
 OrderMismatchError — no silent compositum.
 
-Reduction: a product, a root of unity zeta^k and the columns of a
-multiplication matrix all reduce through _reduce, which folds once by
-zeta^N = 1 and divides by Phi_N, keeping per order only phi(N) and the
-nonzero terms of Phi_N.  A monomial c*zeta^k times x is c*x rotated by k
-in a length-N vector; two general elements are convolved over their
-nonzero coordinates.
+Shapes: _monomial(x) names x = c*zeta^k, from its zero coordinates:
+one nonzero coordinate, or at a prime order p all p - 1 coordinates
+equal, a*(1 + zeta + ... + zeta^(p-2)) = -a*zeta^(p-1).  Its k is 0
+exactly when x is rational.  Products, inverses and powers branch on it:
 
-Inverses: x^-1 = y / (x*y) for a product y of Galois conjugates of x with
-x*y rational.  The conjugate sigma_-1(x) alone does for c*zeta^k, which
-at a prime order p includes -c*zeta^(p-1), all of whose coordinates are
-c.  At a prime order p >= 5 every other element takes the product of its
-other conjugates by an addition chain over the cyclic Galois group (Itoh
-and Tsujii), 8 products rather than 28 at p = 29, counting the norm x*y;
-at a composite order, whose Galois group need not be cyclic, it takes
-them one at a time.  A power (c*zeta^k)^e is c^e*zeta^(ke) for any
-integer e, with no inverse; other elements take square-and-multiply.
+* a rational operand scales the other (an operand equal to 1 returns the
+  other itself);
+* c*zeta^k times c'*zeta^k' is c*c' times zeta^(k+k'), read from the one
+  memoised table of roots of unity (root_of_unity) and scaled once;
+* c*zeta^k times any other element x is c*x rotated by k in a length-N
+  vector; at a prime order p that vector has length p, and subtracting
+  its top coordinate from the others reduces it, as zeta^(p-1) = -(1 +
+  ... + zeta^(p-2)); at a composite order it reduces through _reduce;
+* two other elements are convolved over their nonzero coordinates and
+  reduced through _reduce, which folds once by zeta^N = 1 and divides by
+  Phi_N, keeping per order only phi(N) and the nonzero terms of Phi_N.
+  The roots of unity and the columns of a multiplication matrix reduce
+  through it too.
+
+Inverses and powers: (c*zeta^k)^e is c^e*zeta^(ke) for any integer e,
+the inverse (1/c)*zeta^-k among them, with no product.  Any other x has
+x^-1 = y / (x*y) for a product y of Galois conjugates of x with x*y
+rational.  At a prime order p >= 5 y is the product of the other
+conjugates, by an addition chain over the cyclic Galois group (Itoh and
+Tsujii), 8 products rather than 28 at p = 29, counting the norm x*y.  At
+p = 3 the conjugate sigma_-1(x) alone does, and so it does for a zeta^k
+that a composite order writes with more than one coordinate; any other
+element of a composite order, whose Galois group need not be cyclic,
+takes the other conjugates one at a time.  Other powers take
+square-and-multiply, of the inverse for e < 0.
 
 Also provides the q-combinatorics used throughout, with no division per
 coefficient: q-integers (n)_xi, q-factorials, Gaussian binomials from one
@@ -190,7 +204,7 @@ class Cyclotomic:
     # -- ring operations ----------------------------------------------------
     #
     # Operand shape is tested before order (see the type policy above): a
-    # rational of any order scales or shifts, and a monomial rotates.
+    # rational of any order scales or shifts; products branch on _monomial.
 
     def __add__(self, other):
         if isinstance(other, Cyclotomic):
@@ -216,7 +230,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.order, tuple(-v for v in self.num), self.den)
+        return _make(self.order, tuple([-v for v in self.num]), self.den)
 
     def __sub__(self, other):
         if isinstance(other, (Cyclotomic, int, Fraction)):
@@ -230,20 +244,33 @@ class Cyclotomic:
         if isinstance(other, Cyclotomic):
             a, b = self, other
             an, bn = a.num, b.num
-            if not any(bn[1:]):
+            z = bn.count(0)  # b is rational: no nonzero past the first
+            if z == len(bn) or z + 1 == len(bn) and bn[0]:
                 return _scaled(a, bn[0], b.den)
-            if not any(an[1:]):
+            z = an.count(0)
+            if z == len(an) or z + 1 == len(an) and an[0]:
                 return _scaled(b, an[0], a.den)
-            if a.order != b.order:
+            order = a.order
+            if order != b.order:
                 raise _mismatch(a, b)
+            ma, mb = _monomial(a), _monomial(b)
+            if ma and mb:  # c zeta^k * c' zeta^k' = c c' zeta^(k + k')
+                (c, k), (e, j) = ma, mb
+                g, h = gcd(c, b.den), gcd(e, a.den)
+                return _scaled(root_of_unity(order, k + j), (c // g) * (e // h),
+                               (a.den // h) * (b.den // g))
             n = len(an)
-            if an.count(0) == n - 1:
-                a, b, an, bn = b, a, bn, an
-            if bn.count(0) == n - 1:  # b = c zeta^k, 0 < k < n: rotate c*a by k
-                c = sum(bn)
-                k = bn.index(c)
-                vec = [c * v for v in an] + [0] * (a.order - n)
-                vec = vec[-k:] + vec[:-k]
+            if mb:
+                ma, an, bn = mb, bn, an
+            if ma:  # c zeta^k * x: rotate c*x by k in a length-N vector
+                c, k = ma
+                if n + 1 == order:  # then subtract the top coordinate
+                    t = bn[n - k]
+                    vec = [c * (v - t) for v in bn] + [-c * t]
+                    vec = vec[-k:] + vec[:n - k]
+                else:
+                    vec = [c * v for v in bn] + [0] * (order - n)
+                    vec = _reduce(order, vec[-k:] + vec[:-k])
             else:
                 support = [(j, v) for j, v in enumerate(bn) if v]
                 vec = [0] * (2 * n - 1)
@@ -251,7 +278,8 @@ class Cyclotomic:
                     if ai:
                         for j, bj in support:
                             vec[i + j] += ai * bj
-            return _reduced(a.order, _reduce(a.order, vec), a.den * b.den)
+                vec = _reduce(order, vec)
+            return _reduced(order, vec, a.den * b.den)
         if isinstance(other, int):
             return _scaled(self, other, 1)
         if isinstance(other, Fraction):
@@ -261,32 +289,34 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse by the norm identity
-        x^-1 = prod_{sigma != id} sigma(x) / N(x) (Washington,
-        *Introduction to Cyclotomic Fields*, GTM 83, ch. 2).
+        """Multiplicative inverse: (1/c)*zeta^-k for x = c*zeta^k
+        (_monomial), else by the norm identity x^-1 = prod_{sigma != id}
+        sigma(x) / N(x) (Washington, *Introduction to Cyclotomic Fields*,
+        GTM 83, ch. 2).
 
-        A monomial c*zeta^k takes y = sigma_-1(x), as x*y = c^2 is already
-        rational; so does c*(1 + zeta + ... + zeta^(p-2)) = -c*zeta^(p-1)
-        at a prime order p, whose coordinates are all equal, and every
-        element at p = 3, where sigma_-1 is the only automorphism but the
-        identity.  Any other element of prime order p takes y =
-        _norm_cofactor(x), an addition chain over the cyclic Galois group.
-        At a composite order y starts as sigma_-1(x), and when x*y is not
-        rational y takes every other conjugate sigma_k(x), k != 1 a unit
+        An element of prime order p >= 5 takes y = _norm_cofactor(x), an
+        addition chain over the cyclic Galois group.  At p = 3, where
+        sigma_-1 is the only automorphism but the identity, and at a
+        composite order y starts as sigma_-1(x); there, when x*y is not
+        rational, y takes every other conjugate sigma_k(x), k != 1 a unit
         mod N, one at a time, as the Galois group need not be cyclic.
         Then x*y = N(x), and Q(zeta_N) is Q or a CM field, so it is a
         positive rational.
         """
-        num = self.num
-        n = len(num)
-        if not any(num):
-            raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        if n + 1 == self.order > 4 and num.count(0) + 1 < n and num.count(num[0]) < n:
+        mono = _monomial(self)
+        if mono:  # (c zeta^k)^-1 = (1/c) zeta^-k
+            c, k = mono
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(zeta_%d)"
+                                        % self.order)
+            n, m = (self.den, c) if c > 0 else (-self.den, -c)
+            return _scaled(root_of_unity(self.order, -k), n, m)
+        if len(self.num) + 1 == self.order > 4:
             y = _norm_cofactor(self)
         else:
             y = _conjugate(self, -1)
         norm = self * y
-        if any(norm.num[1:]):  # only at a composite order, x no monomial
+        if any(norm.num[1:]):  # only at a composite order
             for k in range(2, self.order - 1):
                 if gcd(k, self.order) == 1:
                     y = y * _conjugate(self, k)
@@ -306,13 +336,13 @@ class Cyclotomic:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        num = self.num
-        if num.count(0) == len(num) - 1:  # (c zeta^k)^e = c^e zeta^(ke)
-            c = sum(num)
+        mono = _monomial(self)
+        if mono and mono[0]:  # (c zeta^k)^e = c^e zeta^(ke)
+            c, k = mono
             n, m = (c, self.den) if e >= 0 else (self.den, c)
             if m < 0:
                 n, m = -n, -m
-            return _scaled(root_of_unity(self.order, num.index(c) * e),
+            return _scaled(root_of_unity(self.order, k * e),
                            n ** abs(e), m ** abs(e))
         if e < 0:
             return self.inverse() ** (-e)
@@ -356,6 +386,25 @@ def _make(order, num, den):
     return c
 
 
+def _monomial(x):
+    """(c, k) with x = (c / x.den) zeta^k, or None.
+
+    It is (c, k) when k is the one nonzero coordinate of x, c, and (0, 0)
+    when x is zero, so k == 0 exactly when x is rational; at a prime order
+    p also (-a, p - 1) when all p - 1 coordinates equal a, as
+    a (1 + zeta + ... + zeta^(p-2)) = -a zeta^(p-1).  c is coprime to
+    x.den, x being canonical.
+    """
+    num = x.num
+    n = len(num)
+    if num.count(0) >= n - 1:
+        c = sum(num)
+        return c, num.index(c)
+    if n + 1 == x.order and num.count(num[0]) == n:
+        return -num[0], n
+    return None
+
+
 def _mismatch(a, b):
     return OrderMismatchError(
         "cannot mix Q(zeta_%d) with Q(zeta_%d)" % (a.order, b.order))
@@ -395,7 +444,7 @@ def _scaled(x, n, m):
             m //= h
             num = [v // h for v in num]
         den *= m
-    return _make(x.order, tuple(v * n for v in num), den)
+    return _make(x.order, tuple([v * n for v in num]), den)
 
 
 def _shifted(x, n, m):
@@ -473,11 +522,21 @@ def power(base, e: int, one, mul=operator.mul):
     return one() if result is None else result
 
 
+_ROOTS: dict[tuple[int, int], Cyclotomic] = {}
+
+
 def root_of_unity(order: int, k: int = 1) -> Cyclotomic:
-    """zeta_order ** k as an exact element of Q(zeta_order)."""
+    """zeta_order ** k as an exact element of Q(zeta_order), built once per
+    order and k mod order and then shared, as no operation changes a
+    Cyclotomic."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _make(order, tuple(_reduce(order, [0] * (k % order) + [1])), 1)
+    k %= order
+    root = _ROOTS.get((order, k))
+    if root is None:
+        root = _ROOTS[order, k] = _make(
+            order, tuple(_reduce(order, [0] * k + [1])), 1)
+    return root
 
 
 def in_field(value, order: int) -> bool:

@@ -84,7 +84,12 @@ Products in Q(zeta_N) are here as bhl took them before it reduced prime
 orders by their top coordinate: convolved and divided by Phi_N at every
 order (mul_by_division, reduce_by_division), and inverses with the
 conjugates multiplied in one at a time (inverse_by_conjugates), rather
-than by an addition chain over the Galois group; and the degree and label
+than by an addition chain over the Galois group; as bhl took them before
+they branched on the shape c*zeta^k: a monomial with one nonzero
+coordinate rotated the other operand and reduced it by _reduce, even
+times another monomial, and everything else was convolved
+(mul_by_rotation), with powers by square-and-multiply of those products
+(power_by_rotation), rather than by adding exponents; and the degree and label
 of each normal monomial of a presented algebra, and of each column of the
 regular AYD module, one at a time (presented_degrees_and_labels,
 regular_degrees_and_labels), rather than by one sweep per generator and
@@ -127,6 +132,7 @@ from bhl.graded import (
 from bhl.hopf import braided_tensor_algebra, verify_antipode, verify_bialgebra
 from bhl.report import FAIL, check, map_check
 from bhl.scalars import (Cyclotomic, OrderMismatchError, ParseError,
+                         _mismatch, _reduce, _reduced, _scaled,
                          balanced_q_int, cyclotomic_polynomial, format_scalar,
                          power, q_binomials, q_factorials, root_of_unity)
 
@@ -1414,6 +1420,45 @@ def mul_by_division(a, b):
             for j, y in enumerate(bn):
                 vec[i + j] += x * y
     return Cyclotomic(a.order, reduce_by_division(a.order, vec), a.den * b.den)
+
+
+def mul_by_rotation(a, b):
+    """a * b for Cyclotomic a, b: a rational operand (any order, shape read
+    off num[1:]) scales the other, an operand with one nonzero coordinate
+    c zeta^k rotates c times the other by k in a length-N vector, reduced
+    by _reduce at every order, and two other elements are convolved over
+    their nonzero coordinates and reduced by _reduce."""
+    an, bn = a.num, b.num
+    if not any(bn[1:]):
+        return _scaled(a, bn[0], b.den)
+    if not any(an[1:]):
+        return _scaled(b, an[0], a.den)
+    if a.order != b.order:
+        raise _mismatch(a, b)
+    n = len(an)
+    if an.count(0) == n - 1:
+        a, b, an, bn = b, a, bn, an
+    if bn.count(0) == n - 1:
+        c = sum(bn)
+        k = bn.index(c)
+        vec = [c * v for v in an] + [0] * (a.order - n)
+        vec = vec[-k:] + vec[:-k]
+    else:
+        support = [(j, v) for j, v in enumerate(bn) if v]
+        vec = [0] * (2 * n - 1)
+        for i, ai in enumerate(an):
+            if ai:
+                for j, bj in support:
+                    vec[i + j] += ai * bj
+    return _reduced(a.order, _reduce(a.order, vec), a.den * b.den)
+
+
+def power_by_rotation(x, e):
+    """x ** e for a Cyclotomic x by square-and-multiply with
+    mul_by_rotation, of inverse_by_conjugates(x) for e < 0."""
+    if e < 0:
+        x, e = inverse_by_conjugates(x), -e
+    return power(x, e, lambda: Cyclotomic.one(x.order), mul_by_rotation)
 
 
 def conjugate_by_division(x, k):

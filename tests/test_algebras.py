@@ -1030,6 +1030,40 @@ def test_induced_map_matches_power_table(case):
         typed_entries(induced_map_by_power_table(source, target, images))
 
 
+def _extensions(monkeypatch):
+    """The monomials the extension of a morphism's images (times =
+    operator.mul) computes, one entry per memo miss, while the spy is set."""
+    misses, real = [], PresentedAlgebra._extended
+
+    def spy(self, memo, gen_images, times, mono):
+        if times is operator.mul and mono not in memo:
+            misses.append(mono)
+        return real(self, memo, gen_images, times, mono)
+
+    monkeypatch.setattr(PresentedAlgebra, "_extended", spy)
+    return misses
+
+
+@pytest.mark.parametrize("case", list(_morphism_cases()), ids=lambda c: c[0])
+def test_a_morphism_extends_each_source_monomial_once(monkeypatch, case):
+    # the relation residuals and the induced linear map read one extension
+    _, source, target, images = case
+    misses = _extensions(monkeypatch)
+    checks = algebra_morphism(source, target, images)
+    monkeypatch.undo()
+    assert all_pass(checks)
+    assert sorted(misses) == sorted(set(source.basis) - {source.unit_mono})
+
+
+def test_dual_algebra_checks_extend_each_monomial_once(monkeypatch):
+    # the diagonal is read off the induced map of the morphism checks
+    p = 7
+    misses = _extensions(monkeypatch)
+    assert all_pass(cli.dual_algebra_checks(p))
+    monkeypatch.undo()
+    assert sorted(misses) == [(e,) for e in range(1, p)]
+
+
 @pytest.mark.parametrize("A", [uqsl2(3), taft(3), d_a_mu(3, 1)],
                          ids=lambda A: repr(A.signature))
 def test_extend_takes_a_single_letter_to_its_image(A):

@@ -721,6 +721,17 @@ def test_broken_taft_fails_with_witnesses(kwargs, failing):
             assert c["witnesses"][0]["difference"]
 
 
+def taft_antipode_hopf(p, image):
+    """Taft's Delta and eps with S(g) = g, which breaks the defining
+    relation between g and x for p >= 3 (image "g"), or with S(x) = 0, a
+    braided anti-multiplicative S that is not invertible (image "x")."""
+    H = taft_hopf(p)
+    g = H.algebra.gen("g")
+    antipodes = dict(H.antipodes, **({"g": g} if image == "g"
+                                     else {"x": H.algebra.zero()}))
+    return HopfData(H.algebra, H.chi, H.coproducts, H.counits, antipodes)
+
+
 RESIDUAL_CASES = (
     [("taft p=%d" % p, lambda p=p: taft_hopf(p)) for p in (2, 3, 5, 7)]
     + [("anyonic p=%d c=%d" % (p, c), lambda p=p, c=c: anyonic_hopf(p, c))
@@ -733,6 +744,9 @@ RESIDUAL_CASES = (
     + [("group algebra Z/3", lambda: group_algebra_hopf(3))]
     + [("counit side %d" % left, lambda left=left: counit_side_hopf(left))
        for left in (1, 2)]
+    + [("taft p=%d S(%s) changed" % (p, image),
+        lambda p=p, image=image: taft_antipode_hopf(p, image))
+       for p in (3, 5) for image in ("g", "x")]
 )
 
 
@@ -941,6 +955,56 @@ def test_hopf_builders_check_the_guard_before_the_square(monkeypatch):
                                      {}, {})):
         with pytest.raises(DimensionGuardError, match="Hopf structure"):
             build()
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES, ids=lambda c: c[0])
+def test_antipode_invertible_by_the_square_matches_the_rank(monkeypatch,
+                                                            case):
+    # S^2 on the generators decides antipode_invertible when the antipode
+    # law passed, A is presented and each S^2(g) is one nonzero term on g;
+    # then it must agree with the rank of S's assembled columns, and
+    # otherwise that rank is taken
+    H = case[1]()
+    ranks = []
+    real = hopf.from_cols
+
+    def spy(*args):
+        ranks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hopf, "from_cols", spy)
+    checks = {c["name"]: c for c in verify_antipode(H)}
+    monkeypatch.undo()
+    A, n = H.algebra, H.algebra.dim
+    rank = leaf_map(H.S).mat.rank()
+    assert checks["antipode_invertible"] == check(
+        "antipode_invertible", rank == n, details="rank %d of %d" % (rank, n))
+    lemma = (checks["antipode_is_antimultiplicative"]["status"] == PASS
+             and all(antipode_square_by_peeling(H, g).terms.keys()
+                     == g.terms.keys() for _, g in A.generators()))
+    assert len(ranks) == (0 if lemma else 1)
+    # the failed premise of skew Taft, the broken relation of S(g) = g and
+    # S^2(x) = 0 take the rank; every other structure takes the lemma
+    assert lemma != (case[0].startswith("skew") or "changed" in case[0])
+
+
+def test_the_antipode_law_reads_few_columns_of_s(monkeypatch):
+    # at taft p = 17 the laws and the S^2 lemma read S on 1, the
+    # generators and the monomials of their images, not all p^2 columns
+    p, read = 17, []
+    real = PresentedAlgebra._extended
+
+    def spy(self, memo, gen_images, times, mono):
+        read.append((times, mono))
+        return real(self, memo, gen_images, times, mono)
+
+    monkeypatch.setattr(PresentedAlgebra, "_extended", spy)
+    H = taft_hopf(p)
+    checks = verify_antipode(H)
+    monkeypatch.undo()
+    assert all_pass(checks), failed_names(checks)
+    columns = {mono for times, mono in read if times is H.products["S"]}
+    assert 0 < len(columns) < 4 * p
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -41,6 +41,8 @@ from oracle import (
     balanced_q_factorial,
     inverse_by_conjugates,
     mul_by_division,
+    mul_by_rotation,
+    power_by_rotation,
     power_by_squaring,
     q_binomial,
     q_binomial_by_factorials,
@@ -576,6 +578,96 @@ def test_products_and_inverses_match_the_division_routes(pair):
             _same(a.inverse(), inverse_by_conjugates(a))
 
 
+# prime orders, where c*zeta^k also has all coordinates equal, and
+# composite ones, where Phi_N has more terms
+SHAPE_ORDERS = [1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 15, 29, 31, 60, 105]
+
+
+@st.composite
+def any_shape(draw, order):
+    """An operand for Q(zeta_order): 1 of this or another order, a rational
+    of this or another order, zero, c*zeta^k with one nonzero coordinate,
+    all coordinates equal, a general element, or an irrational element of
+    another order."""
+    kind = draw(st.sampled_from(["one", "rational", "zero", "monomial",
+                                 "equal", "general", "foreign"]))
+    if kind in ("one", "rational", "foreign"):
+        order = draw(st.sampled_from([order, 1, 3, 5, 12]))
+    d = euler_phi(order)
+    coord = st.integers(-(1 << 20), 1 << 20).filter(bool)
+    vec = [0] * d
+    if kind == "one":
+        return Cyclotomic.one(order)
+    if kind == "rational" or d == 1 and kind != "zero":
+        vec[0] = draw(coord)
+    elif kind == "monomial":
+        vec[draw(st.integers(1, d - 1))] = draw(coord)
+    elif kind == "equal":
+        vec = [draw(coord)] * d
+    elif kind in ("general", "foreign"):
+        vec = draw(st.lists(st.integers(-(1 << 20), 1 << 20), min_size=d,
+                            max_size=d).filter(lambda v: v.count(0) < d - 1))
+    return Cyclotomic(order, vec, draw(st.integers(1, 50)))
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the OrderMismatchError it raises."""
+    try:
+        return f(*args)
+    except OrderMismatchError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SHAPE_ORDERS).flatmap(lambda n: st.tuples(
+    any_shape(n), any_shape(n), st.integers(-7, 7))))
+def test_shape_routes_match_the_routes_of_record(args):
+    # products, inverses and powers branch on _monomial; the rotation and
+    # convolution product, the conjugate loop and square-and-multiply are
+    # the routes of record, compared by type and repr, and an irrational
+    # pair of different orders raises the same OrderMismatchError
+    x, y, e = args
+    for a, b in ((x, y), (y, x)):
+        got = _outcome(operator.mul, a, b)
+        want = _outcome(mul_by_rotation, a, b)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            _same(got, want)
+        if b == 1:
+            assert got is a
+    for a in (x, y):
+        if a:
+            _same(a.inverse(), inverse_by_conjugates(a))
+            _same(a ** e, power_by_rotation(a, e))
+        elif e < 0:
+            with pytest.raises(ZeroDivisionError):
+                a ** e
+        else:
+            _same(a ** e, power_by_rotation(a, e))
+
+
+def test_monomial_products_at_a_prime_order_take_no_reduction(monkeypatch):
+    # c*zeta^k times c'*zeta^k' reads zeta^(k+k') from the table, and
+    # c*zeta^k times any other element is one rotation minus its top
+    # coordinate: neither reduces by Phi_p, for either shape of c*zeta^k
+    p, rng = 53, random.Random(53)
+    for k in range(p):
+        root_of_unity(p, k)
+    monomials = [Cyclotomic(p, [0] * k + [rng.randint(-9, 9) or 1], 7)
+                 for k in range(1, p - 1)] + [Cyclotomic(p, [-3] * (p - 1), 2)]
+    dense = [Cyclotomic(p, [rng.randint(-9, 9) for _ in range(p - 1)], 5)
+             for _ in range(5)]
+    calls = []
+    monkeypatch.setattr(bhl.scalars, "_reduce",
+                        lambda *args: calls.append(args) or _reduce(*args))
+    products = [(a, b, a * b) for a in monomials for b in monomials + dense]
+    monkeypatch.undo()
+    assert calls == []
+    for a, b, ab in products:
+        _same(ab, mul_by_rotation(a, b))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 31).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.integers(-(1 << 20), 1 << 20), max_size=2 * n - 1))))
@@ -654,9 +746,11 @@ def test_conjugate_is_the_field_automorphism(args):
 
 @pytest.mark.parametrize("order", [12, 60, 105])
 def test_roots_of_unity_invert_by_one_conjugate(order, monkeypatch):
-    # zeta^k with k >= phi(N) is no monomial on the power basis, yet
-    # zeta^k * sigma_-1(zeta^k) = 1 already, as for every c*zeta^k
-    calls = []
+    # a zeta^k with one nonzero coordinate inverts to zeta^-k with no
+    # conjugate; some zeta^k with k >= phi(N) are no monomial on the power
+    # basis, yet zeta^k * sigma_-1(zeta^k) = 1 already, so they take
+    # sigma_-1 alone
+    calls, routes = [], set()
 
     def spy(x, k):
         calls.append(k)
@@ -664,8 +758,12 @@ def test_roots_of_unity_invert_by_one_conjugate(order, monkeypatch):
     monkeypatch.setattr(bhl.scalars, "_conjugate", spy)
     for k in range(order):
         calls.clear()
-        _same(root_of_unity(order, k).inverse(), root_of_unity(order, -k))
-        assert calls == [-1]
+        root = root_of_unity(order, k)
+        _same(root.inverse(), root_of_unity(order, -k))
+        monomial = root.num.count(0) == len(root.num) - 1
+        assert calls == ([] if monomial else [-1])
+        routes.add(monomial)
+    assert routes == {True, False}
 
 
 def _zeta(order):
