@@ -30,8 +30,9 @@ center of uqsl2(p) is the kernel of ad(F) alone, with no column of ad(E).
 PresentedAlgebra.relation_residuals is the one evaluator of a
 presentation's relations, each read as a*b = sum c*w on normal monomials
 and evaluated on sparse columns of a left module: in A's regular module
-it gives associativity (below), in a target algebra the relation checks
-of algebra_morphism and of hopf's row laws.
+it gives associativity (below) and, with each image reversed, sigma's
+premise; in a target algebra the relation checks of algebra_morphism and
+of hopf's row laws.
 
 PresentedAlgebra.extend is the one place where values on generators are
 extended to every normal monomial: a single letter takes its image, any
@@ -679,33 +680,28 @@ class PresentedAlgebra(FiniteDimAlgebra):
     def mirror_premise(self):
         """Whether sigma: g_i -> g_(k-1-i), for k generators, extends to an
         anti-automorphism of A, checked once: bounds and power_rhs read
-        the same reversed, and each straightening rule hi*lo = sum s w,
-        read right to left under sigma, sigma(lo)*sigma(hi) = sum s
-        sigma(w), holds in A, sigma(w) being w's letters reversed and
-        mirrored.  Then sigma, extended to the free algebra, maps each
+        the same reversed, so m[::-1] is a normal monomial for each normal
+        m, and every residual of relation_residuals vanishes with f(w) the
+        column of w[::-1] and a acting on y as y*f(a).  As sigma reverses
+        products, the residual of a*b = sum c*w is sigma(b)*sigma(a) -
+        sum c*sigma(w): sigma, extended to the free algebra, maps each
         defining relation to one that holds in A, and A (associative) is
         the presented algebra, so sigma is an anti-automorphism of A.  It
         reverses the letters of g_0^e_0 ... g_(k-1)^e_(k-1) to the normal
         monomial m[::-1], with coefficient 1: a permutation of the basis.
         It holds on uqsl2 (F <-> E) and d_a_mu (z <-> x), not on taft."""
         if self._mirror is None:
-            pres, k = self.pres, len(self.pres.gens)
+            pres, index, product = self.pres, self.index, self.mult_map()
 
-            def mirrored(word):
-                return self._apply([(k - 1 - gi, e) for gi, e in reversed(word)],
-                                   {self.unit_mono: 1})
+            def f(w):
+                return {index[w[::-1]]: 1}
 
-            def holds(hi, lo, rule):
-                terms = dict(mirrored(((hi, 1), (lo, 1))))
-                for s, w in rule:
-                    for m, c in mirrored(w).items():
-                        terms[m] = terms.get(m, 0) - s * c
-                return not any(terms.values())
-
+            def act(a, y):
+                return _on_pairs(product, self.dim, y, f(a))
             self._mirror = (pres.bounds == pres.bounds[::-1]
                             and pres.power_rhs == pres.power_rhs[::-1]
-                            and all(holds(hi, lo, rule) for (hi, lo), rule
-                                    in pres.straighten.items()))
+                            and not any(r for *_, r in
+                                        self.relation_residuals(f, act)))
         return self._mirror
 
     def _right_products(self, g):

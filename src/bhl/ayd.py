@@ -28,7 +28,8 @@ v_0 is central: its differences with F and K are ad(F) and ad(K), and
 E's is -sigma of F's, sigma being the anti-automorphism F <-> E, K -> K
 of uqsl2(p) (algebras.PresentedAlgebra.mirror_premise), which fixes v_0.
 The center's dimension is the nullity of center_matrix, with no kernel
-basis.
+basis.  u_K is invertible when none of its values u_K(xi^j) is 0 (the
+evaluation lemma of _u_K_invertible); else the rank of L_{u_K} decides.
 
 stable_analysis splits the regular module into the 2p^2 - p strings of
 fixed (a - c, (t - c) mod p), on which varsigma is lower triangular with
@@ -40,7 +41,6 @@ divides t(t + mu): [p^2] for mu = 0, else [p^2 + 2 mu (p - mu), 2 p^2].
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .algebras import _require_prime, check_guard, d_a_mu, is_prime, uqsl2
@@ -220,9 +220,9 @@ class RibbonData(Record):
 def ribbon_element(p):
     """v_0 = K u_K u_0 with the normalized Gauss-sum Casimir factors, and
     u_K(xi^j) = sum_i alpha_i xi^{ij} for u_K = sum_i alpha_i K^i,
-    alpha_i = q^{m i^2}/G (G the Gauss sum): the one evaluation of u_K at
-    the p-th roots of unity, p^2 products, which route (a) of
-    _ribbon_identity and _u_K_invertible read.  G is inverted as
+    alpha_i = q^{m i^2}/G (G the Gauss sum), evaluated at the p-th roots
+    of unity by _K_values, as _u_K_invertible evaluates the element it is
+    given, for route (a) of _ribbon_identity.  G is inverted as
     sigma_-1(G)/(G sigma_-1(G)), G sigma_-1(G) = |G|^2 = p being rational,
     in one dense product."""
     U = uqsl2(p)
@@ -233,13 +233,11 @@ def ribbon_element(p):
     inv_gs = conj / (gs * conj)
     alpha = [inv_gs * q ** (m * i * i) for i in range(p)]
     u_K = U.element({(0, i, 0): a for i, a in enumerate(alpha)})
-    values = [sum(a * root_of_unity(p, i * j) for i, a in enumerate(alpha))
-              for j in range(p)]
     inv = inverse_factorials([balanced_q_int(j, q) for j in range(1, p)])
     u_0 = sum((q ** ((j + 3) * j // 2) * inv[j] * (K ** j * F ** j * E ** j)
                for j in range(p)), U.zero())  # inv[j] = 1/[j]_q!
     return RibbonData(p=p, m=m, q=q, u_K=u_K, u_0=u_0, v_0=K * u_K * u_0,
-                      u_K_values=values)
+                      u_K_values=_K_values(U, u_K))
 
 
 def ribbon_centrality_checks(p):
@@ -255,7 +253,7 @@ def _ribbon_centrality(R):
                             witnesses=[{"generator": name,
                                         "difference": repr(-diff)}]
                             if diff else None))
-    checks.append(_u_K_invertible(U, R.u_K, R.u_K_values))
+    checks.append(_u_K_invertible(U, R.u_K))
     return checks
 
 
@@ -284,29 +282,31 @@ def _commutators(U, v):
     return out
 
 
-def _u_K_invertible(U, u_K, values):
-    """The check that u_K = sum_i alpha_i K^i is invertible in U = uqsl2(p),
-    given its transform values[j] = u_K(xi^j) (RibbonData.u_K_values).
+def _u_K_invertible(U, u_K):
+    """The check that u_K is invertible in U = uqsl2(p), by the evaluation
+    lemma when u_K is a polynomial in K, else by the rank of L_{u_K}.
 
-    As K^p = 1, the product of two polynomials in K has as transform the
-    product of theirs.  So y = sum_i beta_i K^i, with beta the inverse
-    transform of 1/u_K(xi^j), is the inverse of u_K, which u_K y = y u_K = 1
-    confirms by element products; then L_{u_K} has full rank.  When values
-    is None or holds a zero, or y is no inverse, the rank of L_{u_K} decides.
-    """
-    p, n = U.p, U.dim
-    y = None
+    The lemma: K^p = 1 in U, and 1, K, ..., K^(p-1) are distinct normal
+    monomials, so k[K] = k[t]/(t^p - 1); t^p - 1 has the p distinct roots
+    xi^j in Q(zeta_p), so evaluation at them (_K_values) is a ring
+    isomorphism k[K] -> k^p.  So u_K is a unit of k[K], and hence of U,
+    exactly when no u_K(xi^j) is 0, and then L_{u_K} has rank dim U.  A
+    zero value, or a term off the K^i, leaves it to the rank."""
+    values, n = _K_values(U, u_K), U.dim
     if values is not None and all(values):
-        inverses = [v.inverse() for v in values]
-        y = U.element({
-            (0, i, 0): Fraction(1, p) * sum(
-                w * root_of_unity(p, -i * j) for j, w in enumerate(inverses))
-            for i in range(p)})
-    if y is not None and u_K * y == U.unit() == y * u_K:
         rank = n
     else:
         rank = U.left_mult_operator(u_K).rank()
     return check("u_K_invertible", rank == n, details="rank %d of %d" % (rank, n))
+
+
+def _K_values(U, u):
+    """[u(xi^j) for j < p] for u = sum_i c_i K^i in U = uqsl2(p), p^2
+    products, or None when u has a term off the K^i."""
+    if any(a or c for a, _, c in u.terms):
+        return None
+    return [sum(c * root_of_unity(U.p, i * j) for (_, i, _), c in u.terms.items())
+            for j in range(U.p)]
 
 
 def ribbon_prefactor(p, mu):
@@ -441,7 +441,9 @@ def verify_ribbon_family(p):
 
 
 def _ribbon_family(R):
-    """verify_ribbon_family, given R = ribbon_element(p)."""
+    """verify_ribbon_family, given R = ribbon_element(p).
+    prefactor_depends_only_on_mu_squared cannot FAIL: ribbon_prefactor's
+    exponent m^2 (mu^2 - 1) is a function of mu^2 mod p."""
     p, checks = R.p, []
     psi0 = _psi_v0(p, R)
     table = _rank_one_table(p, psi0)

@@ -97,7 +97,12 @@ named when read, and the monomials a diagonal generator commutes with by
 comparing both products (commutant_by_sweep).  The scalar route of the
 ribbon identity evaluates K u_K at each degree by summing its terms
 (prefactor_route_by_sums), rather than by one lookup in the transform of
-u_K, which values_by_sums takes afresh.
+u_K, which values_by_sums takes afresh.  The premise of the mirror sigma
+is read off each straightening rule by applying its two sides' letters,
+reversed and mirrored (mirror_premise_by_letters), rather than by the one
+evaluator of the relations, and u_K is shown invertible by an inverse
+that u_K*y = 1 = y*u_K confirms (u_K_invertible_by_inverse), rather than
+by the nonzero values of the evaluation lemma.
 """
 
 import itertools
@@ -362,6 +367,30 @@ def values_by_sums(u):
     p = u.algebra.p
     return [sum(c * root_of_unity(p, k * j)
                 for (_, k, _), c in u.terms.items()) for j in range(p)]
+
+
+def u_K_invertible_by_inverse(U, u_K):
+    """The check u_K_invertible by an inverse: when u_K is a polynomial in
+    K with no zero value u_K(xi^j), y = sum_i beta_i K^i, beta the inverse
+    transform of 1/u_K(xi^j), confirmed by u_K*y = 1 = y*u_K; else, or
+    when y is no inverse, by the rank of L_{u_K}."""
+    p, n = U.p, U.dim
+    y = None
+    if not any(a or c for a, _, c in u_K.terms):
+        values = values_by_sums(u_K)
+        if all(values):
+            inverses = [_inv_scalar(v) for v in values]
+            y = U.element({
+                (0, i, 0): Fraction(1, p) * sum(
+                    w * root_of_unity(p, -i * j)
+                    for j, w in enumerate(inverses))
+                for i in range(p)})
+    if y is not None and u_K * y == U.unit() == y * u_K:
+        rank = n
+    else:
+        rank = U.left_mult_operator(u_K).rank()
+    return check("u_K_invertible", rank == n,
+                 details="rank %d of %d" % (rank, n))
 
 
 def prefactor_route_by_sums(p, mu, R):
@@ -977,6 +1006,35 @@ def act_by_letters(A, gi, mono):
             v = out.get(m)
             out[m] = c if v is None else v + c
     return out
+
+
+def mirror_premise_by_letters(A):
+    """Whether sigma: g_i -> g_(k-1-i) extends to an anti-automorphism of
+    a presented algebra A: bounds and power_rhs read the same reversed,
+    and each straightening rule hi*lo = sum s w, read right to left under
+    sigma, sigma(lo)*sigma(hi) = sum s sigma(w), holds in A, each side's
+    letters reversed, mirrored and applied one run at a time to 1.  False
+    without a presentation."""
+    pres = getattr(A, "pres", None)
+    if pres is None:
+        return False
+    k = len(pres.gens)
+
+    def mirrored(word):
+        return A._apply([(k - 1 - gi, e) for gi, e in reversed(word)],
+                        {A.unit_mono: 1})
+
+    def holds(hi, lo, rule):
+        terms = dict(mirrored(((hi, 1), (lo, 1))))
+        for s, w in rule:
+            for m, c in mirrored(w).items():
+                terms[m] = terms.get(m, 0) - s * c
+        return not any(terms.values())
+
+    return (pres.bounds == pres.bounds[::-1]
+            and pres.power_rhs == pres.power_rhs[::-1]
+            and all(holds(hi, lo, rule)
+                    for (hi, lo), rule in pres.straighten.items()))
 
 
 def pair_product_by_rescan(A, ma, mb):

@@ -44,6 +44,7 @@ from oracle import (
     is_prime_by_trial_division,
     kernel_dims,
     leaf_entries,
+    mirror_premise_by_letters,
     mult_map_by_pairs,
     normal_form,
     normal_form_by_rescan,
@@ -51,6 +52,7 @@ from oracle import (
     presented_degrees_and_labels,
     q_factorial,
     regular_degrees_and_labels,
+    replace,
     row_premises_by_sweep,
     typed_entries,
     typed_terms,
@@ -572,11 +574,14 @@ def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     # K is diagonal, so the center takes K*h and h*K for the generators h,
     # 5 products, and no K*m; then F*m for the 25 weight-zero monomials
     # F^a K^b E^a that commute with K, less F*K, already taken: 5 + 24 =
-    # 29.  E, the mirror of F, takes no column.  The right products m*F
-    # come from the memo of _right_products, not from pair products.  It
-    # memoises 91 actions: 6 that the mirror premise's straightening rules
-    # take and 85 more of the 125 actions (F, m); a run K^e takes one step,
-    # with no action of K memoised (PresentedAlgebra._apply).
+    # 29.  sigma's residuals (mirror_premise) read 4 more product columns:
+    # E*E^4, K*K^4 and F*F^4 for the power rules and E*F for the rule
+    # E*F; the other two, E*K and K*F, are already taken: 33.  E, the
+    # mirror of F, takes no column.  The right products m*F come from the
+    # memo of _right_products, not from pair products.  It memoises 93
+    # actions, 72 of F and 21 of E, among them E*E^4 and F*F^4, which only
+    # the residuals take; a run K^e takes one step, with no action of K
+    # memoised (PresentedAlgebra._apply).
     calls = []
     raw = PresentedAlgebra._pair_product_raw
 
@@ -587,8 +592,8 @@ def test_center_acts_once_per_generator_and_monomial(monkeypatch):
     monkeypatch.setattr(PresentedAlgebra, "_pair_product_raw", counted)
     U = uqsl2(5)
     U.compute_center()
-    assert len(calls) == 29
-    assert len(U._actions) == 91
+    assert len(calls) == 33
+    assert len(U._actions) == 93
 
 
 @pytest.mark.parametrize("make", [lambda: uqsl2(5), lambda: d_a_mu(3, 1),
@@ -855,16 +860,27 @@ def test_center_does_not_depend_on_the_generator_order(monkeypatch, build):
     assert backward == forward
 
 
-def skew_algebra():
-    # a, b, c with a^2 = b^2 = c^2 = 0, ba = 2ab, cb = bc and ca = ac.
+def skew_algebra(s=1):
+    # a, b, c with a^2 = b^2 = c^2 = 0, ba = 2ab, cb = s bc and ca = ac.
     # Reversed under sigma: a <-> c, b -> b, ba = 2ab reads cb = 2bc, which
-    # fails in A
+    # fails in A unless s = 2
     return PresentedAlgebra(Presentation(
         N=1, gens=("a", "b", "c"), degrees=(0, 0, 0), bounds=(2, 2, 2),
         power_rhs=(0, 0, 0), straighten={
             (1, 0): ((2, ((0, 1), (1, 1))),),
-            (2, 1): ((1, ((1, 1), (2, 1))),),
+            (2, 1): ((s, ((1, 1), (2, 1))),),
             (2, 0): ((1, ((0, 1), (2, 1))),)}))
+
+
+def uqsl2_with_E_K_squared(p):
+    # uqsl2(p) with E*K = q^2 K*E for q K*E, one straightening coefficient:
+    # sigma reads it as K*F = q^2 F*K against the rule K*F = q F*K, so the
+    # premise fails (the algebra is not associative either, which neither
+    # evaluator of the premise needs)
+    pres = uqsl2(p).pres
+    ((c, w),) = pres.straighten[2, 1]
+    return PresentedAlgebra(replace(pres, straighten=pres.straighten | {
+        (2, 1): ((c * c, w),)}))
 
 
 @pytest.mark.parametrize("build", [
@@ -890,16 +906,22 @@ def test_the_skew_algebra_is_associative():
     (lambda: uqsl2(3), True), (lambda: uqsl2(5), True),
     (lambda: uqsl2(7), True), (lambda: d_a_mu(3, 1), True),
     (lambda: d_a_mu(5, 2), True), (lambda: taft(3), False),
-    (skew_algebra, False), (lambda: dual_anyonic(5), False)],
+    (skew_algebra, False), (lambda: skew_algebra(2), True),
+    (lambda: uqsl2_with_E_K_squared(5), False),
+    (lambda: dual_anyonic(5), False)],
     ids=["uqsl2(3)", "uqsl2(5)", "uqsl2(7)", "d_a_mu(3,1)", "d_a_mu(5,2)",
-         "taft(3)", "skew", "dual_anyonic(5)"])
+         "taft(3)", "skew", "skew(2)", "uqsl2(5) E*K squared",
+         "dual_anyonic(5)"])
 def test_mirror_premise(build, holds):
     # checked on the presentation, once: the flag is cached in the slot
-    # that __init__ leaves; where it holds, sigma(m) = m[::-1] reverses
-    # each product of a generator and a basis monomial, on either side
+    # that __init__ leaves, and agrees with the straightening rules read
+    # letter by letter under sigma in a second copy (oracle); where it
+    # holds, sigma(m) = m[::-1] reverses each product of a generator and
+    # a basis monomial, on either side
     A = build()
     assert A.mirror_premise() is holds
     assert A.mirror_premise() is holds
+    assert mirror_premise_by_letters(build()) is holds
     if holds:
         for g in generator_monos(A):
             for m in A.basis:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import bhl
 from bhl import ayd, scalars
-from bhl.algebras import (DimensionGuardError, PresentedAlgebra, d_a_mu, taft,
-                          uqsl2)
+from bhl.algebras import (DimensionGuardError, FiniteDimAlgebra,
+                          PresentedAlgebra, d_a_mu, taft, uqsl2)
 from bhl.ayd import (
     AydModule,
     ayd_module_from_json,
@@ -59,6 +59,7 @@ from oracle import (
     twisted_psi_v0,
     typed_entries,
     typed_terms,
+    u_K_invertible_by_inverse,
     values_by_sums,
     verify_module,
     w_by_product,
@@ -643,37 +644,62 @@ def test_ribbon_centrality_inverts_u_K_without_a_rank(monkeypatch, p):
     assert ranks == []
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_u_K_invertible_agrees_with_the_rank(p):
-    U = uqsl2(p)
-    R = ribbon_element(p)
-    rank = U.left_mult_operator(R.u_K).rank()
-    assert ayd._u_K_invertible(U, R.u_K, R.u_K_values)["details"] == \
-        "rank %d of %d" % (rank, U.dim)
+    # the evaluation lemma against the rank of L_{u_K}, and against y with
+    # u_K*y = 1 = y*u_K and the rank fallback (oracle): the same check
+    # dict, verdict and details, on u_K, 1 - K (a zero value), u_K + F (no
+    # polynomial in K) and 2 + K (invertible, and not u_K)
+    U, R = uqsl2(p), ribbon_element(p)
+    K = U.gen("K")
+    for label, el in (("u_K", R.u_K), ("1-K", U.unit() - K),
+                      ("u_K+F", R.u_K + U.gen("F")), ("2+K", 2 * U.unit() + K)):
+        c = ayd._u_K_invertible(U, el)
+        assert c == u_K_invertible_by_inverse(U, el), label
+        rank = U.left_mult_operator(el).rank()
+        assert c["status"] == (PASS if rank == U.dim else FAIL), label
+        assert c["details"] == "rank %d of %d" % (rank, U.dim), label
+        assert (c["status"] == FAIL) is (label == "1-K")
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_u_K_without_an_inverse_by_the_transform_takes_the_rank(
         monkeypatch, p):
     # u(t) = 1 - t vanishes at t = xi^0, and u_K + F is no polynomial in
-    # K, so it has no transform (None): neither is inverted by the
-    # transform, so the rank of L_{u_K} decides, and it fails for 1 - K.
-    # Values that are no transform of the element give a y that u_K y = 1
-    # refutes, and the rank decides too
+    # K, so it has no values (None): the lemma passes neither, so the
+    # rank of L_{u_K} decides, and it fails for 1 - K.  The third case
+    # repeats 1 - K: the check reads the values of the element it is
+    # given, whatever values RibbonData keeps
     U = uqsl2(p)
     one_minus_K = U.unit() - U.gen("K")
-    R = ribbon_element(p)
-    cases = [(el, values, U.left_mult_operator(el).rank())
-             for el, values in ((one_minus_K, values_by_sums(one_minus_K)),
-                                (R.u_K + U.gen("F"), None),
-                                (one_minus_K, R.u_K_values))]
-    assert cases[0][2] < U.dim
+    cases = [(el, U.left_mult_operator(el).rank())
+             for el in (one_minus_K, ribbon_element(p).u_K + U.gen("F"),
+                        one_minus_K)]
+    assert cases[0][1] < U.dim
     ranks = count_ranks(monkeypatch)
-    for el, values, rank in cases:
-        c = ayd._u_K_invertible(U, el, values)
+    for el, rank in cases:
+        c = ayd._u_K_invertible(U, el)
         assert c["status"] == (PASS if rank == U.dim else FAIL)
         assert c["details"] == "rank %d of %d" % (rank, U.dim)
     assert ranks == [U.dim] * 3
+
+
+def test_u_K_invertible_builds_no_inverse_and_multiplies_nothing(
+        monkeypatch):
+    # with every value nonzero the lemma decides: no field inverse, no
+    # element product, no rank
+    U, R = uqsl2(5), ribbon_element(5)
+    calls = []
+    for cls, name in ((Cyclotomic, "inverse"),
+                      (FiniteDimAlgebra, "multiply")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name, lambda *a, real=real, name=name: calls.append(name)
+            or real(*a))
+    ranks = count_ranks(monkeypatch)
+    c = ayd._u_K_invertible(U, R.u_K)
+    assert c["status"] == PASS and c["details"] == "rank 125 of 125"
+    assert calls == [] and ranks == []
 
 
 @pytest.mark.parametrize("p", [3, 5])
